@@ -52,6 +52,7 @@ package assoc
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"mvs/internal/geom"
 	"mvs/internal/hungarian"
@@ -174,16 +175,27 @@ func TrainPair(samples []Sample, newClf func() ml.Classifier, newReg func() ml.R
 }
 
 // Map predicts whether a source box is visible on the destination camera
-// and, if so, where.
+// and, if so, where. A pair with no regressor — no co-visible training
+// sample — can only answer "not visible", whatever its classifier says,
+// so it answers without a query.
 func (pm *PairModel) Map(box geom.Rect) (geom.Rect, bool, error) {
-	visible, err := pm.clf.Predict(box.Vec4())
+	if !pm.hasReg {
+		return geom.Rect{}, false, nil
+	}
+	return pm.mapVec(box.Vec4())
+}
+
+// mapVec is Map for a pair that has a regressor, on the box's feature
+// vector (geom.Rect.Vec4), which the models do not retain.
+func (pm *PairModel) mapVec(vec []float64) (geom.Rect, bool, error) {
+	visible, err := pm.clf.Predict(vec)
 	if err != nil {
 		return geom.Rect{}, false, fmt.Errorf("assoc: classify: %w", err)
 	}
-	if !visible || !pm.hasReg {
+	if !visible {
 		return geom.Rect{}, false, nil
 	}
-	v, err := pm.reg.Predict(box.Vec4())
+	v, err := pm.reg.Predict(vec)
 	if err != nil {
 		return geom.Rect{}, false, fmt.Errorf("assoc: regress: %w", err)
 	}
@@ -329,6 +341,12 @@ type pairMatch struct {
 	a, b int
 }
 
+// solvers recycles Hungarian workspaces (and the profit matrices they
+// back) across camera pairs and across calls. A Model is immutable and
+// shared by concurrent callers, so the scratch cannot live on it; each
+// pair borrows a solver for the duration of its own match.
+var solvers = sync.Pool{New: func() any { return new(hungarian.Solver) }}
+
 // AssociateWorkers clusters per-camera boxes into global objects. For
 // each camera pair (i < j), every box on i that the pair model maps
 // into j is matched against j's boxes by IoU (Hungarian, threshold
@@ -340,10 +358,10 @@ type pairMatch struct {
 // writes only its own match list — and the union-find merges are then
 // applied sequentially in ascending (i, then j) pair order, so the
 // returned groups, their order, and their member order are bit-identical
-// at every worker count. A pair with an empty side, or whose boxes are
-// all predicted invisible on the other camera, contributes no matches
-// and never invokes the Hungarian solver, exactly as in the sequential
-// path.
+// at every worker count. A pair with an empty side, with no trained
+// regressor (it can only answer "not visible"), or whose boxes are all
+// predicted invisible on the other camera, contributes no matches and
+// never invokes the Hungarian solver, exactly as in the sequential path.
 func (m *Model) AssociateWorkers(boxes [][]geom.Rect, minIoU float64, workers int) ([]Group, error) {
 	if len(boxes) != m.numCams {
 		return nil, fmt.Errorf("assoc: %d camera lists, model trained for %d", len(boxes), m.numCams)
@@ -356,28 +374,47 @@ func (m *Model) AssociateWorkers(boxes [][]geom.Rect, minIoU float64, workers in
 	for i, b := range boxes {
 		offsets[i+1] = offsets[i] + len(b)
 	}
+	total := offsets[len(boxes)]
 
-	// Enumerate the unordered pairs in the merge order (ascending i,
-	// then j); matches[k] is pair k's private output slot.
-	pairs := make([][2]int, 0, m.numCams*(m.numCams-1)/2)
+	// Every box's feature vector, computed once for all the pairs that
+	// query it: box k of camera i is feat[4*(offsets[i]+k):][:4].
+	feat := make([]float64, 0, 4*total)
+	for _, cam := range boxes {
+		for _, b := range cam {
+			feat = append(feat, b.MinX, b.MinY, b.MaxX, b.MaxY)
+		}
+	}
+
+	// Enumerate the unordered pairs that can match at all, in the merge
+	// order (ascending i, then j); matches[k] is pair k's private output
+	// slot.
+	type pair struct {
+		i, j int
+		pm   *PairModel
+	}
+	var pairs []pair
 	for i := 0; i < m.numCams; i++ {
 		for j := i + 1; j < m.numCams; j++ {
-			pairs = append(pairs, [2]int{i, j})
+			if len(boxes[i]) == 0 || len(boxes[j]) == 0 {
+				continue
+			}
+			if pm := m.pairs[[2]int{i, j}]; pm != nil && pm.hasReg {
+				pairs = append(pairs, pair{i, j, pm})
+			}
 		}
 	}
 	matches := make([][]pairMatch, len(pairs))
 	err := pool.Do(workers, len(pairs), func(k int) error {
-		i, j := pairs[k][0], pairs[k][1]
-		if len(boxes[i]) == 0 || len(boxes[j]) == 0 {
-			return nil
-		}
+		i, j, pm := pairs[k].i, pairs[k].j, pairs[k].pm
+		solver := solvers.Get().(*hungarian.Solver)
+		defer solvers.Put(solver)
 		// Map each box on i into j; rows that aren't predicted visible
 		// get zero profit everywhere.
-		profit := make([][]float64, len(boxes[i]))
+		profit := solver.Matrix(len(boxes[i]), len(boxes[j]))
 		anyVisible := false
-		for bi, box := range boxes[i] {
-			profit[bi] = make([]float64, len(boxes[j]))
-			pred, visible, err := m.MapBox(i, j, box)
+		for bi := range boxes[i] {
+			at := 4 * (offsets[i] + bi)
+			pred, visible, err := pm.mapVec(feat[at : at+4 : at+4])
 			if err != nil {
 				return err
 			}
@@ -392,7 +429,7 @@ func (m *Model) AssociateWorkers(boxes [][]geom.Rect, minIoU float64, workers in
 		if !anyVisible {
 			return nil // all-zero profit matrix: nothing to solve
 		}
-		assign, _, err := hungarian.MaximizeProfit(profit, minIoU)
+		assign, _, err := solver.MaximizeProfit(profit, minIoU)
 		if err != nil {
 			return fmt.Errorf("assoc: matching cameras (%d,%d): %w", i, j, err)
 		}
@@ -412,7 +449,7 @@ func (m *Model) AssociateWorkers(boxes [][]geom.Rect, minIoU float64, workers in
 	// order. (The grouping is a connected-components computation, so it
 	// is invariant to this order anyway; fixing it makes the parallel
 	// path checkably identical to the sequential one.)
-	dsu := newDSU(offsets[len(boxes)])
+	dsu := newDSU(total)
 	for _, ms := range matches {
 		for _, pm := range ms {
 			dsu.union(pm.a, pm.b)
@@ -420,18 +457,28 @@ func (m *Model) AssociateWorkers(boxes [][]geom.Rect, minIoU float64, workers in
 	}
 
 	// Collect groups in deterministic order of their smallest member.
-	groupIdx := make(map[int]int)
-	var groups []Group
+	// Sizes are counted first, so that every Members list is cut, at its
+	// exact capacity, from one array.
+	groupOf := make([]int, total) // union-find root -> group + 1
+	var sizes []int
+	for k := 0; k < total; k++ {
+		root := dsu.find(k)
+		if groupOf[root] == 0 {
+			sizes = append(sizes, 0)
+			groupOf[root] = len(sizes)
+		}
+		sizes[groupOf[root]-1]++
+	}
+	groups := make([]Group, len(sizes))
+	refs := make([]Ref, total)
+	for gi, n := range sizes {
+		groups[gi].Members = refs[:0:n]
+		refs = refs[n:]
+	}
 	for i := 0; i < m.numCams; i++ {
 		for k := range boxes[i] {
-			root := dsu.find(offsets[i] + k)
-			gi, ok := groupIdx[root]
-			if !ok {
-				gi = len(groups)
-				groupIdx[root] = gi
-				groups = append(groups, Group{})
-			}
-			groups[gi].Members = append(groups[gi].Members, Ref{Cam: i, Index: k})
+			g := &groups[groupOf[dsu.find(offsets[i]+k)]-1]
+			g.Members = append(g.Members, Ref{Cam: i, Index: k})
 		}
 	}
 	return groups, nil

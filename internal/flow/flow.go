@@ -13,8 +13,9 @@
 package flow
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mvs/internal/geom"
 	"mvs/internal/hungarian"
@@ -80,12 +81,27 @@ func (c Config) withDefaults() Config {
 
 // Tracker maintains the track set of one camera. Not safe for concurrent
 // use.
+//
+// The tracker owns its per-frame scratch (the Tracks view, the predicted
+// boxes, the match flags, the Hungarian workspace, the created-ID list),
+// so a frame with no arrivals allocates nothing. The price is in the doc
+// comments of Tracks and Update: what they return is valid until the
+// next call of the same method.
 type Tracker struct {
 	cfg      Config
 	allSizes []int // the full configured size set; cfg.Sizes is the capped view
 	frame    geom.Rect
 	nextID   int
-	tracks   map[int]*Track
+	// tracks holds the live tracks in ascending ID order. IDs only grow,
+	// so Spawn's append keeps the order and Get/Remove can bisect.
+	tracks []*Track
+
+	view         []*Track
+	predicted    []geom.Rect
+	matchedTrack []bool
+	matchedDet   []bool
+	created      []int
+	solver       hungarian.Solver
 }
 
 // NewTracker builds a tracker over the camera's pixel frame.
@@ -99,7 +115,6 @@ func NewTracker(frame geom.Rect, cfg Config) (*Tracker, error) {
 		allSizes: cfg.Sizes,
 		frame:    frame,
 		nextID:   1,
-		tracks:   make(map[int]*Track),
 	}, nil
 }
 
@@ -133,49 +148,64 @@ func (tr *Tracker) SetSizeCap(capPx int) {
 // degrade together.
 func (tr *Tracker) Sizes() []int { return tr.cfg.Sizes }
 
-// Tracks returns the live tracks sorted by ID (deterministic order).
+// Tracks returns the live tracks sorted by ID (deterministic order). The
+// slice is a snapshot in the tracker's own buffer: Spawn and Remove may be
+// called while ranging over it, and it is valid until the next call to
+// Tracks. Callers that keep tracks longer copy them out.
 func (tr *Tracker) Tracks() []*Track {
-	out := make([]*Track, 0, len(tr.tracks))
-	for _, t := range tr.tracks {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	tr.view = append(tr.view[:0], tr.tracks...)
+	return tr.view
 }
 
 // Len returns the number of live tracks.
 func (tr *Tracker) Len() int { return len(tr.tracks) }
 
+// find returns the position of the track with the given ID in tr.tracks.
+func (tr *Tracker) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(tr.tracks, id, func(t *Track, id int) int { return cmp.Compare(t.ID, id) })
+}
+
 // Get returns the track with the given ID, or nil.
-func (tr *Tracker) Get(id int) *Track { return tr.tracks[id] }
+func (tr *Tracker) Get(id int) *Track {
+	if i, ok := tr.find(id); ok {
+		return tr.tracks[i]
+	}
+	return nil
+}
 
 // Remove drops a track (used when the scheduler assigns the object to a
 // different camera).
-func (tr *Tracker) Remove(id int) { delete(tr.tracks, id) }
+func (tr *Tracker) Remove(id int) {
+	if i, ok := tr.find(id); ok {
+		tr.tracks = slices.Delete(tr.tracks, i, i+1)
+	}
+}
 
 // Update advances all tracks one frame and associates the new detections
 // to them. Unmatched detections become new tracks; tracks unmatched for
 // more than MaxMissed frames are dropped. Matched tracks update box,
-// velocity, and truth ID. It returns the IDs of newly created tracks.
+// velocity, and truth ID. It returns the IDs of newly created tracks, in
+// a buffer of the tracker's that is valid until the next Update; dets is
+// not retained.
 func (tr *Tracker) Update(dets []vision.Detection) ([]int, error) {
-	tracks := tr.Tracks()
+	tracks := tr.tracks
 	// Predict all current tracks forward.
-	predicted := make([]geom.Rect, len(tracks))
-	for i, t := range tracks {
-		predicted[i] = t.Predicted()
+	tr.predicted = tr.predicted[:0]
+	for _, t := range tracks {
+		tr.predicted = append(tr.predicted, t.Predicted())
 	}
+	predicted := tr.predicted
 
-	matchedDet := make([]bool, len(dets))
-	matchedTrack := make([]bool, len(tracks))
+	tr.matchedTrack = resetFlags(tr.matchedTrack, len(tracks))
+	tr.matchedDet = resetFlags(tr.matchedDet, len(dets))
 	if len(tracks) > 0 && len(dets) > 0 {
-		profit := make([][]float64, len(tracks))
+		profit := tr.solver.Matrix(len(tracks), len(dets))
 		for i := range tracks {
-			profit[i] = make([]float64, len(dets))
 			for j, d := range dets {
 				profit[i][j] = predicted[i].IoU(d.Box)
 			}
 		}
-		assign, _, err := hungarian.MaximizeProfit(profit, tr.cfg.MatchIoU)
+		assign, _, err := tr.solver.MaximizeProfit(profit, tr.cfg.MatchIoU)
 		if err != nil {
 			return nil, fmt.Errorf("flow: association: %w", err)
 		}
@@ -184,34 +214,47 @@ func (tr *Tracker) Update(dets []vision.Detection) ([]int, error) {
 				continue
 			}
 			tr.applyMatch(tracks[i], dets[j])
-			matchedTrack[i] = true
-			matchedDet[j] = true
+			tr.matchedTrack[i] = true
+			tr.matchedDet[j] = true
 		}
 	}
 
-	// Unmatched tracks coast on prediction and age toward removal.
+	// Unmatched tracks coast on prediction and age toward removal; the
+	// survivors are compacted in place, which keeps the ID order.
+	live := tracks[:0]
 	for i, t := range tracks {
-		if matchedTrack[i] {
-			continue
+		if !tr.matchedTrack[i] {
+			t.Box = predicted[i].Clamp(tr.frame)
+			t.Age++
+			t.Missed++
+			if t.Missed > tr.cfg.MaxMissed || t.Box.Empty() {
+				continue
+			}
 		}
-		t.Box = predicted[i].Clamp(tr.frame)
-		t.Age++
-		t.Missed++
-		if t.Missed > tr.cfg.MaxMissed || t.Box.Empty() {
-			delete(tr.tracks, t.ID)
-		}
+		live = append(live, t)
 	}
+	clear(tracks[len(live):]) // let the dropped tracks go
+	tr.tracks = live
 
 	// Unmatched detections spawn new tracks.
-	var created []int
+	tr.created = tr.created[:0]
 	for j, d := range dets {
-		if matchedDet[j] {
+		if tr.matchedDet[j] {
 			continue
 		}
-		id := tr.Spawn(d)
-		created = append(created, id)
+		tr.created = append(tr.created, tr.Spawn(d))
 	}
-	return created, nil
+	return tr.created, nil
+}
+
+// resetFlags returns flags resized to n, all false.
+func resetFlags(flags []bool, n int) []bool {
+	if cap(flags) < n {
+		return make([]bool, n)
+	}
+	flags = flags[:n]
+	clear(flags)
+	return flags
 }
 
 // applyMatch updates a track with its matched detection.
@@ -237,12 +280,12 @@ func (tr *Tracker) Spawn(d vision.Detection) int {
 	id := tr.nextID
 	tr.nextID++
 	_, size := geom.QuantizeRect(d.Box, tr.frame, tr.cfg.Sizes)
-	tr.tracks[id] = &Track{
+	tr.tracks = append(tr.tracks, &Track{
 		ID:        id,
 		TruthID:   d.TruthID,
 		Box:       d.Box,
 		QuantSize: size,
-	}
+	})
 	return id
 }
 
@@ -263,8 +306,7 @@ func (tr *Tracker) RefreshSizes() {
 // content instead of rebatching).
 func (tr *Tracker) Region(t *Track) geom.Rect {
 	centre := t.Predicted().Center()
-	q, _ := geom.QuantizeRect(geom.RectFromCenter(centre, 1, 1), tr.frame, []int{t.QuantSize})
-	return q
+	return geom.SquareAround(geom.RectFromCenter(centre, 1, 1), t.QuantSize, tr.frame)
 }
 
 // NewRegions implements the moving-pixel "new region" proposal: every

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"slices"
 	"testing"
 
 	"mvs/internal/geom"
@@ -261,6 +262,122 @@ func TestTrackIDsMonotonic(t *testing.T) {
 	b := tr.Spawn(det(2, 10, 10, 20, 20))
 	if b <= a {
 		t.Fatalf("IDs not monotonic: %d then %d", a, b)
+	}
+}
+
+// TestTracksIsASnapshotInTrackerStorage pins the contract the callers
+// of Tracks rely on: ordered by ID, safe to Remove and Spawn while
+// ranging over it, and backed by the tracker — the next call overwrites
+// it.
+func TestTracksIsASnapshotInTrackerStorage(t *testing.T) {
+	tr := newTracker(t)
+	for i := 0; i < 6; i++ {
+		tr.Spawn(det(i+1, float64(40+i*150), 100, 50, 40))
+	}
+	view := tr.Tracks()
+	var seen []int
+	for _, track := range view {
+		seen = append(seen, track.ID)
+		if track.ID%2 == 0 {
+			tr.Remove(track.ID) // the static-partition prune does exactly this
+		}
+		if track.ID == 3 {
+			tr.Spawn(det(99, 900, 500, 50, 40))
+		}
+	}
+	if want := []int{1, 2, 3, 4, 5, 6}; !slices.Equal(seen, want) {
+		t.Fatalf("ranged over %v, want %v", seen, want)
+	}
+	var after []int
+	for _, track := range tr.Tracks() {
+		after = append(after, track.ID)
+	}
+	if want := []int{1, 3, 5, 7}; !slices.Equal(after, want) {
+		t.Fatalf("after prune: %v, want %v", after, want)
+	}
+	if &view[0] != &tr.Tracks()[0] {
+		t.Fatal("Tracks allocated a new snapshot; the doc says it reuses the tracker's")
+	}
+	for _, id := range []int{1, 3, 5, 7} {
+		if got := tr.Get(id); got == nil || got.ID != id {
+			t.Fatalf("Get(%d) = %v", id, got)
+		}
+	}
+	for _, id := range []int{0, 2, 4, 6, 8} {
+		if tr.Get(id) != nil {
+			t.Fatalf("Get(%d) found a removed or unknown track", id)
+		}
+	}
+	tr.Remove(42) // unknown: no-op
+	if tr.Len() != 4 {
+		t.Fatalf("len = %d", tr.Len())
+	}
+}
+
+// TestUpdateDropsAndSpawnsKeepOrder drives expiry in the middle of the
+// list together with a spawn at the end — the in-place compaction must
+// keep the ID order Get bisects on.
+func TestUpdateDropsAndSpawnsKeepOrder(t *testing.T) {
+	tr, err := NewTracker(frame, Config{MaxMissed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := []vision.Detection{det(1, 50, 100, 50, 40), det(2, 300, 100, 50, 40), det(3, 600, 100, 50, 40)}
+	if _, err := tr.Update(all); err != nil {
+		t.Fatal(err)
+	}
+	// Object 2 disappears; after two silent frames its track is dropped.
+	// A fourth object appears meanwhile.
+	some := []vision.Detection{all[0], all[2], det(4, 900, 400, 50, 40)}
+	var created []int
+	for i := 0; i < 2; i++ {
+		if created, err = tr.Update(some); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(created) != 0 {
+		t.Fatalf("second pass created %v", created)
+	}
+	var ids, truth []int
+	for _, track := range tr.Tracks() {
+		ids = append(ids, track.ID)
+		truth = append(truth, track.TruthID)
+	}
+	if !slices.Equal(ids, []int{1, 3, 4}) || !slices.Equal(truth, []int{1, 3, 4}) {
+		t.Fatalf("tracks %v (truth %v), want IDs 1 3 4", ids, truth)
+	}
+	if tr.Get(2) != nil || tr.Get(4) == nil {
+		t.Fatal("Get disagrees with the track list")
+	}
+}
+
+// TestUpdateSteadyStateAllocatesNothing is the budget: with no arrival
+// and no departure a tracker update — prediction, the Hungarian match,
+// the bookkeeping — runs entirely in the tracker's own buffers.
+func TestUpdateSteadyStateAllocatesNothing(t *testing.T) {
+	tr := newTracker(t)
+	dets := make([]vision.Detection, 12)
+	for i := range dets {
+		dets[i] = det(i+1, float64(50+i*90), 100, 50, 40)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := tr.Update(dets); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		created, err := tr.Update(dets)
+		if err != nil || len(created) != 0 {
+			panic("steady state disturbed")
+		}
+		for _, track := range tr.Tracks() {
+			_ = tr.Region(track)
+		}
+	}); n != 0 {
+		t.Fatalf("Update + Tracks + Region: %v allocs per frame, want 0", n)
+	}
+	if tr.Len() != len(dets) {
+		t.Fatalf("len = %d", tr.Len())
 	}
 }
 

@@ -223,7 +223,14 @@ func QuantizeSize(long float64, sizes []int) int {
 // The returned size is the quantized side length.
 func QuantizeRect(r Rect, bounds Rect, sizes []int) (Rect, int) {
 	s := QuantizeSize(r.LongSide(), sizes)
-	q := RectFromCenter(r.Center(), float64(s), float64(s))
+	return SquareAround(r, s, bounds), s
+}
+
+// SquareAround returns the square of the given side centred on r's
+// center, shifted (not clipped) into bounds — QuantizeRect for a side
+// that is already chosen.
+func SquareAround(r Rect, side int, bounds Rect) Rect {
+	q := RectFromCenter(r.Center(), float64(side), float64(side))
 	// Shift into bounds rather than clipping, so the region keeps its full
 	// quantized size whenever the frame is large enough.
 	if q.MinX < bounds.MinX {
@@ -238,7 +245,7 @@ func QuantizeRect(r Rect, bounds Rect, sizes []int) (Rect, int) {
 	if q.MaxY > bounds.MaxY {
 		q = q.Translate(Point{0, bounds.MaxY - q.MaxY})
 	}
-	return q.Clamp(bounds), s
+	return q.Clamp(bounds)
 }
 
 // Polygon is a convex polygon with vertices in counter-clockwise order,

@@ -15,7 +15,7 @@ package gpu
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mvs/internal/profile"
@@ -43,37 +43,56 @@ type Batch struct {
 // tasks are grouped by size and each group is split into ceil(n/B) full
 // batches. The paper notes this greedy packing is optimal because each
 // target size batches independently. Batches are ordered by ascending
-// size, then formation order, giving a deterministic schedule.
+// size, then formation order, giving a deterministic schedule. The
+// caller owns the result; tasks is not retained.
 func FormBatches(tasks []Task, prof *profile.Profile) ([]Batch, error) {
-	bySize := make(map[int][]Task)
+	var b batcher
+	return b.form(tasks, prof)
+}
+
+// batcher is FormBatches' working storage. A zero batcher allocates what
+// it needs; one that is kept (Executor) reuses it frame after frame, and
+// the batches it returns then point into its buffers.
+type batcher struct {
+	sizes   []int   // distinct task sizes, ascending
+	grouped []Task  // the tasks reordered by size, arrival order within a size
+	batches []Batch // sub-slices of grouped
+}
+
+func (b *batcher) form(tasks []Task, prof *profile.Profile) ([]Batch, error) {
+	b.sizes = b.sizes[:0]
 	for _, t := range tasks {
 		if _, err := prof.BatchLimitFor(t.Size); err != nil {
 			return nil, fmt.Errorf("gpu: task for object %d: %w", t.ObjectID, err)
 		}
-		bySize[t.Size] = append(bySize[t.Size], t)
+		if !slices.Contains(b.sizes, t.Size) {
+			b.sizes = append(b.sizes, t.Size)
+		}
 	}
-	sizes := make([]int, 0, len(bySize))
-	for s := range bySize {
-		sizes = append(sizes, s)
-	}
-	sort.Ints(sizes)
+	slices.Sort(b.sizes)
 
-	var batches []Batch
-	for _, s := range sizes {
+	// Sized up front, so grouped never reallocates below: batches keep
+	// pointing into it.
+	b.grouped = slices.Grow(b.grouped[:0], len(tasks))
+	b.batches = b.batches[:0]
+	for _, s := range b.sizes {
 		limit, err := prof.BatchLimitFor(s)
 		if err != nil {
 			return nil, err
 		}
-		group := bySize[s]
-		for start := 0; start < len(group); start += limit {
-			end := start + limit
-			if end > len(group) {
-				end = len(group)
+		first := len(b.grouped)
+		for _, t := range tasks {
+			if t.Size == s {
+				b.grouped = append(b.grouped, t)
 			}
-			batches = append(batches, Batch{Size: s, Tasks: group[start:end]})
+		}
+		group := b.grouped[first:]
+		for start := 0; start < len(group); start += limit {
+			end := min(start+limit, len(group))
+			b.batches = append(b.batches, Batch{Size: s, Tasks: group[start:end:end]})
 		}
 	}
-	return batches, nil
+	return b.batches, nil
 }
 
 // BatchOccupancy returns the mean fill fraction of formed batches: each
@@ -137,7 +156,8 @@ func ScheduledLatency(counts map[int]int, prof *profile.Profile) (time.Duration,
 // FrameResult reports the execution of one frame's batches on the
 // simulated device.
 type FrameResult struct {
-	// Batches lists the executed batches in order.
+	// Batches lists the executed batches in order. They live in the
+	// executor's buffers: valid until its next RunFrame.
 	Batches []Batch
 	// Latency is the true (hardware-view) total execution latency.
 	Latency time.Duration
@@ -153,8 +173,9 @@ type FrameResult struct {
 // owns one and frames are strictly sequential, matching the no-preemption
 // execution model.
 type Executor struct {
-	prof  *profile.Profile
-	stats Stats
+	prof    *profile.Profile
+	stats   Stats
+	batcher batcher
 }
 
 // Stats accumulates executor counters across frames.
@@ -186,9 +207,11 @@ func NewExecutor(prof *profile.Profile) (*Executor, error) {
 func (e *Executor) Profile() *profile.Profile { return e.prof }
 
 // RunFrame batches and "executes" the given partial-region tasks,
-// returning the formed batches and both latency views.
+// returning the formed batches and both latency views. The batches are
+// formed in the executor's own buffers (see FrameResult.Batches); tasks
+// is copied, not retained.
 func (e *Executor) RunFrame(tasks []Task) (FrameResult, error) {
-	batches, err := FormBatches(tasks, e.prof)
+	batches, err := e.batcher.form(tasks, e.prof)
 	if err != nil {
 		return FrameResult{}, err
 	}

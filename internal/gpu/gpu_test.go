@@ -241,3 +241,79 @@ func BenchmarkFormBatches(b *testing.B) {
 		}
 	}
 }
+
+// TestRunFrameReusesItsBuffers is the budget (at most one allocation a
+// frame; none once the buffers have grown), checks that reuse does not
+// change what a frame reports, and pins what stays independent: the
+// caller's task list is never written, and FormBatches still hands out
+// storage of its own.
+func TestRunFrameReusesItsBuffers(t *testing.T) {
+	prof := xavier()
+	ex, err := NewExecutor(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	std := []int{64, 128, 256, 512}
+	frames := make([][]Task, 20)
+	for f := range frames {
+		frames[f] = make([]Task, 1+rng.Intn(40))
+		for i := range frames[f] {
+			frames[f][i] = Task{ObjectID: i, Size: std[rng.Intn(4)]}
+		}
+	}
+	for f, tasks := range frames {
+		before := append([]Task(nil), tasks...)
+		res, err := ex.RunFrame(tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := FormBatches(tasks, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Batches) != len(want) {
+			t.Fatalf("frame %d: %d batches, FormBatches %d", f, len(res.Batches), len(want))
+		}
+		for b := range want {
+			if res.Batches[b].Size != want[b].Size || len(res.Batches[b].Tasks) != len(want[b].Tasks) {
+				t.Fatalf("frame %d batch %d: %+v, want %+v", f, b, res.Batches[b], want[b])
+			}
+			for k := range want[b].Tasks {
+				if res.Batches[b].Tasks[k] != want[b].Tasks[k] {
+					t.Fatalf("frame %d batch %d task %d: %+v, want %+v", f, b, k, res.Batches[b].Tasks[k], want[b].Tasks[k])
+				}
+			}
+		}
+		for i := range tasks {
+			if tasks[i] != before[i] {
+				t.Fatalf("frame %d: RunFrame wrote to the caller's tasks", f)
+			}
+		}
+		// FormBatches' result must survive the executor's next frame.
+		if _, err := ex.RunFrame(frames[(f+1)%len(frames)]); err != nil {
+			t.Fatal(err)
+		}
+		again, _ := FormBatches(tasks, prof)
+		for b := range want {
+			for k := range want[b].Tasks {
+				if want[b].Tasks[k] != again[b].Tasks[k] {
+					t.Fatalf("frame %d: FormBatches result changed under a later RunFrame", f)
+				}
+			}
+		}
+	}
+	big := frames[0]
+	for _, tasks := range frames {
+		if len(tasks) > len(big) {
+			big = tasks
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ex.RunFrame(big); err != nil {
+			panic(err)
+		}
+	}); n > 1 {
+		t.Fatalf("RunFrame: %v allocs per frame, want <= 1", n)
+	}
+}

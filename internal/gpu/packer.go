@@ -2,7 +2,7 @@ package gpu
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mvs/internal/profile"
 )
@@ -65,7 +65,7 @@ func (p *Packer) Flush() []Batch {
 	for s := range p.open {
 		sizes = append(sizes, s)
 	}
-	sort.Ints(sizes)
+	slices.Sort(sizes)
 	batches := make([]Batch, 0, len(sizes))
 	for _, s := range sizes {
 		batches = append(batches, Batch{Size: s, Tasks: p.open[s]})

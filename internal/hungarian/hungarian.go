@@ -5,8 +5,15 @@
 // boxes to detections during cross-camera object association.
 //
 // The solver minimizes total cost over a rectangular cost matrix; use
-// MaximizeProfit for the IoU-matching (max-profit) form. Costs of
-// +Inf mark forbidden pairings.
+// MaximizeProfit for the IoU-matching (max-profit) form. A cost equal to
+// Forbidden (math.MaxFloat64, compared with ==) marks a pairing that must
+// not be selected; no other value — +Inf and NaN included — is treated
+// specially.
+//
+// All work runs on a Solver, a reusable workspace: a Solver that has
+// grown to the largest problem it sees allocates nothing, which is how the
+// per-camera tracker and the key-frame association call it. The package
+// functions Solve and MaximizeProfit run the same code on a fresh Solver.
 package hungarian
 
 import (
@@ -17,13 +24,66 @@ import (
 // Forbidden marks a pairing that must never be selected.
 const Forbidden = math.MaxFloat64
 
+// Solver is the reusable workspace of the assignment algorithm. The zero
+// value is ready to use; buffers grow to the largest problem solved and
+// are kept. A Solver is not safe for concurrent use, and the slices its
+// methods return (Matrix rows, assignment vectors) are the Solver's own:
+// they are valid until the next call of any method on the same Solver.
+type Solver struct {
+	a      []float64 // rows x cols cost matrix, row-major
+	u, v   []float64 // row / column potentials, 1-indexed
+	minv   []float64
+	p, way []int
+	used   []bool
+	assign []int
+
+	in     []float64 // backing array of Matrix
+	inRows [][]float64
+}
+
+// Matrix returns a zeroed rows x cols matrix backed by the Solver, for
+// the caller to fill and hand to Solve or MaximizeProfit on the same
+// Solver without allocating an input of its own.
+func (s *Solver) Matrix(rows, cols int) [][]float64 {
+	s.in = grow(s.in, rows*cols)
+	clear(s.in)
+	s.inRows = grow(s.inRows, rows)
+	for i := range s.inRows {
+		s.inRows[i] = s.in[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return s.inRows
+}
+
+// grow returns buf resized to n elements, reallocating only when its
+// capacity is too small. The contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Solve is Solver.Solve on a fresh workspace; the caller owns the
+// returned slice.
+func Solve(cost [][]float64) ([]int, float64, error) {
+	var s Solver
+	return s.Solve(cost)
+}
+
+// MaximizeProfit is Solver.MaximizeProfit on a fresh workspace; the
+// caller owns the returned slice.
+func MaximizeProfit(profit [][]float64, minProfit float64) ([]int, float64, error) {
+	var s Solver
+	return s.MaximizeProfit(profit, minProfit)
+}
+
 // Solve returns, for each row of the cost matrix, the column assigned to
 // it (or -1 when rows > cols and the row is unmatched), along with the
-// total cost of the assignment. The matrix may be rectangular; it is
-// padded internally to a square with zero-cost dummy entries. Solve
+// total cost of the assignment. The matrix may be rectangular. Solve
 // returns an error when cost is empty or ragged, or when no feasible
-// assignment exists (every complete matching uses a Forbidden pair).
-func Solve(cost [][]float64) ([]int, float64, error) {
+// assignment exists (every complete matching uses a Forbidden pair). The
+// returned slice belongs to the Solver and is valid until its next call.
+func (s *Solver) Solve(cost [][]float64) ([]int, float64, error) {
 	nRows := len(cost)
 	if nRows == 0 {
 		return nil, 0, fmt.Errorf("hungarian: empty cost matrix")
@@ -37,59 +97,122 @@ func Solve(cost [][]float64) ([]int, float64, error) {
 			return nil, 0, fmt.Errorf("hungarian: ragged row %d: %d vs %d", i, len(row), nCols)
 		}
 	}
-	n := nRows
-	if nCols > n {
-		n = nCols
+	// More rows than columns: pad with zero-cost dummy columns, so the
+	// surplus rows have somewhere to go. Rows are never padded.
+	m := max(nRows, nCols)
+	s.a = grow(s.a, nRows*m)
+	for i, row := range cost {
+		n := copy(s.a[i*m:(i+1)*m], row)
+		clear(s.a[i*m+n : (i+1)*m])
 	}
+	return s.solve(nRows, nCols, m)
+}
 
-	// Scale Forbidden down to a large-but-safe sentinel so potentials
-	// can't overflow; remember real forbidden pairs to validate at the
-	// end.
-	big := forbiddenCeiling(cost, n)
-	// Square padded matrix, 1-indexed for the classical potential-based
-	// implementation.
-	a := make([][]float64, n+1)
-	for i := range a {
-		a[i] = make([]float64, n+1)
+// MaximizeProfit solves the maximum-total-profit assignment over a profit
+// matrix (e.g. IoU scores). Pairs with profit <= minProfit are treated as
+// forbidden and left unmatched. The returned slice maps each row to its
+// matched column or -1; it belongs to the Solver and is valid until its
+// next call.
+func (s *Solver) MaximizeProfit(profit [][]float64, minProfit float64) ([]int, float64, error) {
+	if len(profit) == 0 {
+		return nil, 0, fmt.Errorf("hungarian: empty profit matrix")
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			switch {
-			case i >= nRows || j >= nCols:
-				a[i+1][j+1] = 0 // dummy row/col
-			case cost[i][j] == Forbidden:
-				a[i+1][j+1] = big
-			default:
-				a[i+1][j+1] = cost[i][j]
+	var maxP float64
+	for _, row := range profit {
+		for _, p := range row {
+			if p > maxP {
+				maxP = p
 			}
 		}
 	}
+	// Augment with one "stay unmatched" dummy column per row, priced just
+	// above the worst feasible match so real pairings are always
+	// preferred. This lets any subset of rows opt out, which is exactly
+	// the semantics of thresholded IoU matching.
+	nRows := len(profit)
+	nCols := len(profit[0])
+	m := nCols + nRows
+	s.a = grow(s.a, nRows*m)
+	for i, row := range profit {
+		if len(row) != nCols {
+			return nil, 0, fmt.Errorf("hungarian: ragged profit row %d", i)
+		}
+		out := s.a[i*m : (i+1)*m]
+		for j, p := range row {
+			if p <= minProfit {
+				out[j] = Forbidden
+			} else {
+				out[j] = maxP - p
+			}
+		}
+		for k := nCols; k < m; k++ {
+			out[k] = maxP + 1
+		}
+	}
+	assign, _, err := s.solve(nRows, m, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	var total float64
+	for i, j := range assign {
+		if j < 0 || j >= nCols || profit[i][j] <= minProfit {
+			assign[i] = -1
+			continue
+		}
+		total += profit[i][j]
+	}
+	return assign, total, nil
+}
 
-	// Potentials-based Hungarian algorithm (Jonker-style shortest
-	// augmenting paths). u/v are row/col potentials; p[j] is the row
-	// matched to column j.
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	p := make([]int, n+1)
-	way := make([]int, n+1)
-	for i := 1; i <= n; i++ {
+// solve runs the potentials-based Hungarian algorithm (Jonker-style
+// shortest augmenting paths) over s.a, an nRows x m matrix with
+// nRows <= m whose columns from nCols on are zero-cost dummies. One
+// augmentation per row, each O(m^2) at worst: a wide matrix is solved as
+// the rectangle it is.
+func (s *Solver) solve(nRows, nCols, m int) ([]int, float64, error) {
+	// Scale Forbidden down to a large-but-safe sentinel so potentials
+	// can't overflow. No feasible cost reaches the sentinel, so after the
+	// substitution "== big" still identifies exactly the forbidden pairs.
+	a := s.a[:nRows*m]
+	big := forbiddenCeiling(a, m)
+	for k, c := range a {
+		if c == Forbidden {
+			a[k] = big
+		}
+	}
+
+	// u/v are row/col potentials; p[j] is the row matched to column j, all
+	// 1-indexed with 0 as the "no row / virtual column" sentinel.
+	s.u = grow(s.u, nRows+1)
+	s.v = grow(s.v, m+1)
+	s.p = grow(s.p, m+1)
+	s.way = grow(s.way, m+1)
+	s.minv = grow(s.minv, m+1)
+	s.used = grow(s.used, m+1)
+	u, v, p, way, minv, used := s.u, s.v, s.p, s.way, s.minv, s.used
+	clear(u)
+	clear(v)
+	clear(p)
+	clear(way)
+	inf := math.Inf(1)
+	for i := 1; i <= nRows; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
 		for j := range minv {
-			minv[j] = math.Inf(1)
+			minv[j] = inf
 		}
+		clear(used)
 		for {
 			used[j0] = true
 			i0 := p[j0]
-			delta := math.Inf(1)
+			row := a[(i0-1)*m : i0*m]
+			delta := inf
 			j1 := 0
-			for j := 1; j <= n; j++ {
+			for j := 1; j <= m; j++ {
 				if used[j] {
 					continue
 				}
-				cur := a[i0][j] - u[i0] - v[j]
+				cur := row[j-1] - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -99,7 +222,7 @@ func Solve(cost [][]float64) ([]int, float64, error) {
 					j1 = j
 				}
 			}
-			for j := 0; j <= n; j++ {
+			for j := 0; j <= m; j++ {
 				if used[j] {
 					u[p[j]] += delta
 					v[j] -= delta
@@ -119,20 +242,19 @@ func Solve(cost [][]float64) ([]int, float64, error) {
 		}
 	}
 
-	assign := make([]int, nRows)
+	s.assign = grow(s.assign, nRows)
+	assign := s.assign
 	for i := range assign {
 		assign[i] = -1
 	}
 	var total float64
-	for j := 1; j <= n; j++ {
+	for j := 1; j <= nCols; j++ {
 		i := p[j] - 1
-		if i < 0 || i >= nRows {
-			continue // dummy row
+		if i < 0 {
+			continue // column left free
 		}
-		if j-1 >= nCols {
-			continue // dummy column: row stays unmatched
-		}
-		if cost[i][j-1] == Forbidden {
+		c := a[i*m+j-1]
+		if c == big {
 			// The only complete matchings route through a forbidden pair.
 			// When the matrix is square this means infeasible; when
 			// rectangular, treat the row as unmatched.
@@ -142,87 +264,23 @@ func Solve(cost [][]float64) ([]int, float64, error) {
 			continue
 		}
 		assign[i] = j - 1
-		total += cost[i][j-1]
-	}
-	// Square infeasibility check (rectangular matrices legitimately leave
-	// rows unmatched through dummy columns).
-	if nRows == nCols {
-		for i, j := range assign {
-			if j == -1 {
-				return nil, 0, fmt.Errorf("hungarian: row %d has no feasible column", i)
-			}
-		}
+		total += c
 	}
 	return assign, total, nil
 }
 
 // forbiddenCeiling picks a sentinel larger than any feasible assignment
-// cost so forbidden pairs are only chosen when unavoidable.
-func forbiddenCeiling(cost [][]float64, n int) float64 {
+// cost so forbidden pairs are only chosen when unavoidable. a is a
+// row-major matrix of row length m.
+func forbiddenCeiling(a []float64, m int) float64 {
 	var maxAbs float64 = 1
-	for _, row := range cost {
-		for _, c := range row {
-			if c == Forbidden {
-				continue
-			}
-			if v := math.Abs(c); v > maxAbs {
-				maxAbs = v
-			}
-		}
-	}
-	return maxAbs * float64(n+1) * 16
-}
-
-// MaximizeProfit solves the maximum-total-profit assignment over a profit
-// matrix (e.g. IoU scores). Pairs with profit <= minProfit are treated as
-// forbidden and left unmatched. The returned slice maps each row to its
-// matched column or -1.
-func MaximizeProfit(profit [][]float64, minProfit float64) ([]int, float64, error) {
-	if len(profit) == 0 {
-		return nil, 0, fmt.Errorf("hungarian: empty profit matrix")
-	}
-	var maxP float64
-	for _, row := range profit {
-		for _, p := range row {
-			if p > maxP {
-				maxP = p
-			}
-		}
-	}
-	// Augment with one "stay unmatched" dummy column per row, priced just
-	// above the worst feasible match so real pairings are always
-	// preferred. This lets any subset of rows opt out, which is exactly
-	// the semantics of thresholded IoU matching.
-	nRows := len(profit)
-	nCols := len(profit[0])
-	cost := make([][]float64, nRows)
-	for i, row := range profit {
-		if len(row) != nCols {
-			return nil, 0, fmt.Errorf("hungarian: ragged profit row %d", i)
-		}
-		cost[i] = make([]float64, nCols+nRows)
-		for j, p := range row {
-			if p <= minProfit {
-				cost[i][j] = Forbidden
-			} else {
-				cost[i][j] = maxP - p
-			}
-		}
-		for k := 0; k < nRows; k++ {
-			cost[i][nCols+k] = maxP + 1
-		}
-	}
-	assign, _, err := Solve(cost)
-	if err != nil {
-		return nil, 0, err
-	}
-	var total float64
-	for i, j := range assign {
-		if j < 0 || j >= nCols || profit[i][j] <= minProfit {
-			assign[i] = -1
+	for _, c := range a {
+		if c == Forbidden {
 			continue
 		}
-		total += profit[i][j]
+		if v := math.Abs(c); v > maxAbs {
+			maxAbs = v
+		}
 	}
-	return assign, total, nil
+	return maxAbs * float64(m+1) * 16
 }

@@ -1,8 +1,10 @@
 package hungarian
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -276,4 +278,369 @@ func BenchmarkSolve20x20(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// --- The oracle: the previous solver, verbatim. ---
+
+// referenceSolve is the solver this package shipped before the reusable
+// workspace and the rectangular solve, kept verbatim as the oracle: the
+// square-padded, allocate-per-row form.
+func referenceSolve(cost [][]float64) ([]int, float64, error) {
+	nRows := len(cost)
+	if nRows == 0 {
+		return nil, 0, fmt.Errorf("hungarian: empty cost matrix")
+	}
+	nCols := len(cost[0])
+	if nCols == 0 {
+		return nil, 0, fmt.Errorf("hungarian: zero-width cost matrix")
+	}
+	for i, row := range cost {
+		if len(row) != nCols {
+			return nil, 0, fmt.Errorf("hungarian: ragged row %d: %d vs %d", i, len(row), nCols)
+		}
+	}
+	n := nRows
+	if nCols > n {
+		n = nCols
+	}
+
+	// Scale Forbidden down to a large-but-safe sentinel so potentials
+	// can't overflow; remember real forbidden pairs to validate at the
+	// end.
+	big := referenceForbiddenCeiling(cost, n)
+	// Square padded matrix, 1-indexed for the classical potential-based
+	// implementation.
+	a := make([][]float64, n+1)
+	for i := range a {
+		a[i] = make([]float64, n+1)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			switch {
+			case i >= nRows || j >= nCols:
+				a[i+1][j+1] = 0 // dummy row/col
+			case cost[i][j] == Forbidden:
+				a[i+1][j+1] = big
+			default:
+				a[i+1][j+1] = cost[i][j]
+			}
+		}
+	}
+
+	// Potentials-based Hungarian algorithm (Jonker-style shortest
+	// augmenting paths). u/v are row/col potentials; p[j] is the row
+	// matched to column j.
+	u := make([]float64, n+1)
+	v := make([]float64, n+1)
+	p := make([]int, n+1)
+	way := make([]int, n+1)
+	for i := 1; i <= n; i++ {
+		p[0] = i
+		j0 := 0
+		minv := make([]float64, n+1)
+		used := make([]bool, n+1)
+		for j := range minv {
+			minv[j] = math.Inf(1)
+		}
+		for {
+			used[j0] = true
+			i0 := p[j0]
+			delta := math.Inf(1)
+			j1 := 0
+			for j := 1; j <= n; j++ {
+				if used[j] {
+					continue
+				}
+				cur := a[i0][j] - u[i0] - v[j]
+				if cur < minv[j] {
+					minv[j] = cur
+					way[j] = j0
+				}
+				if minv[j] < delta {
+					delta = minv[j]
+					j1 = j
+				}
+			}
+			for j := 0; j <= n; j++ {
+				if used[j] {
+					u[p[j]] += delta
+					v[j] -= delta
+				} else {
+					minv[j] -= delta
+				}
+			}
+			j0 = j1
+			if p[j0] == 0 {
+				break
+			}
+		}
+		for j0 != 0 {
+			j1 := way[j0]
+			p[j0] = p[j1]
+			j0 = j1
+		}
+	}
+
+	assign := make([]int, nRows)
+	for i := range assign {
+		assign[i] = -1
+	}
+	var total float64
+	for j := 1; j <= n; j++ {
+		i := p[j] - 1
+		if i < 0 || i >= nRows {
+			continue // dummy row
+		}
+		if j-1 >= nCols {
+			continue // dummy column: row stays unmatched
+		}
+		if cost[i][j-1] == Forbidden {
+			// The only complete matchings route through a forbidden pair.
+			// When the matrix is square this means infeasible; when
+			// rectangular, treat the row as unmatched.
+			if nRows == nCols {
+				return nil, 0, fmt.Errorf("hungarian: no feasible assignment")
+			}
+			continue
+		}
+		assign[i] = j - 1
+		total += cost[i][j-1]
+	}
+	// Square infeasibility check (rectangular matrices legitimately leave
+	// rows unmatched through dummy columns).
+	if nRows == nCols {
+		for i, j := range assign {
+			if j == -1 {
+				return nil, 0, fmt.Errorf("hungarian: row %d has no feasible column", i)
+			}
+		}
+	}
+	return assign, total, nil
+}
+
+// referenceForbiddenCeiling is the old forbiddenCeiling, over the
+// unpadded row slices.
+func referenceForbiddenCeiling(cost [][]float64, n int) float64 {
+	var maxAbs float64 = 1
+	for _, row := range cost {
+		for _, c := range row {
+			if c == Forbidden {
+				continue
+			}
+			if v := math.Abs(c); v > maxAbs {
+				maxAbs = v
+			}
+		}
+	}
+	return maxAbs * float64(n+1) * 16
+}
+
+// referenceMaximizeProfit is the old MaximizeProfit, verbatim: a fresh
+// T x (D+T) cost matrix handed to referenceSolve.
+func referenceMaximizeProfit(profit [][]float64, minProfit float64) ([]int, float64, error) {
+	if len(profit) == 0 {
+		return nil, 0, fmt.Errorf("hungarian: empty profit matrix")
+	}
+	var maxP float64
+	for _, row := range profit {
+		for _, p := range row {
+			if p > maxP {
+				maxP = p
+			}
+		}
+	}
+	// Augment with one "stay unmatched" dummy column per row, priced just
+	// above the worst feasible match so real pairings are always
+	// preferred. This lets any subset of rows opt out, which is exactly
+	// the semantics of thresholded IoU matching.
+	nRows := len(profit)
+	nCols := len(profit[0])
+	cost := make([][]float64, nRows)
+	for i, row := range profit {
+		if len(row) != nCols {
+			return nil, 0, fmt.Errorf("hungarian: ragged profit row %d", i)
+		}
+		cost[i] = make([]float64, nCols+nRows)
+		for j, p := range row {
+			if p <= minProfit {
+				cost[i][j] = Forbidden
+			} else {
+				cost[i][j] = maxP - p
+			}
+		}
+		for k := 0; k < nRows; k++ {
+			cost[i][nCols+k] = maxP + 1
+		}
+	}
+	assign, _, err := referenceSolve(cost)
+	if err != nil {
+		return nil, 0, err
+	}
+	var total float64
+	for i, j := range assign {
+		if j < 0 || j >= nCols || profit[i][j] <= minProfit {
+			assign[i] = -1
+			continue
+		}
+		total += profit[i][j]
+	}
+	return assign, total, nil
+}
+
+// randomProfit fills a rows x cols IoU-like matrix: a share `density` of
+// the entries is drawn from (0, 1), the rest are zero (no overlap). With
+// quantize, values snap to a grid of 1/8 so that exact ties — between
+// real pairings, and between a pairing and the threshold — are common.
+func randomProfit(rng *rand.Rand, rows, cols int, density float64, quantize bool) [][]float64 {
+	profit := make([][]float64, rows)
+	for i := range profit {
+		profit[i] = make([]float64, cols)
+		for j := range profit[i] {
+			if rng.Float64() >= density {
+				continue
+			}
+			v := rng.Float64()
+			if quantize {
+				v = math.Round(v*8) / 8
+			}
+			profit[i][j] = v
+		}
+	}
+	return profit
+}
+
+// TestSolverMatchesReference is the tie-break oracle: on every shape
+// 1..24 x 1..24, sparse and dense, continuous and tie-rich, at both
+// thresholds the system uses (0.1 association, 0.25 tracking), one reused
+// Solver must return exactly the assignment vector of the old
+// square-padded solver — not merely one of equal profit.
+func TestSolverMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20240914))
+	var s Solver
+	cases := 0
+	for rows := 1; rows <= 24; rows++ {
+		for cols := 1; cols <= 24; cols++ {
+			for _, density := range []float64{0.15, 0.5, 1} {
+				for _, quantize := range []bool{false, true} {
+					for _, minProfit := range []float64{0.1, 0.25} {
+						for rep := 0; rep < 2; rep++ {
+							profit := randomProfit(rng, rows, cols, density, quantize)
+							want, wantTotal, wantErr := referenceMaximizeProfit(profit, minProfit)
+							got, gotTotal, gotErr := s.MaximizeProfit(profit, minProfit)
+							if (wantErr == nil) != (gotErr == nil) {
+								t.Fatalf("%dx%d: error %v, reference %v", rows, cols, gotErr, wantErr)
+							}
+							if !slices.Equal(got, want) || gotTotal != wantTotal {
+								t.Fatalf("%dx%d density %v quantize %v min %v:\nprofit %v\n got %v (%v)\nwant %v (%v)",
+									rows, cols, density, quantize, minProfit, profit, got, gotTotal, want, wantTotal)
+							}
+							cases++
+						}
+					}
+				}
+			}
+		}
+	}
+	if cases < 10000 {
+		t.Fatalf("only %d cases", cases)
+	}
+}
+
+// TestSolveMatchesReference does the same for the min-cost form, which
+// bench and the square / tall callers use: wide, square and tall
+// matrices, with Forbidden entries sprinkled in.
+func TestSolveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var s Solver
+	for trial := 0; trial < 4000; trial++ {
+		rows, cols := 1+rng.Intn(12), 1+rng.Intn(12)
+		cost := make([][]float64, rows)
+		for i := range cost {
+			cost[i] = make([]float64, cols)
+			for j := range cost[i] {
+				switch {
+				case rng.Intn(8) == 0:
+					cost[i][j] = Forbidden
+				case trial%2 == 0:
+					cost[i][j] = float64(rng.Intn(6)) // tie-rich
+				default:
+					cost[i][j] = rng.Float64() * 100
+				}
+			}
+		}
+		want, wantTotal, wantErr := referenceSolve(cost)
+		got, gotTotal, gotErr := s.Solve(cost)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("trial %d: error %v, reference %v, cost %v", trial, gotErr, wantErr, cost)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if !slices.Equal(got, want) || gotTotal != wantTotal {
+			t.Fatalf("trial %d: cost %v\n got %v (%v)\nwant %v (%v)", trial, cost, got, gotTotal, want, wantTotal)
+		}
+	}
+}
+
+// TestSolverReuseAllocatesNothing is the budget: once a Solver has seen
+// its largest problem, neither form allocates.
+func TestSolverReuseAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	profit := randomProfit(rng, 12, 14, 0.5, false)
+	var s Solver
+	if _, _, err := s.MaximizeProfit(profit, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		m := s.Matrix(12, 14)
+		for i := range m {
+			copy(m[i], profit[i])
+		}
+		if _, _, err := s.MaximizeProfit(m, 0.25); err != nil {
+			panic(err)
+		}
+	}); n != 0 {
+		t.Errorf("MaximizeProfit on a reused Solver: %v allocs/run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := s.Solve(profit); err != nil {
+			panic(err)
+		}
+	}); n != 0 {
+		t.Errorf("Solve on a reused Solver: %v allocs/run, want 0", n)
+	}
+}
+
+// TestSolverMatrixIsZeroedAndDisjoint guards the input scratch: a
+// Matrix handed out after a larger one must not show its leftovers, and
+// rows must not be able to grow into each other.
+func TestSolverMatrixIsZeroedAndDisjoint(t *testing.T) {
+	var s Solver
+	m := s.Matrix(3, 3)
+	for i := range m {
+		for j := range m[i] {
+			m[i][j] = 9
+		}
+	}
+	m = s.Matrix(2, 2)
+	for i := range m {
+		if len(m[i]) != 2 || cap(m[i]) != 2 {
+			t.Fatalf("row %d: len %d cap %d", i, len(m[i]), cap(m[i]))
+		}
+		for j, v := range m[i] {
+			if v != 0 {
+				t.Fatalf("m[%d][%d] = %v after reuse", i, j, v)
+			}
+		}
+	}
+}
+
+func ExampleSolver() {
+	var s Solver // one per goroutine; reuse it across calls
+	iou := s.Matrix(2, 2)
+	iou[0][0], iou[0][1] = 0.6, 0.5
+	iou[1][0], iou[1][1] = 0.55, 0
+	assign, total, _ := s.MaximizeProfit(iou, 0.1)
+	fmt.Println(assign, total)
+	// Output: [1 0] 1.05
 }

@@ -7,7 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -89,7 +89,7 @@ func (l *LatencySeries) Percentile(p float64) (time.Duration, error) {
 		return 0, nil
 	}
 	sorted := append([]time.Duration(nil), l.values...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
 	if rank < 0 {
 		rank = 0
@@ -112,37 +112,68 @@ func Speedup(baseline, improved time.Duration) (float64, error) {
 	return float64(baseline) / float64(improved), nil
 }
 
+// The framework components Table II breaks the per-frame overhead into.
+// Breakdown and CameraSample know exactly these; another name is a
+// programming error and panics.
+const (
+	Central     = "central"
+	Tracking    = "tracking"
+	Distributed = "distributed"
+	Batching    = "batching"
+)
+
+// componentNames lists the components in sorted order; a component's
+// position is its slot in Breakdown and CameraSample.
+var componentNames = [...]string{Batching, Central, Distributed, Tracking}
+
+func componentSlot(component string) int {
+	i := slices.Index(componentNames[:], component)
+	if i < 0 {
+		panic(fmt.Sprintf("metrics: unknown overhead component %q", component))
+	}
+	return i
+}
+
 // Breakdown accumulates the per-frame overhead of named framework
 // components (Table II): for each component, the maximum across cameras
-// is recorded per frame, then averaged across frames.
+// is recorded per frame, then averaged across frames. It keeps a running
+// sum and a frame count per component, so an engine that runs for days
+// holds as much as one that ran a frame.
 type Breakdown struct {
-	perFrame map[string][]time.Duration
-	current  map[string]time.Duration
+	slots [len(componentNames)]struct {
+		sum     time.Duration // over the frames that observed the component
+		frames  int
+		current time.Duration // this frame's maximum across cameras; 0 = not observed
+	}
 }
 
 // NewBreakdown returns an empty breakdown accumulator.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{
-		perFrame: make(map[string][]time.Duration),
-		current:  make(map[string]time.Duration),
-	}
-}
+func NewBreakdown() *Breakdown { return &Breakdown{} }
 
 // ObserveCamera records component's cost on one camera in the current
 // frame; the per-frame figure keeps the maximum across cameras.
 func (b *Breakdown) ObserveCamera(component string, d time.Duration) {
-	if d > b.current[component] {
-		b.current[component] = d
+	b.observe(componentSlot(component), d)
+}
+
+func (b *Breakdown) observe(slot int, d time.Duration) {
+	if d > b.slots[slot].current {
+		b.slots[slot].current = d
 	}
 }
 
 // EndFrame seals the current frame: every component observed this frame
-// contributes its cross-camera maximum to the running series.
+// (with a positive cost) contributes its cross-camera maximum to the
+// running mean.
 func (b *Breakdown) EndFrame() {
-	for comp, d := range b.current {
-		b.perFrame[comp] = append(b.perFrame[comp], d)
+	for i := range b.slots {
+		s := &b.slots[i]
+		if s.current > 0 {
+			s.sum += s.current
+			s.frames++
+			s.current = 0
+		}
 	}
-	b.current = make(map[string]time.Duration)
 }
 
 // CameraSample holds one camera's component observations for a single
@@ -150,20 +181,19 @@ func (b *Breakdown) EndFrame() {
 // one camera's share of a frame records into its own CameraSample with
 // no synchronization, and the pipeline folds the samples into the
 // Breakdown afterwards, in fixed camera order, with Absorb. A
-// CameraSample must not be shared across goroutines.
+// CameraSample must not be shared across goroutines. It is a plain
+// value: the zero value is empty, and assigning it resets it.
 type CameraSample struct {
-	durations map[string]time.Duration
+	durations [len(componentNames)]time.Duration
 }
 
 // Observe records one component cost on this camera; repeated
 // observations of the same component within the frame keep the maximum,
 // matching Breakdown.ObserveCamera.
 func (s *CameraSample) Observe(component string, d time.Duration) {
-	if s.durations == nil {
-		s.durations = make(map[string]time.Duration)
-	}
-	if d > s.durations[component] {
-		s.durations[component] = d
+	slot := componentSlot(component)
+	if d > s.durations[slot] {
+		s.durations[slot] = d
 	}
 }
 
@@ -175,32 +205,29 @@ func (b *Breakdown) Absorb(s *CameraSample) {
 	if s == nil {
 		return
 	}
-	for comp, d := range s.durations {
-		b.ObserveCamera(comp, d)
+	for slot, d := range s.durations {
+		b.observe(slot, d)
 	}
 }
 
 // MeanOf returns the mean per-frame overhead of a component, or 0 if it
 // was never observed.
 func (b *Breakdown) MeanOf(component string) time.Duration {
-	vs := b.perFrame[component]
-	if len(vs) == 0 {
+	i := slices.Index(componentNames[:], component)
+	if i < 0 || b.slots[i].frames == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, v := range vs {
-		sum += v
-	}
-	return sum / time.Duration(len(vs))
+	return b.slots[i].sum / time.Duration(b.slots[i].frames)
 }
 
 // Components returns the observed component names, sorted.
 func (b *Breakdown) Components() []string {
-	out := make([]string, 0, len(b.perFrame))
-	for c := range b.perFrame {
-		out = append(out, c)
+	var out []string
+	for i, name := range componentNames {
+		if b.slots[i].frames > 0 {
+			out = append(out, name)
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 

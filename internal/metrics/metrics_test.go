@@ -170,3 +170,53 @@ func TestAbsorbEmptyAndNil(t *testing.T) {
 		t.Fatalf("components = %v, want none", got)
 	}
 }
+
+// TestBreakdownHoldsConstantMemory is the regression test for the
+// per-frame series Breakdown used to keep for the life of an engine: a
+// frame — observe, absorb, seal — allocates nothing, however many frames
+// came before, and the mean over them is the exact integer mean of the
+// per-frame maxima.
+func TestBreakdownHoldsConstantMemory(t *testing.T) {
+	b := NewBreakdown()
+	var sum time.Duration
+	frame := func(i int) {
+		var cam0, cam1 CameraSample
+		cam0.Observe(Tracking, time.Duration(i%7)*time.Microsecond)
+		cam1.Observe(Tracking, time.Duration(i%11)*time.Microsecond)
+		cam1.Observe(Batching, time.Microsecond)
+		b.Absorb(&cam0)
+		b.Absorb(&cam1)
+		b.EndFrame()
+	}
+	observed := 0
+	for i := 0; i < 10000; i++ {
+		frame(i)
+		if m := max(i%7, i%11); m > 0 { // a zero cost is no observation
+			sum += time.Duration(m) * time.Microsecond
+			observed++
+		}
+	}
+	if got, want := b.MeanOf(Tracking), sum/time.Duration(observed); got != want {
+		t.Fatalf("tracking mean %v, want %v", got, want)
+	}
+	if got := b.MeanOf(Batching); got != time.Microsecond {
+		t.Fatalf("batching mean %v", got)
+	}
+	if got := b.MeanOf(Central); got != 0 {
+		t.Fatalf("central never observed, mean %v", got)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() { frame(i); i++ }); n != 0 {
+		t.Fatalf("%v allocations per frame after 10000 frames, want 0", n)
+	}
+}
+
+func TestUnknownComponentPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a misspelt component was accepted")
+		}
+	}()
+	var s CameraSample
+	s.Observe("trakcing", time.Millisecond)
+}

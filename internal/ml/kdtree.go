@@ -1,8 +1,8 @@
 package ml
 
 import (
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // kdTree is an exact k-nearest-neighbor index over low-dimensional
@@ -47,12 +47,11 @@ func (t *kdTree) build(idx []int, depth int) *kdNode {
 	axis := depth % t.dim
 	// Median split by the axis coordinate; ties by index keep the build
 	// deterministic.
-	sort.Slice(idx, func(a, b int) bool {
-		va, vb := t.points[idx[a]][axis], t.points[idx[b]][axis]
-		if va != vb {
-			return va < vb
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(t.points[a][axis], t.points[b][axis]); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return cmp.Compare(a, b)
 	})
 	mid := len(idx) / 2
 	node := &kdNode{index: idx[mid], axis: axis}
@@ -61,10 +60,9 @@ func (t *kdTree) build(idx []int, depth int) *kdNode {
 	return node
 }
 
-// neighbor is a candidate result; worseThan defines the max-heap order
-// (the worst current candidate sits at the top) and doubles as the
-// brute-force tie-break: larger distance is worse; at equal distance,
-// larger index is worse.
+// neighbor is a candidate result; worseThan is the brute-force order and
+// tie-break: larger distance is worse; at equal distance, larger index is
+// worse.
 type neighbor struct {
 	dist  float64
 	index int
@@ -77,63 +75,74 @@ func (a neighbor) worseThan(b neighbor) bool {
 	return a.index > b.index
 }
 
-// neighborHeap is a max-heap of the k best candidates so far.
-type neighborHeap []neighbor
+// stackK is the largest k whose candidate buffer lives in the caller's
+// frame; the deployed models use k = 5.
+const stackK = 16
 
-func (h neighborHeap) Len() int            { return len(h) }
-func (h neighborHeap) Less(i, j int) bool  { return h[i].worseThan(h[j]) }
-func (h neighborHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *neighborHeap) Push(x interface{}) { *h = append(*h, x.(neighbor)) }
-func (h *neighborHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	out := old[n-1]
-	*h = old[:n-1]
-	return out
+// kBest keeps the k best candidates offered so far in increasing
+// (dist, index) order, so the worst sits last and the final answer needs
+// no sort. Insertion is O(k), which beats a heap for the single-digit k
+// the models use, and nothing is boxed or copied out.
+type kBest struct {
+	k   int
+	buf []neighbor // len <= k, backed by the caller's array when k <= stackK
 }
 
-// kNearest returns the indices of the k nearest points to q in
-// increasing (dist, index) order — identical to the brute-force nearest.
-func (t *kdTree) kNearest(q []float64, k int) []int {
-	if k > len(t.points) {
-		k = len(t.points)
+// newKBest returns a selector for the k nearest of n >= 1 points (k >= 1)
+// over store; it allocates only for a k past stackK, which no model in
+// this repository uses.
+func newKBest(k, n int, store *[stackK]neighbor) kBest {
+	if k > n {
+		k = n
 	}
-	h := make(neighborHeap, 0, k+1)
-	t.search(t.root, q, k, &h)
-	// Heap holds the k best in max-heap order; sort ascending.
-	out := make([]neighbor, len(h))
-	copy(out, h)
-	sort.Slice(out, func(a, b int) bool { return out[b].worseThan(out[a]) })
-	idx := make([]int, len(out))
-	for i, n := range out {
-		idx[i] = n.index
+	if k > stackK {
+		return kBest{k: k, buf: make([]neighbor, 0, k)}
 	}
-	return idx
+	return kBest{k: k, buf: store[:0]}
 }
 
-func (t *kdTree) search(n *kdNode, q []float64, k int, h *neighborHeap) {
+func (b *kBest) full() bool { return len(b.buf) == b.k }
+
+// worst returns the current k-th best candidate; only valid when full.
+func (b *kBest) worst() neighbor { return b.buf[len(b.buf)-1] }
+
+// offer inserts c if it is among the k best seen so far.
+func (b *kBest) offer(c neighbor) {
+	if b.full() {
+		if !b.worst().worseThan(c) {
+			return
+		}
+		b.buf = b.buf[:len(b.buf)-1]
+	}
+	i := len(b.buf)
+	b.buf = b.buf[:i+1]
+	for i > 0 && b.buf[i-1].worseThan(c) {
+		b.buf[i] = b.buf[i-1]
+		i--
+	}
+	b.buf[i] = c
+}
+
+// search offers best the points under n that can still be among the k
+// nearest to q; called on the root it leaves best.buf holding them in
+// increasing (dist, index) order — identical to the linear scan.
+func (t *kdTree) search(n *kdNode, q []float64, best *kBest) {
 	if n == nil {
 		return
 	}
-	cand := neighbor{dist: dist2(t.points[n.index], q), index: n.index}
-	if h.Len() < k {
-		heap.Push(h, cand)
-	} else if (*h)[0].worseThan(cand) {
-		heap.Pop(h)
-		heap.Push(h, cand)
-	}
+	best.offer(neighbor{dist: dist2(t.points[n.index], q), index: n.index})
 
 	diff := q[n.axis] - t.points[n.index][n.axis]
 	near, far := n.left, n.right
 	if diff > 0 {
 		near, far = n.right, n.left
 	}
-	t.search(near, q, k, h)
+	t.search(near, q, best)
 	// Visit the far side only if the splitting plane could still hold a
 	// better candidate. With equal distances breaking ties by index, a
 	// plane at exactly the current worst distance can still hide a
 	// lower-index point, so use <= rather than <.
-	if h.Len() < k || diff*diff <= (*h)[0].dist {
-		t.search(far, q, k, h)
+	if !best.full() || diff*diff <= best.worst().dist {
+		t.search(far, q, best)
 	}
 }

@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // KNNClassifier is the paper's association classifier: a non-parametric
@@ -50,14 +49,15 @@ func (k *KNNClassifier) Predict(x []float64) (bool, error) {
 	if len(x) != k.dim {
 		return false, fmt.Errorf("knn classifier: feature dim %d, want %d", len(x), k.dim)
 	}
-	idx := nearestIdx(k.points, k.tree, x, k.kEff())
+	var store [stackK]neighbor
+	near := nearest(k.points, k.tree, x, k.kEff(), &store)
 	pos := 0
-	for _, i := range idx {
-		if k.labels[i] {
+	for _, n := range near {
+		if k.labels[n.index] {
 			pos++
 		}
 	}
-	return pos*2 >= len(idx), nil
+	return pos*2 >= len(near), nil
 }
 
 func (k *KNNClassifier) kEff() int {
@@ -110,11 +110,12 @@ func (k *KNNRegressor) Predict(x []float64) ([]float64, error) {
 	if len(x) != k.dim {
 		return nil, fmt.Errorf("knn regressor: feature dim %d, want %d", len(x), k.dim)
 	}
-	idx := nearestIdx(k.points, k.tree, x, k.kEff())
+	var store [stackK]neighbor
+	near := nearest(k.points, k.tree, x, k.kEff(), &store)
 	pred := make([]float64, k.out)
 	var wsum float64
-	for _, i := range idx {
-		d := dist2(k.points[i], x)
+	for _, n := range near {
+		i, d := n.index, n.dist
 		if d == 0 {
 			copy(pred, k.targets[i])
 			return pred, nil
@@ -138,41 +139,21 @@ func (k *KNNRegressor) kEff() int {
 	return 5
 }
 
-// nearestIdx dispatches between the k-d index (large training sets) and
-// the brute-force scan (small ones); both return identical neighbor
-// lists including tie-breaks.
-func nearestIdx(points [][]float64, tree *kdTree, x []float64, k int) []int {
+// nearest selects the k points nearest to x (all points when
+// k >= len(points)) into a kBest over store, in increasing (dist, index)
+// order. It dispatches between the k-d index (large training sets) and
+// the linear scan (small ones); both feed the same selector, so they
+// return identical neighbor lists including tie-breaks.
+func nearest(points [][]float64, tree *kdTree, x []float64, k int, store *[stackK]neighbor) []neighbor {
+	best := newKBest(k, len(points), store)
 	if tree != nil {
-		return tree.kNearest(x, k)
+		tree.search(tree.root, x, &best)
+		return best.buf
 	}
-	return nearest(points, x, k)
-}
-
-// nearest returns the indices of the k points nearest to x (all points
-// when k >= len(points)), in increasing distance order.
-func nearest(points [][]float64, x []float64, k int) []int {
-	type cand struct {
-		i int
-		d float64
-	}
-	cands := make([]cand, len(points))
 	for i, p := range points {
-		cands[i] = cand{i, dist2(p, x)}
+		best.offer(neighbor{dist: dist2(p, x), index: i})
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d != cands[b].d {
-			return cands[a].d < cands[b].d
-		}
-		return cands[a].i < cands[b].i
-	})
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].i
-	}
-	return out
+	return best.buf
 }
 
 // dist2 returns the squared Euclidean distance between equal-length

@@ -1,0 +1,166 @@
+package pipeline
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"mvs/internal/assoc"
+	"mvs/internal/gpu"
+	"mvs/internal/metrics"
+	"mvs/internal/workload"
+)
+
+// stepAllocCeiling bounds the mean allocations of one Engine.Step on the
+// S1 BALB run below: 1.5x the 23 a frame measured when the frame loop's
+// scratch moved into its owners (ISSUE 14; the same run allocated 728 a
+// frame before). What is left is what outlives a frame — new tracks and
+// shadows, the central stage's per-round instance and result — so a
+// per-frame make() in any layer shows up here as a jump of at least one
+// allocation per camera per frame, far past the slack.
+const stepAllocCeiling = 35
+
+// TestStepAllocationBudget is the end-to-end guard of the allocation
+// budget, in tier 1 because the benchmark module is not: steady state,
+// sequential reference path, no sinks.
+func TestStepAllocationBudget(t *testing.T) {
+	const warm, measured = 300, 300
+	s := workload.S1(3)
+	trace, err := s.World.Run(150 + warm + measured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test := *trace, *trace
+	train.Frames, test.Frames = trace.Frames[:150], trace.Frames[150:]
+	model, err := assoc.Train(&train, assoc.Factories{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := NewConfig(BALB, 3)
+	cfg.Sched.Workers = 1
+	eng, err := NewEngine(NewTraceSource(&test), s.Profiles(), model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			if ok, err := eng.Step(); !ok || err != nil {
+				t.Fatalf("step: %v %v", ok, err)
+			}
+		}
+	}
+	step(warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step(measured)
+	runtime.ReadMemStats(&after)
+	perStep := float64(after.Mallocs-before.Mallocs) / measured
+	t.Logf("%.1f allocations, %.0f bytes per Step", perStep, float64(after.TotalAlloc-before.TotalAlloc)/measured)
+	if perStep > stepAllocCeiling {
+		t.Fatalf("%.1f allocations per Step over frames %d..%d, ceiling %d: some per-frame scratch is being reallocated",
+			perStep, warm, warm+measured, stepAllocCeiling)
+	}
+}
+
+// keepingSink and keepingExecutor hold on to everything the engine hands
+// them, the way a recorder or a serving pool may.
+type keepingSink struct{ snaps []metrics.Snapshot }
+
+func (k *keepingSink) RecordFrame(s metrics.Snapshot) { k.snaps = append(k.snaps, s) }
+func (k *keepingSink) Flush() error                   { return nil }
+
+type keepingExecutor struct {
+	execs  []*gpu.Executor
+	kept   [][]ExecRequest
+	copies [][][]gpu.Task
+}
+
+func (k *keepingExecutor) SubmitFrame(frame int, reqs []ExecRequest) ([]ExecResult, ExecStats, error) {
+	k.kept = append(k.kept, reqs)
+	tasks := make([][]gpu.Task, len(reqs))
+	out := make([]ExecResult, len(reqs))
+	for i, r := range reqs {
+		tasks[i] = append([]gpu.Task(nil), r.Tasks...)
+		if r.Full {
+			out[i].Latency = k.execs[r.Cam].RunFullFrame()
+			continue
+		}
+		res, err := k.execs[r.Cam].RunFrame(r.Tasks)
+		if err != nil {
+			return nil, ExecStats{}, err
+		}
+		out[i] = ExecResult{Latency: res.Latency, Batches: len(res.Batches), Images: res.Images,
+			Occupancy: gpu.BatchOccupancy(res.Batches, k.execs[r.Cam].Profile())}
+	}
+	k.copies = append(k.copies, tasks)
+	return out, ExecStats{}, nil
+}
+
+// TestReusedScratchNeverCrossesASeam is the aliasing test of the scratch
+// ownership rule (docs/CONCURRENCY.md): engines at Workers = 1 and
+// Workers = 2 step side by side — under -race the second one shows any
+// buffer two cameras share — and must emit identical snapshots; and what
+// was handed to a Sink or a TenantExecutor on one frame must read the
+// same after the following frames have recycled every internal buffer.
+func TestReusedScratchNeverCrossesASeam(t *testing.T) {
+	e := getEnv(t)
+	const frames = 45 // several horizons: key and regular frames alternate
+	run := func(workers int, exec *keepingExecutor) *keepingSink {
+		sink := &keepingSink{}
+		cfg := NewConfig(BALB, 5)
+		cfg.Sched.Workers = workers
+		cfg.Obs.Sink = sink
+		if exec != nil {
+			cfg.Serve.Executor = exec
+		}
+		eng, err := NewEngine(NewTraceSource(e.test), e.profiles, e.model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first metrics.Snapshot
+		for i := 0; i < frames; i++ {
+			if ok, err := eng.Step(); !ok || err != nil {
+				t.Fatalf("workers %d step %d: %v %v", workers, i, ok, err)
+			}
+			if i == 0 {
+				first = sink.snaps[0]
+				first.Cameras = append([]metrics.CameraSnapshot(nil), first.Cameras...)
+			}
+		}
+		if !reflect.DeepEqual(first, sink.snaps[0]) {
+			t.Fatalf("workers %d: the first frame's snapshot changed under later frames", workers)
+		}
+		return sink
+	}
+	seq, par := run(1, nil), run(2, nil)
+	if !reflect.DeepEqual(seq.snaps, par.snaps) {
+		t.Fatal("Workers = 2 diverged from Workers = 1")
+	}
+
+	exec := &keepingExecutor{}
+	for _, p := range e.profiles {
+		ex, err := gpu.NewExecutor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec.execs = append(exec.execs, ex)
+	}
+	remote := run(2, exec)
+	if !reflect.DeepEqual(seq.snaps, remote.snaps) {
+		t.Fatal("pricing through an executor diverged from inline pricing")
+	}
+	withTasks := 0
+	for f, reqs := range exec.kept {
+		for i, r := range reqs {
+			if !reflect.DeepEqual(append([]gpu.Task(nil), r.Tasks...), exec.copies[f][i]) {
+				t.Fatalf("frame %d camera %d: tasks handed to the executor were overwritten later", f, r.Cam)
+			}
+			if len(r.Tasks) > 0 {
+				withTasks++
+			}
+		}
+	}
+	if withTasks == 0 {
+		t.Fatal("no request carried tasks")
+	}
+}

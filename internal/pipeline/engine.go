@@ -91,6 +91,15 @@ type Engine struct {
 	hist   []*scene.FrameTruth
 	maxLag int
 
+	// Per-frame scratch of process, reused across frames: each camera's
+	// view of the scene, the per-camera shards (whose truthIDs buffers are
+	// kept), and the frame's visible / detected object sets. None of it
+	// leaves the engine: sinks and executors get freshly built values.
+	obs         [][]scene.Observation
+	results     []camFrame
+	truthIDs    map[int]bool
+	detectedIDs map[int]bool
+
 	fi       int // frames processed so far
 	roundSeq int
 	done     bool
@@ -172,6 +181,11 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 		horizonCam: make([]time.Duration, len(cams)),
 		breakdown:  metrics.NewBreakdown(),
 		busy:       make([]time.Duration, len(cams)),
+
+		obs:         make([][]scene.Observation, len(cams)),
+		results:     make([]camFrame, len(cams)),
+		truthIDs:    make(map[int]bool),
+		detectedIDs: make(map[int]bool),
 	}
 	for _, lag := range cfg.Sim.CameraLag {
 		if lag > e.maxLag {
@@ -301,9 +315,10 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	// the paper's imperfect-synchronization model, served from the ring
 	// buffer. A camera down per the fault schedule sees nothing and does
 	// no work this frame; its state freezes until it recovers.
-	obs := make([][]scene.Observation, len(cams))
+	obs := e.obs
 	var down []bool
 	for i := range cams {
+		obs[i] = nil
 		if e.cfg.Fault.CamFaults.Down(i, fi) {
 			if down == nil {
 				down = make([]bool, len(cams))
@@ -344,8 +359,10 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 		}
 		e.nextKey = fi + e.cfg.Sched.Horizon*stretch
 	}
-	detectedIDs := make(map[int]bool)
-	results := make([]camFrame, len(cams))
+	results := e.results
+	for i := range results {
+		results[i] = camFrame{truthIDs: results[i].truthIDs[:0]}
+	}
 
 	if isKey {
 		e.flushHorizon()
@@ -365,7 +382,8 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	if err := e.resolveServe(results, down); err != nil {
 		return err
 	}
-	mergeCamFrames(results, detectedIDs, e.breakdown, e.horizonCam)
+	clear(e.detectedIDs)
+	mergeCamFrames(results, e.detectedIDs, e.breakdown, e.horizonCam)
 
 	if isKey {
 		pruneStaticPartition(cams, down, e.cfg)
@@ -388,7 +406,9 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 
 	e.breakdown.EndFrame()
 	e.horizonLen++
-	e.recall.Observe(frame.VisibleObjectIDs(), detectedIDs)
+	clear(e.truthIDs)
+	frame.AddVisibleObjectIDs(e.truthIDs)
+	e.recall.Observe(e.truthIDs, e.detectedIDs)
 	for i := range results {
 		e.reassigned += results[i].reassigned
 		e.orphaned += results[i].orphaned
@@ -544,9 +564,9 @@ func (e *Engine) Report() (*Report, error) {
 		Recall:              e.recall.Recall(),
 		PerCameraMean:       perCam,
 		CentralPerFrame:     e.centralTotal / frames,
-		TrackingPerFrame:    e.breakdown.MeanOf("tracking"),
-		DistributedPerFrame: e.breakdown.MeanOf("distributed"),
-		BatchingPerFrame:    e.breakdown.MeanOf("batching"),
+		TrackingPerFrame:    e.breakdown.MeanOf(metrics.Tracking),
+		DistributedPerFrame: e.breakdown.MeanOf(metrics.Distributed),
+		BatchingPerFrame:    e.breakdown.MeanOf(metrics.Batching),
 	}
 	rep.TP, rep.FN = e.recall.Counts()
 	// Fold the pending partial horizon without mutating engine state.

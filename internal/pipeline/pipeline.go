@@ -215,6 +215,13 @@ type cameraState struct {
 	// instead of running them on the private executor, and the engine
 	// resolves them at a barrier after the fan-out (resolveServe).
 	remote bool
+	// Per-frame scratch of regularFrame, reused across frames. Like the
+	// rest of cameraState it is touched by one goroutine per frame and
+	// nothing outside the camera keeps a reference past the frame (the
+	// one slice that leaves — the tasks of a remote camera — is never
+	// taken from here).
+	regions, explained, moving []geom.Rect
+	tasks                      []gpu.Task
 }
 
 // Run executes the pipeline over a pre-generated trace: it builds a
@@ -313,7 +320,9 @@ func computeStaticOwners(cams []*cameraState, profiles []*profile.Profile) error
 // ones. The batch counters feed the per-frame observability snapshot;
 // like latency they are modelled quantities, deterministic per camera.
 type camFrame struct {
-	latency   time.Duration
+	latency time.Duration
+	// truthIDs keeps its backing array from frame to frame (Engine.process
+	// resets the shard but hands the buffer back).
 	truthIDs  []int
 	sample    metrics.CameraSample
 	batches   int
@@ -455,7 +464,7 @@ func (cs *cameraState) keyFrame(obs []scene.Observation, out *camFrame) error {
 		return fmt.Errorf("pipeline: camera %d key-frame tracking: %w", cs.index, err)
 	}
 	cs.tracker.RefreshSizes()
-	out.sample.Observe("tracking", time.Since(start))
+	out.sample.Observe(metrics.Tracking, time.Since(start))
 	cs.shadows = cs.shadows[:0]
 	return nil
 }
@@ -547,17 +556,27 @@ func centralShard(cams []*cameraState, coreCams []core.CameraSpec, model *assoc.
 	}
 
 	// Gather per-camera track boxes (live cameras only), local order.
+	// The per-camera lists are cut from two arrays sized for the roster.
 	boxes := make([][]geom.Rect, n)
 	trackIDs := make([][]int, n)
+	total := 0
+	for li := 0; li < n; li++ {
+		total += cams[glob(li)].tracker.Len()
+	}
+	boxArena := make([]geom.Rect, 0, total)
+	idArena := make([]int, 0, total)
 	for li := 0; li < n; li++ {
 		g := glob(li)
 		if dead != nil && g < len(dead) && dead[g] {
 			continue
 		}
+		first := len(boxArena)
 		for _, t := range cams[g].tracker.Tracks() {
-			boxes[li] = append(boxes[li], t.Box)
-			trackIDs[li] = append(trackIDs[li], t.ID)
+			boxArena = append(boxArena, t.Box)
+			idArena = append(idArena, t.ID)
 		}
+		boxes[li] = boxArena[first:len(boxArena):len(boxArena)]
+		trackIDs[li] = idArena[first:len(idArena):len(idArena)]
 	}
 	groups, err := model.AssociateWorkers(boxes, cfg.Sched.AssocMinIoU, cfg.Sched.Workers)
 	if err != nil {
@@ -708,32 +727,34 @@ func (cs *cameraState) regularFrame(obs []scene.Observation, policy core.Policy,
 	}
 	cs.shadows = alive
 
+	// A remote camera's tasks outlive the frame (the serving pool, or a
+	// recorder in front of it, may keep them), so they get fresh storage;
+	// a local camera's stay in its scratch.
 	tracks := cs.tracker.Tracks()
-	regions := make([]geom.Rect, 0, len(tracks))
-	tasks := make([]gpu.Task, 0, len(tracks))
-	predicted := make([]geom.Rect, 0, len(tracks))
-	for _, t := range tracks {
-		r := cs.tracker.Region(t)
-		regions = append(regions, r)
-		tasks = append(tasks, gpu.Task{ObjectID: t.ID, Size: t.QuantSize})
-		predicted = append(predicted, t.Predicted())
+	regions, explained, tasks := cs.regions[:0], cs.explained[:0], cs.tasks[:0]
+	if cs.remote {
+		tasks = make([]gpu.Task, 0, len(tracks))
 	}
-	out.sample.Observe("tracking", time.Since(trackStart))
+	for _, t := range tracks {
+		regions = append(regions, cs.tracker.Region(t))
+		tasks = append(tasks, gpu.Task{ObjectID: t.ID, Size: t.QuantSize})
+		explained = append(explained, t.Predicted())
+	}
+	out.sample.Observe(metrics.Tracking, time.Since(trackStart))
 
 	// --- Distributed stage part 1: new-region proposals. ---
-	var newRegions []geom.Rect
 	if useDistributed {
 		distStart := time.Now()
-		moving := make([]geom.Rect, 0, len(obs))
+		moving := cs.moving[:0]
 		for _, o := range obs {
 			moving = append(moving, o.Box)
 		}
-		explained := predicted
+		cs.moving = moving
+		// Motion is explained by a predicted track box or a shadow.
 		for _, sh := range cs.shadows {
 			explained = append(explained, sh.box)
 		}
-		newRegions = flow.NewRegions(moving, explained, 0)
-		for _, nr := range newRegions {
+		for _, nr := range flow.NewRegions(moving, explained, 0) {
 			// The camera masks filter *before* inspection: a camera
 			// never spends GPU time on new regions another camera is
 			// responsible for (Fig. 8).
@@ -746,7 +767,11 @@ func (cs *cameraState) regularFrame(obs []scene.Observation, policy core.Policy,
 			regions = append(regions, q)
 			tasks = append(tasks, gpu.Task{ObjectID: -1, Size: size})
 		}
-		out.sample.Observe("distributed", time.Since(distStart))
+		out.sample.Observe(metrics.Distributed, time.Since(distStart))
+	}
+	cs.regions, cs.explained = regions, explained
+	if !cs.remote {
+		cs.tasks = tasks
 	}
 
 	// --- Batched GPU execution (deferred to the serving pool when the
@@ -764,7 +789,7 @@ func (cs *cameraState) regularFrame(obs []scene.Observation, policy core.Policy,
 		out.images = res.Images
 		out.occupancy = gpu.BatchOccupancy(res.Batches, cs.exec.Profile())
 	}
-	out.sample.Observe("batching", time.Since(batchStart))
+	out.sample.Observe(metrics.Batching, time.Since(batchStart))
 
 	dets, err := cs.det.DetectRegions(regions, obs)
 	if err != nil {
@@ -780,7 +805,7 @@ func (cs *cameraState) regularFrame(obs []scene.Observation, policy core.Policy,
 	if err != nil {
 		return fmt.Errorf("pipeline: camera %d tracking: %w", cs.index, err)
 	}
-	out.sample.Observe("tracking", time.Since(trackStart))
+	out.sample.Observe(metrics.Tracking, time.Since(trackStart))
 
 	// --- Distributed stage part 2: ownership decisions. ---
 	distStart := time.Now()
@@ -796,7 +821,7 @@ func (cs *cameraState) regularFrame(obs []scene.Observation, policy core.Policy,
 	if cfg.Sched.Mode == BALB {
 		cs.takeoverCheck(policy, out)
 	}
-	out.sample.Observe("distributed", time.Since(distStart))
+	out.sample.Observe(metrics.Distributed, time.Since(distStart))
 	return nil
 }
 

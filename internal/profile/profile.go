@@ -78,36 +78,42 @@ type deviceParams struct {
 	fullFrame    time.Duration
 }
 
-func paramsFor(class DeviceClass) deviceParams {
-	switch class {
-	case JetsonXavier:
-		return deviceParams{
-			baseLatency:  4 * time.Millisecond,
-			sizeExp:      0.80,
-			batchSlope:   0.06,
-			inflectSlope: 0.75,
-			batchLimits:  map[int]int{64: 16, 128: 8, 256: 4, 512: 2},
-			fullFrame:    95 * time.Millisecond,
-		}
-	case JetsonTX2:
-		return deviceParams{
-			baseLatency:  8 * time.Millisecond,
-			sizeExp:      0.88,
-			batchSlope:   0.08,
-			inflectSlope: 0.85,
-			batchLimits:  map[int]int{64: 8, 128: 4, 256: 2, 512: 1},
-			fullFrame:    240 * time.Millisecond,
-		}
-	default: // JetsonNano and anything unknown degrades to the weakest
-		return deviceParams{
-			baseLatency:  15 * time.Millisecond,
-			sizeExp:      0.92,
-			batchSlope:   0.12,
-			inflectSlope: 1.0,
-			batchLimits:  map[int]int{64: 4, 128: 2, 256: 1, 512: 1},
-			fullFrame:    470 * time.Millisecond,
-		}
+// classParams is the ground-truth table, indexed by DeviceClass. It is
+// read on every simulated batch launch, so it is built once, here.
+var classParams = [...]deviceParams{
+	JetsonNano: {
+		baseLatency:  15 * time.Millisecond,
+		sizeExp:      0.92,
+		batchSlope:   0.12,
+		inflectSlope: 1.0,
+		batchLimits:  map[int]int{64: 4, 128: 2, 256: 1, 512: 1},
+		fullFrame:    470 * time.Millisecond,
+	},
+	JetsonTX2: {
+		baseLatency:  8 * time.Millisecond,
+		sizeExp:      0.88,
+		batchSlope:   0.08,
+		inflectSlope: 0.85,
+		batchLimits:  map[int]int{64: 8, 128: 4, 256: 2, 512: 1},
+		fullFrame:    240 * time.Millisecond,
+	},
+	JetsonXavier: {
+		baseLatency:  4 * time.Millisecond,
+		sizeExp:      0.80,
+		batchSlope:   0.06,
+		inflectSlope: 0.75,
+		batchLimits:  map[int]int{64: 16, 128: 8, 256: 4, 512: 2},
+		fullFrame:    95 * time.Millisecond,
+	},
+}
+
+// paramsFor returns the class's parameters; anything unknown degrades to
+// the weakest class. The result is shared and read-only.
+func paramsFor(class DeviceClass) *deviceParams {
+	if class < 0 || int(class) >= len(classParams) {
+		class = JetsonNano
 	}
+	return &classParams[class]
 }
 
 // TrueBatchLatency returns the ground-truth execution latency of a batch

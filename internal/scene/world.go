@@ -260,12 +260,18 @@ type FrameTruth struct {
 // camera this frame — the denominator of the paper's object recall.
 func (f *FrameTruth) VisibleObjectIDs() map[int]bool {
 	out := make(map[int]bool)
+	f.AddVisibleObjectIDs(out)
+	return out
+}
+
+// AddVisibleObjectIDs adds the frame's visible objects to a set the caller
+// owns (and may reuse from frame to frame after clearing it).
+func (f *FrameTruth) AddVisibleObjectIDs(ids map[int]bool) {
 	for _, obs := range f.PerCamera {
 		for _, o := range obs {
-			out[o.ObjectID] = true
+			ids[o.ObjectID] = true
 		}
 	}
-	return out
 }
 
 // Trace is a completed simulation: per-frame ground truth plus the camera
@@ -303,6 +309,18 @@ func (w *World) Run(numFrames int) (*Trace, error) {
 	trace := &Trace{FPS: w.FPS, Cameras: w.Cameras, Frames: make([]FrameTruth, 0, numFrames)}
 	var live []*vehicle
 	nextID := 1
+	// The frame's lists are gathered in buffers reused across frames and
+	// stored as exact-size copies: a trace is kept whole for the length of
+	// a run, so append's spare capacity (a quarter of it) would be too.
+	type proj struct {
+		obs  Observation
+		dist float64
+	}
+	var (
+		objs  []ObjectState
+		projs []proj
+		seen  []Observation
+	)
 	// lastSpawnDist tracks per-route the most recent spawn's current
 	// distance, to enforce headway.
 	for frame := 0; frame < numFrames; frame++ {
@@ -349,6 +367,7 @@ func (w *World) Run(numFrames int) (*Trace, error) {
 
 		// Advance and collect states.
 		ft := FrameTruth{Index: frame}
+		objs = objs[:0]
 		survivors := live[:0]
 		for _, v := range live {
 			d := v.distAt(frame, w.FPS)
@@ -362,7 +381,7 @@ func (w *World) Run(numFrames int) (*Trace, error) {
 				continue // left the world
 			}
 			survivors = append(survivors, v)
-			ft.Objects = append(ft.Objects, ObjectState{
+			objs = append(objs, ObjectState{
 				ID:      v.id,
 				Pos:     pos,
 				Heading: heading,
@@ -371,15 +390,12 @@ func (w *World) Run(numFrames int) (*Trace, error) {
 			})
 		}
 		live = survivors
+		ft.Objects = exactCopy(objs)
 
 		// Project per camera, applying occlusion if modelled.
 		ft.PerCamera = make([][]Observation, len(w.Cameras))
 		for ci, cam := range w.Cameras {
-			type proj struct {
-				obs  Observation
-				dist float64
-			}
-			var projs []proj
+			projs, seen = projs[:0], seen[:0]
 			for _, s := range ft.Objects {
 				if box, ok := cam.ProjectBox(s); ok {
 					projs = append(projs, proj{
@@ -409,18 +425,28 @@ func (w *World) Run(numFrames int) (*Trace, error) {
 						}
 					}
 					if !hidden {
-						ft.PerCamera[ci] = append(ft.PerCamera[ci], a.obs)
+						seen = append(seen, a.obs)
 					}
 				}
 			} else {
 				for _, p := range projs {
-					ft.PerCamera[ci] = append(ft.PerCamera[ci], p.obs)
+					seen = append(seen, p.obs)
 				}
 			}
+			ft.PerCamera[ci] = exactCopy(seen)
 		}
 		trace.Frames = append(trace.Frames, ft)
 	}
 	return trace, nil
+}
+
+// exactCopy returns a copy of s with no spare capacity, nil when s is
+// empty.
+func exactCopy[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // distAt returns the vehicle's arc-length position at the given frame.

@@ -77,6 +77,8 @@ func (c Config) withDefaults() Config {
 type Detector struct {
 	cfg Config
 	rng *rand.Rand
+	// regionDets is DetectRegions' result buffer, reused across calls.
+	regionDets []Detection
 }
 
 // NewDetector builds a detector with the given noise seed.
@@ -112,45 +114,66 @@ func (d *Detector) noisyBox(box geom.Rect) geom.Rect {
 }
 
 // DetectFull runs a simulated full-frame inspection over the camera's
-// visible objects.
+// visible objects. The caller owns the returned slice.
 func (d *Detector) DetectFull(objs []scene.Observation) []Detection {
-	return d.detect(objs, nil, 1)
+	if len(objs) == 0 {
+		return nil
+	}
+	return d.detect(make([]Detection, 0, len(objs)), objs, nil, 1)
 }
 
 // DetectRegion runs a simulated partial-region inspection: only objects
 // whose box centre lies inside the region are candidates, and the miss
-// probability is reduced by the region bonus.
+// probability is reduced by the region bonus. The caller owns the
+// returned slice.
 func (d *Detector) DetectRegion(region geom.Rect, objs []scene.Observation) ([]Detection, error) {
 	if region.Empty() {
 		return nil, fmt.Errorf("vision: empty inspection region")
 	}
-	return d.detect(objs, &region, d.cfg.RegionBonus), nil
+	return d.detect(nil, objs, &region, d.cfg.RegionBonus), nil
 }
 
 // DetectRegions runs partial-region inspections over a batch of regions,
 // deduplicating objects that fall in several regions (the detector would
-// return them once after non-max suppression).
+// return them once after non-max suppression). The result lives in a
+// buffer of the detector's and is valid until the next DetectRegions
+// call; callers that keep detections longer copy them out.
 func (d *Detector) DetectRegions(regions []geom.Rect, objs []scene.Observation) ([]Detection, error) {
-	seen := make(map[int]bool)
-	var out []Detection
+	out := d.regionDets[:0]
 	for _, r := range regions {
-		dets, err := d.DetectRegion(r, objs)
-		if err != nil {
-			return nil, err
+		if r.Empty() {
+			return nil, fmt.Errorf("vision: empty inspection region")
 		}
-		for _, det := range dets {
-			if seen[det.TruthID] {
-				continue
+		// Every region draws its noise as if inspected alone — repeats
+		// included, so the random stream does not depend on the overlap —
+		// and the repeats are then dropped in place. A frame holds a few
+		// dozen detections at most: a scan beats a map.
+		kept := len(out)
+		out = d.detect(out, objs, &r, d.cfg.RegionBonus)
+		for _, det := range out[kept:] {
+			if !containsTruth(out[:kept], det.TruthID) {
+				out[kept] = det
+				kept++
 			}
-			seen[det.TruthID] = true
-			out = append(out, det)
 		}
+		out = out[:kept]
 	}
+	d.regionDets = out
 	return out, nil
 }
 
-func (d *Detector) detect(objs []scene.Observation, region *geom.Rect, missScale float64) []Detection {
-	var out []Detection
+func containsTruth(dets []Detection, truthID int) bool {
+	for i := range dets {
+		if dets[i].TruthID == truthID {
+			return true
+		}
+	}
+	return false
+}
+
+// detect appends the detections of one inspection (the whole frame when
+// region is nil) to out.
+func (d *Detector) detect(out []Detection, objs []scene.Observation, region *geom.Rect, missScale float64) []Detection {
 	for _, o := range objs {
 		if region != nil {
 			if !region.Contains(o.Box.Center()) {

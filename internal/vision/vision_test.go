@@ -192,3 +192,100 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("custom overridden: %+v", custom)
 	}
 }
+
+// referenceDetectRegions is DetectRegions as it was before the reused
+// result buffer: one DetectRegion per region, a map of the truth IDs
+// already returned. It is the oracle for both the detections and the
+// random stream behind them.
+func referenceDetectRegions(d *Detector, regions []geom.Rect, objs []scene.Observation) ([]Detection, error) {
+	seen := make(map[int]bool)
+	var out []Detection
+	for _, r := range regions {
+		dets, err := d.DetectRegion(r, objs)
+		if err != nil {
+			return nil, err
+		}
+		for _, det := range dets {
+			if seen[det.TruthID] {
+				continue
+			}
+			seen[det.TruthID] = true
+			out = append(out, det)
+		}
+	}
+	return out, nil
+}
+
+// overlappingScene lays n objects on a line with a region around each
+// one that also takes in its right-hand neighbour's centre, so most
+// objects are detected twice and deduplication has work to do.
+func overlappingScene(n int) ([]geom.Rect, []scene.Observation) {
+	regions := make([]geom.Rect, n)
+	objs := make([]scene.Observation, n)
+	for i := range objs {
+		x := float64(40 + 70*i)
+		objs[i] = scene.Observation{ObjectID: i + 1, Box: geom.Rect{MinX: x, MinY: 100, MaxX: x + 60, MaxY: 150}}
+		regions[i] = geom.Rect{MinX: x - 20, MinY: 60, MaxX: x + 130, MaxY: 190}
+	}
+	return regions, objs
+}
+
+// TestDetectRegionsMatchesReference: two detectors on one seed, one
+// driven through the old per-region path, must agree on every detection
+// of every frame — which they only do while both consume the random
+// stream identically, repeats included.
+func TestDetectRegionsMatchesReference(t *testing.T) {
+	regions, objs := overlappingScene(12)
+	got, want := NewDetector(5, Config{MissBase: 0.2}), NewDetector(5, Config{MissBase: 0.2})
+	repeats := 0
+	for frame := 0; frame < 300; frame++ {
+		a, err := got.DetectRegions(regions[:1+frame%len(regions)], objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := referenceDetectRegions(want, regions[:1+frame%len(regions)], objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) != len(b) {
+			t.Fatalf("frame %d: %d detections, reference %d", frame, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("frame %d detection %d: %+v, reference %+v", frame, i, a[i], b[i])
+			}
+		}
+		if len(a) < 1+frame%len(regions) {
+			repeats++
+		}
+	}
+	if repeats == 0 {
+		t.Fatal("no frame had anything to deduplicate")
+	}
+}
+
+// TestDetectRegionsReusesItsBuffer is the budget (at most one allocation
+// a call; none once the buffer has grown) and the documented price: the
+// result is overwritten by the next call.
+func TestDetectRegionsReusesItsBuffer(t *testing.T) {
+	regions, objs := overlappingScene(12)
+	d := NewDetector(6, Config{MissBase: 0.001})
+	first, err := d.DetectRegions(regions, objs)
+	if err != nil || len(first) == 0 {
+		t.Fatalf("first call: %d detections, %v", len(first), err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := d.DetectRegions(regions, objs); err != nil {
+			panic(err)
+		}
+	}); n > 1 {
+		t.Fatalf("DetectRegions: %v allocs per call, want <= 1", n)
+	}
+	again, err := d.DetectRegions(regions, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again[0] != &first[0] {
+		t.Fatal("result buffer not reused")
+	}
+}
