@@ -10,6 +10,7 @@ import (
 
 	"mvs/internal/adapt"
 	"mvs/internal/assoc"
+	"mvs/internal/central"
 	"mvs/internal/core"
 	"mvs/internal/geom"
 	"mvs/internal/gpu"
@@ -808,53 +809,37 @@ func (s *Scheduler) broadcastError(msg string) {
 	}
 }
 
-// schedule mirrors the pipeline's central stage over wire reports,
-// including its per-pair association fan-out (bounded by WithWorkers).
-// It also assembles the round's snapshot (sans Seq and RoundLatency,
-// which the caller stamps): the scheduled per-camera latencies, the
-// batch occupancy each camera's assignment implies, and assignment
-// counts.
+// schedule runs one central-stage round (central.Solve, the kernel the
+// in-process engine runs too) over the wire reports and turns its
+// per-track decisions into one Assignment per camera. It also assembles
+// the round's snapshot (sans Seq and RoundLatency, which the caller
+// stamps): the scheduled per-camera latencies, the batch occupancy each
+// camera's assignment implies, and assignment counts.
 func (s *Scheduler) schedule(r *round, frame int) (map[int]*Assignment, metrics.Snapshot, []int, error) {
 	m := len(s.cams)
-	boxes := make([][]geom.Rect, m)
-	trackIDs := make([][]int, m)
-	sizes := make([][]int, m)
+	total := 0
+	for _, rep := range r.reports {
+		total += len(rep.Tracks)
+	}
+	views := central.NewViews(m, total)
 	for cam := 0; cam < m; cam++ {
 		rep := r.reports[cam]
 		if rep == nil {
 			continue // disconnected camera: schedule without its view
 		}
 		for _, t := range rep.Tracks {
-			boxes[cam] = append(boxes[cam], geom.Rect{
-				MinX: t.Box[0], MinY: t.Box[1], MaxX: t.Box[2], MaxY: t.Box[3],
-			})
-			trackIDs[cam] = append(trackIDs[cam], t.TrackID)
-			sizes[cam] = append(sizes[cam], t.Size)
+			views.Add(cam, geom.Rect{MinX: t.Box[0], MinY: t.Box[1], MaxX: t.Box[2], MaxY: t.Box[3]},
+				central.Track{ID: t.TrackID, Size: t.Size})
 		}
 	}
-
-	groups, err := s.model.AssociateWorkers(boxes, s.minIoU, s.workers)
+	solved, err := central.Solve(central.Params{
+		Model: s.model, Cameras: s.cams, MinIoU: s.minIoU, Workers: s.workers,
+	}, &views)
 	if err != nil {
-		return nil, metrics.Snapshot{}, nil, fmt.Errorf("association: %w", err)
+		return nil, metrics.Snapshot{}, nil, err
 	}
-	objects := make([]core.ObjectSpec, 0, len(groups))
-	for gi, g := range groups {
-		spec := core.ObjectSpec{ID: gi + 1, Size: make(map[int]int)}
-		for _, ref := range g.Members {
-			if _, seen := spec.Size[ref.Cam]; !seen {
-				spec.Coverage = append(spec.Coverage, ref.Cam)
-			}
-			if sz := sizes[ref.Cam][ref.Index]; sz > spec.Size[ref.Cam] {
-				spec.Size[ref.Cam] = sz
-			}
-		}
-		objects = append(objects, spec)
-	}
-	sol, err := core.Central(s.cams, objects, core.CentralOptions{})
-	if err != nil {
-		return nil, metrics.Snapshot{}, nil, fmt.Errorf("central BALB: %w", err)
-	}
-	snap := s.roundSnapshot(frame, objects, sol)
+	sol := solved.Solution
+	snap := s.roundSnapshot(frame, solved.Objects, sol)
 	// A round missing at least one roster camera's view (timeout, lease
 	// expiry, disconnect, or a camera that never joined) is partial.
 	snap.Partial = len(r.reports) < m
@@ -874,37 +859,24 @@ func (s *Scheduler) schedule(r *round, frame int) (map[int]*Assignment, metrics.
 	// Cross-shard hand-off: a boundary object also claimed by a
 	// lower-ID shard belongs there — every local member becomes a
 	// shadow of the foreign owner instead of being kept.
-	demoted := s.consultHandoff(frame, groups, boxes, sol)
+	demoted := s.consultHandoff(frame, solved.Groups, views.Boxes, sol)
 
 	replies := make(map[int]*Assignment, m)
 	for cam := 0; cam < m; cam++ {
 		replies[cam] = &Assignment{Frame: frame, Priority: prio, Roster: roster}
 	}
-	for gi, g := range groups {
-		assigned, ok := sol.Assign[gi+1]
-		if !ok {
-			continue
+	solved.Walk(func(mb central.Member) {
+		reply := replies[mb.Cam]
+		id := views.Tracks[mb.Cam][mb.Index].ID
+		if owner, isDemoted := demoted[mb.Object]; isDemoted {
+			reply.Shadows = append(reply.Shadows, ShadowOrder{TrackID: id, AssignedCamera: owner})
+		} else if mb.Kept {
+			reply.Keep = append(reply.Keep, id)
+		} else {
+			reply.Shadows = append(reply.Shadows, ShadowOrder{TrackID: id, AssignedCamera: s.glob(mb.Owner)})
 		}
-		if owner, isDemoted := demoted[gi+1]; isDemoted {
-			for _, ref := range g.Members {
-				replies[ref.Cam].Shadows = append(replies[ref.Cam].Shadows, ShadowOrder{
-					TrackID: trackIDs[ref.Cam][ref.Index], AssignedCamera: owner,
-				})
-			}
-			continue
-		}
-		for _, ref := range g.Members {
-			id := trackIDs[ref.Cam][ref.Index]
-			if ref.Cam == assigned {
-				replies[ref.Cam].Keep = append(replies[ref.Cam].Keep, id)
-			} else {
-				replies[ref.Cam].Shadows = append(replies[ref.Cam].Shadows, ShadowOrder{
-					TrackID: id, AssignedCamera: s.glob(assigned),
-				})
-			}
-		}
-	}
-	s.publishHandoff(frame, groups, boxes, sol, demoted)
+	})
+	s.publishHandoff(frame, solved.Groups, views.Boxes, sol, demoted)
 	return replies, snap, prio, nil
 }
 

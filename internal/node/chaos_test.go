@@ -253,13 +253,19 @@ func TestChaosDegradedRejoinEndToEnd(t *testing.T) {
 // TestChaosDeadOwnerFailover exercises the data-plane failover rule on
 // a node: the scheduler declares the owning camera dead, so the
 // highest-priority live camera promotes its shadow back to an active
-// track and counts the reassignment.
+// track and counts the reassignment — and a shadow in a cell no live
+// camera covers is dropped and counted as orphaned.
 func TestChaosDeadOwnerFailover(t *testing.T) {
 	cfg := baseConfig(0)
 	cfg.Coverage = make([][]int, 16*9)
 	for i := range cfg.Coverage {
 		cfg.Coverage[i] = []int{0, 1} // every cell seen by both cameras
 	}
+	// ... except the one the second object sits in, which the masks give
+	// to camera 1 alone.
+	lost := geom.Rect{MinX: 900, MinY: 500, MaxX: 960, MaxY: 550}
+	cell, _ := geom.NewGrid(cfg.Frame, 16, 9).CellIndex(lost.Center())
+	cfg.Coverage[cell] = []int{1}
 	sink := metrics.NewChannelSink(1, 16)
 	cfg.Sink = sink
 	rt, err := New(cfg)
@@ -268,26 +274,30 @@ func TestChaosDeadOwnerFailover(t *testing.T) {
 	}
 	obs := []scene.Observation{
 		{ObjectID: 1, Box: geom.Rect{MinX: 100, MinY: 100, MaxX: 160, MaxY: 150}},
+		{ObjectID: 2, Box: lost},
 	}
 	reports, err := rt.KeyFrame(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 1 {
+	if len(reports) != 2 {
 		t.Fatalf("reports = %v", reports)
 	}
-	// The scheduler assigned the object to camera 1 — and in the same
+	// The scheduler assigned both objects to camera 1 — and in the same
 	// reply declares camera 1 dead (its lease expired mid-round).
 	err = rt.ApplyAssignment(&cluster.Assignment{
-		Frame:    0,
-		Shadows:  []cluster.ShadowOrder{{TrackID: reports[0].TrackID, AssignedCamera: 1}},
+		Frame: 0,
+		Shadows: []cluster.ShadowOrder{
+			{TrackID: reports[0].TrackID, AssignedCamera: 1},
+			{TrackID: reports[1].TrackID, AssignedCamera: 1},
+		},
 		Priority: []int{1, 0},
 		Dead:     []int{1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := rt.Stats(); st.ActiveTracks != 0 || st.Shadows != 1 {
+	if st := rt.Stats(); st.ActiveTracks != 0 || st.Shadows != 2 {
 		t.Fatalf("after demotion: %+v", st)
 	}
 	if _, err := rt.RegularFrame(obs); err != nil {
@@ -299,6 +309,9 @@ func TestChaosDeadOwnerFailover(t *testing.T) {
 	}
 	if st.Reassignments != 1 {
 		t.Fatalf("Reassignments = %d, want 1", st.Reassignments)
+	}
+	if st.Orphaned != 1 {
+		t.Fatalf("Orphaned = %d, want 1 (dead owner, no live camera covers the cell)", st.Orphaned)
 	}
 	// Outage accounting and snapshot plumbing.
 	rt.OutageFrame()
@@ -313,9 +326,9 @@ func TestChaosDeadOwnerFailover(t *testing.T) {
 	for snap := range sink.Snapshots() {
 		last = snap
 	}
-	if last.OutageFrames != 1 || last.Reassignments != 1 {
-		t.Fatalf("snapshot counters = (%d,%d), want (1,1)",
-			last.OutageFrames, last.Reassignments)
+	if last.OutageFrames != 1 || last.Reassignments != 1 || last.OrphanedObjects != 1 {
+		t.Fatalf("snapshot counters = (%d,%d,%d), want (1,1,1)",
+			last.OutageFrames, last.Reassignments, last.OrphanedObjects)
 	}
 }
 

@@ -1,12 +1,14 @@
 // Package node implements a camera node's runtime for the distributed
-// deployment: the local half of the BALB framework (tracking-based
-// slicing, batched partial inspection, and the distributed stage) driven
-// by assignments received from the central scheduler over the cluster
-// protocol.
+// deployment: one camera kernel (internal/camera — the local half of the
+// BALB framework: tracking-based slicing, batched partial inspection,
+// and the distributed stage) driven by assignments received from the
+// central scheduler over the cluster protocol.
 //
-// The in-process pipeline package simulates the same logic for
-// evaluation; this package is the deployable flavour, consuming wire
-// messages instead of direct function calls.
+// The in-process pipeline package hosts the same kernel for evaluation;
+// this package is the deployable host. What it owns is what only a node
+// has: building the horizon's ownership policy from the wire (scoped or
+// global priority, dead set), following the scheduler's degradation
+// rung, the degraded/reconnect/outage counters, and its snapshot stream.
 package node
 
 import (
@@ -14,47 +16,32 @@ import (
 	"time"
 
 	"mvs/internal/adapt"
+	"mvs/internal/camera"
 	"mvs/internal/cluster"
 	"mvs/internal/core"
-	"mvs/internal/flow"
 	"mvs/internal/geom"
-	"mvs/internal/gpu"
 	"mvs/internal/metrics"
 	"mvs/internal/profile"
 	"mvs/internal/scene"
 	"mvs/internal/vision"
 )
 
-// shadow mirrors pipeline's shadow: an object assigned to another camera,
-// coasting on its key-frame velocity.
-type shadow struct {
-	box      geom.Rect
-	vel      geom.Point
-	truthID  int
-	assigned int
-	size     int
-}
-
 // Runtime is one camera node's state.
 type Runtime struct {
-	camera   int
-	frame    geom.Rect
-	exec     *gpu.Executor
-	det      *vision.Detector
-	tracker  *flow.Tracker
-	grid     geom.Grid
-	coverage [][]int
-	policy   *core.DistributedPolicy
-	shadows  []*shadow
-	sink     metrics.Sink
-	label    string
+	camera int
+	kernel *camera.Kernel
+	policy *core.DistributedPolicy
+	sink   metrics.Sink
+	label  string
+	// out is the kernel's frame record, reset and reused every frame.
+	out camera.Frame
 
 	// Degraded mode: true while the node operates without scheduler
 	// guidance (see EnterDegraded).
 	degraded bool
 
 	// adaptLevel is the degradation-ladder rung carried by the last
-	// applied assignment (scheduler-side WithAdapt): the tracker's size
+	// applied assignment (scheduler-side WithAdapt): the kernel's size
 	// cap follows it, and the node's drive loop stretches its key-frame
 	// cadence by adapt.StretchFor(adaptLevel). adaptTransitions counts
 	// the level changes this node has applied.
@@ -69,6 +56,7 @@ type Runtime struct {
 	reconnects     int
 	outageFrames   int
 	reassignments  int
+	orphaned       int
 }
 
 // Config assembles a runtime.
@@ -106,17 +94,23 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.NumCameras <= 0 {
 		return nil, fmt.Errorf("node: NumCameras must be positive")
 	}
-	exec, err := gpu.NewExecutor(cfg.Profile)
-	if err != nil {
-		return nil, fmt.Errorf("node: %w", err)
-	}
-	tracker, err := flow.NewTracker(cfg.Frame, flow.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("node: %w", err)
-	}
 	grid := geom.NewGrid(cfg.Frame, max(cfg.GridCols, 1), max(cfg.GridRows, 1))
 	if len(cfg.Coverage) > 0 && len(cfg.Coverage) != grid.NumCells() {
 		return nil, fmt.Errorf("node: coverage has %d cells, grid has %d", len(cfg.Coverage), grid.NumCells())
+	}
+	// Without coverage data (the scheduler did not send masks) the camera
+	// owns everything it sees.
+	own := camera.OwnAll
+	if len(cfg.Coverage) > 0 {
+		own = camera.OwnMasks
+	}
+	kernel, err := camera.New(camera.Config{
+		Index: cfg.Camera, Grid: grid, Profile: cfg.Profile,
+		Seed: cfg.Seed, Detector: cfg.Detector,
+		Own: own, Coverage: cfg.Coverage,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("node: %w", err)
 	}
 	idx := make([]int, cfg.NumCameras)
 	for i := range idx {
@@ -128,12 +122,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	return &Runtime{
 		camera:   cfg.Camera,
-		frame:    cfg.Frame,
-		exec:     exec,
-		det:      vision.NewDetector(cfg.Seed+int64(cfg.Camera)*101, cfg.Detector),
-		tracker:  tracker,
-		grid:     grid,
-		coverage: cfg.Coverage,
+		kernel:   kernel,
 		policy:   policy,
 		sink:     cfg.Sink,
 		label:    fmt.Sprintf("camera%d", cfg.Camera),
@@ -141,11 +130,25 @@ func New(cfg Config) (*Runtime, error) {
 	}, nil
 }
 
-// emit records this frame's snapshot, if a sink is attached. frames has
-// already been incremented, so the zero-based frame index is frames-1.
-func (r *Runtime) emit(latency time.Duration, batches, images int, occupancy float64) {
+// finishFrame prices the kernel's frame record on the node's own GPU,
+// folds it into the running counters, and records the frame's snapshot
+// if a sink is attached.
+func (r *Runtime) finishFrame() error {
+	if err := r.kernel.Price(&r.out); err != nil {
+		return fmt.Errorf("node: %w", err)
+	}
+	r.latencySum += r.out.Latency
+	r.frames++
+	if r.degraded {
+		r.degradedFrames++
+	}
+	for _, id := range r.out.TruthIDs {
+		r.detected[id] = true
+	}
+	r.reassignments += r.out.Reassigned
+	r.orphaned += r.out.Orphaned
 	if r.sink == nil {
-		return
+		return nil
 	}
 	fi := r.frames - 1
 	r.sink.RecordFrame(metrics.Snapshot{
@@ -157,50 +160,36 @@ func (r *Runtime) emit(latency time.Duration, batches, images int, occupancy flo
 		DegradedFrames:   r.degradedFrames,
 		Reconnects:       r.reconnects,
 		OutageFrames:     r.outageFrames,
+		OrphanedObjects:  r.orphaned,
 		Reassignments:    r.reassignments,
 		AdaptLevel:       r.adaptLevel,
 		AdaptTransitions: r.adaptTransitions,
-		FrameLatency:     latency,
+		FrameLatency:     r.out.Latency,
 		Cameras: []metrics.CameraSnapshot{{
 			Camera:         r.camera,
-			Latency:        latency,
-			Batches:        batches,
-			Images:         images,
-			BatchOccupancy: occupancy,
-			Tracks:         r.tracker.Len(),
-			Shadows:        len(r.shadows),
+			Latency:        r.out.Latency,
+			Batches:        r.out.Batches,
+			Images:         r.out.Images,
+			BatchOccupancy: r.out.Occupancy,
+			Tracks:         r.kernel.Len(),
+			Shadows:        r.kernel.Shadows(),
 		}},
 	})
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return nil
 }
 
 // KeyFrame runs the full-frame inspection and returns the track reports
 // to upload. The caller sends them to the scheduler and feeds the reply
 // to ApplyAssignment.
 func (r *Runtime) KeyFrame(obs []scene.Observation) ([]cluster.TrackReport, error) {
-	lat := r.exec.RunFullFrame()
-	r.latencySum += lat
-	r.frames++
-	if r.degraded {
-		r.degradedFrames++
+	r.out = camera.Frame{TruthIDs: r.out.TruthIDs[:0]}
+	if err := r.kernel.KeyFrame(obs, &r.out); err != nil {
+		return nil, fmt.Errorf("node: %w", err)
 	}
-	dets := r.det.DetectFull(obs)
-	for _, d := range dets {
-		r.detected[d.TruthID] = true
+	if err := r.finishFrame(); err != nil {
+		return nil, err
 	}
-	if _, err := r.tracker.Update(dets); err != nil {
-		return nil, fmt.Errorf("node: key-frame tracking: %w", err)
-	}
-	r.tracker.RefreshSizes()
-	r.shadows = r.shadows[:0]
-	r.emit(lat, 0, 0, 0) // full-frame inspection launches no partial batches
-	return cluster.ReportTracks(r.tracker.Tracks()), nil
+	return cluster.ReportTracks(r.kernel.Tracks()), nil
 }
 
 // OutageFrame records one frame lost to a camera fault: the node's
@@ -224,7 +213,7 @@ func (r *Runtime) Degraded() bool { return r.degraded }
 // AdaptLevel returns the degradation-ladder rung the last applied
 // assignment carried (0 when the scheduler runs no adapt controller).
 // The drive loop stretches its key-frame cadence by
-// adapt.StretchFor(AdaptLevel()); the tracker's size cap is already
+// adapt.StretchFor(AdaptLevel()); the kernel's size cap is already
 // applied by ApplyAssignment.
 func (r *Runtime) AdaptLevel() int { return r.adaptLevel }
 
@@ -295,21 +284,10 @@ func (r *Runtime) ApplyAssignment(a *cluster.Assignment) error {
 	if a.AdaptLevel != r.adaptLevel {
 		r.adaptLevel = a.AdaptLevel
 		r.adaptTransitions++
-		r.tracker.SetSizeCap(adapt.SizeCapFor(r.adaptLevel))
+		r.kernel.SetSizeCap(adapt.SizeCapFor(r.adaptLevel))
 	}
 	for _, sh := range a.Shadows {
-		t := r.tracker.Get(sh.TrackID)
-		if t == nil {
-			continue // dropped since the report; nothing to demote
-		}
-		r.shadows = append(r.shadows, &shadow{
-			box:      t.Box,
-			vel:      t.Velocity,
-			truthID:  t.TruthID,
-			assigned: sh.AssignedCamera,
-			size:     t.QuantSize,
-		})
-		r.tracker.Remove(sh.TrackID)
+		r.kernel.Demote(sh.TrackID, sh.AssignedCamera)
 	}
 	return nil
 }
@@ -319,124 +297,14 @@ func (r *Runtime) ApplyAssignment(a *cluster.Assignment) error {
 // apply the distributed-stage ownership rules. It returns the frame's
 // modelled inference latency.
 func (r *Runtime) RegularFrame(obs []scene.Observation) (time.Duration, error) {
-	// Advance shadows.
-	alive := r.shadows[:0]
-	for _, sh := range r.shadows {
-		sh.box = sh.box.Translate(sh.vel)
-		if r.frame.Contains(sh.box.Center()) {
-			alive = append(alive, sh)
-		}
+	r.out = camera.Frame{TruthIDs: r.out.TruthIDs[:0]}
+	if err := r.kernel.RegularFrame(obs, r.policy, &r.out); err != nil {
+		return 0, fmt.Errorf("node: %w", err)
 	}
-	r.shadows = alive
-
-	tracks := r.tracker.Tracks()
-	regions := make([]geom.Rect, 0, len(tracks))
-	tasks := make([]gpu.Task, 0, len(tracks))
-	explained := make([]geom.Rect, 0, len(tracks)+len(r.shadows))
-	for _, t := range tracks {
-		regions = append(regions, r.tracker.Region(t))
-		tasks = append(tasks, gpu.Task{ObjectID: t.ID, Size: t.QuantSize})
-		explained = append(explained, t.Predicted())
+	if err := r.finishFrame(); err != nil {
+		return 0, err
 	}
-	for _, sh := range r.shadows {
-		explained = append(explained, sh.box)
-	}
-
-	// New-region proposals, mask-filtered before inspection.
-	moving := make([]geom.Rect, 0, len(obs))
-	for _, o := range obs {
-		moving = append(moving, o.Box)
-	}
-	for _, nr := range flow.NewRegions(moving, explained, 0) {
-		if !r.ownsCell(nr.Center()) {
-			continue
-		}
-		q, size := geom.QuantizeRect(nr, r.frame, nil)
-		regions = append(regions, q)
-		tasks = append(tasks, gpu.Task{ObjectID: -1, Size: size})
-	}
-
-	res, err := r.exec.RunFrame(tasks)
-	if err != nil {
-		return 0, fmt.Errorf("node: inspection: %w", err)
-	}
-	r.latencySum += res.Latency
-	r.frames++
-	if r.degraded {
-		r.degradedFrames++
-	}
-
-	dets, err := r.det.DetectRegions(regions, obs)
-	if err != nil {
-		return 0, fmt.Errorf("node: detect: %w", err)
-	}
-	for _, d := range dets {
-		r.detected[d.TruthID] = true
-	}
-	created, err := r.tracker.Update(dets)
-	if err != nil {
-		return 0, fmt.Errorf("node: tracking: %w", err)
-	}
-	for _, id := range created {
-		t := r.tracker.Get(id)
-		if t != nil && !r.ownsCell(t.Box.Center()) {
-			r.tracker.Remove(id)
-		}
-	}
-	r.takeoverCheck()
-	r.emit(res.Latency, len(res.Batches), res.Images, gpu.BatchOccupancy(res.Batches, r.exec.Profile()))
-	return res.Latency, nil
-}
-
-// ownsCell reports whether this camera is the mask owner of the cell
-// containing the point. Without coverage data (scheduler did not send
-// masks) the camera owns everything it sees.
-func (r *Runtime) ownsCell(centre geom.Point) bool {
-	if len(r.coverage) == 0 {
-		return true
-	}
-	cell, _ := r.grid.CellIndex(centre)
-	return r.policy.ShouldTrack(r.camera, r.coverage[cell])
-}
-
-func (r *Runtime) takeoverCheck() {
-	if len(r.coverage) == 0 {
-		return
-	}
-	alive := r.shadows[:0]
-	for _, sh := range r.shadows {
-		cell, inside := r.grid.CellIndex(sh.box.Center())
-		if !inside {
-			continue
-		}
-		cover := r.coverage[cell]
-		assignedSees := false
-		for _, c := range cover {
-			if c == sh.assigned {
-				assignedSees = true
-				break
-			}
-		}
-		// Same failover rule as the pipeline: an owner that is covered
-		// but dead is treated as having lost the object.
-		deadOwner := assignedSees && r.policy.Dead(sh.assigned)
-		if assignedSees && !deadOwner {
-			alive = append(alive, sh)
-			continue
-		}
-		if r.policy.ShouldTrack(r.camera, cover) {
-			if deadOwner {
-				r.reassignments++
-			}
-			r.tracker.Spawn(vision.Detection{Box: sh.box, Score: 0.5, TruthID: sh.truthID})
-			continue
-		}
-		if owner, ok := r.policy.Owner(cover); ok {
-			sh.assigned = owner
-			alive = append(alive, sh)
-		}
-	}
-	r.shadows = alive
+	return r.out.Latency, nil
 }
 
 // Stats summarizes the node's run so far.
@@ -462,8 +330,10 @@ type Stats struct {
 	// OutageFrame).
 	OutageFrames int
 	// Reassignments counts shadow promotions because the scheduler
-	// declared the owning camera dead.
+	// declared the owning camera dead; Orphaned counts shadows dropped
+	// because their owner died and no live camera covers them.
 	Reassignments int
+	Orphaned      int
 	// AdaptLevel is the degradation rung currently applied;
 	// AdaptTransitions counts the level changes applied so far.
 	AdaptLevel       int
@@ -474,13 +344,14 @@ type Stats struct {
 func (r *Runtime) Stats() Stats {
 	s := Stats{
 		Frames:           r.frames,
-		ActiveTracks:     r.tracker.Len(),
-		Shadows:          len(r.shadows),
+		ActiveTracks:     r.kernel.Len(),
+		Shadows:          r.kernel.Shadows(),
 		DetectedObjects:  len(r.detected),
 		DegradedFrames:   r.degradedFrames,
 		Reconnects:       r.reconnects,
 		OutageFrames:     r.outageFrames,
 		Reassignments:    r.reassignments,
+		Orphaned:         r.orphaned,
 		AdaptLevel:       r.adaptLevel,
 		AdaptTransitions: r.adaptTransitions,
 	}

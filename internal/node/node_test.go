@@ -3,10 +3,12 @@ package node
 import (
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"mvs/internal/adapt"
 	"mvs/internal/assoc"
 	"mvs/internal/cluster"
 	"mvs/internal/geom"
@@ -268,5 +270,113 @@ func TestDistributedMatchesSchedulerEndToEnd(t *testing.T) {
 	}
 	if frac := float64(missed) / float64(len(truth)); frac > 0.1 {
 		t.Fatalf("missed %d/%d distinct objects", missed, len(truth))
+	}
+}
+
+// TestNewRegionsFollowTheSizeCap pins that a degraded node prices what it
+// newly sees at the capped size too: at ladder level 2 (cap 128) one
+// unexplained 300-px box costs one 128-px inspection, not a 512-px one.
+func TestNewRegionsFollowTheSizeCap(t *testing.T) {
+	cfg := baseConfig(0)
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.KeyFrame(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.ApplyAssignment(&cluster.Assignment{Priority: []int{0, 1}, AdaptLevel: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := adapt.SizeCapFor(rt.AdaptLevel()); got != 128 {
+		t.Fatalf("level 2 caps sizes at %d, test assumes 128", got)
+	}
+	lat, err := rt.RegularFrame([]scene.Observation{
+		{ObjectID: 1, Box: geom.Rect{MinX: 400, MinY: 200, MaxX: 700, MaxY: 500}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := profile.TrueBatchLatency(cfg.Profile.Class, 128, 1)
+	if lat != want {
+		t.Fatalf("regular frame cost %v, want one 128-px task = %v (one 512-px task = %v)",
+			lat, want, profile.TrueBatchLatency(cfg.Profile.Class, 512, 1))
+	}
+}
+
+// regularFrameAllocCeiling bounds the mean allocations of one
+// Runtime.RegularFrame on the two-camera trace below: 1.5x the 0.10
+// measured when the node became a host of the camera kernel (its own
+// copy of the frame loop allocated 4.3). What is left is what outlives
+// a frame: new tracks, grown scratch, newly detected IDs.
+const regularFrameAllocCeiling = 0.15
+
+// TestRegularFrameAllocationBudget guards the node against growing a
+// per-frame make() of its own again: the scratch-ownership rule
+// (docs/CONCURRENCY.md §6) holds in the kernel, so a node's regular
+// frame over an unchanging scene allocates nothing at all.
+func TestRegularFrameAllocationBudget(t *testing.T) {
+	cfg := baseConfig(0)
+	cfg.Detector.MissBase = 1e-12 // no misses: no track is dropped and respawned
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := []scene.Observation{
+		{ObjectID: 1, Box: geom.Rect{MinX: 100, MinY: 100, MaxX: 160, MaxY: 150}},
+		{ObjectID: 2, Box: geom.Rect{MinX: 600, MinY: 300, MaxX: 720, MaxY: 420}},
+		{ObjectID: 3, Box: geom.Rect{MinX: 900, MinY: 500, MaxX: 960, MaxY: 550}},
+	}
+	if _, err := rt.KeyFrame(obs); err != nil {
+		t.Fatal(err)
+	}
+	frame := func() {
+		if _, err := rt.RegularFrame(obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		frame()
+	}
+	if n := testing.AllocsPerRun(100, frame); n != 0 {
+		t.Fatalf("%v allocations per regular frame with no arrivals or departures, want 0", n)
+	}
+	if st := rt.Stats(); st.ActiveTracks != len(obs) {
+		t.Fatalf("scene was not steady: %+v", st)
+	}
+
+	// With arrivals and departures: the sparse two-camera world.
+	trace, err := twoCamWorld(3).Run(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt, err = New(baseConfig(0)); err != nil {
+		t.Fatal(err)
+	}
+	var mallocs uint64
+	regular := 0
+	for fi := range trace.Frames {
+		obs := trace.Frames[fi].PerCamera[0]
+		if fi%10 == 0 {
+			if _, err := rt.KeyFrame(obs); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := rt.RegularFrame(obs); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if fi >= 300 { // warm: scratch has grown to the scene's size
+			mallocs += after.Mallocs - before.Mallocs
+			regular++
+		}
+	}
+	perFrame := float64(mallocs) / float64(regular)
+	t.Logf("%.2f allocations per regular frame", perFrame)
+	if perFrame > regularFrameAllocCeiling {
+		t.Fatalf("%.2f allocations per regular frame, ceiling %v", perFrame, regularFrameAllocCeiling)
 	}
 }

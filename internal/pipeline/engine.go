@@ -8,8 +8,10 @@ import (
 
 	"mvs/internal/adapt"
 	"mvs/internal/assoc"
+	"mvs/internal/camera"
 	"mvs/internal/camfault"
 	"mvs/internal/core"
+	"mvs/internal/gpu"
 	"mvs/internal/metrics"
 	"mvs/internal/profile"
 	"mvs/internal/scene"
@@ -44,7 +46,7 @@ type Engine struct {
 	model      *assoc.Model
 	subModels  []*assoc.Model
 
-	cams     []*cameraState
+	cams     []*camera.Kernel
 	coreCams []core.CameraSpec
 
 	policy   core.Policy
@@ -61,8 +63,8 @@ type Engine struct {
 	frameSeries  metrics.LatencySeries
 
 	// busy accumulates each camera's modelled inspection latency across
-	// frames (Report.PerCameraMean). It is fed from the merged camFrame
-	// shards rather than the private executors so the same accounting
+	// frames (Report.PerCameraMean). It is fed from the merged frame
+	// records rather than the private executors so the same accounting
 	// covers both local pricing and a shared serve pool. lastExec holds
 	// the serving pool's cumulative per-tenant counters as of the latest
 	// priced frame (zero without Config.Serve.Executor).
@@ -92,11 +94,11 @@ type Engine struct {
 	maxLag int
 
 	// Per-frame scratch of process, reused across frames: each camera's
-	// view of the scene, the per-camera shards (whose truthIDs buffers are
+	// view of the scene, the per-camera records (whose TruthIDs buffers are
 	// kept), and the frame's visible / detected object sets. None of it
 	// leaves the engine: sinks and executors get freshly built values.
 	obs         [][]scene.Observation
-	results     []camFrame
+	results     []camera.Frame
 	truthIDs    map[int]bool
 	detectedIDs map[int]bool
 
@@ -160,7 +162,7 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 			cfg.Fault.CamFaults.NumCameras(), len(cameras))
 	}
 
-	cams, err := buildCameraStates(cameras, profiles, model, cfg)
+	cams, err := buildCameras(cameras, profiles, model, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +185,7 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 		busy:       make([]time.Duration, len(cams)),
 
 		obs:         make([][]scene.Observation, len(cams)),
-		results:     make([]camFrame, len(cams)),
+		results:     make([]camera.Frame, len(cams)),
 		truthIDs:    make(map[int]bool),
 		detectedIDs: make(map[int]bool),
 	}
@@ -352,8 +354,8 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 		if e.ctrl != nil {
 			e.ctrl.Tick()
 			sizeCap := e.ctrl.SizeCap()
-			for _, cs := range cams {
-				cs.tracker.SetSizeCap(sizeCap)
+			for _, k := range cams {
+				k.SetSizeCap(sizeCap)
 			}
 			stretch = e.ctrl.Stretch()
 		}
@@ -361,22 +363,18 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	}
 	results := e.results
 	for i := range results {
-		results[i] = camFrame{truthIDs: results[i].truthIDs[:0]}
+		results[i] = camera.Frame{TruthIDs: results[i].TruthIDs[:0]}
 	}
 
 	if isKey {
 		e.flushHorizon()
-		if err := runKeyFrame(cams, obs, down, results, e.cfg); err != nil {
-			return err
-		}
-	} else {
-		if err := runRegularFrame(cams, obs, down, results, e.policy, e.cfg); err != nil {
-			return err
-		}
+	}
+	if err := e.runCameras(isKey, obs, down, results); err != nil {
+		return err
 	}
 
 	// Price any deferred GPU work at the post-fan-out barrier, then fold
-	// the per-camera shards into the run accumulators in camera order —
+	// the per-camera records into the run accumulators in camera order —
 	// the same merge point whether the work ran on private executors
 	// during the fan-out or on the shared serving pool just now.
 	if err := e.resolveServe(results, down); err != nil {
@@ -386,7 +384,6 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	mergeCamFrames(results, e.detectedIDs, e.breakdown, e.horizonCam)
 
 	if isKey {
-		pruneStaticPartition(cams, down, e.cfg)
 		if e.needsModel {
 			start := time.Now()
 			newPolicy, round, err := centralStage(cams, e.coreCams, e.model, e.subModels, e.deadMask, e.cfg)
@@ -410,20 +407,20 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	frame.AddVisibleObjectIDs(e.truthIDs)
 	e.recall.Observe(e.truthIDs, e.detectedIDs)
 	for i := range results {
-		e.reassigned += results[i].reassigned
-		e.orphaned += results[i].orphaned
+		e.reassigned += results[i].Reassigned
+		e.orphaned += results[i].Orphaned
 	}
 
 	// Per-frame system latency (max across cameras) for tail stats, and
 	// the per-camera busy accumulators behind Report.PerCameraMean. With
-	// a serve executor the shard latencies include pool queueing delay,
+	// a serve executor the record latencies include pool queueing delay,
 	// so overload at the shared GPU surfaces in the same tail statistics
 	// (and the same adapt samples) as local overload.
 	var frameMax time.Duration
 	for i := range results {
-		e.busy[i] += results[i].latency
-		if results[i].latency > frameMax {
-			frameMax = results[i].latency
+		e.busy[i] += results[i].Latency
+		if results[i].Latency > frameMax {
+			frameMax = results[i].Latency
 		}
 	}
 	e.frameSeries.Add(frameMax)
@@ -473,8 +470,12 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 // camera in ascending camera order — including cameras with no tasks,
 // so the pool's epoch barrier sees every active tenant every frame —
 // blocks until the pool has priced the epoch, and writes the replies
-// back into the camFrame shards. A no-op without a serve executor.
-func (e *Engine) resolveServe(results []camFrame, down []bool) error {
+// back into the frame records. A request outlives the frame (the pool,
+// or a recorder in front of it, may keep it), so this is where a task
+// list leaves the kernel's scratch: copied into storage of its own, of
+// exactly its size, and not at all when empty. A no-op without a serve
+// executor.
+func (e *Engine) resolveServe(results []camera.Frame, down []bool) error {
 	if e.cfg.Serve.Executor == nil {
 		return nil
 	}
@@ -483,7 +484,12 @@ func (e *Engine) resolveServe(results []camFrame, down []bool) error {
 		if down != nil && down[i] {
 			continue
 		}
-		reqs = append(reqs, ExecRequest{Cam: i, Full: results[i].full, Tasks: results[i].tasks})
+		req := ExecRequest{Cam: i, Full: results[i].Full}
+		if n := len(results[i].Tasks); n > 0 {
+			req.Tasks = make([]gpu.Task, n)
+			copy(req.Tasks, results[i].Tasks)
+		}
+		reqs = append(reqs, req)
 	}
 	res, stats, err := e.cfg.Serve.Executor.SubmitFrame(e.fi, reqs)
 	if err != nil {
@@ -495,10 +501,10 @@ func (e *Engine) resolveServe(results []camFrame, down []bool) error {
 	}
 	for k := range reqs {
 		out := &results[reqs[k].Cam]
-		out.latency = res[k].Latency
-		out.batches = res[k].Batches
-		out.images = res[k].Images
-		out.occupancy = res[k].Occupancy
+		out.Latency = res[k].Latency
+		out.Batches = res[k].Batches
+		out.Images = res[k].Images
+		out.Occupancy = res[k].Occupancy
 	}
 	e.lastExec = stats
 	return nil
