@@ -104,8 +104,7 @@ type Kernel struct {
 
 // Frame is one camera's contribution to a frame: a frame call fills the
 // inspection work and the decisions' side counts, Price fills the cost.
-// The host owns the record and resets it between frames, keeping the
-// TruthIDs buffer.
+// The host owns the record and Resets it between frames.
 type Frame struct {
 	// TruthIDs are the ground-truth objects detected this frame (scoring).
 	TruthIDs []int
@@ -130,6 +129,10 @@ type Frame struct {
 	Images    int
 	Occupancy float64
 }
+
+// Reset clears the record for the next frame, keeping the TruthIDs
+// buffer.
+func (f *Frame) Reset() { *f = Frame{TruthIDs: f.TruthIDs[:0]} }
 
 // New builds a camera kernel.
 func New(cfg Config) (*Kernel, error) {
@@ -328,7 +331,8 @@ func (k *Kernel) Demote(trackID, assigned int) {
 }
 
 // keepsNew decides whether this camera is responsible for something new
-// centred at the point, under its ownership rule.
+// centred at the point, under its ownership rule. Only OwnMasks consults
+// the policy.
 func (k *Kernel) keepsNew(centre geom.Point, policy core.Policy) bool {
 	switch k.own {
 	case OwnAll:

@@ -33,7 +33,7 @@ type Runtime struct {
 	policy *core.DistributedPolicy
 	sink   metrics.Sink
 	label  string
-	// out is the kernel's frame record, reset and reused every frame.
+	// out is the kernel's frame record, reused every frame.
 	out camera.Frame
 
 	// Degraded mode: true while the node operates without scheduler
@@ -182,7 +182,7 @@ func (r *Runtime) finishFrame() error {
 // to upload. The caller sends them to the scheduler and feeds the reply
 // to ApplyAssignment.
 func (r *Runtime) KeyFrame(obs []scene.Observation) ([]cluster.TrackReport, error) {
-	r.out = camera.Frame{TruthIDs: r.out.TruthIDs[:0]}
+	r.out.Reset()
 	if err := r.kernel.KeyFrame(obs, &r.out); err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
@@ -297,7 +297,7 @@ func (r *Runtime) ApplyAssignment(a *cluster.Assignment) error {
 // apply the distributed-stage ownership rules. It returns the frame's
 // modelled inference latency.
 func (r *Runtime) RegularFrame(obs []scene.Observation) (time.Duration, error) {
-	r.out = camera.Frame{TruthIDs: r.out.TruthIDs[:0]}
+	r.out.Reset()
 	if err := r.kernel.RegularFrame(obs, r.policy, &r.out); err != nil {
 		return 0, fmt.Errorf("node: %w", err)
 	}

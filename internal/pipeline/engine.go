@@ -363,7 +363,7 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	}
 	results := e.results
 	for i := range results {
-		results[i] = camera.Frame{TruthIDs: results[i].TruthIDs[:0]}
+		results[i].Reset()
 	}
 
 	if isKey {

@@ -249,7 +249,8 @@ func buildCameras(cameras []*scene.Camera, profiles []*profile.Profile, model *a
 		}
 	}
 	if cfg.Sched.Mode == StaticPartition {
-		if err := computeStaticOwners(coverage, owners, profiles); err != nil {
+		var err error
+		if owners, err = computeStaticOwners(coverage, profiles); err != nil {
 			return nil, err
 		}
 	}
@@ -271,22 +272,23 @@ func buildCameras(cameras []*scene.Camera, profiles []*profile.Profile, model *a
 // computeStaticOwners implements the SP baseline's offline step: all
 // cells across all cameras are partitioned by capacity-weighted
 // round-robin over their coverage sets.
-func computeStaticOwners(coverage [][][]int, owners [][]int, profiles []*profile.Profile) error {
+func computeStaticOwners(coverage [][][]int, profiles []*profile.Profile) ([][]int, error) {
 	specs := make([]core.CameraSpec, len(profiles))
 	for i, p := range profiles {
 		specs[i] = core.CameraSpec{Index: i, Profile: p}
 	}
 	weights, err := core.CapacityWeights(specs)
 	if err != nil {
-		return fmt.Errorf("pipeline: %w", err)
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
+	owners := make([][]int, len(coverage))
 	for i := range coverage {
 		owners[i], err = core.WeightedPartition(coverage[i], weights)
 		if err != nil {
-			return fmt.Errorf("pipeline: camera %d owners: %w", i, err)
+			return nil, fmt.Errorf("pipeline: camera %d owners: %w", i, err)
 		}
 	}
-	return nil
+	return owners, nil
 }
 
 // mergeCamFrames folds per-camera frame records into the run accumulators
