@@ -1,0 +1,61 @@
+package scene_test
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"mvs/internal/scene"
+	"mvs/internal/workload"
+)
+
+// TestFrameCodecOnTraces is half (a) of scene.FuzzFrameCodec on the
+// frames the benchmark's workloads are made of: over every frame of a
+// 300-frame Corridor(16) and S4 run, the three encoders are json.Marshal
+// of the wire structs byte for byte, and the frame decodes to what the
+// encoding/json-only decoder returns.
+func TestFrameCodecOnTraces(t *testing.T) {
+	corridor, err := workload.Corridor(16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*workload.Scenario{corridor, workload.S4(1)} {
+		trace, err := s.World.Run(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		lists := 0
+		same := func(fi int, what string, got []byte, err error, want []byte, wantErr error) {
+			t.Helper()
+			if err != nil || wantErr != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s frame %d %s: codec %q (%v), encoding/json %q (%v)", s.Name, fi, what, got, err, want, wantErr)
+			}
+		}
+		for fi := range trace.Frames {
+			f := &trace.Frames[fi]
+			buf, err = scene.AppendFrame(buf[:0], f)
+			want, wantErr := scene.OracleMarshalFrame(f)
+			same(fi, "frame", buf, err, want, wantErr)
+			got, err := scene.UnmarshalFrame(want, len(trace.Cameras))
+			back, wantErr := scene.OracleUnmarshalFrame(want, len(trace.Cameras))
+			if err != nil || wantErr != nil || !reflect.DeepEqual(got, back) {
+				t.Fatalf("%s frame %d decodes to %+v (%v), encoding/json to %+v (%v)", s.Name, fi, got, err, back, wantErr)
+			}
+			buf, err = scene.AppendObjects(buf[:0], f.Objects)
+			want, wantErr = scene.OracleMarshalObjects(f.Objects)
+			same(fi, "objects", buf, err, want, wantErr)
+			for _, obs := range f.PerCamera {
+				buf, err = scene.AppendObservations(buf[:0], obs)
+				want, wantErr = scene.OracleMarshalObservations(obs)
+				same(fi, "observations", buf, err, want, wantErr)
+				if len(obs) > 0 {
+					lists++
+				}
+			}
+		}
+		if lists < len(trace.Frames) {
+			t.Fatalf("%s: only %d non-empty observation lists in %d frames", s.Name, lists, len(trace.Frames))
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"mvs/internal/geom"
 )
@@ -75,25 +76,6 @@ func fromCameraJSON(c cameraJSON) (*Camera, error) {
 	return cam, nil
 }
 
-func toFrameJSON(f *FrameTruth) frameJSON {
-	jf := frameJSON{Index: f.Index, PerCamera: make([][]obsJSON, len(f.PerCamera))}
-	for _, o := range f.Objects {
-		jf.Objects = append(jf.Objects, objectJSON{
-			ID: o.ID, X: o.Pos.X, Y: o.Pos.Y, Heading: o.Heading,
-			Speed: o.Speed, W: o.Dims.W, L: o.Dims.L, H: o.Dims.H,
-		})
-	}
-	for ci, obs := range f.PerCamera {
-		for _, o := range obs {
-			jf.PerCamera[ci] = append(jf.PerCamera[ci], obsJSON{
-				ID:  o.ObjectID,
-				Box: [4]float64{o.Box.MinX, o.Box.MinY, o.Box.MaxX, o.Box.MaxY},
-			})
-		}
-	}
-	return jf
-}
-
 func fromFrameJSON(jf frameJSON, numCameras int) (*FrameTruth, error) {
 	if len(jf.PerCamera) != numCameras {
 		return nil, fmt.Errorf("scene: frame %d has %d camera lists, want %d",
@@ -154,7 +136,7 @@ func UnmarshalCameras(data json.RawMessage) ([]*Camera, error) {
 // MarshalFrame returns one frame's wire JSON (one line of a run-store
 // frame segment; the same schema Save uses inside a trace).
 func MarshalFrame(f *FrameTruth) ([]byte, error) {
-	data, err := json.Marshal(toFrameJSON(f))
+	data, err := AppendFrame(nil, f)
 	if err != nil {
 		return nil, fmt.Errorf("scene: encode frame: %w", err)
 	}
@@ -162,8 +144,14 @@ func MarshalFrame(f *FrameTruth) ([]byte, error) {
 }
 
 // UnmarshalFrame parses a frame written by MarshalFrame, checking it
-// carries exactly numCameras observation lists.
+// carries exactly numCameras observation lists. MarshalFrame's own bytes
+// are scanned (codec.go); any other JSON spelling of the schema goes
+// through encoding/json.
 func UnmarshalFrame(data []byte, numCameras int) (*FrameTruth, error) {
+	d := dec{b: data}
+	if f, ok := d.frame(numCameras); ok {
+		return f, nil
+	}
 	var jf frameJSON
 	if err := json.Unmarshal(data, &jf); err != nil {
 		return nil, fmt.Errorf("scene: decode frame: %w", err)
@@ -177,14 +165,7 @@ func UnmarshalFrame(data []byte, numCameras int) (*FrameTruth, error) {
 // coupling to runtime structs. The float64 round-trip is exact, like
 // the whole-frame codec's.
 func MarshalObservations(obs []Observation) (json.RawMessage, error) {
-	out := make([]obsJSON, 0, len(obs))
-	for _, o := range obs {
-		out = append(out, obsJSON{
-			ID:  o.ObjectID,
-			Box: [4]float64{o.Box.MinX, o.Box.MinY, o.Box.MaxX, o.Box.MaxY},
-		})
-	}
-	data, err := json.Marshal(out)
+	data, err := AppendObservations(nil, obs)
 	if err != nil {
 		return nil, fmt.Errorf("scene: encode observations: %w", err)
 	}
@@ -193,6 +174,9 @@ func MarshalObservations(obs []Observation) (json.RawMessage, error) {
 
 // UnmarshalObservations parses a list written by MarshalObservations.
 func UnmarshalObservations(data json.RawMessage) ([]Observation, error) {
+	if obs, rest, ok := ScanObservations(data); ok && len(rest) == 0 {
+		return obs, nil
+	}
 	var in []obsJSON
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("scene: decode observations: %w", err)
@@ -210,14 +194,7 @@ func UnmarshalObservations(data json.RawMessage) ([]Observation, error) {
 // MarshalObjects returns the wire JSON for a ground-truth object list —
 // the objects element of MarshalFrame's schema.
 func MarshalObjects(objs []ObjectState) (json.RawMessage, error) {
-	out := make([]objectJSON, 0, len(objs))
-	for _, o := range objs {
-		out = append(out, objectJSON{
-			ID: o.ID, X: o.Pos.X, Y: o.Pos.Y, Heading: o.Heading,
-			Speed: o.Speed, W: o.Dims.W, L: o.Dims.L, H: o.Dims.H,
-		})
-	}
-	data, err := json.Marshal(out)
+	data, err := AppendObjects(nil, objs)
 	if err != nil {
 		return nil, fmt.Errorf("scene: encode objects: %w", err)
 	}
@@ -226,6 +203,9 @@ func MarshalObjects(objs []ObjectState) (json.RawMessage, error) {
 
 // UnmarshalObjects parses a list written by MarshalObjects.
 func UnmarshalObjects(data json.RawMessage) ([]ObjectState, error) {
+	if objs, rest, ok := ScanObjects(data); ok && len(rest) == 0 {
+		return objs, nil
+	}
 	var in []objectJSON
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("scene: decode objects: %w", err)
@@ -243,17 +223,38 @@ func UnmarshalObjects(data json.RawMessage) ([]ObjectState, error) {
 
 // Save serializes the trace as JSON, so a generated workload can be
 // archived and replayed (e.g. shipped to camera nodes instead of
-// regenerating from a seed).
+// regenerating from a seed). The document is traceJSON's — cameras
+// through encoding/json, each frame through AppendFrame — in one Write.
 func (t *Trace) Save(w io.Writer) error {
-	out := traceJSON{FPS: int64(t.FPS * 1000)}
-	for _, c := range t.Cameras {
-		out.Cameras = append(out.Cameras, toCameraJSON(c))
+	out := append([]byte(`{"fps_milli":`), strconv.FormatInt(int64(t.FPS*1000), 10)...)
+	// No cameras, or no frames, is null: traceJSON's slice was nil then.
+	out = append(out, `,"cameras":`...)
+	if len(t.Cameras) == 0 {
+		out = append(out, "null"...)
+	} else {
+		cams, err := MarshalCameras(t.Cameras)
+		if err != nil {
+			return err
+		}
+		out = append(out, cams...)
 	}
-	for fi := range t.Frames {
-		out.Frames = append(out.Frames, toFrameJSON(&t.Frames[fi]))
+	out = append(out, `,"frames":`...)
+	if len(t.Frames) == 0 {
+		out = append(out, "null"...)
+	} else {
+		for fi := range t.Frames {
+			sep := byte(',')
+			if fi == 0 {
+				sep = '['
+			}
+			var err error
+			if out, err = AppendFrame(append(out, sep), &t.Frames[fi]); err != nil {
+				return fmt.Errorf("scene: encode trace: frame %d: %w", t.Frames[fi].Index, err)
+			}
+		}
+		out = append(out, ']')
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(&out); err != nil {
+	if _, err := w.Write(append(out, "}\n"...)); err != nil {
 		return fmt.Errorf("scene: encode trace: %w", err)
 	}
 	return nil
