@@ -1,11 +1,13 @@
 package pipeline
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -156,7 +158,7 @@ type IngestSource struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queues   [][]queuedPart
+	queues   []partQueue
 	eos      []bool
 	objects  map[int][]scene.ObjectState
 	closed   bool
@@ -174,6 +176,40 @@ type IngestSource struct {
 type queuedPart struct {
 	frame int
 	obs   []scene.Observation
+}
+
+// partQueue is one camera's admission queue: a ring that doubles until
+// it holds the deepest backlog the shed policy lets it see and never
+// allocates after that. A popped slot is zeroed, so the queue does not
+// keep an emitted frame's observations alive.
+type partQueue struct {
+	ring []queuedPart // len is zero or a power of two
+	head int
+	n    int
+}
+
+// at returns the i-th queued part, oldest first.
+func (q *partQueue) at(i int) *queuedPart { return &q.ring[(q.head+i)&(len(q.ring)-1)] }
+
+func (q *partQueue) push(p queuedPart) {
+	if q.n == len(q.ring) {
+		grown := make([]queuedPart, max(4, 2*len(q.ring)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = *q.at(i)
+		}
+		q.ring, q.head = grown, 0
+	}
+	q.n++
+	*q.at(q.n - 1) = p
+}
+
+func (q *partQueue) pop() queuedPart {
+	slot := q.at(0)
+	p := *slot
+	*slot = queuedPart{}
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return p
 }
 
 // NewIngestSource builds an in-process ingest source for a fixed roster.
@@ -199,7 +235,7 @@ func NewIngestSource(cams []*scene.Camera, cfg IngestConfig) (*IngestSource, err
 		staleness: cfg.Staleness,
 		stall:     cfg.Stall,
 		clk:       cfg.Clock,
-		queues:    make([][]queuedPart, len(cams)),
+		queues:    make([]partQueue, len(cams)),
 		eos:       make([]bool, len(cams)),
 		objects:   make(map[int][]scene.ObjectState),
 		conns:     make(map[net.Conn]struct{}),
@@ -220,8 +256,8 @@ func (s *IngestSource) Counters() IngestCounters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := IngestCounters{Ingested: s.ingested, Shed: s.shed}
-	for _, q := range s.queues {
-		c.QueueDepth += len(q)
+	for i := range s.queues {
+		c.QueueDepth += s.queues[i].n
 	}
 	return c
 }
@@ -251,37 +287,43 @@ func (s *IngestSource) Offer(p FramePart) error {
 		s.shed++ // a part after the camera's own EOS can never be emitted
 		return nil
 	}
-	q := s.queues[p.Cam]
+	q := &s.queues[p.Cam]
 	// Per-camera frames must ascend strictly; duplicates and reordered
 	// stragglers are shed rather than corrupting assembly order.
-	if n := len(q); n > 0 && p.Frame <= q[n-1].frame {
+	if q.n > 0 && p.Frame <= q.at(q.n-1).frame {
 		s.shed++
 		return nil
 	}
 	if s.policy == ShedStale {
 		cut := p.Frame - s.staleness
-		for len(q) > 0 && q[0].frame < cut {
-			q = q[1:]
+		for q.n > 0 && q.at(0).frame < cut {
+			q.pop()
 			s.shed++
 		}
 	}
-	if len(q) >= s.queueCap {
+	if q.n >= s.queueCap {
+		drop := 1
 		if s.policy == ShedFreshest {
-			s.shed += len(q)
-			q = q[:0]
-		} else {
-			q = q[1:]
+			drop = q.n
+		}
+		for ; drop > 0; drop-- {
+			q.pop()
 			s.shed++
 		}
 	}
-	s.queues[p.Cam] = append(q, queuedPart{frame: p.Frame, obs: p.Obs})
+	silent := q.n == 0
+	q.push(queuedPart{frame: p.Frame, obs: p.Obs})
 	s.ingested++
 	if p.Objects != nil {
 		if _, ok := s.objects[p.Frame]; !ok {
 			s.objects[p.Frame] = p.Objects
 		}
 	}
-	s.cond.Broadcast()
+	// Next waits for every camera to be ready, so only the part that ends
+	// a camera's silence can be the one that makes a frame assemblable.
+	if silent && s.readyLocked() {
+		s.cond.Broadcast()
+	}
 	return nil
 }
 
@@ -315,8 +357,8 @@ func (s *IngestSource) Next() (*scene.FrameTruth, error) {
 // readyLocked reports whether every camera can contribute a decision:
 // a queued part, its EOS, or a closed source.
 func (s *IngestSource) readyLocked() bool {
-	for i, q := range s.queues {
-		if len(q) == 0 && !s.eos[i] && !s.closed {
+	for i := range s.queues {
+		if s.queues[i].n == 0 && !s.eos[i] && !s.closed {
 			return false
 		}
 	}
@@ -324,8 +366,8 @@ func (s *IngestSource) readyLocked() bool {
 }
 
 func (s *IngestSource) anyQueuedLocked() bool {
-	for _, q := range s.queues {
-		if len(q) > 0 {
+	for i := range s.queues {
+		if s.queues[i].n > 0 {
 			return true
 		}
 	}
@@ -335,16 +377,15 @@ func (s *IngestSource) anyQueuedLocked() bool {
 // assembleLocked pops the lowest queued frame index into a FrameTruth.
 func (s *IngestSource) assembleLocked() *scene.FrameTruth {
 	next := -1
-	for _, q := range s.queues {
-		if len(q) > 0 && (next < 0 || q[0].frame < next) {
-			next = q[0].frame
+	for i := range s.queues {
+		if q := &s.queues[i]; q.n > 0 && (next < 0 || q.at(0).frame < next) {
+			next = q.at(0).frame
 		}
 	}
 	per := make([][]scene.Observation, len(s.queues))
-	for i, q := range s.queues {
-		if len(q) > 0 && q[0].frame == next {
-			per[i] = q[0].obs
-			s.queues[i] = q[1:]
+	for i := range s.queues {
+		if q := &s.queues[i]; q.n > 0 && q.at(0).frame == next {
+			per[i] = q.pop().obs
 		}
 	}
 	f := &scene.FrameTruth{Index: next, Objects: s.objects[next], PerCamera: per}
@@ -420,8 +461,10 @@ func (s *IngestSource) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	// One reader and one body buffer for the connection's whole stream.
+	d := partDecoder{r: bufio.NewReaderSize(conn, connReadBuffer)}
 	for {
-		p, err := DecodeFramePart(conn)
+		p, err := d.next()
 		if err != nil {
 			return
 		}
@@ -456,7 +499,11 @@ func (s *IngestSource) Close() error {
 
 // The wire protocol: each message is a 4-byte big-endian length followed
 // by that many bytes of JSON — one FramePart, observation and object
-// lists in the scene wire schema (exact float64 round-trip).
+// lists in the scene wire schema (exact float64 round-trip). wirePart is
+// the definition of the message; EncodeFramePart writes exactly what
+// encoding/json would make of it, and a message in exactly those bytes
+// is scanned by hand, any other spelling decoded through wirePart
+// (docs/STREAMING.md §6).
 type wirePart struct {
 	Cam     int             `json:"cam"`
 	Frame   int             `json:"frame"`
@@ -465,53 +512,111 @@ type wirePart struct {
 	EOS     bool            `json:"eos,omitempty"`
 }
 
-// maxWirePart bounds a single message so a corrupt length prefix cannot
-// force an absurd allocation.
-const maxWirePart = 16 << 20
+const (
+	// maxWirePart bounds a single message so a corrupt length prefix
+	// cannot force an absurd allocation.
+	maxWirePart = 16 << 20
+	// bodyStep is how far the body buffer may grow ahead of the bytes that
+	// have arrived: a length prefix is a claim, and a producer that sends
+	// one and stalls holds this much, not maxWirePart. It is also the
+	// largest buffer a decoder keeps between messages.
+	bodyStep = 64 << 10
+	// connReadBuffer is a connection's read buffer: a few frames of a
+	// 16-camera fleet's parts per read call.
+	connReadBuffer = 32 << 10
+)
 
-// EncodeFramePart writes one length-prefixed FramePart message.
-func EncodeFramePart(w io.Writer, p FramePart) error {
-	wp := wirePart{Cam: p.Cam, Frame: p.Frame, EOS: p.EOS}
+// appendFramePart appends the body of p's message.
+func appendFramePart(dst []byte, p FramePart) ([]byte, error) {
+	dst = append(dst, `{"cam":`...)
+	dst = strconv.AppendInt(dst, int64(p.Cam), 10)
+	dst = append(dst, `,"frame":`...)
+	dst = strconv.AppendInt(dst, int64(p.Frame), 10)
 	var err error
 	if !p.EOS {
-		if wp.Obs, err = scene.MarshalObservations(p.Obs); err != nil {
-			return err
+		if dst, err = scene.AppendObservations(append(dst, `,"obs":`...), p.Obs); err != nil {
+			return nil, err
 		}
 	}
 	if len(p.Objects) > 0 {
-		if wp.Objects, err = scene.MarshalObjects(p.Objects); err != nil {
-			return err
+		if dst, err = scene.AppendObjects(append(dst, `,"objects":`...), p.Objects); err != nil {
+			return nil, err
 		}
 	}
-	body, err := json.Marshal(wp)
+	if p.EOS {
+		dst = append(dst, `,"eos":true`...)
+	}
+	return append(dst, '}'), nil
+}
+
+// EncodeFramePart writes one length-prefixed FramePart message, header
+// and body in one Write.
+func EncodeFramePart(w io.Writer, p FramePart) error {
+	// Room for the header, the envelope and a typical element per entry.
+	msg := make([]byte, 4, 64+100*len(p.Obs)+170*len(p.Objects))
+	msg, err := appendFramePart(msg, p)
 	if err != nil {
 		return fmt.Errorf("pipeline: encode frame part: %w", err)
 	}
-	if len(body) > maxWirePart {
-		return fmt.Errorf("pipeline: frame part message is %d bytes (max %d)", len(body), maxWirePart)
+	n := len(msg) - 4
+	if n > maxWirePart {
+		return fmt.Errorf("pipeline: frame part message is %d bytes (max %d)", n, maxWirePart)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	binary.BigEndian.PutUint32(msg, uint32(n))
+	_, err = w.Write(msg)
 	return err
 }
 
 // DecodeFramePart reads one length-prefixed FramePart message.
 func DecodeFramePart(r io.Reader) (FramePart, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	d := partDecoder{r: r}
+	return d.next()
+}
+
+// partDecoder reads the messages of one stream, reusing its header and
+// body buffers from one message to the next.
+type partDecoder struct {
+	r    io.Reader
+	hdr  [4]byte
+	body []byte
+}
+
+func (d *partDecoder) next() (FramePart, error) {
+	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		return FramePart{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(d.hdr[:]))
 	if n == 0 || n > maxWirePart {
 		return FramePart{}, fmt.Errorf("pipeline: frame part length %d out of range (0,%d]", n, maxWirePart)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return FramePart{}, err
+	d.body = d.body[:0]
+	for len(d.body) < n {
+		have := len(d.body)
+		step := min(n-have, bodyStep)
+		if need := have + step; need > cap(d.body) {
+			d.body = append(make([]byte, 0, max(need, 2*cap(d.body))), d.body...)
+		}
+		d.body = d.body[:have+step]
+		m, err := io.ReadFull(d.r, d.body[have:])
+		d.body = d.body[:have+m]
+		if err != nil {
+			if err == io.EOF && len(d.body) > 0 {
+				err = io.ErrUnexpectedEOF // the message ended mid-body, not between messages
+			}
+			return FramePart{}, err
+		}
+	}
+	p, err := parseFramePart(d.body)
+	if cap(d.body) > bodyStep {
+		d.body = nil
+	}
+	return p, err
+}
+
+// parseFramePart decodes one message body, retaining none of it.
+func parseFramePart(body []byte) (FramePart, error) {
+	if p, ok := scanFramePart(body); ok {
+		return p, nil
 	}
 	var wp wirePart
 	if err := json.Unmarshal(body, &wp); err != nil {
@@ -530,4 +635,41 @@ func DecodeFramePart(r io.Reader) (FramePart, error) {
 		}
 	}
 	return p, nil
+}
+
+// scanFramePart reads a body spelled exactly as EncodeFramePart spells
+// it; ok is false for every other body, valid JSON or not.
+func scanFramePart(b []byte) (p FramePart, ok bool) {
+	if b, ok = cut(b, `{"cam":`); !ok {
+		return p, false
+	}
+	if p.Cam, b, ok = scene.ScanInt(b); !ok {
+		return p, false
+	}
+	if b, ok = cut(b, `,"frame":`); !ok {
+		return p, false
+	}
+	if p.Frame, b, ok = scene.ScanInt(b); !ok {
+		return p, false
+	}
+	if rest, found := cut(b, `,"obs":`); found {
+		if p.Obs, b, ok = scene.ScanObservations(rest); !ok {
+			return p, false
+		}
+	}
+	if rest, found := cut(b, `,"objects":`); found {
+		if p.Objects, b, ok = scene.ScanObjects(rest); !ok {
+			return p, false
+		}
+	}
+	b, p.EOS = cut(b, `,"eos":true`)
+	return p, string(b) == "}"
+}
+
+// cut drops lit from the front of b, if b starts with it.
+func cut(b []byte, lit string) ([]byte, bool) {
+	if len(b) < len(lit) || string(b[:len(lit)]) != lit {
+		return b, false
+	}
+	return b[len(lit):], true
 }
