@@ -185,6 +185,10 @@ func (r *Run) Source() (*Replay, error) {
 	return &Replay{dir: r.dir, cams: r.cams, ver: r.man.Version, segs: r.index.Segments, want: want}, nil
 }
 
+// replayReadBuffer is the replay's read buffer: a few frames of a
+// 16-camera fleet per read call.
+const replayReadBuffer = 32 << 10
+
 // Replay streams a recorded frame log segment by segment. It satisfies
 // pipeline.Source: Next returns frames in recorded order and io.EOF
 // after the last, and the frame count is checked against the index so a
@@ -199,7 +203,8 @@ type Replay struct {
 	si   int // next segment to open
 	f    *os.File
 	br   *bufio.Reader
-	left int // frames remaining in the open segment
+	line []byte // the record being read, reused from frame to frame
+	left int    // frames remaining in the open segment
 	read int
 }
 
@@ -230,16 +235,17 @@ func (r *Replay) Next() (*scene.FrameTruth, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		r.f, r.br, r.left = f, bufio.NewReader(f), seg.Count
+		r.f, r.br, r.left = f, bufio.NewReaderSize(f, replayReadBuffer), seg.Count
 	}
-	line, err := r.br.ReadBytes('\n')
-	if err == io.EOF && len(line) > 0 {
+	var err error
+	r.line, err = readLine(r.br, r.line)
+	if err == io.EOF && len(r.line) > 0 {
 		err = nil // final line without trailing newline
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: segment truncated at frame %d: %w", r.read, err)
 	}
-	body, err := parseLine(line, r.ver)
+	body, err := parseLine(r.line, r.ver)
 	if err != nil {
 		return nil, fmt.Errorf("store: frame %d: %w", r.read, err)
 	}
@@ -250,6 +256,20 @@ func (r *Replay) Next() (*scene.FrameTruth, error) {
 	r.left--
 	r.read++
 	return frame, nil
+}
+
+// readLine reads one line, newline included, into buf's storage.
+// ReadSlice lends the reader's own buffer and hands over a line longer
+// than it in pieces, so the line is gathered in the caller's.
+func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	for {
+		piece, err := br.ReadSlice('\n')
+		buf = append(buf, piece...)
+		if err != bufio.ErrBufferFull {
+			return buf, err
+		}
+	}
 }
 
 // Close releases the open segment file, if any. Draining the replay to

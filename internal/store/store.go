@@ -135,14 +135,20 @@ type Options struct {
 	Clock clock.Clock
 }
 
-// checksumLine returns the version-2 wire form of one JSONL record:
-// an 8-hex-digit CRC32 (IEEE) of the JSON bytes, a space, the JSON,
-// a newline.
-func checksumLine(body []byte) []byte {
-	out := make([]byte, 0, len(body)+10)
-	out = fmt.Appendf(out, "%08x ", crc32.ChecksumIEEE(body))
-	out = append(out, body...)
-	return append(out, '\n')
+// The version-2 wire form of one JSONL record is an 8-hex-digit CRC32
+// (IEEE) of the JSON bytes, a space, the JSON, a newline. A record is
+// built in place: linePad holds the checksum's room, the JSON is appended
+// after it, and sealLine fills the checksum in and ends the line.
+const linePad = "00000000 "
+
+func sealLine(line []byte) []byte {
+	const digits = "0123456789abcdef"
+	sum := crc32.ChecksumIEEE(line[len(linePad):])
+	for i := 7; i >= 0; i-- {
+		line[i] = digits[sum&0xf]
+		sum >>= 4
+	}
+	return append(line, '\n')
 }
 
 // parseLine validates and strips one record line (trailing newline
@@ -290,6 +296,7 @@ type Writer struct {
 	births   []time.Time // per-segment birth times (memory only; never on disk)
 	segSeq   int         // next segment file ordinal (monotonic under retention)
 	frames   int
+	line     []byte // the record being built, reused by all three logs under mu
 }
 
 var _ Store = (*Writer)(nil)
@@ -376,9 +383,9 @@ func openJSONL(path string, opts Options) (*jsonlWriter, error) {
 	return &jsonlWriter{f: f, bw: bufio.NewWriter(f), fsync: opts.Fsync, every: opts.FsyncEvery}, nil
 }
 
-// record appends one checksummed line and applies the fsync policy.
-func (j *jsonlWriter) record(body []byte) error {
-	if _, err := j.bw.Write(checksumLine(body)); err != nil {
+// record appends one sealed line and applies the fsync policy.
+func (j *jsonlWriter) record(line []byte) error {
+	if _, err := j.bw.Write(line); err != nil {
 		return err
 	}
 	j.n++
@@ -426,9 +433,15 @@ func (w *Writer) RecordFrame(snap metrics.Snapshot) {
 			return
 		}
 	}
+	w.recordJSON(w.snaps, snap)
+}
+
+// recordJSON appends v's JSON to log as one record. Caller holds w.mu.
+func (w *Writer) recordJSON(log *jsonlWriter, v any) {
 	var body []byte
-	if body, w.err = json.Marshal(snap); w.err == nil {
-		w.err = w.snaps.record(body)
+	if body, w.err = json.Marshal(v); w.err == nil {
+		w.line = sealLine(append(append(w.line[:0], linePad...), body...))
+		w.err = log.record(w.line)
 	}
 }
 
@@ -445,10 +458,7 @@ func (w *Writer) RecordRound(round metrics.Round) {
 			return
 		}
 	}
-	var body []byte
-	if body, w.err = json.Marshal(round); w.err == nil {
-		w.err = w.rounds.record(body)
-	}
+	w.recordJSON(w.rounds, round)
 }
 
 // AppendFrame appends one frame to the run's frame log, rolling to a
@@ -475,12 +485,13 @@ func (w *Writer) AppendFrame(f *scene.FrameTruth) error {
 			return err
 		}
 	}
-	line, err := scene.MarshalFrame(f)
+	line, err := scene.AppendFrame(append(w.line[:0], linePad...), f)
 	if err != nil {
-		w.err = err
-		return err
+		w.err = fmt.Errorf("store: encode frame %d: %w", f.Index, err)
+		return w.err
 	}
-	if err := w.seg.record(line); err != nil {
+	w.line = sealLine(line)
+	if err := w.seg.record(w.line); err != nil {
 		w.err = err
 		return err
 	}
