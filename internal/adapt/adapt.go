@@ -12,8 +12,8 @@
 //  2. the key-frame association interval stretches under load
 //     (1<<level) and shrinks back when association drift — orphaned
 //     objects and ownership reassignments — says tracking is decaying;
-//  3. per-object inspection input sizes are capped (512 → 256 → 128 →
-//     64) so regular-frame inspection work shrinks with each rung.
+//  3. per-object inspection input sizes are capped, 512 → 256 → 128 → 64,
+//     so regular-frame inspection work shrinks with each rung.
 //
 // Hysteresis and a cooldown keep the ladder from flapping: the
 // controller degrades when the window-high latency exceeds the SLO (or
