@@ -478,31 +478,6 @@ func workerCounts(cams int) []int {
 	return out
 }
 
-// BenchmarkPipelineWorkers compares sequential (workers-1) against
-// fanned-out BALB pipeline runs on every scenario, S1 through the
-// 8-camera S4. The modelled results are identical across sub-benches
-// (the determinism contract); only wall-clock time may differ, and only
-// on multi-core hosts — EXPERIMENTS.md records measured speedups.
-func BenchmarkPipelineWorkers(b *testing.B) {
-	s1, s2, s3 := benchSetups(b)
-	scenarios := []struct {
-		name string
-		s    *experiments.Setup
-	}{{"S1", s1}, {"S2", s2}, {"S3", s3}, {"S4", benchS4(b)}}
-	for _, sc := range scenarios {
-		for _, w := range workerCounts(len(sc.s.Test.Cameras)) {
-			b.Run(fmt.Sprintf("%s/workers-%d", sc.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := pipeline.Run(sc.s.Test, sc.s.Scenario.Profiles(), sc.s.Model,
-						pipeline.Config{Sched: pipeline.Sched{Mode: pipeline.BALB, Workers: w}, Sim: pipeline.Sim{Seed: 42}}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkRunModes compares the sequential experiment harness
 // (all five scheduling modes back to back) against the concurrent
 // fan-out on the S1 setup.

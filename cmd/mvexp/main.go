@@ -21,9 +21,8 @@
 // "all".
 //
 // -workers bounds the concurrency of independent experiment points
-// (modes, sweep points), the per-camera fan-out inside each pipeline
-// run, its central stage's per-pair association fan-out, and the
-// per-pair training fan-out of experiments that retrain models
+// (modes, sweep points), each pipeline run's per-pair association and
+// per-cell coverage fan-outs, and the per-pair training fan-out of experiments that retrain models
 // (0 = GOMAXPROCS, 1 = fully sequential). Results are identical for
 // every value (see docs/CONCURRENCY.md and docs/SCALING.md).
 //
@@ -65,7 +64,7 @@ func main() {
 		seed     = flag.Int64("seed", 42, "simulation seed")
 		csvDir   = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	)
-	shared := cliconf.Register(flag.CommandLine, "experiment/camera")
+	shared := cliconf.Register(flag.CommandLine, "experiment/association")
 	flag.Parse()
 
 	if *csvDir != "" {

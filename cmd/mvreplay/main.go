@@ -46,7 +46,7 @@ func main() {
 		modeName    = flag.String("mode", "", "re-run under this scheduler instead of the recorded one: full, ind, cen, balb, sp")
 		verify      = flag.Bool("verify", false, "replay under the recorded configuration and byte-compare the snapshot stream")
 		recoverRun  = flag.Bool("recover", false, "repair a crashed recording first (store.Recover): truncate torn tails, rebuild the frame index")
-		workers     = flag.Int("workers", 0, "per-camera/training worker bound (0 = GOMAXPROCS, 1 = sequential)")
+		workers     = flag.Int("workers", 0, "association/training worker bound (0 = GOMAXPROCS, 1 = sequential)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live /metricsz snapshots on this address (e.g. :8080)")
 		metricsLog  = flag.String("metrics-jsonl", "", "append the replay's metrics snapshots to this JSONL file")
 	)

@@ -50,7 +50,7 @@ func main() {
 		consolidate = flag.Bool("consolidate", true, "pack cross-tenant work into shared batches (false = dedicated-slice baseline)")
 		faultTenant = flag.Int("fault-tenant", -1, "apply -cam-faults to this tenant index only (-1 = every tenant)")
 	)
-	shared := cliconf.RegisterCore(flag.CommandLine, "per-camera")
+	shared := cliconf.RegisterCore(flag.CommandLine, "association/coverage")
 	flag.Parse()
 
 	if err := run(*tenants, *executors, *scenario, *frames, *seed,

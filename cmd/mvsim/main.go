@@ -9,10 +9,11 @@
 //	      [-cam-faults seed=7,rate=0.1] [-health-k K]
 //	      [-record rundir]
 //
-// -workers bounds the per-camera parallelism inside the pipeline and
-// the central stage's per-pair association fan-out at key frames
-// (0 = GOMAXPROCS, 1 = sequential); results are identical for every
-// value (see docs/CONCURRENCY.md and docs/SCALING.md). -metrics-addr serves the latest
+// -workers bounds the central stage's per-pair association fan-out at
+// key frames, the per-cell coverage precomputation at start-up and
+// association-model training (0 = GOMAXPROCS, 1 = sequential); a
+// frame's cameras are stepped one after another regardless. Results are
+// identical for every value (see docs/CONCURRENCY.md and docs/SCALING.md). -metrics-addr serves the latest
 // per-frame snapshot at /metricsz while the run is in flight;
 // -metrics-jsonl appends every snapshot to a file
 // (see docs/OBSERVABILITY.md). -cam-faults injects a deterministic
@@ -73,7 +74,7 @@ func main() {
 		pace      = flag.Duration("pace", 0, "throttle the trace to one frame per interval (e.g. 5ms), so the run spans wall time")
 		stall     = flag.Duration("ingest-stall", 30*time.Second, "live-ingest watchdog deadline: fail the run if no frame assembles for this long (0 disables)")
 	)
-	shared := cliconf.Register(flag.CommandLine, "per-camera")
+	shared := cliconf.Register(flag.CommandLine, "association/coverage")
 	flag.Parse()
 
 	if *saveTrace != "" {

@@ -25,18 +25,14 @@
 // function of the observed sample window and the policy (including its
 // seed) — wall-clock time never influences a decision, so the same
 // trace and policy produce the same level sequence at every worker
-// count, and recorded runs replay byte-identically. The injected Clock
-// is used only to stamp the human-facing transition history.
+// count, and recorded runs replay byte-identically.
 package adapt
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
-
-	"mvs/internal/clock"
 )
 
 // Standard ladder tables. Level 0 is the undegraded baseline; rungs
@@ -101,9 +97,6 @@ type Policy struct {
 	// is deterministic without it, but the seed is part of the recorded
 	// spec so a replayed run reconstructs an identical controller.
 	Seed int64
-	// Clock stamps the transition history (observability only — never a
-	// decision input). Defaults to clock.System.
-	Clock clock.Clock `json:"-"`
 }
 
 // Enabled reports whether the policy actually engages the controller.
@@ -127,9 +120,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.DriftHigh < 0 {
 		p.DriftHigh = 0
-	}
-	if p.Clock == nil {
-		p.Clock = clock.System{}
 	}
 	return p
 }
@@ -234,15 +224,6 @@ type Sample struct {
 	Drift       int
 }
 
-// Transition is one recorded level change, for the human-facing
-// history. At comes from the injected clock and is never a decision
-// input.
-type Transition struct {
-	Tick  int
-	Level int
-	At    time.Time
-}
-
 // Controller walks the degradation ladder. Observe feeds it one sample
 // per frame; Tick, called between association horizons, re-evaluates
 // the window and moves at most one rung. Not safe for concurrent use —
@@ -261,7 +242,6 @@ type Controller struct {
 
 	transitions   int
 	sloViolations int
-	history       []Transition
 }
 
 // NewController builds a controller for the policy. A disabled policy
@@ -349,9 +329,6 @@ func (c *Controller) Tick() (level int, changed bool) {
 		if changed {
 			c.cool = c.pol.Cooldown
 			c.transitions++
-			c.history = append(c.history, Transition{
-				Tick: c.ticks, Level: c.level, At: c.pol.Clock.Now(),
-			})
 		}
 	}
 
@@ -382,11 +359,3 @@ func (c *Controller) Transitions() int { return c.transitions }
 // SLOViolations returns the number of observed frames whose modeled
 // latency exceeded the SLO.
 func (c *Controller) SLOViolations() int { return c.sloViolations }
-
-// History returns the recorded transitions, oldest first. The slice is
-// sorted by tick already; it is copied so callers can keep it.
-func (c *Controller) History() []Transition {
-	h := append([]Transition(nil), c.history...)
-	sort.SliceStable(h, func(i, j int) bool { return h[i].Tick < h[j].Tick })
-	return h
-}

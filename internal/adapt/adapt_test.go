@@ -3,8 +3,6 @@ package adapt
 import (
 	"testing"
 	"time"
-
-	"mvs/internal/clock"
 )
 
 func testPolicy() Policy {
@@ -16,7 +14,6 @@ func testPolicy() Policy {
 		MaxLevel:  3,
 		QueueHigh: 64,
 		DriftHigh: 8,
-		Clock:     clock.NewFake(time.Unix(0, 0)),
 	}
 }
 
@@ -238,22 +235,6 @@ func TestControllerDeterministic(t *testing.T) {
 	}
 }
 
-func TestHistoryStamped(t *testing.T) {
-	pol := testPolicy()
-	fake := clock.NewFake(time.Unix(100, 0))
-	pol.Clock = fake
-	c := NewController(pol)
-	feed(c, 4, Sample{Latency: 200 * time.Millisecond})
-	c.Tick()
-	h := c.History()
-	if len(h) != 1 || h[0].Level != 1 || h[0].Tick != 1 {
-		t.Fatalf("history = %+v", h)
-	}
-	if !h[0].At.Equal(time.Unix(100, 0)) {
-		t.Errorf("history not stamped from injected clock: %v", h[0].At)
-	}
-}
-
 func TestSpecRoundTrip(t *testing.T) {
 	pol := Policy{SLO: 500 * time.Millisecond, Window: 20, LowerFrac: 0.6,
 		Cooldown: 4, MaxLevel: 2, QueueHigh: 32, DriftHigh: 5, Seed: 9}
@@ -262,7 +243,6 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", spec, err)
 	}
-	got.Clock = nil
 	want := pol
 	if got != want {
 		t.Errorf("round trip: %+v != %+v (spec %q)", got, want, spec)

@@ -9,13 +9,12 @@
 // distributed stage's second rule, PAPER.md §1), how a track is demoted
 // to a shadow, and what the frame's inspection costs on the local GPU.
 //
-// Both deployment shapes host it: pipeline.Engine runs one Kernel per
-// camera behind its fan-out, node.Runtime runs one behind the cluster
+// Both deployment shapes host it: pipeline.Engine steps one Kernel per
+// camera in camera order, node.Runtime runs one behind the cluster
 // protocol. The distributed stage is communication-free only because
 // every camera evaluates the same rule, so the rule lives here once.
 //
-// A Kernel is touched by one goroutine per frame; distinct kernels share
-// nothing mutable (docs/CONCURRENCY.md §6).
+// Distinct kernels share nothing mutable (docs/CONCURRENCY.md §6).
 package camera
 
 import (
@@ -210,7 +209,7 @@ func (k *Kernel) FullFrame(obs []scene.Observation, out *Frame) {
 // RegularFrame is the camera's share of a regular frame: shadow advance,
 // slicing, new-region proposals, detection, tracking update, and the
 // distributed-stage ownership decisions under the horizon's policy.
-func (k *Kernel) RegularFrame(obs []scene.Observation, policy core.Policy, out *Frame) error {
+func (k *Kernel) RegularFrame(obs []scene.Observation, policy *core.DistributedPolicy, out *Frame) error {
 	// --- Tracking: advance shadows, slice regions. ---
 	trackStart := time.Now()
 	alive := k.shadows[:0]
@@ -333,7 +332,7 @@ func (k *Kernel) Demote(trackID, assigned int) {
 // keepsNew decides whether this camera is responsible for something new
 // centred at the point, under its ownership rule. Only OwnMasks consults
 // the policy.
-func (k *Kernel) keepsNew(centre geom.Point, policy core.Policy) bool {
+func (k *Kernel) keepsNew(centre geom.Point, policy *core.DistributedPolicy) bool {
 	switch k.own {
 	case OwnAll:
 		return true
@@ -354,7 +353,7 @@ func (k *Kernel) keepsNew(centre geom.Point, policy core.Policy) bool {
 // liveness mask — the highest-priority live camera still covering it
 // takes over, without any communication, because every camera evaluates
 // the same masks and the same shared dead set.
-func (k *Kernel) takeover(policy core.Policy, out *Frame) {
+func (k *Kernel) takeover(policy *core.DistributedPolicy, out *Frame) {
 	alive := k.shadows[:0]
 	for _, sh := range k.shadows {
 		cell, inside := k.grid.CellIndex(sh.box.Center())

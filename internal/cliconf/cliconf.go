@@ -62,8 +62,8 @@ type Shared struct {
 }
 
 // Register installs the shared matrix on fs. workersHelp tailors the
-// -workers usage line to the binary's fan-outs ("per-camera",
-// "experiment/camera", ...).
+// -workers usage line to the binary's fan-outs ("association",
+// "experiment/association", ...).
 func Register(fs *flag.FlagSet, workersHelp string) *Shared {
 	s := RegisterCore(fs, workersHelp)
 	fs.StringVar(&s.Record, "record", "", "record this run into a run-store directory (see docs/STREAMING.md)")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,10 +93,10 @@ func testModel(t *testing.T) (*assoc.Model, []*profile.Profile) {
 }
 
 // startScheduler runs a scheduler on a random loopback port.
-func startScheduler(t *testing.T) (*Scheduler, string) {
+func startScheduler(t *testing.T, opts ...Option) (*Scheduler, string) {
 	t.Helper()
 	model, profiles := testModel(t)
-	s, err := NewScheduler(model, profiles, 0)
+	s, err := NewScheduler(model, profiles, 0, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,5 +487,84 @@ func TestBandwidthCounters(t *testing.T) {
 	}
 	if c0.BytesSent() <= before {
 		t.Fatal("key-frame upload not counted")
+	}
+}
+
+// pendingReports returns how many reports the scheduler holds for a frame
+// whose round has not been scheduled yet.
+func pendingReports(s *Scheduler, frame int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r := s.rounds[frame]; r != nil {
+		return len(r.reports)
+	}
+	return 0
+}
+
+// TestLateRegistrationJoinsFirstRound forces the race the barrier used to
+// lose: camera 1 dials only after camera 0's frame-0 report is in. The
+// barrier is the configured roster, so round 0 waits for the camera that
+// has not registered yet and schedules both together; camera 0 is never
+// scheduled alone and camera 1's report never opens a round of its own.
+// Once the round is done, a second report for it is refused as stale at
+// once instead of waiting for peers that have moved on.
+func TestLateRegistrationJoinsFirstRound(t *testing.T) {
+	rounds := &roundLog{}
+	s, addr := startScheduler(t, WithRounds(rounds))
+
+	c0, err := Dial(addr, 0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c0.Close()
+	type reply struct {
+		a   *Assignment
+		err error
+	}
+	first := make(chan reply, 1)
+	go func() {
+		a, err := c0.KeyFrame(0, []TrackReport{{TrackID: 1, Box: [4]float64{600, 300, 700, 380}, Size: 128}}, 10*time.Second)
+		first <- reply{a, err}
+	}()
+	// Hold camera 1 back until the scheduler has camera 0's report.
+	for pendingReports(s, 0) == 0 {
+		select {
+		case r := <-first:
+			t.Fatalf("camera 0 was answered (%+v, %v) before camera 1 registered: the barrier is the connections, not the roster", r.a, r.err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	c1, err := Dial(addr, 1, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	a1, err := c1.KeyFrame(0, []TrackReport{{TrackID: 2, Box: [4]float64{580, 310, 690, 390}, Size: 128}}, 10*time.Second)
+	if err != nil {
+		t.Fatalf("late camera: %v", err)
+	}
+	r0 := <-first
+	if r0.err != nil {
+		t.Fatalf("early camera: %v", r0.err)
+	}
+	if len(r0.a.Priority) != 2 || len(a1.Priority) != 2 {
+		t.Fatalf("priorities = %v / %v, want both cameras in each", r0.a.Priority, a1.Priority)
+	}
+	got := rounds.snapshot()
+	if len(got) != 1 || got[0].Frame != 0 || got[0].Partial {
+		t.Fatalf("rounds = %+v, want one full round for frame 0", got)
+	}
+
+	start := time.Now()
+	_, err = c1.KeyFrame(0, nil, 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), staleRound) {
+		t.Fatalf("second report for a scheduled round: err = %v, want %q", err, staleRound)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("stale report answered after %v, want at once", waited)
+	}
+	if n := pendingReports(s, 0); n != 0 {
+		t.Fatalf("stale report opened a round with %d reports", n)
 	}
 }

@@ -326,3 +326,50 @@ func TestHeartbeatRefreshesLease(t *testing.T) {
 		t.Fatalf("lastSeen not refreshed: %v -> %v", before, after)
 	}
 }
+
+// TestNeverRegisteredCameraIsReleasedLikeASilentOne: a roster camera that
+// never dials in holds the barrier, and the same two things release it
+// that release a connected camera gone silent — its lease, counted from
+// when the scheduler was built, or the round timeout.
+func TestNeverRegisteredCameraIsReleasedLikeASilentOne(t *testing.T) {
+	report := []TrackReport{{TrackID: 1, Box: [4]float64{100, 100, 150, 150}, Size: 64}}
+	serve := func(t *testing.T, opt Option) (*Scheduler, *Client) {
+		t.Helper()
+		s, addr := startScheduler(t, opt)
+		c0, err := Dial(addr, 0, 0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c0.Close() })
+		return s, c0
+	}
+
+	t.Run("lease", func(t *testing.T) {
+		s, c0 := serve(t, WithLease(time.Minute))
+		// Within the lease the absent camera blocks the round.
+		if _, err := c0.KeyFrame(0, report, 100*time.Millisecond); err == nil {
+			t.Fatal("round 0 scheduled without camera 1 inside its lease")
+		}
+		// Age the scheduler past the lease instead of sleeping it out.
+		s.mu.Lock()
+		s.born = s.born.Add(-2 * time.Minute)
+		s.mu.Unlock()
+		a, err := c0.KeyFrame(10, report, 5*time.Second)
+		if err != nil {
+			t.Fatalf("round blocked on a camera whose lease ran out unregistered: %v", err)
+		}
+		if len(a.Dead) != 1 || a.Dead[0] != 1 {
+			t.Fatalf("Dead = %v, want [1]", a.Dead)
+		}
+	})
+	t.Run("round timeout", func(t *testing.T) {
+		_, c0 := serve(t, WithRoundTimeout(50*time.Millisecond))
+		start := time.Now()
+		if _, err := c0.KeyFrame(0, report, 5*time.Second); err != nil {
+			t.Fatalf("partial round: %v", err)
+		}
+		if waited := time.Since(start); waited < 40*time.Millisecond {
+			t.Fatalf("round scheduled after %v: the absent camera did not hold the barrier", waited)
+		}
+	})
+}

@@ -26,16 +26,23 @@ const (
 )
 
 // Scheduler is the central scheduler service: it accepts one connection
-// per camera, barriers each key-frame round until every camera has
-// uploaded its detections, then runs association + central BALB and
-// replies to all cameras.
+// per camera, barriers each key-frame round until every camera of the
+// configured roster has uploaded its detections, then runs association +
+// central BALB and replies to all cameras. The barrier is the roster, not
+// the connections open at the moment: a camera that has not registered
+// yet holds a round exactly as a connected one that has not reported, so
+// the order in which cameras dial in never decides who is scheduled with
+// whom; only a camera that registered and then left stops counting. A
+// report for a frame at or before the last completed round is answered
+// with a "stale round" error at once.
 //
 // Resilience (all opt-in, see docs/FAULTS.md): WithRoundTimeout bounds
 // how long a round may wait for stragglers before being scheduled with
-// the reports received so far; WithLease stops silent (dead but still
-// connected) cameras from blocking the barrier, with heartbeat pings
-// refreshing the lease between key frames; a camera reconnecting while
-// its old connection lingers takes the registration over.
+// the reports received so far; WithLease stops silent cameras — dead but
+// still connected, or never heard from since the scheduler was built —
+// from blocking the barrier, with heartbeat pings refreshing the lease
+// between key frames; a camera reconnecting while its old connection
+// lingers takes the registration over.
 type Scheduler struct {
 	model        *assoc.Model
 	cams         []core.CameraSpec
@@ -54,11 +61,7 @@ type Scheduler struct {
 	adaptPol       adapt.Policy
 	adaptCtrl      *adapt.Controller
 	lastAdaptDrift int
-	// handoffTTL is the boundary hand-off claim lifetime in frames
-	// (WithHandoffTTL); only consulted when building a
-	// ShardedScheduler's bus.
-	handoffTTL int
-	shutdown   chan struct{}
+	shutdown       chan struct{}
 
 	closeOnce sync.Once
 	handlers  sync.WaitGroup
@@ -78,7 +81,15 @@ type Scheduler struct {
 	ln     net.Listener
 	conns  map[int]*schedConn
 	rounds map[int]*round
-	seq    int
+	// Barrier membership (guarded by mu): joined[cam] is set once camera
+	// cam has registered, born is when the scheduler was built — the
+	// lease clock of a camera that never has — and lastDone is the highest
+	// frame whose round has been taken for scheduling (-1 before the
+	// first), at or below which a report is stale.
+	joined   []bool
+	born     time.Time
+	lastDone int
+	seq      int
 	// roundSeq numbers the decision records of this emitter (guarded by
 	// mu, like seq; a shard-scoped scheduler counts its own stream).
 	roundSeq int
@@ -260,6 +271,9 @@ func NewScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU float6
 		shutdown:     make(chan struct{}),
 		conns:        make(map[int]*schedConn),
 		rounds:       make(map[int]*round),
+		joined:       make([]bool, len(cams)),
+		born:         time.Now(),
+		lastDone:     -1,
 		lastAssigned: make([]int, len(cams)),
 	}
 	for _, opt := range opts {
@@ -470,6 +484,7 @@ func (s *Scheduler) handleHello(conn net.Conn, env *Envelope) {
 			globalCam, old.conn.RemoteAddr())
 	}
 	s.conns[cam] = sc
+	s.joined[cam] = true
 	s.mu.Unlock()
 	s.logger.Printf("cluster: camera %d connected from %v", globalCam, conn.RemoteAddr())
 	// Ack the handshake so Dial returns only once the camera is
@@ -537,7 +552,7 @@ func (s *Scheduler) handleHello(conn net.Conn, env *Envelope) {
 			s.touch(sc)
 			// Rounds and reports are local-indexed internally.
 			env.Detections.Camera = cam
-			s.submit(env.Detections)
+			s.submit(sc, env.Detections)
 		case env.Type == TypeDetections || env.Type == TypeHello:
 			// A malformed known message is a protocol error worth
 			// reporting back.
@@ -557,28 +572,46 @@ func (s *Scheduler) touch(sc *schedConn) {
 	s.mu.Unlock()
 }
 
-// roundCompleteLocked reports whether every currently connected, live
-// camera has reported for the round. Reports from since-disconnected
-// cameras still count toward scheduling; rounds with no reports never
-// complete. With a lease configured, a connected camera whose last
-// message is older than the lease is treated as dead and does not block.
+// roundCompleteLocked reports whether the round's barrier is met: every
+// camera of the roster has reported, has registered and since left, or
+// has let its lease run out. A camera that has never registered counts as
+// silent since the scheduler was built, so without a lease it holds the
+// round like any connected camera that has not reported yet. Reports from
+// since-disconnected cameras still count toward scheduling; rounds with
+// no reports never complete.
 func (s *Scheduler) roundCompleteLocked(r *round) bool {
 	if len(r.reports) == 0 {
 		return false
 	}
 	now := time.Now()
-	for cam, sc := range s.conns {
+	for cam := range s.cams {
 		if _, ok := r.reports[cam]; ok {
 			continue
 		}
-		if s.lease > 0 && now.Sub(sc.lastSeen) > s.lease {
+		lastSeen := s.born
+		if sc, connected := s.conns[cam]; connected {
+			lastSeen = sc.lastSeen
+		} else if s.joined[cam] {
+			continue // registered and left: not waited for
+		}
+		if s.lease > 0 && now.Sub(lastSeen) > s.lease {
 			s.logger.Printf("cluster: camera %d lease expired (%v since last message), not blocking rounds",
-				cam, now.Sub(sc.lastSeen).Round(time.Millisecond))
+				cam, now.Sub(lastSeen).Round(time.Millisecond))
 			continue
 		}
 		return false
 	}
 	return true
+}
+
+// takeRoundLocked removes a pending round for scheduling and advances the
+// stale-report mark past its frame.
+func (s *Scheduler) takeRoundLocked(frame int, r *round) {
+	r.stopTimer()
+	delete(s.rounds, frame)
+	if frame > s.lastDone {
+		s.lastDone = frame
+	}
 }
 
 // readyRoundsLocked removes and returns every pending round that is now
@@ -587,21 +620,34 @@ func (s *Scheduler) readyRoundsLocked() map[int]*round {
 	ready := make(map[int]*round)
 	for frame, r := range s.rounds {
 		if s.roundCompleteLocked(r) {
-			r.stopTimer()
+			s.takeRoundLocked(frame, r)
 			ready[frame] = r
-			delete(s.rounds, frame)
 		}
 	}
 	return ready
 }
 
+// staleRound is the error text a report for an already scheduled round is
+// answered with.
+const staleRound = "stale round"
+
 // submit records a camera's key-frame report and, once the round is
-// complete (every connected live camera has reported), runs the central
-// stage and replies to every camera. With a round timeout configured, a
+// complete (roundCompleteLocked), runs the central stage and replies to
+// every camera. A report for a frame at or before the last completed
+// round can join nothing — its round has been scheduled, or superseded —
+// and is answered with a stale-round error at once rather than opening a
+// round nobody else will report to. With a round timeout configured, a
 // round's clock starts at its first report; on expiry the round is
 // scheduled with whatever has arrived.
-func (s *Scheduler) submit(det *Detections) {
+func (s *Scheduler) submit(sc *schedConn, det *Detections) {
 	s.mu.Lock()
+	if det.Frame <= s.lastDone {
+		done := s.lastDone
+		s.mu.Unlock()
+		_ = sc.send(&Envelope{Type: TypeError,
+			Error: fmt.Sprintf("%s: frame %d, round %d already scheduled", staleRound, det.Frame, done)})
+		return
+	}
 	r, ok := s.rounds[det.Frame]
 	if !ok {
 		r = &round{reports: make(map[int]*Detections)}
@@ -614,8 +660,7 @@ func (s *Scheduler) submit(det *Detections) {
 	r.reports[det.Camera] = det
 	complete := s.roundCompleteLocked(r)
 	if complete {
-		r.stopTimer()
-		delete(s.rounds, det.Frame)
+		s.takeRoundLocked(det.Frame, r)
 	}
 	s.mu.Unlock()
 	if !complete {
@@ -638,7 +683,7 @@ func (s *Scheduler) expireRound(frame int) {
 		s.mu.Unlock()
 		return
 	}
-	delete(s.rounds, frame)
+	s.takeRoundLocked(frame, r)
 	// Adding under mu while !closed keeps Close's timers.Wait safe.
 	s.timers.Add(1)
 	s.mu.Unlock()

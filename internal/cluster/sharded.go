@@ -13,25 +13,14 @@ import (
 	"mvs/internal/shard"
 )
 
-// defaultHandoffTTL is how many frames a published hand-off claim stays
-// consultable. Two scheduling horizons at the usual T=10 cadence: long
-// enough to bridge shards completing the same key frame at different
-// wall-clock times, short enough that a stalled shard's stale claims
-// cannot demote a neighbour's objects forever.
-const defaultHandoffTTL = 20
-
-// WithHandoffTTL sets the hand-off claim lifetime in frames for a
-// ShardedScheduler's boundary bus: a claim published at key frame F is
-// consulted by neighbour rounds up to frame F+ttl and then pruned.
-// Zero or negative keeps the default (20 frames). No effect on a
-// standalone Scheduler.
-func WithHandoffTTL(frames int) Option {
-	return func(s *Scheduler) {
-		if frames > 0 {
-			s.handoffTTL = frames
-		}
-	}
-}
+// handoffTTL is how many frames a published hand-off claim stays
+// consultable: a claim published at key frame F is consulted by neighbour
+// rounds up to frame F+handoffTTL and then pruned. Two scheduling horizons
+// at the usual T=10 cadence: long enough to bridge shards completing the
+// same key frame at different wall-clock times, short enough that a
+// stalled shard's stale claims cannot demote a neighbour's objects
+// forever.
+const handoffTTL = 20
 
 // shardCtx scopes a Scheduler to one shard of a ShardedScheduler.
 type shardCtx struct {
@@ -80,8 +69,6 @@ type handoffClaim struct {
 // bounds how long a stalled shard's last claims keep influencing
 // neighbours.
 type handoffBus struct {
-	ttl int
-
 	mu sync.Mutex
 	// claims[shard][frame] is the shard's claim list for that round.
 	// An empty (but present) list is meaningful: the shard completed
@@ -91,11 +78,8 @@ type handoffBus struct {
 	claims []map[int][]handoffClaim
 }
 
-func newHandoffBus(numShards, ttl int) *handoffBus {
-	if ttl <= 0 {
-		ttl = defaultHandoffTTL
-	}
-	b := &handoffBus{ttl: ttl, claims: make([]map[int][]handoffClaim, numShards)}
+func newHandoffBus(numShards int) *handoffBus {
+	b := &handoffBus{claims: make([]map[int][]handoffClaim, numShards)}
 	for i := range b.claims {
 		b.claims[i] = make(map[int][]handoffClaim)
 	}
@@ -109,7 +93,7 @@ func (b *handoffBus) publish(shard, frame int, claims []handoffClaim) {
 	defer b.mu.Unlock()
 	b.claims[shard][frame] = claims
 	for f := range b.claims[shard] {
-		if f < frame-b.ttl {
+		if f < frame-handoffTTL {
 			delete(b.claims[shard], f)
 		}
 	}
@@ -127,7 +111,7 @@ func (b *handoffBus) lookup(shard, frame int) []handoffClaim {
 	}
 	best := -1
 	for f := range b.claims[shard] {
-		if f < frame && f > best && f >= frame-b.ttl {
+		if f < frame && f > best && f >= frame-handoffTTL {
 			best = f
 		}
 	}
@@ -256,8 +240,8 @@ type ShardedScheduler struct {
 
 // NewShardedScheduler builds one shard-scoped Scheduler per shard of m
 // over the fleet-wide model and profiles. Every Option is applied to
-// every shard's scheduler; WithHandoffTTL tunes the boundary bus. The
-// map must cover exactly the model's cameras.
+// every shard's scheduler. The map must cover exactly the model's
+// cameras.
 func NewShardedScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU float64, m *shard.Map, opts ...Option) (*ShardedScheduler, error) {
 	if model == nil {
 		return nil, errors.New("cluster: nil association model")
@@ -278,14 +262,7 @@ func NewShardedScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU
 	}
 
 	ss := &ShardedScheduler{smap: m, shutdown: make(chan struct{})}
-	// The bus TTL comes from the options; probe it off a throwaway
-	// scheduler config so WithHandoffTTL composes like every other
-	// Option.
-	probe := &Scheduler{}
-	for _, opt := range opts {
-		opt(probe)
-	}
-	bus := newHandoffBus(m.NumShards(), probe.handoffTTL)
+	bus := newHandoffBus(m.NumShards())
 
 	for sid, roster := range m.Shards {
 		sub, err := model.Subset(roster)

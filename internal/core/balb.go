@@ -199,10 +199,9 @@ func NewDistributedPolicy(priority []int) (*DistributedPolicy, error) {
 // lists distinct global camera indices (a shard's roster) from highest
 // to lowest priority; cameras outside the roster are unknown — Owner
 // and ShouldTrack skip them, exactly as they skip out-of-range
-// indices. This is the per-shard half of sharded ownership: a camera
-// node handed a shard-scoped Assignment builds one of these from
-// (Assignment.Priority), and NewShardedPolicy composes one per shard.
-// An empty priority returns ErrEmptyPriority.
+// indices. A camera node handed a shard-scoped Assignment builds one of
+// these from Assignment.Priority. An empty priority returns
+// ErrEmptyPriority.
 func NewScopedPolicy(priority []int) (*DistributedPolicy, error) {
 	if len(priority) == 0 {
 		return nil, ErrEmptyPriority
@@ -291,13 +290,4 @@ func (p *DistributedPolicy) Owner(cover []int) (int, bool) {
 func (p *DistributedPolicy) ShouldTrack(cam int, cover []int) bool {
 	owner, ok := p.Owner(cover)
 	return ok && owner == cam
-}
-
-// Rank returns cam's priority rank (0 = highest) or an error for an
-// unknown camera.
-func (p *DistributedPolicy) Rank(cam int) (int, error) {
-	if cam < 0 || cam >= len(p.rank) {
-		return 0, fmt.Errorf("core: camera %d out of range", cam)
-	}
-	return p.rank[cam], nil
 }

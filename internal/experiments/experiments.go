@@ -12,8 +12,8 @@
 // shared internal/pool worker pool. Every experiment takes an Options
 // struct whose Workers knob (0 = GOMAXPROCS, 1 = fully sequential)
 // bounds the outer point-level fan-out and, via
-// pipeline.Config.Sched.Workers, the per-camera fan-out inside each pipeline
-// run plus its central stage's per-pair association fan-out; points
+// pipeline.Config.Sched.Workers, each pipeline run's per-pair
+// association and per-cell coverage fan-outs; points
 // that retrain an association model (ArrivalSweep) reuse the bound for
 // assoc.Factories.Workers too. Results are assembled positionally, and
 // the pipeline's determinism contract (docs/CONCURRENCY.md) guarantees
@@ -99,10 +99,9 @@ func Prepare(name string, seed int64, frames int) (*Setup, error) {
 // covers both knobs).
 type Options struct {
 	// Workers bounds the point-level fan-out and, through it, each
-	// pipeline run's per-camera fan-out, its central stage's per-pair
-	// association fan-out, and (for experiments that retrain, like
-	// ArrivalSweep) the per-pair training fan-out: 0 means GOMAXPROCS,
-	// 1 fully sequential.
+	// pipeline run's per-pair association and per-cell coverage fan-outs
+	// and (for experiments that retrain, like ArrivalSweep) the per-pair
+	// training fan-out: 0 means GOMAXPROCS, 1 fully sequential.
 	Workers int
 	// Sink, when non-nil, receives every pipeline run's per-frame
 	// snapshots. Runs are labelled per experiment point (for example
@@ -319,7 +318,7 @@ func Modes() []pipeline.Mode {
 // returns the reports keyed by mode. Figs. 12 and 13 and Table II all
 // read from these. The five modes run on at most opts.Workers
 // goroutines, and each pipeline run reuses the same bound for its
-// per-camera fan-out; Options{} reproduces the default (GOMAXPROCS)
+// association fan-out; Options{} reproduces the default (GOMAXPROCS)
 // harness, Options{Workers: 1} the fully sequential one. Snapshots are
 // labelled "modes/<mode>".
 func RunModes(s *Setup, horizon int, opts Options) (map[pipeline.Mode]*pipeline.Report, error) {
@@ -376,7 +375,7 @@ type HorizonPoint struct {
 // Fig14 sweeps the scheduling-horizon length for the full BALB algorithm
 // (and the central-only ablation). horizons nil defaults to the
 // paper-style sweep {2, 5, 10, 20, 30, 50}. opts.Workers bounds the
-// point-level fan-out (and, through it, the per-camera fan-out of each
+// point-level fan-out (and, through it, the association fan-out of each
 // run). Snapshots are labelled "fig14/T=<h>" (BALB) and
 // "fig14/T=<h>/cen" (the ablation).
 func Fig14(s *Setup, horizons []int, opts Options) ([]HorizonPoint, error) {

@@ -52,8 +52,9 @@ type TenantPoint struct {
 // aggregate capacity. frames <= 0 defaults to 240, executors <= 0 to 4
 // Xavier-class devices, slo <= 0 to 150ms, an empty counts to
 // {1, 2, 4, 8, 16}. Arms run sequentially (each already fans out one
-// goroutine per tenant); Options.Workers is deliberately not applied
-// inside tenant engines, whose per-camera fan-out stays sequential.
+// goroutine per tenant); Options.Workers is not applied inside tenant
+// engines, which run Independent mode and have no association to fan
+// out.
 func TenantSweep(name string, seed int64, frames, executors int, slo time.Duration, counts []int, opts Options) ([]TenantPoint, error) {
 	if frames <= 0 {
 		frames = 240

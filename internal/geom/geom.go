@@ -61,14 +61,6 @@ func RectFromCenter(c Point, w, h float64) Rect {
 	}
 }
 
-// RectFromCorners builds the smallest rectangle containing both points.
-func RectFromCorners(a, b Point) Rect {
-	return Rect{
-		MinX: math.Min(a.X, b.X), MinY: math.Min(a.Y, b.Y),
-		MaxX: math.Max(a.X, b.X), MaxY: math.Max(a.Y, b.Y),
-	}
-}
-
 // W returns the rectangle width (0 if empty).
 func (r Rect) W() float64 {
 	if r.MaxX <= r.MinX {

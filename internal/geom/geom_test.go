@@ -60,10 +60,6 @@ func TestRectFromCenterAndCorners(t *testing.T) {
 	if r != want {
 		t.Fatalf("RectFromCenter = %v want %v", r, want)
 	}
-	c := RectFromCorners(Point{7, 8}, Point{3, 2})
-	if c != want {
-		t.Fatalf("RectFromCorners = %v want %v", c, want)
-	}
 }
 
 func TestRectIntersectUnion(t *testing.T) {

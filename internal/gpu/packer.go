@@ -73,13 +73,3 @@ func (p *Packer) Flush() []Batch {
 	p.open = make(map[int][]Task)
 	return batches
 }
-
-// Pending returns the number of tasks buffered in open (unsealed)
-// groups.
-func (p *Packer) Pending() int {
-	n := 0
-	for _, g := range p.open {
-		n += len(g)
-	}
-	return n
-}

@@ -37,8 +37,8 @@ func TestPackerMatchesFormBatches(t *testing.T) {
 		}
 	}
 	got = append(got, pk.Flush()...)
-	if pk.Pending() != 0 {
-		t.Errorf("pending %d tasks after Flush", pk.Pending())
+	if again := pk.Flush(); len(again) != 0 {
+		t.Errorf("%d batches still open after Flush", len(again))
 	}
 
 	count := func(batches []Batch) (perSize map[int][]int, total int) {

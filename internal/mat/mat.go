@@ -30,22 +30,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal,
-// positive length.
-func FromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("mat: FromRows with empty input")
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic(fmt.Sprintf("mat: FromRows ragged row %d: %d vs %d", i, len(r), m.cols))
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Dense {
 	m := NewDense(n, n)
@@ -277,31 +261,4 @@ func EstimateHomography(src, dst [][2]float64) (Homography, error) {
 	copy(h[:8], sol)
 	h[8] = 1
 	return h, nil
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Stddev returns the population standard deviation of xs, or 0 when xs
-// has fewer than two elements.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mu := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - mu
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
 }

@@ -177,12 +177,10 @@ func (b *Breakdown) EndFrame() {
 }
 
 // CameraSample holds one camera's component observations for a single
-// frame. It is the per-worker shard of a Breakdown: a goroutine running
-// one camera's share of a frame records into its own CameraSample with
-// no synchronization, and the pipeline folds the samples into the
-// Breakdown afterwards, in fixed camera order, with Absorb. A
-// CameraSample must not be shared across goroutines. It is a plain
-// value: the zero value is empty, and assigning it resets it.
+// frame: a camera kernel records its share of a frame into its own
+// CameraSample, and the host folds the samples into the Breakdown
+// afterwards, in camera order, with Absorb. It is a plain value: the
+// zero value is empty, and assigning it resets it.
 type CameraSample struct {
 	durations [len(componentNames)]time.Duration
 }
@@ -198,9 +196,7 @@ func (s *CameraSample) Observe(component string, d time.Duration) {
 }
 
 // Absorb folds a camera's frame sample into the current frame, exactly
-// as if ObserveCamera had been called for each component. Absorb (like
-// every Breakdown method) must be called from a single goroutine; the
-// concurrency boundary is the CameraSample, not the Breakdown.
+// as if ObserveCamera had been called for each component.
 func (b *Breakdown) Absorb(s *CameraSample) {
 	if s == nil {
 		return
@@ -218,24 +214,4 @@ func (b *Breakdown) MeanOf(component string) time.Duration {
 		return 0
 	}
 	return b.slots[i].sum / time.Duration(b.slots[i].frames)
-}
-
-// Components returns the observed component names, sorted.
-func (b *Breakdown) Components() []string {
-	var out []string
-	for i, name := range componentNames {
-		if b.slots[i].frames > 0 {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// Total returns the sum of all component means.
-func (b *Breakdown) Total() time.Duration {
-	var sum time.Duration
-	for _, c := range b.Components() {
-		sum += b.MeanOf(c)
-	}
-	return sum
 }

@@ -121,16 +121,12 @@ func TestBreakdown(t *testing.T) {
 	if got := b.MeanOf("absent"); got != 0 {
 		t.Fatalf("absent mean = %v", got)
 	}
-	comps := b.Components()
-	if len(comps) != 2 || comps[0] != "batching" || comps[1] != "tracking" {
-		t.Fatalf("components = %v", comps)
-	}
-	if b.Total() != 30*time.Millisecond {
-		t.Fatalf("total = %v", b.Total())
+	if got := b.MeanOf("distributed"); got != 0 {
+		t.Fatalf("unobserved component mean = %v", got)
 	}
 }
 
-// TestCameraSampleAbsorb checks the per-worker shard path is equivalent
+// TestCameraSampleAbsorb checks the per-camera sample path is equivalent
 // to calling ObserveCamera directly: max within a camera's frame, max
 // across cameras, mean across frames.
 func TestCameraSampleAbsorb(t *testing.T) {
@@ -166,8 +162,10 @@ func TestAbsorbEmptyAndNil(t *testing.T) {
 	b.Absorb(nil)
 	b.Absorb(&CameraSample{})
 	b.EndFrame()
-	if got := b.Components(); len(got) != 0 {
-		t.Fatalf("components = %v, want none", got)
+	for i, comp := range componentNames {
+		if n := b.slots[i].frames; n != 0 {
+			t.Fatalf("%s observed on %d frames after absorbing nothing", comp, n)
+		}
 	}
 }
 

@@ -76,18 +76,20 @@ type Sched struct {
 	// RedundancySlack bounds the extra trackers' latency cost as a
 	// multiple of the base system latency (default 1.2).
 	RedundancySlack float64
-	// Workers bounds the goroutines used for per-camera work within a
-	// frame, for the central stage's per-pair association fan-out at key
-	// frames, and for the per-cell coverage precomputation: 1 forces the
-	// sequential reference path, 0 (the default) selects GOMAXPROCS, and
-	// any value is capped at the item count of each fan-out. The
-	// modelled report fields are identical for every value (see
-	// Report.Modeled and docs/CONCURRENCY.md).
+	// Workers bounds the goroutines used for the central stage's per-pair
+	// association fan-out at key frames and for NewEngine's per-cell
+	// coverage precomputation; the cameras of a frame are stepped one
+	// after another whatever its value. 1 forces the sequential reference
+	// path, 0 (the default) selects GOMAXPROCS, and any value is capped
+	// at the item count of each fan-out. The modelled report fields are
+	// identical for every value (see Report.Modeled and
+	// docs/CONCURRENCY.md).
 	Workers int
 	// Shards, when non-nil, runs the central stage sharded: one
 	// association + BALB solve per shard over that shard's cameras only
-	// (on an assoc.Model.Subset), composed into a core.ShardedPolicy
-	// for the distributed stage. This is the in-process analogue of
+	// (on an assoc.Model.Subset), the shard priority orders concatenated
+	// in shard order into the distributed stage's one
+	// core.DistributedPolicy. This is the in-process analogue of
 	// cluster.ShardedScheduler — no fleet-wide O(N²) association, no
 	// data structure spanning shards — usable at 64+ cameras without
 	// sockets. Only valid for BALB and CentralOnly modes. On a scenario

@@ -43,13 +43,17 @@ type Engine struct {
 	label string
 
 	needsModel bool
-	model      *assoc.Model
-	subModels  []*assoc.Model
+	// rosters are the camera sets the central stage schedules, one round
+	// each in this order, and models[i] is the association model scoped
+	// to rosters[i]: the whole fleet under the model as given, or with
+	// Sched.Shards each shard's cameras under its subset model.
+	rosters [][]int
+	models  []*assoc.Model
 
 	cams     []*camera.Kernel
 	coreCams []core.CameraSpec
 
-	policy   core.Policy
+	policy   *core.DistributedPolicy
 	health   *camfault.Tracker
 	deadMask []bool
 
@@ -131,7 +135,11 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 		}
 	}
 
-	var subModels []*assoc.Model
+	fleet := make([]int, len(cameras))
+	for i := range fleet {
+		fleet[i] = i
+	}
+	rosters, models := [][]int{fleet}, []*assoc.Model{model}
 	if cfg.Sched.Shards != nil {
 		if cfg.Sched.Mode != BALB && cfg.Sched.Mode != CentralOnly {
 			return nil, fmt.Errorf("pipeline: Shards requires BALB or CentralOnly mode, got %v", cfg.Sched.Mode)
@@ -143,13 +151,14 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 			return nil, fmt.Errorf("pipeline: shard map covers %d cameras, trace has %d",
 				cfg.Sched.Shards.NumCameras(), len(cameras))
 		}
-		subModels = make([]*assoc.Model, cfg.Sched.Shards.NumShards())
-		for s, roster := range cfg.Sched.Shards.Shards {
+		rosters = cfg.Sched.Shards.Shards
+		models = make([]*assoc.Model, len(rosters))
+		for s, roster := range rosters {
 			sub, err := model.Subset(roster)
 			if err != nil {
 				return nil, fmt.Errorf("pipeline: shard %d model: %w", s, err)
 			}
-			subModels[s] = sub
+			models[s] = sub
 		}
 	}
 
@@ -176,8 +185,8 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 		cfg:        cfg,
 		label:      cfg.label(),
 		needsModel: needsModel,
-		model:      model,
-		subModels:  subModels,
+		rosters:    rosters,
+		models:     models,
 		cams:       cams,
 		coreCams:   coreCams,
 		horizonCam: make([]time.Duration, len(cams)),
@@ -197,24 +206,15 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 	e.hist = make([]*scene.FrameTruth, e.maxLag+1)
 
 	// Default policy (before the first central stage): priority by index
-	// — sharded runs compose the same index order per shard, so the
-	// pre-key-frame decisions match the unsharded ones on single-shard
-	// coverage sets.
+	// within each roster, rosters end to end as the central stage composes
+	// them, so the pre-key-frame decisions of a sharded run match the
+	// unsharded ones on single-shard coverage sets.
 	if needsModel || cfg.Sched.Mode == Independent {
-		if cfg.Sched.Shards != nil {
-			prios := make([][]int, cfg.Sched.Shards.NumShards())
-			for s, roster := range cfg.Sched.Shards.Shards {
-				prios[s] = append([]int(nil), roster...)
-			}
-			e.policy, err = core.NewShardedPolicy(cfg.Sched.Shards.ShardOf, prios)
-		} else {
-			idx := make([]int, len(cams))
-			for i := range idx {
-				idx[i] = i
-			}
-			e.policy, err = core.NewDistributedPolicy(idx)
+		order := make([]int, 0, len(cams))
+		for _, roster := range rosters {
+			order = append(order, roster...)
 		}
-		if err != nil {
+		if e.policy, err = core.NewDistributedPolicy(order); err != nil {
 			return nil, err
 		}
 	}
@@ -386,7 +386,7 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	if isKey {
 		if e.needsModel {
 			start := time.Now()
-			newPolicy, round, err := centralStage(cams, e.coreCams, e.model, e.subModels, e.deadMask, e.cfg)
+			newPolicy, round, err := centralStage(cams, e.coreCams, e.rosters, e.models, e.deadMask, e.cfg)
 			if err != nil {
 				return err
 			}

@@ -19,26 +19,12 @@
 // association, scheduling, batching — are *measured* wall-clock costs of
 // this implementation (Table II).
 //
-// # Execution model
-//
-// The paper's cameras are independent devices, and the engine mirrors
-// that: within each frame the per-camera work (detection, tracking,
-// slicing, batched GPU execution, distributed-stage decisions) fans out
-// across a bounded worker pool sized by Config.Sched.Workers (default:
-// GOMAXPROCS, capped at the camera count). Each camera's mutable state —
-// its RNG, tracker, executor, shadows — lives in its camera.Kernel (the
-// same kernel a cluster node hosts) and is touched by exactly one
-// goroutine per frame; per-camera outputs are collected into
-// camera.Frame records and merged in fixed camera order, so
-// the modelled results are bit-identical for every worker count (the
-// determinism contract, docs/CONCURRENCY.md). The key-frame central
-// stage runs between per-camera fan-outs, as the paper's central
-// scheduler is a single node, but is not purely sequential: its pairwise
-// association fans out per camera pair on the same Workers bound
-// (assoc.AssociateWorkers), with the union-find merge applied in
-// deterministic pair order; only the BALB solve and the SP ownership
-// pass remain inline. Workers=1 runs everything — fan-outs included —
-// inline on the calling goroutine.
+// An Engine steps its cameras one after another on the goroutine that
+// calls Step, and runs the key frame's central stage on it too; the only
+// work that fans out is the central stage's pairwise association and
+// NewEngine's per-cell coverage precomputation, both bounded by
+// Config.Sched.Workers (docs/CONCURRENCY.md). Modelled results are
+// bit-identical at every Workers value.
 //
 // Run is safe to call concurrently from multiple goroutines as long as
 // each call gets its own profiles slice (trace and model are only
@@ -55,7 +41,6 @@ import (
 	"mvs/internal/core"
 	"mvs/internal/geom"
 	"mvs/internal/metrics"
-	"mvs/internal/pool"
 	"mvs/internal/profile"
 	"mvs/internal/scene"
 )
@@ -292,9 +277,7 @@ func computeStaticOwners(coverage [][][]int, profiles []*profile.Profile) ([][]i
 }
 
 // mergeCamFrames folds per-camera frame records into the run accumulators
-// in camera-index order. Each record was produced by exactly one worker
-// goroutine; merging in fixed order is the mechanism that keeps parallel
-// runs bit-identical to sequential ones.
+// in camera-index order.
 func mergeCamFrames(results []camera.Frame, detected map[int]bool,
 	breakdown *metrics.Breakdown, horizonCam []time.Duration) {
 	for i := range results {
@@ -361,22 +344,20 @@ func emitFrameSnapshot(sink metrics.Sink, label string, frame int,
 	sink.RecordFrame(snap)
 }
 
-// runCameras is the per-camera fan-out of one frame: each live camera's
-// kernel runs its share — the full-frame inspection of a key frame or a
-// Full-mode frame, else sliced partial inspection plus the distributed
-// stage — into its own record of results, which must hold one reset
-// camera.Frame per camera. The shared policy is only read by the
-// workers; every write stays inside one kernel and its record. Without a
-// serve executor the work is priced here on the kernel's own GPU;
-// otherwise resolveServe prices the records after the fan-out. A non-nil
-// down mask skips those cameras entirely (their record stays zero and
-// their state freezes).
+// runCameras steps every live camera through one frame, in camera order:
+// each kernel runs its share — the full-frame inspection of a key frame
+// or a Full-mode frame, else sliced partial inspection plus the
+// distributed stage — into its own record of results, which must hold
+// one reset camera.Frame per camera. Without a serve executor the work
+// is priced here on the kernel's own GPU; otherwise resolveServe prices
+// the records afterwards. A non-nil down mask skips those cameras
+// entirely (their record stays zero and their state freezes).
 func (e *Engine) runCameras(isKey bool, obs [][]scene.Observation, down []bool, results []camera.Frame) error {
-	return pool.Do(e.cfg.Sched.Workers, len(e.cams), func(i int) error {
+	for i, k := range e.cams {
 		if down != nil && down[i] {
-			return nil
+			continue
 		}
-		k, out := e.cams[i], &results[i]
+		out := &results[i]
 		var err error
 		switch {
 		case isKey:
@@ -392,8 +373,8 @@ func (e *Engine) runCameras(isKey bool, obs [][]scene.Observation, down []bool, 
 		if err != nil {
 			return fmt.Errorf("pipeline: %w", err)
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // roundInfo is one central-stage round's decision summary, feeding the
@@ -414,82 +395,52 @@ type roundInfo struct {
 // the kernels prune by cell owner at the key frame) — it returns a nil
 // policy (keep the previous one) and a nil round.
 //
-// With Sched.Shards set the stage runs once per shard over that shard's
-// cameras only (subModels[s] is the model restricted to the shard's
-// roster), and the per-shard priorities compose into a
-// core.ShardedPolicy; no association pair, MVS instance, or priority
-// order ever spans two shards.
+// The stage runs once per roster (Engine.rosters: the whole fleet, or
+// with Sched.Shards each shard's cameras in shard order) under the model
+// scoped to it, so that no association pair, MVS instance, or priority
+// order ever spans two shards. The rosters' priority orders, end to end,
+// are the horizon's ownership order: an object seen from two shards goes
+// to the lower shard's best-ranked live covering camera.
 //
 // A non-nil dead mask excludes those cameras' (stale, frozen) tracks
 // from the round, so the MVS instance is built over the healthy subset
 // only and every orphaned object is implicitly reassigned to a live
 // covering camera by Central.
-func centralStage(cams []*camera.Kernel, coreCams []core.CameraSpec, model *assoc.Model,
-	subModels []*assoc.Model, dead []bool, cfg Config) (core.Policy, *roundInfo, error) {
+func centralStage(cams []*camera.Kernel, coreCams []core.CameraSpec, rosters [][]int,
+	models []*assoc.Model, dead []bool, cfg Config) (*core.DistributedPolicy, *roundInfo, error) {
 	if cfg.Sched.Mode == StaticPartition {
 		return nil, nil, nil
 	}
-	info := &roundInfo{assigned: make([]int, len(cams))}
-	if cfg.Sched.Shards == nil {
-		prio, objects, err := centralShard(cams, coreCams, model, dead, nil, cfg, info.assigned)
-		if err != nil {
-			return nil, nil, err
+	info := &roundInfo{assigned: make([]int, len(cams)), priority: make([]int, 0, len(cams))}
+	for s, roster := range rosters {
+		if err := centralShard(cams, coreCams, models[s], dead, roster, cfg, info); err != nil {
+			return nil, nil, fmt.Errorf("pipeline: roster %d: %w", s, err)
 		}
-		policy, err := core.NewDistributedPolicy(prio)
-		if err != nil {
-			return nil, nil, fmt.Errorf("pipeline: %w", err)
-		}
-		info.priority = prio
-		info.objects = objects
-		return policy, info, nil
 	}
-	priorities := make([][]int, cfg.Sched.Shards.NumShards())
-	for s, roster := range cfg.Sched.Shards.Shards {
-		prio, objects, err := centralShard(cams, coreCams, subModels[s], dead, roster, cfg, info.assigned)
-		if err != nil {
-			return nil, nil, fmt.Errorf("pipeline: shard %d: %w", s, err)
-		}
-		priorities[s] = prio
-		info.priority = append(info.priority, prio...)
-		info.objects += objects
-	}
-	policy, err := core.NewShardedPolicy(cfg.Sched.Shards.ShardOf, priorities)
+	policy, err := core.NewDistributedPolicy(info.priority)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: %w", err)
 	}
 	return policy, info, nil
 }
 
-// centralShard runs one central-stage round over a camera roster (nil
-// = the whole fleet, with local index == global index) and returns the
-// resulting priority order in *global* camera indices plus the number
-// of object groups scheduled. The model must be scoped to the roster
-// (assoc.Model.Subset); the round kernel works in local (roster) indices
-// throughout, and only the applied shadows, the returned priority, and
-// the assigned counts (incremented into the fleet-indexed assigned
-// slice) are translated back to global.
+// centralShard runs one central-stage round over a camera roster and
+// adds its outcome to info: the priority order appended, the object
+// groups scheduled and the per-camera assigned counts summed in. The
+// model must be scoped to the roster (assoc.Model.Subset, or the fleet
+// model for the whole fleet); the round kernel works in local indices —
+// positions in the roster — throughout, and only the applied shadows and
+// what info records are translated back to fleet-wide ones.
 func centralShard(cams []*camera.Kernel, coreCams []core.CameraSpec, model *assoc.Model,
-	dead []bool, roster []int, cfg Config, assigned []int) ([]int, int, error) {
-	n := len(cams)
-	if roster != nil {
-		n = len(roster)
-	}
-	glob := func(li int) int {
-		if roster == nil {
-			return li
-		}
-		return roster[li]
-	}
-
+	dead []bool, roster []int, cfg Config, info *roundInfo) error {
 	// Gather each live camera's view from its tracker, in local order.
 	total := 0
-	for li := 0; li < n; li++ {
-		total += cams[glob(li)].Len()
+	for _, g := range roster {
+		total += cams[g].Len()
 	}
-	views := central.NewViews(n, total)
-	localCore := make([]core.CameraSpec, n)
-	for li := 0; li < n; li++ {
-		g := glob(li)
+	views := central.NewViews(len(roster), total)
+	localCore := make([]core.CameraSpec, len(roster))
+	for li, g := range roster {
 		localCore[li] = core.CameraSpec{Index: li, Profile: coreCams[g].Profile}
 		if dead != nil && g < len(dead) && dead[g] {
 			continue
@@ -504,27 +455,27 @@ func centralShard(cams []*camera.Kernel, coreCams []core.CameraSpec, model *asso
 		Redundancy: cfg.Sched.Redundancy, Slack: cfg.Sched.RedundancySlack,
 	}, &views)
 	if err != nil {
-		return nil, 0, fmt.Errorf("pipeline: %w", err)
+		return err
 	}
 
 	// Apply: members on non-assigned (and non-redundant) cameras become
 	// shadows, with the assignment recorded in global indices.
 	for i := range round.Objects {
 		id := round.Objects[i].ID
-		assigned[glob(round.Solution.Assign[id])]++
+		info.assigned[roster[round.Solution.Assign[id]]]++
 		for _, ec := range round.Extra[id] {
-			assigned[glob(ec)]++
+			info.assigned[roster[ec]]++
 		}
 	}
 	round.Walk(func(m central.Member) {
 		if !m.Kept {
-			cams[glob(m.Cam)].Demote(views.Tracks[m.Cam][m.Index].ID, glob(m.Owner))
+			cams[roster[m.Cam]].Demote(views.Tracks[m.Cam][m.Index].ID, roster[m.Owner])
 		}
 	})
 
-	prio := make([]int, len(round.Solution.Priority))
-	for k, li := range round.Solution.Priority {
-		prio[k] = glob(li)
+	for _, li := range round.Solution.Priority {
+		info.priority = append(info.priority, roster[li])
 	}
-	return prio, len(round.Objects), nil
+	info.objects += len(round.Objects)
+	return nil
 }

@@ -17,8 +17,8 @@ import (
 // The engine can defer pricing this way because modelled GPU latency is
 // purely observational inside a frame: detection and tracking consume
 // the region geometry, never the executor's result, so collecting the
-// requests during the per-camera fan-out and resolving them at a
-// barrier afterwards is bit-identical to pricing them inline
+// requests while the cameras are stepped and resolving them
+// afterwards is bit-identical to pricing them inline
 // (docs/SERVING.md, determinism contract).
 //
 // SubmitFrame blocks until the work is priced — for the multi-tenant

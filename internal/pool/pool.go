@@ -1,8 +1,9 @@
 // Package pool is the repository's single bounded worker-pool
-// abstraction. Both hot loops of the system — per-camera work inside a
-// pipeline frame and independent experiment points in the harness — fan
-// out through pool.Do, so the execution model documented in
-// docs/CONCURRENCY.md is implemented in exactly one place.
+// abstraction. Everything that fans out — the camera pairs of
+// association and training, the cells of coverage precomputation, the
+// independent experiment points of the harness — does so through
+// pool.Do, so the execution model documented in docs/CONCURRENCY.md is
+// implemented in exactly one place.
 //
 // The contract callers rely on:
 //

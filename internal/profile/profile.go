@@ -47,21 +47,6 @@ func (d DeviceClass) String() string {
 	}
 }
 
-// ParseDeviceClass converts a device-class name (as printed by String)
-// back to the class, for CLI flags and cluster configs.
-func ParseDeviceClass(s string) (DeviceClass, error) {
-	switch s {
-	case "nano":
-		return JetsonNano, nil
-	case "tx2":
-		return JetsonTX2, nil
-	case "xavier":
-		return JetsonXavier, nil
-	default:
-		return 0, fmt.Errorf("profile: unknown device class %q", s)
-	}
-}
-
 // deviceParams are the ground-truth latency parameters for each class.
 // baseLatency is the single-image inference time for a 64px region;
 // sizeExp controls how latency scales with input side length (inference

@@ -24,18 +24,6 @@ func TestDeviceClassString(t *testing.T) {
 	}
 }
 
-func TestParseDeviceClassRoundTrip(t *testing.T) {
-	for _, c := range allClasses() {
-		got, err := ParseDeviceClass(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseDeviceClass(%q) = %v, %v", c.String(), got, err)
-		}
-	}
-	if _, err := ParseDeviceClass("gpu9000"); err == nil {
-		t.Error("unknown class accepted")
-	}
-}
-
 func TestHeterogeneityOrdering(t *testing.T) {
 	// Every latency quantity must respect Nano > TX2 > Xavier.
 	for _, size := range []int{64, 128, 256, 512} {

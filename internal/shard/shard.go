@@ -30,8 +30,7 @@
 // Consumers: pipeline.Config.Sched.Shards runs one in-process central stage
 // per shard; cluster.NewShardedScheduler runs one independent round
 // loop (barrier, leases, dead broadcast) per shard with a boundary
-// hand-off bus between them; core.NewShardedPolicy scopes the
-// distributed stage's ownership decisions per shard.
+// hand-off bus between them.
 //
 // # Determinism
 //
@@ -80,14 +79,6 @@ func (g *Graph) AddEdge(a, b int) {
 	}
 	g.Adj[a][b] = true
 	g.Adj[b][a] = true
-}
-
-// HasEdge reports whether cameras a and b overlap.
-func (g *Graph) HasEdge(a, b int) bool {
-	if a < 0 || b < 0 || a >= len(g.Adj) || b >= len(g.Adj) {
-		return false
-	}
-	return g.Adj[a][b]
 }
 
 // FromAdjacency wraps a (possibly asymmetric) adjacency matrix as a
@@ -207,21 +198,6 @@ func (m *Map) MaxShardSize() int {
 		}
 	}
 	return max
-}
-
-// Local returns camera cam's (shard, local index within the shard)
-// pair, or an error for an out-of-range camera.
-func (m *Map) Local(cam int) (shard, local int, err error) {
-	if cam < 0 || cam >= len(m.ShardOf) {
-		return 0, 0, fmt.Errorf("shard: camera %d out of range [0,%d)", cam, len(m.ShardOf))
-	}
-	s := m.ShardOf[cam]
-	for k, c := range m.Shards[s] {
-		if c == cam {
-			return s, k, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("shard: inconsistent map: camera %d not in shard %d", cam, s)
 }
 
 // String renders the map as a spec string ("0,1,2|3,4"), parseable by

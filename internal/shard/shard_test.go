@@ -124,14 +124,14 @@ func TestFromCoObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 2) || g.HasEdge(0, 2) {
+	if !g.Adj[0][1] || g.Adj[1][2] || g.Adj[0][2] {
 		t.Fatalf("threshold 2: want only edge (0,1), got %v", g.Adj)
 	}
 	g1, err := FromCoObservation(counts, 0) // defaults to 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g1.HasEdge(1, 2) {
+	if !g1.Adj[1][2] {
 		t.Fatal("threshold default: edge (1,2) missing")
 	}
 }
@@ -168,13 +168,6 @@ func TestSingleAndLocal(t *testing.T) {
 	}
 	if m.NumShards() != 1 || m.MaxShardSize() != 3 {
 		t.Fatalf("Single(3) = %v", m.Shards)
-	}
-	s, l, err := m.Local(2)
-	if err != nil || s != 0 || l != 2 {
-		t.Fatalf("Local(2) = (%d,%d,%v)", s, l, err)
-	}
-	if _, _, err := m.Local(3); err == nil {
-		t.Fatal("out-of-range Local must fail")
 	}
 	if _, err := Single(0); err == nil {
 		t.Fatal("Single(0) must fail")

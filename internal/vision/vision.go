@@ -122,21 +122,12 @@ func (d *Detector) DetectFull(objs []scene.Observation) []Detection {
 	return d.detect(make([]Detection, 0, len(objs)), objs, nil, 1)
 }
 
-// DetectRegion runs a simulated partial-region inspection: only objects
-// whose box centre lies inside the region are candidates, and the miss
-// probability is reduced by the region bonus. The caller owns the
-// returned slice.
-func (d *Detector) DetectRegion(region geom.Rect, objs []scene.Observation) ([]Detection, error) {
-	if region.Empty() {
-		return nil, fmt.Errorf("vision: empty inspection region")
-	}
-	return d.detect(nil, objs, &region, d.cfg.RegionBonus), nil
-}
-
-// DetectRegions runs partial-region inspections over a batch of regions,
-// deduplicating objects that fall in several regions (the detector would
-// return them once after non-max suppression). The result lives in a
-// buffer of the detector's and is valid until the next DetectRegions
+// DetectRegions runs simulated partial-region inspections over a batch of
+// regions: only objects whose box centre lies inside a region are its
+// candidates, and the miss probability is reduced by the region bonus.
+// Objects that fall in several regions are deduplicated (the detector
+// would return them once after non-max suppression). The result lives in
+// a buffer of the detector's and is valid until the next DetectRegions
 // call; callers that keep detections longer copy them out.
 func (d *Detector) DetectRegions(regions []geom.Rect, objs []scene.Observation) ([]Detection, error) {
 	out := d.regionDets[:0]

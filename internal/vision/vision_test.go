@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"errors"
 	"testing"
 
 	"mvs/internal/geom"
@@ -80,7 +81,7 @@ func TestDetectRegionFiltersByCenter(t *testing.T) {
 	region := geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	found1, found2 := 0, 0
 	for i := 0; i < 100; i++ {
-		dets, err := d.DetectRegion(region, objs)
+		dets, err := d.DetectRegions([]geom.Rect{region}, objs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestDetectRegionFiltersByCenter(t *testing.T) {
 
 func TestDetectRegionEmptyRegion(t *testing.T) {
 	d := NewDetector(5, Config{})
-	if _, err := d.DetectRegion(geom.Rect{}, nil); err == nil {
+	if _, err := d.DetectRegions([]geom.Rect{{}}, nil); err == nil {
 		t.Fatal("empty region accepted")
 	}
 }
@@ -122,7 +123,7 @@ func TestRegionBonusImprovesRecall(t *testing.T) {
 		if len(dFull.DetectFull([]scene.Observation{obs})) == 1 {
 			full++
 		}
-		dets, err := dRegion.DetectRegion(region, []scene.Observation{obs})
+		dets, err := dRegion.DetectRegions([]geom.Rect{region}, []scene.Observation{obs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,18 +195,17 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // referenceDetectRegions is DetectRegions as it was before the reused
-// result buffer: one DetectRegion per region, a map of the truth IDs
-// already returned. It is the oracle for both the detections and the
-// random stream behind them.
+// result buffer: one single-region inspection per region, a map of the
+// truth IDs already returned. It is the oracle for both the detections
+// and the random stream behind them.
 func referenceDetectRegions(d *Detector, regions []geom.Rect, objs []scene.Observation) ([]Detection, error) {
 	seen := make(map[int]bool)
 	var out []Detection
 	for _, r := range regions {
-		dets, err := d.DetectRegion(r, objs)
-		if err != nil {
-			return nil, err
+		if r.Empty() {
+			return nil, errors.New("vision: empty inspection region")
 		}
-		for _, det := range dets {
+		for _, det := range d.detect(nil, objs, &r, d.cfg.RegionBonus) {
 			if seen[det.TruthID] {
 				continue
 			}
