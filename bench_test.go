@@ -1,15 +1,13 @@
-// Package mvs's root benchmarks regenerate the paper's evaluation: one
-// benchmark per table and figure (see DESIGN.md's experiment index),
-// plus ablation benches for the design choices the paper calls out.
-// Paper-relevant quantities (recall, speedup, optimality gap) are
-// attached to the benchmark output via b.ReportMetric, so
-// `go test -bench=. -benchmem` doubles as the reproduction harness.
+// Package mvs's root benchmarks time the layers and ablate the design
+// choices the paper calls out (optimality gap, batch awareness, the
+// central stage's scaling). The paper's tables and figures themselves
+// are regenerated in one place, `mvexp -exp ...` (DESIGN.md's experiment
+// index); the end-to-end benchmark with paired runs lives in bench/.
 package mvs
 
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -23,213 +21,6 @@ import (
 	"mvs/internal/shard"
 	"mvs/internal/workload"
 )
-
-// benchFrames keeps benchmark setups affordable; the mvexp command runs
-// the full-length versions.
-const benchFrames = 600
-
-var (
-	setupOnce sync.Once
-	setupS1   *experiments.Setup
-	setupS2   *experiments.Setup
-	setupS3   *experiments.Setup
-	setupErr  error
-)
-
-func benchSetups(b *testing.B) (*experiments.Setup, *experiments.Setup, *experiments.Setup) {
-	b.Helper()
-	setupOnce.Do(func() {
-		setupS1, setupErr = experiments.Prepare("S1", 42, benchFrames)
-		if setupErr != nil {
-			return
-		}
-		setupS2, setupErr = experiments.Prepare("S2", 42, benchFrames)
-		if setupErr != nil {
-			return
-		}
-		setupS3, setupErr = experiments.Prepare("S3", 42, benchFrames)
-	})
-	if setupErr != nil {
-		b.Fatal(setupErr)
-	}
-	return setupS1, setupS2, setupS3
-}
-
-// BenchmarkFig2WorkloadVariation regenerates the per-camera workload
-// series of Fig. 2 and reports the cross-camera workload spread.
-func BenchmarkFig2WorkloadVariation(b *testing.B) {
-	s1, _, _ := benchSetups(b)
-	var spread float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig2(s1)
-		min, max := 1e18, 0.0
-		for _, series := range res.Counts {
-			sum := 0
-			for _, v := range series {
-				sum += v
-			}
-			mean := float64(sum) / float64(len(series))
-			if mean < min {
-				min = mean
-			}
-			if mean > max {
-				max = mean
-			}
-		}
-		spread = max - min
-	}
-	b.ReportMetric(spread, "workload-spread")
-}
-
-// BenchmarkFig10Classification runs the association-classifier
-// comparison on S2 and reports KNN's precision.
-func BenchmarkFig10Classification(b *testing.B) {
-	_, s2, _ := benchSetups(b)
-	var knnPrecision float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10(s2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Model == "knn" {
-				knnPrecision = r.Precision
-			}
-		}
-	}
-	b.ReportMetric(knnPrecision, "knn-precision")
-}
-
-// BenchmarkFig11Regression runs the association-regressor comparison on
-// S2 and reports the homography-to-KNN MAE ratio (the paper's headline:
-// homography is far worse).
-func BenchmarkFig11Regression(b *testing.B) {
-	_, s2, _ := benchSetups(b)
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig11(s2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var knn, hom float64
-		for _, r := range rows {
-			switch r.Model {
-			case "knn":
-				knn = r.MAE
-			case "homography":
-				hom = r.MAE
-			}
-		}
-		if knn > 0 {
-			ratio = hom / knn
-		}
-	}
-	b.ReportMetric(ratio, "homography/knn-mae")
-}
-
-// BenchmarkFig12Recall runs the full BALB pipeline on S1 and reports the
-// attained object recall.
-func BenchmarkFig12Recall(b *testing.B) {
-	s1, _, _ := benchSetups(b)
-	var recall float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := pipeline.Run(s1.Test, s1.Scenario.Profiles(), s1.Model,
-			pipeline.NewConfig(pipeline.BALB, 42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		recall = rep.Recall
-	}
-	b.ReportMetric(recall, "recall")
-}
-
-// BenchmarkFig13Latency runs Full and BALB on every scenario and reports
-// the per-scenario speedups (the paper's 2.45x-6.85x headline).
-func BenchmarkFig13Latency(b *testing.B) {
-	s1, s2, s3 := benchSetups(b)
-	setups := map[string]*experiments.Setup{"S1": s1, "S2": s2, "S3": s3}
-	for name, s := range setups {
-		s := s
-		b.Run(name, func(b *testing.B) {
-			var speedup float64
-			for i := 0; i < b.N; i++ {
-				full, err := pipeline.Run(s.Test, s.Scenario.Profiles(), s.Model,
-					pipeline.NewConfig(pipeline.Full, 42))
-				if err != nil {
-					b.Fatal(err)
-				}
-				balb, err := pipeline.Run(s.Test, s.Scenario.Profiles(), s.Model,
-					pipeline.NewConfig(pipeline.BALB, 42))
-				if err != nil {
-					b.Fatal(err)
-				}
-				speedup = float64(full.MeanSlowest) / float64(balb.MeanSlowest)
-			}
-			b.ReportMetric(speedup, "speedup-x")
-		})
-		_ = name
-	}
-}
-
-// BenchmarkFig13VsStaticPartition reports BALB's latency advantage over
-// the SP baseline (the paper's average 1.88x).
-func BenchmarkFig13VsStaticPartition(b *testing.B) {
-	s1, _, _ := benchSetups(b)
-	var gain float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp, err := pipeline.Run(s1.Test, s1.Scenario.Profiles(), s1.Model,
-			pipeline.NewConfig(pipeline.StaticPartition, 42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		balb, err := pipeline.Run(s1.Test, s1.Scenario.Profiles(), s1.Model,
-			pipeline.NewConfig(pipeline.BALB, 42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = float64(sp.MeanSlowest) / float64(balb.MeanSlowest)
-	}
-	b.ReportMetric(gain, "balb-vs-sp-x")
-}
-
-// BenchmarkFig14Horizon runs one point of the horizon sweep (T=20) and
-// reports BALB's and BALB-Cen's recall there.
-func BenchmarkFig14Horizon(b *testing.B) {
-	s1, _, _ := benchSetups(b)
-	var balbRecall, cenRecall float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig14(s1, []int{20}, experiments.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		balbRecall = points[0].Recall
-		cenRecall = points[0].CenRecall
-	}
-	b.ReportMetric(balbRecall, "balb-recall")
-	b.ReportMetric(cenRecall, "cen-recall")
-}
-
-// BenchmarkTable2Overhead runs BALB on S1 and reports the total measured
-// per-frame framework overhead in microseconds.
-func BenchmarkTable2Overhead(b *testing.B) {
-	s1, _, _ := benchSetups(b)
-	var overheadUS float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		row, err := experiments.TableII(s1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		overheadUS = float64(row.Total.Microseconds())
-	}
-	b.ReportMetric(overheadUS, "overhead-us/frame")
-}
 
 // --- Ablation and micro benches (DESIGN.md section 5) ---
 
@@ -396,7 +187,10 @@ func BenchmarkCentralReassign(b *testing.B) {
 // BenchmarkCrossCameraAssociation measures one association round on the
 // prepared S1 setup (5 cameras), using a mid-trace frame's boxes.
 func BenchmarkCrossCameraAssociation(b *testing.B) {
-	s1, _, _ := benchSetups(b)
+	s1, err := experiments.Prepare("S1", 42, 600, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	frame := &s1.Test.Frames[len(s1.Test.Frames)/2]
 	perCam := make([][]geom.Rect, len(frame.PerCamera))
 	for ci, obs := range frame.PerCamera {
@@ -423,7 +217,7 @@ var (
 func benchS4(b *testing.B) *experiments.Setup {
 	b.Helper()
 	s4Once.Do(func() {
-		setupS4, s4Err = experiments.Prepare("S4", 42, 400)
+		setupS4, s4Err = experiments.Prepare("S4", 42, 400, 0)
 	})
 	if s4Err != nil {
 		b.Fatal(s4Err)
@@ -454,44 +248,6 @@ func BenchmarkScaleS4EightCameras(b *testing.B) {
 	}
 	b.ReportMetric(recall, "recall")
 	b.ReportMetric(speedup, "speedup-x")
-}
-
-// --- Parallel-execution benches (docs/CONCURRENCY.md) ---
-
-// workerCounts returns the deduplicated, ordered worker bounds worth
-// benchmarking for a scenario with cams cameras: sequential, the
-// hardware width, and one worker per camera.
-func workerCounts(cams int) []int {
-	candidates := []int{1, runtime.GOMAXPROCS(0), cams}
-	var out []int
-	for _, c := range candidates {
-		dup := false
-		for _, o := range out {
-			if o == c {
-				dup = true
-			}
-		}
-		if !dup {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// BenchmarkRunModes compares the sequential experiment harness
-// (all five scheduling modes back to back) against the concurrent
-// fan-out on the S1 setup.
-func BenchmarkRunModes(b *testing.B) {
-	s1, _, _ := benchSetups(b)
-	for _, w := range workerCounts(len(experiments.Modes())) {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunModes(s1, 10, experiments.Options{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- Central-stage scaling benches (docs/SCALING.md) ---

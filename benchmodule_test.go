@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// hermeticEnv is bench/run.sh's Go environment: no workspace, no
+// toolchain or module download, no inherited flags.
+func hermeticEnv() []string {
+	return append(os.Environ(), "GOWORK=off", "GOTOOLCHAIN=local", "GOPROXY=off", "GOFLAGS=")
+}
+
 // TestBenchModuleBuilds vets and builds bench/, the benchmark's module,
 // under bench/run.sh's environment. It is a module of its own (mvs/bench,
 // bench/README.md), so go build, vet and test at the root never compile
@@ -22,7 +28,7 @@ func TestBenchModuleBuilds(t *testing.T) {
 	for _, args := range [][]string{{"vet", "./..."}, {"build", "-o", os.DevNull, "./..."}} {
 		cmd := exec.Command("go", args...)
 		cmd.Dir = "bench"
-		cmd.Env = append(os.Environ(), "GOWORK=off", "GOTOOLCHAIN=local", "GOPROXY=off", "GOFLAGS=")
+		cmd.Env = hermeticEnv()
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("bench: go %v: %v\n%s", args, err, out)
 		}

@@ -21,10 +21,9 @@
 // "all".
 //
 // -workers bounds the concurrency of independent experiment points
-// (modes, sweep points), each pipeline run's per-pair association and
-// per-cell coverage fan-outs, and the per-pair training fan-out of experiments that retrain models
-// (0 = GOMAXPROCS, 1 = fully sequential). Results are identical for
-// every value (see docs/CONCURRENCY.md and docs/SCALING.md).
+// (modes, sweep points), each run's association and coverage fan-outs,
+// and model training (0 = GOMAXPROCS, 1 = fully sequential). Results are
+// identical for every value (docs/CONCURRENCY.md, docs/SCALING.md).
 //
 // Output is plain text, one table per experiment, with the paper's
 // qualitative expectations noted next to each.
@@ -33,7 +32,7 @@
 // comparison (figs 12/13, table2), so every algorithm is scored under
 // the identical incident; -health-k arms their failover. -record <dir>
 // captures the mode runs' snapshots and round decisions into a run
-// store for audit (capture-only: mvreplay needs an mvsim recording;
+// store for audit (capture-only: mvsim -replay needs an mvsim recording;
 // see docs/STREAMING.md). Both require a single -scenario.
 package main
 
@@ -51,7 +50,6 @@ import (
 	"mvs/internal/experiments"
 	"mvs/internal/metrics"
 	"mvs/internal/pipeline"
-	"mvs/internal/scene"
 	"mvs/internal/store"
 	"mvs/internal/workload"
 )
@@ -64,60 +62,39 @@ func main() {
 		seed     = flag.Int64("seed", 42, "simulation seed")
 		csvDir   = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	)
-	shared := cliconf.Register(flag.CommandLine, "experiment/association")
+	shared := cliconf.Register(flag.CommandLine, "mvexp")
 	flag.Parse()
 
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "mvexp:", err)
-			os.Exit(1)
+	cliconf.Exit("mvexp", shared.WithExport(func(export *metrics.Export) error {
+		if *csvDir != "" {
+			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+				return err
+			}
+			csvOut = *csvDir
 		}
-		csvOut = *csvDir
-	}
-	export, err := shared.OpenExport()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mvexp:", err)
-		os.Exit(1)
-	}
-	opts := experiments.Options{
-		Workers: shared.Workers, CamFaults: shared.CamFaults, HealthK: shared.HealthK,
-	}
-	if shared.ExportEnabled() {
-		opts.Sink = export.Sink
-	}
-	rec, err := openRecorder(shared, *exp, *scenario, *seed, *frames)
-	if err != nil {
-		_ = export.Close()
-		fmt.Fprintln(os.Stderr, "mvexp:", err)
-		os.Exit(1)
-	}
-	if rec != nil {
-		if opts.Sink != nil {
-			opts.Sink = metrics.Multi(opts.Sink, rec)
-		} else {
-			opts.Sink = rec
+		adaptPol, err := adapt.ParseSpec(shared.Adapt)
+		if err != nil {
+			return err
 		}
-		opts.Rounds = rec
-	}
-	adaptPol, err := shared.AdaptPolicy()
-	if err != nil {
-		_ = export.Close()
-		fmt.Fprintln(os.Stderr, "mvexp:", err)
-		os.Exit(1)
-	}
-	runErr := run(*exp, *scenario, *frames, *seed, adaptPol, opts)
-	if rec != nil {
-		if err := rec.Close(); err != nil && runErr == nil {
-			runErr = err
+		rec, err := openRecorder(shared, *exp, *scenario, *seed, *frames)
+		if err != nil {
+			return err
 		}
-	}
-	if err := export.Close(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "mvexp:", runErr)
-		os.Exit(1)
-	}
+		opts := experiments.Options{
+			Workers: shared.Workers, CamFaults: shared.CamFaults, HealthK: shared.HealthK,
+			Sink: shared.Sink(export, rec),
+		}
+		if rec != nil {
+			opts.Rounds = rec
+		}
+		err = run(*exp, *scenario, *frames, *seed, adaptPol, opts)
+		if rec != nil {
+			if cerr := rec.Close(); err == nil {
+				err = cerr
+			}
+		}
+		return err
+	}))
 }
 
 // openRecorder opens the -record capture store: experiment snapshots
@@ -134,14 +111,10 @@ func openRecorder(shared *cliconf.Shared, exp, scenario string, seed int64, fram
 	if err != nil {
 		return nil, err
 	}
-	roster, err := scene.MarshalCameras(s.World.Cameras)
-	if err != nil {
-		return nil, err
-	}
 	return shared.OpenRecorder(store.Manifest{
 		Label: "mvexp/" + exp, Scenario: scenario, Seed: seed,
-		TraceFrames: frames, Mode: "modes", Horizon: 10, Cameras: roster,
-	})
+		TraceFrames: frames, Mode: "modes", Horizon: 10,
+	}, s.World.Cameras)
 }
 
 func scenarioNames(scenario string) ([]string, error) {
@@ -156,137 +129,97 @@ func scenarioNames(scenario string) ([]string, error) {
 }
 
 func run(exp, scenario string, frames int, seed int64, adaptPol adapt.Policy, opts experiments.Options) error {
-	// The adapt sweep targets the eight-camera S4 scale scenario by
-	// default (the others run if named explicitly), so it resolves its
-	// scenario before the S1-S3 name check.
-	if exp == "adapt" {
-		names := []string{"S4"}
-		if scenario != "all" {
-			names = []string{scenario}
-		}
-		for _, name := range names {
-			fmt.Fprintf(os.Stderr, "preparing %s (%d frames, seed %d)...\n", name, frames, seed)
-			s, err := experiments.Prepare(name, seed, frames)
-			if err != nil {
-				return err
-			}
-			if err := printAdaptSweep(s, adaptPol, opts); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// The tenant sweep replays one scenario's trace per tenant (S1
-	// unless a single -scenario names another, S4 included), so like
-	// adapt it resolves its scenario before the S1-S3 name check.
-	if exp == "tenants" {
-		name := "S1"
-		if scenario != "all" {
-			name = scenario
-		}
-		return printTenantSweep(name, seed, frames, opts)
-	}
-
-	names, err := scenarioNames(scenario)
-	if err != nil {
-		return err
-	}
-
-	wantAll := exp == "all"
-	want := func(name string) bool { return wantAll || exp == name }
-	known := map[string]bool{
-		"fig2": true, "table1": true, "fig10": true, "fig11": true,
-		"fig12": true, "fig13": true, "fig14": true, "table2": true,
-		"sweep": true, "occlusion": true, "chaos": true, "shard": true,
-		"shed": true, "adapt": true, "tenants": true,
-	}
-	if !wantAll && !known[exp] {
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-
-	// The arrival-rate sweep and the occlusion study rebuild worlds, so
-	// they only run when asked for explicitly.
-	if exp == "sweep" {
-		for _, name := range names {
-			if err := printArrivalSweep(name, seed, frames, opts); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if exp == "occlusion" {
-		for _, name := range names {
-			if err := printOcclusion(name, seed, frames); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// The shard sweep builds its own 64-camera corridor fleet rather
-	// than using an S* scenario, so it too only runs when asked for.
-	if exp == "shard" {
-		return printShardSweep(seed, frames, opts)
-	}
-	if exp == "chaos" {
-		for _, name := range names {
-			fmt.Fprintf(os.Stderr, "preparing %s (%d frames, seed %d)...\n", name, frames, seed)
-			s, err := experiments.Prepare(name, seed, frames)
-			if err != nil {
-				return err
-			}
-			if err := printChaos(s, opts); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if exp == "shed" {
-		for _, name := range names {
-			fmt.Fprintf(os.Stderr, "preparing %s (%d frames, seed %d)...\n", name, frames, seed)
-			s, err := experiments.Prepare(name, seed, frames)
-			if err != nil {
-				return err
-			}
-			if err := printShedSweep(s, opts); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if want("table1") {
-		printTableI(seed)
-	}
-
-	// Setups are expensive (trace + model training); prepare lazily and
-	// cache per scenario.
+	// Setups are expensive (trace + model training): prepared on first
+	// use, once per scenario.
 	setups := make(map[string]*experiments.Setup)
 	prepare := func(name string) (*experiments.Setup, error) {
 		if s, ok := setups[name]; ok {
 			return s, nil
 		}
 		fmt.Fprintf(os.Stderr, "preparing %s (%d frames, seed %d)...\n", name, frames, seed)
-		s, err := experiments.Prepare(name, seed, frames)
+		s, err := experiments.Prepare(name, seed, frames, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
 		setups[name] = s
 		return s, nil
 	}
+	// each runs one study over the named scenarios, stopping at the
+	// first error.
+	each := func(names []string, study func(name string) error) error {
+		for _, name := range names {
+			if err := study(name); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	prepared := func(study func(*experiments.Setup) error) func(string) error {
+		return func(name string) error {
+			s, err := prepare(name)
+			if err != nil {
+				return err
+			}
+			return study(s)
+		}
+	}
 
-	for _, name := range names {
+	// The adapt sweep targets the eight-camera S4 scale scenario by
+	// default, and the tenant sweep replays one scenario's trace per
+	// tenant (S1 by default); either takes any single -scenario, S4
+	// included, so both resolve theirs before the S1-S3 name check.
+	single := func(byDefault string) []string {
+		if scenario != "all" {
+			return []string{scenario}
+		}
+		return []string{byDefault}
+	}
+	switch exp {
+	case "adapt":
+		return each(single("S4"), prepared(func(s *experiments.Setup) error { return printAdaptSweep(s, adaptPol, opts) }))
+	case "tenants":
+		return printTenantSweep(single("S1")[0], seed, frames, opts)
+	}
+
+	names, err := scenarioNames(scenario)
+	if err != nil {
+		return err
+	}
+	// The extension studies rebuild worlds or fleets of their own (the
+	// shard sweep a 64-camera corridor), so they only run when asked for
+	// explicitly.
+	switch exp {
+	case "sweep":
+		return each(names, func(name string) error { return printArrivalSweep(name, seed, frames, opts) })
+	case "occlusion":
+		return each(names, func(name string) error { return printOcclusion(name, seed, frames) })
+	case "shard":
+		return printShardSweep(seed, frames, opts)
+	case "chaos":
+		return each(names, prepared(func(s *experiments.Setup) error { return printChaos(s, opts) }))
+	case "shed":
+		return each(names, prepared(func(s *experiments.Setup) error { return printShedSweep(s, opts) }))
+	}
+
+	want := func(name string) bool { return exp == "all" || exp == name }
+	if !(want("fig2") || want("table1") || want("fig10") || want("fig11") ||
+		want("fig12") || want("fig13") || want("fig14") || want("table2")) {
+		return fmt.Errorf("unknown experiment %q", exp)
+	}
+	if want("table1") {
+		printTableI(seed)
+	}
+	return each(names, func(name string) error {
 		needSetup := want("fig2") || want("fig10") || want("fig11") ||
 			want("fig12") || want("fig13") || want("table2") ||
 			(want("fig14") && name == "S1")
 		if !needSetup {
-			continue
+			return nil
 		}
 		s, err := prepare(name)
 		if err != nil {
 			return err
 		}
-
 		if want("fig2") {
 			printFig2(s)
 		}
@@ -316,12 +249,10 @@ func run(exp, scenario string, frames int, seed int64, adaptPol adapt.Policy, op
 			}
 		}
 		if want("fig14") && name == "S1" {
-			if err := printFig14(s, opts); err != nil {
-				return err
-			}
+			return printFig14(s, opts)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 func header(title string) {

@@ -31,9 +31,10 @@ import (
 	"os"
 	"time"
 
+	"mvs/internal/cliconf"
+	"mvs/internal/experiments"
 	"mvs/internal/faults"
 	"mvs/internal/pipeline"
-	"mvs/internal/workload"
 )
 
 func main() {
@@ -50,31 +51,24 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*addr, *scenario, *seed, *frames, *camera, *rate, *burst, *faultsSpec, *timeout); err != nil {
-		fmt.Fprintln(os.Stderr, "mvingest:", err)
-		os.Exit(1)
-	}
+	cliconf.Exit("mvingest", run(*addr, *scenario, *seed, *frames, *camera, *rate, *burst, *faultsSpec, *timeout))
 }
 
 func run(addr, scenario string, seed int64, frames, camera int, rate time.Duration, burst int, faultsSpec string, timeout time.Duration) error {
 	if burst < 1 {
 		burst = 1
 	}
-	s, err := workload.ByName(scenario, seed)
-	if err != nil {
-		return err
-	}
-	if camera >= len(s.World.Cameras) {
-		return fmt.Errorf("camera %d out of range: %s has %d cameras", camera, scenario, len(s.World.Cameras))
-	}
 	fmt.Fprintf(os.Stderr, "regenerating %s (seed %d, %d frames)...\n", scenario, seed, frames)
-	trace, err := s.World.Run(frames)
-	if err != nil {
-		return err
-	}
 	// The listener evaluates on the test half; the training half only
 	// ever feeds the association model.
-	_, test := trace.SplitTrain()
+	setup, err := experiments.Generate(scenario, seed, frames)
+	if err != nil {
+		return err
+	}
+	test := setup.Test
+	if camera >= len(test.Cameras) {
+		return fmt.Errorf("camera %d out of range: %s has %d cameras", camera, scenario, len(test.Cameras))
+	}
 
 	dial := faults.DialFunc(func(addr string, timeout time.Duration) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, timeout)
@@ -124,7 +118,7 @@ func run(addr, scenario string, seed int64, frames, camera int, rate time.Durati
 	}
 	// One EOS per pushed camera roster slot: the listener drains its
 	// queues and ends the stream cleanly.
-	numCams := len(s.World.Cameras)
+	numCams := len(test.Cameras)
 	if camera >= 0 {
 		numCams = 1
 	}

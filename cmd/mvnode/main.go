@@ -31,14 +31,10 @@
 // (docs/SCALING.md §3, docs/ARCHITECTURE.md).
 //
 // -record <dir> captures the node's per-frame snapshots into a run
-// store labelled with its camera index (capture-only; see
-// docs/STREAMING.md). -workers is accepted for flag-matrix parity with
-// the other binaries — the node's frame loop is inherently sequential.
-//
-// -ingest-addr replaces the regenerated observations with a live feed:
-// the node listens for this camera's frame parts (push with mvingest
-// -camera N), sheds under overload per -shed-policy, and degrades with
-// a typed stall error if the feed goes silent past -deadline
+// store labelled with its camera index (capture-only). -ingest-addr
+// replaces the regenerated observations with a live feed (push with
+// mvingest -camera N): it sheds under overload per -shed-policy and
+// fails with a typed stall error if the feed goes silent past -deadline
 // (docs/STREAMING.md §6).
 package main
 
@@ -48,91 +44,74 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
 	"time"
 
 	"mvs/internal/adapt"
 	"mvs/internal/cliconf"
 	"mvs/internal/cluster"
+	"mvs/internal/experiments"
 	"mvs/internal/faults"
 	"mvs/internal/metrics"
 	"mvs/internal/node"
 	"mvs/internal/pipeline"
 	"mvs/internal/scene"
 	"mvs/internal/store"
-	"mvs/internal/workload"
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", "localhost:7001", "scheduler address")
-		camera     = flag.Int("camera", 0, "this node's camera index")
-		scenario   = flag.String("scenario", "S2", "scenario: S1, S2, or S3")
-		seed       = flag.Int64("seed", 42, "shared simulation seed")
-		frames     = flag.Int("frames", 1200, "trace length (first half is the model's training split)")
-		horizon    = flag.Int("horizon", 10, "frames per scheduling horizon (T)")
-		rate       = flag.Duration("rate", 0, "real-time pacing per frame (0 = as fast as possible)")
-		deadline   = flag.Duration("deadline", 30*time.Second, "how long a key frame waits for its assignment before degrading")
-		retries    = flag.Int("retries", 4, "connection attempts per operation before degrading")
-		hbEvery    = flag.Int("heartbeat-every", 0, "send a liveness ping every N regular frames (0 = off; pair with mvscheduler -lease)")
-		faultsSpec = flag.String("faults", "", "inject connection faults, e.g. seed=7,drop=0.05,cut=40 (see docs/FAULTS.md)")
-	)
-	shared := cliconf.Register(flag.CommandLine, "(matrix parity; unused)")
+	var cfg runConfig
+	flag.StringVar(&cfg.addr, "addr", "localhost:7001", "scheduler address")
+	flag.IntVar(&cfg.camera, "camera", 0, "this node's camera index")
+	flag.StringVar(&cfg.scenario, "scenario", "S2", "scenario: S1, S2, or S3")
+	flag.Int64Var(&cfg.seed, "seed", 42, "shared simulation seed")
+	flag.IntVar(&cfg.frames, "frames", 1200, "trace length (first half is the model's training split)")
+	flag.IntVar(&cfg.horizon, "horizon", 10, "frames per scheduling horizon (T)")
+	flag.DurationVar(&cfg.rate, "rate", 0, "real-time pacing per frame (0 = as fast as possible)")
+	flag.DurationVar(&cfg.deadline, "deadline", 30*time.Second, "how long a key frame waits for its assignment before degrading")
+	flag.IntVar(&cfg.retries, "retries", 4, "connection attempts per operation before degrading")
+	flag.IntVar(&cfg.hbEvery, "heartbeat-every", 0, "send a liveness ping every N regular frames (0 = off; pair with mvscheduler -lease)")
+	flag.StringVar(&cfg.faultsSpec, "faults", "", "inject connection faults, e.g. seed=7,drop=0.05,cut=40 (see docs/FAULTS.md)")
+	cfg.shared = cliconf.Register(flag.CommandLine, "mvnode")
 	flag.Parse()
 
-	export, err := shared.OpenExport()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mvnode:", err)
-		os.Exit(1)
-	}
-	runErr := run(runConfig{
-		addr: *addr, camera: *camera, scenario: *scenario, seed: *seed,
-		frames: *frames, horizon: *horizon, rate: *rate,
-		deadline: *deadline, retries: *retries, hbEvery: *hbEvery,
-		faultsSpec: *faultsSpec, shared: shared, export: export,
-	})
-	if err := export.Close(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "mvnode:", runErr)
-		os.Exit(1)
-	}
+	cliconf.Exit("mvnode", cfg.shared.WithExport(func(export *metrics.Export) error {
+		cfg.export = export
+		return run(cfg)
+	}))
 }
 
+// runConfig is mvnode's flags plus the opened metrics export.
 type runConfig struct {
-	addr       string
-	camera     int
-	scenario   string
-	seed       int64
-	frames     int
-	horizon    int
-	rate       time.Duration
-	deadline   time.Duration
-	retries    int
-	hbEvery    int
-	faultsSpec string
-	shared     *cliconf.Shared
-	export     *metrics.Export
+	addr            string
+	camera          int
+	scenario        string
+	seed            int64
+	frames, horizon int
+	rate, deadline  time.Duration
+	retries         int
+	hbEvery         int
+	faultsSpec      string
+	shared          *cliconf.Shared
+	export          *metrics.Export
 }
 
 func run(cfg runConfig) error {
-	s, err := workload.ByName(cfg.scenario, cfg.seed)
+	// -ingest-addr: this camera's observations arrive live over TCP
+	// instead of regenerating from the trace.
+	if cfg.shared.IngestAddr != "" && cfg.shared.CamFaults != "" {
+		return fmt.Errorf("-cam-faults schedules are trace-indexed and cannot be combined with -ingest-addr")
+	}
+	log.Printf("camera %d: regenerating %s world...", cfg.camera, cfg.scenario)
+	// Evaluate on the second half; the first half trained the
+	// scheduler's association model.
+	setup, err := experiments.Generate(cfg.scenario, cfg.seed, cfg.frames)
 	if err != nil {
 		return err
 	}
+	s, test := setup.Scenario, setup.Test
 	if cfg.camera < 0 || cfg.camera >= len(s.World.Cameras) {
 		return fmt.Errorf("camera %d out of range: %s has %d cameras", cfg.camera, cfg.scenario, len(s.World.Cameras))
 	}
-	log.Printf("camera %d (%s, %s): regenerating world...",
-		cfg.camera, s.World.Cameras[cfg.camera].Name, s.Devices[cfg.camera])
-	trace, err := s.World.Run(cfg.frames)
-	if err != nil {
-		return err
-	}
-	// Evaluate on the second half; the first half trained the
-	// scheduler's association model.
-	_, test := trace.SplitTrain()
 
 	camModel, err := cfg.shared.FaultModel(len(s.World.Cameras), len(test.Frames))
 	if err != nil {
@@ -151,23 +130,15 @@ func run(cfg runConfig) error {
 
 	// -record: capture this node's per-frame snapshots durably. The node
 	// never records frames — the world regenerates from (scenario, seed).
-	sink := cfg.export.Sink
-	var rec *store.Writer
-	if cfg.shared.Record != "" {
-		roster, err := scene.MarshalCameras(s.World.Cameras)
-		if err != nil {
-			return err
-		}
-		rec, err = cfg.shared.OpenRecorder(store.Manifest{
-			Label: fmt.Sprintf("mvnode/cam%d", cfg.camera), Scenario: cfg.scenario,
-			Seed: cfg.seed, TraceFrames: cfg.frames, Mode: "node",
-			Horizon: cfg.horizon, Cameras: roster,
-		})
-		if err != nil {
-			return err
-		}
+	rec, err := cfg.shared.OpenRecorder(store.Manifest{
+		Label: fmt.Sprintf("mvnode/cam%d", cfg.camera), Scenario: cfg.scenario,
+		Seed: cfg.seed, TraceFrames: cfg.frames, Mode: "node", Horizon: cfg.horizon,
+	}, s.World.Cameras)
+	if err != nil {
+		return err
+	}
+	if rec != nil {
 		defer rec.Close() // idempotent; the success path closes explicitly
-		sink = metrics.Multi(sink, rec)
 		log.Printf("recording node snapshots into %s", cfg.shared.Record)
 	}
 
@@ -200,7 +171,7 @@ func run(cfg runConfig) error {
 		Profile:    s.Profiles()[cfg.camera],
 		NumCameras: len(s.World.Cameras),
 		Seed:       cfg.seed,
-		Sink:       sink,
+		Sink:       cfg.shared.Sink(cfg.export, rec),
 	}
 	degradedFromStart := false
 	if err := client.Connect(); err != nil {
@@ -230,13 +201,9 @@ func run(cfg runConfig) error {
 		rt.EnterDegraded()
 	}
 
-	// -ingest-addr: this camera's observations arrive live over TCP
-	// instead of regenerating from the trace. The watchdog reuses the
-	// -deadline budget: a feed silent that long fails the run with a
-	// typed stall error rather than hanging the frame loop.
-	if cfg.shared.IngestAddr != "" && cfg.shared.CamFaults != "" {
-		return fmt.Errorf("-cam-faults schedules are trace-indexed and cannot be combined with -ingest-addr")
-	}
+	// The live feed's watchdog reuses the -deadline budget: a feed silent
+	// that long fails the run with a typed stall error rather than
+	// hanging the frame loop.
 	ingest, err := cfg.shared.OpenIngest([]*scene.Camera{cam}, cfg.deadline)
 	if err != nil {
 		return err

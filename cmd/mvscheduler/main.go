@@ -12,14 +12,11 @@
 //	            [-workers N] [-metrics-addr :8080] [-metrics-jsonl rounds.jsonl]
 //	            [-record rundir]
 //
-// -workers bounds the goroutines used for association-model training
-// and for each scheduling round's per-pair association fan-out
-// (0 = GOMAXPROCS, 1 = sequential); assignments are bit-identical at
-// every value (docs/SCALING.md). With -metrics-addr the scheduler
-// serves its latest scheduling-round snapshot as JSON at /metricsz;
-// -metrics-jsonl appends one snapshot per round to a file (see
-// docs/OBSERVABILITY.md). SIGINT/SIGTERM shut the scheduler down
-// cleanly, flushing the metrics log.
+// -workers bounds association-model training and each round's per-pair
+// association fan-out; assignments are bit-identical at every value
+// (docs/SCALING.md). The -metrics-* pair exports one snapshot per
+// scheduling round (docs/OBSERVABILITY.md). SIGINT/SIGTERM shut the
+// scheduler down cleanly, flushing the metrics log.
 //
 // Resilience (docs/FAULTS.md): -round-timeout bounds how long a round
 // waits for stragglers before scheduling with the reports received so
@@ -41,14 +38,12 @@
 //
 // -record <dir> captures every scheduling round's snapshot and
 // decision record into a run store for post-incident audit
-// (capture-only — camera outages are node-side, so -cam-faults here
-// only stamps the deployment's fault spec into the manifest; pass the
-// same spec to the nodes to arm it). See docs/STREAMING.md.
+// (capture-only; camera outages are node-side: mvnode -cam-faults).
+// See docs/STREAMING.md.
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"os"
@@ -56,13 +51,14 @@ import (
 	"syscall"
 	"time"
 
+	"mvs/internal/adapt"
 	"mvs/internal/assoc"
 	"mvs/internal/cliconf"
 	"mvs/internal/cluster"
+	"mvs/internal/experiments"
 	"mvs/internal/faults"
 	"mvs/internal/geom"
 	"mvs/internal/metrics"
-	"mvs/internal/scene"
 	"mvs/internal/shard"
 	"mvs/internal/store"
 	"mvs/internal/workload"
@@ -80,13 +76,12 @@ func main() {
 		shardMax     = flag.Int("shard-max", 0, "partition the fleet into overlap groups of at most N cameras and run one round loop per shard (0 = one global round)")
 		shardSpec    = flag.String("shards", "", "explicit shard partition, e.g. 0,1,2|3,4,5 (overrides -shard-max)")
 	)
-	shared := cliconf.Register(flag.CommandLine, "training/association")
+	shared := cliconf.Register(flag.CommandLine, "mvscheduler")
 	flag.Parse()
 
-	if err := run(*listen, *scenario, *seed, *frames, *roundTimeout, *lease, *faultsSpec, *shardMax, *shardSpec, shared); err != nil {
-		fmt.Fprintln(os.Stderr, "mvscheduler:", err)
-		os.Exit(1)
-	}
+	cliconf.Exit("mvscheduler", shared.WithExport(func(export *metrics.Export) error {
+		return run(*listen, *scenario, *seed, *frames, *roundTimeout, *lease, *faultsSpec, *shardMax, *shardSpec, shared, export)
+	}))
 }
 
 // service is the part of cluster.Scheduler and cluster.ShardedScheduler
@@ -122,83 +117,46 @@ func shardMap(spec string, maxShard int, s *workload.Scenario, model *assoc.Mode
 	return shard.Partition(g, maxShard)
 }
 
-func run(listen, scenario string, seed int64, frames int, roundTimeout, lease time.Duration, faultsSpec string, shardMax int, shardSpec string, shared *cliconf.Shared) error {
-	s, err := workload.ByName(scenario, seed)
+func run(listen, scenario string, seed int64, frames int, roundTimeout, lease time.Duration, faultsSpec string, shardMax int, shardSpec string, shared *cliconf.Shared, export *metrics.Export) error {
+	adaptPol, err := adapt.ParseSpec(shared.Adapt)
 	if err != nil {
 		return err
 	}
 	log.Printf("generating %s trace (%d frames) and training association model...", scenario, frames)
-	trace, err := s.World.Run(frames)
+	setup, err := experiments.Prepare(scenario, seed, frames, shared.Workers)
 	if err != nil {
 		return err
 	}
-	train, _ := trace.SplitTrain()
-	model, err := assoc.Train(train, assoc.Factories{Workers: shared.Workers})
+	s, model := setup.Scenario, setup.Model
+	m, err := shardMap(shardSpec, shardMax, s, model)
 	if err != nil {
 		return err
 	}
 
-	export, err := shared.OpenExport()
+	rec, err := shared.OpenRecorder(store.Manifest{
+		Label: "mvscheduler", Scenario: scenario, Seed: seed,
+		TraceFrames: frames, Mode: "cluster",
+	}, s.World.Cameras)
 	if err != nil {
 		return err
 	}
-	var rec *store.Writer
-	if shared.Record != "" {
-		roster, err := scene.MarshalCameras(s.World.Cameras)
-		if err != nil {
-			_ = export.Close()
-			return err
-		}
-		rec, err = shared.OpenRecorder(store.Manifest{
-			Label: "mvscheduler", Scenario: scenario, Seed: seed,
-			TraceFrames: frames, Mode: "cluster", Cameras: roster,
-		})
-		if err != nil {
-			_ = export.Close()
-			return err
-		}
+	if rec != nil {
+		defer rec.Close() // idempotent; the serve path closes explicitly
 		log.Printf("recording scheduling rounds into %s", shared.Record)
 	}
-	sink := export.Sink
-	if rec != nil {
-		sink = metrics.Multi(sink, rec)
-	}
 	opts := []cluster.Option{
-		cluster.WithLogger(log.Default()), cluster.WithSink(sink),
+		cluster.WithLogger(log.Default()), cluster.WithSink(shared.Sink(export, rec)),
 		cluster.WithWorkers(shared.Workers),
 		cluster.WithRoundTimeout(roundTimeout), cluster.WithLease(lease),
 	}
 	if rec != nil {
 		opts = append(opts, cluster.WithRounds(rec))
 	}
-	adaptPol, err := shared.AdaptPolicy()
-	if err != nil {
-		if rec != nil {
-			_ = rec.Close()
-		}
-		_ = export.Close()
-		return err
-	}
 	if adaptPol.Enabled() {
 		// Under a ShardedScheduler every option applies per shard, so
 		// each shard gets its own independent controller.
 		opts = append(opts, cluster.WithAdapt(adaptPol))
 		log.Printf("degradation control loop armed: %s", adaptPol.Spec())
-	}
-	closeAll := func(serveErr error) error {
-		if rec != nil {
-			if err := rec.Close(); err != nil && serveErr == nil {
-				serveErr = err
-			}
-		}
-		if err := export.Close(); err != nil && serveErr == nil {
-			serveErr = err
-		}
-		return serveErr
-	}
-	m, err := shardMap(shardSpec, shardMax, s, model)
-	if err != nil {
-		return closeAll(err)
 	}
 	var sched service
 	if m != nil {
@@ -208,7 +166,7 @@ func run(listen, scenario string, seed int64, frames int, roundTimeout, lease ti
 		sched, err = cluster.NewScheduler(model, s.Profiles(), 0, opts...)
 	}
 	if err != nil {
-		return closeAll(err)
+		return err
 	}
 	if export.Addr != "" {
 		log.Printf("serving live metrics at http://%s/metricsz", export.Addr)
@@ -216,13 +174,13 @@ func run(listen, scenario string, seed int64, frames int, roundTimeout, lease ti
 
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
-		return closeAll(err)
+		return err
 	}
 	if faultsSpec != "" {
 		fcfg, err := faults.ParseSpec(faultsSpec)
 		if err != nil {
 			ln.Close()
-			return closeAll(err)
+			return err
 		}
 		ln = faults.New(fcfg).Listener(ln)
 		log.Printf("fault injection armed: %s", faultsSpec)
@@ -237,5 +195,11 @@ func run(listen, scenario string, seed int64, frames int, roundTimeout, lease ti
 
 	log.Printf("central scheduler for %s (%d cameras) listening on %s",
 		scenario, len(s.Devices), ln.Addr())
-	return closeAll(sched.Serve(ln))
+	err = sched.Serve(ln)
+	if rec != nil {
+		if cerr := rec.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }

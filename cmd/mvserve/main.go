@@ -30,6 +30,7 @@ import (
 	"os"
 	"time"
 
+	"mvs/internal/adapt"
 	"mvs/internal/cliconf"
 	"mvs/internal/metrics"
 	"mvs/internal/pipeline"
@@ -50,18 +51,17 @@ func main() {
 		consolidate = flag.Bool("consolidate", true, "pack cross-tenant work into shared batches (false = dedicated-slice baseline)")
 		faultTenant = flag.Int("fault-tenant", -1, "apply -cam-faults to this tenant index only (-1 = every tenant)")
 	)
-	shared := cliconf.RegisterCore(flag.CommandLine, "association/coverage")
+	shared := cliconf.Register(flag.CommandLine, "mvserve")
 	flag.Parse()
 
-	if err := run(*tenants, *executors, *scenario, *frames, *seed,
-		*slo, *period, *consolidate, *faultTenant, shared); err != nil {
-		fmt.Fprintln(os.Stderr, "mvserve:", err)
-		os.Exit(1)
-	}
+	cliconf.Exit("mvserve", shared.WithExport(func(export *metrics.Export) error {
+		return run(*tenants, *executors, *scenario, *frames, *seed,
+			*slo, *period, *consolidate, *faultTenant, shared, export)
+	}))
 }
 
 func run(tenants, executors int, scenario string, frames int, seed int64,
-	slo, period time.Duration, consolidate bool, faultTenant int, shared *cliconf.Shared) error {
+	slo, period time.Duration, consolidate bool, faultTenant int, shared *cliconf.Shared, export *metrics.Export) error {
 	if tenants < 1 {
 		return fmt.Errorf("-tenants must be >= 1, got %d", tenants)
 	}
@@ -77,7 +77,7 @@ func run(tenants, executors int, scenario string, frames int, seed int64,
 	if err != nil {
 		return err
 	}
-	adaptPol, err := shared.AdaptPolicy()
+	adaptPol, err := adapt.ParseSpec(shared.Adapt)
 	if err != nil {
 		return err
 	}
@@ -85,14 +85,7 @@ func run(tenants, executors int, scenario string, frames int, seed int64,
 	if err != nil {
 		return err
 	}
-	export, err := shared.OpenExport()
-	if err != nil {
-		return err
-	}
-	var sink metrics.Sink
-	if shared.ExportEnabled() {
-		sink = export.Sink
-	}
+	sink := shared.Sink(export, nil)
 
 	pool, err := serve.NewPool(serve.Config{
 		Executors:   executors,
@@ -102,7 +95,6 @@ func run(tenants, executors int, scenario string, frames int, seed int64,
 		DefaultSLO:  slo,
 	})
 	if err != nil {
-		_ = export.Close()
 		return err
 	}
 	specs := make([]serve.TenantSpec, tenants)
@@ -123,12 +115,9 @@ func run(tenants, executors int, scenario string, frames int, seed int64,
 		}
 	}
 
-	results, runErr := serve.Run(pool, specs)
-	if err := export.Close(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		return runErr
+	results, err := serve.Run(pool, specs)
+	if err != nil {
+		return err
 	}
 
 	mode := "consolidated"

@@ -1,61 +1,61 @@
 // Command mvsim runs one scheduling algorithm over one scenario
-// end-to-end (in-process) and prints the evaluation summary.
+// end-to-end (in-process) and prints the evaluation summary — from a
+// generated trace, a live TCP feed, or a run it recorded earlier.
 //
 // Usage:
 //
-//	mvsim [-scenario S1|S2|S3] [-mode full|ind|cen|balb|sp]
+//	mvsim [-scenario S1|S2|S3|S4] [-mode full|ind|cen|balb|sp]
 //	      [-frames N] [-horizon T] [-seed N] [-workers N]
 //	      [-metrics-addr :8080] [-metrics-jsonl run.jsonl]
-//	      [-cam-faults seed=7,rate=0.1] [-health-k K]
-//	      [-record rundir]
+//	      [-cam-faults seed=7,rate=0.1] [-health-k K] [-adapt slo=500ms]
+//	      [-record rundir] [-ingest-addr :7100]
+//	mvsim -replay rundir [-verify] [-recover] [-mode M]
+//	      [-workers N] [-metrics-addr :8080] [-metrics-jsonl out.jsonl]
 //
-// -workers bounds the central stage's per-pair association fan-out at
-// key frames, the per-cell coverage precomputation at start-up and
-// association-model training (0 = GOMAXPROCS, 1 = sequential); a
-// frame's cameras are stepped one after another regardless. Results are
-// identical for every value (see docs/CONCURRENCY.md and docs/SCALING.md). -metrics-addr serves the latest
-// per-frame snapshot at /metricsz while the run is in flight;
-// -metrics-jsonl appends every snapshot to a file
-// (see docs/OBSERVABILITY.md). -cam-faults injects a deterministic
-// camera-outage schedule (syntax in docs/FAULTS.md) and -health-k
-// tunes the silence threshold for declaring a camera dead (0 disables
-// failover — the ablation).
+// Either way the run is built from its recipe, a store.Manifest
+// (cliconf.Build): the flags stamp one, -replay reads one back.
 //
-// -record <dir> streams the run into a durable run store: the frame
-// log, the per-frame snapshots, the scheduling-round decisions, and a
-// manifest that pins scenario, seed, mode, and fault schedule. A
-// recorded run replays bit-identically with mvreplay — including under
-// a different scheduler (docs/STREAMING.md). -store-fsync,
-// -store-keep-segments, and -store-keep-duration tune the store's
-// durability and retention
-// (docs/STREAMING.md §5); -pace throttles the trace to one frame per
+// The flags shared with the other binaries (-workers, -metrics-*,
+// -cam-faults, -health-k, -adapt) are in the README flag matrix; here
+// -workers bounds the key frame's per-pair association, the coverage
+// precomputation and model training, with identical results at every
+// value (docs/CONCURRENCY.md).
+//
+// -record <dir> streams the run into a durable run store: frame log,
+// per-frame snapshots, scheduling-round decisions, and the manifest.
+// -store-fsync, -store-keep-segments and -store-keep-duration tune its
+// durability and retention; -pace throttles the trace to one frame per
 // interval so a run spans wall time (CI's crash-injection step SIGKILLs
-// a paced recording mid-run and recovers it with mvreplay -recover).
+// a paced recording and recovers it). See docs/STREAMING.md §4-§5.
 //
-// -adapt arms the degradation control loop (docs/FAULTS.md §10): under
-// modeled-latency overload, queue pressure, or camera outages the
-// engine climbs a degradation ladder — stretching the key-frame
-// cadence and capping inspection input sizes — and recovers with
-// hysteresis when the pressure clears. The controller is deterministic
-// in the modeled state, so a recorded adapt run still verifies
-// byte-identically under mvreplay -verify.
+// -replay <dir> re-drives a recorded run: the frame log replaces the
+// simulator and the manifest regenerates the model, fault schedule and
+// controller, so the modeled results are bit-identical. -mode re-runs
+// the same incident under a different scheduler. -verify byte-compares
+// the replayed snapshot stream against the recorded one and names the
+// first diverging frame; it excludes -mode and refuses runs whose
+// snapshots are not a pure function of the frame log (live-ingest or
+// retention-windowed recordings). -recover first repairs a crashed
+// recording (store.Recover) so its valid prefix replays. Only -mode,
+// -workers and -metrics-* may accompany -replay; any other recipe flag
+// contradicts the manifest and is a usage error.
 //
-// -ingest-addr replaces the generated trace with a live TCP listener:
-// frame parts pushed by mvingest are assembled into engine frames, with
-// per-camera bounded queues shedding under overload per -shed-policy
-// and a watchdog that turns a stalled feed into a typed error instead
-// of a hang (docs/STREAMING.md §6).
+// -ingest-addr replaces the generated trace with a live TCP listener
+// fed by mvingest: per-camera bounded queues shed under overload per
+// -shed-policy, and a watchdog (-ingest-stall) turns a stalled feed into
+// a typed error instead of a hang (docs/STREAMING.md §6).
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"mvs/internal/cliconf"
-	"mvs/internal/experiments"
 	"mvs/internal/metrics"
 	"mvs/internal/pipeline"
 	"mvs/internal/scene"
@@ -64,44 +64,76 @@ import (
 )
 
 func main() {
-	var (
-		scenario  = flag.String("scenario", "S1", "scenario: S1, S2, or S3")
-		modeName  = flag.String("mode", "balb", "scheduler: full, ind, cen, balb, sp")
-		frames    = flag.Int("frames", 1200, "trace length in frames (10 FPS)")
-		horizon   = flag.Int("horizon", 10, "frames per scheduling horizon (T)")
-		seed      = flag.Int64("seed", 42, "simulation seed")
-		saveTrace = flag.String("save-trace", "", "write the generated trace as JSON and exit")
-		pace      = flag.Duration("pace", 0, "throttle the trace to one frame per interval (e.g. 5ms), so the run spans wall time")
-		stall     = flag.Duration("ingest-stall", 30*time.Second, "live-ingest watchdog deadline: fail the run if no frame assembles for this long (0 disables)")
-	)
-	shared := cliconf.Register(flag.CommandLine, "association/coverage")
-	flag.Parse()
-
-	if *saveTrace != "" {
-		if err := dumpTrace(*scenario, *frames, *seed, *saveTrace); err != nil {
-			fmt.Fprintln(os.Stderr, "mvsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	export, err := shared.OpenExport()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mvsim:", err)
-		os.Exit(1)
-	}
-	runErr := run(*scenario, *modeName, *frames, *horizon, *seed, *pace, *stall, shared, export)
-	if err := export.Close(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "mvsim:", runErr)
-		os.Exit(1)
-	}
+	cliconf.Exit("mvsim", run(flag.CommandLine, os.Args[1:], os.Stdout))
 }
 
-// dumpTrace archives a generated workload for external analysis or
-// replay.
-func dumpTrace(scenario string, frames int, seed int64, path string) error {
+// options are mvsim's own flags, beside the cliconf groups.
+type options struct {
+	scenario, mode  string
+	frames, horizon int
+	seed            int64
+	saveTrace       string
+	pace, stall     time.Duration
+	replay          string
+	verify, recover bool
+	modeSet         bool // -mode was given explicitly
+}
+
+// replayFlags are the flags that may accompany -replay: everything else
+// is part of the recipe the manifest already pins.
+var replayFlags = map[string]bool{
+	"replay": true, "verify": true, "recover": true, "mode": true,
+	"workers": true, "metrics-addr": true, "metrics-jsonl": true,
+}
+
+// run is the whole command on an explicit flag set, so a test can drive
+// it in-process; diagnostics go to fs.Output(), the summary to stdout.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	var o options
+	fs.StringVar(&o.scenario, "scenario", "S1", "scenario: S1, S2, S3, or S4")
+	fs.StringVar(&o.mode, "mode", "balb", "scheduler: full, ind, cen, balb, sp (with -replay: override the recorded one)")
+	fs.IntVar(&o.frames, "frames", 1200, "trace length in frames (10 FPS)")
+	fs.IntVar(&o.horizon, "horizon", 10, "frames per scheduling horizon (T)")
+	fs.Int64Var(&o.seed, "seed", 42, "simulation seed")
+	fs.StringVar(&o.saveTrace, "save-trace", "", "write the generated trace as JSON and exit")
+	fs.DurationVar(&o.pace, "pace", 0, "throttle the trace to one frame per interval (e.g. 5ms), so the run spans wall time")
+	fs.DurationVar(&o.stall, "ingest-stall", 30*time.Second, "live-ingest watchdog deadline: fail the run if no frame assembles for this long (0 disables)")
+	fs.StringVar(&o.replay, "replay", "", "re-drive the run recorded in this run-store directory instead of generating one")
+	fs.BoolVar(&o.verify, "verify", false, "with -replay: byte-compare the replayed snapshot stream against the recorded one")
+	fs.BoolVar(&o.recover, "recover", false, "with -replay: repair a crashed recording first (truncate torn tails, rebuild the frame index)")
+	shared := cliconf.Register(fs, "mvsim")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	// Usage errors come before the slow world generation, not after it.
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		o.modeSet = o.modeSet || f.Name == "mode"
+		if !replayFlags[f.Name] {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	switch {
+	case o.replay == "" && (o.verify || o.recover):
+		return errors.New("-verify and -recover need -replay <dir>")
+	case o.replay != "" && len(stray) > 0:
+		return fmt.Errorf("-replay takes its recipe from the recorded manifest; %v cannot accompany it (only -mode, -workers, -metrics-addr, -metrics-jsonl, -verify, -recover may)", stray)
+	case o.verify && o.modeSet:
+		return errors.New("-verify replays the recorded configuration; it cannot be combined with -mode")
+	case shared.IngestAddr != "" && shared.CamFaults != "":
+		return errors.New("-cam-faults schedules are trace-indexed and cannot be combined with -ingest-addr (use mvingest -faults for live network chaos)")
+	}
+	if o.saveTrace != "" {
+		return dumpTrace(o.scenario, o.frames, o.seed, o.saveTrace, fs.Output())
+	}
+	return shared.WithExport(func(export *metrics.Export) error {
+		return simulate(o, shared, export, stdout, fs.Output())
+	})
+}
+
+// dumpTrace archives a generated workload for external analysis.
+func dumpTrace(scenario string, frames int, seed int64, path string, stderr io.Writer) error {
 	s, err := workload.ByName(scenario, seed)
 	if err != nil {
 		return err
@@ -118,57 +150,102 @@ func dumpTrace(scenario string, frames int, seed int64, path string) error {
 	if err := trace.Save(f); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d frames (%d cameras) to %s\n",
+	fmt.Fprintf(stderr, "wrote %d frames (%d cameras) to %s\n",
 		len(trace.Frames), len(trace.Cameras), path)
 	return f.Close()
 }
 
-func run(scenario, modeName string, frames, horizon int, seed int64, pace, stall time.Duration, shared *cliconf.Shared, export *metrics.Export) error {
-	mode, err := cliconf.ParseMode(modeName)
+// openReplay opens the -replay store (repairing it first under -recover)
+// and applies the refusals: capture-only stores never replay, and
+// -verify needs snapshots that are a pure function of the frame log.
+func openReplay(o options, stderr io.Writer) (*store.Run, error) {
+	if o.recover {
+		rec, err := store.Recover(o.replay)
+		if err != nil {
+			return nil, fmt.Errorf("recover: %w", err)
+		}
+		fmt.Fprintf(stderr, "recovered %s: %d frames, %d snapshots, %d rounds (%d torn bytes truncated, %d unverifiable frames dropped)\n",
+			o.replay, rec.Frames, rec.Snapshots, rec.Rounds, rec.TruncatedBytes, rec.DroppedFrames)
+	}
+	recorded, err := store.Open(o.replay)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "preparing %s (%d frames)...\n", scenario, frames)
-	setup, err := experiments.Prepare(scenario, seed, frames)
-	if err != nil {
-		return err
+	man := recorded.Manifest()
+	switch {
+	case !recorded.HasFrames():
+		return nil, fmt.Errorf("%s recorded no frames (capture-only run, e.g. from mvexp or mvscheduler -record); only mvsim recordings replay", o.replay)
+	case !o.verify:
+		// The remaining refusals concern -verify only.
+	case man.Ingest != "":
+		return nil, fmt.Errorf("-verify refuses live-ingest recordings (%s was fed by -ingest-addr %s): snapshot ingest counters reflect arrival timing; replay without -verify instead", o.replay, man.Ingest)
+	case man.KeepSegments > 0:
+		return nil, fmt.Errorf("-verify refuses retention-windowed recordings (%s kept %d segments): the snapshot log spans the full run but only the window replays", o.replay, man.KeepSegments)
+	case man.KeepDuration != "":
+		return nil, fmt.Errorf("-verify refuses retention-windowed recordings (%s kept %s of segments): the snapshot log spans the full run but only the window replays", o.replay, man.KeepDuration)
 	}
-	cfg := pipeline.NewConfig(mode, seed)
-	cfg.Sched.Horizon = horizon
-	cfg.Sched.Workers = shared.Workers
-	if shared.ExportEnabled() {
-		cfg.Obs.Sink = export.Sink
-	}
-	adaptPol, err := shared.AdaptPolicy()
-	if err != nil {
-		return err
-	}
-	if adaptPol.Enabled() {
-		cfg.Adapt.Policy = adaptPol
-		fmt.Fprintf(os.Stderr, "degradation control loop armed: %s\n", adaptPol.Spec())
+	return recorded, nil
+}
+
+// simulate builds the run from its manifest — stamped from the flags, or
+// read back from the -replay store — picks the frame source, and drives
+// the engine.
+func simulate(o options, shared *cliconf.Shared, export *metrics.Export, stdout, stderr io.Writer) error {
+	var recorded *store.Run // nil unless -replay
+	var man store.Manifest
+	if o.replay != "" {
+		var err error
+		if recorded, err = openReplay(o, stderr); err != nil {
+			return err
+		}
+		man = recorded.Manifest()
+		if o.modeSet {
+			man.Mode = o.mode
+		}
+	} else {
+		mode, err := cliconf.ParseMode(o.mode)
+		if err != nil {
+			return err
+		}
+		man, err = shared.Manifest(store.Manifest{
+			Scenario: o.scenario, Seed: o.seed, TraceFrames: o.frames,
+			Mode: mode.String(), Horizon: o.horizon,
+		})
+		if err != nil {
+			return err
+		}
 	}
 
-	if shared.IngestAddr != "" && shared.CamFaults != "" {
-		return fmt.Errorf("-cam-faults schedules are trace-indexed and cannot be combined with -ingest-addr (use mvingest -faults for live network chaos)")
-	}
-	faults, err := shared.FaultModel(len(setup.Test.Cameras), len(setup.Test.Frames))
+	fmt.Fprintf(stderr, "preparing %s (seed %d, %d frames)...\n", man.Scenario, man.Seed, man.TraceFrames)
+	setup, cfg, err := cliconf.Build(man, shared.Workers)
 	if err != nil {
 		return err
 	}
-	if faults != nil {
-		cfg.Fault.CamFaults = faults
-		cfg.Fault.HealthK = shared.HealthK
-		fmt.Fprintf(os.Stderr, "injecting camera faults: %d/%d camera-frames down, health-k=%d\n",
-			faults.DownFrames(), len(setup.Test.Cameras)*len(setup.Test.Frames), shared.HealthK)
+	cams := setup.Test.Cameras
+	if pol := cfg.Adapt.Policy; pol.Enabled() {
+		fmt.Fprintf(stderr, "degradation control loop armed: %s\n", pol.Spec())
+	}
+	if f := cfg.Fault.CamFaults; f != nil {
+		fmt.Fprintf(stderr, "injecting camera faults: %d/%d camera-frames down, health-k=%d\n",
+			f.DownFrames(), f.NumCameras()*f.NumFrames(), cfg.Fault.HealthK)
 	}
 
-	// Source selection: the generated trace by default (optionally paced
-	// across wall time), or a live TCP ingest listener.
+	// Source selection: the recorded frame log, a live TCP ingest
+	// listener, or the generated trace (optionally paced across wall time).
 	var src pipeline.Source = pipeline.NewTraceSource(setup.Test)
-	if pace > 0 {
-		src = &pacedSource{Source: src, interval: pace}
+	if o.pace > 0 {
+		src = &pacedSource{Source: src, interval: o.pace}
 	}
-	ingest, err := shared.OpenIngest(setup.Test.Cameras, stall)
+	if recorded != nil {
+		if len(recorded.Cameras()) != len(cams) {
+			return fmt.Errorf("manifest roster has %d cameras but %s/%d regenerates %d — run and scenario disagree",
+				len(recorded.Cameras()), man.Scenario, man.Seed, len(cams))
+		}
+		if src, err = recorded.Source(); err != nil {
+			return err
+		}
+	}
+	ingest, err := shared.OpenIngest(cams, o.stall)
 	if err != nil {
 		return err
 	}
@@ -178,33 +255,25 @@ func run(scenario, modeName string, frames, horizon int, seed int64, pace, stall
 		// The store tee will wrap src, hiding the concrete type from the
 		// engine's IngestMeter auto-detection — set it explicitly.
 		cfg.Obs.Ingest = ingest
-		fmt.Fprintf(os.Stderr, "listening for live frame parts on %s (policy %s, stall %v)...\n",
-			shared.IngestAddr, shared.ShedPolicy, stall)
+		fmt.Fprintf(stderr, "listening for live frame parts on %s (policy %s, stall %v)...\n",
+			shared.IngestAddr, shared.ShedPolicy, o.stall)
 	}
 
 	// -record: tee the frame stream into a durable run store and persist
-	// snapshots + round decisions next to it, under a manifest that lets
-	// mvreplay regenerate the model and fault schedule.
-	var rec *store.Writer
-	if shared.Record != "" {
-		roster, err := scene.MarshalCameras(setup.Test.Cameras)
-		if err != nil {
-			return err
-		}
-		rec, err = shared.OpenRecorder(store.Manifest{
-			Scenario: scenario, Seed: seed, TraceFrames: frames,
-			Mode: mode.String(), Horizon: horizon, Cameras: roster,
-		})
-		if err != nil {
-			return err
-		}
+	// snapshots + round decisions next to it, under the manifest this run
+	// was built from.
+	rec, err := shared.OpenRecorder(man, cams)
+	if err != nil {
+		return err
+	}
+	if rec != nil {
 		src = rec.Tee(src)
 		cfg.Obs.Rounds = rec
-		if cfg.Obs.Sink != nil {
-			cfg.Obs.Sink = metrics.Multi(cfg.Obs.Sink, rec)
-		} else {
-			cfg.Obs.Sink = rec
-		}
+	}
+	cfg.Obs.Sink = shared.Sink(export, rec)
+	var replayed bytes.Buffer
+	if o.verify {
+		cfg.Obs.Sink = metrics.Multi(cfg.Obs.Sink, metrics.NewJSONLSink(&replayed))
 	}
 
 	eng, err := pipeline.NewEngine(src, setup.Scenario.Profiles(), setup.Model, cfg)
@@ -226,36 +295,42 @@ func run(scenario, modeName string, frames, horizon int, seed int64, pace, stall
 		if err := rec.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "recorded %d frames into %s (replay with: mvreplay -run %s)\n",
+		fmt.Fprintf(stderr, "recorded %d frames into %s (replay with: mvsim -replay %s)\n",
 			rep.Frames, shared.Record, shared.Record)
 	}
 
-	fmt.Printf("scenario:          %s (%s)\n", setup.Scenario.Name, setup.Scenario.Description)
-	fmt.Printf("algorithm:         %v\n", rep.Mode)
+	fmt.Fprintf(stdout, "scenario:          %s (%s)\n", setup.Scenario.Name, setup.Scenario.Description)
+	if recorded != nil {
+		fmt.Fprintf(stdout, "replayed run:      %s (seed %d, recorded as %s)\n", o.replay, man.Seed, recorded.Manifest().Mode)
+	}
+	fmt.Fprintf(stdout, "algorithm:         %v\n", rep.Mode)
 	if ingest != nil {
 		c := ingest.Counters()
-		fmt.Printf("live ingest:       %d parts admitted, %d shed (%s policy)\n",
+		fmt.Fprintf(stdout, "live ingest:       %d parts admitted, %d shed (%s policy)\n",
 			c.Ingested, c.Shed, shared.ShedPolicy)
 	}
-	fmt.Printf("frames evaluated:  %d (horizon T=%d)\n", rep.Frames, rep.Horizon)
-	fmt.Printf("object recall:     %.3f (tp=%d fn=%d)\n", rep.Recall, rep.TP, rep.FN)
-	fmt.Printf("slowest-camera latency: %v (p95 %v, max %v per frame)\n",
+	fmt.Fprintf(stdout, "frames evaluated:  %d (horizon T=%d)\n", rep.Frames, rep.Horizon)
+	fmt.Fprintf(stdout, "object recall:     %.3f (tp=%d fn=%d)\n", rep.Recall, rep.TP, rep.FN)
+	fmt.Fprintf(stdout, "slowest-camera latency: %v (p95 %v, max %v per frame)\n",
 		rep.MeanSlowest.Round(100_000), rep.P95Slowest.Round(100_000), rep.MaxSlowest.Round(100_000))
 	for i, m := range rep.PerCameraMean {
-		fmt.Printf("  camera %d (%s, %s): mean %v\n",
-			i, setup.Test.Cameras[i].Name, setup.Scenario.Devices[i], m.Round(100_000))
+		fmt.Fprintf(stdout, "  camera %d (%s, %s): mean %v\n",
+			i, cams[i].Name, setup.Scenario.Devices[i], m.Round(100_000))
 	}
-	fmt.Printf("framework overhead/frame: central=%v tracking=%v distributed=%v batching=%v\n",
+	fmt.Fprintf(stdout, "framework overhead/frame: central=%v tracking=%v distributed=%v batching=%v\n",
 		rep.CentralPerFrame.Round(10_000), rep.TrackingPerFrame.Round(10_000),
 		rep.DistributedPerFrame.Round(1_000), rep.BatchingPerFrame.Round(1_000))
-	if faults != nil {
-		fmt.Printf("camera faults:     outage=%d frames, reassigned=%d, orphaned=%d (p99 latency %v)\n",
+	if cfg.Fault.CamFaults != nil {
+		fmt.Fprintf(stdout, "camera faults:     outage=%d frames, reassigned=%d, orphaned=%d (p99 latency %v)\n",
 			rep.OutageFrames, rep.Reassignments, rep.OrphanedObjects, rep.P99Slowest.Round(100_000))
 	}
 
-	if mode != pipeline.Full && ingest == nil {
-		fullCfg := pipeline.NewConfig(pipeline.Full, seed)
-		fullCfg.Sched.Horizon = horizon
+	switch {
+	case o.verify:
+		return verifySnapshots(recorded, replayed.Bytes(), stdout)
+	case rep.Mode != pipeline.Full && ingest == nil && recorded == nil:
+		fullCfg := pipeline.NewConfig(pipeline.Full, man.Seed)
+		fullCfg.Sched.Horizon = man.Horizon
 		fullCfg.Sched.Workers = shared.Workers
 		fullRep, err := pipeline.Run(setup.Test, setup.Scenario.Profiles(), setup.Model, fullCfg)
 		if err != nil {
@@ -265,9 +340,40 @@ func run(scenario, modeName string, frames, horizon int, seed int64, pace, stall
 		if err != nil {
 			return err
 		}
-		fmt.Printf("speedup vs full-frame: %.2fx\n", speedup)
+		fmt.Fprintf(stdout, "speedup vs full-frame: %.2fx\n", speedup)
 	}
 	return nil
+}
+
+// verifySnapshots byte-compares the replayed snapshot stream against the
+// recorded one and names the first frame where they part. A verifiable
+// run carries one snapshot per frame from frame 0, so the line number is
+// the frame index.
+func verifySnapshots(recorded *store.Run, got []byte, stdout io.Writer) error {
+	want, err := recorded.SnapshotsRaw()
+	if err != nil {
+		return err
+	}
+	if len(want) == 0 {
+		return errors.New("recorded run has no snapshot log to verify against")
+	}
+	if bytes.Equal(want, got) {
+		fmt.Fprintf(stdout, "verify:            OK — %d snapshot bytes byte-identical to the recording\n", len(want))
+		return nil
+	}
+	wantLines, gotLines := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
+	frame := 0
+	for frame < len(wantLines) && frame < len(gotLines) && bytes.Equal(wantLines[frame], gotLines[frame]) {
+		frame++
+	}
+	line := func(lines [][]byte) string {
+		if frame >= len(lines) || len(lines[frame]) == 0 {
+			return "<end of stream>"
+		}
+		return fmt.Sprintf("%.200s", lines[frame])
+	}
+	return fmt.Errorf("replay DIVERGED at frame %d: the snapshot stream is not byte-identical to the recording\n  recorded: %s\n  replayed: %s",
+		frame, line(wantLines), line(gotLines))
 }
 
 // pacedSource throttles a frame source to one frame per interval of

@@ -17,9 +17,9 @@ import (
 	"path/filepath"
 	"time"
 
+	"mvs/internal/cliconf"
 	"mvs/internal/experiments"
 	"mvs/internal/viz"
-	"mvs/internal/workload"
 )
 
 func main() {
@@ -32,34 +32,27 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*scenario, *frames, *seed, *outDir, *latency); err != nil {
-		fmt.Fprintln(os.Stderr, "mvviz:", err)
-		os.Exit(1)
-	}
+	cliconf.Exit("mvviz", run(*scenario, *frames, *seed, *outDir, *latency))
 }
 
 func run(scenario string, frames int, seed int64, outDir string, latency bool) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	s, err := workload.ByName(scenario, seed)
+	fmt.Fprintf(os.Stderr, "simulating %s (%d frames)...\n", scenario, frames)
+	setup, err := experiments.Prepare(scenario, seed, frames, 0)
 	if err != nil {
 		return err
 	}
 
-	// 1. Deployment map (no simulation needed).
+	// 1. Deployment map.
 	if err := writeSVG(filepath.Join(outDir, scenario+"_map.svg"), func(f *os.File) error {
-		return viz.WorldMap(f, s.World)
+		return viz.WorldMap(f, setup.Scenario.World)
 	}); err != nil {
 		return err
 	}
 
 	// 2. Workload chart.
-	fmt.Fprintf(os.Stderr, "simulating %s (%d frames)...\n", scenario, frames)
-	setup, err := experiments.Prepare(scenario, seed, frames)
-	if err != nil {
-		return err
-	}
 	fig2 := experiments.Fig2(setup)
 	if err := writeSVG(filepath.Join(outDir, scenario+"_workload.svg"), func(f *os.File) error {
 		return viz.WorkloadChart(f, fig2.CameraNames, fig2.Counts, fig2.SampleEverySec)

@@ -13,8 +13,8 @@ import (
 	"sync"
 	"time"
 
-	"mvs/internal/assoc"
 	"mvs/internal/cluster"
+	"mvs/internal/experiments"
 	"mvs/internal/node"
 	"mvs/internal/scene"
 	"mvs/internal/workload"
@@ -25,17 +25,12 @@ func main() {
 		seed   = 42
 		frames = 1200
 	)
-	scenario := workload.S2(seed)
 	fmt.Println("generating S2 world and training the association model...")
-	trace, err := scenario.World.Run(frames)
+	setup, err := experiments.Prepare("S2", seed, frames, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	train, test := trace.SplitTrain()
-	model, err := assoc.Train(train, assoc.Factories{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	scenario, model, test := setup.Scenario, setup.Model, setup.Test
 
 	// Central scheduler on a loopback socket.
 	sched, err := cluster.NewScheduler(model, scenario.Profiles(), 0)

@@ -255,9 +255,6 @@ func NewController(pol Policy) *Controller {
 	}
 }
 
-// Policy returns the controller's normalized policy.
-func (c *Controller) Policy() Policy { return c.pol }
-
 // Observe records one frame's sample and charges an SLO violation if
 // the frame's modeled latency exceeded the objective.
 func (c *Controller) Observe(s Sample) {

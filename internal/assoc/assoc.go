@@ -138,11 +138,6 @@ type PairModel struct {
 	meanSrcW, meanSrcH float64
 }
 
-// ErrNoPositives is returned when a pair has no co-visible training
-// samples, so no regressor can be trained. The pair still gets a
-// classifier (which should answer "not visible").
-var ErrNoPositives = errors.New("assoc: no co-visible samples for pair")
-
 // TrainPair fits a pair model from samples using the supplied model
 // factories.
 func TrainPair(samples []Sample, newClf func() ml.Classifier, newReg func() ml.Regressor) (*PairModel, error) {

@@ -1,105 +1,157 @@
-// Package cliconf holds the flag groups shared by the mv* commands, so
-// every binary exposes the identical -workers / -metrics-addr /
-// -metrics-jsonl / -cam-faults / -health-k / -record matrix instead of
-// four hand-rolled copies (the README flag table is the source of
-// truth). Each command registers the shared group once, parses, and
-// turns the values into the config objects of the layer it drives:
-// metrics.OpenExport for the observability flags, camfault.Generate for
-// the fault flags, store.Create for -record, and ParseMode for the
-// scheduler-mode names.
+// Package cliconf is the front-end the mv* commands share, written once:
+// the cross-binary flags as per-concern groups (Register installs on a
+// binary exactly the groups it reads — the README flag matrix is this
+// package's table), the one interpreter that turns a run's recipe — a
+// store.Manifest, stamped from flags or read back from a recorded run —
+// into the engine configuration and trained setup (Build), and the rest
+// of main: the metrics-export lifecycle (WithExport, Exit), the
+// export-plus-recorder sink (Sink), the -record store (OpenRecorder) and
+// the -ingest-addr listener (OpenIngest).
 package cliconf
 
 import (
 	"flag"
 	"fmt"
 	"net"
+	"os"
 	"time"
 
 	"mvs/internal/adapt"
 	"mvs/internal/camfault"
+	"mvs/internal/experiments"
 	"mvs/internal/metrics"
 	"mvs/internal/pipeline"
 	"mvs/internal/scene"
 	"mvs/internal/store"
 )
 
-// Shared is the flag matrix common to mvsim, mvexp, mvscheduler, and
-// mvnode; mvserve registers the RegisterCore subset and mvreplay a
-// hand-rolled one. Fields are filled by fs.Parse after Register.
+// group is a set of flag concerns. A binary registers a group only if it
+// reads every flag in it, so an unread flag is rejected by the flag
+// package instead of being silently accepted.
+type group uint
+
+const (
+	workers   group = 1 << iota // -workers
+	export                      // -metrics-addr, -metrics-jsonl
+	camFaults                   // -cam-faults
+	failover                    // -health-k, the engine-side dead-camera threshold
+	adaptLoop                   // -adapt
+	record                      // -record with its -store-fsync durability policy
+	retention                   // -store-keep-*: frame-log retention, for a binary that records frames
+	ingest                      // -ingest-addr, -shed-policy
+)
+
+// binaries is the flag matrix: which groups each command reads, and what
+// its -workers bounds. TestRegisterMatrix pins it flag by flag.
+var binaries = map[string]struct {
+	groups      group
+	workersHelp string
+}{
+	"mvsim":       {workers | export | camFaults | failover | adaptLoop | record | retention | ingest, "association/coverage/training"},
+	"mvexp":       {workers | export | camFaults | failover | adaptLoop | record, "experiment/association"},
+	"mvscheduler": {workers | export | adaptLoop | record, "training/association"},
+	"mvnode":      {export | camFaults | record | ingest, ""},
+	"mvserve":     {workers | export | camFaults | failover | adaptLoop, "association/coverage"},
+}
+
+// Shared holds the values of the cross-binary flags, filled by fs.Parse
+// after Register; a field whose group the binary did not register keeps
+// its default. Register's usage strings say what each one does.
 type Shared struct {
-	// Workers bounds each binary's fan-outs (0 = GOMAXPROCS,
-	// 1 = sequential); modelled results are identical for every value
-	// (docs/CONCURRENCY.md, docs/SCALING.md).
-	Workers int
-	// MetricsAddr and MetricsJSONL are the live-export knobs
-	// (docs/OBSERVABILITY.md).
-	MetricsAddr  string
-	MetricsJSONL string
-	// CamFaults is the camera-outage schedule spec (docs/FAULTS.md);
-	// empty disables injection. HealthK is the dead-camera silence
-	// threshold (0 disables failover).
-	CamFaults string
-	HealthK   int
-	// Record is the run-store directory (docs/STREAMING.md); empty
-	// disables recording.
-	Record string
-	// StoreFsync, StoreKeep, and StoreKeepDur tune the -record store's
-	// durability and retention (store.Options; docs/STREAMING.md §5).
-	// Count and age bounds share one pruning path; both apply when both
-	// are set.
-	StoreFsync   string
-	StoreKeep    int
-	StoreKeepDur time.Duration
-	// Adapt is the degradation-control-loop spec (adapt.ParseSpec
-	// syntax, docs/FAULTS.md §10); empty disables the controller.
-	Adapt string
-	// IngestAddr, when set, makes the binary listen for live frame
-	// parts (pipeline.IngestSource) instead of generating a trace;
-	// ShedPolicy picks what its admission queues drop under overload
-	// (docs/STREAMING.md §6).
-	IngestAddr string
-	ShedPolicy string
+	Workers                   int    // 0 = GOMAXPROCS, 1 = sequential; results identical at every value
+	MetricsAddr, MetricsJSONL string // docs/OBSERVABILITY.md
+	CamFaults                 string // camfault.ParseSpec syntax, docs/FAULTS.md §6
+	HealthK                   int
+	Adapt                     string // adapt.ParseSpec syntax, docs/FAULTS.md §10
+	Record                    string // run-store directory, docs/STREAMING.md
+	// StoreFsync, StoreKeep and StoreKeepDur are the store.Options of the
+	// -record store (docs/STREAMING.md §5); the count and age bounds
+	// share one pruning path and both apply when both are set.
+	StoreFsync             string
+	StoreKeep              int
+	StoreKeepDur           time.Duration
+	IngestAddr, ShedPolicy string // docs/STREAMING.md §6
 }
 
-// Register installs the shared matrix on fs. workersHelp tailors the
-// -workers usage line to the binary's fan-outs ("association",
-// "experiment/association", ...).
-func Register(fs *flag.FlagSet, workersHelp string) *Shared {
-	s := RegisterCore(fs, workersHelp)
-	fs.StringVar(&s.Record, "record", "", "record this run into a run-store directory (see docs/STREAMING.md)")
-	fs.StringVar(&s.StoreFsync, "store-fsync", "never", "-record durability policy: never, interval, every-record")
-	fs.IntVar(&s.StoreKeep, "store-keep-segments", 0, "-record frame-log retention: keep only the newest N segments (0 = unlimited)")
-	fs.DurationVar(&s.StoreKeepDur, "store-keep-duration", 0, "-record frame-log retention by age: drop segments older than this (0 = unlimited)")
-	fs.StringVar(&s.IngestAddr, "ingest-addr", "", "listen for live length-prefixed frame parts on this address instead of generating a trace (e.g. :7100; push with mvingest)")
-	fs.StringVar(&s.ShedPolicy, "shed-policy", "drop-oldest", "ingest overload shedding: drop-oldest, freshest, stale")
+// Register installs on fs the flag groups the named binary reads. An
+// unknown binary is a programming error and panics.
+func Register(fs *flag.FlagSet, binary string) *Shared {
+	b, ok := binaries[binary]
+	if !ok {
+		panic("cliconf: no flag matrix row for " + binary)
+	}
+	s := &Shared{StoreFsync: "never"}
+	has := func(g group) bool { return b.groups&g != 0 }
+	if has(workers) {
+		fs.IntVar(&s.Workers, "workers", 0, b.workersHelp+" worker bound (0 = GOMAXPROCS, 1 = sequential)")
+	}
+	if has(export) {
+		fs.StringVar(&s.MetricsAddr, "metrics-addr", "", "serve live /metricsz snapshots on this address (e.g. :8080)")
+		fs.StringVar(&s.MetricsJSONL, "metrics-jsonl", "", "append metrics snapshots to this JSONL file")
+	}
+	if has(camFaults) {
+		fs.StringVar(&s.CamFaults, "cam-faults", "", "camera-fault schedule, e.g. seed=7,rate=0.1,mean=20 (see docs/FAULTS.md)")
+	}
+	if has(failover) {
+		fs.IntVar(&s.HealthK, "health-k", 3, "frames of silence before a camera is declared dead (0 disables failover)")
+	}
+	if has(adaptLoop) {
+		fs.StringVar(&s.Adapt, "adapt", "", "degradation control loop, e.g. slo=500ms,window=40,cooldown=2,max=3 (see docs/FAULTS.md)")
+	}
+	if has(record) {
+		fs.StringVar(&s.Record, "record", "", "record this run into a run-store directory (see docs/STREAMING.md)")
+		fs.StringVar(&s.StoreFsync, "store-fsync", s.StoreFsync, "-record durability policy: never, interval, every-record")
+	}
+	if has(retention) {
+		fs.IntVar(&s.StoreKeep, "store-keep-segments", 0, "-record frame-log retention: keep only the newest N segments (0 = unlimited)")
+		fs.DurationVar(&s.StoreKeepDur, "store-keep-duration", 0, "-record frame-log retention by age: drop segments older than this (0 = unlimited)")
+	}
+	if has(ingest) {
+		fs.StringVar(&s.IngestAddr, "ingest-addr", "", "listen for live length-prefixed frame parts on this address instead of generating a trace (e.g. :7100; push with mvingest)")
+		fs.StringVar(&s.ShedPolicy, "shed-policy", "drop-oldest", "ingest overload shedding: drop-oldest, freshest, stale")
+	}
 	return s
 }
 
-// RegisterCore installs only the core subset of the matrix — -workers,
-// the -metrics-* export pair, the -cam-faults / -health-k fault pair,
-// and -adapt — for binaries with no run-store or live-ingest surface
-// (mvserve). Register builds on it.
-func RegisterCore(fs *flag.FlagSet, workersHelp string) *Shared {
-	s := &Shared{}
-	fs.IntVar(&s.Workers, "workers", 0, workersHelp+" worker bound (0 = GOMAXPROCS, 1 = sequential)")
-	fs.StringVar(&s.MetricsAddr, "metrics-addr", "", "serve live /metricsz snapshots on this address (e.g. :8080)")
-	fs.StringVar(&s.MetricsJSONL, "metrics-jsonl", "", "append metrics snapshots to this JSONL file")
-	fs.StringVar(&s.CamFaults, "cam-faults", "", "camera-fault schedule, e.g. seed=7,rate=0.1,mean=20 (see docs/FAULTS.md)")
-	fs.IntVar(&s.HealthK, "health-k", 3, "frames of silence before a camera is declared dead (0 disables failover)")
-	fs.StringVar(&s.Adapt, "adapt", "", "degradation control loop, e.g. slo=500ms,window=40,cooldown=2,max=3 (see docs/FAULTS.md)")
-	return s
+// WithExport runs body under the -metrics-* export stack: open, run,
+// close, and fold the close error into body's. The export is always
+// non-nil (a zero-config export closes cleanly); Sink decides whether it
+// is worth attaching.
+func (s *Shared) WithExport(body func(*metrics.Export) error) error {
+	export, err := metrics.OpenExport(s.MetricsAddr, s.MetricsJSONL)
+	if err != nil {
+		return err
+	}
+	err = body(export)
+	if cerr := export.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// OpenExport builds the metrics export stack from the -metrics-* flags.
-// The export is always non-nil (a zero-config export closes cleanly);
-// ExportEnabled reports whether a sink should actually be attached.
-func (s *Shared) OpenExport() (*metrics.Export, error) {
-	return metrics.OpenExport(s.MetricsAddr, s.MetricsJSONL)
+// Exit ends a command: silently on a nil error, with "name: err" on
+// stderr and status 1 otherwise.
+func Exit(name string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		os.Exit(1)
+	}
 }
 
-// ExportEnabled reports whether any -metrics-* flag was given.
-func (s *Shared) ExportEnabled() bool {
-	return s.MetricsAddr != "" || s.MetricsJSONL != ""
+// Sink composes the snapshot sink of a run: the export when a -metrics-*
+// flag was given, plus the recorder when there is one. It is nil when
+// there is neither, so the engine skips building snapshots.
+func (s *Shared) Sink(export *metrics.Export, rec *store.Writer) metrics.Sink {
+	exporting := s.MetricsAddr != "" || s.MetricsJSONL != ""
+	switch {
+	case exporting && rec != nil:
+		return metrics.Multi(export.Sink, rec)
+	case exporting:
+		return export.Sink
+	case rec != nil:
+		return rec
+	}
+	return nil
 }
 
 // FaultModel materialises the -cam-faults spec for a roster of numCams
@@ -132,45 +184,92 @@ func (s *Shared) StoreOptions() (store.Options, error) {
 	return store.Options{Fsync: fsync, KeepSegments: s.StoreKeep, KeepDuration: s.StoreKeepDur}, nil
 }
 
-// AdaptPolicy materialises the -adapt spec as an adapt.Policy. The zero
-// policy (flag unset) leaves the controller disabled.
-func (s *Shared) AdaptPolicy() (adapt.Policy, error) {
-	if s.Adapt == "" {
-		return adapt.Policy{}, nil
+// Manifest stamps the recipe flags this binary read — the fault schedule
+// and its failover threshold, the canonical adapt spec, the ingest
+// address — into man, so that the manifest alone regenerates the run
+// (Build) and -verify can refuse runs whose snapshots are not a pure
+// function of the frame log.
+func (s *Shared) Manifest(man store.Manifest) (store.Manifest, error) {
+	if s.CamFaults != "" {
+		man.CamFaults, man.HealthK = s.CamFaults, s.HealthK
 	}
-	return adapt.ParseSpec(s.Adapt)
+	man.Ingest = s.IngestAddr
+	if s.Adapt != "" {
+		// The canonical spec: adapt.Policy.Spec round-trips through
+		// ParseSpec, so a replay regenerates the identical controller.
+		pol, err := adapt.ParseSpec(s.Adapt)
+		if err != nil {
+			return man, err
+		}
+		man.Adapt = pol.Spec()
+	}
+	return man, nil
 }
 
-// OpenRecorder creates the -record run store under the -store-* options,
-// stamping the fault and ingest flags into the manifest so a replay can
-// regenerate the identical schedule (and -verify can refuse runs whose
-// snapshots are not a pure function of the frame log). It returns
-// (nil, nil) when -record is unset; callers own the writer's Close.
-func (s *Shared) OpenRecorder(man store.Manifest) (*store.Writer, error) {
+// OpenRecorder creates the -record run store for a fleet of cams, under
+// man stamped by Manifest and the -store-* options. It returns (nil, nil)
+// when -record is unset; callers own the writer's Close.
+func (s *Shared) OpenRecorder(man store.Manifest, cams []*scene.Camera) (*store.Writer, error) {
 	if s.Record == "" {
 		return nil, nil
 	}
-	if man.CamFaults == "" && s.CamFaults != "" {
-		man.CamFaults = s.CamFaults
-		man.HealthK = s.HealthK
+	man, err := s.Manifest(man)
+	if err != nil {
+		return nil, err
 	}
-	if man.Ingest == "" && s.IngestAddr != "" {
-		man.Ingest = s.IngestAddr
-	}
-	if man.Adapt == "" && s.Adapt != "" {
-		// Store the canonical spec so a replay regenerates the identical
-		// controller (adapt.Policy.Spec round-trips through ParseSpec).
-		pol, err := s.AdaptPolicy()
-		if err != nil {
-			return nil, err
-		}
-		man.Adapt = pol.Spec()
+	if man.Cameras, err = scene.MarshalCameras(cams); err != nil {
+		return nil, err
 	}
 	opts, err := s.StoreOptions()
 	if err != nil {
 		return nil, err
 	}
 	return store.CreateWith(s.Record, man, opts)
+}
+
+// Build is the one interpreter of a run's recipe: it regenerates the
+// manifest's (scenario, seed) world, trains the association model on its
+// training half, and derives the engine configuration — mode, horizon,
+// the fault schedule regenerated from its spec over the evaluation half,
+// the adapt controller from its canonical spec. Whether the manifest was
+// stamped from flags (a fresh run) or read back by store.Open (a replay)
+// makes no difference, which is what keeps record and replay symmetric.
+// workers bounds training and the engine's fan-outs.
+func Build(man store.Manifest, workers int) (*experiments.Setup, pipeline.Config, error) {
+	// Everything cheap is parsed before the slow world generation, so a
+	// bad recipe fails at once.
+	mode, err := ParseMode(man.Mode)
+	if err != nil {
+		return nil, pipeline.Config{}, err
+	}
+	cfg := pipeline.NewConfig(mode, man.Seed)
+	cfg.Sched.Horizon = man.Horizon
+	cfg.Sched.Workers = workers
+	// An empty spec parses to the zero policy (no controller) and the
+	// zero fault config.
+	if cfg.Adapt.Policy, err = adapt.ParseSpec(man.Adapt); err != nil {
+		return nil, cfg, fmt.Errorf("adapt spec: %w", err)
+	}
+	faults, err := camfault.ParseSpec(man.CamFaults)
+	if err != nil {
+		return nil, cfg, fmt.Errorf("fault spec: %w", err)
+	}
+	setup, err := experiments.Prepare(man.Scenario, man.Seed, man.TraceFrames, workers)
+	if err != nil {
+		return nil, cfg, err
+	}
+	if man.CamFaults != "" {
+		// The schedule spans the whole evaluation half, of which a crashed
+		// recording replays a prefix: camfault.Generate draws each camera's
+		// frames in order, so the prefix of the schedule is the schedule of
+		// the prefix.
+		cfg.Fault.HealthK = man.HealthK
+		cfg.Fault.CamFaults, err = camfault.Generate(faults, len(setup.Test.Cameras), len(setup.Test.Frames))
+		if err != nil {
+			return nil, cfg, err
+		}
+	}
+	return setup, cfg, nil
 }
 
 // OpenIngest builds and serves the -ingest-addr live source for a fixed
@@ -199,21 +298,16 @@ func (s *Shared) OpenIngest(cams []*scene.Camera, stall time.Duration) (*pipelin
 }
 
 // ParseMode maps a mode name to its pipeline mode. It accepts both the
-// CLI short names (mvsim -mode, mvreplay -mode) and the canonical
-// Mode.String() forms a run-store manifest records.
+// CLI short names (mvsim -mode) and the canonical Mode.String() forms a
+// run-store manifest records.
 func ParseMode(s string) (pipeline.Mode, error) {
-	switch s {
-	case "full", pipeline.Full.String():
-		return pipeline.Full, nil
-	case "ind", pipeline.Independent.String():
-		return pipeline.Independent, nil
-	case "cen", pipeline.CentralOnly.String():
-		return pipeline.CentralOnly, nil
-	case "balb", pipeline.BALB.String():
-		return pipeline.BALB, nil
-	case "sp", pipeline.StaticPartition.String():
-		return pipeline.StaticPartition, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want full, ind, cen, balb, sp)", s)
+	for mode, short := range map[pipeline.Mode]string{
+		pipeline.Full: "full", pipeline.Independent: "ind", pipeline.CentralOnly: "cen",
+		pipeline.BALB: "balb", pipeline.StaticPartition: "sp",
+	} {
+		if s == short || s == mode.String() {
+			return mode, nil
+		}
 	}
+	return 0, fmt.Errorf("unknown mode %q (want full, ind, cen, balb, sp)", s)
 }

@@ -98,9 +98,6 @@ func NewClientConn(raw net.Conn, camera int, timeout time.Duration, frameW, fram
 	}
 }
 
-// Camera returns the node's camera index.
-func (c *Client) Camera() int { return c.camera }
-
 // BytesSent returns the uplink bytes written so far (detection uploads).
 func (c *Client) BytesSent() int64 { return c.conn.sent.Load() }
 

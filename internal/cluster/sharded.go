@@ -302,9 +302,6 @@ func NewShardedScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU
 	return ss, nil
 }
 
-// NumShards returns the number of independent round loops.
-func (ss *ShardedScheduler) NumShards() int { return len(ss.shards) }
-
 // Serve accepts camera connections on ln, reads each connection's hello
 // handshake, and hands the connection to the owning shard's scheduler.
 // It blocks until the listener closes (or Close is called) and every

@@ -1,8 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation section on the simulated testbed. Each experiment is a pure
-// function from a prepared Setup to structured results, shared by the
-// mvexp command and the repository benchmarks so that both always report
-// the same quantities.
+// function from a prepared Setup to structured results; the mvexp command
+// prints them, and is the one place a figure is regenerated.
 //
 // # Execution model
 //
@@ -71,10 +70,12 @@ type Setup struct {
 	Seed int64
 }
 
-// Prepare generates the scenario trace and trains the deployed
-// association model. frames <= 0 defaults to 1200 (two minutes at
-// 10 FPS).
-func Prepare(name string, seed int64, frames int) (*Setup, error) {
+// Generate regenerates the scenario world and splits its trace into the
+// training and evaluation halves, without training a model. It is the
+// one step a scheduler, its camera nodes and a frame sender must agree
+// on: all three derive the same halves from (name, seed, frames).
+// frames <= 0 defaults to 1200 (two minutes at 10 FPS).
+func Generate(name string, seed int64, frames int) (*Setup, error) {
 	if frames <= 0 {
 		frames = 1200
 	}
@@ -87,11 +88,22 @@ func Prepare(name string, seed int64, frames int) (*Setup, error) {
 		return nil, fmt.Errorf("experiments: %s: %w", name, err)
 	}
 	train, test := trace.SplitTrain()
-	model, err := assoc.Train(train, assoc.Factories{})
+	return &Setup{Scenario: s, Train: train, Test: test, Seed: seed}, nil
+}
+
+// Prepare is Generate plus the deployed association model, trained on
+// the training half with at most workers goroutines (0 = GOMAXPROCS; the
+// model is identical at every value).
+func Prepare(name string, seed int64, frames, workers int) (*Setup, error) {
+	s, err := Generate(name, seed, frames)
+	if err != nil {
+		return nil, err
+	}
+	s.Model, err = assoc.Train(s.Train, assoc.Factories{Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s association training: %w", name, err)
 	}
-	return &Setup{Scenario: s, Train: train, Test: test, Model: model, Seed: seed}, nil
+	return s, nil
 }
 
 // Options bounds an experiment's execution and attaches observability

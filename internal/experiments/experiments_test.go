@@ -18,7 +18,7 @@ var (
 func setupS2(t *testing.T) *Setup {
 	t.Helper()
 	s2Once.Do(func() {
-		s2, s2Err = Prepare("S2", 13, 600)
+		s2, s2Err = Prepare("S2", 13, 600, 0)
 	})
 	if s2Err != nil {
 		t.Fatal(s2Err)
@@ -40,7 +40,7 @@ func TestPrepareSplitsTrace(t *testing.T) {
 }
 
 func TestPrepareRejectsUnknown(t *testing.T) {
-	if _, err := Prepare("S9", 1, 100); err == nil {
+	if _, err := Prepare("S9", 1, 100, 0); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }

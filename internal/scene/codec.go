@@ -108,9 +108,8 @@ func (e *enc) done(dst []byte) ([]byte, error) {
 }
 
 // AppendObservations appends the wire JSON of one camera's observation
-// list to dst — the bytes MarshalObservations returns, without the
-// intermediate copies. An empty list is []. A NaN or infinite coordinate
-// is an error and leaves dst as it was.
+// list to dst, the form UnmarshalObservations parses. An empty list is
+// []. A NaN or infinite coordinate is an error and leaves dst as it was.
 func AppendObservations(dst []byte, obs []Observation) ([]byte, error) {
 	e := enc{b: dst}
 	e.observations(obs)

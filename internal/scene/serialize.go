@@ -159,20 +159,10 @@ func UnmarshalFrame(data []byte, numCameras int) (*FrameTruth, error) {
 	return fromFrameJSON(jf, numCameras)
 }
 
-// MarshalObservations returns the wire JSON for one camera's
-// observation list — the per-camera element of MarshalFrame's schema —
-// so a live ingest protocol can ship a frame camera by camera without
-// coupling to runtime structs. The float64 round-trip is exact, like
-// the whole-frame codec's.
-func MarshalObservations(obs []Observation) (json.RawMessage, error) {
-	data, err := AppendObservations(nil, obs)
-	if err != nil {
-		return nil, fmt.Errorf("scene: encode observations: %w", err)
-	}
-	return data, nil
-}
-
-// UnmarshalObservations parses a list written by MarshalObservations.
+// UnmarshalObservations parses the wire JSON of one camera's
+// observation list (AppendObservations) — the per-camera element of
+// MarshalFrame's schema — so a live ingest protocol can ship a frame
+// camera by camera without coupling to runtime structs.
 func UnmarshalObservations(data json.RawMessage) ([]Observation, error) {
 	if obs, rest, ok := ScanObservations(data); ok && len(rest) == 0 {
 		return obs, nil
@@ -191,17 +181,8 @@ func UnmarshalObservations(data json.RawMessage) ([]Observation, error) {
 	return obs, nil
 }
 
-// MarshalObjects returns the wire JSON for a ground-truth object list —
-// the objects element of MarshalFrame's schema.
-func MarshalObjects(objs []ObjectState) (json.RawMessage, error) {
-	data, err := AppendObjects(nil, objs)
-	if err != nil {
-		return nil, fmt.Errorf("scene: encode objects: %w", err)
-	}
-	return data, nil
-}
-
-// UnmarshalObjects parses a list written by MarshalObjects.
+// UnmarshalObjects parses the wire JSON of a ground-truth object list
+// (AppendObjects) — the objects element of MarshalFrame's schema.
 func UnmarshalObjects(data json.RawMessage) ([]ObjectState, error) {
 	if objs, rest, ok := ScanObjects(data); ok && len(rest) == 0 {
 		return objs, nil

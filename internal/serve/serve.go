@@ -208,24 +208,6 @@ type Tenant struct {
 	replyReady bool
 }
 
-// ID returns the tenant's registered identity.
-func (t *Tenant) ID() string { return t.id }
-
-// Stats returns the tenant's cumulative executor counters.
-func (t *Tenant) Stats() pipeline.ExecStats {
-	t.pool.mu.Lock()
-	defer t.pool.mu.Unlock()
-	return t.stats
-}
-
-// ShedLevel returns the admission ladder rung currently applied to the
-// tenant's partial tasks.
-func (t *Tenant) ShedLevel() int {
-	t.pool.mu.Lock()
-	defer t.pool.mu.Unlock()
-	return t.shedLevel
-}
-
 // SubmitFrame implements pipeline.TenantExecutor: it files the
 // tenant's frame into the current epoch and blocks until every active
 // tenant has submitted and the epoch is priced. The returned results

@@ -79,7 +79,7 @@ func (r *Run) NumFrames() int {
 }
 
 // SnapshotsRaw returns the recorded snapshot log as plain JSONL — the
-// byte-exact form mvreplay -verify compares a re-run's JSONL sink
+// byte-exact form mvsim -replay -verify compares a re-run's JSONL sink
 // output against. Version-2 checksum prefixes are verified and
 // stripped, so the result is checksum-free regardless of format
 // version. Missing file means the run recorded no snapshots (nil, no

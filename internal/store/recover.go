@@ -35,7 +35,7 @@ type Recovery struct {
 // the longest prefix covered by both the frame log and the snapshot
 // log, writes frames/index.json (which a killed writer never got to),
 // and rewrites the manifest with Recovered set. After Recover, Open
-// sees a sealed run and mvreplay -verify passes on the recovered
+// sees a sealed run and mvsim -replay -verify passes on the recovered
 // prefix. Recover is idempotent: on a healthy sealed run it validates
 // and rewrites the index without dropping anything.
 func Recover(dir string) (*Recovery, error) {

@@ -73,7 +73,7 @@ func recordSmallRun(t *testing.T) (dir string, snaps []byte, replayPrefix func(t
 
 	// replayPrefix re-drives whatever the (possibly recovered) store now
 	// holds under the recorded configuration and returns the replay's
-	// snapshot JSONL — the mvreplay -verify comparison.
+	// snapshot JSONL — the mvsim -replay -verify comparison.
 	replayPrefix = func(t *testing.T) []byte {
 		t.Helper()
 		run, err := Open(dir)

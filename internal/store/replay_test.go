@@ -147,7 +147,7 @@ func TestReplayByteIdentical(t *testing.T) {
 	}
 
 	// Cross-scheduler replay: the same recorded incident re-driven under
-	// StaticPartition — the mvreplay -mode path.
+	// StaticPartition — the mvsim -replay -mode path.
 	src2, err := run.Source()
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func TestKeepSegmentsPrunesOldest(t *testing.T) {
 // TestKeepDurationPrunesByAge drives the age-based retention bound with
 // a fake clock: segments older than KeepDuration are deleted at the
 // next roll, newer ones survive, and the manifest records the bound so
-// mvreplay -verify can refuse the windowed run.
+// mvsim -replay -verify can refuse the windowed run.
 func TestKeepDurationPrunesByAge(t *testing.T) {
 	dir := t.TempDir()
 	_, roster := testRoster(t, 2)

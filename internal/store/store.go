@@ -3,7 +3,7 @@
 // frames it consumed, the per-frame metrics snapshots it emitted, and
 // the per-round scheduling decisions it took — so an incident can be
 // audited after the fact or re-driven under a different scheduler
-// (cmd/mvreplay, docs/STREAMING.md).
+// (mvsim -replay, docs/STREAMING.md).
 //
 // A run is a directory:
 //
@@ -17,7 +17,7 @@
 // Everything is JSON Lines over plain files — no external database.
 // The layout is deliberately SQLite-shaped (docs/STREAMING.md gives the
 // equivalent schema) so a future cgo-enabled build can swap the backend
-// without changing the Store interface. Frame segments are optional: a
+// behind the Writer and Run methods. Frame segments are optional: a
 // *capture* run (snapshots + rounds only) records what happened; a
 // *full* run also records frames and is replayable bit-for-bit.
 //
@@ -120,7 +120,7 @@ type Options struct {
 	// KeepSegments, when > 0, bounds the frame log to the newest N
 	// segments: each roll past the bound deletes the oldest segment
 	// file (retention for long-running recordings). A retained run
-	// replays only its surviving window, so mvreplay -verify refuses it.
+	// replays only its surviving window, so mvsim -replay -verify refuses it.
 	KeepSegments int
 	// KeepDuration, when > 0, bounds the frame log by age: each roll
 	// deletes closed segments whose first frame arrived more than
@@ -245,20 +245,6 @@ type Source interface {
 	Next() (*scene.FrameTruth, error)
 }
 
-// Store is the writer side of a run: a metrics.Sink for per-frame
-// snapshots, a metrics.RoundSink for scheduling decisions, an
-// append-only frame log, and a Close that seals the directory.
-type Store interface {
-	metrics.Sink
-	metrics.RoundSink
-	// AppendFrame appends one frame to the run's frame log, making the
-	// run replayable. Capture-only runs never call it.
-	AppendFrame(*scene.FrameTruth) error
-	// Close flushes and seals the run (writes the frame index). The run
-	// must not be written to afterwards.
-	Close() error
-}
-
 // Segment locates one frame-log segment file.
 type Segment struct {
 	// File is the segment's name inside the frames/ directory.
@@ -298,8 +284,6 @@ type Writer struct {
 	frames   int
 	line     []byte // the record being built, reused by all three logs under mu
 }
-
-var _ Store = (*Writer)(nil)
 
 // Create starts a new run in dir with default Options (no fsync,
 // unlimited retention). See CreateWith.
