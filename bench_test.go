@@ -584,6 +584,7 @@ func BenchmarkIngestSource(b *testing.B) {
 			b.Run(fmt.Sprintf("cams=%d/load=%dx", cams, load), func(b *testing.B) {
 				steps := len(test.Frames) / load
 				var shed float64
+				var parts []pipeline.FramePart
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					src, err := pipeline.NewIngestSource(test.Cameras, pipeline.IngestConfig{})
@@ -595,11 +596,8 @@ func BenchmarkIngestSource(b *testing.B) {
 						for l := 0; l < load; l++ {
 							f := &test.Frames[next]
 							next++
-							for ci := range test.Cameras {
-								p := pipeline.FramePart{Cam: ci, Frame: f.Index, Obs: f.PerCamera[ci]}
-								if ci == 0 {
-									p.Objects = f.Objects
-								}
+							parts = pipeline.AppendFrameParts(parts[:0], f.Index, f)
+							for _, p := range parts {
 								if err := src.Offer(p); err != nil {
 									b.Fatal(err)
 								}

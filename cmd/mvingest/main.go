@@ -87,30 +87,24 @@ func run(addr, scenario string, seed int64, frames, camera int, rate time.Durati
 	}
 	defer conn.Close()
 
-	// Truth objects ride on the first pushed camera's part of each frame;
-	// the listener records them once per frame index, first part wins.
-	truthCam := 0
-	if camera >= 0 {
-		truthCam = camera
-	}
+	var all []pipeline.FramePart
 	pushed, parts := 0, 0
-	for fi, frame := range test.Frames {
-		for cam, obs := range frame.PerCamera {
-			if camera >= 0 && cam != camera {
-				continue
-			}
-			p := pipeline.FramePart{Cam: cam, Frame: fi, Obs: obs}
-			if cam == truthCam {
-				p.Objects = frame.Objects
-			}
-			if camera >= 0 {
-				p.Cam = 0 // a single-camera listener's roster is just this camera
-			}
-			if err := pipeline.EncodeFramePart(conn, p); err != nil {
-				return fmt.Errorf("frame %d camera %d: %w", fi, cam, err)
-			}
-			parts++
+	for fi := range test.Frames {
+		frame := &test.Frames[fi]
+		all = pipeline.AppendFrameParts(all[:0], fi, frame)
+		ps := all
+		if camera >= 0 {
+			// That camera alone, as slot 0 of a single-camera listener's
+			// roster, with the truth objects on its part.
+			all[camera].Cam, all[camera].Objects = 0, frame.Objects
+			ps = all[camera : camera+1]
 		}
+		for _, p := range ps {
+			if err := pipeline.EncodeFramePart(conn, p); err != nil {
+				return fmt.Errorf("frame %d camera %d: %w", fi, p.Cam, err)
+			}
+		}
+		parts += len(ps)
 		pushed++
 		if rate > 0 && pushed%burst == 0 {
 			time.Sleep(rate)
@@ -122,9 +116,9 @@ func run(addr, scenario string, seed int64, frames, camera int, rate time.Durati
 	if camera >= 0 {
 		numCams = 1
 	}
-	for cam := 0; cam < numCams; cam++ {
-		if err := pipeline.EncodeFramePart(conn, pipeline.FramePart{Cam: cam, EOS: true}); err != nil {
-			return fmt.Errorf("eos camera %d: %w", cam, err)
+	for _, p := range pipeline.AppendEOSParts(nil, numCams) {
+		if err := pipeline.EncodeFramePart(conn, p); err != nil {
+			return fmt.Errorf("eos camera %d: %w", p.Cam, err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "pushed %d frames (%d parts) to %s\n", pushed, parts, addr)

@@ -22,7 +22,11 @@
 // camera to the surviving nodes). When the scheduler runs -adapt, its
 // assignments carry a degradation level: the node caps its inspection
 // input sizes at adapt.SizeCapFor(level) and stretches its key-frame
-// cadence by adapt.StretchFor(level) (docs/FAULTS.md §10).
+// cadence on the adapt.KeyFrame grid (docs/FAULTS.md §10).
+//
+// The frame loop's body is node.Runtime.Step; what this binary owns is
+// where observations come from, the camera-fault schedule, pacing, and
+// the summary.
 //
 // Sharded deployments (mvscheduler -shard-max / -shards) need no node
 // flag: the scheduler routes the node to its shard's round loop at the
@@ -46,7 +50,6 @@ import (
 	"log"
 	"time"
 
-	"mvs/internal/adapt"
 	"mvs/internal/cliconf"
 	"mvs/internal/cluster"
 	"mvs/internal/experiments"
@@ -172,14 +175,17 @@ func run(cfg runConfig) error {
 		NumCameras: len(s.World.Cameras),
 		Seed:       cfg.seed,
 		Sink:       cfg.shared.Sink(cfg.export, rec),
+
+		Link:           client,
+		Horizon:        cfg.horizon,
+		Deadline:       cfg.deadline,
+		HeartbeatEvery: cfg.hbEvery,
 	}
-	degradedFromStart := false
 	if err := client.Connect(); err != nil {
-		// The scheduler is unreachable right now: run the whole trace
-		// degraded (maskless — masks only arrive with registration) and
-		// let later key frames rejoin if it comes back.
-		log.Printf("scheduler unreachable (%v); starting degraded", err)
-		degradedFromStart = true
+		// The scheduler is unreachable right now: run maskless (masks
+		// only arrive with registration), degrade at the first key frame
+		// and let later ones rejoin if it comes back.
+		log.Printf("scheduler unreachable (%v); starting without masks", err)
 	} else if ack := client.Ack(); ack != nil {
 		rcfg.GridCols = ack.GridCols
 		rcfg.GridRows = ack.GridRows
@@ -196,9 +202,6 @@ func run(cfg runConfig) error {
 	rt, err := node.New(rcfg)
 	if err != nil {
 		return err
-	}
-	if degradedFromStart {
-		rt.EnterDegraded()
 	}
 
 	// The live feed's watchdog reuses the -deadline budget: a feed silent
@@ -243,61 +246,26 @@ func run(cfg runConfig) error {
 		if !ok {
 			break
 		}
+		wasDegraded := rt.Degraded()
 		if camModel != nil && camModel.Down(cfg.camera, fi) {
 			// Camera outage: no capture, no inference, no upload, no
 			// heartbeat. A lease-armed scheduler sees the silence, declares
 			// this camera dead, and the survivors take over its objects.
 			rt.OutageFrame()
-			if cfg.rate > 0 {
-				time.Sleep(cfg.rate)
-			}
-			continue
+		} else if err := rt.Step(fi, obs); err != nil {
+			return err
 		}
-		// The adapt level from the last assignment stretches the key-frame
-		// cadence to horizon*StretchFor(level) frames, staying on the
-		// horizon grid so the node re-syncs with the scheduler's rounds
-		// (level 0 — and always without mvscheduler -adapt — keeps the
-		// plain every-horizon cadence).
-		isKey := fi%cfg.horizon == 0
-		if stretch := adapt.StretchFor(rt.AdaptLevel()); isKey && stretch > 1 {
-			isKey = (fi/cfg.horizon)%stretch == 0
-		}
-		if isKey {
-			reports, err := rt.KeyFrame(obs)
-			if err != nil {
-				return err
-			}
-			assignment, err := client.KeyFrame(fi, reports, cfg.deadline)
-			if err != nil {
-				if !rt.Degraded() {
-					log.Printf("round %d got no assignment (%v); entering degraded mode", fi, err)
-				}
-				rt.EnterDegraded()
+		if rt.Degraded() != wasDegraded {
+			if wasDegraded {
+				log.Printf("round %d: assignment received, rejoining cluster", fi)
 			} else {
-				if rt.Degraded() {
-					log.Printf("round %d: assignment received, rejoining cluster", fi)
-				}
-				rt.NoteReconnects(client.Reconnects())
-				if err := rt.ApplyAssignment(assignment); err != nil {
-					return err
-				}
-			}
-		} else {
-			if _, err := rt.RegularFrame(obs); err != nil {
-				return err
-			}
-			if cfg.hbEvery > 0 && fi%cfg.hbEvery == 0 {
-				// Keep the liveness lease fresh between key frames; a
-				// failed ping already triggered reconnect attempts, so the
-				// error itself is not actionable here.
-				_ = client.Ping(0)
+				log.Printf("round %d got no assignment; entering degraded mode", fi)
 			}
 		}
 		if cfg.rate > 0 {
 			time.Sleep(cfg.rate)
 		}
 	}
-	rt.NoteReconnects(client.Reconnects())
 
 	st := rt.Stats()
 	log.Printf("done in %v wall time", time.Since(start).Round(time.Millisecond))

@@ -99,27 +99,19 @@ func runNode(addr string, cam int, scenario *workload.Scenario, test *scene.Trac
 		Coverage:   ack.Coverage,
 		NumCameras: len(scenario.World.Cameras),
 		Seed:       7,
+		Link:       client,
+		Horizon:    10,
+		Deadline:   15 * time.Second,
 	})
 	if err != nil {
 		return node.Stats{}, err
 	}
-	const horizon = 10
 	for fi := range test.Frames {
-		obs := test.Frames[fi].PerCamera[cam]
-		if fi%horizon == 0 {
-			reports, err := rt.KeyFrame(obs)
-			if err != nil {
-				return node.Stats{}, err
-			}
-			a, err := client.KeyFrame(fi, reports, 15*time.Second)
-			if err != nil {
-				return node.Stats{}, err
-			}
-			if err := rt.ApplyAssignment(a); err != nil {
-				return node.Stats{}, err
-			}
-		} else if _, err := rt.RegularFrame(obs); err != nil {
+		if err := rt.Step(fi, test.Frames[fi].PerCamera[cam]); err != nil {
 			return node.Stats{}, err
+		}
+		if rt.Degraded() {
+			return node.Stats{}, fmt.Errorf("round %d got no assignment", fi)
 		}
 	}
 	return rt.Stats(), nil

@@ -53,6 +53,17 @@ func StretchFor(level int) int {
 	return 1 << level
 }
 
+// KeyFrame is the key-frame cadence, the one rule every host follows
+// (pipeline.Engine, node.Runtime): frame fi is a key frame when it lies
+// on the horizon grid and its horizon index is a multiple of stretch.
+// Stretches are powers of two, so the grids nest — every key frame at
+// stretch 2s is one at stretch s — and a host that missed a level change
+// is back on its peers' grid at the next key frame of the coarser of the
+// two. Stretch 1 (no controller, or level 0) is the plain fi%horizon == 0.
+func KeyFrame(fi, horizon, stretch int) bool {
+	return fi%horizon == 0 && (fi/horizon)%stretch == 0
+}
+
 // SizeCapFor returns the per-object inspection size cap at a ladder
 // level: 0 means uncapped; deeper rungs cap the quantized input size at
 // 256, 128, and finally 64 pixels.

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -282,6 +283,45 @@ func TestLadderTables(t *testing.T) {
 	for lvl, st := range wantStretch {
 		if got := StretchFor(lvl); got != st {
 			t.Errorf("StretchFor(%d) = %d want %d", lvl, got, st)
+		}
+	}
+}
+
+// TestKeyFrameGrid pins the cadence rule: stretch 1 is the plain modulo,
+// each level's key frames are the fixed points below and nowhere else,
+// and the grids nest — a key frame at level L is one at every level
+// under it, which is what lets hosts on different levels meet again.
+func TestKeyFrameGrid(t *testing.T) {
+	const horizon = 10
+	for _, tc := range []struct {
+		level int
+		want  []int // key frames below 100
+	}{
+		{0, []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}},
+		{1, []int{0, 20, 40, 60, 80}},
+		{2, []int{0, 40, 80}},
+		{3, []int{0, 80}},
+	} {
+		var got []int
+		for fi := 0; fi < 100; fi++ {
+			if KeyFrame(fi, horizon, StretchFor(tc.level)) {
+				got = append(got, fi)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("level %d key-frames on %v, want %v", tc.level, got, tc.want)
+		}
+	}
+	for _, horizon := range []int{1, 7, 10} {
+		for fi := 0; fi < 2000; fi++ {
+			if KeyFrame(fi, horizon, 1) != (fi%horizon == 0) {
+				t.Fatalf("stretch 1, horizon %d, frame %d: not the plain modulo", horizon, fi)
+			}
+			for level := 1; level <= 6; level++ {
+				if KeyFrame(fi, horizon, StretchFor(level)) && !KeyFrame(fi, horizon, StretchFor(level-1)) {
+					t.Fatalf("horizon %d: frame %d is a level-%d key frame but not a level-%d one", horizon, fi, level, level-1)
+				}
+			}
 		}
 	}
 }

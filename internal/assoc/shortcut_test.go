@@ -64,7 +64,7 @@ func referenceAssociate(m *Model, boxes [][]geom.Rect, minIoU float64) ([]Group,
 			if !anyVisible {
 				continue
 			}
-			assign, _, err := hungarian.MaximizeProfit(profit, minIoU)
+			assign, _, err := new(hungarian.Solver).MaximizeProfit(profit, minIoU)
 			if err != nil {
 				return nil, err
 			}

@@ -110,6 +110,11 @@ func (c *Client) BytesReceived() int64 { return c.conn.received.Load() }
 // frame size.
 func (c *Client) Ack() *HelloAck { return c.ack }
 
+// Reconnects is always 0: a Client is one connection and never redials
+// (ReconnectClient counts). It completes the link a node.Runtime steps
+// over.
+func (c *Client) Reconnects() int { return 0 }
+
 // SetIOTimeout bounds each subsequent message write with a deadline
 // (zero disables, the default). A peer that stops draining its socket
 // then fails the writer within d instead of blocking it forever.

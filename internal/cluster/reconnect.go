@@ -232,6 +232,8 @@ func (r *ReconnectClient) do(op func(*Client) error) error {
 		}
 		return nil
 	}
+	r.cfg.Logger.Printf("cluster: camera %d gave up after %d attempts: %v",
+		r.cfg.Camera, r.cfg.MaxAttempts, lastErr)
 	return lastErr
 }
 

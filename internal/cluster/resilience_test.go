@@ -362,6 +362,24 @@ func TestNeverRegisteredCameraIsReleasedLikeASilentOne(t *testing.T) {
 			t.Fatalf("Dead = %v, want [1]", a.Dead)
 		}
 	})
+	t.Run("lease timer", func(t *testing.T) {
+		// The lease runs out while the round is pending and nothing else
+		// happens to it — no further report, no disconnect, no round
+		// timeout: the scheduler's own timer has to release it.
+		const lease = 50 * time.Millisecond
+		_, c0 := serve(t, WithLease(lease))
+		start := time.Now()
+		a, err := c0.KeyFrame(0, report, 5*time.Second)
+		if err != nil {
+			t.Fatalf("round 0 held until the client deadline: %v", err)
+		}
+		if waited := time.Since(start); waited > 20*lease {
+			t.Fatalf("round 0 released after %v, lease is %v", waited, lease)
+		}
+		if len(a.Dead) != 1 || a.Dead[0] != 1 {
+			t.Fatalf("Dead = %v, want [1]", a.Dead)
+		}
+	})
 	t.Run("round timeout", func(t *testing.T) {
 		_, c0 := serve(t, WithRoundTimeout(50*time.Millisecond))
 		start := time.Now()

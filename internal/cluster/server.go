@@ -122,14 +122,19 @@ func (sc *schedConn) send(env *Envelope) error {
 
 type round struct {
 	reports map[int]*Detections
-	// timer fires the round timeout; nil when WithRoundTimeout is off.
-	// Stopped whenever the round is removed for completion or GC.
-	timer *time.Timer
+	// timer fires the round timeout (nil when WithRoundTimeout is off);
+	// leaseTimer re-evaluates the barrier when the earliest camera still
+	// blocking it runs out of lease (nil when WithLease is off). Both are
+	// stopped whenever the round is removed for completion or GC.
+	timer, leaseTimer *time.Timer
 }
 
 func (r *round) stopTimer() {
 	if r.timer != nil {
 		r.timer.Stop()
+	}
+	if r.leaseTimer != nil {
+		r.leaseTimer.Stop()
 	}
 }
 
@@ -578,12 +583,16 @@ func (s *Scheduler) touch(sc *schedConn) {
 // silent since the scheduler was built, so without a lease it holds the
 // round like any connected camera that has not reported yet. Reports from
 // since-disconnected cameras still count toward scheduling; rounds with
-// no reports never complete.
-func (s *Scheduler) roundCompleteLocked(r *round) bool {
+// no reports never complete. For an incomplete round under a lease,
+// recheck is when the first camera still blocking it runs out of lease
+// (zero without one): the moment the answer can change with no message
+// arriving.
+func (s *Scheduler) roundCompleteLocked(r *round) (complete bool, recheck time.Time) {
 	if len(r.reports) == 0 {
-		return false
+		return false, recheck
 	}
 	now := time.Now()
+	complete = true
 	for cam := range s.cams {
 		if _, ok := r.reports[cam]; ok {
 			continue
@@ -594,14 +603,36 @@ func (s *Scheduler) roundCompleteLocked(r *round) bool {
 		} else if s.joined[cam] {
 			continue // registered and left: not waited for
 		}
-		if s.lease > 0 && now.Sub(lastSeen) > s.lease {
+		if s.lease > 0 && now.Sub(lastSeen) >= s.lease {
 			s.logger.Printf("cluster: camera %d lease expired (%v since last message), not blocking rounds",
 				cam, now.Sub(lastSeen).Round(time.Millisecond))
 			continue
 		}
-		return false
+		complete = false
+		if expiry := lastSeen.Add(s.lease); s.lease > 0 && (recheck.IsZero() || expiry.Before(recheck)) {
+			recheck = expiry
+		}
 	}
-	return true
+	return complete, recheck
+}
+
+// awaitRoundLocked takes a pending round for scheduling if its barrier is
+// met and otherwise arms its lease timer, so that a lease running out
+// releases the round by itself rather than at the next report,
+// disconnect or round timeout — a camera that never dials in would
+// otherwise hold round 0 until its peers' client deadline. Leases only
+// move later (touch), so the earliest expiry seen here is never early:
+// one timer at a time, re-armed on firing while cameras still block.
+func (s *Scheduler) awaitRoundLocked(frame int, r *round) (complete bool) {
+	complete, recheck := s.roundCompleteLocked(r)
+	if complete {
+		s.takeRoundLocked(frame, r)
+	} else if r.leaseTimer != nil {
+		r.leaseTimer.Reset(time.Until(recheck))
+	} else if !recheck.IsZero() {
+		r.leaseTimer = time.AfterFunc(time.Until(recheck), func() { s.expireRound(frame, false) })
+	}
+	return complete
 }
 
 // takeRoundLocked removes a pending round for scheduling and advances the
@@ -619,8 +650,7 @@ func (s *Scheduler) takeRoundLocked(frame int, r *round) {
 func (s *Scheduler) readyRoundsLocked() map[int]*round {
 	ready := make(map[int]*round)
 	for frame, r := range s.rounds {
-		if s.roundCompleteLocked(r) {
-			s.takeRoundLocked(frame, r)
+		if s.awaitRoundLocked(frame, r) {
 			ready[frame] = r
 		}
 	}
@@ -654,14 +684,11 @@ func (s *Scheduler) submit(sc *schedConn, det *Detections) {
 		s.rounds[det.Frame] = r
 		if s.roundTimeout > 0 {
 			frame := det.Frame
-			r.timer = time.AfterFunc(s.roundTimeout, func() { s.expireRound(frame) })
+			r.timer = time.AfterFunc(s.roundTimeout, func() { s.expireRound(frame, true) })
 		}
 	}
 	r.reports[det.Camera] = det
-	complete := s.roundCompleteLocked(r)
-	if complete {
-		s.takeRoundLocked(det.Frame, r)
-	}
+	complete := s.awaitRoundLocked(det.Frame, r)
 	s.mu.Unlock()
 	if !complete {
 		return
@@ -669,10 +696,12 @@ func (s *Scheduler) submit(sc *schedConn, det *Detections) {
 	s.completeRound(r, det.Frame)
 }
 
-// expireRound fires when a round's timeout elapses: if the round is
-// still pending it is scheduled with the reports received so far, so a
-// stalled camera delays its peers by at most the timeout.
-func (s *Scheduler) expireRound(frame int) {
+// expireRound fires on a pending round's timers. The round timeout
+// (force) schedules it with the reports received so far, so a stalled
+// camera delays its peers by at most the timeout; the lease timer
+// schedules it only if every camera still missing has by now run out of
+// lease, and re-arms otherwise.
+func (s *Scheduler) expireRound(frame int, force bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -683,13 +712,18 @@ func (s *Scheduler) expireRound(frame int) {
 		s.mu.Unlock()
 		return
 	}
-	s.takeRoundLocked(frame, r)
+	if force {
+		s.takeRoundLocked(frame, r)
+		s.logger.Printf("cluster: round %d timed out with %d/%d reports, scheduling partial round",
+			frame, len(r.reports), len(s.cams))
+	} else if !s.awaitRoundLocked(frame, r) {
+		s.mu.Unlock()
+		return
+	}
 	// Adding under mu while !closed keeps Close's timers.Wait safe.
 	s.timers.Add(1)
 	s.mu.Unlock()
 	defer s.timers.Done()
-	s.logger.Printf("cluster: round %d timed out with %d/%d reports, scheduling partial round",
-		frame, len(r.reports), len(s.cams))
 	s.completeRound(r, frame)
 }
 
@@ -731,7 +765,7 @@ func (s *Scheduler) deadCameras(r *round) []int {
 			continue
 		}
 		sc, connected := s.conns[cam]
-		if !connected || now.Sub(sc.lastSeen) > s.lease {
+		if !connected || now.Sub(sc.lastSeen) >= s.lease {
 			dead = append(dead, cam)
 		}
 	}

@@ -210,8 +210,8 @@ func (s *Scheduler) publishHandoff(frame int, groups []assoc.Group, boxes [][]ge
 // of a shard.Map: each shard has its own round barrier, liveness
 // leases, round timeouts, Dead broadcast, and degraded-mode story —
 // configured by the same Options, applied per shard — so no barrier,
-// association pass, or BALB instance ever spans more than
-// Map.MaxShardSize cameras. The shards coordinate only through the
+// association pass, or BALB instance ever spans more than the largest
+// shard's cameras. The shards coordinate only through the
 // boundary hand-off bus: when a tracked object is visible from two
 // shards, the lower-ID shard owns it and the higher-ID shard demotes
 // its local tracks to shadows of the foreign owner (see handoffBus).

@@ -472,8 +472,10 @@ func TestSharded64CameraCorridor(t *testing.T) {
 		t.Skip("64-camera fleet in -short mode")
 	}
 	e := buildShardedEnv(t, 64, 17, 8)
-	if e.m.MaxShardSize() > 8 {
-		t.Fatalf("max shard size %d > 8", e.m.MaxShardSize())
+	for _, cams := range e.m.Shards {
+		if len(cams) > 8 {
+			t.Fatalf("shard %v spans more than 8 cameras", cams)
+		}
 	}
 	_, addr := startSharded(t, e)
 

@@ -185,7 +185,7 @@ func StaticPartition(cams []CameraSpec, objects []ObjectSpec) (*Solution, error)
 	for i := range objects {
 		assign[objects[i].ID] = owners[i]
 	}
-	lat, err := CameraLatencies(cams, objects, assign, true)
+	lat, err := cameraLatencies(cams, objects, assign, true)
 	if err != nil {
 		return nil, err
 	}

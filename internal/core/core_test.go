@@ -72,7 +72,7 @@ func TestCameraLatenciesHandComputed(t *testing.T) {
 		objects[i] = obj(i+1, 64, 0)
 		a[i+1] = 0
 	}
-	lat, err := CameraLatencies(cs, objects, a, false)
+	lat, err := cameraLatencies(cs, objects, a, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCameraLatenciesHandComputed(t *testing.T) {
 	if lat[0] != want {
 		t.Fatalf("lat = %v want %v", lat[0], want)
 	}
-	latFull, err := CameraLatencies(cs, objects, a, true)
+	latFull, err := cameraLatencies(cs, objects, a, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestCentralInstanceValidation(t *testing.T) {
 
 func TestCentralFeasibilityProperty(t *testing.T) {
 	// Random instances: Central always returns a feasible assignment and
-	// latencies consistent with CameraLatencies.
+	// latencies consistent with cameraLatencies.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		classes := []profile.DeviceClass{profile.JetsonNano, profile.JetsonTX2, profile.JetsonXavier}
@@ -280,7 +280,7 @@ func TestCentralFeasibilityProperty(t *testing.T) {
 		if CheckFeasible(objects, sol.Assign) != nil {
 			return false
 		}
-		lat, err := CameraLatencies(cs, objects, sol.Assign, true)
+		lat, err := cameraLatencies(cs, objects, sol.Assign, true)
 		if err != nil {
 			return false
 		}

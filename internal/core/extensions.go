@@ -208,7 +208,7 @@ func CentralQualityAware(cams []CameraSpec, objects []ObjectSpec, opts QualityOp
 	}
 
 	// Re-price with proper batch packing for the reported latencies.
-	priced, err := CameraLatencies(cams, objects, assign, true)
+	priced, err := cameraLatencies(cams, objects, assign, true)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +306,7 @@ func MinTotalLoad(cams []CameraSpec, objects []ObjectSpec) (*Solution, error) {
 		counts[bestCam][o.Size[bestCam]]++
 	}
 
-	lat, err := CameraLatencies(cams, objects, assign, true)
+	lat, err := cameraLatencies(cams, objects, assign, true)
 	if err != nil {
 		return nil, err
 	}

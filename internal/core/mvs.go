@@ -19,7 +19,6 @@ import (
 	"sort"
 	"time"
 
-	"mvs/internal/gpu"
 	"mvs/internal/profile"
 )
 
@@ -102,12 +101,12 @@ func CheckFeasible(objects []ObjectSpec, a Assignment) error {
 	return nil
 }
 
-// CameraLatencies computes, for each camera, the scheduled per-frame
+// cameraLatencies computes, for each camera, the scheduled per-frame
 // latency of a feasible assignment: the optimal batch sequence's cost
 // (greedy same-size packing, each batch charged t_i^s), plus the
 // full-frame inspection time when includeFull is set (key-frame
 // accounting, as in Algorithm 1's initialization).
-func CameraLatencies(cams []CameraSpec, objects []ObjectSpec, a Assignment, includeFull bool) ([]time.Duration, error) {
+func cameraLatencies(cams []CameraSpec, objects []ObjectSpec, a Assignment, includeFull bool) ([]time.Duration, error) {
 	counts := make([]map[int]int, len(cams))
 	for i := range counts {
 		counts[i] = make(map[int]int)
@@ -129,9 +128,9 @@ func CameraLatencies(cams []CameraSpec, objects []ObjectSpec, a Assignment, incl
 	}
 	out := make([]time.Duration, len(cams))
 	for i, cam := range cams {
-		lat, err := gpu.ScheduledLatency(counts[i], cam.Profile)
+		lat, err := scheduledLatency(counts[i], cam)
 		if err != nil {
-			return nil, fmt.Errorf("core: camera %d: %w", i, err)
+			return nil, err
 		}
 		out[i] = lat
 		if includeFull {
@@ -207,7 +206,7 @@ func BruteForce(cams []CameraSpec, objects []ObjectSpec, maxStates int) (*Soluti
 	var recurse func(k int) error
 	recurse = func(k int) error {
 		if k == len(objects) {
-			lat, err := CameraLatencies(cams, objects, cur, true)
+			lat, err := cameraLatencies(cams, objects, cur, true)
 			if err != nil {
 				return err
 			}
@@ -235,7 +234,7 @@ func BruteForce(cams []CameraSpec, objects []ObjectSpec, maxStates int) (*Soluti
 		// No objects: empty assignment.
 		best = Assignment{}
 	}
-	lat, err := CameraLatencies(cams, objects, best, true)
+	lat, err := cameraLatencies(cams, objects, best, true)
 	if err != nil {
 		return nil, err
 	}

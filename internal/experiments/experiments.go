@@ -31,7 +31,7 @@
 //	Fig12   — object recall per scheduling algorithm
 //	Fig13   — per-frame inference latency per scheduling algorithm
 //	Fig14   — scheduling-horizon length sweep
-//	TableII — per-frame framework overhead breakdown
+//	TableII — per-frame framework overhead breakdown (read off RunModes' BALB report)
 package experiments
 
 import (
@@ -425,33 +425,6 @@ func Fig14(s *Setup, horizons []int, opts Options) ([]HorizonPoint, error) {
 	return out, nil
 }
 
-// TableII extracts the overhead breakdown from a BALB run.
-type TableIIRow struct {
-	Scenario    string
-	Central     time.Duration
-	Tracking    time.Duration
-	Distributed time.Duration
-	Batching    time.Duration
-	Total       time.Duration
-}
-
-// TableII runs BALB and reports the measured per-frame framework
-// overheads.
-func TableII(s *Setup) (*TableIIRow, error) {
-	rep, err := pipeline.Run(s.Test, s.Scenario.Profiles(), s.Model, pipeline.NewConfig(pipeline.BALB, s.Seed))
-	if err != nil {
-		return nil, err
-	}
-	return &TableIIRow{
-		Scenario:    s.Scenario.Name,
-		Central:     rep.CentralPerFrame,
-		Tracking:    rep.TrackingPerFrame,
-		Distributed: rep.DistributedPerFrame,
-		Batching:    rep.BatchingPerFrame,
-		Total:       rep.OverheadTotal(),
-	}, nil
-}
-
 // ArrivalPoint is one point of the arrival-rate ablation sweep: how much
 // the distributed stage matters as object churn grows.
 type ArrivalPoint struct {
@@ -661,6 +634,58 @@ type ShedPoint struct {
 	P99Slowest time.Duration
 }
 
+// runFed runs a BALB engine under cfg on an in-process IngestSource with
+// the given admission policy, feeding it the prepared scenario's
+// evaluation frames — lockstep, no sockets: before every engine step it
+// offers the next arrivals(src) frames' parts, and the end of stream once
+// the trace is exhausted. It returns the engine's report and the source's
+// admission counters.
+func runFed(setup *Setup, policy pipeline.ShedPolicy, cfg pipeline.Config,
+	arrivals func(*pipeline.IngestSource) int) (*pipeline.Report, pipeline.IngestCounters, error) {
+	fail := func(err error) (*pipeline.Report, pipeline.IngestCounters, error) {
+		return nil, pipeline.IngestCounters{}, fmt.Errorf("experiments: %s: %w", cfg.Obs.Label, err)
+	}
+	src, err := pipeline.NewIngestSource(setup.Test.Cameras, pipeline.IngestConfig{Policy: policy})
+	if err != nil {
+		return fail(err)
+	}
+	defer src.Close()
+	eng, err := pipeline.NewEngine(src, setup.Scenario.Profiles(), setup.Model, cfg)
+	if err != nil {
+		return fail(err)
+	}
+	frames := setup.Test.Frames
+	var parts []pipeline.FramePart
+	for fi, eos := 0, false; ; {
+		parts = parts[:0]
+		for n := arrivals(src); n > 0 && fi < len(frames); n-- {
+			parts = pipeline.AppendFrameParts(parts, fi, &frames[fi])
+			fi++
+		}
+		if fi >= len(frames) && !eos {
+			eos = true
+			parts = pipeline.AppendEOSParts(parts, len(setup.Test.Cameras))
+		}
+		for _, p := range parts {
+			if err := src.Offer(p); err != nil {
+				return fail(err)
+			}
+		}
+		more, err := eng.Step()
+		if err != nil {
+			return fail(err)
+		}
+		if !more {
+			break
+		}
+	}
+	rep, err := eng.Report()
+	if err != nil {
+		return fail(err)
+	}
+	return rep, src.Counters(), nil
+}
+
 // ShedSweep measures what each ingest admission policy preserves under
 // overload: the prepared scenario's evaluation frames are offered to a
 // pipeline.IngestSource at a multiple of the engine's drain rate —
@@ -678,59 +703,16 @@ func ShedSweep(setup *Setup, loads []int, opts Options) ([]ShedPoint, error) {
 	out := make([]ShedPoint, len(policies)*len(loads))
 	err := pool.Do(opts.Workers, len(out), func(i int) error {
 		policy, load := policies[i/len(loads)], loads[i%len(loads)]
-		label := fmt.Sprintf("shed/%s/load=%d", policy, load)
-		src, err := pipeline.NewIngestSource(setup.Test.Cameras, pipeline.IngestConfig{Policy: policy})
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", label, err)
-		}
-		defer src.Close()
+		// Lockstep overload: offer `load` frames' parts per camera, then
+		// let the engine drain exactly one assembled frame.
 		cfg := pipeline.NewConfig(pipeline.BALB, setup.Seed)
 		cfg.Sched.Workers = opts.Workers
 		cfg.Obs.Sink = opts.Sink
-		cfg.Obs.Label = label
-		eng, err := pipeline.NewEngine(src, setup.Scenario.Profiles(), setup.Model, cfg)
+		cfg.Obs.Label = fmt.Sprintf("shed/%s/load=%d", policy, load)
+		rep, c, err := runFed(setup, policy, cfg, func(*pipeline.IngestSource) int { return load })
 		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", label, err)
+			return err
 		}
-		// Lockstep overload: offer `load` frames' parts per camera, then
-		// let the engine drain exactly one assembled frame. Ground-truth
-		// objects ride on camera 0's part, as over the wire.
-		fi, eos := 0, false
-		for {
-			for b := 0; b < load && fi < len(setup.Test.Frames); b++ {
-				frame := setup.Test.Frames[fi]
-				for cam, obs := range frame.PerCamera {
-					p := pipeline.FramePart{Cam: cam, Frame: fi, Obs: obs}
-					if cam == 0 {
-						p.Objects = frame.Objects
-					}
-					if err := src.Offer(p); err != nil {
-						return fmt.Errorf("experiments: %s: %w", label, err)
-					}
-				}
-				fi++
-			}
-			if fi >= len(setup.Test.Frames) && !eos {
-				eos = true
-				for cam := range setup.Test.Cameras {
-					if err := src.Offer(pipeline.FramePart{Cam: cam, EOS: true}); err != nil {
-						return fmt.Errorf("experiments: %s: %w", label, err)
-					}
-				}
-			}
-			more, err := eng.Step()
-			if err != nil {
-				return fmt.Errorf("experiments: %s: %w", label, err)
-			}
-			if !more {
-				break
-			}
-		}
-		rep, err := eng.Report()
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", label, err)
-		}
-		c := src.Counters()
 		out[i] = ShedPoint{
 			Policy: policy.String(), Load: load,
 			Offered: len(setup.Test.Frames) * len(setup.Test.Cameras), Ingested: c.Ingested, Shed: c.Shed,
@@ -803,12 +785,6 @@ func (l *latestLatency) Flush() error                      { return nil }
 // sheds less. Everything is a pure function of modeled state, so the
 // arm is deterministic for every Workers value.
 func runAdaptArm(setup *Setup, pol adapt.Policy, load int, label string, opts Options) (*pipeline.Report, pipeline.IngestCounters, error) {
-	var zero pipeline.IngestCounters
-	src, err := pipeline.NewIngestSource(setup.Test.Cameras, pipeline.IngestConfig{Policy: pipeline.ShedDropOldest})
-	if err != nil {
-		return nil, zero, fmt.Errorf("experiments: %s: %w", label, err)
-	}
-	defer src.Close()
 	lat := &latestLatency{lat: adaptFramePeriod}
 	cfg := pipeline.NewConfig(pipeline.BALB, setup.Seed)
 	cfg.Sched.Workers = opts.Workers
@@ -818,25 +794,8 @@ func runAdaptArm(setup *Setup, pol adapt.Policy, load int, label string, opts Op
 	}
 	cfg.Obs.Label = label
 	cfg.Adapt.Policy = pol
-	eng, err := pipeline.NewEngine(src, setup.Scenario.Profiles(), setup.Model, cfg)
-	if err != nil {
-		return nil, zero, fmt.Errorf("experiments: %s: %w", label, err)
-	}
-	offer := func(fi int) error {
-		frame := setup.Test.Frames[fi]
-		for cam, obs := range frame.PerCamera {
-			p := pipeline.FramePart{Cam: cam, Frame: fi, Obs: obs}
-			if cam == 0 {
-				p.Objects = frame.Objects
-			}
-			if err := src.Offer(p); err != nil {
-				return fmt.Errorf("experiments: %s: %w", label, err)
-			}
-		}
-		return nil
-	}
-	fi, eos, backlog := 0, false, 0.0
-	for {
+	backlog := 0.0
+	return runFed(setup, pipeline.ShedDropOldest, cfg, func(src *pipeline.IngestSource) int {
 		// New arrivals since the last drain: load frames per frame
 		// period of modeled processing time.
 		backlog += float64(load) * float64(lat.lat) / float64(adaptFramePeriod)
@@ -846,37 +805,9 @@ func runAdaptArm(setup *Setup, pol adapt.Policy, load int, label string, opts Op
 			// feed, so it waits for the next arrival (arrival-paced).
 			n = 1
 		}
-		backlog -= float64(n)
-		if backlog < 0 {
-			backlog = 0
-		}
-		for b := 0; b < n && fi < len(setup.Test.Frames); b++ {
-			if err := offer(fi); err != nil {
-				return nil, zero, err
-			}
-			fi++
-		}
-		if fi >= len(setup.Test.Frames) && !eos {
-			eos = true
-			for cam := range setup.Test.Cameras {
-				if err := src.Offer(pipeline.FramePart{Cam: cam, EOS: true}); err != nil {
-					return nil, zero, fmt.Errorf("experiments: %s: %w", label, err)
-				}
-			}
-		}
-		more, err := eng.Step()
-		if err != nil {
-			return nil, zero, fmt.Errorf("experiments: %s: %w", label, err)
-		}
-		if !more {
-			break
-		}
-	}
-	rep, err := eng.Report()
-	if err != nil {
-		return nil, zero, fmt.Errorf("experiments: %s: %w", label, err)
-	}
-	return rep, src.Counters(), nil
+		backlog = max(backlog-float64(n), 0)
+		return n
+	})
 }
 
 // AdaptSweep measures what the degradation control loop buys under

@@ -200,21 +200,20 @@ func TestFig14Monotonicity(t *testing.T) {
 }
 
 func TestTableIIOverheadSmall(t *testing.T) {
+	// Table II is the overhead breakdown of a BALB run's report.
 	s := setupS2(t)
-	row, err := TableII(s)
+	rep, err := pipeline.Run(s.Test, s.Scenario.Profiles(), s.Model, pipeline.NewConfig(pipeline.BALB, s.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Scenario != "S2" {
-		t.Fatalf("scenario = %s", row.Scenario)
-	}
-	if row.Total != row.Central+row.Tracking+row.Distributed+row.Batching {
+	total := rep.OverheadTotal()
+	if total != rep.CentralPerFrame+rep.TrackingPerFrame+rep.DistributedPerFrame+rep.BatchingPerFrame {
 		t.Fatal("total inconsistent")
 	}
 	// Framework overhead must be a tiny fraction of a 100 ms frame
 	// budget.
-	if row.Total.Milliseconds() > 50 {
-		t.Fatalf("overhead = %v", row.Total)
+	if total.Milliseconds() > 50 {
+		t.Fatalf("overhead = %v", total)
 	}
 }
 

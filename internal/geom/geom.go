@@ -34,12 +34,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Norm returns the Euclidean norm of p treated as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
-// Dot returns the dot product of p and q treated as vectors.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Lerp linearly interpolates from p to q; t=0 yields p, t=1 yields q.
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
@@ -113,21 +107,6 @@ func (r Rect) Intersect(s Rect) Rect {
 	return out
 }
 
-// Union returns the smallest rectangle containing both r and s. If one is
-// empty the other is returned.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		MinX: math.Min(r.MinX, s.MinX), MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX), MaxY: math.Max(r.MaxY, s.MaxY),
-	}
-}
-
 // Contains reports whether p lies inside (or on the boundary of) r.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
@@ -140,9 +119,6 @@ func (r Rect) ContainsRect(s Rect) bool {
 	}
 	return s.MinX >= r.MinX && s.MinY >= r.MinY && s.MaxX <= r.MaxX && s.MaxY <= r.MaxY
 }
-
-// Overlaps reports whether r and s share positive area.
-func (r Rect) Overlaps(s Rect) bool { return !r.Intersect(s).Empty() }
 
 // Clamp returns r clipped to the bounds rectangle.
 func (r Rect) Clamp(bounds Rect) Rect { return r.Intersect(bounds) }
@@ -238,65 +214,6 @@ func SquareAround(r Rect, side int, bounds Rect) Rect {
 		q = q.Translate(Point{0, bounds.MaxY - q.MaxY})
 	}
 	return q.Clamp(bounds)
-}
-
-// Polygon is a convex polygon with vertices in counter-clockwise order,
-// used to model a camera's field of view on the world ground plane.
-type Polygon struct {
-	Vertices []Point
-}
-
-// Contains reports whether p lies inside the convex polygon (boundary
-// inclusive). Vertices must be in counter-clockwise order.
-func (pg Polygon) Contains(p Point) bool {
-	n := len(pg.Vertices)
-	if n < 3 {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		a := pg.Vertices[i]
-		b := pg.Vertices[(i+1)%n]
-		// Cross product of (b-a) x (p-a): negative means p is to the right
-		// of edge ab, i.e. outside a CCW polygon.
-		cross := (b.X-a.X)*(p.Y-a.Y) - (b.Y-a.Y)*(p.X-a.X)
-		if cross < -1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-// Bounds returns the axis-aligned bounding rectangle of the polygon.
-func (pg Polygon) Bounds() Rect {
-	if len(pg.Vertices) == 0 {
-		return Rect{}
-	}
-	b := Rect{
-		MinX: math.Inf(1), MinY: math.Inf(1),
-		MaxX: math.Inf(-1), MaxY: math.Inf(-1),
-	}
-	for _, v := range pg.Vertices {
-		b.MinX = math.Min(b.MinX, v.X)
-		b.MinY = math.Min(b.MinY, v.Y)
-		b.MaxX = math.Max(b.MaxX, v.X)
-		b.MaxY = math.Max(b.MaxY, v.Y)
-	}
-	return b
-}
-
-// Area returns the polygon area via the shoelace formula.
-func (pg Polygon) Area() float64 {
-	n := len(pg.Vertices)
-	if n < 3 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		a := pg.Vertices[i]
-		b := pg.Vertices[(i+1)%n]
-		sum += a.X*b.Y - b.X*a.Y
-	}
-	return math.Abs(sum) / 2
 }
 
 // Grid divides a rectangular frame into Cols x Rows equal pixel cells. The

@@ -134,25 +134,6 @@ func NumBatchesBySize(counts map[int]int, prof *profile.Profile) (map[int]int, e
 	return out, nil
 }
 
-// ScheduledLatency is the scheduler's estimate of a frame's inspection
-// latency: number of batches per size times the profiled batch latency
-// t_i^s.
-func ScheduledLatency(counts map[int]int, prof *profile.Profile) (time.Duration, error) {
-	batches, err := NumBatchesBySize(counts, prof)
-	if err != nil {
-		return 0, err
-	}
-	var total time.Duration
-	for size, nb := range batches {
-		lat, err := prof.BatchLatencyFor(size)
-		if err != nil {
-			return 0, err
-		}
-		total += lat * time.Duration(nb)
-	}
-	return total, nil
-}
-
 // FrameResult reports the execution of one frame's batches on the
 // simulated device.
 type FrameResult struct {

@@ -125,23 +125,36 @@ func TestNumBatchesBySize(t *testing.T) {
 	}
 }
 
+// The scheduler-side estimate of a frame — batches per size times the
+// profiled batch latency t_i^s — as RunFrame reports it.
 func TestScheduledLatencyMatchesHandComputation(t *testing.T) {
 	prof := xavier()
-	counts := map[int]int{64: 17, 512: 3}
-	got, err := ScheduledLatency(counts, prof)
+	ex, err := NewExecutor(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([]int, 0, 20)
+	for i := 0; i < 17; i++ {
+		sizes = append(sizes, 64)
+	}
+	res, err := ex.RunFrame(makeTasks(append(sizes, 512, 512, 512)...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 2*prof.BatchLatency[64] + 2*prof.BatchLatency[512]
-	if got != want {
-		t.Fatalf("latency = %v want %v", got, want)
+	if res.ScheduledLatency != want {
+		t.Fatalf("latency = %v want %v", res.ScheduledLatency, want)
 	}
 }
 
 func TestScheduledLatencyEmpty(t *testing.T) {
-	got, err := ScheduledLatency(nil, xavier())
-	if err != nil || got != 0 {
-		t.Fatalf("empty = %v, %v", got, err)
+	ex, err := NewExecutor(xavier())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ex.RunFrame(nil)
+	if err != nil || res.ScheduledLatency != 0 {
+		t.Fatalf("empty = %v, %v", res.ScheduledLatency, err)
 	}
 }
 

@@ -70,13 +70,6 @@ func Solve(cost [][]float64) ([]int, float64, error) {
 	return s.Solve(cost)
 }
 
-// MaximizeProfit is Solver.MaximizeProfit on a fresh workspace; the
-// caller owns the returned slice.
-func MaximizeProfit(profit [][]float64, minProfit float64) ([]int, float64, error) {
-	var s Solver
-	return s.MaximizeProfit(profit, minProfit)
-}
-
 // Solve returns, for each row of the cost matrix, the column assigned to
 // it (or -1 when rows > cols and the row is unmatched), along with the
 // total cost of the assignment. The matrix may be rectangular. Solve

@@ -210,7 +210,7 @@ func TestMaximizeProfitIoUStyle(t *testing.T) {
 		{0.2, 0.8, 0.0},
 		{0.0, 0.0, 0.05}, // below threshold
 	}
-	assign, total, err := MaximizeProfit(profit, 0.3)
+	assign, total, err := new(Solver).MaximizeProfit(profit, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestMaximizeProfitPrefersGlobalOptimum(t *testing.T) {
 		{0.6, 0.5},
 		{0.55, 0.0},
 	}
-	assign, total, err := MaximizeProfit(profit, 0.1)
+	assign, total, err := new(Solver).MaximizeProfit(profit, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestMaximizeProfitPrefersGlobalOptimum(t *testing.T) {
 
 func TestMaximizeProfitAllBelowThreshold(t *testing.T) {
 	profit := [][]float64{{0.01, 0.02}, {0.0, 0.01}}
-	assign, total, err := MaximizeProfit(profit, 0.3)
+	assign, total, err := new(Solver).MaximizeProfit(profit, 0.3)
 	if err != nil {
 		// Acceptable: a fully-forbidden square matrix may be reported
 		// infeasible. But if it succeeds, nothing may be matched.
@@ -257,7 +257,7 @@ func TestMaximizeProfitAllBelowThreshold(t *testing.T) {
 }
 
 func TestMaximizeProfitEmpty(t *testing.T) {
-	if _, _, err := MaximizeProfit(nil, 0); err == nil {
+	if _, _, err := new(Solver).MaximizeProfit(nil, 0); err == nil {
 		t.Fatal("nil accepted")
 	}
 }

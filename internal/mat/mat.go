@@ -30,21 +30,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// Rows returns the row count.
-func (m *Dense) Rows() int { return m.rows }
-
-// Cols returns the column count.
-func (m *Dense) Cols() int { return m.cols }
-
 // At returns the element at (i, j).
 func (m *Dense) At(i, j int) float64 {
 	m.check(i, j)

@@ -10,8 +10,8 @@ import (
 
 func TestDenseBasics(t *testing.T) {
 	m := NewDense(2, 3)
-	if m.Rows() != 2 || m.Cols() != 3 {
-		t.Fatalf("dims = %dx%d", m.Rows(), m.Cols())
+	if m.rows != 2 || m.cols != 3 {
+		t.Fatalf("dims = %dx%d", m.rows, m.cols)
 	}
 	m.Set(1, 2, 5)
 	if m.At(1, 2) != 5 {
@@ -54,8 +54,8 @@ func TestDensePanics(t *testing.T) {
 func TestTranspose(t *testing.T) {
 	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	mt := m.T()
-	if mt.Rows() != 3 || mt.Cols() != 2 {
-		t.Fatalf("T dims = %dx%d", mt.Rows(), mt.Cols())
+	if mt.rows != 3 || mt.cols != 2 {
+		t.Fatalf("T dims = %dx%d", mt.rows, mt.cols)
 	}
 	if mt.At(2, 1) != 6 || mt.At(0, 0) != 1 {
 		t.Fatal("T values wrong")
@@ -74,7 +74,7 @@ func TestMul(t *testing.T) {
 			}
 		}
 	}
-	if got := Identity(2).Mul(b); got.At(0, 0) != 5 || got.At(1, 1) != 8 {
+	if got := fromRows([][]float64{{1, 0}, {0, 1}}).Mul(b); got.At(0, 0) != 5 || got.At(1, 1) != 8 {
 		t.Fatal("identity mul wrong")
 	}
 }

@@ -53,21 +53,6 @@ type LatencySeries struct {
 // Add appends one frame's latency.
 func (l *LatencySeries) Add(d time.Duration) { l.values = append(l.values, d) }
 
-// Len returns the number of recorded frames.
-func (l *LatencySeries) Len() int { return len(l.values) }
-
-// Mean returns the average latency, or 0 when empty.
-func (l *LatencySeries) Mean() time.Duration {
-	if len(l.values) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, v := range l.values {
-		sum += v
-	}
-	return sum / time.Duration(len(l.values))
-}
-
 // Max returns the maximum latency, or 0 when empty.
 func (l *LatencySeries) Max() time.Duration {
 	var max time.Duration
@@ -95,11 +80,6 @@ func (l *LatencySeries) Percentile(p float64) (time.Duration, error) {
 		rank = 0
 	}
 	return sorted[rank], nil
-}
-
-// Values returns a copy of the recorded series.
-func (l *LatencySeries) Values() []time.Duration {
-	return append([]time.Duration(nil), l.values...)
 }
 
 // Speedup returns baseline/improved as a multiplicative factor (e.g.
@@ -150,18 +130,6 @@ type Breakdown struct {
 // NewBreakdown returns an empty breakdown accumulator.
 func NewBreakdown() *Breakdown { return &Breakdown{} }
 
-// ObserveCamera records component's cost on one camera in the current
-// frame; the per-frame figure keeps the maximum across cameras.
-func (b *Breakdown) ObserveCamera(component string, d time.Duration) {
-	b.observe(componentSlot(component), d)
-}
-
-func (b *Breakdown) observe(slot int, d time.Duration) {
-	if d > b.slots[slot].current {
-		b.slots[slot].current = d
-	}
-}
-
 // EndFrame seals the current frame: every component observed this frame
 // (with a positive cost) contributes its cross-camera maximum to the
 // running mean.
@@ -186,8 +154,7 @@ type CameraSample struct {
 }
 
 // Observe records one component cost on this camera; repeated
-// observations of the same component within the frame keep the maximum,
-// matching Breakdown.ObserveCamera.
+// observations of the same component within the frame keep the maximum.
 func (s *CameraSample) Observe(component string, d time.Duration) {
 	slot := componentSlot(component)
 	if d > s.durations[slot] {
@@ -195,14 +162,16 @@ func (s *CameraSample) Observe(component string, d time.Duration) {
 	}
 }
 
-// Absorb folds a camera's frame sample into the current frame, exactly
-// as if ObserveCamera had been called for each component.
+// Absorb folds a camera's frame sample into the current frame: the
+// per-frame figure of each component keeps the maximum across cameras.
 func (b *Breakdown) Absorb(s *CameraSample) {
 	if s == nil {
 		return
 	}
 	for slot, d := range s.durations {
-		b.observe(slot, d)
+		if d > b.slots[slot].current {
+			b.slots[slot].current = d
+		}
 	}
 }
 

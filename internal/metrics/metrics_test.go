@@ -41,25 +41,14 @@ func TestRecallIgnoresExtraDetections(t *testing.T) {
 
 func TestLatencySeriesStats(t *testing.T) {
 	var l LatencySeries
-	if l.Mean() != 0 || l.Max() != 0 || l.Len() != 0 {
+	if l.Max() != 0 {
 		t.Fatal("empty series not zero")
 	}
-	for _, v := range []time.Duration{10, 20, 30} {
+	for _, v := range []time.Duration{10, 30, 20} {
 		l.Add(v * time.Millisecond)
-	}
-	if l.Mean() != 20*time.Millisecond {
-		t.Fatalf("mean = %v", l.Mean())
 	}
 	if l.Max() != 30*time.Millisecond {
 		t.Fatalf("max = %v", l.Max())
-	}
-	if l.Len() != 3 {
-		t.Fatalf("len = %d", l.Len())
-	}
-	vs := l.Values()
-	vs[0] = 0
-	if l.Mean() != 20*time.Millisecond {
-		t.Fatal("Values aliases internal slice")
 	}
 }
 
@@ -105,12 +94,17 @@ func TestSpeedup(t *testing.T) {
 func TestBreakdown(t *testing.T) {
 	b := NewBreakdown()
 	// Frame 1: tracking costs 10ms on cam A, 20ms on cam B -> max 20.
-	b.ObserveCamera("tracking", 10*time.Millisecond)
-	b.ObserveCamera("tracking", 20*time.Millisecond)
-	b.ObserveCamera("batching", 5*time.Millisecond)
+	var camA, camB CameraSample
+	camA.Observe("tracking", 10*time.Millisecond)
+	camB.Observe("tracking", 20*time.Millisecond)
+	camB.Observe("batching", 5*time.Millisecond)
+	b.Absorb(&camA)
+	b.Absorb(&camB)
 	b.EndFrame()
 	// Frame 2: tracking 30ms.
-	b.ObserveCamera("tracking", 30*time.Millisecond)
+	camA = CameraSample{}
+	camA.Observe("tracking", 30*time.Millisecond)
+	b.Absorb(&camA)
 	b.EndFrame()
 	if got := b.MeanOf("tracking"); got != 25*time.Millisecond {
 		t.Fatalf("tracking mean = %v", got)
@@ -126,17 +120,9 @@ func TestBreakdown(t *testing.T) {
 	}
 }
 
-// TestCameraSampleAbsorb checks the per-camera sample path is equivalent
-// to calling ObserveCamera directly: max within a camera's frame, max
-// across cameras, mean across frames.
+// TestCameraSampleAbsorb checks the per-camera sample path: max within a
+// camera's frame, max across cameras.
 func TestCameraSampleAbsorb(t *testing.T) {
-	direct := NewBreakdown()
-	direct.ObserveCamera("tracking", 4*time.Millisecond)
-	direct.ObserveCamera("tracking", 2*time.Millisecond)
-	direct.ObserveCamera("batching", 1*time.Millisecond)
-	direct.ObserveCamera("tracking", 6*time.Millisecond)
-	direct.EndFrame()
-
 	sharded := NewBreakdown()
 	var cam0, cam1 CameraSample
 	cam0.Observe("tracking", 4*time.Millisecond)
@@ -147,13 +133,11 @@ func TestCameraSampleAbsorb(t *testing.T) {
 	sharded.Absorb(&cam1)
 	sharded.EndFrame()
 
-	for _, comp := range []string{"tracking", "batching"} {
-		if got, want := sharded.MeanOf(comp), direct.MeanOf(comp); got != want {
-			t.Errorf("%s: sharded %v != direct %v", comp, got, want)
-		}
-	}
 	if got := sharded.MeanOf("tracking"); got != 6*time.Millisecond {
 		t.Errorf("tracking mean = %v, want 6ms", got)
+	}
+	if got := sharded.MeanOf("batching"); got != time.Millisecond {
+		t.Errorf("batching mean = %v, want 1ms", got)
 	}
 }
 

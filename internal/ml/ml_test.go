@@ -347,13 +347,21 @@ func TestEvaluateRegressorErrors(t *testing.T) {
 	}
 }
 
+// nodeDepth is the depth of a fitted (sub)tree, 0 for a single leaf.
+func nodeDepth(n *treeNode) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	return 1 + max(nodeDepth(n.left), nodeDepth(n.right))
+}
+
 func TestTreeDepthBounded(t *testing.T) {
 	x, y := linearlySeparable(500, 9)
 	tr := &TreeClassifier{MaxDepth: 3}
 	if err := tr.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if d := tr.Depth(); d > 3 {
+	if d := nodeDepth(tr.root); d > 3 {
 		t.Fatalf("depth %d > 3", d)
 	}
 }
@@ -365,8 +373,8 @@ func TestTreePureNodeIsLeaf(t *testing.T) {
 	if err := tr.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() != 0 {
-		t.Fatalf("pure data should yield a leaf, depth=%d", tr.Depth())
+	if d := nodeDepth(tr.root); d != 0 {
+		t.Fatalf("pure data should yield a leaf, depth=%d", d)
 	}
 	got, err := tr.Predict([]float64{99})
 	if err != nil || !got {

@@ -142,18 +142,3 @@ func gini(pos, n int) float64 {
 	p := float64(pos) / float64(n)
 	return 2 * p * (1 - p)
 }
-
-// Depth returns the depth of the fitted tree (0 for a single leaf), for
-// introspection in tests.
-func (t *TreeClassifier) Depth() int { return nodeDepth(t.root) }
-
-func nodeDepth(n *treeNode) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := nodeDepth(n.left), nodeDepth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}

@@ -2,6 +2,7 @@ package node
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -25,8 +26,11 @@ func TestDegradedModeCountsAndClears(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := metrics.NewChannelSink(1, len(trace.Frames)+1)
+	// Scheduler unreachable for the first two horizons.
+	link := &fakeLink{down: func(fi int) bool { return fi < 20 }}
 	cfg := baseConfig(0)
 	cfg.Sink = sink
+	cfg.Link = link
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -36,41 +40,27 @@ func TestDegradedModeCountsAndClears(t *testing.T) {
 	}
 
 	for fi := range trace.Frames {
-		obs := trace.Frames[fi].PerCamera[0]
-		if fi%10 == 0 {
-			reports, err := rt.KeyFrame(obs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fi < 20 {
-				// Scheduler unreachable for the first two horizons.
-				rt.EnterDegraded()
-				continue
-			}
-			keep := make([]int, len(reports))
-			for i, r := range reports {
-				keep[i] = r.TrackID
-			}
-			if err := rt.ApplyAssignment(&cluster.Assignment{Frame: fi, Keep: keep, Priority: []int{0, 1}}); err != nil {
-				t.Fatal(err)
-			}
-			if rt.Degraded() {
-				t.Fatal("ApplyAssignment did not clear degraded mode")
-			}
-		} else if _, err := rt.RegularFrame(obs); err != nil {
+		switch fi {
+		case 20:
+			link.reconnects = 2
+		case 30:
+			link.reconnects = 1 // monotone: lower value ignored
+		}
+		if err := rt.Step(fi, trace.Frames[fi].PerCamera[0]); err != nil {
 			t.Fatal(err)
 		}
+		if want := fi < 20; rt.Degraded() != want {
+			t.Fatalf("after frame %d: degraded = %v, want %v", fi, rt.Degraded(), want)
+		}
 	}
-	rt.NoteReconnects(2)
-	rt.NoteReconnects(1) // monotone: lower value ignored
 
 	st := rt.Stats()
 	if st.Frames != 40 {
 		t.Fatalf("frames = %d", st.Frames)
 	}
-	// Frames 1..20 ran degraded: key frame 0 finished before the first
-	// EnterDegraded, and frame 20's key frame still ran degraded before
-	// its assignment cleared the mode.
+	// Frames 1..20 ran degraded: key frame 0 finished before its round
+	// failed, and frame 20's key frame still ran degraded before its
+	// assignment cleared the mode.
 	if st.DegradedFrames != 20 {
 		t.Fatalf("degraded frames = %d, want 20", st.DegradedFrames)
 	}
@@ -85,6 +75,50 @@ func TestDegradedModeCountsAndClears(t *testing.T) {
 	}
 	if last.DegradedFrames != 20 {
 		t.Fatalf("final snapshot degraded_frames = %d, want 20", last.DegradedFrames)
+	}
+}
+
+// TestMissedAssignmentRejoinsKeyFrameGrid pins what the cadence rule is
+// for: the scheduler steps the ladder at frame 20 and one node never
+// hears of it (that round's assignment is lost), so the two run on
+// different stretches — and still key-frame together at frame 40,
+// because the grids nest. Counting the interval from the last key frame
+// instead (next = fi + horizon*stretch) would send them to 60 and 40 and
+// they would never share a round again.
+func TestMissedAssignmentRejoinsKeyFrameGrid(t *testing.T) {
+	trace, err := twoCamWorld(3).Run(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heard := &fakeLink{}
+	missed := &fakeLink{down: func(fi int) bool { return fi == 20 }}
+	var nodes [2]*Runtime
+	for i, link := range []*fakeLink{heard, missed} {
+		cfg := baseConfig(0)
+		cfg.Link = link
+		if nodes[i], err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for fi := range trace.Frames {
+		level := 1
+		if fi >= 20 {
+			level = 2
+		}
+		heard.level, missed.level = level, level
+		for _, rt := range nodes {
+			if err := rt.Step(fi, trace.Frames[fi].PerCamera[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := []int{0, 20, 40, 80, 120, 160}
+	if !reflect.DeepEqual(heard.keyFrames, want) || !reflect.DeepEqual(missed.keyFrames, want) {
+		t.Fatalf("key frames %v and %v, want both %v", heard.keyFrames, missed.keyFrames, want)
+	}
+	// Degraded from the lost round to the next key frame, and not beyond.
+	if got := nodes[1].Stats().DegradedFrames; got != 20 {
+		t.Fatalf("the node that missed round 20 ran %d frames degraded, want 20", got)
 	}
 }
 
@@ -160,31 +194,15 @@ func TestChaosDegradedRejoinEndToEnd(t *testing.T) {
 			Camera: cam, Frame: sc.Frame(), Profile: profiles[cam],
 			GridCols: ack.GridCols, GridRows: ack.GridRows, Coverage: ack.Coverage,
 			NumCameras: 2, Seed: 4, Sink: sink,
+			Link: client, Horizon: 10, Deadline: 2 * time.Second,
 		})
 		if err != nil {
 			res.err = err
 			return
 		}
+		// A round without guidance degrades the node; it keeps going.
 		for fi := range test.Frames {
-			obs := test.Frames[fi].PerCamera[cam]
-			if fi%10 == 0 {
-				reports, err := rt.KeyFrame(obs)
-				if err != nil {
-					res.err = err
-					return
-				}
-				a, err := client.KeyFrame(fi, reports, 2*time.Second)
-				if err != nil {
-					// No guidance this round: keep going autonomously.
-					rt.EnterDegraded()
-					continue
-				}
-				rt.NoteReconnects(client.Reconnects())
-				if err := rt.ApplyAssignment(a); err != nil {
-					res.err = err
-					return
-				}
-			} else if _, err := rt.RegularFrame(obs); err != nil {
+			if err := rt.Step(fi, test.Frames[fi].PerCamera[cam]); err != nil {
 				res.err = err
 				return
 			}
@@ -276,7 +294,7 @@ func TestChaosDeadOwnerFailover(t *testing.T) {
 		{ObjectID: 1, Box: geom.Rect{MinX: 100, MinY: 100, MaxX: 160, MaxY: 150}},
 		{ObjectID: 2, Box: lost},
 	}
-	reports, err := rt.KeyFrame(obs)
+	reports, err := rt.keyFrame(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +303,7 @@ func TestChaosDeadOwnerFailover(t *testing.T) {
 	}
 	// The scheduler assigned both objects to camera 1 — and in the same
 	// reply declares camera 1 dead (its lease expired mid-round).
-	err = rt.ApplyAssignment(&cluster.Assignment{
+	err = rt.applyAssignment(&cluster.Assignment{
 		Frame: 0,
 		Shadows: []cluster.ShadowOrder{
 			{TrackID: reports[0].TrackID, AssignedCamera: 1},
@@ -300,7 +318,7 @@ func TestChaosDeadOwnerFailover(t *testing.T) {
 	if st := rt.Stats(); st.ActiveTracks != 0 || st.Shadows != 2 {
 		t.Fatalf("after demotion: %+v", st)
 	}
-	if _, err := rt.RegularFrame(obs); err != nil {
+	if err := rt.regularFrame(obs); err != nil {
 		t.Fatal(err)
 	}
 	st := rt.Stats()
@@ -318,7 +336,7 @@ func TestChaosDeadOwnerFailover(t *testing.T) {
 	if got := rt.Stats().OutageFrames; got != 1 {
 		t.Fatalf("OutageFrames = %d, want 1", got)
 	}
-	if _, err := rt.RegularFrame(obs); err != nil {
+	if err := rt.regularFrame(obs); err != nil {
 		t.Fatal(err)
 	}
 	sink.Close()
@@ -348,12 +366,12 @@ func TestChaosDeadSetIgnoredWhenAlive(t *testing.T) {
 	obs := []scene.Observation{
 		{ObjectID: 1, Box: geom.Rect{MinX: 100, MinY: 100, MaxX: 160, MaxY: 150}},
 	}
-	reports, err := rt.KeyFrame(obs)
+	reports, err := rt.keyFrame(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-range dead entries must not panic or mark anything.
-	err = rt.ApplyAssignment(&cluster.Assignment{
+	err = rt.applyAssignment(&cluster.Assignment{
 		Frame:    0,
 		Shadows:  []cluster.ShadowOrder{{TrackID: reports[0].TrackID, AssignedCamera: 1}},
 		Priority: []int{1, 0},
@@ -362,7 +380,7 @@ func TestChaosDeadSetIgnoredWhenAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.RegularFrame(obs); err != nil {
+	if err := rt.regularFrame(obs); err != nil {
 		t.Fatal(err)
 	}
 	// Owner 1 is alive (garbage dead entries ignored): the shadow stays

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mvs/internal/adapt"
 	"mvs/internal/assoc"
 	"mvs/internal/cluster"
 	"mvs/internal/metrics"
@@ -77,14 +78,39 @@ func composeRounds(rounds []metrics.Round, numCams int) []roundDecision {
 	return out
 }
 
+// recordingLink notes the frames its node key-framed on.
+type recordingLink struct {
+	Link
+	keyFrames []int
+}
+
+func (l *recordingLink) KeyFrame(fi int, tracks []cluster.TrackReport, deadline time.Duration) (*cluster.Assignment, error) {
+	l.keyFrames = append(l.keyFrames, fi)
+	return l.Link.KeyFrame(fi, tracks, deadline)
+}
+
+// loopbackRun is what one trace through a loopback cluster leaves
+// behind: the scheduler's round records and, per camera, the node's
+// snapshots, final counters, detected objects and the frames it
+// key-framed on.
+type loopbackRun struct {
+	rounds    []metrics.Round
+	frames    [][]metrics.Snapshot
+	stats     []Stats
+	detected  []map[int]bool
+	keyFrames [][]int
+}
+
 // runLoopbackCluster drives the trace through a scheduler (sharded when
-// smap is set) and one Runtime per camera over loopback TCP, and returns
-// the scheduler's round records and each node's per-frame snapshots.
-func runLoopbackCluster(t *testing.T, trace *scene.Trace, model *assoc.Model,
-	profiles []*profile.Profile, smap *shard.Map, seed int64, horizon int) ([]metrics.Round, [][]metrics.Snapshot) {
+// smap is set) and one Runtime per camera over loopback TCP, each node
+// by Step alone. The scheduler's barrier is its roster, so the nodes
+// dial in whenever they get to it — stagger apart, when set — and start
+// stepping at once.
+func runLoopbackCluster(t *testing.T, trace *scene.Trace, model *assoc.Model, profiles []*profile.Profile,
+	smap *shard.Map, seed int64, horizon int, stagger time.Duration, opts ...cluster.Option) loopbackRun {
 	t.Helper()
 	rounds := &roundLog{}
-	opts := []cluster.Option{cluster.WithRounds(rounds), cluster.WithWorkers(1)}
+	opts = append(opts, cluster.WithRounds(rounds), cluster.WithWorkers(1))
 	var sched interface {
 		Serve(net.Listener) error
 		Close()
@@ -115,58 +141,43 @@ func runLoopbackCluster(t *testing.T, trace *scene.Trace, model *assoc.Model,
 	n := len(trace.Cameras)
 	logs := make([]*frameLog, n)
 	errs := make([]error, n)
-	// A round completes when every *connected* camera has reported, so
-	// every client dials before any sends its first key frame.
-	var dialed, done sync.WaitGroup
-	dialed.Add(n)
+	run := loopbackRun{
+		frames: make([][]metrics.Snapshot, n), stats: make([]Stats, n),
+		detected: make([]map[int]bool, n), keyFrames: make([][]int, n),
+	}
+	var done sync.WaitGroup
 	done.Add(n)
 	for cam := 0; cam < n; cam++ {
 		logs[cam] = &frameLog{}
 		go func(cam int) {
 			defer done.Done()
+			time.Sleep(time.Duration(cam%3) * stagger)
 			sc := trace.Cameras[cam]
 			client, err := cluster.Dial(ln.Addr().String(), cam, 5*time.Second, sc.ImageW, sc.ImageH)
-			dialed.Done()
 			if err != nil {
 				errs[cam] = err
 				return
 			}
 			defer client.Close()
-			dialed.Wait()
 			ack := client.Ack()
+			link := &recordingLink{Link: client}
 			rt, err := New(Config{
 				Camera: cam, Frame: sc.Frame(), Profile: profiles[cam],
 				GridCols: ack.GridCols, GridRows: ack.GridRows, Coverage: ack.Coverage,
 				NumCameras: n, Seed: seed, Sink: logs[cam],
+				Link: link, Horizon: horizon, Deadline: 20 * time.Second,
 			})
 			if err != nil {
 				errs[cam] = err
 				return
 			}
 			for fi := range trace.Frames {
-				obs := trace.Frames[fi].PerCamera[cam]
-				if fi%horizon != 0 {
-					if _, err := rt.RegularFrame(obs); err != nil {
-						errs[cam] = err
-						return
-					}
-					continue
-				}
-				reports, err := rt.KeyFrame(obs)
-				if err != nil {
-					errs[cam] = err
-					return
-				}
-				a, err := client.KeyFrame(fi, reports, 20*time.Second)
-				if err != nil {
-					errs[cam] = err
-					return
-				}
-				if err := rt.ApplyAssignment(a); err != nil {
+				if err := rt.Step(fi, trace.Frames[fi].PerCamera[cam]); err != nil {
 					errs[cam] = err
 					return
 				}
 			}
+			run.stats[cam], run.detected[cam], run.keyFrames[cam] = rt.Stats(), rt.DetectedIDs(), link.keyFrames
 		}(cam)
 	}
 	done.Wait()
@@ -174,12 +185,13 @@ func runLoopbackCluster(t *testing.T, trace *scene.Trace, model *assoc.Model,
 		if err != nil {
 			t.Fatalf("camera %d: %v", cam, err)
 		}
+		if d := run.stats[cam].DegradedFrames; d != 0 {
+			t.Fatalf("camera %d ran %d frames degraded: a round gave it no assignment", cam, d)
+		}
+		run.frames[cam] = logs[cam].snaps
 	}
-	perCam := make([][]metrics.Snapshot, n)
-	for cam, l := range logs {
-		perCam[cam] = l.snaps
-	}
-	return rounds.rounds, perCam
+	run.rounds = rounds.rounds
+	return run
 }
 
 // TestInProcessMatchesLoopbackCluster is the oracle of "one frame loop,
@@ -201,11 +213,13 @@ func TestInProcessMatchesLoopbackCluster(t *testing.T) {
 		profiles []*profile.Profile
 		frames   int
 		sharded  bool
+		stagger  time.Duration // cameras register 0, 1 or 2 of these late
 	}{
 		{"two-camera", twoCamWorld(5), []*profile.Profile{
-			profile.Derived(profile.JetsonXavier), profile.Derived(profile.JetsonNano)}, 600, false},
-		{"S4", workload.S4(3).World, workload.S4(3).Profiles(), 900, false},
-		{"islands-sharded", islands.World, islands.Profiles(), 900, true},
+			profile.Derived(profile.JetsonXavier), profile.Derived(profile.JetsonNano)}, 600, false, 0},
+		{"S4", workload.S4(3).World, workload.S4(3).Profiles(), 900, false, 0},
+		{"S4-staggered", workload.S4(3).World, workload.S4(3).Profiles(), 900, false, 10 * time.Millisecond},
+		{"islands-sharded", islands.World, islands.Profiles(), 900, true, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,9 +257,10 @@ func TestInProcessMatchesLoopbackCluster(t *testing.T) {
 			if _, err := pipeline.Run(trace, tc.profiles, model, cfg); err != nil {
 				t.Fatal(err)
 			}
-			cluRounds, nodeFrames := runLoopbackCluster(t, trace, model, tc.profiles, smap, seed, horizon)
+			clu := runLoopbackCluster(t, trace, model, tc.profiles, smap, seed, horizon, tc.stagger)
+			nodeFrames := clu.frames
 
-			want, got := composeRounds(engRounds.rounds, n), composeRounds(cluRounds, n)
+			want, got := composeRounds(engRounds.rounds, n), composeRounds(clu.rounds, n)
 			if len(want) != (len(trace.Frames)+horizon-1)/horizon {
 				t.Fatalf("engine emitted %d rounds over %d frames", len(want), len(trace.Frames))
 			}
@@ -271,7 +286,7 @@ func TestInProcessMatchesLoopbackCluster(t *testing.T) {
 				for fi, snap := range engFrames.snaps {
 					e, c := snap.Cameras[cam], nodeFrames[cam][fi].Cameras[0]
 					shadowed += e.Shadows
-					if fi%horizon == 0 {
+					if adapt.KeyFrame(fi, horizon, 1) {
 						// A node's key-frame snapshot precedes the assignment,
 						// the engine's follows it: demotion moves tracks to
 						// shadows, so only their sum is comparable there.
@@ -287,5 +302,50 @@ func TestInProcessMatchesLoopbackCluster(t *testing.T) {
 				t.Fatal("no camera ever held a shadow: the distributed stage was not exercised")
 			}
 		})
+	}
+}
+
+// TestAdaptLockstepOverLoopback runs the loopback cluster under a
+// scheduler-side controller whose SLO no round can meet, so the ladder
+// steps and the cadence stretches mid-run: every node, following only
+// the level its assignments carry, must key-frame on the same frames,
+// and every one of those rounds must complete with the whole roster —
+// no node left waiting for a peer on another grid (runLoopbackCluster
+// fails on a degraded frame).
+func TestAdaptLockstepOverLoopback(t *testing.T) {
+	const seed, horizon = 4, 10
+	s4 := workload.S4(3)
+	full, err := s4.World.Run(900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, trace := full.SplitTrain()
+	model, err := assoc.Train(train, assoc.Factories{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clu := runLoopbackCluster(t, trace, model, s4.Profiles(), nil, seed, horizon, 0,
+		cluster.WithAdapt(adapt.Policy{SLO: time.Millisecond, Cooldown: 1}))
+
+	for cam, keys := range clu.keyFrames {
+		if !reflect.DeepEqual(keys, clu.keyFrames[0]) {
+			t.Fatalf("camera %d key-framed on %v, camera 0 on %v", cam, keys, clu.keyFrames[0])
+		}
+		if last := clu.frames[cam][len(clu.frames[cam])-1]; last.AdaptLevel < 1 {
+			t.Fatalf("camera %d ended at adapt level %d: the ladder never stepped", cam, last.AdaptLevel)
+		}
+	}
+	keys := clu.keyFrames[0]
+	t.Logf("key frames: %v", keys)
+	if plain := (len(trace.Frames) + horizon - 1) / horizon; len(keys) >= plain {
+		t.Fatalf("%d key frames over %d frames: the cadence never stretched", len(keys), len(trace.Frames))
+	}
+	if len(clu.rounds) != len(keys) {
+		t.Fatalf("scheduler completed %d rounds, nodes key-framed %d times", len(clu.rounds), len(keys))
+	}
+	for i, r := range clu.rounds {
+		if r.Frame != keys[i] || r.Partial {
+			t.Fatalf("round %d: frame %d partial=%v, want frame %d with the full roster", i, r.Frame, r.Partial, keys[i])
+		}
 	}
 }

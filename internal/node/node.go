@@ -6,9 +6,12 @@
 //
 // The in-process pipeline package hosts the same kernel for evaluation;
 // this package is the deployable host. What it owns is what only a node
-// has: building the horizon's ownership policy from the wire (scoped or
-// global priority, dead set), following the scheduler's degradation
-// rung, the degraded/reconnect/outage counters, and its snapshot stream.
+// has: the frame loop's body (Step — the key-frame cadence, the report →
+// assignment exchange over its Link, degrade-on-error and rejoin, the
+// heartbeat between key frames), building the horizon's ownership policy
+// from the wire (scoped or global priority, dead set), following the
+// scheduler's degradation rung, the degraded/reconnect/outage counters,
+// and its snapshot stream.
 package node
 
 import (
@@ -26,6 +29,18 @@ import (
 	"mvs/internal/vision"
 )
 
+// Link is the node's end of its scheduler connection, as Step uses it;
+// *cluster.Client and *cluster.ReconnectClient are the two that ship.
+type Link interface {
+	// KeyFrame uploads a key frame's track reports and waits up to
+	// deadline for that round's assignment.
+	KeyFrame(frame int, tracks []cluster.TrackReport, deadline time.Duration) (*cluster.Assignment, error)
+	// Ping refreshes this camera's liveness lease between key frames.
+	Ping(timeout time.Duration) error
+	// Reconnects is the cumulative count of re-established connections.
+	Reconnects() int
+}
+
 // Runtime is one camera node's state.
 type Runtime struct {
 	camera int
@@ -36,15 +51,22 @@ type Runtime struct {
 	// out is the kernel's frame record, reused every frame.
 	out camera.Frame
 
+	link           Link
+	horizon        int
+	deadline       time.Duration
+	heartbeatEvery int
+
 	// Degraded mode: true while the node operates without scheduler
-	// guidance (see EnterDegraded).
+	// guidance — from a key frame whose assignment never arrived until
+	// the next one that does. The node keeps inspecting all of its own
+	// tracks under the last-known priority order and cell masks.
 	degraded bool
 
 	// adaptLevel is the degradation-ladder rung carried by the last
 	// applied assignment (scheduler-side WithAdapt): the kernel's size
-	// cap follows it, and the node's drive loop stretches its key-frame
-	// cadence by adapt.StretchFor(adaptLevel). adaptTransitions counts
-	// the level changes this node has applied.
+	// cap follows it, and Step stretches the key-frame cadence by
+	// adapt.StretchFor(adaptLevel). adaptTransitions counts the level
+	// changes this node has applied.
 	adaptLevel       int
 	adaptTransitions int
 
@@ -84,6 +106,17 @@ type Config struct {
 	// recall — it never sees the cross-camera truth denominator — so the
 	// recall fields stay zero.
 	Sink metrics.Sink
+	// Link is the scheduler connection Step exchanges key frames over.
+	Link Link
+	// Horizon is T, the frames per scheduling horizon: Step full-inspects
+	// and uploads on the adapt.KeyFrame grid of it.
+	Horizon int
+	// Deadline is how long a key frame waits for its assignment before
+	// the node degrades (0 = the link's default).
+	Deadline time.Duration
+	// HeartbeatEvery pings the scheduler on every N-th frame that is not
+	// a key frame, keeping a liveness lease fresh (0 = never).
+	HeartbeatEvery int
 }
 
 // New builds a camera runtime.
@@ -93,6 +126,12 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.NumCameras <= 0 {
 		return nil, fmt.Errorf("node: NumCameras must be positive")
+	}
+	if cfg.Link == nil {
+		return nil, fmt.Errorf("node: nil Link")
+	}
+	if cfg.Horizon <= 0 {
+		return nil, fmt.Errorf("node: Horizon must be positive")
 	}
 	grid := geom.NewGrid(cfg.Frame, max(cfg.GridCols, 1), max(cfg.GridRows, 1))
 	if len(cfg.Coverage) > 0 && len(cfg.Coverage) != grid.NumCells() {
@@ -127,7 +166,46 @@ func New(cfg Config) (*Runtime, error) {
 		sink:     cfg.Sink,
 		label:    fmt.Sprintf("camera%d", cfg.Camera),
 		detected: make(map[int]bool),
+
+		link:           cfg.Link,
+		horizon:        cfg.Horizon,
+		deadline:       cfg.Deadline,
+		heartbeatEvery: cfg.HeartbeatEvery,
 	}, nil
+}
+
+// Step processes frame fi of this camera's stream. On a key frame
+// (adapt.KeyFrame, stretched by the last assignment's level) it runs the
+// full-frame inspection, uploads the track reports and applies the
+// round's assignment; a round that yields none puts the node in degraded
+// mode, and the next one that does rejoins it. On every other frame it
+// runs the sliced inspection and the distributed stage, and sends the
+// configured heartbeat. A returned error is the node's own (kernel,
+// malformed assignment) — a link failure never is.
+func (r *Runtime) Step(fi int, obs []scene.Observation) error {
+	if adapt.KeyFrame(fi, r.horizon, adapt.StretchFor(r.adaptLevel)) {
+		reports, err := r.keyFrame(obs)
+		if err != nil {
+			return err
+		}
+		a, err := r.link.KeyFrame(fi, reports, r.deadline)
+		r.reconnects = max(r.reconnects, r.link.Reconnects())
+		if err != nil {
+			r.degraded = true
+			return nil
+		}
+		return r.applyAssignment(a)
+	}
+	if err := r.regularFrame(obs); err != nil {
+		return err
+	}
+	if r.heartbeatEvery > 0 && fi%r.heartbeatEvery == 0 {
+		// A failed ping already triggered the link's reconnect attempts;
+		// the error itself is not actionable here.
+		_ = r.link.Ping(0)
+		r.reconnects = max(r.reconnects, r.link.Reconnects())
+	}
+	return nil
 }
 
 // finishFrame prices the kernel's frame record on the node's own GPU,
@@ -178,10 +256,9 @@ func (r *Runtime) finishFrame() error {
 	return nil
 }
 
-// KeyFrame runs the full-frame inspection and returns the track reports
-// to upload. The caller sends them to the scheduler and feeds the reply
-// to ApplyAssignment.
-func (r *Runtime) KeyFrame(obs []scene.Observation) ([]cluster.TrackReport, error) {
+// keyFrame runs the full-frame inspection and returns the track reports
+// to upload.
+func (r *Runtime) keyFrame(obs []scene.Observation) ([]cluster.TrackReport, error) {
 	r.out.Reset()
 	if err := r.kernel.KeyFrame(obs, &r.out); err != nil {
 		return nil, fmt.Errorf("node: %w", err)
@@ -199,38 +276,16 @@ func (r *Runtime) KeyFrame(obs []scene.Observation) ([]cluster.TrackReport, erro
 // camera recovers.
 func (r *Runtime) OutageFrame() { r.outageFrames++ }
 
-// EnterDegraded switches the runtime to degraded mode: the scheduler is
-// unreachable (or did not answer this round), so the node keeps
-// inspecting all of its own tracks under the last-known priority order
-// and cell masks. Frames processed while degraded are counted in
-// Stats.DegradedFrames and the per-frame snapshots. The next successful
-// ApplyAssignment rejoins the cluster seamlessly.
-func (r *Runtime) EnterDegraded() { r.degraded = true }
-
-// Degraded reports whether the runtime is currently in degraded mode.
+// Degraded reports whether the runtime is currently in degraded mode:
+// its last key frame got no assignment. Frames processed while degraded
+// are counted in Stats.DegradedFrames and the per-frame snapshots.
 func (r *Runtime) Degraded() bool { return r.degraded }
 
-// AdaptLevel returns the degradation-ladder rung the last applied
-// assignment carried (0 when the scheduler runs no adapt controller).
-// The drive loop stretches its key-frame cadence by
-// adapt.StretchFor(AdaptLevel()); the kernel's size cap is already
-// applied by ApplyAssignment.
-func (r *Runtime) AdaptLevel() int { return r.adaptLevel }
-
-// NoteReconnects records the client's cumulative reconnect count so it
-// flows into this node's snapshots and stats. Monotone: lower values
-// are ignored.
-func (r *Runtime) NoteReconnects(n int) {
-	if n > r.reconnects {
-		r.reconnects = n
-	}
-}
-
-// ApplyAssignment installs the scheduler's reply: shadowed tracks are
+// applyAssignment installs the scheduler's reply: shadowed tracks are
 // demoted, and the horizon's priority order replaces the old one. A
 // successful assignment also clears degraded mode — the scheduler is
 // answering again.
-func (r *Runtime) ApplyAssignment(a *cluster.Assignment) error {
+func (r *Runtime) applyAssignment(a *cluster.Assignment) error {
 	if a == nil {
 		return fmt.Errorf("node: nil assignment")
 	}
@@ -292,19 +347,15 @@ func (r *Runtime) ApplyAssignment(a *cluster.Assignment) error {
 	return nil
 }
 
-// RegularFrame runs one regular-frame step: advance shadows, inspect
+// regularFrame runs one regular-frame step: advance shadows, inspect
 // active track regions plus owned new regions, update the tracker, and
-// apply the distributed-stage ownership rules. It returns the frame's
-// modelled inference latency.
-func (r *Runtime) RegularFrame(obs []scene.Observation) (time.Duration, error) {
+// apply the distributed-stage ownership rules.
+func (r *Runtime) regularFrame(obs []scene.Observation) error {
 	r.out.Reset()
 	if err := r.kernel.RegularFrame(obs, r.policy, &r.out); err != nil {
-		return 0, fmt.Errorf("node: %w", err)
+		return fmt.Errorf("node: %w", err)
 	}
-	if err := r.finishFrame(); err != nil {
-		return 0, err
-	}
-	return r.out.Latency, nil
+	return r.finishFrame()
 }
 
 // Stats summarizes the node's run so far.
@@ -321,10 +372,10 @@ type Stats struct {
 	// node has detected at least once.
 	DetectedObjects int
 	// DegradedFrames is how many frames ran in degraded mode (no
-	// scheduler assignment; see EnterDegraded).
+	// scheduler assignment; see Degraded).
 	DegradedFrames int
-	// Reconnects is the client's cumulative reconnect count, as recorded
-	// by NoteReconnects.
+	// Reconnects is the link's cumulative reconnect count as of the last
+	// exchange or heartbeat.
 	Reconnects int
 	// OutageFrames is how many frames were lost to camera faults (see
 	// OutageFrame).

@@ -1,10 +1,9 @@
 package node
 
 import (
+	"errors"
 	"math"
-	"net"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -33,6 +32,26 @@ func twoCamWorld(seed int64) *scene.World {
 	}
 }
 
+// fakeLink stands in for the scheduler where a test feeds a Runtime by
+// hand: every key frame is answered with a keep-everything assignment
+// at its level, except the frames down names, which get no answer.
+type fakeLink struct {
+	down       func(fi int) bool
+	level      int
+	reconnects int
+	keyFrames  []int
+}
+
+func (l *fakeLink) KeyFrame(fi int, _ []cluster.TrackReport, _ time.Duration) (*cluster.Assignment, error) {
+	l.keyFrames = append(l.keyFrames, fi)
+	if l.down != nil && l.down(fi) {
+		return nil, errors.New("scheduler unreachable")
+	}
+	return &cluster.Assignment{Frame: fi, Priority: []int{0, 1}, AdaptLevel: l.level}, nil
+}
+func (l *fakeLink) Ping(time.Duration) error { return nil }
+func (l *fakeLink) Reconnects() int          { return l.reconnects }
+
 func baseConfig(cam int) Config {
 	return Config{
 		Camera:     cam,
@@ -42,6 +61,8 @@ func baseConfig(cam int) Config {
 		GridRows:   9,
 		NumCameras: 2,
 		Seed:       9,
+		Link:       &fakeLink{},
+		Horizon:    10,
 	}
 }
 
@@ -62,6 +83,16 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("nil profile accepted")
 	}
 	cfg = baseConfig(0)
+	cfg.Link = nil
+	if _, err := New(cfg); err == nil {
+		t.Fatal("nil link accepted")
+	}
+	cfg = baseConfig(0)
+	cfg.Horizon = 0
+	if _, err := New(cfg); err == nil {
+		t.Fatal("zero horizon accepted")
+	}
+	cfg = baseConfig(0)
 	cfg.Coverage = [][]int{{0}} // wrong cell count
 	if _, err := New(cfg); err == nil {
 		t.Fatal("coverage/grid mismatch accepted")
@@ -80,26 +111,10 @@ func TestStandaloneLoopWithoutMasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Standalone: the fake link answers with an identity assignment.
 	for fi := range trace.Frames {
-		obs := trace.Frames[fi].PerCamera[0]
-		if fi%10 == 0 {
-			reports, err := rt.KeyFrame(obs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Standalone: apply an identity assignment (keep all).
-			keep := make([]int, len(reports))
-			for i, r := range reports {
-				keep[i] = r.TrackID
-			}
-			err = rt.ApplyAssignment(&cluster.Assignment{Frame: fi, Keep: keep, Priority: []int{0, 1}})
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if _, err := rt.RegularFrame(obs); err != nil {
-				t.Fatal(err)
-			}
+		if err := rt.Step(fi, trace.Frames[fi].PerCamera[0]); err != nil {
+			t.Fatal(err)
 		}
 	}
 	st := rt.Stats()
@@ -122,14 +137,14 @@ func TestApplyAssignmentDemotesShadows(t *testing.T) {
 	obs := []scene.Observation{
 		{ObjectID: 1, Box: geom.Rect{MinX: 100, MinY: 100, MaxX: 160, MaxY: 150}},
 	}
-	reports, err := rt.KeyFrame(obs)
+	reports, err := rt.keyFrame(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != 1 {
 		t.Fatalf("reports = %v", reports)
 	}
-	err = rt.ApplyAssignment(&cluster.Assignment{
+	err = rt.applyAssignment(&cluster.Assignment{
 		Frame:    0,
 		Shadows:  []cluster.ShadowOrder{{TrackID: reports[0].TrackID, AssignedCamera: 1}},
 		Priority: []int{1, 0},
@@ -148,14 +163,14 @@ func TestApplyAssignmentErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.ApplyAssignment(nil); err == nil {
+	if err := rt.applyAssignment(nil); err == nil {
 		t.Fatal("nil assignment accepted")
 	}
-	if err := rt.ApplyAssignment(&cluster.Assignment{Priority: []int{0, 0}}); err == nil {
+	if err := rt.applyAssignment(&cluster.Assignment{Priority: []int{0, 0}}); err == nil {
 		t.Fatal("bad priority accepted")
 	}
 	// Shadow for an unknown track is ignored, not an error.
-	if err := rt.ApplyAssignment(&cluster.Assignment{
+	if err := rt.applyAssignment(&cluster.Assignment{
 		Priority: []int{0, 1},
 		Shadows:  []cluster.ShadowOrder{{TrackID: 999, AssignedCamera: 1}},
 	}); err != nil {
@@ -182,74 +197,8 @@ func TestDistributedMatchesSchedulerEndToEnd(t *testing.T) {
 		profile.Derived(profile.JetsonXavier),
 		profile.Derived(profile.JetsonNano),
 	}
-	sched, err := cluster.NewScheduler(model, profiles, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = sched.Serve(ln) }()
-	defer func() {
-		sched.Close()
-		ln.Close()
-	}()
-
-	runCam := func(cam int, errOut *error, detected *map[int]bool, wg *sync.WaitGroup) {
-		defer wg.Done()
-		sc := world.Cameras[cam]
-		client, err := cluster.Dial(ln.Addr().String(), cam, 5*time.Second, sc.ImageW, sc.ImageH)
-		if err != nil {
-			*errOut = err
-			return
-		}
-		defer client.Close()
-		ack := client.Ack()
-		rt, err := New(Config{
-			Camera: cam, Frame: sc.Frame(), Profile: profiles[cam],
-			GridCols: ack.GridCols, GridRows: ack.GridRows, Coverage: ack.Coverage,
-			NumCameras: 2, Seed: 4,
-		})
-		if err != nil {
-			*errOut = err
-			return
-		}
-		for fi := range test.Frames {
-			obs := test.Frames[fi].PerCamera[cam]
-			if fi%10 == 0 {
-				reports, err := rt.KeyFrame(obs)
-				if err != nil {
-					*errOut = err
-					return
-				}
-				a, err := client.KeyFrame(fi, reports, 10*time.Second)
-				if err != nil {
-					*errOut = err
-					return
-				}
-				if err := rt.ApplyAssignment(a); err != nil {
-					*errOut = err
-					return
-				}
-			} else if _, err := rt.RegularFrame(obs); err != nil {
-				*errOut = err
-				return
-			}
-		}
-		*detected = rt.DetectedIDs()
-	}
-
-	var wg sync.WaitGroup
-	var err0, err1 error
-	var det0, det1 map[int]bool
-	wg.Add(2)
-	go runCam(0, &err0, &det0, &wg)
-	go runCam(1, &err1, &det1, &wg)
-	wg.Wait()
-	if err0 != nil || err1 != nil {
-		t.Fatalf("node errors: %v / %v", err0, err1)
-	}
+	clu := runLoopbackCluster(t, test, model, profiles, nil, 4, 10, 0)
+	det0, det1 := clu.detected[0], clu.detected[1]
 
 	// Joint recall over the test half must stay high: every ground-truth
 	// object visible somewhere should be detected by some node.
@@ -282,22 +231,22 @@ func TestNewRegionsFollowTheSizeCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.KeyFrame(nil); err != nil {
+	if _, err := rt.keyFrame(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.ApplyAssignment(&cluster.Assignment{Priority: []int{0, 1}, AdaptLevel: 2}); err != nil {
+	if err := rt.applyAssignment(&cluster.Assignment{Priority: []int{0, 1}, AdaptLevel: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := adapt.SizeCapFor(rt.AdaptLevel()); got != 128 {
+	if got := adapt.SizeCapFor(rt.adaptLevel); got != 128 {
 		t.Fatalf("level 2 caps sizes at %d, test assumes 128", got)
 	}
-	lat, err := rt.RegularFrame([]scene.Observation{
+	err = rt.regularFrame([]scene.Observation{
 		{ObjectID: 1, Box: geom.Rect{MinX: 400, MinY: 200, MaxX: 700, MaxY: 500}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := profile.TrueBatchLatency(cfg.Profile.Class, 128, 1)
+	lat, want := rt.out.Latency, profile.TrueBatchLatency(cfg.Profile.Class, 128, 1)
 	if lat != want {
 		t.Fatalf("regular frame cost %v, want one 128-px task = %v (one 512-px task = %v)",
 			lat, want, profile.TrueBatchLatency(cfg.Profile.Class, 512, 1))
@@ -305,7 +254,7 @@ func TestNewRegionsFollowTheSizeCap(t *testing.T) {
 }
 
 // regularFrameAllocCeiling bounds the mean allocations of one
-// Runtime.RegularFrame on the two-camera trace below: 1.5x the 0.10
+// Runtime.regularFrame on the two-camera trace below: 1.5x the 0.10
 // measured when the node became a host of the camera kernel (its own
 // copy of the frame loop allocated 4.3). What is left is what outlives
 // a frame: new tracks, grown scratch, newly detected IDs.
@@ -327,11 +276,11 @@ func TestRegularFrameAllocationBudget(t *testing.T) {
 		{ObjectID: 2, Box: geom.Rect{MinX: 600, MinY: 300, MaxX: 720, MaxY: 420}},
 		{ObjectID: 3, Box: geom.Rect{MinX: 900, MinY: 500, MaxX: 960, MaxY: 550}},
 	}
-	if _, err := rt.KeyFrame(obs); err != nil {
+	if _, err := rt.keyFrame(obs); err != nil {
 		t.Fatal(err)
 	}
 	frame := func() {
-		if _, err := rt.RegularFrame(obs); err != nil {
+		if err := rt.regularFrame(obs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -357,15 +306,15 @@ func TestRegularFrameAllocationBudget(t *testing.T) {
 	regular := 0
 	for fi := range trace.Frames {
 		obs := trace.Frames[fi].PerCamera[0]
-		if fi%10 == 0 {
-			if _, err := rt.KeyFrame(obs); err != nil {
+		if adapt.KeyFrame(fi, 10, 1) {
+			if _, err := rt.keyFrame(obs); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := rt.RegularFrame(obs); err != nil {
+		if err := rt.regularFrame(obs); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

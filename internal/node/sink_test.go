@@ -3,7 +3,6 @@ package node
 import (
 	"testing"
 
-	"mvs/internal/cluster"
 	"mvs/internal/metrics"
 )
 
@@ -24,27 +23,9 @@ func TestNodeSinkSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	latencies := make(map[int]int64) // frame -> modelled latency (regular frames)
 	for fi := range trace.Frames {
-		obs := trace.Frames[fi].PerCamera[0]
-		if fi%10 == 0 {
-			reports, err := rt.KeyFrame(obs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			keep := make([]int, len(reports))
-			for i, r := range reports {
-				keep[i] = r.TrackID
-			}
-			if err := rt.ApplyAssignment(&cluster.Assignment{Frame: fi, Keep: keep, Priority: []int{0, 1}}); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			lat, err := rt.RegularFrame(obs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			latencies[fi] = int64(lat)
+		if err := rt.Step(fi, trace.Frames[fi].PerCamera[0]); err != nil {
+			t.Fatal(err)
 		}
 	}
 	sink.Close()
@@ -75,9 +56,6 @@ func TestNodeSinkSnapshots(t *testing.T) {
 		cs := snap.Cameras[0]
 		if cs.Latency != snap.FrameLatency {
 			t.Fatalf("snapshot %d: camera latency %v != frame latency %v", i, cs.Latency, snap.FrameLatency)
-		}
-		if want, ok := latencies[i]; ok && int64(cs.Latency) != want {
-			t.Fatalf("snapshot %d: latency %d != RegularFrame's %d", i, int64(cs.Latency), want)
 		}
 		if i%10 == 0 && cs.Batches != 0 {
 			t.Fatalf("key frame %d launched %d partial batches", i, cs.Batches)

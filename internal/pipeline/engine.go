@@ -82,13 +82,10 @@ type Engine struct {
 	// Degradation control loop (Config.Adapt): the controller observes
 	// every frame and ticks at key frames, before the key frame runs, so
 	// a new rung's size cap applies to that frame's RefreshSizes and its
-	// stretch to the following interval. nextKey replaces the fixed
-	// fi%Horizon == 0 cadence — with no controller (or at level 0) it
-	// advances by exactly Horizon, reproducing the fixed cadence
-	// bit-identically. lastDrift remembers the orphan+reassignment total
-	// at the previous frame so each Sample carries the per-frame delta.
+	// stretch to the frames after it (adapt.KeyFrame is the cadence).
+	// lastDrift remembers the orphan+reassignment total at the previous
+	// frame so each Sample carries the per-frame delta.
 	ctrl      *adapt.Controller
-	nextKey   int
 	lastDrift int
 
 	// hist is the bounded ring buffer serving lagged camera views
@@ -345,21 +342,20 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 		e.deadMask, _ = e.health.DeadMask(e.deadMask)
 		e.policy.SetDead(e.deadMask) // all-false mask clears
 	}
-	isKey := fi == e.nextKey
-	if isKey {
+	stretch := 1
+	if e.ctrl != nil {
+		stretch = e.ctrl.Stretch()
+	}
+	isKey := adapt.KeyFrame(fi, e.cfg.Sched.Horizon, stretch)
+	if isKey && e.ctrl != nil {
 		// Tick the control loop between horizons, before this key frame
 		// runs: a freshly engaged rung caps this frame's RefreshSizes
-		// and stretches the interval to the next key.
-		stretch := 1
-		if e.ctrl != nil {
-			e.ctrl.Tick()
-			sizeCap := e.ctrl.SizeCap()
-			for _, k := range cams {
-				k.SetSizeCap(sizeCap)
-			}
-			stretch = e.ctrl.Stretch()
+		// and stretches the cadence from here on.
+		e.ctrl.Tick()
+		sizeCap := e.ctrl.SizeCap()
+		for _, k := range cams {
+			k.SetSizeCap(sizeCap)
 		}
-		e.nextKey = fi + e.cfg.Sched.Horizon*stretch
 	}
 	results := e.results
 	for i := range results {

@@ -91,6 +91,28 @@ type FramePart struct {
 	EOS     bool
 }
 
+// AppendFrameParts appends stream frame fi as a producer pushes it: one
+// part per camera in camera order, the ground-truth objects riding on
+// camera 0's part.
+func AppendFrameParts(dst []FramePart, fi int, frame *scene.FrameTruth) []FramePart {
+	for cam, obs := range frame.PerCamera {
+		p := FramePart{Cam: cam, Frame: fi, Obs: obs}
+		if cam == 0 {
+			p.Objects = frame.Objects
+		}
+		dst = append(dst, p)
+	}
+	return dst
+}
+
+// AppendEOSParts appends the end-of-stream part of each of cams cameras.
+func AppendEOSParts(dst []FramePart, cams int) []FramePart {
+	for cam := 0; cam < cams; cam++ {
+		dst = append(dst, FramePart{Cam: cam, EOS: true})
+	}
+	return dst
+}
+
 // StallError is the typed degraded state the watchdog surfaces when the
 // producer side goes quiet past the deadline while the engine is
 // waiting in Next: instead of hanging forever on a half-dead source,

@@ -253,13 +253,7 @@ func TestEncodeFramePartBytes(t *testing.T) {
 	}
 	var parts []FramePart
 	for fi := range trace.Frames {
-		for cam, obs := range trace.Frames[fi].PerCamera {
-			p := FramePart{Cam: cam, Frame: fi, Obs: obs}
-			if cam == 0 {
-				p.Objects = trace.Frames[fi].Objects
-			}
-			parts = append(parts, p)
-		}
+		parts = AppendFrameParts(parts, fi, &trace.Frames[fi])
 	}
 	for cam := range trace.Cameras {
 		parts = append(parts, FramePart{Cam: cam, Frame: len(trace.Frames), EOS: true},

@@ -19,13 +19,9 @@ import (
 // as over the wire).
 func offerFrame(t *testing.T, src *IngestSource, fi int, f *scene.FrameTruth) {
 	t.Helper()
-	for cam, obs := range f.PerCamera {
-		p := FramePart{Cam: cam, Frame: fi, Obs: obs}
-		if cam == 0 {
-			p.Objects = f.Objects
-		}
+	for _, p := range AppendFrameParts(nil, fi, f) {
 		if err := src.Offer(p); err != nil {
-			t.Fatalf("offer frame %d cam %d: %v", fi, cam, err)
+			t.Fatalf("offer frame %d cam %d: %v", fi, p.Cam, err)
 		}
 	}
 }
@@ -299,20 +295,12 @@ func TestIngestTCPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	var parts []FramePart
 	for fi := 0; fi < n; fi++ {
-		f := &e.test.Frames[fi]
-		for cam, obs := range f.PerCamera {
-			p := FramePart{Cam: cam, Frame: fi, Obs: obs}
-			if cam == 0 {
-				p.Objects = f.Objects
-			}
-			if err := EncodeFramePart(conn, p); err != nil {
-				t.Fatal(err)
-			}
-		}
+		parts = AppendFrameParts(parts, fi, &e.test.Frames[fi])
 	}
-	for cam := range e.test.Cameras {
-		if err := EncodeFramePart(conn, FramePart{Cam: cam, EOS: true}); err != nil {
+	for _, p := range AppendEOSParts(parts, len(e.test.Cameras)) {
+		if err := EncodeFramePart(conn, p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -188,18 +188,6 @@ func (m *Map) Validate() error {
 	return nil
 }
 
-// MaxShardSize returns the largest shard's camera count — the widest
-// round barrier any scheduler instance runs under this map.
-func (m *Map) MaxShardSize() int {
-	max := 0
-	for _, cams := range m.Shards {
-		if len(cams) > max {
-			max = len(cams)
-		}
-	}
-	return max
-}
-
 // String renders the map as a spec string ("0,1,2|3,4"), parseable by
 // ParseSpec.
 func (m *Map) String() string {

@@ -31,9 +31,6 @@ func TestPartitionConnectedComponents(t *testing.T) {
 	if len(m.Boundary) != 0 {
 		t.Fatalf("pure components must have no boundary, got %v", m.Boundary)
 	}
-	if m.MaxShardSize() != 3 {
-		t.Fatalf("MaxShardSize = %d, want 3", m.MaxShardSize())
-	}
 }
 
 func TestPartitionSingleCameraShards(t *testing.T) {
@@ -166,7 +163,7 @@ func TestSingleAndLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumShards() != 1 || m.MaxShardSize() != 3 {
+	if m.NumShards() != 1 || len(m.Shards[0]) != 3 {
 		t.Fatalf("Single(3) = %v", m.Shards)
 	}
 	if _, err := Single(0); err == nil {

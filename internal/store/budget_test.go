@@ -84,11 +84,7 @@ func TestLiveRecordAllocationBudget(t *testing.T) {
 	wire := make([][]byte, len(b.test.Frames)) // a frame's parts, encoded before anything is counted
 	for fi := range b.test.Frames {
 		var buf bytes.Buffer
-		for cam, obs := range b.test.Frames[fi].PerCamera {
-			p := pipeline.FramePart{Cam: cam, Frame: fi, Obs: obs}
-			if cam == 0 {
-				p.Objects = b.test.Frames[fi].Objects
-			}
+		for _, p := range pipeline.AppendFrameParts(nil, fi, &b.test.Frames[fi]) {
 			if err := pipeline.EncodeFramePart(&buf, p); err != nil {
 				t.Fatal(err)
 			}

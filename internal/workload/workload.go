@@ -44,21 +44,6 @@ func (s *Scenario) Profiles() []*profile.Profile {
 	return out
 }
 
-// Validate checks the scenario wiring.
-func (s *Scenario) Validate() error {
-	if s.World == nil {
-		return fmt.Errorf("workload: %s has nil world", s.Name)
-	}
-	if err := s.World.Validate(); err != nil {
-		return fmt.Errorf("workload: %s: %w", s.Name, err)
-	}
-	if len(s.Devices) != len(s.World.Cameras) {
-		return fmt.Errorf("workload: %s has %d devices for %d cameras",
-			s.Name, len(s.Devices), len(s.World.Cameras))
-	}
-	return nil
-}
-
 // standard camera factory: an 8 m pole mount with a 0.4 rad down-tilt,
 // which sees a ground band from roughly 6 m to 65 m ahead.
 func cam(name string, pos geom.Point, yaw float64) *scene.Camera {

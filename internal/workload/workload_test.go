@@ -6,11 +6,21 @@ import (
 	"mvs/internal/profile"
 )
 
+// checkWiring is what every built-in scenario must satisfy: a valid
+// world and one device per camera.
+func checkWiring(t *testing.T, s *Scenario) {
+	t.Helper()
+	if err := s.World.Validate(); err != nil {
+		t.Errorf("%s: %v", s.Name, err)
+	}
+	if len(s.Devices) != len(s.World.Cameras) {
+		t.Errorf("%s has %d devices for %d cameras", s.Name, len(s.Devices), len(s.World.Cameras))
+	}
+}
+
 func TestAllScenariosValid(t *testing.T) {
 	for _, s := range All(1) {
-		if err := s.Validate(); err != nil {
-			t.Errorf("%s: %v", s.Name, err)
-		}
+		checkWiring(t, s)
 	}
 }
 
@@ -127,24 +137,9 @@ func TestOverlapOrdering(t *testing.T) {
 	}
 }
 
-func TestValidateCatchesMismatch(t *testing.T) {
-	s := S2(1)
-	s.Devices = s.Devices[:1]
-	if err := s.Validate(); err == nil {
-		t.Error("device/camera mismatch accepted")
-	}
-	s = S2(1)
-	s.World = nil
-	if err := s.Validate(); err == nil {
-		t.Error("nil world accepted")
-	}
-}
-
 func TestS4ScaleScenario(t *testing.T) {
 	s := S4(1)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkWiring(t, s)
 	if len(s.Devices) != 8 {
 		t.Fatalf("devices = %d", len(s.Devices))
 	}
