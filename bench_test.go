@@ -18,7 +18,6 @@ import (
 	"mvs/internal/pipeline"
 	"mvs/internal/profile"
 	"mvs/internal/scene"
-	"mvs/internal/shard"
 	"mvs/internal/workload"
 )
 
@@ -206,50 +205,6 @@ func BenchmarkCrossCameraAssociation(b *testing.B) {
 	}
 }
 
-var (
-	s4Once  sync.Once
-	setupS4 *experiments.Setup
-	s4Err   error
-)
-
-// benchS4 caches the 8-camera S4 setup shared by the scale and
-// parallelism benchmarks.
-func benchS4(b *testing.B) *experiments.Setup {
-	b.Helper()
-	s4Once.Do(func() {
-		setupS4, s4Err = experiments.Prepare("S4", 42, 400, 0)
-	})
-	if s4Err != nil {
-		b.Fatal(s4Err)
-	}
-	return setupS4
-}
-
-// BenchmarkScaleS4EightCameras runs the full BALB pipeline on the
-// 8-camera S4 scale scenario and reports recall and speedup — evidence
-// the framework holds up beyond the paper's 5-camera testbed.
-func BenchmarkScaleS4EightCameras(b *testing.B) {
-	setup := benchS4(b)
-	var recall, speedup float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		full, err := pipeline.Run(setup.Test, setup.Scenario.Profiles(), setup.Model,
-			pipeline.NewConfig(pipeline.Full, 42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		balb, err := pipeline.Run(setup.Test, setup.Scenario.Profiles(), setup.Model,
-			pipeline.NewConfig(pipeline.BALB, 42))
-		if err != nil {
-			b.Fatal(err)
-		}
-		recall = balb.Recall
-		speedup = float64(full.MeanSlowest) / float64(balb.MeanSlowest)
-	}
-	b.ReportMetric(recall, "recall")
-	b.ReportMetric(speedup, "speedup-x")
-}
-
 // --- Central-stage scaling benches (docs/SCALING.md) ---
 
 // corridorWorld chains n cameras along a straight road (the S4 idiom at
@@ -383,103 +338,6 @@ func BenchmarkAssociateWorkers(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// shardFixture caches the 64-camera corridor fleet shared by the
-// sharding benches: test trace, trained model, profiles, and the
-// model-derived coverage graph.
-type shardFixture struct {
-	test     *scene.Trace
-	model    *assoc.Model
-	profiles []*profile.Profile
-	graph    *shard.Graph
-	err      error
-}
-
-var (
-	shardFixOnce sync.Once
-	shardFix     shardFixture
-)
-
-func benchShardFixture(b *testing.B) *shardFixture {
-	b.Helper()
-	shardFixOnce.Do(func() {
-		shardFix.err = func() error {
-			s, err := workload.Corridor(64, 9)
-			if err != nil {
-				return err
-			}
-			trace, err := s.World.Run(300)
-			if err != nil {
-				return err
-			}
-			train, test := trace.SplitTrain()
-			model, err := assoc.Train(train, assoc.Factories{})
-			if err != nil {
-				return err
-			}
-			rects := make([]geom.Rect, len(s.World.Cameras))
-			for i, c := range s.World.Cameras {
-				rects[i] = c.Frame()
-			}
-			adj, err := model.OverlapAdjacency(rects, 16, 9, 0)
-			if err != nil {
-				return err
-			}
-			g, err := shard.FromAdjacency(adj)
-			if err != nil {
-				return err
-			}
-			shardFix.test, shardFix.model, shardFix.profiles, shardFix.graph = test, model, s.Profiles(), g
-			return nil
-		}()
-	})
-	if shardFix.err != nil {
-		b.Fatal(shardFix.err)
-	}
-	return &shardFix
-}
-
-// BenchmarkShardedCentralRound prices the sharded central stage on a
-// 64-camera corridor: one sub-bench per -shard-max bound (global = no
-// sharding), each running the full BALB pipeline and reporting the
-// measured central-stage cost per frame plus recall. The docs/SCALING.md
-// §3 table records the measured numbers; expected shape is central cost
-// falling roughly as 1/shards (k shards of 64/k cameras price
-// k·(64/k)² = 64²/k pair work), with recall holding.
-func BenchmarkShardedCentralRound(b *testing.B) {
-	for _, maxShard := range []int{0, 16, 8, 4} {
-		name := "global"
-		if maxShard > 0 {
-			name = fmt.Sprintf("max=%d", maxShard)
-		}
-		maxShard := maxShard
-		b.Run(name, func(b *testing.B) {
-			fx := benchShardFixture(b)
-			var m *shard.Map
-			if maxShard > 0 {
-				var err error
-				m, err = shard.Partition(fx.graph, maxShard)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(m.NumShards()), "shards")
-			}
-			var centralUS, recall float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := pipeline.Run(fx.test, fx.profiles, fx.model,
-					pipeline.Config{Sched: pipeline.Sched{Mode: pipeline.BALB, Shards: m}, Sim: pipeline.Sim{Seed: 42}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				centralUS = float64(rep.CentralPerFrame.Microseconds())
-				recall = rep.Recall
-			}
-			b.ReportMetric(centralUS, "central-us/frame")
-			b.ReportMetric(recall, "recall")
-		})
 	}
 }
 

@@ -63,15 +63,15 @@ func run(scenario string, frames int, seed int64, outDir string, latency bool) e
 	// 3. Latency bars (optional: needs five pipeline runs).
 	if latency {
 		fmt.Fprintln(os.Stderr, "running all scheduling algorithms...")
-		reports, err := experiments.RunModes(setup, 10, experiments.Options{})
+		reports, err := experiments.RunModes(setup, experiments.Options{})
 		if err != nil {
 			return err
 		}
 		var labels []string
 		var lats []time.Duration
-		for _, mode := range experiments.Modes() {
-			labels = append(labels, mode.String())
-			lats = append(lats, reports[mode].MeanSlowest)
+		for _, r := range reports {
+			labels = append(labels, r.Mode.String())
+			lats = append(lats, r.MeanSlowest)
 		}
 		if err := writeSVG(filepath.Join(outDir, scenario+"_latency.svg"), func(f *os.File) error {
 			return viz.LatencyBars(f, labels, lats)

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +61,42 @@ func TestReadMessageRejectsGarbageJSON(t *testing.T) {
 	buf.WriteString("xyz")
 	if _, err := ReadMessage(&buf); err == nil {
 		t.Fatal("garbage JSON accepted")
+	}
+}
+
+// TestReadMessageStalledBody: a header claiming the full 4 MiB, ten
+// bytes and then EOF must cost a body step, not the claim, and fail
+// typed; a message spanning several steps still arrives whole.
+func TestReadMessageStalledBody(t *testing.T) {
+	stream := append([]byte{0x00, 0x40, 0x00, 0x00}, "0123456789"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMessage(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("error %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<10 {
+		t.Fatalf("a stalled 4 MiB claim allocated %d bytes, want under %d", got, 128<<10)
+	}
+	if _, err := ReadMessage(bytes.NewReader(stream[:4])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("header and nothing else: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if _, err := ReadMessage(bytes.NewReader(nil)); err != io.EOF {
+		t.Fatalf("empty stream: %v, want io.EOF", err)
+	}
+
+	in := &Envelope{Type: TypeDetections, Detections: &Detections{Camera: 1, Tracks: make([]TrackReport, 5000)}}
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() <= 2*bodyStep {
+		t.Fatalf("message is %d bytes; the test wants more than two body steps", buf.Len())
+	}
+	out, err := ReadMessage(&buf)
+	if err != nil || len(out.Detections.Tracks) != 5000 {
+		t.Fatalf("large message: %v", err)
 	}
 }
 

@@ -182,19 +182,37 @@ func WriteMessage(w io.Writer, env *Envelope) error {
 	return nil
 }
 
-// ReadMessage reads one framed envelope.
+// bodyStep is how far ReadMessage grows a body ahead of the bytes that
+// have arrived.
+const bodyStep = 64 << 10
+
+// ReadMessage reads one framed envelope. The body buffer grows as its
+// bytes arrive, a bodyStep at a time, so a peer that claims a large
+// length and stalls pins one step, not the claim. The end of the stream
+// between messages is io.EOF; inside one it is io.ErrUnexpectedEOF.
 func ReadMessage(r io.Reader) (*Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n == 0 || n > MaxMessageSize {
 		return nil, fmt.Errorf("cluster: bad message length %d", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("cluster: read body: %w", err)
+	var body []byte
+	for len(body) < n {
+		have, step := len(body), min(n-len(body), bodyStep)
+		if have+step > cap(body) {
+			body = append(make([]byte, 0, max(have+step, 2*cap(body))), body...)
+		}
+		m, err := io.ReadFull(r, body[have:have+step])
+		body = body[:have+m]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised more
+		}
+		if err != nil {
+			return nil, fmt.Errorf("cluster: read body: %w", err)
+		}
 	}
 	var env Envelope
 	if err := json.Unmarshal(body, &env); err != nil {

@@ -6,46 +6,30 @@ import (
 )
 
 func TestChaosSweepGracefulDegradation(t *testing.T) {
-	s := setupS2(t)
-	points, err := ChaosSweep(s, []float64{0.1}, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
+	h, rows := runOn(t, "chaos", Options{})
+	if len(rows) != len(chaosRates) {
+		t.Fatalf("points = %d", len(rows))
 	}
-	if len(points) != 1 {
-		t.Fatalf("points = %d", len(points))
-	}
-	p := points[0]
-	if p.Rate != 0.1 {
-		t.Fatalf("rate = %v", p.Rate)
-	}
-	if p.OutageFrames == 0 {
+	fo, off := h.report(t, "chaos/r=0.1/fo"), h.report(t, "chaos/r=0.1/off")
+	if fo.OutageFrames == 0 {
 		t.Fatal("schedule injected no outages")
 	}
 	// The acceptance criterion: at 10% outage rate, failover keeps
 	// recall strictly above the feature-off arm of the same schedule.
-	if p.FailoverRecall <= p.NoFailoverRecall {
-		t.Fatalf("failover recall %.4f not above no-failover %.4f",
-			p.FailoverRecall, p.NoFailoverRecall)
+	if fo.Recall <= off.Recall {
+		t.Fatalf("failover recall %.4f not above no-failover %.4f", fo.Recall, off.Recall)
 	}
-	if p.FailoverP99 <= 0 || p.NoFailoverP99 <= 0 {
-		t.Fatalf("missing tail latencies: %+v", p)
+	if fo.P99Slowest <= 0 || off.P99Slowest <= 0 {
+		t.Fatalf("missing tail latencies: %v / %v", fo.P99Slowest, off.P99Slowest)
 	}
-	t.Logf("rate=%.2f outage=%d recall fo=%.4f off=%.4f reassigned=%d orphaned=%d",
-		p.Rate, p.OutageFrames, p.FailoverRecall, p.NoFailoverRecall,
-		p.Reassignments, p.Orphaned)
+	t.Logf("rate=0.10 outage=%d recall fo=%.4f off=%.4f reassigned=%d orphaned=%d",
+		fo.OutageFrames, fo.Recall, off.Recall, fo.Reassignments, fo.OrphanedObjects)
 }
 
 func TestChaosSweepDeterministic(t *testing.T) {
-	s := setupS2(t)
-	a, err := ChaosSweep(s, []float64{0.05}, 3, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ChaosSweep(s, []float64{0.05}, 3, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, a := runOn(t, "chaos", Options{Workers: 1})
+	_, b := runOn(t, "chaos", Options{Workers: 4})
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("sweep not deterministic across workers:\n%+v\n%+v", a, b)
+		t.Fatalf("sweep not deterministic across workers:\n%v\n%v", a, b)
 	}
 }

@@ -26,6 +26,41 @@ func setupS2(t *testing.T) *Setup {
 	return s2
 }
 
+// study returns the registered study of that name.
+func study(t *testing.T, name string) *Study {
+	t.Helper()
+	for _, st := range Studies() {
+		if st.Name == name {
+			return st
+		}
+	}
+	t.Fatalf("no study %q", name)
+	return nil
+}
+
+// runOn runs the named study on the prepared S2 setup and returns the
+// harness, whose finished arms the test reads by label, and the rows.
+func runOn(t *testing.T, name string, opts Options) (*Harness, [][]any) {
+	t.Helper()
+	s := setupS2(t)
+	h := on(s, opts)
+	rows, err := h.Run(study(t, name), s.Scenario.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, rows
+}
+
+// report is the finished arm's report under label.
+func (h *Harness) report(t *testing.T, label string) *pipeline.Report {
+	t.Helper()
+	o, ok := h.runs[label]
+	if !ok || o.rep == nil {
+		t.Fatalf("no report labelled %q", label)
+	}
+	return o.rep
+}
+
 func TestPrepareSplitsTrace(t *testing.T) {
 	s := setupS2(t)
 	if len(s.Train.Frames) != 300 || len(s.Test.Frames) != 300 {
@@ -61,57 +96,57 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestTableIMatchesPaper(t *testing.T) {
-	rows := TableI(1)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	st := study(t, "table1")
+	scenarios := st.ScenariosFor("all")
+	if len(scenarios) != 3 {
+		t.Fatalf("scenarios = %v", scenarios)
 	}
 	want := map[string]int{"S1": 5, "S2": 2, "S3": 3}
-	for _, r := range rows {
-		if len(r.Devices) != want[r.Scenario] {
-			t.Errorf("%s has %d devices, want %d", r.Scenario, len(r.Devices), want[r.Scenario])
+	h := &Harness{Seed: 1}
+	for _, name := range scenarios {
+		rows, err := h.Run(st, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != want[name] {
+			t.Errorf("%s has %d devices, want %d", name, len(rows), want[name])
 		}
 	}
 }
 
 func TestFig10AllModelsReported(t *testing.T) {
-	s := setupS2(t)
-	rows, err := Fig10(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[string]ClassifierResult)
+	_, rows := runOn(t, "fig10", Options{})
+	precision := make(map[string]float64)
 	for _, r := range rows {
-		seen[r.Model] = r
-		if r.Precision < 0 || r.Precision > 1 || r.Recall < 0 || r.Recall > 1 {
-			t.Errorf("%s out of range: %+v", r.Model, r)
+		model, p, rec := r[1].(string), r[2].(float64), r[3].(float64)
+		precision[model] = p
+		if p < 0 || p > 1 || rec < 0 || rec > 1 {
+			t.Errorf("%s out of range: %v", model, r)
 		}
 	}
 	for _, m := range []string{"knn", "svm", "logistic", "tree"} {
-		if _, ok := seen[m]; !ok {
+		if _, ok := precision[m]; !ok {
 			t.Errorf("model %s missing", m)
 		}
 	}
 	// The paper's key claim: KNN precision at or near the top.
-	knn := seen["knn"].Precision
-	for name, r := range seen {
-		if r.Precision > knn+0.05 {
-			t.Errorf("%s precision %.3f clearly above knn %.3f", name, r.Precision, knn)
+	knn := precision["knn"]
+	for name, p := range precision {
+		if p > knn+0.05 {
+			t.Errorf("%s precision %.3f clearly above knn %.3f", name, p, knn)
 		}
 	}
 }
 
 func TestFig11HomographyWorst(t *testing.T) {
-	s := setupS2(t)
-	rows, err := Fig11(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rows := runOn(t, "fig11", Options{})
 	maes := make(map[string]float64)
 	for _, r := range rows {
-		if r.MAE <= 0 {
-			t.Errorf("%s MAE %v", r.Model, r.MAE)
+		model, mae := r[1].(string), r[2].(float64)
+		if mae <= 0 {
+			t.Errorf("%s MAE %v", model, mae)
 		}
-		maes[r.Model] = r.MAE
+		maes[model] = mae
 	}
 	if maes["knn"] >= maes["homography"] {
 		t.Errorf("knn %.1f not below homography %.1f", maes["knn"], maes["homography"])
@@ -122,16 +157,12 @@ func TestFig11HomographyWorst(t *testing.T) {
 }
 
 func TestRunModesCoversAll(t *testing.T) {
-	s := setupS2(t)
-	reports, err := RunModes(s, 10, Options{})
-	if err != nil {
-		t.Fatal(err)
+	h, _ := runOn(t, "fig12", Options{})
+	if len(h.runs) != 5 {
+		t.Fatalf("reports = %d", len(h.runs))
 	}
-	if len(reports) != 5 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	full := reports[pipeline.Full]
-	balb := reports[pipeline.BALB]
+	full := h.report(t, "modes/Full")
+	balb := h.report(t, "modes/BALB")
 	if balb.MeanSlowest >= full.MeanSlowest {
 		t.Fatalf("BALB %v not faster than Full %v", balb.MeanSlowest, full.MeanSlowest)
 	}
@@ -143,21 +174,21 @@ func TestRunModesCoversAll(t *testing.T) {
 // also exercises concurrent pipeline runs over one shared Setup.
 func TestRunModesDeterministic(t *testing.T) {
 	s := setupS2(t)
-	seq, err := RunModes(s, 10, Options{Workers: 1})
+	seq, err := RunModes(s, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunModes(s, 10, Options{Workers: 4})
+	par, err := RunModes(s, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(par) != len(seq) {
 		t.Fatalf("reports = %d vs %d", len(par), len(seq))
 	}
-	for mode, a := range seq {
-		b, ok := par[mode]
-		if !ok {
-			t.Fatalf("mode %v missing from parallel reports", mode)
+	for i, mode := range Modes() {
+		a, b := seq[i], par[i]
+		if a.Mode != mode || b.Mode != mode {
+			t.Fatalf("report %d is %v/%v, want %v", i, a.Mode, b.Mode, mode)
 		}
 		if !reflect.DeepEqual(a.Modeled(), b.Modeled()) {
 			t.Errorf("mode %v diverged:\nseq: %+v\npar: %+v", mode, a.Modeled(), b.Modeled())
@@ -168,34 +199,25 @@ func TestRunModesDeterministic(t *testing.T) {
 // TestFig14Deterministic checks the sweep-point fan-out keeps
 // point order and values.
 func TestFig14Deterministic(t *testing.T) {
-	s := setupS2(t)
-	seq, err := Fig14(s, []int{2, 10, 20}, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Fig14(s, []int{2, 10, 20}, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, seq := runOn(t, "fig14", Options{Workers: 1})
+	_, par := runOn(t, "fig14", Options{Workers: 3})
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("horizon sweep diverged:\nseq: %+v\npar: %+v", seq, par)
+		t.Fatalf("horizon sweep diverged:\nseq: %v\npar: %v", seq, par)
 	}
 }
 
 func TestFig14Monotonicity(t *testing.T) {
-	s := setupS2(t)
-	points, err := Fig14(s, []int{2, 20}, Options{})
-	if err != nil {
-		t.Fatal(err)
+	h, rows := runOn(t, "fig14", Options{})
+	if len(rows) != len(fig14Horizons) {
+		t.Fatalf("points = %d", len(rows))
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	short, long := h.report(t, "fig14/T=2"), h.report(t, "fig14/T=20")
+	if long.MeanSlowest >= short.MeanSlowest {
+		t.Fatalf("latency did not fall with T: %v -> %v", short.MeanSlowest, long.MeanSlowest)
 	}
-	if points[1].MeanSlowest >= points[0].MeanSlowest {
-		t.Fatalf("latency did not fall with T: %v -> %v", points[0].MeanSlowest, points[1].MeanSlowest)
-	}
-	if points[1].CenRecall > points[0].CenRecall+0.01 {
-		t.Fatalf("central-only recall rose with T: %v -> %v", points[0].CenRecall, points[1].CenRecall)
+	shortCen, longCen := h.report(t, "fig14/T=2/cen"), h.report(t, "fig14/T=20/cen")
+	if longCen.Recall > shortCen.Recall+0.01 {
+		t.Fatalf("central-only recall rose with T: %v -> %v", shortCen.Recall, longCen.Recall)
 	}
 }
 
@@ -225,7 +247,7 @@ func TestRunModesSinkLabels(t *testing.T) {
 	s := setupS2(t)
 	frames := len(s.Test.Frames)
 	sink := metrics.NewChannelSink(1, 5*frames+1)
-	if _, err := RunModes(s, 10, Options{Workers: 4, Sink: sink}); err != nil {
+	if _, err := RunModes(s, Options{Workers: 4, Sink: sink}); err != nil {
 		t.Fatal(err)
 	}
 	sink.Close()
@@ -255,28 +277,35 @@ func TestRunModesSinkLabels(t *testing.T) {
 // grow as the max-shard bound falls, and sharding does not collapse
 // recall.
 func TestShardSweepSmall(t *testing.T) {
-	points, err := ShardSweep(8, 7, 240, []int{4, 2}, Options{Workers: 2})
+	st := shardStudy(8)
+	h := &Harness{Seed: 7, Frames: 240, Opts: Options{Workers: 2}}
+	rows, err := h.Run(st, st.ScenariosFor("S1")[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d, want 3", len(points))
+	if len(rows) != 1+len(shardMax) {
+		t.Fatalf("points = %d, want %d", len(rows), 1+len(shardMax))
 	}
-	if points[0].MaxShard != 0 || points[0].Shards != 1 {
-		t.Fatalf("global point = %+v", points[0])
+	if rows[0][0] != 0 || rows[0][1] != 1 {
+		t.Fatalf("global point = %v", rows[0])
 	}
-	for i, p := range points {
-		if p.CentralPerFrame <= 0 {
-			t.Fatalf("point %d: central cost %v", i, p.CentralPerFrame)
+	labels := []string{"shard/global", "shard/max=16", "shard/max=8", "shard/max=4"}
+	for i, label := range labels {
+		rep := h.report(t, label)
+		if rep.CentralPerFrame <= 0 {
+			t.Fatalf("%s: central cost %v", label, rep.CentralPerFrame)
 		}
-		if p.Recall < 0.5 {
-			t.Fatalf("point %d (max=%d): recall %v", i, p.MaxShard, p.Recall)
+		if rep.Recall < 0.5 {
+			t.Fatalf("%s: recall %v", label, rep.Recall)
+		}
+		if i > 1 && rows[i][1].(int) < rows[i-1][1].(int) {
+			t.Fatalf("shard counts %v, %v do not grow as max falls", rows[i-1][1], rows[i][1])
 		}
 	}
-	if points[1].Shards < 2 || points[2].Shards < points[1].Shards {
-		t.Fatalf("shard counts %d, %d do not grow as max falls", points[1].Shards, points[2].Shards)
+	if last := rows[len(rows)-1][1].(int); last < 2 {
+		t.Fatalf("max=4 left %d shards", last)
 	}
-	if diff := points[0].Recall - points[2].Recall; diff > 0.1 {
+	if diff := h.report(t, "shard/global").Recall - h.report(t, "shard/max=4").Recall; diff > 0.1 {
 		t.Fatalf("sharding cost %.3f recall", diff)
 	}
 }

@@ -334,8 +334,3 @@ func ByName(name string, seed int64) (*Scenario, error) {
 	}
 	return nil, fmt.Errorf("workload: unknown scenario %q (want S1, S2, S3, S4, or C<n>)", name)
 }
-
-// All returns the three scenarios with the given seed.
-func All(seed int64) []*Scenario {
-	return []*Scenario{S1(seed), S2(seed), S3(seed)}
-}

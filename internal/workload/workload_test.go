@@ -19,7 +19,7 @@ func checkWiring(t *testing.T, s *Scenario) {
 }
 
 func TestAllScenariosValid(t *testing.T) {
-	for _, s := range All(1) {
+	for _, s := range []*Scenario{S1(1), S2(1), S3(1)} {
 		checkWiring(t, s)
 	}
 }
@@ -85,7 +85,7 @@ func TestProfilesMatchDevices(t *testing.T) {
 }
 
 func TestScenariosProduceTraffic(t *testing.T) {
-	for _, s := range All(3) {
+	for _, s := range []*Scenario{S1(3), S2(3), S3(3)} {
 		trace, err := s.World.Run(600)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
