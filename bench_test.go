@@ -105,7 +105,7 @@ func BenchmarkAblationOptimalityGap(b *testing.B) {
 		var worst float64 = 1
 		for trial := 0; trial < 10; trial++ {
 			cams, objects := randomInstance(rng, 3, 6)
-			opt, err := core.BruteForce(cams, objects, 0)
+			opt, err := core.BruteForce(cams, core.NewInstance(objects), 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -54,13 +54,14 @@ func main() {
 	fmt.Printf("baseline BALB:           system latency %v\n", base.System().Round(1e6))
 
 	// 1. Redundancy: second trackers within a 15%% latency budget.
-	red, extra, err := core.CentralRedundant(fleet, objects, 2, 1.15)
+	var solver core.Solver
+	red, err := solver.CentralRedundant(fleet, core.NewInstance(objects), 2, 1.15)
 	if err != nil {
 		log.Fatal(err)
 	}
 	redundant := 0
-	for _, cams := range extra {
-		redundant += len(cams)
+	for j := range objects {
+		redundant += len(red.Extra(j))
 	}
 	fmt.Printf("redundant (R=2, 15%% slack): %d/%d objects double-tracked, system %v\n",
 		redundant, len(objects), red.System().Round(1e6))

@@ -70,11 +70,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sp, err := core.StaticPartition(fleet, objects)
+	in := core.NewInstance(objects)
+	sp, err := core.StaticPartition(fleet, in)
 	if err != nil {
 		log.Fatal(err)
 	}
-	indLat, err := core.IndependentLatencies(fleet, objects, true)
+	indLat, err := core.IndependentLatencies(fleet, in, true)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func main() {
 	counts := make([]int, 3)
 	for i := range objects {
 		if len(objects[i].Coverage) == 3 {
-			counts[balb.Assign[objects[i].ID]]++
+			counts[balb.Assign[i]]++
 		}
 	}
 	fmt.Printf("\nBALB placed the shared objects as nano=%d tx2=%d xavier=%d —\n",

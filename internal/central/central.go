@@ -2,12 +2,16 @@
 // round of the BALB framework, with no transport. Given each camera's
 // key-frame view — the boxes it tracks, their camera-local track IDs and
 // quantized sizes — it decides which boxes are the same physical object
-// (assoc), builds the MVS instance (one core.ObjectSpec per associated
-// group: coverage set and per-camera size), solves it (core.Central, or
-// core.CentralRedundant when occlusion hedging asks for extra trackers),
-// and says for every member track whether its camera keeps inspecting it
-// or shadows the object's owner. The instance format and that
-// keep-or-shadow rule live here and nowhere else.
+// (assoc), builds the MVS instance (one core.Instance object per
+// associated group: coverage set and per-camera size), solves it
+// (core.Solver.Central, or CentralRedundant when occlusion hedging asks
+// for extra trackers), and says for every member track whether its camera
+// keeps inspecting it or shadows the object's owner. The instance builder
+// and that keep-or-shadow rule live here and nowhere else.
+//
+// A Round is the round's whole workspace — views, instance, solver — so a
+// host that keeps one and solves it every key frame allocates, in steady
+// state, only for association.
 //
 // Both deployment shapes host it: pipeline's central stage gathers views
 // from its camera kernels and applies the decisions to them directly;
@@ -36,7 +40,7 @@ type Track struct {
 
 // Views is a round's input in struct-of-arrays form: per local camera
 // its track boxes and, index-aligned, their IDs and sizes. A camera
-// without a view this round (dead, disconnected) keeps nil lists.
+// without a view this round (dead, disconnected) keeps empty lists.
 type Views struct {
 	Boxes  [][]geom.Rect
 	Tracks [][]Track
@@ -45,16 +49,28 @@ type Views struct {
 	trackArena []Track
 }
 
-// NewViews sizes a round's input for the given camera count; the
-// per-camera lists are cut from two arrays sized for tracks entries in
-// total (more are accepted, at the cost of a reallocation).
-func NewViews(cams, tracks int) Views {
-	return Views{
-		Boxes:      make([][]geom.Rect, cams),
-		Tracks:     make([][]Track, cams),
-		boxArena:   make([]geom.Rect, 0, tracks),
-		trackArena: make([]Track, 0, tracks),
+// Reset empties the views for a round over the given camera count; the
+// per-camera lists are cut from two arrays kept across rounds and grown
+// to hold tracks entries in total (more are accepted, at the cost of a
+// reallocation).
+func (v *Views) Reset(cams, tracks int) {
+	v.Boxes = resize(v.Boxes, cams)
+	v.Tracks = resize(v.Tracks, cams)
+	if cap(v.boxArena) < tracks {
+		v.boxArena = make([]geom.Rect, 0, tracks)
+		v.trackArena = make([]Track, 0, tracks)
 	}
+	v.boxArena, v.trackArena = v.boxArena[:0], v.trackArena[:0]
+}
+
+// resize returns n nil lists, reusing lists' storage.
+func resize[T any](lists [][]T, n int) [][]T {
+	if cap(lists) < n {
+		return make([][]T, n)
+	}
+	lists = lists[:n]
+	clear(lists)
+	return lists
 }
 
 // Add appends one track to a camera's view. All of a camera's tracks
@@ -84,17 +100,21 @@ type Params struct {
 	Slack      float64
 }
 
-// Round is a solved round.
+// Round is one round's workspace and, after Solve, the solved round. The
+// host fills Views (Reset, then Add); Solve fills the rest. What Solve
+// leaves here is valid until the next Solve on the same Round, and the
+// zero value is ready to use.
 type Round struct {
-	// Groups are the associated objects; Objects[i] is the MVS instance
-	// entry built from Groups[i] (ID i+1).
+	Views Views
+	// Groups are the associated objects; object i of the instance
+	// Objects is built from Groups[i], with ID i+1.
 	Groups  []assoc.Group
-	Objects []core.ObjectSpec
-	// Solution is the central-stage assignment and priority order.
+	Objects core.Instance
+	// Solution is the central-stage assignment (by object), the redundant
+	// trackers, and the priority order; it lives in the Round's solver.
 	Solution *core.Solution
-	// Extra lists each object's redundant trackers by object ID; nil
-	// without redundancy.
-	Extra map[int][]int
+
+	solver core.Solver
 }
 
 // Member is one track's fate in a solved round.
@@ -111,50 +131,59 @@ type Member struct {
 	Kept bool
 }
 
-// Solve associates the views, builds the MVS instance and schedules it.
-func Solve(p Params, v *Views) (Round, error) {
-	groups, err := p.Model.AssociateWorkers(v.Boxes, p.MinIoU, p.Workers)
+// Solve associates r's views, rebuilds its MVS instance and schedules
+// it, overwriting what the previous Solve left in r.
+func Solve(p Params, r *Round) error {
+	groups, err := p.Model.AssociateWorkers(r.Views.Boxes, p.MinIoU, p.Workers)
 	if err != nil {
-		return Round{}, fmt.Errorf("association: %w", err)
+		return fmt.Errorf("association: %w", err)
 	}
-	// One object per associated group: covered by every camera with a
-	// member, at that camera's largest member size.
-	objects := make([]core.ObjectSpec, len(groups))
-	for gi, g := range groups {
-		spec := core.ObjectSpec{ID: gi + 1, Size: make(map[int]int)}
-		for _, ref := range g.Members {
-			if _, seen := spec.Size[ref.Cam]; !seen {
-				spec.Coverage = append(spec.Coverage, ref.Cam)
-			}
-			if sz := v.Tracks[ref.Cam][ref.Index].Size; sz > spec.Size[ref.Cam] {
-				spec.Size[ref.Cam] = sz
-			}
-		}
-		objects[gi] = spec
-	}
-	r := Round{Groups: groups, Objects: objects}
+	r.Groups = groups
+	build(&r.Objects, groups, r.Views.Tracks)
 	if p.Redundancy > 1 {
-		r.Solution, r.Extra, err = core.CentralRedundant(p.Cameras, objects, p.Redundancy, p.Slack)
-		if err != nil {
-			return Round{}, fmt.Errorf("redundant central BALB: %w", err)
+		if r.Solution, err = r.solver.CentralRedundant(p.Cameras, &r.Objects, p.Redundancy, p.Slack); err != nil {
+			return fmt.Errorf("redundant central BALB: %w", err)
 		}
-		return r, nil
+		return nil
 	}
-	if r.Solution, err = core.Central(p.Cameras, objects, core.CentralOptions{}); err != nil {
-		return Round{}, fmt.Errorf("central BALB: %w", err)
+	if r.Solution, err = r.solver.Central(p.Cameras, &r.Objects, core.CentralOptions{}); err != nil {
+		return fmt.Errorf("central BALB: %w", err)
 	}
-	return r, nil
+	return nil
+}
+
+// build refills in with one object per associated group, with ID gi+1:
+// covered by every camera with a member, in the order the cameras first
+// appear among the members (a batch-join tie in core.Solver.Central goes
+// to the earlier camera), at that camera's largest member size.
+func build(in *core.Instance, groups []assoc.Group, tracks [][]Track) {
+	in.Reset()
+	for gi, g := range groups {
+		in.Add(gi + 1)
+		for k, ref := range g.Members {
+			if slices.Contains(in.Cameras(gi), int32(ref.Cam)) {
+				continue // sized with its first member
+			}
+			size := tracks[ref.Cam][ref.Index].Size
+			for _, other := range g.Members[k+1:] {
+				if other.Cam == ref.Cam {
+					size = max(size, tracks[other.Cam][other.Index].Size)
+				}
+			}
+			in.Cover(ref.Cam, size)
+		}
+	}
 }
 
 // Walk visits every member track of every scheduled object, in group and
 // member order.
 func (r *Round) Walk(visit func(Member)) {
 	for gi, g := range r.Groups {
-		owner := r.Solution.Assign[gi+1]
+		owner := r.Solution.Assign[gi]
 		for _, ref := range g.Members {
 			visit(Member{
-				Object: gi + 1, Cam: ref.Cam, Index: ref.Index, Owner: owner,
-				Kept: ref.Cam == owner || slices.Contains(r.Extra[gi+1], ref.Cam),
+				Object: r.Objects.ID(gi), Cam: ref.Cam, Index: ref.Index, Owner: owner,
+				Kept: ref.Cam == owner || slices.Contains(r.Solution.Extra(gi), ref.Cam),
 			})
 		}
 	}

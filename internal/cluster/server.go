@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"mvs/internal/central"
 	"mvs/internal/core"
 	"mvs/internal/geom"
-	"mvs/internal/gpu"
 	"mvs/internal/metrics"
 	"mvs/internal/profile"
 )
@@ -895,12 +895,17 @@ func (s *Scheduler) broadcastError(msg string) {
 // stamps): the scheduled per-camera latencies, the batch occupancy each
 // camera's assignment implies, and assignment counts.
 func (s *Scheduler) schedule(r *round, frame int) (map[int]*Assignment, metrics.Snapshot, []int, error) {
+	// Rounds may complete concurrently (completeRound runs outside mu),
+	// so each borrows a workspace; nothing of it outlives this call.
+	work := roundWorks.Get().(*roundWork)
+	defer roundWorks.Put(work)
+	solved, views := &work.round, &work.round.Views
 	m := len(s.cams)
 	total := 0
 	for _, rep := range r.reports {
 		total += len(rep.Tracks)
 	}
-	views := central.NewViews(m, total)
+	views.Reset(m, total)
 	for cam := 0; cam < m; cam++ {
 		rep := r.reports[cam]
 		if rep == nil {
@@ -911,14 +916,13 @@ func (s *Scheduler) schedule(r *round, frame int) (map[int]*Assignment, metrics.
 				central.Track{ID: t.TrackID, Size: t.Size})
 		}
 	}
-	solved, err := central.Solve(central.Params{
+	if err := central.Solve(central.Params{
 		Model: s.model, Cameras: s.cams, MinIoU: s.minIoU, Workers: s.workers,
-	}, &views)
-	if err != nil {
+	}, solved); err != nil {
 		return nil, metrics.Snapshot{}, nil, err
 	}
 	sol := solved.Solution
-	snap := s.roundSnapshot(frame, solved.Objects, sol)
+	snap := s.roundSnapshot(frame, &solved.Objects, sol, work)
 	// A round missing at least one roster camera's view (timeout, lease
 	// expiry, disconnect, or a camera that never joined) is partial.
 	snap.Partial = len(r.reports) < m
@@ -959,16 +963,29 @@ func (s *Scheduler) schedule(r *round, frame int) (map[int]*Assignment, metrics.
 	return replies, snap, prio, nil
 }
 
+// roundWork is a scheduled round's workspace: the round kernel's and the
+// snapshot's per-camera tables.
+type roundWork struct {
+	round central.Round
+	// counts[cam*k+s] is the number of objects assigned to cam at its
+	// profile's size Sizes[s], where k is the roster's most sizes.
+	counts   []int
+	assigned []int
+}
+
+// roundWorks recycles round workspaces across rounds and schedulers.
+var roundWorks = sync.Pool{New: func() any { return new(roundWork) }}
+
 // roundSnapshot derives the observability record of a scheduled round:
 // per camera, the solution's scheduled latency, the number of objects
 // assigned, and the batch occupancy its assignment implies (images over
 // the capacity of the batches BALB's packing launches, per Definition 1
 // greedy same-size packing).
-func (s *Scheduler) roundSnapshot(frame int, objects []core.ObjectSpec, sol *core.Solution) metrics.Snapshot {
+func (s *Scheduler) roundSnapshot(frame int, in *core.Instance, sol *core.Solution, work *roundWork) metrics.Snapshot {
 	snap := metrics.Snapshot{
 		Source:       metrics.SourceScheduler,
 		Frame:        frame,
-		Objects:      len(objects),
+		Objects:      in.Len(),
 		FrameLatency: sol.System(),
 		Cameras:      make([]metrics.CameraSnapshot, len(s.cams)),
 	}
@@ -978,42 +995,36 @@ func (s *Scheduler) roundSnapshot(frame int, objects []core.ObjectSpec, sol *cor
 		// globalized so fleet-wide dashboards line up.
 		snap.Label = s.shard.label
 	}
-	counts := make([]map[int]int, len(s.cams))
-	assigned := make([]int, len(s.cams))
-	for i := range objects {
-		o := &objects[i]
-		cam, ok := sol.Assign[o.ID]
-		if !ok || cam < 0 || cam >= len(s.cams) {
-			continue
-		}
-		if counts[cam] == nil {
-			counts[cam] = make(map[int]int)
-		}
-		counts[cam][o.Size[cam]]++
+	// The solver validated every assigned size against the camera's
+	// profile, so each lands in a size class.
+	k := 0
+	for _, c := range s.cams {
+		k = max(k, len(c.Profile.Sizes))
+	}
+	work.counts = append(work.counts[:0], make([]int, len(s.cams)*k)...)
+	work.assigned = append(work.assigned[:0], make([]int, len(s.cams))...)
+	counts, assigned := work.counts, work.assigned
+	for j, cam := range sol.Assign {
+		size := in.Sizes(j)[slices.Index(in.Cameras(j), int32(cam))]
+		counts[cam*k+slices.Index(s.cams[cam].Profile.Sizes, int(size))]++
 		assigned[cam]++
 	}
-	for i := range s.cams {
-		cs := metrics.CameraSnapshot{Camera: s.glob(i), Assignments: assigned[i]}
-		if i < len(sol.Latencies) {
-			cs.Latency = sol.Latencies[i]
-		}
-		if counts[i] != nil {
-			if nb, err := gpu.NumBatchesBySize(counts[i], s.cams[i].Profile); err == nil {
-				images, capacity := 0, 0
-				for size, b := range nb {
-					limit, lerr := s.cams[i].Profile.BatchLimitFor(size)
-					if lerr != nil {
-						continue
-					}
-					cs.Batches += b
-					capacity += b * limit
-					images += counts[i][size]
-				}
-				cs.Images = images
-				if capacity > 0 {
-					cs.BatchOccupancy = float64(images) / float64(capacity)
-				}
+	for i, c := range s.cams {
+		cs := metrics.CameraSnapshot{Camera: s.glob(i), Assignments: assigned[i], Latency: sol.Latencies[i]}
+		capacity := 0
+		for sc, size := range c.Profile.Sizes {
+			n := counts[i*k+sc]
+			if n == 0 {
+				continue
 			}
+			limit := c.Profile.BatchLimit[size]
+			b := (n + limit - 1) / limit
+			cs.Batches += b
+			capacity += b * limit
+			cs.Images += n
+		}
+		if capacity > 0 {
+			cs.BatchOccupancy = float64(cs.Images) / float64(capacity)
 		}
 		snap.Cameras[i] = cs
 	}

@@ -137,9 +137,6 @@ func (s *Scheduler) consultHandoff(frame int, groups []assoc.Group, boxes [][]ge
 	}
 	var demoted map[int]int
 	for gi, g := range groups {
-		if _, ok := sol.Assign[gi+1]; !ok {
-			continue
-		}
 	memberLoop:
 		for _, ref := range g.Members {
 			gc := ctx.roster[ref.Cam]
@@ -188,10 +185,7 @@ func (s *Scheduler) publishHandoff(frame int, groups []assoc.Group, boxes [][]ge
 	}
 	var claims []handoffClaim
 	for gi, g := range groups {
-		assigned, ok := sol.Assign[gi+1]
-		if !ok {
-			continue
-		}
+		assigned := sol.Assign[gi]
 		if _, isDemoted := demoted[gi+1]; isDemoted {
 			continue
 		}

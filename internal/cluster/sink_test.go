@@ -8,8 +8,56 @@ import (
 	"testing"
 	"time"
 
+	"mvs/internal/core"
 	"mvs/internal/metrics"
+	"mvs/internal/profile"
 )
+
+// TestRoundSnapshotCountsBatches pins the batch accounting of a round
+// snapshot against hand-computed greedy same-size packing: per camera,
+// ceil(n/B) batches per size, the images, and their occupancy.
+func TestRoundSnapshotCountsBatches(t *testing.T) {
+	xavier := profile.Derived(profile.JetsonXavier)
+	s := &Scheduler{cams: []core.CameraSpec{{Index: 0, Profile: xavier}, {Index: 1, Profile: xavier}}}
+	var objects []core.ObjectSpec
+	add := func(n, size int, cover ...int) {
+		for i := 0; i < n; i++ {
+			sz := map[int]int{}
+			for _, c := range cover {
+				sz[c] = size
+			}
+			objects = append(objects, core.ObjectSpec{ID: len(objects) + 1, Coverage: cover, Size: sz})
+		}
+	}
+	add(17, 64, 0)
+	add(2, 512, 0)
+	add(1, 128, 1)
+	add(1, 256, 1, 0) // camera 1's size class, whichever camera is listed first
+	var w core.Solver
+	in := core.NewInstance(objects)
+	sol, err := w.Central(s.cams, in, core.CentralOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol.Assign[len(objects)-1] = 1 // pin the shared object on camera 1
+	snap := s.roundSnapshot(7, in, sol, new(roundWork))
+	lim := xavier.BatchLimit
+	want := []metrics.CameraSnapshot{
+		{Camera: 0, Batches: 2 + 1, Images: 19, Assignments: 19,
+			BatchOccupancy: 19 / float64(2*lim[64]+1*lim[512])},
+		{Camera: 1, Batches: 2, Images: 2, Assignments: 2,
+			BatchOccupancy: 2 / float64(lim[128]+lim[256])},
+	}
+	if snap.Frame != 7 || snap.Objects != len(objects) || len(snap.Cameras) != 2 {
+		t.Fatalf("snapshot %+v", snap)
+	}
+	for i, w := range want {
+		w.Latency = sol.Latencies[i]
+		if snap.Cameras[i] != w {
+			t.Errorf("camera %d: %+v, want %+v", i, snap.Cameras[i], w)
+		}
+	}
+}
 
 func TestSchedulerOptions(t *testing.T) {
 	model, profiles := testModel(t)

@@ -3,17 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
-
-// batchState tracks a camera's open (incomplete) batches during the
-// central-stage sweep: per size, how many regions the last batch holds.
-type batchState struct {
-	// inLast maps size -> regions in the most recent batch (0 < v <=
-	// limit means the batch exists; v == limit means it is complete).
-	inLast map[int]int
-}
 
 // CentralOptions tunes the central-stage algorithm.
 type CentralOptions struct {
@@ -21,6 +12,13 @@ type CentralOptions struct {
 	// batch per object — the batch-awareness ablation. The assignment
 	// then degenerates to pure latency balancing.
 	DisableBatching bool
+}
+
+// Central is Solver.Central on a fresh Solver over NewInstance(objects):
+// objects[i] is instance object i, and the Solution is the caller's.
+func Central(cams []CameraSpec, objects []ObjectSpec, opts CentralOptions) (*Solution, error) {
+	var w Solver
+	return w.Central(cams, NewInstance(objects), opts)
 }
 
 // Central runs the central-stage BALB algorithm (Algorithm 1): a
@@ -31,76 +29,43 @@ type CentralOptions struct {
 // batch on the camera with the minimum post-assignment latency.
 //
 // Complexity: O(N log N + M N) for N objects and M cameras.
-func Central(cams []CameraSpec, objects []ObjectSpec, opts CentralOptions) (*Solution, error) {
-	if err := validateInstance(cams, objects); err != nil {
+func (w *Solver) Central(cams []CameraSpec, in *Instance, opts CentralOptions) (*Solution, error) {
+	if err := w.prepare(cams, in); err != nil {
 		return nil, err
 	}
-
-	// L_i := t_i^full (line 1).
-	lat := make([]time.Duration, len(cams))
-	for i, c := range cams {
-		lat[i] = c.Profile.FullFrame
-	}
-	batches := make([]batchState, len(cams))
-	for i := range batches {
-		batches[i] = batchState{inLast: make(map[int]int)}
-	}
+	sol := &w.sol
+	sol.Assign = grow(sol.Assign, in.Len())
+	sol.extra = sol.extra[:0]
+	// L_i := t_i^full (line 1); no batch open anywhere.
+	lat := w.fullFrame(cams)
+	inLast := w.clearBatch(len(cams))
 
 	// Reindex objects by non-decreasing |C_j|, ties in favour of larger
 	// target size (line 2); final tie-break on ID keeps runs
 	// deterministic.
-	order := make([]int, len(objects))
-	for i := range order {
-		order[i] = i
-	}
-	maxSize := func(o *ObjectSpec) int {
-		m := 0
-		for _, c := range o.Coverage {
-			if s := o.Size[c]; s > m {
-				m = s
-			}
-		}
-		return m
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		oa, ob := &objects[order[a]], &objects[order[b]]
-		if len(oa.Coverage) != len(ob.Coverage) {
-			return len(oa.Coverage) < len(ob.Coverage)
-		}
-		sa, sb := maxSize(oa), maxSize(ob)
-		if sa != sb {
-			return sa > sb
-		}
-		return oa.ID < ob.ID
-	})
-
-	assign := make(Assignment, len(objects))
-	for _, oi := range order {
-		o := &objects[oi]
+	for _, key := range w.sortObjects(in, true, true) {
+		j := int(key.idx)
+		lo, hi := in.off[j], in.off[j+1]
 
 		// C'_j: cameras in the coverage set with an incomplete batch of
 		// this object's target size (line 4).
-		bestCam := -1
+		bestCam, bestSlot := -1, 0
 		if !opts.DisableBatching {
 			bestRel := -1.0
-			for _, c := range o.Coverage {
-				size := o.Size[c]
-				limit, err := cams[c].Profile.BatchLimitFor(size)
-				if err != nil {
-					return nil, fmt.Errorf("core: central: %w", err)
-				}
-				in := batches[c].inLast[size]
-				if in == 0 || in >= limit {
+			for e := lo; e < hi; e++ {
+				c, s := int(in.cover[e]), w.slot(in, e)
+				limit, n := w.limit[s], inLast[s]
+				if n == 0 || n >= limit {
 					continue // no batch open, or batch complete
 				}
 				// Relative capacity of the incomplete batch (Definition
 				// 4, normalized by the limit so heterogeneous batch
 				// limits compare fairly). Ties break toward the less
 				// loaded camera, then the lower index.
-				rel := float64(limit-in) / float64(limit)
+				rel := float64(limit-n) / float64(limit)
 				if rel > bestRel || (rel == bestRel && bestCam >= 0 && lat[c] < lat[bestCam]) {
 					bestRel = rel
-					bestCam = c
+					bestCam, bestSlot = c, s
 				}
 			}
 		}
@@ -108,45 +73,33 @@ func Central(cams []CameraSpec, objects []ObjectSpec, opts CentralOptions) (*Sol
 		if bestCam >= 0 {
 			// Join the incomplete batch (lines 5-8): latency is already
 			// charged for that batch.
-			assign[o.ID] = bestCam
-			batches[bestCam].inLast[o.Size[bestCam]]++
+			sol.Assign[j] = bestCam
+			inLast[bestSlot]++
 			continue
 		}
 
 		// Open a new batch on the camera minimizing L_i + t_i^{s_ij}
 		// (lines 9-12).
 		var bestLat time.Duration
-		for _, c := range o.Coverage {
-			size := o.Size[c]
-			t, err := cams[c].Profile.BatchLatencyFor(size)
-			if err != nil {
-				return nil, fmt.Errorf("core: central: %w", err)
-			}
-			cand := lat[c] + t
+		for e := lo; e < hi; e++ {
+			c, s := int(in.cover[e]), w.slot(in, e)
+			cand := lat[c] + w.cost[s]
 			if bestCam == -1 || cand < bestLat || (cand == bestLat && c < bestCam) {
-				bestCam = c
+				bestCam, bestSlot = c, s
 				bestLat = cand
 			}
 		}
-		size := o.Size[bestCam]
-		t, err := cams[bestCam].Profile.BatchLatencyFor(size)
-		if err != nil {
-			return nil, fmt.Errorf("core: central: %w", err)
-		}
-		assign[o.ID] = bestCam
-		lat[bestCam] += t
-		batches[bestCam].inLast[size] = 1
+		sol.Assign[j] = bestCam
+		lat[bestCam] = bestLat
+		inLast[bestSlot] = 1
 		if opts.DisableBatching {
 			// Keep the batch marked complete so nothing ever joins it.
-			batches[bestCam].inLast[size] = 0
+			inLast[bestSlot] = 0
 		}
 	}
 
-	return &Solution{
-		Assign:    assign,
-		Latencies: lat,
-		Priority:  priorityFromLatencies(lat),
-	}, nil
+	sol.Priority = priorityFromLatencies(sol.Priority, lat)
+	return sol, nil
 }
 
 // ErrEmptyPriority is returned by NewDistributedPolicy for an empty

@@ -9,52 +9,16 @@ import (
 // independently tracks everything it sees (the BALB-Ind baseline: slicing
 // and batching but no cross-camera workload sharing). Objects in
 // overlapped regions are inspected redundantly by every covering camera.
-func IndependentLatencies(cams []CameraSpec, objects []ObjectSpec, includeFull bool) ([]time.Duration, error) {
-	if err := validateInstance(cams, objects); err != nil {
+func IndependentLatencies(cams []CameraSpec, in *Instance, includeFull bool) ([]time.Duration, error) {
+	var w Solver
+	if err := w.prepare(cams, in); err != nil {
 		return nil, err
 	}
-	counts := make([]map[int]int, len(cams))
-	for i := range counts {
-		counts[i] = make(map[int]int)
+	counts := w.clearBatch(len(cams))
+	for e := range in.cover {
+		counts[w.slot(in, int32(e))]++
 	}
-	for i := range objects {
-		o := &objects[i]
-		for _, c := range o.Coverage {
-			counts[c][o.Size[c]]++
-		}
-	}
-	out := make([]time.Duration, len(cams))
-	for i, cam := range cams {
-		lat, err := scheduledLatency(counts[i], cam)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = lat
-		if includeFull {
-			out[i] += cam.Profile.FullFrame
-		}
-	}
-	return out, nil
-}
-
-func scheduledLatency(counts map[int]int, cam CameraSpec) (time.Duration, error) {
-	var total time.Duration
-	for size, n := range counts {
-		if n <= 0 {
-			continue
-		}
-		limit, err := cam.Profile.BatchLimitFor(size)
-		if err != nil {
-			return 0, fmt.Errorf("core: camera %d: %w", cam.Index, err)
-		}
-		t, err := cam.Profile.BatchLatencyFor(size)
-		if err != nil {
-			return 0, fmt.Errorf("core: camera %d: %w", cam.Index, err)
-		}
-		batches := (n + limit - 1) / limit
-		total += t * time.Duration(batches)
-	}
-	return total, nil
+	return w.batchLatencies(cams, includeFull), nil
 }
 
 // CapacityWeights derives the static-partitioning capacity weight of each
@@ -161,33 +125,28 @@ func insertionSort(xs []int) {
 	}
 }
 
-// StaticPartition computes the SP baseline assignment for a set of
-// objects: each object goes to the camera its coverage signature's
-// weighted split dictates, regardless of current load. It returns a
-// Solution so SP plugs into the same evaluation path as BALB.
-func StaticPartition(cams []CameraSpec, objects []ObjectSpec) (*Solution, error) {
-	if err := validateInstance(cams, objects); err != nil {
+// StaticPartition computes the SP baseline assignment for an instance:
+// each object goes to the camera its coverage signature's weighted split
+// dictates, regardless of current load. It returns a Solution so SP
+// plugs into the same evaluation path as BALB.
+func StaticPartition(cams []CameraSpec, in *Instance) (*Solution, error) {
+	var w Solver
+	if err := w.prepare(cams, in); err != nil {
 		return nil, err
 	}
 	weights, err := CapacityWeights(cams)
 	if err != nil {
 		return nil, err
 	}
-	units := make([][]int, len(objects))
-	for i := range objects {
-		units[i] = objects[i].Coverage
+	units := make([][]int, in.Len())
+	for j := range units {
+		for _, c := range in.Cameras(j) {
+			units[j] = append(units[j], int(c))
+		}
 	}
 	owners, err := WeightedPartition(units, weights)
 	if err != nil {
 		return nil, err
 	}
-	assign := make(Assignment, len(objects))
-	for i := range objects {
-		assign[objects[i].ID] = owners[i]
-	}
-	lat, err := cameraLatencies(cams, objects, assign, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{Assign: assign, Latencies: lat, Priority: priorityFromLatencies(lat)}, nil
+	return w.priced(cams, in, owners)
 }

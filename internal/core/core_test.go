@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -27,37 +28,51 @@ func obj(id, size int, coverage ...int) ObjectSpec {
 	return ObjectSpec{ID: id, Coverage: coverage, Size: sizes}
 }
 
+// validate applies the per-object rules to one object on a roster of
+// numCams cameras.
+func validate(o ObjectSpec, numCams int) error {
+	return NewInstance([]ObjectSpec{o}).check(0, numCams)
+}
+
 func TestObjectSpecValidate(t *testing.T) {
 	good := obj(1, 64, 0, 1)
-	if err := good.Validate(2); err != nil {
+	if err := validate(good, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := (&ObjectSpec{ID: 1}).Validate(2); err == nil {
+	if err := validate(ObjectSpec{ID: 1}, 2); err == nil {
 		t.Fatal("empty coverage accepted")
 	}
 	bad := obj(1, 64, 0, 5)
-	if err := bad.Validate(2); err == nil {
+	if err := validate(bad, 2); err == nil {
 		t.Fatal("out-of-range camera accepted")
 	}
 	dup := ObjectSpec{ID: 1, Coverage: []int{0, 0}, Size: map[int]int{0: 64}}
-	if err := dup.Validate(2); err == nil {
+	if err := validate(dup, 2); err == nil {
 		t.Fatal("duplicate coverage accepted")
 	}
 	noSize := ObjectSpec{ID: 1, Coverage: []int{0}, Size: map[int]int{}}
-	if err := noSize.Validate(2); err == nil {
+	if err := validate(noSize, 2); err == nil {
 		t.Fatal("missing size accepted")
+	}
+	for _, err := range []error{validate(ObjectSpec{ID: 1}, 2), validate(bad, 2), validate(dup, 2), validate(noSize, 2)} {
+		if !errors.Is(err, ErrInvalidInstance) {
+			t.Fatalf("%v does not wrap ErrInvalidInstance", err)
+		}
 	}
 }
 
 func TestCheckFeasible(t *testing.T) {
-	objects := []ObjectSpec{obj(1, 64, 0), obj(2, 64, 0, 1)}
-	if err := CheckFeasible(objects, Assignment{1: 0, 2: 1}); err != nil {
+	in := NewInstance([]ObjectSpec{obj(1, 64, 0), obj(2, 64, 0, 1)})
+	if err := CheckFeasible(in, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckFeasible(objects, Assignment{1: 0}); err == nil {
+	if err := CheckFeasible(in, []int{0}); err == nil {
 		t.Fatal("unassigned object accepted")
 	}
-	if err := CheckFeasible(objects, Assignment{1: 1, 2: 1}); err == nil {
+	if err := CheckFeasible(in, []int{0, -1}); err == nil {
+		t.Fatal("unassigned object accepted")
+	}
+	if err := CheckFeasible(in, []int{1, 1}); err == nil {
 		t.Fatal("out-of-coverage assignment accepted")
 	}
 }
@@ -67,12 +82,16 @@ func TestCameraLatenciesHandComputed(t *testing.T) {
 	p := cs[0].Profile
 	// 17 objects of size 64 on one Xavier: ceil(17/16)=2 batches.
 	objects := make([]ObjectSpec, 17)
-	a := Assignment{}
+	a := make([]int, len(objects))
 	for i := range objects {
 		objects[i] = obj(i+1, 64, 0)
-		a[i+1] = 0
 	}
-	lat, err := cameraLatencies(cs, objects, a, false)
+	in := NewInstance(objects)
+	var w Solver
+	if err := w.prepare(cs, in); err != nil {
+		t.Fatal(err)
+	}
+	lat, err := w.cameraLatencies(cs, in, a, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +99,7 @@ func TestCameraLatenciesHandComputed(t *testing.T) {
 	if lat[0] != want {
 		t.Fatalf("lat = %v want %v", lat[0], want)
 	}
-	latFull, err := cameraLatencies(cs, objects, a, true)
+	latFull, err := w.cameraLatencies(cs, in, a, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +125,10 @@ func TestCentralSingleCameraObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Assign[1] != 0 || sol.Assign[3] != 0 || sol.Assign[2] != 1 {
+	if sol.Assign[0] != 0 || sol.Assign[2] != 0 || sol.Assign[1] != 1 {
 		t.Fatalf("assign = %v", sol.Assign)
 	}
-	if err := CheckFeasible(objects, sol.Assign); err != nil {
+	if err := CheckFeasible(NewInstance(objects), sol.Assign); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -127,7 +146,7 @@ func TestCentralPrefersIncompleteBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Assign[2] != 0 {
+	if sol.Assign[1] != 0 {
 		t.Fatalf("shared object not batched: assign = %v", sol.Assign)
 	}
 	// Latency of cam 0: full + one 512 batch; cam 1: just full.
@@ -153,7 +172,7 @@ func TestCentralOpensNewBatchOnLeastLoaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Assign[3] != 1 {
+	if sol.Assign[2] != 1 {
 		t.Fatalf("assign = %v", sol.Assign)
 	}
 }
@@ -167,7 +186,7 @@ func TestCentralAccountsHeterogeneity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Assign[1] != 1 {
+	if sol.Assign[0] != 1 {
 		t.Fatalf("assign = %v", sol.Assign)
 	}
 }
@@ -191,7 +210,7 @@ func TestCentralOrdersByCoverageFlexibility(t *testing.T) {
 	}
 	// The shared object is processed last (|C|=2) and by then cam 0's
 	// batch is complete, so it opens on cam 1.
-	if sol.Assign[shared.ID] != 1 {
+	if sol.Assign[0] != 1 { // the shared object is listed first
 		t.Fatalf("assign = %v", sol.Assign)
 	}
 }
@@ -277,10 +296,15 @@ func TestCentralFeasibilityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if CheckFeasible(objects, sol.Assign) != nil {
+		in := NewInstance(objects)
+		if CheckFeasible(in, sol.Assign) != nil {
 			return false
 		}
-		lat, err := cameraLatencies(cs, objects, sol.Assign, true)
+		var w Solver
+		if w.prepare(cs, in) != nil {
+			return false
+		}
+		lat, err := w.cameraLatencies(cs, in, sol.Assign, true)
 		if err != nil {
 			return false
 		}
@@ -321,7 +345,7 @@ func TestCentralNearOptimalOnSmallInstances(t *testing.T) {
 			}
 			objects[i] = ObjectSpec{ID: i + 1, Coverage: perm, Size: sz}
 		}
-		opt, err := BruteForce(cs, objects, 0)
+		opt, err := BruteForce(cs, NewInstance(objects), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,14 +373,14 @@ func TestBruteForceStateLimit(t *testing.T) {
 	for i := range objects {
 		objects[i] = obj(i+1, 64, 0, 1)
 	}
-	if _, err := BruteForce(cs, objects, 1000); err == nil {
+	if _, err := BruteForce(cs, NewInstance(objects), 1000); err == nil {
 		t.Fatal("state explosion not detected")
 	}
 }
 
 func TestBruteForceEmpty(t *testing.T) {
 	cs := cams(profile.JetsonXavier)
-	sol, err := BruteForce(cs, nil, 0)
+	sol, err := BruteForce(cs, &Instance{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +417,7 @@ func TestBatchingAblation(t *testing.T) {
 }
 
 func TestPriorityFromLatencies(t *testing.T) {
-	got := priorityFromLatencies([]time.Duration{30, 10, 20})
+	got := priorityFromLatencies(nil, []time.Duration{30, 10, 20})
 	want := []int{1, 2, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -401,7 +425,7 @@ func TestPriorityFromLatencies(t *testing.T) {
 		}
 	}
 	// Ties break by index (stable).
-	got = priorityFromLatencies([]time.Duration{10, 10})
+	got = priorityFromLatencies(got, []time.Duration{10, 10})
 	if got[0] != 0 || got[1] != 1 {
 		t.Fatalf("tie priority = %v", got)
 	}
@@ -473,7 +497,7 @@ func TestDistributedConsistencyProperty(t *testing.T) {
 func TestIndependentLatencies(t *testing.T) {
 	cs := cams(profile.JetsonXavier, profile.JetsonXavier)
 	objects := []ObjectSpec{obj(1, 512, 0, 1), obj(2, 512, 0)}
-	lat, err := IndependentLatencies(cs, objects, false)
+	lat, err := IndependentLatencies(cs, NewInstance(objects), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +511,7 @@ func TestIndependentLatencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indFull, err := IndependentLatencies(cs, objects, true)
+	indFull, err := IndependentLatencies(cs, NewInstance(objects), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,11 +606,12 @@ func TestStaticPartitionIgnoresLoad(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		objects = append(objects, obj(i+1, 256, 0, 1))
 	}
-	sp, err := StaticPartition(cs, objects)
+	in := NewInstance(objects)
+	sp, err := StaticPartition(cs, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckFeasible(objects, sp.Assign); err != nil {
+	if err := CheckFeasible(in, sp.Assign); err != nil {
 		t.Fatal(err)
 	}
 	nanoCount := 0
@@ -605,15 +630,6 @@ func TestStaticPartitionIgnoresLoad(t *testing.T) {
 	}
 	if balb.System() > sp.System() {
 		t.Fatalf("BALB %v worse than SP %v", balb.System(), sp.System())
-	}
-}
-
-func TestAssignmentClone(t *testing.T) {
-	a := Assignment{1: 0, 2: 1}
-	b := a.Clone()
-	b[1] = 9
-	if a[1] != 0 {
-		t.Fatal("clone aliases")
 	}
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -25,107 +25,78 @@ import (
 //     the minimum number of views that offers complete coverage").
 
 // CentralRedundant runs the central BALB stage, then adds up to
-// redundancy-1 extra trackers per object, chosen among the remaining
-// covering cameras in ascending marginal-latency order, subject to not
-// raising the system latency above slack x the base solution's. The
-// returned Extra maps object ID -> additional camera indices.
+// redundancy-1 extra trackers per object (Solution.Extra), chosen among
+// the remaining covering cameras in ascending marginal-latency order,
+// subject to no camera's latency rising above slack x the base
+// solution's *system* latency.
 //
-// redundancy <= 1 degenerates to Central. slack <= 1 permits only free
-// additions (joining incomplete batches).
-func CentralRedundant(cams []CameraSpec, objects []ObjectSpec, redundancy int, slack float64) (*Solution, map[int][]int, error) {
-	base, err := Central(cams, objects, CentralOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	if redundancy <= 1 || len(objects) == 0 {
-		return base, map[int][]int{}, nil
+// redundancy <= 1 degenerates to Central. slack <= 1 keeps the system
+// latency where the base solution put it, but is not limited to free
+// additions (joining incomplete batches): a camera below the maximum may
+// still open a new batch that fits under it.
+func (w *Solver) CentralRedundant(cams []CameraSpec, in *Instance, redundancy int, slack float64) (*Solution, error) {
+	sol, err := w.Central(cams, in, CentralOptions{})
+	if err != nil || redundancy <= 1 || in.Len() == 0 {
+		return sol, err
 	}
 	if slack < 1 {
 		slack = 1
 	}
-	budget := time.Duration(float64(base.System()) * slack)
+	budget := time.Duration(float64(sol.System()) * slack)
 
 	// Track batch occupancy implied by the base assignment, per camera
 	// and size, so extra trackers keep exploiting incomplete batches.
-	counts := make([]map[int]int, len(cams))
-	for i := range counts {
-		counts[i] = make(map[int]int)
+	if err := w.count(len(cams), in, sol.Assign); err != nil {
+		return nil, err
 	}
-	for i := range objects {
-		o := &objects[i]
-		cam := base.Assign[o.ID]
-		counts[cam][o.Size[cam]]++
-	}
-	lat := append([]time.Duration(nil), base.Latencies...)
+	lat := sol.Latencies
 
-	// marginal returns the latency increase of adding one size-s region
-	// to camera c.
-	marginal := func(c, size int) (time.Duration, error) {
-		limit, err := cams[c].Profile.BatchLimitFor(size)
-		if err != nil {
-			return 0, err
-		}
-		if counts[c][size]%limit != 0 {
-			return 0, nil // joins an incomplete batch
-		}
-		return cams[c].Profile.BatchLatencyFor(size)
+	// An object can gain at most one extra per covering camera but its
+	// owner.
+	stride := min(redundancy-1, len(cams)-1)
+	w.extra = grow(w.extra, in.Len()*stride)
+	sol.extra = grow(sol.extra, in.Len())
+	for j := range sol.extra {
+		sol.extra[j] = w.extra[j*stride : j*stride : (j+1)*stride]
 	}
-
-	extra := make(map[int][]int, len(objects))
 	// Objects with the fewest existing trackers and largest coverage
 	// benefit most; iterate in ID order for determinism.
-	order := make([]int, len(objects))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return objects[order[a]].ID < objects[order[b]].ID })
-	for _, oi := range order {
-		o := &objects[oi]
-		assigned := base.Assign[o.ID]
+	for _, key := range w.sortObjects(in, false, false) {
+		j := int(key.idx)
+		assigned := sol.Assign[j]
 		for added := 0; added < redundancy-1; added++ {
-			bestCam := -1
+			bestCam, bestSlot := -1, 0
 			var bestCost time.Duration
-			for _, c := range o.Coverage {
-				if c == assigned || contains(extra[o.ID], c) {
+			for e := in.off[j]; e < in.off[j+1]; e++ {
+				c, s := int(in.cover[e]), w.slot(in, e)
+				if c == assigned || slices.Contains(sol.extra[j], c) {
 					continue
 				}
-				cost, err := marginal(c, o.Size[c])
-				if err != nil {
-					return nil, nil, fmt.Errorf("core: redundant: %w", err)
+				// The marginal latency of one more region: nothing if
+				// it joins an incomplete batch, a batch otherwise.
+				var cost time.Duration
+				if w.batch[s]%w.limit[s] == 0 {
+					cost = w.cost[s]
 				}
 				if lat[c]+cost > budget {
 					continue
 				}
 				if bestCam == -1 || cost < bestCost ||
 					(cost == bestCost && lat[c] < lat[bestCam]) {
-					bestCam = c
+					bestCam, bestSlot = c, s
 					bestCost = cost
 				}
 			}
 			if bestCam == -1 {
 				break
 			}
-			extra[o.ID] = append(extra[o.ID], bestCam)
+			sol.extra[j] = append(sol.extra[j], bestCam)
 			lat[bestCam] += bestCost
-			counts[bestCam][o.Size[bestCam]]++
+			w.batch[bestSlot]++
 		}
 	}
-
-	sol := &Solution{
-		Assign:    base.Assign,
-		Latencies: lat,
-		Priority:  priorityFromLatencies(lat),
-	}
-	return sol, extra, nil
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	sol.Priority = priorityFromLatencies(sol.Priority, lat)
+	return sol, nil
 }
 
 // QualityOptions tunes CentralQualityAware.
@@ -140,97 +111,76 @@ type QualityOptions struct {
 // combination of normalized post-assignment latency and (negated)
 // normalized view size, so objects lean toward cameras where they appear
 // larger — which classify more reliably — at a bounded latency cost.
+// objects[i] is Solution object i.
 func CentralQualityAware(cams []CameraSpec, objects []ObjectSpec, opts QualityOptions) (*Solution, error) {
-	if err := validateInstance(cams, objects); err != nil {
+	in := NewInstance(objects)
+	var w Solver
+	if err := w.prepare(cams, in); err != nil {
 		return nil, err
 	}
 	if opts.Lambda < 0 || opts.Lambda > 1 {
 		return nil, fmt.Errorf("core: lambda %v out of [0,1]", opts.Lambda)
 	}
 
-	lat := make([]time.Duration, len(cams))
-	for i, c := range cams {
-		lat[i] = c.Profile.FullFrame
-	}
-	assign := make(Assignment, len(objects))
-
-	order := make([]int, len(objects))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		oa, ob := &objects[order[a]], &objects[order[b]]
-		if len(oa.Coverage) != len(ob.Coverage) {
-			return len(oa.Coverage) < len(ob.Coverage)
-		}
-		return oa.ID < ob.ID
-	})
-
-	for _, oi := range order {
-		o := &objects[oi]
+	lat := w.fullFrame(cams)
+	assign := make([]int, in.Len())
+	for _, key := range w.sortObjects(in, true, false) {
+		j := int(key.idx)
+		lo, hi := in.off[j], in.off[j+1]
 		// Normalizers across this object's options.
 		var maxLat time.Duration
-		maxSize := 0
-		for _, c := range o.Coverage {
-			t, err := cams[c].Profile.BatchLatencyFor(o.Size[c])
-			if err != nil {
-				return nil, fmt.Errorf("core: quality-aware: %w", err)
-			}
-			if lat[c]+t > maxLat {
-				maxLat = lat[c] + t
-			}
-			if o.Size[c] > maxSize {
-				maxSize = o.Size[c]
-			}
+		var maxSize int32
+		for e := lo; e < hi; e++ {
+			c := in.cover[e]
+			maxLat = max(maxLat, lat[c]+w.cost[w.slot(in, e)])
+			maxSize = max(maxSize, in.size[e])
 		}
-		bestCam := -1
+		bestCam, bestSlot := -1, 0
 		bestScore := 0.0
-		for _, c := range o.Coverage {
-			t, err := cams[c].Profile.BatchLatencyFor(o.Size[c])
-			if err != nil {
-				return nil, err
-			}
-			latScore := float64(lat[c]+t) / float64(maxLat) // lower better
-			qualScore := 1 - float64(o.Size[c])/float64(maxSize)
+		for e := lo; e < hi; e++ {
+			c, s := int(in.cover[e]), w.slot(in, e)
+			latScore := float64(lat[c]+w.cost[s]) / float64(maxLat) // lower better
+			qualScore := 1 - float64(in.size[e])/float64(maxSize)
 			score := (1-opts.Lambda)*latScore + opts.Lambda*qualScore
 			if bestCam == -1 || score < bestScore ||
 				(score == bestScore && c < bestCam) {
-				bestCam = c
+				bestCam, bestSlot = c, s
 				bestScore = score
 			}
 		}
-		t, err := cams[bestCam].Profile.BatchLatencyFor(o.Size[bestCam])
-		if err != nil {
-			return nil, err
-		}
-		assign[o.ID] = bestCam
-		lat[bestCam] += t
+		assign[j] = bestCam
+		lat[bestCam] += w.cost[bestSlot]
 	}
 
 	// Re-price with proper batch packing for the reported latencies.
-	priced, err := cameraLatencies(cams, objects, assign, true)
+	return w.priced(cams, in, assign)
+}
+
+// priced returns assign with the latencies and priority it implies on a
+// prepared instance.
+func (w *Solver) priced(cams []CameraSpec, in *Instance, assign []int) (*Solution, error) {
+	lat, err := w.cameraLatencies(cams, in, assign, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Solution{Assign: assign, Latencies: priced, Priority: priorityFromLatencies(priced)}, nil
+	return &Solution{Assign: assign, Latencies: lat, Priority: priorityFromLatencies(nil, lat)}, nil
 }
 
 // MeanAssignedSize returns the mean target size of objects on their
-// assigned cameras — the quality proxy CentralQualityAware optimizes
-// (larger view = more pixels on target = better classification, per the
-// paper's §V).
-func MeanAssignedSize(objects []ObjectSpec, a Assignment) (float64, error) {
+// assigned cameras (assign[i] is objects[i]'s) — the quality proxy
+// CentralQualityAware optimizes (larger view = more pixels on target =
+// better classification, per the paper's §V).
+func MeanAssignedSize(objects []ObjectSpec, assign []int) (float64, error) {
 	if len(objects) == 0 {
 		return 0, nil
 	}
 	var sum float64
 	for i := range objects {
 		o := &objects[i]
-		cam, ok := a[o.ID]
-		if !ok {
+		if i >= len(assign) || assign[i] < 0 {
 			return 0, fmt.Errorf("core: object %d unassigned", o.ID)
 		}
-		sum += float64(o.Size[cam])
+		sum += float64(o.Size[assign[i]])
 	}
 	return sum / float64(len(objects)), nil
 }
@@ -239,78 +189,39 @@ func MeanAssignedSize(objects []ObjectSpec, a Assignment) (float64, error) {
 // *cumulative* scheduled latency across cameras rather than the maximum:
 // each object goes to its cheapest marginal camera, processing order by
 // descending size to pack batches well. This matches §V's "minimize the
-// cumulative processed workload" variant (e.g. for energy).
+// cumulative processed workload" variant (e.g. for energy). objects[i]
+// is Solution object i.
 func MinTotalLoad(cams []CameraSpec, objects []ObjectSpec) (*Solution, error) {
-	if err := validateInstance(cams, objects); err != nil {
+	in := NewInstance(objects)
+	var w Solver
+	if err := w.prepare(cams, in); err != nil {
 		return nil, err
 	}
-	counts := make([]map[int]int, len(cams))
-	for i := range counts {
-		counts[i] = make(map[int]int)
-	}
-	assign := make(Assignment, len(objects))
+	counts := w.clearBatch(len(cams))
+	assign := make([]int, in.Len())
 
-	order := make([]int, len(objects))
-	for i := range order {
-		order[i] = i
-	}
-	maxSize := func(o *ObjectSpec) int {
-		m := 0
-		for _, c := range o.Coverage {
-			if o.Size[c] > m {
-				m = o.Size[c]
-			}
-		}
-		return m
-	}
 	// Deterministic objects first (as in Algorithm 1): once the forced
 	// batches exist, flexible objects can ride them for free. Within a
 	// coverage class, larger sizes go first so they anchor the batches.
-	sort.SliceStable(order, func(a, b int) bool {
-		oa, ob := &objects[order[a]], &objects[order[b]]
-		if len(oa.Coverage) != len(ob.Coverage) {
-			return len(oa.Coverage) < len(ob.Coverage)
-		}
-		sa, sb := maxSize(oa), maxSize(ob)
-		if sa != sb {
-			return sa > sb
-		}
-		return oa.ID < ob.ID
-	})
-
-	for _, oi := range order {
-		o := &objects[oi]
-		bestCam := -1
+	for _, key := range w.sortObjects(in, true, true) {
+		j := int(key.idx)
+		bestCam, bestSlot := -1, 0
 		var bestCost time.Duration
-		for _, c := range o.Coverage {
-			size := o.Size[c]
-			limit, err := cams[c].Profile.BatchLimitFor(size)
-			if err != nil {
-				return nil, fmt.Errorf("core: min-total-load: %w", err)
-			}
-			var cost time.Duration
-			if counts[c][size]%limit != 0 {
-				cost = 0 // rides an incomplete batch
-			} else {
-				cost, err = cams[c].Profile.BatchLatencyFor(size)
-				if err != nil {
-					return nil, err
-				}
+		for e := in.off[j]; e < in.off[j+1]; e++ {
+			c, s := int(in.cover[e]), w.slot(in, e)
+			var cost time.Duration // 0: rides an incomplete batch
+			if counts[s]%w.limit[s] == 0 {
+				cost = w.cost[s]
 			}
 			if bestCam == -1 || cost < bestCost || (cost == bestCost && c < bestCam) {
-				bestCam = c
+				bestCam, bestSlot = c, s
 				bestCost = cost
 			}
 		}
-		assign[o.ID] = bestCam
-		counts[bestCam][o.Size[bestCam]]++
+		assign[j] = bestCam
+		counts[bestSlot]++
 	}
-
-	lat, err := cameraLatencies(cams, objects, assign, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{Assign: assign, Latencies: lat, Priority: priorityFromLatencies(lat)}, nil
+	return w.priced(cams, in, assign)
 }
 
 // TotalLoad returns the sum of per-camera latencies of a solution — the
@@ -330,30 +241,32 @@ func TotalLoad(lat []time.Duration) time.Duration {
 // (lower full-frame latency), then lower index. It returns the chosen
 // camera indices in selection order.
 func MinUploadCover(cams []CameraSpec, objects []ObjectSpec) ([]int, error) {
-	if err := validateInstance(cams, objects); err != nil {
+	in := NewInstance(objects)
+	var w Solver
+	if err := w.prepare(cams, in); err != nil {
 		return nil, err
 	}
-	uncovered := make(map[int]bool, len(objects))
+	uncovered := make([]bool, in.Len())
+	left := in.Len()
 	coveredBy := make([][]int, len(cams))
-	for i := range objects {
-		o := &objects[i]
-		uncovered[o.ID] = true
-		for _, c := range o.Coverage {
-			coveredBy[c] = append(coveredBy[c], o.ID)
+	for j := range uncovered {
+		uncovered[j] = true
+		for _, c := range in.Cameras(j) {
+			coveredBy[c] = append(coveredBy[c], j)
 		}
 	}
 
 	var chosen []int
 	used := make([]bool, len(cams))
-	for len(uncovered) > 0 {
+	for left > 0 {
 		bestCam, bestGain := -1, 0
 		for c := range cams {
 			if used[c] {
 				continue
 			}
 			gain := 0
-			for _, id := range coveredBy[c] {
-				if uncovered[id] {
+			for _, j := range coveredBy[c] {
+				if uncovered[j] {
 					gain++
 				}
 			}
@@ -371,12 +284,15 @@ func MinUploadCover(cams []CameraSpec, objects []ObjectSpec) ([]int, error) {
 			}
 		}
 		if bestCam == -1 {
-			return nil, fmt.Errorf("core: %d objects not coverable by any camera", len(uncovered))
+			return nil, fmt.Errorf("core: %d objects not coverable by any camera", left)
 		}
 		used[bestCam] = true
 		chosen = append(chosen, bestCam)
-		for _, id := range coveredBy[bestCam] {
-			delete(uncovered, id)
+		for _, j := range coveredBy[bestCam] {
+			if uncovered[j] {
+				uncovered[j] = false
+				left--
+			}
 		}
 	}
 	return chosen, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"mvs/internal/profile"
@@ -46,7 +47,7 @@ func FuzzObjectSpecValidate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, camsRaw uint8, data []byte) {
 		numCams := int(camsRaw % 9)
 		for _, o := range fuzzObjects(data, numCams) {
-			err := o.Validate(numCams)
+			err := validate(o, numCams)
 			if err != nil {
 				continue
 			}
@@ -79,23 +80,28 @@ func FuzzCheckFeasible(f *testing.F) {
 	f.Fuzz(func(t *testing.T, camsRaw uint8, objData, assignData []byte) {
 		numCams := int(camsRaw%8) + 1
 		objects := fuzzObjects(objData, numCams)
-		a := Assignment{}
+		// Pairs (object position, camera); -1 leaves an object unassigned,
+		// and so does a short slice.
+		var a []int
 		for len(assignData) >= 2 {
-			id := int(assignData[0] % 16)
+			j := int(assignData[0] % 16)
 			cam := int(assignData[1])%(numCams+2) - 1
 			assignData = assignData[2:]
-			a[id] = cam
+			for len(a) <= j {
+				a = append(a, -1)
+			}
+			a[j] = cam
 		}
-		err := CheckFeasible(objects, a)
+		err := CheckFeasible(NewInstance(objects), a)
 		if err != nil {
 			return
 		}
 		// Feasible: every object must be assigned within its coverage.
 		for i := range objects {
-			cam, ok := a[objects[i].ID]
-			if !ok {
+			if i >= len(a) || a[i] < 0 {
 				t.Fatalf("feasible but object %d unassigned", objects[i].ID)
 			}
+			cam := a[i]
 			covered := false
 			for _, c := range objects[i].Coverage {
 				covered = covered || c == cam
@@ -124,12 +130,16 @@ func FuzzValidateInstance(f *testing.F) {
 			cams[numCams-1].Profile = nil
 		}
 		objects := fuzzObjects(objData, numCams)
-		err := validateInstance(cams, objects)
+		var w Solver
+		err := w.prepare(cams, NewInstance(objects))
 		if err != nil {
+			if !errors.Is(err, ErrInvalidInstance) {
+				t.Fatalf("rejection %v does not wrap ErrInvalidInstance", err)
+			}
 			return
 		}
 		// Accepted: the roster is non-empty with usable profiles, and
-		// every object individually validates.
+		// every object individually validates with profiled sizes.
 		if numCams == 0 {
 			t.Fatal("accepted empty roster")
 		}
@@ -139,8 +149,64 @@ func FuzzValidateInstance(f *testing.F) {
 			}
 		}
 		for i := range objects {
-			if verr := objects[i].Validate(numCams); verr != nil {
+			if verr := validate(objects[i], numCams); verr != nil {
 				t.Fatalf("instance accepted but object %d invalid: %v", i, verr)
+			}
+			for _, c := range objects[i].Coverage {
+				if _, ok := cams[c].Profile.BatchLimit[objects[i].Size[c]]; !ok {
+					t.Fatalf("accepted object %d at unprofiled size %d on camera %d", i, objects[i].Size[c], c)
+				}
+			}
+		}
+	})
+}
+
+// FuzzSolveInstance feeds the solvers what a peer's bytes can become —
+// any roster size and device mix, cameras out of range or listed twice,
+// sizes that are zero, negative or not profiled, IDs in any order — and
+// holds them to the reference: an instance the reference rejects must be
+// rejected with ErrInvalidInstance, never a panic, and one it accepts
+// must be solved exactly as it solves it, by Central with and without
+// batching and by CentralRedundant at redundancy 2, slack 1.3, all on one
+// reused Solver.
+func FuzzSolveInstance(f *testing.F) {
+	// Camera byte b is camera b%(n+4)-2; size byte v is int8(v)*8.
+	f.Add(uint8(2), uint8(0), false, []byte{1, 2, 8, 2, 2, 8, 3, 16})             // valid
+	f.Add(uint8(3), uint8(5), true, []byte{2, 2, 16, 4, 32, 3, 2, 8, 3, 8, 4, 8}) // valid, IDs descending
+	f.Add(uint8(2), uint8(1), false, []byte{2, 2, 8, 2, 8})                       // duplicate camera
+	f.Add(uint8(2), uint8(2), false, []byte{1, 2, 9})                             // unprofiled size
+	f.Add(uint8(2), uint8(0), false, []byte{1, 2, 0})                             // size 0
+	f.Add(uint8(2), uint8(0), false, []byte{1, 2, 248})                           // negative size
+	f.Add(uint8(0), uint8(0), false, []byte{1, 2, 8})                             // no cameras
+	f.Fuzz(func(t *testing.T, camsRaw, mix uint8, reverse bool, objData []byte) {
+		numCams := int(camsRaw % 9)
+		classes := []profile.DeviceClass{profile.JetsonNano, profile.JetsonTX2, profile.JetsonXavier}
+		cams := make([]CameraSpec, numCams)
+		for i := range cams {
+			cams[i] = CameraSpec{Index: i, Profile: profile.Derived(classes[(i+int(mix))%len(classes)])}
+		}
+		objects := fuzzObjects(objData, numCams)
+		if reverse {
+			for i := range objects {
+				objects[i].ID = len(objects) - i
+			}
+		}
+		var w Solver
+		for _, run := range []struct {
+			opts       CentralOptions
+			redundancy int
+		}{{CentralOptions{}, 1}, {CentralOptions{DisableBatching: true}, 1}, {CentralOptions{}, 2}} {
+			if err := agreeWithOracle(&w, cams, objects, run.opts, run.redundancy, 1.3); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if run.redundancy > 1 {
+				_, err = w.CentralRedundant(cams, NewInstance(objects), run.redundancy, 1.3)
+			} else {
+				_, err = w.Central(cams, NewInstance(objects), run.opts)
+			}
+			if err != nil && !errors.Is(err, ErrInvalidInstance) {
+				t.Fatalf("rejection %v does not wrap ErrInvalidInstance", err)
 			}
 		}
 	})

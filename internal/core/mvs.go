@@ -15,8 +15,11 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"mvs/internal/profile"
@@ -30,7 +33,9 @@ type CameraSpec struct {
 	Profile *profile.Profile
 }
 
-// ObjectSpec describes one physical object to the scheduler.
+// ObjectSpec describes one physical object in the form a caller writes
+// by hand; NewInstance turns a list of them into the Instance the
+// solvers read.
 type ObjectSpec struct {
 	// ID is a scheduler-unique object identifier.
 	ID int
@@ -41,103 +46,142 @@ type ObjectSpec struct {
 	Size map[int]int
 }
 
-// Validate checks that the object is well-formed against a camera roster
-// of the given length.
-func (o *ObjectSpec) Validate(numCams int) error {
-	if len(o.Coverage) == 0 {
-		return fmt.Errorf("core: object %d has empty coverage set", o.ID)
+// ErrInvalidInstance is wrapped by every error that rejects an instance
+// before solving it: no cameras, a camera without a valid profile, or an
+// object with an empty coverage set, a camera out of range or listed
+// twice, or a target size the camera's profile does not have.
+var ErrInvalidInstance = errors.New("core: invalid instance")
+
+// Instance is the MVS problem's objects in flat form (PAPER.md §1):
+// object j has an ID and is covered by the cameras Cameras(j), seen there
+// at the quantized target sizes Sizes(j), index-aligned. All objects'
+// entries share one coverage and one size array, cut by per-object
+// offsets. The zero value is an empty instance, and Reset empties one
+// while keeping its storage, so a host that refills the same Instance
+// every round allocates only while it grows.
+type Instance struct {
+	ids []int
+	// off[j], off[j+1] bound object j's entries in cover and size (off
+	// has len(ids)+1 entries once an object was added).
+	off   []int32
+	cover []int32
+	size  []int32
+}
+
+// NewInstance builds the instance of objects, in order: objects[i] is
+// object i. Nothing is checked here; a solver rejects what is invalid,
+// and a coverage camera without a Size entry has size 0.
+func NewInstance(objects []ObjectSpec) *Instance {
+	entries := 0
+	for i := range objects {
+		entries += len(objects[i].Coverage)
 	}
-	seen := make(map[int]bool, len(o.Coverage))
-	for _, c := range o.Coverage {
-		if c < 0 || c >= numCams {
-			return fmt.Errorf("core: object %d covers camera %d out of range [0,%d)", o.ID, c, numCams)
+	in := &Instance{
+		ids:   make([]int, 0, len(objects)),
+		off:   make([]int32, 0, len(objects)+1),
+		cover: make([]int32, 0, entries),
+		size:  make([]int32, 0, entries),
+	}
+	for i := range objects {
+		o := &objects[i]
+		in.Add(o.ID)
+		for _, c := range o.Coverage {
+			in.Cover(c, o.Size[c])
 		}
-		if seen[c] {
-			return fmt.Errorf("core: object %d lists camera %d twice", o.ID, c)
+	}
+	return in
+}
+
+// Reset empties the instance, keeping its storage.
+func (in *Instance) Reset() {
+	in.ids, in.off, in.cover, in.size = in.ids[:0], in.off[:0], in.cover[:0], in.size[:0]
+}
+
+// Add appends an object with the given ID and an empty coverage set.
+func (in *Instance) Add(id int) {
+	if len(in.off) == 0 {
+		in.off = append(in.off, 0)
+	}
+	in.ids = append(in.ids, id)
+	in.off = append(in.off, int32(len(in.cover)))
+}
+
+// Cover adds camera cam, which sees the last added object at the given
+// target size, to that object's coverage set. Nothing is checked here: a
+// solver rejects a camera out of range or listed twice and a size the
+// camera's profile does not have. Values outside int32 saturate, which
+// keeps them invalid.
+func (in *Instance) Cover(cam, size int) {
+	in.cover = append(in.cover, clamp32(cam))
+	in.size = append(in.size, clamp32(size))
+	in.off[len(in.off)-1] = int32(len(in.cover))
+}
+
+func clamp32(v int) int32 {
+	return int32(max(min(v, math.MaxInt32), math.MinInt32))
+}
+
+// Len returns the number of objects.
+func (in *Instance) Len() int { return len(in.ids) }
+
+// ID returns object j's ID.
+func (in *Instance) ID(j int) int { return in.ids[j] }
+
+// Cameras returns object j's coverage set C_j, in the order it was
+// covered. The slice aliases the instance.
+func (in *Instance) Cameras(j int) []int32 { return in.cover[in.off[j]:in.off[j+1]] }
+
+// Sizes returns object j's target sizes, index-aligned with Cameras(j).
+// The slice aliases the instance.
+func (in *Instance) Sizes(j int) []int32 { return in.size[in.off[j]:in.off[j+1]] }
+
+// entry returns the position in the instance's arrays at which camera
+// cam covers object j, or -1 if it does not.
+func (in *Instance) entry(j, cam int) int {
+	for e := in.off[j]; e < in.off[j+1]; e++ {
+		if int(in.cover[e]) == cam {
+			return int(e)
 		}
-		seen[c] = true
-		if o.Size[c] <= 0 {
-			return fmt.Errorf("core: object %d has no target size on camera %d", o.ID, c)
+	}
+	return -1
+}
+
+// check validates object j against a roster of numCams cameras: a
+// non-empty coverage set of distinct in-range cameras, each with a
+// positive target size.
+func (in *Instance) check(j, numCams int) error {
+	id, cover, size := in.ids[j], in.Cameras(j), in.Sizes(j)
+	if len(cover) == 0 {
+		return fmt.Errorf("%w: object %d has empty coverage set", ErrInvalidInstance, id)
+	}
+	for k, c := range cover {
+		if c < 0 || int(c) >= numCams {
+			return fmt.Errorf("%w: object %d covers camera %d out of range [0,%d)", ErrInvalidInstance, id, c, numCams)
+		}
+		if slices.Contains(cover[:k], c) {
+			return fmt.Errorf("%w: object %d lists camera %d twice", ErrInvalidInstance, id, c)
+		}
+		if size[k] <= 0 {
+			return fmt.Errorf("%w: object %d has no target size on camera %d", ErrInvalidInstance, id, c)
 		}
 	}
 	return nil
-}
-
-// Assignment maps object ID -> the camera index responsible for tracking
-// it. BALB assigns each object to exactly one camera (the minimal
-// feasible choice, since extra trackers only add latency).
-type Assignment map[int]int
-
-// Clone returns a copy of the assignment.
-func (a Assignment) Clone() Assignment {
-	out := make(Assignment, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
 }
 
 // CheckFeasible verifies the two feasibility conditions of Definition 2:
 // every object is tracked by a camera that can see it, and no object is
-// assigned to a camera outside its coverage set.
-func CheckFeasible(objects []ObjectSpec, a Assignment) error {
-	for i := range objects {
-		o := &objects[i]
-		cam, ok := a[o.ID]
-		if !ok {
-			return fmt.Errorf("core: object %d unassigned", o.ID)
+// assigned to a camera outside its coverage set. assign[j] is object j's
+// camera; a missing or negative entry leaves the object unassigned.
+func CheckFeasible(in *Instance, assign []int) error {
+	for j, id := range in.ids {
+		if j >= len(assign) || assign[j] < 0 {
+			return fmt.Errorf("core: object %d unassigned", id)
 		}
-		covered := false
-		for _, c := range o.Coverage {
-			if c == cam {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			return fmt.Errorf("core: object %d assigned to camera %d outside coverage %v", o.ID, cam, o.Coverage)
+		if in.entry(j, assign[j]) < 0 {
+			return fmt.Errorf("core: object %d assigned to camera %d outside coverage %v", id, assign[j], in.Cameras(j))
 		}
 	}
 	return nil
-}
-
-// cameraLatencies computes, for each camera, the scheduled per-frame
-// latency of a feasible assignment: the optimal batch sequence's cost
-// (greedy same-size packing, each batch charged t_i^s), plus the
-// full-frame inspection time when includeFull is set (key-frame
-// accounting, as in Algorithm 1's initialization).
-func cameraLatencies(cams []CameraSpec, objects []ObjectSpec, a Assignment, includeFull bool) ([]time.Duration, error) {
-	counts := make([]map[int]int, len(cams))
-	for i := range counts {
-		counts[i] = make(map[int]int)
-	}
-	for i := range objects {
-		o := &objects[i]
-		cam, ok := a[o.ID]
-		if !ok {
-			return nil, fmt.Errorf("core: object %d unassigned", o.ID)
-		}
-		if cam < 0 || cam >= len(cams) {
-			return nil, fmt.Errorf("core: object %d assigned to camera %d out of range", o.ID, cam)
-		}
-		size, ok := o.Size[cam]
-		if !ok {
-			return nil, fmt.Errorf("core: object %d has no size on camera %d", o.ID, cam)
-		}
-		counts[cam][size]++
-	}
-	out := make([]time.Duration, len(cams))
-	for i, cam := range cams {
-		lat, err := scheduledLatency(counts[i], cam)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = lat
-		if includeFull {
-			out[i] += cam.Profile.FullFrame
-		}
-	}
-	return out, nil
 }
 
 // SystemLatency returns the maximum over per-camera latencies — the MVS
@@ -155,109 +199,286 @@ func SystemLatency(lat []time.Duration) time.Duration {
 // Solution is a scheduling outcome: the assignment, the per-camera
 // scheduled latencies it implies, and the latency-derived camera priority
 // order the distributed stage uses.
+//
+// A Solution a Solver returns lives in that Solver's buffers: it is valid
+// until the Solver's next solve, and a caller that keeps it longer copies
+// what it keeps.
 type Solution struct {
-	// Assign is the object-to-camera assignment.
-	Assign Assignment
+	// Assign[j] is the camera tracking instance object j.
+	Assign []int
 	// Latencies are the scheduled per-camera latencies (with full-frame
 	// time included, matching Algorithm 1's accounting).
 	Latencies []time.Duration
 	// Priority lists camera indices from highest to lowest distributed-
 	// stage priority (i.e. ascending assigned latency; ties by index).
 	Priority []int
+	// extra[j] lists object j's redundant trackers (CentralRedundant);
+	// empty without redundancy.
+	extra [][]int
 }
 
 // System returns the solution's system latency.
 func (s *Solution) System() time.Duration { return SystemLatency(s.Latencies) }
 
-// priorityFromLatencies orders cameras by ascending latency (ties by
-// index): lightest-loaded camera first, as the distributed stage
-// requires.
-func priorityFromLatencies(lat []time.Duration) []int {
-	idx := make([]int, len(lat))
-	for i := range idx {
-		idx[i] = i
+// Extra returns the redundant trackers CentralRedundant added for object
+// j, in the order it added them; none for any other solver.
+func (s *Solution) Extra(j int) []int {
+	if j >= len(s.extra) {
+		return nil
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return lat[idx[a]] < lat[idx[b]] })
-	return idx
+	return s.extra[j]
+}
+
+// Solver is the reusable workspace of the solvers: per camera and size
+// class the profile's batch limit and batch latency, each coverage
+// entry's size class, the batch table, the object order and the Solution
+// they fill. The zero value is ready to use; once it has solved its
+// largest instance, solving again allocates nothing. A Solver is not safe
+// for concurrent use, and what it returns is valid until its next solve
+// (see Solution).
+type Solver struct {
+	// k is the row width of the per-camera tables: the most size classes
+	// any roster profile has. Slot c*k+s is camera c's size class s,
+	// Profile.Sizes[s].
+	k     int
+	limit []int           // per slot: B_i^s
+	cost  []time.Duration // per slot: t_i^s
+	// batch is per slot a region count: the fill of the camera's last
+	// batch of that size while Central sweeps, the regions assigned to it
+	// while an assignment is priced.
+	batch []int
+	// class[e] is the size class of instance entry e on its camera.
+	class []int32
+	order []objKey
+	extra []int // backing array of sol.extra
+	sol   Solution
+}
+
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// prepare validates the roster and the instance and fills the per-slot
+// tables and the entries' size classes.
+func (w *Solver) prepare(cams []CameraSpec, in *Instance) error {
+	if len(cams) == 0 {
+		return fmt.Errorf("%w: no cameras", ErrInvalidInstance)
+	}
+	w.k = 0
+	for i, c := range cams {
+		if c.Profile == nil {
+			return fmt.Errorf("%w: camera %d has nil profile", ErrInvalidInstance, i)
+		}
+		if err := c.Profile.Validate(); err != nil {
+			return fmt.Errorf("%w: camera %d: %w", ErrInvalidInstance, i, err)
+		}
+		w.k = max(w.k, len(c.Profile.Sizes))
+	}
+	w.limit = grow(w.limit, len(cams)*w.k)
+	w.cost = grow(w.cost, len(cams)*w.k)
+	for i, c := range cams {
+		for s, size := range c.Profile.Sizes {
+			w.limit[i*w.k+s] = c.Profile.BatchLimit[size]
+			w.cost[i*w.k+s] = c.Profile.BatchLatency[size]
+		}
+	}
+	w.class = grow(w.class, len(in.cover))
+	for j, id := range in.ids {
+		if err := in.check(j, len(cams)); err != nil {
+			return err
+		}
+		for e := in.off[j]; e < in.off[j+1]; e++ {
+			c, size := in.cover[e], in.size[e]
+			s := slices.Index(cams[c].Profile.Sizes, int(size))
+			if s < 0 {
+				return fmt.Errorf("%w: object %d has size %d on camera %d, which its profile lacks", ErrInvalidInstance, id, size, c)
+			}
+			w.class[e] = int32(s)
+		}
+	}
+	return nil
+}
+
+// slot returns the per-slot table index of instance entry e.
+func (w *Solver) slot(in *Instance, e int32) int {
+	return int(in.cover[e])*w.k + int(w.class[e])
+}
+
+// clearBatch zeroes the batch table for a roster of cams cameras.
+func (w *Solver) clearBatch(cams int) []int {
+	w.batch = grow(w.batch, cams*w.k)
+	clear(w.batch)
+	return w.batch
+}
+
+// fullFrame resets the solution's latencies to L_i := t_i^full.
+func (w *Solver) fullFrame(cams []CameraSpec) []time.Duration {
+	w.sol.Latencies = grow(w.sol.Latencies, len(cams))
+	for i, c := range cams {
+		w.sol.Latencies[i] = c.Profile.FullFrame
+	}
+	return w.sol.Latencies
+}
+
+// objKey is one object's place in a solver's processing order.
+type objKey struct {
+	cover, size int32 // |C_j|, and the largest target size
+	id          int
+	idx         int32 // position in the instance
+}
+
+// byFlexibility orders by ascending coverage size (least scheduling
+// flexibility first), then descending size, then ID and position.
+func byFlexibility(a, b objKey) int {
+	if c := cmp.Compare(a.cover, b.cover); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.size, a.size); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.id, b.id); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// sortObjects returns the instance's objects in byFlexibility order,
+// with the coverage and size keys left out unless asked for.
+func (w *Solver) sortObjects(in *Instance, byCoverage, bySize bool) []objKey {
+	w.order = slices.Grow(w.order[:0], in.Len())
+	for j, id := range in.ids {
+		k := objKey{id: id, idx: int32(j)}
+		if byCoverage {
+			k.cover = int32(len(in.Cameras(j)))
+		}
+		if bySize {
+			k.size = slices.Max(in.Sizes(j))
+		}
+		w.order = append(w.order, k)
+	}
+	slices.SortFunc(w.order, byFlexibility)
+	return w.order
+}
+
+// count fills the batch table with the regions assign gives each camera,
+// per size class.
+func (w *Solver) count(cams int, in *Instance, assign []int) error {
+	batch := w.clearBatch(cams)
+	for j, id := range in.ids {
+		if j >= len(assign) || assign[j] < 0 {
+			return fmt.Errorf("core: object %d unassigned", id)
+		}
+		e := in.entry(j, assign[j])
+		if e < 0 {
+			return fmt.Errorf("core: object %d assigned to camera %d outside its coverage", id, assign[j])
+		}
+		batch[w.slot(in, int32(e))]++
+	}
+	return nil
+}
+
+// scheduledLatency is camera c's cost of the regions the batch table
+// holds for it: per size class, ceil(n/B_i^s) batches of t_i^s (greedy
+// same-size packing).
+func (w *Solver) scheduledLatency(c int) time.Duration {
+	var total time.Duration
+	for s := c * w.k; s < (c+1)*w.k; s++ {
+		if n := w.batch[s]; n > 0 {
+			total += w.cost[s] * time.Duration((n+w.limit[s]-1)/w.limit[s])
+		}
+	}
+	return total
+}
+
+// cameraLatencies computes, for each camera of a prepared instance, the
+// scheduled per-frame latency of an assignment: the optimal batch
+// sequence's cost, plus the full-frame inspection time when includeFull
+// is set (key-frame accounting, as in Algorithm 1's initialization). The
+// result is the solver's Solution.Latencies.
+func (w *Solver) cameraLatencies(cams []CameraSpec, in *Instance, assign []int, includeFull bool) ([]time.Duration, error) {
+	if err := w.count(len(cams), in, assign); err != nil {
+		return nil, err
+	}
+	return w.batchLatencies(cams, includeFull), nil
+}
+
+// batchLatencies prices the batch table's counts per camera into the
+// solution's latencies.
+func (w *Solver) batchLatencies(cams []CameraSpec, includeFull bool) []time.Duration {
+	lat := w.sol.Latencies[:0]
+	for i, c := range cams {
+		l := w.scheduledLatency(i)
+		if includeFull {
+			l += c.Profile.FullFrame
+		}
+		lat = append(lat, l)
+	}
+	w.sol.Latencies = lat
+	return lat
+}
+
+// priorityFromLatencies orders cameras by ascending latency (ties by
+// index) into dst: lightest-loaded camera first, as the distributed stage
+// requires.
+func priorityFromLatencies(dst []int, lat []time.Duration) []int {
+	dst = grow(dst, len(lat))
+	for i := range dst {
+		dst[i] = i
+	}
+	slices.SortStableFunc(dst, func(a, b int) int { return cmp.Compare(lat[a], lat[b]) })
+	return dst
 }
 
 // BruteForce solves MVS exactly by enumerating all feasible single-camera
 // assignments. It is exponential (prod |C_j|) and intended only for small
 // instances in tests and optimality-gap experiments. It returns an error
-// if the instance exceeds maxStates (default 5e6 when 0).
-func BruteForce(cams []CameraSpec, objects []ObjectSpec, maxStates int) (*Solution, error) {
-	if err := validateInstance(cams, objects); err != nil {
+// if the instance exceeds maxStates (default 5e6 when 0). The Solution is
+// the caller's.
+func BruteForce(cams []CameraSpec, in *Instance, maxStates int) (*Solution, error) {
+	var w Solver
+	if err := w.prepare(cams, in); err != nil {
 		return nil, err
 	}
 	if maxStates <= 0 {
 		maxStates = 5_000_000
 	}
 	states := 1
-	for i := range objects {
-		states *= len(objects[i].Coverage)
+	for j := range in.ids {
+		states *= len(in.Cameras(j))
 		if states > maxStates {
 			return nil, fmt.Errorf("core: brute force would enumerate > %d states", maxStates)
 		}
 	}
 
-	best := Assignment(nil)
+	cur, best := make([]int, in.Len()), make([]int, in.Len())
 	var bestLat time.Duration
-	cur := make(Assignment, len(objects))
-	var recurse func(k int) error
-	recurse = func(k int) error {
-		if k == len(objects) {
-			lat, err := cameraLatencies(cams, objects, cur, true)
+	found := false
+	var recurse func(j int) error
+	recurse = func(j int) error {
+		if j == len(cur) {
+			lat, err := w.cameraLatencies(cams, in, cur, true)
 			if err != nil {
 				return err
 			}
-			sys := SystemLatency(lat)
-			if best == nil || sys < bestLat {
-				best = cur.Clone()
-				bestLat = sys
+			if sys := SystemLatency(lat); !found || sys < bestLat {
+				copy(best, cur)
+				bestLat, found = sys, true
 			}
 			return nil
 		}
-		o := &objects[k]
-		for _, c := range o.Coverage {
-			cur[o.ID] = c
-			if err := recurse(k + 1); err != nil {
+		for _, c := range in.Cameras(j) {
+			cur[j] = int(c)
+			if err := recurse(j + 1); err != nil {
 				return err
 			}
 		}
-		delete(cur, o.ID)
 		return nil
 	}
 	if err := recurse(0); err != nil {
 		return nil, err
 	}
-	if best == nil {
-		// No objects: empty assignment.
-		best = Assignment{}
-	}
-	lat, err := cameraLatencies(cams, objects, best, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{Assign: best, Latencies: lat, Priority: priorityFromLatencies(lat)}, nil
-}
-
-// validateInstance checks the camera roster and every object.
-func validateInstance(cams []CameraSpec, objects []ObjectSpec) error {
-	if len(cams) == 0 {
-		return fmt.Errorf("core: no cameras")
-	}
-	for i, c := range cams {
-		if c.Profile == nil {
-			return fmt.Errorf("core: camera %d has nil profile", i)
-		}
-		if err := c.Profile.Validate(); err != nil {
-			return fmt.Errorf("core: camera %d: %w", i, err)
-		}
-	}
-	for i := range objects {
-		if err := objects[i].Validate(len(cams)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.priced(cams, in, best)
 }

@@ -115,25 +115,6 @@ func BatchOccupancy(batches []Batch, prof *profile.Profile) float64 {
 	return sum / float64(len(batches))
 }
 
-// NumBatchesBySize returns, for a task multiset described as size ->
-// count, the number of batches each size needs on the profiled device.
-// This is the counting the BALB scheduler does without materializing
-// tasks.
-func NumBatchesBySize(counts map[int]int, prof *profile.Profile) (map[int]int, error) {
-	out := make(map[int]int, len(counts))
-	for size, n := range counts {
-		if n <= 0 {
-			continue
-		}
-		limit, err := prof.BatchLimitFor(size)
-		if err != nil {
-			return nil, fmt.Errorf("gpu: %w", err)
-		}
-		out[size] = (n + limit - 1) / limit
-	}
-	return out, nil
-}
-
 // FrameResult reports the execution of one frame's batches on the
 // simulated device.
 type FrameResult struct {

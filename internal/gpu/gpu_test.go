@@ -105,26 +105,6 @@ func TestFormBatchesPreservesAllTasks(t *testing.T) {
 	}
 }
 
-func TestNumBatchesBySize(t *testing.T) {
-	counts := map[int]int{64: 17, 512: 2, 128: 0}
-	nb, err := NumBatchesBySize(counts, xavier())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nb[64] != 2 { // ceil(17/16)
-		t.Fatalf("nb[64] = %d", nb[64])
-	}
-	if nb[512] != 1 {
-		t.Fatalf("nb[512] = %d", nb[512])
-	}
-	if _, ok := nb[128]; ok {
-		t.Fatal("zero count produced a batch entry")
-	}
-	if _, err := NumBatchesBySize(map[int]int{99: 1}, xavier()); err == nil {
-		t.Fatal("unknown size accepted")
-	}
-}
-
 // The scheduler-side estimate of a frame — batches per size times the
 // profiled batch latency t_i^s — as RunFrame reports it.
 func TestScheduledLatencyMatchesHandComputation(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"mvs/internal/assoc"
 	"mvs/internal/camera"
 	"mvs/internal/camfault"
+	"mvs/internal/central"
 	"mvs/internal/core"
 	"mvs/internal/gpu"
 	"mvs/internal/metrics"
@@ -49,9 +50,14 @@ type Engine struct {
 	// Sched.Shards each shard's cameras under its subset model.
 	rosters [][]int
 	models  []*assoc.Model
+	// rosterCams[i] describes rosters[i]'s cameras to the scheduler in
+	// local indices (positions in the roster), and round is the central
+	// stage's workspace: the stage is sequential, so one serves every
+	// roster's round.
+	rosterCams [][]core.CameraSpec
+	round      central.Round
 
-	cams     []*camera.Kernel
-	coreCams []core.CameraSpec
+	cams []*camera.Kernel
 
 	policy   *core.DistributedPolicy
 	health   *camfault.Tracker
@@ -172,9 +178,11 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 	if err != nil {
 		return nil, err
 	}
-	coreCams := make([]core.CameraSpec, len(cams))
-	for i := range cams {
-		coreCams[i] = core.CameraSpec{Index: i, Profile: profiles[i]}
+	rosterCams := make([][]core.CameraSpec, len(rosters))
+	for s, roster := range rosters {
+		for li, g := range roster {
+			rosterCams[s] = append(rosterCams[s], core.CameraSpec{Index: li, Profile: profiles[g]})
+		}
 	}
 
 	e := &Engine{
@@ -184,8 +192,8 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 		needsModel: needsModel,
 		rosters:    rosters,
 		models:     models,
+		rosterCams: rosterCams,
 		cams:       cams,
-		coreCams:   coreCams,
 		horizonCam: make([]time.Duration, len(cams)),
 		breakdown:  metrics.NewBreakdown(),
 		busy:       make([]time.Duration, len(cams)),
@@ -382,7 +390,7 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	if isKey {
 		if e.needsModel {
 			start := time.Now()
-			newPolicy, round, err := centralStage(cams, e.coreCams, e.rosters, e.models, e.deadMask, e.cfg)
+			newPolicy, round, err := e.centralStage()
 			if err != nil {
 				return err
 			}

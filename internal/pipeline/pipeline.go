@@ -406,14 +406,13 @@ type roundInfo struct {
 // from the round, so the MVS instance is built over the healthy subset
 // only and every orphaned object is implicitly reassigned to a live
 // covering camera by Central.
-func centralStage(cams []*camera.Kernel, coreCams []core.CameraSpec, rosters [][]int,
-	models []*assoc.Model, dead []bool, cfg Config) (*core.DistributedPolicy, *roundInfo, error) {
-	if cfg.Sched.Mode == StaticPartition {
+func (e *Engine) centralStage() (*core.DistributedPolicy, *roundInfo, error) {
+	if e.cfg.Sched.Mode == StaticPartition {
 		return nil, nil, nil
 	}
-	info := &roundInfo{assigned: make([]int, len(cams)), priority: make([]int, 0, len(cams))}
-	for s, roster := range rosters {
-		if err := centralShard(cams, coreCams, models[s], dead, roster, cfg, info); err != nil {
+	info := &roundInfo{assigned: make([]int, len(e.cams)), priority: make([]int, 0, len(e.cams))}
+	for s := range e.rosters {
+		if err := e.centralShard(s, info); err != nil {
 			return nil, nil, fmt.Errorf("pipeline: roster %d: %w", s, err)
 		}
 	}
@@ -424,58 +423,56 @@ func centralStage(cams []*camera.Kernel, coreCams []core.CameraSpec, rosters [][
 	return policy, info, nil
 }
 
-// centralShard runs one central-stage round over a camera roster and
-// adds its outcome to info: the priority order appended, the object
-// groups scheduled and the per-camera assigned counts summed in. The
-// model must be scoped to the roster (assoc.Model.Subset, or the fleet
-// model for the whole fleet); the round kernel works in local indices —
-// positions in the roster — throughout, and only the applied shadows and
-// what info records are translated back to fleet-wide ones.
-func centralShard(cams []*camera.Kernel, coreCams []core.CameraSpec, model *assoc.Model,
-	dead []bool, roster []int, cfg Config, info *roundInfo) error {
+// centralShard runs one central-stage round over roster s and adds its
+// outcome to info: the priority order appended, the object groups
+// scheduled and the per-camera assigned counts summed in. The roster's
+// model is scoped to it (assoc.Model.Subset, or the fleet model for the
+// whole fleet); the round kernel works in local indices — positions in
+// the roster — throughout, and only the applied shadows and what info
+// records are translated back to fleet-wide ones.
+func (e *Engine) centralShard(s int, info *roundInfo) error {
+	roster, r := e.rosters[s], &e.round
 	// Gather each live camera's view from its tracker, in local order.
 	total := 0
 	for _, g := range roster {
-		total += cams[g].Len()
+		total += e.cams[g].Len()
 	}
-	views := central.NewViews(len(roster), total)
-	localCore := make([]core.CameraSpec, len(roster))
+	r.Views.Reset(len(roster), total)
 	for li, g := range roster {
-		localCore[li] = core.CameraSpec{Index: li, Profile: coreCams[g].Profile}
-		if dead != nil && g < len(dead) && dead[g] {
+		if e.deadMask != nil && g < len(e.deadMask) && e.deadMask[g] {
 			continue
 		}
-		for _, t := range cams[g].Tracks() {
-			views.Add(li, t.Box, central.Track{ID: t.ID, Size: t.QuantSize})
+		for _, t := range e.cams[g].Tracks() {
+			r.Views.Add(li, t.Box, central.Track{ID: t.ID, Size: t.QuantSize})
 		}
 	}
-	round, err := central.Solve(central.Params{
-		Model: model, Cameras: localCore,
-		MinIoU: cfg.Sched.AssocMinIoU, Workers: cfg.Sched.Workers,
-		Redundancy: cfg.Sched.Redundancy, Slack: cfg.Sched.RedundancySlack,
-	}, &views)
-	if err != nil {
+	sched := &e.cfg.Sched
+	if err := central.Solve(central.Params{
+		Model: e.models[s], Cameras: e.rosterCams[s],
+		MinIoU: sched.AssocMinIoU, Workers: sched.Workers,
+		Redundancy: sched.Redundancy, Slack: sched.RedundancySlack,
+	}, r); err != nil {
 		return err
 	}
 
 	// Apply: members on non-assigned (and non-redundant) cameras become
 	// shadows, with the assignment recorded in global indices.
-	for i := range round.Objects {
-		id := round.Objects[i].ID
-		info.assigned[roster[round.Solution.Assign[id]]]++
-		for _, ec := range round.Extra[id] {
+	sol := r.Solution
+	for j, cam := range sol.Assign {
+		info.assigned[roster[cam]]++
+		for _, ec := range sol.Extra(j) {
 			info.assigned[roster[ec]]++
 		}
 	}
-	round.Walk(func(m central.Member) {
+	r.Walk(func(m central.Member) {
 		if !m.Kept {
-			cams[roster[m.Cam]].Demote(views.Tracks[m.Cam][m.Index].ID, roster[m.Owner])
+			e.cams[roster[m.Cam]].Demote(r.Views.Tracks[m.Cam][m.Index].ID, roster[m.Owner])
 		}
 	})
 
-	for _, li := range round.Solution.Priority {
+	for _, li := range sol.Priority {
 		info.priority = append(info.priority, roster[li])
 	}
-	info.objects += len(round.Objects)
+	info.objects += r.Objects.Len()
 	return nil
 }
