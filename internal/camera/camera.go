@@ -97,8 +97,8 @@ type Kernel struct {
 	// outside the kernel keeps a reference past the frame: the one slice
 	// that is handed out — Frame.Tasks — is valid until the next frame
 	// call, and a host that lets it cross a seam copies it first.
-	regions, explained, moving []geom.Rect
-	tasks                      []gpu.Task
+	regions, explained, moving, proposals []geom.Rect
+	tasks                                 []gpu.Task
 }
 
 // Frame is one camera's contribution to a frame: a frame call fills the
@@ -241,7 +241,8 @@ func (k *Kernel) RegularFrame(obs []scene.Observation, policy *core.DistributedP
 		for _, sh := range k.shadows {
 			explained = append(explained, sh.box)
 		}
-		for _, nr := range flow.NewRegions(moving, explained, 0) {
+		k.proposals = flow.NewRegions(k.proposals[:0], moving, explained, 0)
+		for _, nr := range k.proposals {
 			// The camera masks filter *before* inspection: a camera
 			// never spends GPU time on new regions another camera is
 			// responsible for (Fig. 8).

@@ -132,6 +132,37 @@ func TestRegularFrameKeepsNewByOwnership(t *testing.T) {
 	}
 }
 
+// TestRegularFrameAllocatesNothingWhenWarm is the kernel's per-frame
+// budget: once its scratch has grown, a regular frame — slicing, the
+// new-region proposals, detection, the tracking match, the ownership
+// decisions — allocates nothing. The camera tracks the middle object and
+// every frame proposes regions for the other two, which the masks give to
+// other cameras.
+func TestRegularFrameAllocatesNothingWhenWarm(t *testing.T) {
+	k := newKernel(t, OwnMasks)
+	var out Frame
+	if err := k.KeyFrame([]scene.Observation{objMiddle}, &out); err != nil {
+		t.Fatal(err)
+	}
+	obs := []scene.Observation{objLeft, objMiddle, objRight}
+	policy := newPolicy(t)
+	frame := func() {
+		out.Reset()
+		if err := k.RegularFrame(obs, policy, &out); err != nil {
+			panic(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		frame()
+	}
+	if len(k.proposals) != 2 || k.Len() != 1 || !slices.Equal(out.TruthIDs, []int{11}) {
+		t.Fatalf("fixture: %d proposals, %d tracks, detected %v", len(k.proposals), k.Len(), out.TruthIDs)
+	}
+	if n := testing.AllocsPerRun(100, frame); n != 0 {
+		t.Fatalf("RegularFrame: %v allocs per frame, want 0", n)
+	}
+}
+
 // TestKeyFrameAndDemote: a key frame tracks everything in view (SP prunes
 // to its partition at once, having no central round to do it), and Demote
 // turns a track into a shadow of the camera the round assigned.

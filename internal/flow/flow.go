@@ -310,16 +310,17 @@ func (tr *Tracker) Region(t *Track) geom.Rect {
 }
 
 // NewRegions implements the moving-pixel "new region" proposal: every
-// ground-truth motion cluster (observation box) whose centre is not
-// covered by any predicted track box becomes a candidate region, slightly
-// inflated the way a flow-based cluster over-segments. minCover is the
-// IoU above which a cluster counts as explained by a prediction
-// (default 0.1 when <= 0).
-func NewRegions(moving []geom.Rect, predicted []geom.Rect, minCover float64) []geom.Rect {
+// ground-truth motion cluster (observation box) that no predicted box
+// explains becomes a candidate region, slightly inflated the way a
+// flow-based cluster over-segments. A prediction explains a cluster when
+// it covers the cluster's centre or overlaps it with an IoU of at least
+// minCover (default 0.1 when <= 0). The proposals are appended to dst,
+// which is returned, so a caller that passes its own scratch allocates
+// nothing once the scratch has grown.
+func NewRegions(dst, moving, predicted []geom.Rect, minCover float64) []geom.Rect {
 	if minCover <= 0 {
 		minCover = 0.1
 	}
-	var out []geom.Rect
 	for _, m := range moving {
 		explained := false
 		for _, p := range predicted {
@@ -329,8 +330,8 @@ func NewRegions(moving []geom.Rect, predicted []geom.Rect, minCover float64) []g
 			}
 		}
 		if !explained {
-			out = append(out, m.Inflate(m.LongSide()*0.15))
+			dst = append(dst, m.Inflate(m.LongSide()*0.15))
 		}
 	}
-	return out
+	return dst
 }

@@ -227,7 +227,7 @@ func TestNewRegionsProposesUnexplainedMotion(t *testing.T) {
 		{MinX: 600, MinY: 300, MaxX: 660, MaxY: 350}, // new object
 	}
 	predicted := []geom.Rect{{MinX: 95, MinY: 98, MaxX: 148, MaxY: 139}}
-	regions := NewRegions(moving, predicted, 0)
+	regions := NewRegions(nil, moving, predicted, 0)
 	if len(regions) != 1 {
 		t.Fatalf("regions = %v", regions)
 	}
@@ -240,18 +240,50 @@ func TestNewRegionsProposesUnexplainedMotion(t *testing.T) {
 func TestNewRegionsAllExplained(t *testing.T) {
 	moving := []geom.Rect{{MinX: 100, MinY: 100, MaxX: 150, MaxY: 140}}
 	predicted := []geom.Rect{{MinX: 100, MinY: 100, MaxX: 150, MaxY: 140}}
-	if regions := NewRegions(moving, predicted, 0); len(regions) != 0 {
+	if regions := NewRegions(nil, moving, predicted, 0); len(regions) != 0 {
 		t.Fatalf("regions = %v", regions)
 	}
 }
 
 func TestNewRegionsNoPredictions(t *testing.T) {
 	moving := []geom.Rect{{MinX: 1, MinY: 1, MaxX: 10, MaxY: 10}}
-	if regions := NewRegions(moving, nil, 0); len(regions) != 1 {
+	if regions := NewRegions(nil, moving, nil, 0); len(regions) != 1 {
 		t.Fatalf("regions = %v", regions)
 	}
-	if regions := NewRegions(nil, nil, 0); len(regions) != 0 {
+	if regions := NewRegions(nil, nil, nil, 0); len(regions) != 0 {
 		t.Fatalf("regions from no motion = %v", regions)
+	}
+}
+
+// TestNewRegionsExplainedByOverlap pins the second half of the
+// explanation rule: a prediction that misses the cluster's centre still
+// explains it when their IoU reaches minCover.
+func TestNewRegionsExplainedByOverlap(t *testing.T) {
+	moving := []geom.Rect{{MinX: 100, MinY: 100, MaxX: 200, MaxY: 140}}
+	predicted := []geom.Rect{{MinX: 40, MinY: 100, MaxX: 140, MaxY: 140}} // IoU 0.25, centre outside
+	if predicted[0].Contains(moving[0].Center()) {
+		t.Fatal("layout: the prediction covers the centre")
+	}
+	if regions := NewRegions(nil, moving, predicted, 0.2); len(regions) != 0 {
+		t.Fatalf("IoU 0.25 >= 0.2 should explain the cluster: %v", regions)
+	}
+	if regions := NewRegions(nil, moving, predicted, 0.3); len(regions) != 1 {
+		t.Fatalf("IoU 0.25 < 0.3 should leave the cluster unexplained: %v", regions)
+	}
+}
+
+// TestNewRegionsAppendsToDst pins the scratch contract: proposals are
+// appended after what dst holds, into its backing array when it has room.
+func TestNewRegionsAppendsToDst(t *testing.T) {
+	kept := geom.Rect{MinX: 1, MinY: 1, MaxX: 2, MaxY: 2}
+	dst := append(make([]geom.Rect, 0, 4), kept)
+	moving := []geom.Rect{{MinX: 600, MinY: 300, MaxX: 660, MaxY: 350}}
+	out := NewRegions(dst, moving, nil, 0)
+	if len(out) != 2 || out[0] != kept || &out[0] != &dst[0] {
+		t.Fatalf("out = %v, want the kept rect then one proposal in dst's array", out)
+	}
+	if n := testing.AllocsPerRun(100, func() { out = NewRegions(out[:0], moving, nil, 0) }); n != 0 {
+		t.Fatalf("NewRegions into grown scratch: %v allocs, want 0", n)
 	}
 }
 
@@ -353,31 +385,57 @@ func TestUpdateDropsAndSpawnsKeepOrder(t *testing.T) {
 
 // TestUpdateSteadyStateAllocatesNothing is the budget: with no arrival
 // and no departure a tracker update — prediction, the Hungarian match,
-// the bookkeeping — runs entirely in the tracker's own buffers.
+// the bookkeeping — runs entirely in the tracker's own buffers. It runs
+// on boxes spaced apart, where every track/detection pair is alone, and
+// on overlapping pairs and triples, where the match solves components of
+// several tracks and detections.
 func TestUpdateSteadyStateAllocatesNothing(t *testing.T) {
-	tr := newTracker(t)
-	dets := make([]vision.Detection, 12)
-	for i := range dets {
-		dets[i] = det(i+1, float64(50+i*90), 100, 50, 40)
+	spaced := make([]vision.Detection, 12)
+	for i := range spaced {
+		spaced[i] = det(i+1, float64(50+i*90), 100, 50, 40)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := tr.Update(dets); err != nil {
-			t.Fatal(err)
+	var clustered []vision.Detection
+	for g, size := range []int{2, 3, 2, 3} {
+		for k := 0; k < size; k++ {
+			clustered = append(clustered, det(len(clustered)+1, float64(50+g*250+k*10), 100+float64(k*5), 50, 40))
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		created, err := tr.Update(dets)
-		if err != nil || len(created) != 0 {
-			panic("steady state disturbed")
+	for name, dets := range map[string][]vision.Detection{"spaced": spaced, "clustered": clustered} {
+		tr := newTracker(t)
+		for i := 0; i < 3; i++ {
+			if _, err := tr.Update(dets); err != nil {
+				t.Fatal(err)
+			}
 		}
+		contested := 0
 		for _, track := range tr.Tracks() {
-			_ = tr.Region(track)
+			over := 0
+			for _, d := range dets {
+				if track.Predicted().IoU(d.Box) > tr.cfg.MatchIoU {
+					over++
+				}
+			}
+			if over > 1 {
+				contested++
+			}
 		}
-	}); n != 0 {
-		t.Fatalf("Update + Tracks + Region: %v allocs per frame, want 0", n)
-	}
-	if tr.Len() != len(dets) {
-		t.Fatalf("len = %d", tr.Len())
+		if (name == "clustered") != (contested > 0) {
+			t.Fatalf("%s: %d tracks with several feasible detections", name, contested)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			created, err := tr.Update(dets)
+			if err != nil || len(created) != 0 {
+				panic("steady state disturbed")
+			}
+			for _, track := range tr.Tracks() {
+				_ = tr.Region(track)
+			}
+		}); n != 0 {
+			t.Fatalf("%s: Update + Tracks + Region: %v allocs per frame, want 0", name, n)
+		}
+		if tr.Len() != len(dets) {
+			t.Fatalf("%s: len = %d", name, tr.Len())
+		}
 	}
 }
 
@@ -411,8 +469,9 @@ func BenchmarkNewRegions(b *testing.B) {
 			predicted = append(predicted, moving[i])
 		}
 	}
+	var dst []geom.Rect
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewRegions(moving, predicted, 0)
+		dst = NewRegions(dst[:0], moving, predicted, 0)
 	}
 }

@@ -95,11 +95,13 @@ func (r Rect) Inflate(m float64) Rect {
 	return Rect{r.MinX - m, r.MinY - m, r.MaxX + m, r.MaxY + m}
 }
 
-// Intersect returns the intersection of r and s (possibly empty).
+// Intersect returns the intersection of r and s (possibly empty). The
+// builtin min and max give the NaN and signed-zero results of math.Min
+// and math.Max, inline.
 func (r Rect) Intersect(s Rect) Rect {
 	out := Rect{
-		MinX: math.Max(r.MinX, s.MinX), MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX), MaxY: math.Min(r.MaxY, s.MaxY),
+		MinX: max(r.MinX, s.MinX), MinY: max(r.MinY, s.MinY),
+		MaxX: min(r.MaxX, s.MaxX), MaxY: min(r.MaxY, s.MaxY),
 	}
 	if out.Empty() {
 		return Rect{}
@@ -125,8 +127,22 @@ func (r Rect) Clamp(bounds Rect) Rect { return r.Intersect(bounds) }
 
 // IoU returns the intersection-over-union of r and s in [0, 1]. Two empty
 // rectangles have IoU 0.
+//
+// Most pairs a tracker scores do not overlap, so IoU rejects on each
+// axis's clipped extent before it forms an area: an empty overlap on
+// either axis is exactly the case in which Intersect is empty. Comparing
+// the clipped ends, not the raw edges, keeps the result bit-equal to
+// Intersect(s).Area() for NaN and infinite coordinates too.
 func (r Rect) IoU(s Rect) float64 {
-	inter := r.Intersect(s).Area()
+	x0, x1 := max(r.MinX, s.MinX), min(r.MaxX, s.MaxX)
+	if x1 <= x0 {
+		return 0
+	}
+	y0, y1 := max(r.MinY, s.MinY), min(r.MaxY, s.MaxY)
+	if y1 <= y0 {
+		return 0
+	}
+	inter := (x1 - x0) * (y1 - y0)
 	if inter == 0 {
 		return 0
 	}

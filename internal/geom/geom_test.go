@@ -145,6 +145,85 @@ func TestIntersectionCommutesAndShrinks(t *testing.T) {
 	}
 }
 
+// referenceIntersect and referenceIoU are Intersect and IoU as they were
+// before IoU rejected on the clipped extents and both switched to the
+// builtin min and max, kept as the oracle FuzzIoU holds them to.
+func referenceIntersect(r, s Rect) Rect {
+	out := Rect{
+		MinX: math.Max(r.MinX, s.MinX), MinY: math.Max(r.MinY, s.MinY),
+		MaxX: math.Min(r.MaxX, s.MaxX), MaxY: math.Min(r.MaxY, s.MaxY),
+	}
+	if out.Empty() {
+		return Rect{}
+	}
+	return out
+}
+
+func referenceIoU(r, s Rect) float64 {
+	inter := referenceIntersect(r, s).Area()
+	if inter == 0 {
+		return 0
+	}
+	union := r.Area() + s.Area() - inter
+	if union <= 0 {
+		return 0
+	}
+	return inter / union
+}
+
+// sameFloat is bit equality, except that any NaN equals any NaN: a NaN's
+// payload is not part of the contract.
+func sameFloat(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+func sameRect(a, b Rect) bool {
+	return sameFloat(a.MinX, b.MinX) && sameFloat(a.MinY, b.MinY) &&
+		sameFloat(a.MaxX, b.MaxX) && sameFloat(a.MaxY, b.MaxY)
+}
+
+// FuzzIoU holds IoU and Intersect bit-equal to the math.Max/math.Min
+// formula for arbitrary coordinates: NaN, ±Inf, ±0, inverted and
+// degenerate boxes, and boxes that only touch.
+func FuzzIoU(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	seeds := [][8]float64{
+		{0, 0, 10, 10, 5, 0, 15, 10},       // overlap
+		{0, 0, 10, 10, 10, 0, 20, 10},      // touching on x
+		{0, 0, 10, 10, 0, 10, 10, 20},      // touching on y
+		{0, 0, 10, 10, 20, 20, 30, 30},     // disjoint
+		{0, 0, 10, 10, 0, 0, 10, 10},       // identical
+		{5, 5, 5, 9, 0, 0, 10, 10},         // zero width inside
+		{10, 10, 0, 0, 0, 0, 10, 10},       // inverted
+		{nan, 0, 10, 10, 0, 0, 10, 10},     // NaN min
+		{0, 0, 10, 10, 20, 0, nan, 10},     // NaN max, separated on x
+		{nan, 0, 5, 10, 8, 0, 12, 10},      // NaN beside a separating axis
+		{0, 0, inf, inf, 1, 1, 2, 2},       // infinite box
+		{-inf, -inf, inf, inf, 0, 0, 1, 1}, // the whole plane
+		{-inf, 0, inf, 1, -inf, 0, inf, 1}, // infinite width twice
+		{negZero, negZero, 1, 1, 0, 0, 1, 1},
+		{0, 0, negZero, 1, negZero, 0, 0, 1},
+		{1e308, 1e308, math.MaxFloat64, math.MaxFloat64, 0, 0, math.MaxFloat64, math.MaxFloat64},
+	}
+	for _, s := range seeds {
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
+	}
+	f.Fuzz(func(t *testing.T, ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 float64) {
+		a := Rect{ax0, ay0, ax1, ay1}
+		b := Rect{bx0, by0, bx1, by1}
+		if got, want := a.Intersect(b), referenceIntersect(a, b); !sameRect(got, want) {
+			t.Fatalf("%v.Intersect(%v) = %#v, reference %#v", a, b, got, want)
+		}
+		if got, want := a.IoU(b), referenceIoU(a, b); !sameFloat(got, want) {
+			t.Fatalf("%#v.IoU(%#v) = %v, reference %v", a, b, got, want)
+		}
+	})
+}
+
 func TestTranslateInflate(t *testing.T) {
 	r := Rect{0, 0, 10, 10}
 	if got := r.Translate(Point{3, -2}); got != (Rect{3, -2, 13, 8}) {

@@ -1,8 +1,9 @@
-// Package hungarian implements the Kuhn–Munkres assignment algorithm in
-// O(n^3). The framework uses it in two places the paper calls out
-// explicitly: associating detections with predicted track locations inside
-// each camera (tracking-by-detection), and matching projected bounding
-// boxes to detections during cross-camera object association.
+// Package hungarian implements the Kuhn–Munkres assignment algorithm
+// (potentials and shortest augmenting paths, one augmentation per row).
+// The framework uses it in two places the paper calls out explicitly:
+// associating detections with predicted track locations inside each
+// camera (tracking-by-detection), and matching projected bounding boxes
+// to detections during cross-camera object association.
 //
 // The solver minimizes total cost over a rectangular cost matrix; use
 // MaximizeProfit for the IoU-matching (max-profit) form. A cost equal to
@@ -10,10 +11,25 @@
 // not be selected; no other value — +Inf and NaN included — is treated
 // specially.
 //
+// MaximizeProfit solves one connected component of the feasible-pair
+// graph at a time. Its cost matrix prices a matched pair maxP − p, an
+// unmatched row maxP + 1 (a "stay unmatched" dummy column) and a pair
+// with p <= minProfit Forbidden, so an assignment M of n rows costs
+// n(maxP+1) − Σ_M (1+p). That sum is additive over the components of the
+// graph whose edges are the feasible pairs, so optimal assignments of the
+// components together are an optimal assignment of the whole; a component
+// of one row and one column is assigned without the solver. One solve of
+// the whole matrix could differ only by breaking an exact tie between
+// optima differently, and the tests hold the assignment to that dense
+// solve's on random, generated and traced matrices. A tracker's matrices
+// are sparse — most components are one track and one detection — so the
+// work falls from O(n·(n+m)²) for n tracks and m detections to one scan
+// of the matrix plus a solve per contested component.
+//
 // All work runs on a Solver, a reusable workspace: a Solver that has
 // grown to the largest problem it sees allocates nothing, which is how the
 // per-camera tracker and the key-frame association call it. The package
-// functions Solve and MaximizeProfit run the same code on a fresh Solver.
+// function Solve runs the same code on a fresh Solver.
 package hungarian
 
 import (
@@ -36,6 +52,10 @@ type Solver struct {
 	p, way []int
 	used   []bool
 	assign []int
+
+	// MaximizeProfit's component labelling and its row-indexed result,
+	// kept apart from assign, which every component's solve overwrites.
+	uf, start, order, match []int
 
 	in     []float64 // backing array of Matrix
 	inRows [][]float64
@@ -73,8 +93,9 @@ func Solve(cost [][]float64) ([]int, float64, error) {
 // Solve returns, for each row of the cost matrix, the column assigned to
 // it (or -1 when rows > cols and the row is unmatched), along with the
 // total cost of the assignment. The matrix may be rectangular. Solve
-// returns an error when cost is empty or ragged, or when no feasible
-// assignment exists (every complete matching uses a Forbidden pair). The
+// returns an error when cost is empty or ragged, when no feasible
+// assignment exists (every complete matching uses a Forbidden pair), or
+// when non-finite costs leave a row no column at finite reduced cost. The
 // returned slice belongs to the Solver and is valid until its next call.
 func (s *Solver) Solve(cost [][]float64) ([]int, float64, error) {
 	nRows := len(cost)
@@ -106,55 +127,163 @@ func (s *Solver) Solve(cost [][]float64) ([]int, float64, error) {
 // forbidden and left unmatched. The returned slice maps each row to its
 // matched column or -1; it belongs to the Solver and is valid until its
 // next call.
+//
+// The problem is solved one connected component of the feasible-pair
+// graph at a time (see the package doc for why that is exact): a pass
+// over the matrix finds the largest profit and unions the endpoints of
+// every feasible pair, a counting sort groups rows and columns by
+// component, a one-row/one-column component is assigned directly, and
+// every larger one is solved on its own sub-matrix.
 func (s *Solver) MaximizeProfit(profit [][]float64, minProfit float64) ([]int, float64, error) {
 	if len(profit) == 0 {
 		return nil, 0, fmt.Errorf("hungarian: empty profit matrix")
 	}
-	var maxP float64
-	for _, row := range profit {
-		for _, p := range row {
-			if p > maxP {
-				maxP = p
-			}
-		}
-	}
-	// Augment with one "stay unmatched" dummy column per row, priced just
-	// above the worst feasible match so real pairings are always
-	// preferred. This lets any subset of rows opt out, which is exactly
-	// the semantics of thresholded IoU matching.
 	nRows := len(profit)
 	nCols := len(profit[0])
-	m := nCols + nRows
-	s.a = grow(s.a, nRows*m)
 	for i, row := range profit {
 		if len(row) != nCols {
 			return nil, 0, fmt.Errorf("hungarian: ragged profit row %d", i)
 		}
-		out := s.a[i*m : (i+1)*m]
+	}
+	// Nodes 0..nRows-1 are rows, nRows.. are columns. A pair is an edge
+	// exactly when the dense form would not price it Forbidden.
+	n := nRows + nCols
+	s.uf = grow(s.uf, n)
+	uf := s.uf
+	for k := range uf {
+		uf[k] = k
+	}
+	var maxP float64
+	for i, row := range profit {
 		for j, p := range row {
-			if p <= minProfit {
-				out[j] = Forbidden
-			} else {
-				out[j] = maxP - p
+			if p > maxP {
+				maxP = p
+			}
+			if !(p <= minProfit) {
+				union(uf, i, nRows+j)
 			}
 		}
-		for k := nCols; k < m; k++ {
-			out[k] = maxP + 1
+	}
+
+	// Group the nodes by component root: count, prefix-sum, place. Node
+	// order is kept within a component, so each group lists its rows
+	// ascending, then its columns ascending.
+	s.start = grow(s.start, n+1)
+	start := s.start
+	clear(start)
+	for k := range uf {
+		r := find(uf, k)
+		uf[k] = r
+		start[r+1]++
+	}
+	for r := 1; r <= n; r++ {
+		start[r] += start[r-1]
+	}
+	s.order = grow(s.order, n)
+	order := s.order
+	for k, r := range uf {
+		order[start[r]] = k
+		start[r]++
+	}
+
+	s.match = grow(s.match, nRows)
+	match := s.match
+	for i := range match {
+		match[i] = -1
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && uf[order[hi]] == uf[order[lo]] {
+			hi++
+		}
+		group := order[lo:hi]
+		lo = hi
+		k := 0 // rows in the group
+		for k < len(group) && group[k] < nRows {
+			k++
+		}
+		rows, cols := group[:k], group[k:]
+		switch {
+		case len(rows) == 0 || len(cols) == 0:
+			// An isolated row stays unmatched; an isolated column is free.
+		case len(rows) == 1 && len(cols) == 1:
+			// One feasible pair: the 1 x 2 sub-problem's answer, without
+			// the solver (the real column wins a tie with the dummy).
+			i, j := rows[0], cols[0]-nRows
+			if maxP-profit[i][j] <= maxP+1 {
+				match[i] = j
+			}
+		default:
+			if err := s.solveComponent(profit, minProfit, maxP, rows, cols, nRows); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
-	assign, _, err := s.solve(nRows, m, m)
-	if err != nil {
-		return nil, 0, err
-	}
+
 	var total float64
-	for i, j := range assign {
-		if j < 0 || j >= nCols || profit[i][j] <= minProfit {
-			assign[i] = -1
+	for i, j := range match {
+		if j < 0 || profit[i][j] <= minProfit {
+			match[i] = -1
 			continue
 		}
 		total += profit[i][j]
 	}
-	return assign, total, nil
+	return match, total, nil
+}
+
+// solveComponent solves one contested component of MaximizeProfit's
+// feasible-pair graph and writes its rows' columns into s.match. The
+// sub-matrix is priced exactly as the whole matrix would be — the global
+// maxP, Forbidden below the threshold — and augmented with one "stay
+// unmatched" dummy column per row, priced just above the worst feasible
+// match so real pairings are always preferred. cols holds column node
+// numbers, offset by nRows.
+func (s *Solver) solveComponent(profit [][]float64, minProfit, maxP float64, rows, cols []int, nRows int) error {
+	k, c := len(rows), len(cols)
+	m := c + k
+	s.a = grow(s.a, k*m)
+	for r, i := range rows {
+		out := s.a[r*m : (r+1)*m]
+		for x, j := range cols {
+			if p := profit[i][j-nRows]; p <= minProfit {
+				out[x] = Forbidden
+			} else {
+				out[x] = maxP - p
+			}
+		}
+		for x := c; x < m; x++ {
+			out[x] = maxP + 1
+		}
+	}
+	assign, _, err := s.solve(k, m, m)
+	if err != nil {
+		return err
+	}
+	for r, x := range assign {
+		if x >= 0 && x < c {
+			s.match[rows[r]] = cols[x] - nRows
+		}
+	}
+	return nil
+}
+
+// find returns the root of node k's set, halving the path on the way.
+func find(uf []int, k int) int {
+	for uf[k] != k {
+		uf[k] = uf[uf[k]]
+		k = uf[k]
+	}
+	return k
+}
+
+// union merges the sets of nodes a and b under the smaller root.
+func union(uf []int, a, b int) {
+	ra, rb := find(uf, a), find(uf, b)
+	if ra < rb {
+		uf[rb] = ra
+	} else {
+		uf[ra] = rb
+	}
 }
 
 // solve runs the potentials-based Hungarian algorithm (Jonker-style
@@ -214,6 +343,12 @@ func (s *Solver) solve(nRows, nCols, m int) ([]int, float64, error) {
 					delta = minv[j]
 					j1 = j
 				}
+			}
+			if j1 == 0 {
+				// Every unused column is out of reach at +Inf or NaN
+				// reduced cost, which only non-finite costs produce; the
+				// search would spin on the virtual column forever.
+				return nil, 0, fmt.Errorf("hungarian: no finite augmenting path from row %d", i)
 			}
 			for j := 0; j <= m; j++ {
 				if used[j] {

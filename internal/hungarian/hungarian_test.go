@@ -582,32 +582,285 @@ func TestSolveMatchesReference(t *testing.T) {
 	}
 }
 
+// piecewiseProfit lays out the feasible-pair graph shapes the component
+// decomposition must get right, each piece on rows and columns of its
+// own: blocks of 1 to 6 rows and columns at random density, path-shaped
+// chains, isolated rows and columns, rows whose every entry is exactly
+// minProfit, and at most one fully dense block. Feasible profits are
+// sometimes the float just above minProfit. Every other cell holds a
+// value in [0, minProfit], often minProfit itself, so the edge predicate
+// is exercised at its boundary. Rows and columns are then shuffled so the
+// components interleave. With quantize, feasible profits snap up to a
+// grid of 1/8 and exact ties are common.
+func piecewiseProfit(rng *rand.Rand, minProfit float64, quantize bool) [][]float64 {
+	type cell struct {
+		i, j int
+		p    float64
+	}
+	var cells []cell
+	var atThreshold []int
+	rows, cols, dense := 0, 0, false
+	value := func() float64 {
+		if rng.Intn(10) == 0 {
+			return math.Nextafter(minProfit, 2)
+		}
+		v := minProfit + (1-minProfit)*rng.Float64()
+		if quantize {
+			v = math.Ceil(v*8) / 8
+		}
+		if v <= minProfit {
+			v = math.Nextafter(minProfit, 2)
+		}
+		return v
+	}
+	for pieces := 1 + rng.Intn(8); pieces > 0; pieces-- {
+		switch kind := rng.Intn(6); {
+		case kind == 0 || (kind == 5 && dense):
+			a, b, density := 1+rng.Intn(6), 1+rng.Intn(6), 0.3+0.7*rng.Float64()
+			for i := 0; i < a; i++ {
+				for j := 0; j < b; j++ {
+					if rng.Float64() < density {
+						cells = append(cells, cell{rows + i, cols + j, value()})
+					}
+				}
+			}
+			rows, cols = rows+a, cols+b
+		case kind == 1:
+			// A path: row t touches columns t and t+1.
+			l := 1 + rng.Intn(6)
+			for t := 0; t < l; t++ {
+				cells = append(cells, cell{rows + t, cols + t, value()}, cell{rows + t, cols + t + 1, value()})
+			}
+			rows, cols = rows+l, cols+l+1
+		case kind == 2:
+			rows++
+		case kind == 3:
+			cols++
+		case kind == 4:
+			atThreshold = append(atThreshold, rows)
+			rows++
+		case kind == 5:
+			dense = true
+			a, b := 3+rng.Intn(4), 3+rng.Intn(4)
+			for i := 0; i < a; i++ {
+				for j := 0; j < b; j++ {
+					cells = append(cells, cell{rows + i, cols + j, value()})
+				}
+			}
+			rows, cols = rows+a, cols+b
+		}
+	}
+	rows = max(rows, 1)
+	profit := make([][]float64, rows)
+	for i := range profit {
+		profit[i] = make([]float64, cols)
+		for j := range profit[i] {
+			switch rng.Intn(3) {
+			case 0:
+				profit[i][j] = minProfit
+			case 1:
+				profit[i][j] = minProfit * rng.Float64()
+			}
+		}
+	}
+	for _, c := range cells {
+		profit[c.i][c.j] = c.p
+	}
+	for _, i := range atThreshold {
+		for j := range profit[i] {
+			profit[i][j] = minProfit
+		}
+	}
+	rowPerm, colPerm := rng.Perm(rows), rng.Perm(cols)
+	out := make([][]float64, rows)
+	for i := range out {
+		out[i] = make([]float64, cols)
+		for j := range out[i] {
+			out[i][j] = profit[rowPerm[i]][colPerm[j]]
+		}
+	}
+	return out
+}
+
+// TestSolverMatchesReferenceOnComponents holds the per-component solve to
+// the dense oracle on the shapes it decomposes: interleaved blocks,
+// chains, isolated rows and columns, at-threshold rows and a dense block,
+// continuous and tie-rich, at both thresholds the system uses. The
+// assignment vector, not merely its profit, must be the reference's.
+func TestSolverMatchesReferenceOnComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var s Solver
+	for trial := 0; trial < 3000; trial++ {
+		for _, quantize := range []bool{false, true} {
+			for _, minProfit := range []float64{0.1, 0.25} {
+				profit := piecewiseProfit(rng, minProfit, quantize)
+				want, wantTotal, wantErr := referenceMaximizeProfit(profit, minProfit)
+				got, gotTotal, gotErr := s.MaximizeProfit(profit, minProfit)
+				if wantErr != nil || gotErr != nil {
+					t.Fatalf("trial %d: errors %v / %v", trial, gotErr, wantErr)
+				}
+				if !slices.Equal(got, want) || gotTotal != wantTotal {
+					t.Fatalf("trial %d quantize %v min %v:\nprofit %v\n got %v (%v)\nwant %v (%v)",
+						trial, quantize, minProfit, profit, got, gotTotal, want, wantTotal)
+				}
+			}
+		}
+	}
+}
+
+// fuzzProfit maps one byte to a profit: mostly a tie-rich grid of eighths
+// in [-1, 2], then large finite values, and from 253 up NaN, +Inf and
+// -Inf.
+func fuzzProfit(b byte) float64 {
+	switch {
+	case b >= 253:
+		return [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[b-253]
+	case b >= 240:
+		return float64(int(b)-246) * 1e6
+	default:
+		return float64(int(b%25)-8) / 8
+	}
+}
+
+// FuzzMaximizeProfit decodes bytes into a matrix of up to 8 x 8 profits
+// and a threshold. On finite input the assignment and its total must be
+// bit-equal to the dense reference's. With NaN or an infinity anywhere it
+// must not panic, and whatever it returns must be a matching over the
+// same edge predicate: no column twice, no pair with profit <= minProfit.
+func FuzzMaximizeProfit(f *testing.F) {
+	f.Add([]byte{2, 2, 14, 20, 16, 19, 8})                           // 2x2, tie-free
+	f.Add([]byte{3, 3, 10, 12, 12, 0, 12, 12, 12, 0, 12, 12})        // ties
+	f.Add([]byte{4, 5, 10, 16, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0}) // sparse
+	f.Add([]byte{2, 3, 10, 253, 12, 0, 0, 254, 12})                  // NaN, +Inf
+	f.Add([]byte{3, 2, 255, 16, 16, 16, 16, 16, 16})                 // -Inf threshold
+	f.Add([]byte{2, 2, 8, 240, 252, 246, 250})                       // large values
+	f.Add([]byte{1, 0, 8})                                           // zero columns
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		rows, cols := 1+int(data[0]%8), int(data[1]%9)
+		minProfit := fuzzProfit(data[2])
+		data = data[3:]
+		finite := !math.IsNaN(minProfit) && !math.IsInf(minProfit, 0)
+		profit := make([][]float64, rows)
+		for i := range profit {
+			profit[i] = make([]float64, cols)
+			for j := range profit[i] {
+				if len(data) > 0 {
+					profit[i][j], data = fuzzProfit(data[0]), data[1:]
+				}
+				finite = finite && !math.IsNaN(profit[i][j]) && !math.IsInf(profit[i][j], 0)
+			}
+		}
+		var s Solver
+		got, gotTotal, err := s.MaximizeProfit(profit, minProfit)
+		if finite {
+			want, wantTotal, wantErr := referenceMaximizeProfit(profit, minProfit)
+			if err != nil || wantErr != nil {
+				t.Fatalf("errors %v / %v on %v (min %v)", err, wantErr, profit, minProfit)
+			}
+			if !slices.Equal(got, want) || math.Float64bits(gotTotal) != math.Float64bits(wantTotal) {
+				t.Fatalf("profit %v min %v\n got %v (%v)\nwant %v (%v)", profit, minProfit, got, gotTotal, want, wantTotal)
+			}
+		}
+		if err != nil {
+			return // non-finite input may find no finite augmenting path
+		}
+		if len(got) != rows {
+			t.Fatalf("%d rows, assignment of %d", rows, len(got))
+		}
+		taken := make([]bool, cols)
+		for i, j := range got {
+			if j < 0 {
+				continue
+			}
+			if j >= cols || taken[j] || profit[i][j] <= minProfit {
+				t.Fatalf("row %d -> column %d is not a matching edge: profit %v min %v assign %v", i, j, profit, minProfit, got)
+			}
+			taken[j] = true
+		}
+	})
+}
+
 // TestSolverReuseAllocatesNothing is the budget: once a Solver has seen
-// its largest problem, neither form allocates.
+// its largest problem, neither form allocates — on a random matrix and on
+// one that decomposes into many components of different sizes.
 func TestSolverReuseAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	profit := randomProfit(rng, 12, 14, 0.5, false)
-	var s Solver
-	if _, _, err := s.MaximizeProfit(profit, 0.25); err != nil {
-		t.Fatal(err)
+	for name, profit := range map[string][][]float64{
+		"random":     randomProfit(rng, 12, 14, 0.5, false),
+		"components": componentRich(),
+	} {
+		rows, cols := len(profit), len(profit[0])
+		var s Solver
+		if _, _, err := s.MaximizeProfit(profit, 0.25); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			m := s.Matrix(rows, cols)
+			for i := range m {
+				copy(m[i], profit[i])
+			}
+			if _, _, err := s.MaximizeProfit(m, 0.25); err != nil {
+				panic(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: MaximizeProfit on a reused Solver: %v allocs/run, want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, err := s.Solve(profit); err != nil {
+				panic(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Solve on a reused Solver: %v allocs/run, want 0", name, n)
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		m := s.Matrix(12, 14)
-		for i := range m {
-			copy(m[i], profit[i])
+}
+
+// componentRich is the piecewise matrix the reuse budget runs on; its
+// seed is chosen for 7 components, 5 of them contested.
+func componentRich() [][]float64 {
+	return piecewiseProfit(rand.New(rand.NewSource(7)), 0.25, true)
+}
+
+// TestPiecewiseProfitHasContestedComponents keeps the generator honest:
+// the reuse budget only tests the decomposition if its matrix holds
+// several components, some of them contested. It labels the feasible-pair
+// graph by flood fill, independently of the solver.
+func TestPiecewiseProfitHasContestedComponents(t *testing.T) {
+	profit := componentRich()
+	rows, cols := len(profit), len(profit[0])
+	label := make([]int, rows+cols) // 0 = unvisited
+	var fill func(node, l int) int
+	fill = func(node, l int) int {
+		if label[node] != 0 {
+			return 0
 		}
-		if _, _, err := s.MaximizeProfit(m, 0.25); err != nil {
-			panic(err)
+		label[node] = l
+		size := 1
+		for other := 0; other < rows+cols; other++ {
+			i, j := node, other-rows
+			if node >= rows {
+				i, j = other, node-rows
+			}
+			if (node < rows) != (other < rows) && profit[i][j] > 0.25 {
+				size += fill(other, l)
+			}
 		}
-	}); n != 0 {
-		t.Errorf("MaximizeProfit on a reused Solver: %v allocs/run, want 0", n)
+		return size
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, _, err := s.Solve(profit); err != nil {
-			panic(err)
+	groups, contested := 0, 0
+	for node := range label {
+		if size := fill(node, groups+1); size > 0 {
+			groups++
+			if size > 2 {
+				contested++
+			}
 		}
-	}); n != 0 {
-		t.Errorf("Solve on a reused Solver: %v allocs/run, want 0", n)
+	}
+	if groups < 4 || contested < 2 {
+		t.Fatalf("%dx%d matrix has %d components, %d contested", rows, cols, groups, contested)
 	}
 }
 
