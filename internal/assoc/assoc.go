@@ -40,7 +40,7 @@
 //
 // A Model is immutable after Train returns: MapBox, Associate,
 // AssociateWorkers, NominalBox, CellCoverage, and CellCoverageWorkers
-// only read the trained pair models (KNN k-d trees are query-only), so
+// only read the trained pair models (a KNN index is query-only), so
 // any number of goroutines may call them concurrently on one shared
 // Model — including concurrent AssociateWorkers calls that each fan out
 // internally. Train itself must not race with readers of the Model it
@@ -203,6 +203,29 @@ func (pm *PairModel) mapVec(vec []float64) (geom.Rect, bool, error) {
 type Model struct {
 	numCams int
 	pairs   map[[2]int]*PairModel
+	// matchable lists the unordered pairs (i < j) whose (i, j) model has a
+	// regressor, ascending i then j: the only pairs association can match,
+	// in its merge order.
+	matchable []matchPair
+}
+
+// matchPair is one entry of Model.matchable.
+type matchPair struct {
+	i, j int
+	pm   *PairModel
+}
+
+// newModel wraps trained pair models and lists their matchable pairs.
+func newModel(numCams int, pairs map[[2]int]*PairModel) *Model {
+	m := &Model{numCams: numCams, pairs: pairs}
+	for i := 0; i < numCams; i++ {
+		for j := i + 1; j < numCams; j++ {
+			if pm := pairs[[2]int{i, j}]; pm != nil && pm.hasReg {
+				m.matchable = append(m.matchable, matchPair{i, j, pm})
+			}
+		}
+	}
+	return m
 }
 
 // Factories bundles the model constructors used for training, so
@@ -262,8 +285,8 @@ func Train(trace *scene.Trace, f Factories) (*Model, error) {
 		return nil, fmt.Errorf("assoc: need >= 2 cameras, got %d", len(trace.Cameras))
 	}
 	f = f.withDefaults()
-	m := &Model{numCams: len(trace.Cameras), pairs: make(map[[2]int]*PairModel)}
-	pairs := directedPairs(m.numCams)
+	numCams := len(trace.Cameras)
+	pairs := directedPairs(numCams)
 	slots := make([]*PairModel, len(pairs))
 	err := pool.Do(f.Workers, len(pairs), func(k int) error {
 		src, dst := pairs[k][0], pairs[k][1]
@@ -284,12 +307,13 @@ func Train(trace *scene.Trace, f Factories) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	trained := make(map[[2]int]*PairModel)
 	for k, pm := range slots {
 		if pm != nil {
-			m.pairs[pairs[k]] = pm
+			trained[pairs[k]] = pm
 		}
 	}
-	return m, nil
+	return newModel(numCams, trained), nil
 }
 
 // NumCameras returns the camera count the model was trained for.
@@ -380,22 +404,12 @@ func (m *Model) AssociateWorkers(boxes [][]geom.Rect, minIoU float64, workers in
 		}
 	}
 
-	// Enumerate the unordered pairs that can match at all, in the merge
-	// order (ascending i, then j); matches[k] is pair k's private output
-	// slot.
-	type pair struct {
-		i, j int
-		pm   *PairModel
-	}
-	var pairs []pair
-	for i := 0; i < m.numCams; i++ {
-		for j := i + 1; j < m.numCams; j++ {
-			if len(boxes[i]) == 0 || len(boxes[j]) == 0 {
-				continue
-			}
-			if pm := m.pairs[[2]int{i, j}]; pm != nil && pm.hasReg {
-				pairs = append(pairs, pair{i, j, pm})
-			}
+	// The pairs that can match this frame, in the merge order (ascending
+	// i, then j); matches[k] is pair k's private output slot.
+	var pairs []matchPair
+	for _, p := range m.matchable {
+		if len(boxes[p.i]) > 0 && len(boxes[p.j]) > 0 {
+			pairs = append(pairs, p)
 		}
 	}
 	matches := make([][]pairMatch, len(pairs))
@@ -531,18 +545,18 @@ func (m *Model) Subset(cams []int) (*Model, error) {
 			return nil, fmt.Errorf("assoc: subset cameras must ascend, got %v", cams)
 		}
 	}
-	sub := &Model{numCams: len(cams), pairs: make(map[[2]int]*PairModel)}
+	pairs := make(map[[2]int]*PairModel)
 	for i, src := range cams {
 		for j, dst := range cams {
 			if i == j {
 				continue
 			}
 			if pm, ok := m.pairs[[2]int{src, dst}]; ok {
-				sub.pairs[[2]int{i, j}] = pm
+				pairs[[2]int{i, j}] = pm
 			}
 		}
 	}
-	return sub, nil
+	return newModel(len(cams), pairs), nil
 }
 
 // OverlapAdjacency extracts the model's pairwise overlap graph: for

@@ -76,7 +76,7 @@ func frameBoxes(trace *scene.Trace, fi int) [][]geom.Rect {
 
 // TestTrainDeterministicAcrossWorkers asserts the tentpole contract for
 // training: the model is bit-identical (reflect.DeepEqual over every
-// trained pair, k-d trees included) whether the N*(N-1) pairs train
+// trained pair, KNN indexes included) whether the N*(N-1) pairs train
 // sequentially or on 2 or 8 goroutines.
 func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	trace := getCorridorTrace(t)

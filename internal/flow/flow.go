@@ -323,8 +323,11 @@ func NewRegions(dst, moving, predicted []geom.Rect, minCover float64) []geom.Rec
 	}
 	for _, m := range moving {
 		explained := false
+		c := m.Center()
+		// Both predicates are pure; the centre test is the cheap one and
+		// explains most moving boxes (their own track's prediction).
 		for _, p := range predicted {
-			if p.IoU(m) >= minCover || p.Contains(m.Center()) {
+			if p.Contains(c) || p.IoU(m) >= minCover {
 				explained = true
 				break
 			}

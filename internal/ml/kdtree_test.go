@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -36,11 +37,45 @@ func referenceNearest(points [][]float64, x []float64, k int) []int {
 	return out
 }
 
-// nearestIdx runs the production selector — through the k-d index when
-// tree is non-nil, the linear scan otherwise — and returns the indices.
-func nearestIdx(points [][]float64, tree *kdTree, x []float64, k int) []int {
+// referenceVote is KNNClassifier.Predict on referenceNearest's list.
+func referenceVote(points [][]float64, labels []bool, x []float64, k int) bool {
+	near := referenceNearest(points, x, k)
+	pos := 0
+	for _, i := range near {
+		if labels[i] {
+			pos++
+		}
+	}
+	return pos*2 >= len(near)
+}
+
+// referenceRegress is KNNRegressor.Predict on referenceNearest's list,
+// summing in the same order so the result is bit-comparable.
+func referenceRegress(points, targets [][]float64, x []float64, k int) []float64 {
+	pred := make([]float64, len(targets[0]))
+	var wsum float64
+	for _, i := range referenceNearest(points, x, k) {
+		d := dist2(points[i], x)
+		if d == 0 {
+			copy(pred, targets[i])
+			return pred
+		}
+		w := 1 / math.Sqrt(d)
+		wsum += w
+		for j := range pred {
+			pred[j] += w * targets[i][j]
+		}
+	}
+	for j := range pred {
+		pred[j] /= wsum
+	}
+	return pred
+}
+
+// nearestIdx runs the production index and returns the neighbor indices.
+func nearestIdx(tree *kdTree, x []float64, k int) []int {
 	var store [stackK]neighbor
-	near := nearest(points, tree, x, k, &store)
+	near := tree.nearest(x, k, &store)
 	idx := make([]int, len(near))
 	for i, n := range near {
 		idx[i] = n.index
@@ -48,15 +83,12 @@ func nearestIdx(points [][]float64, tree *kdTree, x []float64, k int) []int {
 	return idx
 }
 
-// checkNearest compares both production paths with the oracle.
+// checkNearest compares the index with the oracle.
 func checkNearest(t *testing.T, pts [][]float64, tree *kdTree, q []float64, k int) {
 	t.Helper()
 	want := referenceNearest(pts, q, k)
-	if got := nearestIdx(pts, tree, q, k); !slices.Equal(got, want) {
-		t.Fatalf("k=%d: kd %v vs reference %v", k, got, want)
-	}
-	if got := nearestIdx(pts, nil, q, k); !slices.Equal(got, want) {
-		t.Fatalf("k=%d: scan %v vs reference %v", k, got, want)
+	if got := nearestIdx(tree, q, k); !slices.Equal(got, want) {
+		t.Fatalf("n=%d k=%d q=%v: index %v vs reference %v", len(pts), k, q, got, want)
 	}
 }
 
@@ -67,6 +99,20 @@ func randomPoints(rng *rand.Rand, n, dim int) [][]float64 {
 		for j := range pts[i] {
 			pts[i][j] = rng.Float64() * 1000
 		}
+	}
+	return pts
+}
+
+// boxPoints draws n 4-D box vectors (MinX, MinY, MaxX, MaxY) shaped
+// like the association models' training sets: boxes 20–200 px wide on a
+// 1280×704 image, centred in the road band.
+func boxPoints(rng *rand.Rand, n int) [][]float64 {
+	pts := make([][]float64, n)
+	for i := range pts {
+		cx, cy := rng.Float64()*1280, 200+rng.Float64()*504
+		w := 20 + rng.Float64()*180
+		h := w * (0.6 + 0.6*rng.Float64())
+		pts[i] = []float64{cx - w/2, cy - h/2, cx + w/2, cy + h/2}
 	}
 	return pts
 }
@@ -112,45 +158,113 @@ func TestKDTreeDuplicatePointsTieBreak(t *testing.T) {
 	}
 }
 
+// TestKDTreeTieHeavy drives the plane rule and the bucket boundary with
+// generated sets where distances tie constantly: exact duplicates, one
+// coordinate shared by most points (so many split values equal the
+// query's), and coordinates on a 1/8 grid, at sizes around the bucket
+// (n = bucket, bucket+1, 2·bucket, 2·bucket+1) and well past it. Every
+// query sits on the same grid, so a splitting plane at exactly the k-th
+// distance — the case `<=` exists for — comes up in every set.
+func TestKDTreeTieHeavy(t *testing.T) {
+	sizes := []int{1, kdBucket - 1, kdBucket, kdBucket + 1, 2 * kdBucket, 2*kdBucket + 1, 4*kdBucket + 3, 100, 281}
+	gens := []func(rng *rand.Rand, dim int) []float64{
+		func(rng *rand.Rand, dim int) []float64 { // duplicates
+			p := make([]float64, dim)
+			for j := range p {
+				p[j] = float64(rng.Intn(2))
+			}
+			return p
+		},
+		func(rng *rand.Rand, dim int) []float64 { // shared axis
+			p := make([]float64, dim)
+			for j := range p {
+				if j == 0 && rng.Intn(4) > 0 {
+					p[j] = 1 // most points share the first split axis's value
+				} else {
+					p[j] = float64(rng.Intn(6))
+				}
+			}
+			return p
+		},
+		func(rng *rand.Rand, dim int) []float64 { // 1/8 grid
+			p := make([]float64, dim)
+			for j := range p {
+				p[j] = float64(rng.Intn(17)) / 8
+			}
+			return p
+		},
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, gen := range gens {
+		for _, n := range sizes {
+			for _, dim := range []int{1, 2, 4} {
+				for trial := 0; trial < 12; trial++ {
+					pts := make([][]float64, n)
+					for i := range pts {
+						pts[i] = gen(rng, dim)
+					}
+					tree := newKDTree(pts)
+					for q := 0; q < 8; q++ {
+						query := gen(rng, dim)
+						if q%2 == 1 {
+							query = slices.Clone(pts[rng.Intn(n)]) // on a point
+						}
+						for _, k := range []int{1, 2, 5, 9} {
+							checkNearest(t, pts, tree, query, k)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestKDTreeKLargerThanN(t *testing.T) {
 	pts := [][]float64{{1}, {2}, {3}}
-	tree := newKDTree(pts)
-	got := nearestIdx(pts, tree, []float64{0}, 10)
+	got := nearestIdx(newKDTree(pts), []float64{0}, 10)
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("got %v", got)
 	}
 }
 
+// TestKNNModelsIdenticalWithAndWithoutIndex holds both models, through
+// the index, to their predictions on the brute-force reference list, at
+// training sizes inside one bucket and past it.
 func TestKNNModelsIdenticalWithAndWithoutIndex(t *testing.T) {
-	// Train two classifiers on the same data, one below and one above the
-	// index threshold, by padding the large one with far-away points that
-	// never enter any k-neighborhood of the probed region.
 	rng := rand.New(rand.NewSource(23))
-	x, y := linearlySeparable(300, 23) // >= kdLeafThreshold: indexed
-	indexed := &KNNClassifier{K: 5}
-	if err := indexed.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if indexed.tree == nil {
-		t.Fatal("large training set not indexed")
-	}
-	brute := &KNNClassifier{K: 5}
-	if err := brute.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	brute.tree = nil // force the scan path
-	for i := 0; i < 500; i++ {
-		q := []float64{rng.Float64() * 260, rng.Float64() * 260}
-		a, err := indexed.Predict(q)
-		if err != nil {
+	for _, n := range []int{kdBucket / 2, kdBucket, 300} {
+		x, y := linearlySeparable(n, 23)
+		c := &KNNClassifier{K: 5}
+		if err := c.Fit(x, y); err != nil {
 			t.Fatal(err)
 		}
-		b, err := brute.Predict(q)
-		if err != nil {
+		targets := make([][]float64, n)
+		for i, p := range x {
+			targets[i] = []float64{p[0] + p[1], p[0] * 0.5, float64(i)}
+		}
+		r := &KNNRegressor{K: 5}
+		if err := r.Fit(x, targets); err != nil {
 			t.Fatal(err)
 		}
-		if a != b {
-			t.Fatalf("prediction diverged at %v: indexed=%v brute=%v", q, a, b)
+		for i := 0; i < 500; i++ {
+			q := []float64{rng.Float64() * 260, rng.Float64() * 260}
+			if i%5 == 0 {
+				q = slices.Clone(x[rng.Intn(n)]) // an exact lookup
+			}
+			got, err := c.Predict(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceVote(x, y, q, 5); got != want {
+				t.Fatalf("n=%d: classifier at %v: indexed=%v reference=%v", n, q, got, want)
+			}
+			pred, err := r.Predict(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceRegress(x, targets, q, 5); !slices.Equal(pred, want) {
+				t.Fatalf("n=%d: regressor at %v: indexed=%v reference=%v", n, q, pred, want)
+			}
 		}
 	}
 }
@@ -158,33 +272,31 @@ func TestKNNModelsIdenticalWithAndWithoutIndex(t *testing.T) {
 func TestKDTreePropertyAgainstBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		pts := randomPoints(rng, 64+rng.Intn(64), 4)
+		pts := randomPoints(rng, 1+rng.Intn(128), 4)
 		tree := newKDTree(pts)
 		q := make([]float64, 4)
 		for j := range q {
 			q[j] = rng.Float64() * 1000
 		}
-		want := referenceNearest(pts, q, 5)
-		return slices.Equal(nearestIdx(pts, tree, q, 5), want) &&
-			slices.Equal(nearestIdx(pts, nil, q, 5), want)
+		return slices.Equal(nearestIdx(tree, q, 5), referenceNearest(pts, q, 5))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestKNNPredictAllocatesNothing is the budget: a classifier query, on
-// the index or on the scan, allocates nothing — the candidate buffer
-// stays in Predict's frame.
+// TestKNNPredictAllocatesNothing is the budget: a classifier query, on a
+// single-leaf index or a deep one, allocates nothing — the candidate
+// buffer stays in Predict's frame.
 func TestKNNPredictAllocatesNothing(t *testing.T) {
-	for _, n := range []int{kdLeafThreshold / 2, 2000} {
+	for _, n := range []int{kdBucket / 2, 2000} {
 		x, y := linearlySeparable(n, 21)
 		c := &KNNClassifier{K: 5}
 		if err := c.Fit(x, y); err != nil {
 			t.Fatal(err)
 		}
-		if (c.tree != nil) != (n >= kdLeafThreshold) {
-			t.Fatalf("n=%d: indexed=%v", n, c.tree != nil)
+		if leaf := len(c.tree.nodes) == 1; leaf != (n <= kdBucket) {
+			t.Fatalf("n=%d: single leaf = %v", n, leaf)
 		}
 		q := []float64{100, 100}
 		if got := testing.AllocsPerRun(200, func() {
@@ -197,21 +309,88 @@ func TestKNNPredictAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkKNNPredictBrute forces the linear scan for comparison with
-// ml_test.go's BenchmarkKNNPredict (which uses the k-d index on the same
-// 2000-point set).
-func BenchmarkKNNPredictBrute(b *testing.B) {
-	x, y := linearlySeparable(2000, 21)
-	c := &KNNClassifier{K: 5}
-	if err := c.Fit(x, y); err != nil {
-		b.Fatal(err)
+// FuzzKNN decodes bytes into up to 200 4-D points on a coarse grid, one
+// query and a k in 1–16, and holds the classifier's vote and the
+// regressor's output bit-equal to the brute-force reference.
+func FuzzKNN(f *testing.F) {
+	f.Add([]byte{4, 1, 2, 3, 4, 1, 2, 3, 4, 5, 5, 5, 5, 1, 2, 3, 5})
+	f.Add(append([]byte{15}, make([]byte, 4*40)...))
+	seed := rand.New(rand.NewSource(3))
+	for _, n := range []int{kdBucket, kdBucket + 1, 2*kdBucket + 1, 200} {
+		b := make([]byte, 1+4*(n+1))
+		seed.Read(b)
+		f.Add(b)
 	}
-	c.tree = nil
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 9 {
+			return
+		}
+		k := 1 + int(data[0]%16)
+		// coord maps a byte onto a 1/4 grid over [-4, 4): coarse enough
+		// that distances and split planes tie often.
+		coord := func(b byte) float64 { return float64(int(b%32)-16) / 4 }
+		q := []float64{coord(data[1]), coord(data[2]), coord(data[3]), coord(data[4])}
+		var x [][]float64
+		var y []bool
+		var targets [][]float64
+		for rest := data[5:]; len(rest) >= 4 && len(x) < 200; rest = rest[4:] {
+			p := []float64{coord(rest[0]), coord(rest[1]), coord(rest[2]), coord(rest[3])}
+			x = append(x, p)
+			y = append(y, rest[0]&0x80 != 0)
+			targets = append(targets, []float64{p[0] + p[2], float64(rest[1]), float64(len(x))})
+		}
+		if len(x) == 0 {
+			return
+		}
+		c := &KNNClassifier{K: k}
+		if err := c.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Predict(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceVote(x, y, q, k); got != want {
+			t.Fatalf("k=%d n=%d: vote %v, reference %v", k, len(x), got, want)
+		}
+		r := &KNNRegressor{K: k}
+		if err := r.Fit(x, targets); err != nil {
+			t.Fatal(err)
+		}
+		pred, err := r.Predict(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceRegress(x, targets, q, k)
+		for j := range want {
+			if math.Float64bits(pred[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("k=%d n=%d: regressor %v, reference %v", k, len(x), pred, want)
+			}
+		}
+	})
+}
+
+// scanNearest is the linear scan through the bounded selector — the path
+// a training set smaller than a bucket takes, timed on its own.
+func scanNearest(points [][]float64, x []float64, k int, store *[stackK]neighbor) []neighbor {
+	best := newKBest(k, len(points), store)
+	for i, p := range points {
+		best.offer(neighbor{dist: dist2(p, x), index: i})
+	}
+	return best.buf
+}
+
+// BenchmarkKNNPredictBrute times the linear scan for comparison with
+// ml_test.go's BenchmarkKNNPredict (the index on the same 2000-point
+// set).
+func BenchmarkKNNPredictBrute(b *testing.B) {
+	x, _ := linearlySeparable(2000, 21)
 	q := []float64{100, 100}
+	var store [stackK]neighbor
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Predict(q); err != nil {
-			b.Fatal(err)
-		}
+		benchSink = scanNearest(x, q, 5, &store)
 	}
 }
+
+var benchSink []neighbor

@@ -14,7 +14,6 @@ type KNNClassifier struct {
 	K int
 
 	dim    int
-	points [][]float64
 	labels []bool
 	tree   *kdTree
 }
@@ -22,19 +21,16 @@ type KNNClassifier struct {
 // Name implements Classifier.
 func (k *KNNClassifier) Name() string { return "knn" }
 
-// Fit stores the training set (KNN is lazy; there is nothing to optimize).
+// Fit indexes the training set (KNN is lazy; there is nothing to
+// optimize). The index holds its own copy of x.
 func (k *KNNClassifier) Fit(x [][]float64, y []bool) error {
 	dim, err := checkXY(x, y)
 	if err != nil {
 		return fmt.Errorf("knn classifier: %w", err)
 	}
 	k.dim = dim
-	k.points = x
 	k.labels = y
-	k.tree = nil
-	if len(x) >= kdLeafThreshold {
-		k.tree = newKDTree(x)
-	}
+	k.tree = newKDTree(x)
 	return nil
 }
 
@@ -43,14 +39,14 @@ func (k *KNNClassifier) Fit(x [][]float64, y []bool) error {
 // association costs a redundant tracker, while the matching step
 // downstream filters false positives.
 func (k *KNNClassifier) Predict(x []float64) (bool, error) {
-	if k.points == nil {
+	if k.tree == nil {
 		return false, ErrNotFitted
 	}
 	if len(x) != k.dim {
 		return false, fmt.Errorf("knn classifier: feature dim %d, want %d", len(x), k.dim)
 	}
 	var store [stackK]neighbor
-	near := nearest(k.points, k.tree, x, k.kEff(), &store)
+	near := k.tree.nearest(x, k.kEff(), &store)
 	pos := 0
 	for _, n := range near {
 		if k.labels[n.index] {
@@ -76,7 +72,6 @@ type KNNRegressor struct {
 
 	dim     int
 	out     int
-	points  [][]float64
 	targets [][]float64
 	tree    *kdTree
 }
@@ -84,19 +79,16 @@ type KNNRegressor struct {
 // Name implements Regressor.
 func (k *KNNRegressor) Name() string { return "knn" }
 
-// Fit stores the training correspondences.
+// Fit indexes the training correspondences; the index holds its own
+// copy of x.
 func (k *KNNRegressor) Fit(x [][]float64, y [][]float64) error {
 	dim, out, err := checkXYReg(x, y)
 	if err != nil {
 		return fmt.Errorf("knn regressor: %w", err)
 	}
 	k.dim, k.out = dim, out
-	k.points = x
 	k.targets = y
-	k.tree = nil
-	if len(x) >= kdLeafThreshold {
-		k.tree = newKDTree(x)
-	}
+	k.tree = newKDTree(x)
 	return nil
 }
 
@@ -104,14 +96,14 @@ func (k *KNNRegressor) Fit(x [][]float64, y [][]float64) error {
 // neighbors' targets. An exact feature match returns that case's target
 // directly (true lookup-table behaviour).
 func (k *KNNRegressor) Predict(x []float64) ([]float64, error) {
-	if k.points == nil {
+	if k.tree == nil {
 		return nil, ErrNotFitted
 	}
 	if len(x) != k.dim {
 		return nil, fmt.Errorf("knn regressor: feature dim %d, want %d", len(x), k.dim)
 	}
 	var store [stackK]neighbor
-	near := nearest(k.points, k.tree, x, k.kEff(), &store)
+	near := k.tree.nearest(x, k.kEff(), &store)
 	pred := make([]float64, k.out)
 	var wsum float64
 	for _, n := range near {
@@ -137,23 +129,6 @@ func (k *KNNRegressor) kEff() int {
 		return k.K
 	}
 	return 5
-}
-
-// nearest selects the k points nearest to x (all points when
-// k >= len(points)) into a kBest over store, in increasing (dist, index)
-// order. It dispatches between the k-d index (large training sets) and
-// the linear scan (small ones); both feed the same selector, so they
-// return identical neighbor lists including tie-breaks.
-func nearest(points [][]float64, tree *kdTree, x []float64, k int, store *[stackK]neighbor) []neighbor {
-	best := newKBest(k, len(points), store)
-	if tree != nil {
-		tree.search(tree.root, x, &best)
-		return best.buf
-	}
-	for i, p := range points {
-		best.offer(neighbor{dist: dist2(p, x), index: i})
-	}
-	return best.buf
 }
 
 // dist2 returns the squared Euclidean distance between equal-length
