@@ -100,36 +100,47 @@ func TestReadMessageStalledBody(t *testing.T) {
 	}
 }
 
-// testModel trains a small association model on a two-camera world.
+// testModel returns a small association model trained on a two-camera
+// world, trained once for the package (models and profiles are only
+// read).
 func testModel(t *testing.T) (*assoc.Model, []*profile.Profile) {
 	t.Helper()
-	road := scene.MustPath(geom.Point{X: 5, Y: -40}, geom.Point{X: 5, Y: 40})
-	camA := &scene.Camera{
-		Name: "a", Pos: geom.Point{X: 0, Y: -50}, Height: 8, Yaw: math.Pi / 2,
-		Pitch: 0.4, Focal: 1000, ImageW: 1280, ImageH: 704, MaxRange: 62,
+	twoCameraOnce.Do(func() {
+		road := scene.MustPath(geom.Point{X: 5, Y: -40}, geom.Point{X: 5, Y: 40})
+		camA := &scene.Camera{
+			Name: "a", Pos: geom.Point{X: 0, Y: -50}, Height: 8, Yaw: math.Pi / 2,
+			Pitch: 0.4, Focal: 1000, ImageW: 1280, ImageH: 704, MaxRange: 62,
+		}
+		camB := &scene.Camera{
+			Name: "b", Pos: geom.Point{X: 0, Y: 50}, Height: 8, Yaw: -math.Pi / 2,
+			Pitch: 0.4, Focal: 1000, ImageW: 1280, ImageH: 704, MaxRange: 62,
+		}
+		world := &scene.World{
+			Routes:  []scene.Route{{Path: road, Speed: 8, Arrivals: scene.Poisson{RatePerSec: 0.6}}},
+			Cameras: []*scene.Camera{camA, camB},
+			FPS:     10, Seed: 21,
+		}
+		trace, err := world.Run(400)
+		if err != nil {
+			twoCameraErr = err
+			return
+		}
+		twoCameraModel, twoCameraErr = assoc.Train(trace, assoc.Factories{})
+	})
+	if twoCameraErr != nil {
+		t.Fatal(twoCameraErr)
 	}
-	camB := &scene.Camera{
-		Name: "b", Pos: geom.Point{X: 0, Y: 50}, Height: 8, Yaw: -math.Pi / 2,
-		Pitch: 0.4, Focal: 1000, ImageW: 1280, ImageH: 704, MaxRange: 62,
-	}
-	world := &scene.World{
-		Routes:  []scene.Route{{Path: road, Speed: 8, Arrivals: scene.Poisson{RatePerSec: 0.6}}},
-		Cameras: []*scene.Camera{camA, camB},
-		FPS:     10, Seed: 21,
-	}
-	trace, err := world.Run(400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := assoc.Train(trace, assoc.Factories{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return model, []*profile.Profile{
+	return twoCameraModel, []*profile.Profile{
 		profile.Derived(profile.JetsonXavier),
 		profile.Derived(profile.JetsonNano),
 	}
 }
+
+var (
+	twoCameraOnce  sync.Once
+	twoCameraModel *assoc.Model
+	twoCameraErr   error
+)
 
 // startScheduler runs a scheduler on a random loopback port.
 func startScheduler(t *testing.T, opts ...Option) (*Scheduler, string) {
@@ -393,7 +404,7 @@ func TestKeyFrameTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	if _, err := c0.KeyFrame(0, nil, 300*time.Millisecond); err == nil {
+	if _, err := c0.KeyFrame(0, nil, 50*time.Millisecond); err == nil {
 		t.Fatal("incomplete round returned an assignment")
 	}
 }
@@ -408,42 +419,6 @@ func TestReportTracksConversion(t *testing.T) {
 	reports := ReportTracks(nil)
 	if len(reports) != 0 {
 		t.Fatal("nil tracks produced reports")
-	}
-}
-
-func TestDisconnectUnblocksRound(t *testing.T) {
-	// Camera 1 reports for frame 0, camera 0 never does and instead
-	// disconnects. The round must complete with camera 1's view alone.
-	_, addr := startScheduler(t)
-	c0, err := Dial(addr, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := Dial(addr, 1, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := c1.KeyFrame(0, []TrackReport{
-			{TrackID: 5, Box: [4]float64{100, 100, 160, 150}, Size: 64},
-		}, 10*time.Second)
-		done <- err
-	}()
-	// Give the report time to land in the pending round, then drop
-	// camera 0.
-	time.Sleep(200 * time.Millisecond)
-	c0.Close()
-
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("round did not complete cleanly: %v", err)
-		}
-	case <-time.After(8 * time.Second):
-		t.Fatal("round stalled after disconnect")
 	}
 }
 
@@ -534,8 +509,10 @@ func TestBandwidthCounters(t *testing.T) {
 func pendingReports(s *Scheduler, frame int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r := s.rounds[frame]; r != nil {
-		return len(r.reports)
+	for _, r := range s.m.rounds {
+		if r.frame == frame {
+			return r.n
+		}
 	}
 	return 0
 }

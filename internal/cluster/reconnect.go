@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -143,7 +144,7 @@ func NewReconnectClient(cfg ReconnectConfig) *ReconnectClient {
 		}
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = log.New(logDiscard{}, "", 0)
+		cfg.Logger = log.New(io.Discard, "", 0)
 	}
 	return &ReconnectClient{cfg: cfg}
 }

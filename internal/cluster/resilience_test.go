@@ -121,97 +121,6 @@ func TestPingMatchesSequence(t *testing.T) {
 	}
 }
 
-func TestRoundTimeoutSchedulesPartialRound(t *testing.T) {
-	// Two cameras register, one reports: with a round timeout the round
-	// must complete anyway, marked Partial in its snapshot, instead of
-	// waiting on the silent camera forever.
-	model, profiles := testModel(t)
-	sink := metrics.NewChannelSink(1, 16)
-	s, err := NewScheduler(model, profiles, 0,
-		WithRoundTimeout(200*time.Millisecond), WithSink(sink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = s.Serve(ln) }()
-	defer func() {
-		s.Close()
-		ln.Close()
-	}()
-	addr := ln.Addr().String()
-
-	c0, err := Dial(addr, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	c1, err := Dial(addr, 1, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close() // registered but never reports
-
-	a, err := c0.KeyFrame(0, []TrackReport{{TrackID: 1, Box: [4]float64{100, 100, 150, 150}, Size: 64}}, 10*time.Second)
-	if err != nil {
-		t.Fatalf("partial round never scheduled: %v", err)
-	}
-	if a.Frame != 0 {
-		t.Fatalf("assignment frame = %d", a.Frame)
-	}
-	select {
-	case snap := <-sink.Snapshots():
-		if !snap.Partial {
-			t.Fatalf("snapshot not marked partial: %+v", snap)
-		}
-		if snap.Source != metrics.SourceScheduler {
-			t.Fatalf("snapshot source = %q", snap.Source)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no round snapshot")
-	}
-}
-
-func TestLeaseExpiryUnblocksBarrier(t *testing.T) {
-	// With a liveness lease, a camera that has gone silent longer than
-	// the lease does not block the barrier: the round completes without
-	// it and no round timeout is needed.
-	model, profiles := testModel(t)
-	s, err := NewScheduler(model, profiles, 0, WithLease(100*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = s.Serve(ln) }()
-	defer func() {
-		s.Close()
-		ln.Close()
-	}()
-	addr := ln.Addr().String()
-
-	c0, err := Dial(addr, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	c1, err := Dial(addr, 1, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-
-	// Let camera 1's lease lapse, then report from camera 0 only.
-	time.Sleep(250 * time.Millisecond)
-	if _, err := c0.KeyFrame(0, []TrackReport{{TrackID: 1, Box: [4]float64{100, 100, 150, 150}, Size: 64}}, 5*time.Second); err != nil {
-		t.Fatalf("round blocked on leased-out camera: %v", err)
-	}
-}
-
 func TestChaosDeadCameraBroadcast(t *testing.T) {
 	// The lease-fed data-plane health model: a camera that reported in
 	// round 0 (and got assignments) goes silent; the next round must
@@ -300,94 +209,4 @@ func TestChaosDeadCameraBroadcast(t *testing.T) {
 		t.Fatalf("Reassignments = %d, want camera 1's prior %d assignments",
 			round10.Reassignments, round0.Cameras[1].Assignments)
 	}
-}
-
-func TestHeartbeatRefreshesLease(t *testing.T) {
-	// White-box: a ping must advance the camera's lastSeen, which is what
-	// keeps its lease fresh between key frames.
-	s, addr := startScheduler(t)
-	c0, err := Dial(addr, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-
-	s.mu.Lock()
-	before := s.conns[0].lastSeen
-	s.mu.Unlock()
-	time.Sleep(10 * time.Millisecond)
-	if err := c0.Ping(0); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	after := s.conns[0].lastSeen
-	s.mu.Unlock()
-	if !after.After(before) {
-		t.Fatalf("lastSeen not refreshed: %v -> %v", before, after)
-	}
-}
-
-// TestNeverRegisteredCameraIsReleasedLikeASilentOne: a roster camera that
-// never dials in holds the barrier, and the same two things release it
-// that release a connected camera gone silent — its lease, counted from
-// when the scheduler was built, or the round timeout.
-func TestNeverRegisteredCameraIsReleasedLikeASilentOne(t *testing.T) {
-	report := []TrackReport{{TrackID: 1, Box: [4]float64{100, 100, 150, 150}, Size: 64}}
-	serve := func(t *testing.T, opt Option) (*Scheduler, *Client) {
-		t.Helper()
-		s, addr := startScheduler(t, opt)
-		c0, err := Dial(addr, 0, 0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c0.Close() })
-		return s, c0
-	}
-
-	t.Run("lease", func(t *testing.T) {
-		s, c0 := serve(t, WithLease(time.Minute))
-		// Within the lease the absent camera blocks the round.
-		if _, err := c0.KeyFrame(0, report, 100*time.Millisecond); err == nil {
-			t.Fatal("round 0 scheduled without camera 1 inside its lease")
-		}
-		// Age the scheduler past the lease instead of sleeping it out.
-		s.mu.Lock()
-		s.born = s.born.Add(-2 * time.Minute)
-		s.mu.Unlock()
-		a, err := c0.KeyFrame(10, report, 5*time.Second)
-		if err != nil {
-			t.Fatalf("round blocked on a camera whose lease ran out unregistered: %v", err)
-		}
-		if len(a.Dead) != 1 || a.Dead[0] != 1 {
-			t.Fatalf("Dead = %v, want [1]", a.Dead)
-		}
-	})
-	t.Run("lease timer", func(t *testing.T) {
-		// The lease runs out while the round is pending and nothing else
-		// happens to it — no further report, no disconnect, no round
-		// timeout: the scheduler's own timer has to release it.
-		const lease = 50 * time.Millisecond
-		_, c0 := serve(t, WithLease(lease))
-		start := time.Now()
-		a, err := c0.KeyFrame(0, report, 5*time.Second)
-		if err != nil {
-			t.Fatalf("round 0 held until the client deadline: %v", err)
-		}
-		if waited := time.Since(start); waited > 20*lease {
-			t.Fatalf("round 0 released after %v, lease is %v", waited, lease)
-		}
-		if len(a.Dead) != 1 || a.Dead[0] != 1 {
-			t.Fatalf("Dead = %v, want [1]", a.Dead)
-		}
-	})
-	t.Run("round timeout", func(t *testing.T) {
-		_, c0 := serve(t, WithRoundTimeout(50*time.Millisecond))
-		start := time.Now()
-		if _, err := c0.KeyFrame(0, report, 5*time.Second); err != nil {
-			t.Fatalf("partial round: %v", err)
-		}
-		if waited := time.Since(start); waited < 40*time.Millisecond {
-			t.Fatalf("round scheduled after %v: the absent camera did not hold the barrier", waited)
-		}
-	})
 }

@@ -130,8 +130,8 @@ func (b *handoffBus) lookup(shard, frame int) []handoffClaim {
 // nil. Iteration order (groups, members, foreign cameras, claims in
 // published order) is fixed, so the same claim history always produces
 // the same demotions.
-func (s *Scheduler) consultHandoff(frame int, groups []assoc.Group, boxes [][]geom.Rect, sol *core.Solution) map[int]int {
-	ctx := s.shard
+func (m *machine) consultHandoff(frame int, groups []assoc.Group, boxes [][]geom.Rect) map[int]int {
+	ctx := m.shard
 	if ctx == nil {
 		return nil
 	}
@@ -157,12 +157,12 @@ func (s *Scheduler) consultHandoff(frame int, groups []assoc.Group, boxes [][]ge
 					if err != nil || !visible {
 						continue
 					}
-					if mapped.IoU(local) >= s.minIoU {
+					if mapped.IoU(local) >= m.minIoU {
 						if demoted == nil {
 							demoted = make(map[int]int)
 						}
 						demoted[gi+1] = claim.Owner
-						s.logger.Printf("cluster: %s round %d: object %d handed off to shard %d (owner camera %d)",
+						m.logger.Printf("cluster: %s round %d: object %d handed off to shard %d (owner camera %d)",
 							ctx.label, frame, gi+1, fs, claim.Owner)
 						break memberLoop
 					}
@@ -178,8 +178,8 @@ func (s *Scheduler) consultHandoff(frame int, groups []assoc.Group, boxes [][]ge
 // with its owning camera. Always called on a sharded round — an empty
 // claim list is itself information (nothing claimed, releasing earlier
 // claims). No-op for standalone schedulers.
-func (s *Scheduler) publishHandoff(frame int, groups []assoc.Group, boxes [][]geom.Rect, sol *core.Solution, demoted map[int]int) {
-	ctx := s.shard
+func (m *machine) publishHandoff(frame int, groups []assoc.Group, boxes [][]geom.Rect, sol *core.Solution, demoted map[int]int) {
+	ctx := m.shard
 	if ctx == nil {
 		return
 	}
@@ -290,7 +290,7 @@ func NewShardedScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU
 			// foreign lists ascending.
 			ctx.foreign[e.B] = append(ctx.foreign[e.B], e.A)
 		}
-		sched.shard = ctx
+		sched.m.shard = ctx
 		ss.shards = append(ss.shards, sched)
 	}
 	return ss, nil

@@ -25,10 +25,22 @@ type shardedEnv struct {
 	m        *shard.Map
 }
 
+var (
+	shardedEnvsMu sync.Mutex
+	shardedEnvs   = map[[3]int64]*shardedEnv{}
+)
+
 // buildShardedEnv trains a corridor of n cameras and partitions it by
-// the model's coverage overlap with the given max shard size.
+// the model's coverage overlap with the given max shard size. Each
+// environment is built once per package run; tests only read it.
 func buildShardedEnv(t *testing.T, n int, seed int64, maxShard int) *shardedEnv {
 	t.Helper()
+	key := [3]int64{int64(n), seed, int64(maxShard)}
+	shardedEnvsMu.Lock()
+	defer shardedEnvsMu.Unlock()
+	if e := shardedEnvs[key]; e != nil {
+		return e
+	}
 	s, err := workload.Corridor(n, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +73,9 @@ func buildShardedEnv(t *testing.T, n int, seed int64, maxShard int) *shardedEnv 
 	if m.NumShards() < 2 {
 		t.Fatalf("corridor of %d with max shard %d did not split: %v", n, maxShard, m.String())
 	}
-	return &shardedEnv{model: model, profiles: s.Profiles(), test: test, m: m}
+	e := &shardedEnv{model: model, profiles: s.Profiles(), test: test, m: m}
+	shardedEnvs[key] = e
+	return e
 }
 
 // startSharded serves a ShardedScheduler on a loopback port.

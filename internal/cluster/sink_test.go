@@ -18,7 +18,7 @@ import (
 // ceil(n/B) batches per size, the images, and their occupancy.
 func TestRoundSnapshotCountsBatches(t *testing.T) {
 	xavier := profile.Derived(profile.JetsonXavier)
-	s := &Scheduler{cams: []core.CameraSpec{{Index: 0, Profile: xavier}, {Index: 1, Profile: xavier}}}
+	m := &machine{cams: []core.CameraSpec{{Index: 0, Profile: xavier}, {Index: 1, Profile: xavier}}}
 	var objects []core.ObjectSpec
 	add := func(n, size int, cover ...int) {
 		for i := 0; i < n; i++ {
@@ -35,12 +35,12 @@ func TestRoundSnapshotCountsBatches(t *testing.T) {
 	add(1, 256, 1, 0) // camera 1's size class, whichever camera is listed first
 	var w core.Solver
 	in := core.NewInstance(objects)
-	sol, err := w.Central(s.cams, in, core.CentralOptions{})
+	sol, err := w.Central(m.cams, in, core.CentralOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sol.Assign[len(objects)-1] = 1 // pin the shared object on camera 1
-	snap := s.roundSnapshot(7, in, sol, new(roundWork))
+	snap := m.roundSnapshot(7, in, sol, new(roundWork))
 	lim := xavier.BatchLimit
 	want := []metrics.CameraSnapshot{
 		{Camera: 0, Batches: 2 + 1, Images: 19, Assignments: 19,
