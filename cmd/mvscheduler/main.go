@@ -30,8 +30,8 @@
 //
 // Scaling (docs/SCALING.md §3): -shard-max N partitions the fleet into
 // overlap groups of at most N cameras from the trained model's coverage
-// graph and runs one independent scheduling round loop per shard
-// (cluster.ShardedScheduler); -shards gives the partition explicitly,
+// graph and runs one independent scheduling round machine per shard
+// (cluster.NewShardedScheduler); -shards gives the partition explicitly,
 // e.g. "0,1,2|3,4,5". Nodes need no flag — shard-scoped assignments
 // carry their roster on the wire. docs/ARCHITECTURE.md has the full
 // picture.
@@ -82,13 +82,6 @@ func main() {
 	cliconf.Exit("mvscheduler", shared.WithExport(func(export *metrics.Export) error {
 		return run(*listen, *scenario, *seed, *frames, *roundTimeout, *lease, *faultsSpec, *shardMax, *shardSpec, shared, export)
 	}))
-}
-
-// service is the part of cluster.Scheduler and cluster.ShardedScheduler
-// the command drives.
-type service interface {
-	Serve(net.Listener) error
-	Close()
 }
 
 // shardMap resolves the sharding flags against the trained model: an
@@ -153,12 +146,12 @@ func run(listen, scenario string, seed int64, frames int, roundTimeout, lease ti
 		opts = append(opts, cluster.WithRounds(rec))
 	}
 	if adaptPol.Enabled() {
-		// Under a ShardedScheduler every option applies per shard, so
-		// each shard gets its own independent controller.
+		// Under sharding every option applies per shard, so each shard
+		// gets its own independent controller.
 		opts = append(opts, cluster.WithAdapt(adaptPol))
 		log.Printf("degradation control loop armed: %s", adaptPol.Spec())
 	}
-	var sched service
+	var sched *cluster.Scheduler
 	if m != nil {
 		log.Printf("sharded scheduling: %s", m.String())
 		sched, err = cluster.NewShardedScheduler(model, s.Profiles(), 0, m, opts...)

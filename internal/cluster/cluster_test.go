@@ -509,7 +509,7 @@ func TestBandwidthCounters(t *testing.T) {
 func pendingReports(s *Scheduler, frame int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range s.m.rounds {
+	for _, r := range s.machines[0].rounds {
 		if r.frame == frame {
 			return r.n
 		}

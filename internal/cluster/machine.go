@@ -1,8 +1,8 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
-	"log"
 	"slices"
 	"time"
 
@@ -12,6 +12,7 @@ import (
 	"mvs/internal/core"
 	"mvs/internal/geom"
 	"mvs/internal/metrics"
+	"mvs/internal/profile"
 )
 
 // machine is the scheduler's round barrier with the I/O taken out. It
@@ -23,19 +24,16 @@ import (
 // events, stamps them, and carries out the actions.
 //
 // All camera indices are local roster positions; a shard-scoped machine
-// translates to global indices only in what it hands out (glob).
+// translates to global indices only in what it hands out (glob), and the
+// shell translates the cameras it addresses.
 type machine struct {
 	// Settings, fixed once the Options have run.
-	model        *assoc.Model
-	cams         []core.CameraSpec
-	minIoU       float64
-	workers      int
-	roundTimeout time.Duration
-	lease        time.Duration
-	adaptPol     adapt.Policy
-	logger       *log.Logger
-	// shard scopes the machine to one shard of a ShardedScheduler (nil
-	// for a standalone scheduler, whose local and global indices agree).
+	config
+	model  *assoc.Model
+	cams   []core.CameraSpec
+	minIoU float64
+	// shard scopes the machine to one shard of a sharded scheduler (nil
+	// for an unsharded one, whose local and global indices agree).
 	shard *shardCtx
 
 	// joined[cam] is set once camera cam has registered, connected while
@@ -101,6 +99,29 @@ type actions struct {
 // staleRound is the error text a report for an already scheduled round is
 // answered with.
 const staleRound = "stale round"
+
+// newMachine builds the round machine over a camera roster, to be
+// configured and started by the shell.
+func newMachine(model *assoc.Model, profiles []*profile.Profile, minIoU float64) (*machine, error) {
+	if model == nil {
+		return nil, errors.New("cluster: nil association model")
+	}
+	if len(profiles) != model.NumCameras() {
+		return nil, fmt.Errorf("cluster: %d profiles for model with %d cameras",
+			len(profiles), model.NumCameras())
+	}
+	cams := make([]core.CameraSpec, len(profiles))
+	for i, p := range profiles {
+		if p == nil {
+			return nil, fmt.Errorf("cluster: nil profile for camera %d", i)
+		}
+		cams[i] = core.CameraSpec{Index: i, Profile: p}
+	}
+	if minIoU <= 0 {
+		minIoU = 0.1
+	}
+	return &machine{model: model, cams: cams, minIoU: minIoU}, nil
+}
 
 // start readies a configured machine whose clock starts at t: the lease
 // of a camera that never registers counts from t.
@@ -332,7 +353,7 @@ func (m *machine) roundRecord(snap metrics.Snapshot, prio []int) metrics.Round {
 }
 
 // glob translates a local camera index to its global roster index (the
-// identity for a standalone scheduler).
+// identity for an unsharded machine).
 func (m *machine) glob(local int) int {
 	if m.shard == nil {
 		return local
@@ -340,19 +361,13 @@ func (m *machine) glob(local int) int {
 	return m.shard.roster[local]
 }
 
-// local translates a global camera index to the local one, or (-1,
-// false) when the camera is not in the roster.
-func (m *machine) local(global int) (int, bool) {
+// local translates a global camera index of the machine's roster to the
+// local one.
+func (m *machine) local(global int) int {
 	if m.shard == nil {
-		if global < 0 || global >= len(m.cams) {
-			return -1, false
-		}
-		return global, true
+		return global
 	}
-	if li := slices.Index(m.shard.roster, global); li >= 0 {
-		return li, true
-	}
-	return -1, false
+	return slices.Index(m.shard.roster, global)
 }
 
 // schedule runs one central-stage round (central.Solve, the kernel the

@@ -1,10 +1,11 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"runtime/debug"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,10 +25,13 @@ type fleet struct {
 	model    *assoc.Model
 	profiles []*profile.Profile
 	views    [][][]TrackReport
+	// roster names each camera's global index when the fleet is one shard
+	// of a sharded scheduler's (nil: the identity).
+	roster []int
 
-	// wants caches what central.Solve makes of a key frame's views,
+	// rounds caches what central.Solve makes of a key frame's views,
 	// keyed by key frame and the mask of cameras that reported.
-	wants map[[2]int][]*Assignment
+	rounds map[[2]int]*central.Round
 }
 
 const fleetCams, fleetKeyFrames = 6, 8
@@ -85,25 +89,25 @@ func corridorFleet(t *testing.T, n int) *fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fleet{model: model, profiles: corridor.profiles[:n], wants: map[[2]int][]*Assignment{}}
+	f := &fleet{model: model, profiles: corridor.profiles[:n], rounds: map[[2]int]*central.Round{}}
 	for _, views := range corridor.views {
 		f.views = append(f.views, views[:n])
 	}
 	return f
 }
 
-// want returns the Assignment central.Solve makes for every camera of
-// key frame k's round, given the mask of cameras whose views it holds.
-func (f *fleet) want(k int, reported uint8) ([]*Assignment, error) {
-	if w, ok := f.wants[[2]int{k, int(reported)}]; ok {
-		return w, nil
+// solve returns central.Solve's round over key frame k's views, given
+// the mask of cameras whose views it holds.
+func (f *fleet) solve(k int, reported uint8) (*central.Round, error) {
+	if r, ok := f.rounds[[2]int{k, int(reported)}]; ok {
+		return r, nil
 	}
 	n := len(f.profiles)
 	cams := make([]core.CameraSpec, n)
 	for i, p := range f.profiles {
 		cams[i] = core.CameraSpec{Index: i, Profile: p}
 	}
-	var r central.Round
+	r := new(central.Round)
 	r.Views.Reset(n, n)
 	for cam := 0; cam < n; cam++ {
 		if reported&(1<<cam) == 0 {
@@ -114,23 +118,54 @@ func (f *fleet) want(k int, reported uint8) ([]*Assignment, error) {
 				central.Track{ID: tr.TrackID, Size: tr.Size})
 		}
 	}
-	if err := central.Solve(central.Params{Model: f.model, Cameras: cams, MinIoU: 0.1, Workers: 1}, &r); err != nil {
+	if err := central.Solve(central.Params{Model: f.model, Cameras: cams, MinIoU: 0.1, Workers: 1}, r); err != nil {
 		return nil, err
 	}
-	w := make([]*Assignment, n)
+	f.rounds[[2]int{k, int(reported)}] = r
+	return r, nil
+}
+
+// want returns the Assignment central.Solve makes for every camera of
+// key frame k's round, given the mask of cameras whose views it holds.
+func (f *fleet) want(k int, reported uint8) ([]*Assignment, error) {
+	r, err := f.solve(k, reported)
+	if err != nil {
+		return nil, err
+	}
+	return f.replies(10*k, r, nil), nil
+}
+
+// replies turns a solved round into every camera's Assignment, in
+// global camera indices; demoted maps each object handed off to a lower
+// shard to its foreign owner.
+func (f *fleet) replies(frame int, r *central.Round, demoted map[int]int) []*Assignment {
+	prio := make([]int, len(r.Solution.Priority))
+	for i, c := range r.Solution.Priority {
+		prio[i] = f.glob(c)
+	}
+	w := make([]*Assignment, len(f.profiles))
 	for cam := range w {
-		w[cam] = &Assignment{Frame: 10 * k, Priority: slices.Clone(r.Solution.Priority)}
+		w[cam] = &Assignment{Frame: frame, Priority: prio}
 	}
 	r.Walk(func(mb central.Member) {
 		id := r.Views.Tracks[mb.Cam][mb.Index].ID
-		if mb.Kept {
+		if owner, ok := demoted[mb.Object]; ok {
+			w[mb.Cam].Shadows = append(w[mb.Cam].Shadows, ShadowOrder{TrackID: id, AssignedCamera: owner})
+		} else if mb.Kept {
 			w[mb.Cam].Keep = append(w[mb.Cam].Keep, id)
 		} else {
-			w[mb.Cam].Shadows = append(w[mb.Cam].Shadows, ShadowOrder{TrackID: id, AssignedCamera: mb.Owner})
+			w[mb.Cam].Shadows = append(w[mb.Cam].Shadows, ShadowOrder{TrackID: id, AssignedCamera: f.glob(mb.Owner)})
 		}
 	})
-	f.wants[[2]int{k, int(reported)}] = w
-	return w, nil
+	return w
+}
+
+// glob is camera cam's global index.
+func (f *fleet) glob(cam int) int {
+	if f.roster == nil {
+		return cam
+	}
+	return f.roster[cam]
 }
 
 // referee is the tests' own reading of the barrier rules, written apart
@@ -139,6 +174,11 @@ func (f *fleet) want(k int, reported uint8) ([]*Assignment, error) {
 type referee struct {
 	f              *fleet
 	lease, timeout time.Duration
+	// shard is the machine's shard and hand the hand-off account its
+	// neighbours' referees share, for a sharded scheduler's machine (nil
+	// hand: unsharded).
+	shard int
+	hand  *handoffRef
 	// joined, connected and lastSeen per camera, as the events say.
 	joined, connected []bool
 	lastSeen          []time.Time
@@ -225,10 +265,19 @@ func (r *referee) dead(p refRound, t time.Time) []int {
 	var dead []int
 	for cam := range r.joined {
 		if p.reported&(1<<cam) == 0 && (!r.connected[cam] || r.silent(cam, t)) {
-			dead = append(dead, cam)
+			dead = append(dead, r.f.glob(cam))
 		}
 	}
 	return dead
+}
+
+// answer is what completing round p replies to every camera: central.Solve's
+// decision over the round's views and, for a shard, the hand-off.
+func (r *referee) answer(p refRound) ([]*Assignment, error) {
+	if r.hand != nil {
+		return r.hand.complete(r, p)
+	}
+	return r.f.want(p.k, p.reported)
 }
 
 // An event is one input to the machine, or the clock moving on with
@@ -265,8 +314,8 @@ func (e event) String() string {
 //     order, and only once every camera reported or was released, or
 //     its round timeout ran out;
 //   - it is answered to exactly the connected cameras, each reply equal
-//     to central.Solve on the round's views, with the Dead list the
-//     liveness rule gives at t;
+//     to central.Solve on the round's views (with a shard's hand-off),
+//     with the Dead list the liveness rule gives at t;
 //   - no round is still pending that is due at t, and the machine's
 //     wake-up is the earliest time one becomes due.
 func (r *referee) step(m *machine, ev event, t time.Time) (wakeAt time.Time, err error) {
@@ -311,7 +360,7 @@ func (r *referee) step(m *machine, ev event, t time.Time) (wakeAt time.Time, err
 		if !r.due(p, t) {
 			return wakeAt, fmt.Errorf("round %d answered before its barrier (reports %b)", e.snap.Frame, p.reported)
 		}
-		want, err := r.f.want(p.k, p.reported)
+		want, err := r.answer(p)
 		if err != nil {
 			return wakeAt, err
 		}
@@ -387,58 +436,142 @@ type scope struct {
 	lease, timeout                   time.Duration
 }
 
-// state is one node of the exploration.
+// state is one node of the exploration: a scheduler's machines, one per
+// shard, each with its referee, at one time. A state shares a machine
+// and its referee with the state it was cloned from until an event
+// changes them (own).
 type state struct {
-	m         *machine
-	ref       *referee
-	now, wake time.Time
+	ms    []*machine
+	refs  []*referee
+	wakes []time.Time
+	// hand is the referees' shared hand-off account, and claims the
+	// machines' claim table (both nil unsharded).
+	hand   *handoffRef
+	claims claimTable
+	now    time.Time
 	// next is each camera's next key frame; regs and pings count its
 	// registrations and heartbeats so far; waits counts clock moves.
-	next, regs, pings [3]int
+	// Cameras are numbered globally, shard after shard.
+	next, regs, pings [4]int
 	waits             int
+}
+
+// wake is the earliest wake-up of any machine: the shell's one timer.
+func (s *state) wake() time.Time {
+	var w time.Time
+	for _, at := range s.wakes {
+		if !at.IsZero() && (w.IsZero() || at.Before(w)) {
+			w = at
+		}
+	}
+	return w
 }
 
 func (s *state) clone() *state {
 	c := *s
-	c.m, c.ref = s.m.clone(), s.ref.clone()
+	c.ms, c.refs, c.wakes = slices.Clone(s.ms), slices.Clone(s.refs), slices.Clone(s.wakes)
+	if s.hand != nil {
+		c.hand = s.hand.clone()
+		c.claims = make(claimTable, len(s.claims))
+		for i, byFrame := range s.claims {
+			c.claims[i] = maps.Clone(byFrame)
+		}
+	}
 	return &c
+}
+
+// own gives s its own copy of shard sid's machine and referee, pointed
+// at the state's claim table and hand-off account, before an event
+// changes them.
+func (s *state) own(sid int) {
+	s.ms[sid], s.refs[sid] = s.ms[sid].clone(), s.refs[sid].clone()
+	s.refs[sid].hand = s.hand
+	if ctx := s.ms[sid].shard; ctx != nil {
+		scoped := *ctx
+		scoped.claims = s.claims
+		s.ms[sid].shard = &scoped
+	}
 }
 
 // key identifies a state up to what decides its future and the checks
 // on it. The machine is translation-invariant in time, so times enter
 // relative to now: a camera's silence (capped at the lease, past which
-// it no longer matters) and a pending round's time left. The counters
-// that only number or fill in records (seq, the fault counters) are
-// left out.
+// it no longer matters; left out for a camera that registered and left,
+// which no round waits for and every dead list names whatever its
+// silence, and whose next registration restarts it) and a pending
+// round's time left. The counters that only number or fill in records
+// (seq, the fault counters) are left out.
 func (s *state) key() string {
-	var b []byte
-	num := func(v int64) { b = append(strconv.AppendInt(b, v, 36), ',') }
+	b := make([]byte, 0, 128)
+	num := func(v int64) { b = binary.AppendVarint(b, v) }
 	num(int64(s.waits))
-	for cam := range s.ref.joined {
-		conn := 0
-		if s.ref.connected[cam] {
-			conn = 1
-		}
-		num(int64(s.next[cam]<<8 | s.regs[cam]<<4 | s.pings[cam]<<1 | conn))
-		if s.ref.lease > 0 {
-			num(int64(min(s.now.Sub(s.ref.lastSeen[cam]), s.ref.lease)))
-		}
-	}
-	for _, p := range s.ref.pending {
-		num(int64(p.k<<8 | int(p.reported)))
-		if s.ref.timeout > 0 {
-			num(int64(p.first.Add(s.ref.timeout).Sub(s.now)))
+	cam := 0
+	for _, ref := range s.refs {
+		for local := range ref.joined {
+			conn := 0
+			if ref.connected[local] {
+				conn = 1
+			}
+			num(int64(s.next[cam]<<8 | s.regs[cam]<<4 | s.pings[cam]<<1 | conn))
+			if ref.lease > 0 && (ref.connected[local] || !ref.joined[local]) {
+				num(int64(min(s.now.Sub(ref.lastSeen[local]), ref.lease)))
+			}
+			cam++
 		}
 	}
-	num(int64(s.ref.lastDone))
+	for _, ref := range s.refs {
+		for _, p := range ref.pending {
+			num(int64(p.k<<8 | int(p.reported)))
+			if ref.timeout > 0 {
+				num(int64(p.first.Add(ref.timeout).Sub(s.now)))
+			}
+		}
+		num(int64(ref.lastDone))
+	}
+	if s.hand != nil {
+		s.hand.key(num)
+	}
 	return string(b)
 }
 
-// explore walks every interleaving the scope allows, depth first,
-// merging states that agree on key, and fails at the first event whose
-// answer breaks an invariant. It returns the number of states visited.
+// step delivers ev, naming a global camera, to the machine it concerns
+// (a tick to every machine, as the shell's timer does) and checks the
+// answers and, when sharded, the published claims.
+func (s *state) step(ev event) error {
+	for sid := range s.refs {
+		local := ev
+		if ev.kind != 't' {
+			if local.cam -= sid * len(s.refs[0].joined); local.cam < 0 || local.cam >= len(s.refs[sid].joined) {
+				continue
+			}
+		}
+		s.own(sid)
+		var err error
+		if s.wakes[sid], err = s.refs[sid].step(s.ms[sid], local, s.now); err != nil {
+			return err
+		}
+	}
+	if s.hand != nil {
+		return s.hand.check(s.claims)
+	}
+	return nil
+}
+
+// explore walks every interleaving the scope allows for one unsharded
+// machine over f, depth first (see walk).
 func explore(t *testing.T, f *fleet, sc scope) int {
 	t.Helper()
+	root := &state{
+		ms:    []*machine{newTestMachine(t, f.model, f.profiles, scopeOptions(sc)...)},
+		refs:  []*referee{newReferee(f, sc.lease, sc.timeout)},
+		wakes: make([]time.Time, 1),
+		now:   epoch,
+	}
+	return walk(t, root, sc)
+}
+
+// scopeOptions are the Options a scope's machines run under.
+func scopeOptions(sc scope) []Option {
 	opts := []Option{WithWorkers(1)}
 	if sc.lease > 0 {
 		opts = append(opts, WithLease(sc.lease))
@@ -446,7 +579,16 @@ func explore(t *testing.T, f *fleet, sc scope) int {
 	if sc.timeout > 0 {
 		opts = append(opts, WithRoundTimeout(sc.timeout))
 	}
-	root := &state{m: newTestMachine(t, f.model, f.profiles, opts...), ref: newReferee(f, sc.lease, sc.timeout), now: epoch}
+	return opts
+}
+
+// walk walks every interleaving the scope allows from root, depth
+// first, merging states that agree on key, and fails at the first event
+// whose answer breaks an invariant. Every shard has the same number of
+// cameras. It returns the number of states visited.
+func walk(t *testing.T, root *state, sc scope) int {
+	t.Helper()
+	perShard := len(root.refs[0].joined)
 	wait := min(sc.lease, sc.timeout) / 2
 	seen := map[string]bool{}
 	var path []event
@@ -457,9 +599,10 @@ func explore(t *testing.T, f *fleet, sc scope) int {
 			return
 		}
 		seen[k] = true
+		wake := s.wake()
 		var evs []event
 		for cam := 0; cam < sc.cams; cam++ {
-			connected := s.ref.connected[cam]
+			connected := s.refs[cam/perShard].connected[cam%perShard]
 			if !connected && s.regs[cam] < sc.regs {
 				evs = append(evs, event{kind: 'r', cam: cam})
 			}
@@ -476,10 +619,10 @@ func explore(t *testing.T, f *fleet, sc scope) int {
 				evs = append(evs, event{kind: 'l', cam: cam})
 			}
 		}
-		if !s.wake.IsZero() {
+		if !wake.IsZero() {
 			evs = append(evs, event{kind: 't'})
 		}
-		if s.waits < sc.waits && (s.wake.IsZero() || s.now.Add(wait).Before(s.wake)) {
+		if s.waits < sc.waits && (wake.IsZero() || s.now.Add(wait).Before(wake)) {
 			evs = append(evs, event{kind: 'w'})
 		}
 		for _, ev := range evs {
@@ -489,9 +632,13 @@ func explore(t *testing.T, f *fleet, sc scope) int {
 			case 'w':
 				c.waits++
 				c.now = c.now.Add(wait)
-				err = c.ref.settled(c.now)
+				for _, ref := range c.refs {
+					if err == nil {
+						err = ref.settled(c.now)
+					}
+				}
 			case 't':
-				c.now = c.wake
+				c.now = wake
 			case 'r':
 				c.regs[ev.cam]++
 			case 'h':
@@ -500,7 +647,7 @@ func explore(t *testing.T, f *fleet, sc scope) int {
 				c.next[ev.cam] = ev.k + 1
 			}
 			if ev.at = c.now; ev.kind != 'w' {
-				c.wake, err = c.ref.step(c.m, ev, c.now)
+				err = c.step(ev)
 			}
 			path = append(path, ev)
 			if err != nil {

@@ -23,8 +23,8 @@ func newTestMachine(t *testing.T, model *assoc.Model, profiles []*profile.Profil
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.m.start(epoch)
-	return &s.m
+	s.machines[0].start(epoch)
+	return s.machines[0]
 }
 
 // twoCameraMachine is newTestMachine over testModel's two cameras.

@@ -10,14 +10,14 @@
 // Messages are length-prefixed JSON for debuggability; frames are small
 // (tens of boxes), so the codec favours clarity over compactness.
 //
-// Two scheduler services share the protocol. Scheduler runs one global
-// round loop over the whole fleet — the paper's shape. ShardedScheduler
-// partitions the fleet into overlap groups (internal/shard) and runs
-// one independent Scheduler round loop per shard, coordinated only
-// through an in-memory boundary hand-off bus; a node cannot tell which
-// it is talking to, except that shard-scoped assignments carry their
-// camera roster (Assignment.Roster). docs/ARCHITECTURE.md §2 has the
-// design, docs/SCALING.md §3 the measured effect.
+// One scheduler service speaks the protocol in two shapes. NewScheduler
+// runs one global round over the whole fleet — the paper's shape.
+// NewShardedScheduler partitions the fleet into overlap groups
+// (internal/shard) and runs one independent round machine per shard,
+// coordinated only through the boundary hand-off claims; a node cannot
+// tell which it is talking to, except that shard-scoped assignments
+// carry their camera roster (Assignment.Roster). docs/ARCHITECTURE.md
+// §2 has the design, docs/SCALING.md §3 the measured effect.
 package cluster
 
 import (
@@ -128,7 +128,7 @@ type Assignment struct {
 	// unchanged in fault-free deployments.
 	Dead []int `json:"dead,omitempty"`
 	// Roster, when present, marks this as a shard-scoped assignment
-	// from a ShardedScheduler round: it lists the shard's cameras
+	// from a sharded scheduler's round: it lists the shard's cameras
 	// (ascending global indices), and Priority orders exactly those
 	// cameras rather than a 0..M-1 permutation. Nodes build a scoped
 	// ownership policy (core.NewScopedPolicy) from it, which skips

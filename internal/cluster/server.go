@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -11,7 +10,6 @@ import (
 
 	"mvs/internal/adapt"
 	"mvs/internal/assoc"
-	"mvs/internal/core"
 	"mvs/internal/geom"
 	"mvs/internal/metrics"
 	"mvs/internal/profile"
@@ -44,27 +42,43 @@ const (
 // lingers takes the registration over.
 //
 // The barrier itself is a round machine (machine.go) with no lock and no
-// clock; Scheduler is the I/O shell around it. It feeds the
-// machine one event at a time under mu, stamped with the time it was
-// read, emits the machine's records under the same lock, sends its
-// messages outside it, and keeps one timer armed at the machine's next
-// wake-up.
+// clock; Scheduler is the I/O shell around it. A sharded scheduler
+// (NewShardedScheduler) is the same shell around one machine per shard.
+// The shell feeds one event at a time under mu, stamped with the time it
+// was read, to the machine of the camera it concerns; it emits the
+// machine's records under the same lock, sends its messages outside it,
+// and keeps one timer armed at the earliest wake-up of any machine.
 type Scheduler struct {
-	logger    *log.Logger
+	// config is what the Options set; every machine holds a copy.
+	config
 	sink      metrics.Sink
 	roundSink metrics.RoundSink
 	shutdown  chan struct{}
 	closeOnce sync.Once
 	handlers  sync.WaitGroup
+	// shardOf[cam] is the machine hosting global camera cam.
+	shardOf []int
 
 	mu sync.Mutex
-	// m is the round machine: the Options write its settings, and its
-	// state is guarded by mu.
-	m      machine
-	ln     net.Listener
-	conns  map[int]*schedConn
-	timer  *time.Timer
-	closed bool
+	// machines are the round machines, one per shard, and wakes[i] is
+	// machine i's next wake-up. mu guards their state, the hand-off claims
+	// a sharded scheduler's machines share (sharded.go) included.
+	machines []*machine
+	wakes    []time.Time
+	ln       net.Listener
+	conns    map[int]*schedConn // by global camera
+	timer    *time.Timer
+	closed   bool
+}
+
+// config is what the Options configure: the shell's logger and the
+// settings of every round machine.
+type config struct {
+	logger       *log.Logger
+	workers      int
+	roundTimeout time.Duration
+	lease        time.Duration
+	adaptPol     adapt.Policy
 }
 
 type schedConn struct {
@@ -111,9 +125,8 @@ func WithSink(sink metrics.Sink) Option {
 // completed scheduling round, carrying the decision a Snapshot only
 // summarizes — the priority order and per-camera assignment counts —
 // so a run store (internal/store) can persist the schedule for audit
-// and replay. Under a ShardedScheduler the option applies per shard:
-// each shard's round loop emits its own gap-free stream, labelled
-// "shard<N>". The sink must tolerate concurrent RecordRound calls.
+// and replay. Under a sharded scheduler each shard's machine emits its
+// own gap-free stream, labelled "shard<N>".
 // nil disables (the default). No round is emitted after Close returns.
 func WithRounds(rs metrics.RoundSink) Option {
 	return func(s *Scheduler) {
@@ -133,7 +146,7 @@ func WithRounds(rs metrics.RoundSink) Option {
 func WithRoundTimeout(d time.Duration) Option {
 	return func(s *Scheduler) {
 		if d > 0 {
-			s.m.roundTimeout = d
+			s.roundTimeout = d
 		}
 	}
 }
@@ -148,7 +161,7 @@ func WithRoundTimeout(d time.Duration) Option {
 func WithWorkers(n int) Option {
 	return func(s *Scheduler) {
 		if n > 0 {
-			s.m.workers = n
+			s.workers = n
 		}
 	}
 }
@@ -161,14 +174,14 @@ func WithWorkers(n int) Option {
 // force rides every Assignment (AdaptLevel): nodes cap their inspection
 // sizes and stretch their key-frame cadence accordingly, and the
 // round's snapshot carries the level, transition count, and SLO
-// violations. Under a ShardedScheduler the option applies per shard:
-// each shard runs its own controller over its own rounds, so one
-// overloaded shard degrades without dragging its neighbours down. A
-// disabled policy (SLO == 0) is a no-op.
+// violations. Under a sharded scheduler each shard's machine runs its
+// own controller over its own rounds, so one overloaded shard degrades
+// without dragging its neighbours down. A disabled policy (SLO == 0) is
+// a no-op.
 func WithAdapt(pol adapt.Policy) Option {
 	return func(s *Scheduler) {
 		if pol.Enabled() {
-			s.m.adaptPol = pol
+			s.adaptPol = pol
 		}
 	}
 }
@@ -182,43 +195,42 @@ func WithAdapt(pol adapt.Policy) Option {
 func WithLease(d time.Duration) Option {
 	return func(s *Scheduler) {
 		if d > 0 {
-			s.m.lease = d
+			s.lease = d
 		}
 	}
 }
 
 // NewScheduler builds the service for a fixed camera roster.
 func NewScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU float64, opts ...Option) (*Scheduler, error) {
-	if model == nil {
-		return nil, errors.New("cluster: nil association model")
+	m, err := newMachine(model, profiles, minIoU)
+	if err != nil {
+		return nil, err
 	}
-	if len(profiles) != model.NumCameras() {
-		return nil, fmt.Errorf("cluster: %d profiles for model with %d cameras",
-			len(profiles), model.NumCameras())
-	}
-	cams := make([]core.CameraSpec, len(profiles))
-	for i, p := range profiles {
-		if p == nil {
-			return nil, fmt.Errorf("cluster: nil profile for camera %d", i)
-		}
-		cams[i] = core.CameraSpec{Index: i, Profile: p}
-	}
-	if minIoU <= 0 {
-		minIoU = 0.1
-	}
+	return newShell([]*machine{m}, make([]int, len(profiles)), opts), nil
+}
+
+// newShell builds the shell around machines, one per shard, where
+// shardOf maps each global camera to its machine. The Options configure
+// every machine, and all their clocks start now.
+func newShell(machines []*machine, shardOf []int, opts []Option) *Scheduler {
 	s := &Scheduler{
-		logger:   log.New(io.Discard, "", 0),
+		config:   config{logger: log.New(io.Discard, "", 0)},
 		sink:     metrics.NopSink{},
 		shutdown: make(chan struct{}),
+		shardOf:  shardOf,
+		machines: machines,
+		wakes:    make([]time.Time, len(machines)),
 		conns:    make(map[int]*schedConn),
-		m:        machine{model: model, cams: cams, minIoU: minIoU},
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.m.logger = s.logger
-	s.m.start(time.Now())
-	return s, nil
+	now := time.Now()
+	for _, m := range machines {
+		m.config = s.config
+		m.start(now)
+	}
+	return s
 }
 
 // Serve accepts camera connections until the listener is closed or
@@ -280,54 +292,72 @@ func (s *Scheduler) Close() {
 	s.handlers.Wait()
 }
 
-// feed runs one machine event under mu, stamped with the time it is
-// read, and carries out the machine's actions: it re-arms the wake-up
-// timer, emits the round records (holding mu across the sinks makes "no
-// record after Close" exact, and sinks are cheap and non-blocking by the
-// metrics.Sink contract), and sends the messages once mu is released. A
-// failed send is not logged: the connection's read loop sees the same
-// failure and leaves, and the timer's goroutine, which Close does not
-// wait for, must not touch the logger. feed reports false, running
-// nothing, once the scheduler is closed.
-func (s *Scheduler) feed(event func(t time.Time) actions) bool {
+// everyMachine, as feed's machine index, runs the event on every
+// machine in shard order: the wake-up timer's tick.
+const everyMachine = -1
+
+// feed runs one event under mu on machine sid (or every machine), stamped
+// with the time it is read, and carries out the machines' actions: it
+// emits the round records (holding mu across the sinks makes "no record
+// after Close" exact, and sinks are cheap and non-blocking by the
+// metrics.Sink contract), re-arms the wake-up timer at the earliest
+// wake-up of any machine, and sends the messages, addressed to global
+// cameras, once mu is released. A failed send is not logged: the
+// connection's read loop sees the same failure and leaves, and the
+// timer's goroutine, which Close does not wait for, must not touch the
+// logger. feed reports false, running nothing, once the scheduler is
+// closed.
+func (s *Scheduler) feed(sid int, event func(m *machine, t time.Time) actions) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return false
 	}
 	now := time.Now()
-	acts := event(now)
-	switch {
-	case acts.wakeAt.IsZero():
-		if s.timer != nil {
-			s.timer.Stop()
-		}
-	case s.timer == nil:
-		s.timer = time.AfterFunc(acts.wakeAt.Sub(now), func() { s.feed(s.m.tick) })
-	default:
-		s.timer.Reset(acts.wakeAt.Sub(now))
-	}
-	for _, e := range acts.emits {
-		e.snap.RoundLatency = time.Since(now)
-		s.sink.RecordFrame(e.snap)
-		if s.roundSink != nil {
-			e.round.RoundLatency = e.snap.RoundLatency
-			s.roundSink.RecordRound(e.round)
-		}
-	}
 	type delivery struct {
 		sc  *schedConn
 		env *Envelope
 	}
 	var deliveries []delivery
-	for _, o := range acts.sends {
-		if sc := s.conns[o.cam]; sc != nil {
-			env := &Envelope{Type: TypeAssignment, Assignment: o.assignment}
-			if o.assignment == nil {
-				env = &Envelope{Type: TypeError, Error: o.err}
-			}
-			deliveries = append(deliveries, delivery{sc, env})
+	for i, m := range s.machines {
+		if sid != everyMachine && sid != i {
+			continue
 		}
+		acts := event(m, now)
+		s.wakes[i] = acts.wakeAt
+		for _, e := range acts.emits {
+			e.snap.RoundLatency = time.Since(now)
+			s.sink.RecordFrame(e.snap)
+			if s.roundSink != nil {
+				e.round.RoundLatency = e.snap.RoundLatency
+				s.roundSink.RecordRound(e.round)
+			}
+		}
+		for _, o := range acts.sends {
+			if sc := s.conns[m.glob(o.cam)]; sc != nil {
+				env := &Envelope{Type: TypeAssignment, Assignment: o.assignment}
+				if o.assignment == nil {
+					env = &Envelope{Type: TypeError, Error: o.err}
+				}
+				deliveries = append(deliveries, delivery{sc, env})
+			}
+		}
+	}
+	var wakeAt time.Time
+	for _, w := range s.wakes {
+		if !w.IsZero() && (wakeAt.IsZero() || w.Before(wakeAt)) {
+			wakeAt = w
+		}
+	}
+	switch {
+	case wakeAt.IsZero():
+		if s.timer != nil {
+			s.timer.Stop()
+		}
+	case s.timer == nil:
+		s.timer = time.AfterFunc(wakeAt.Sub(now), func() { s.feed(everyMachine, (*machine).tick) })
+	default:
+		s.timer.Reset(wakeAt.Sub(now))
 	}
 	s.mu.Unlock()
 	for _, d := range deliveries {
@@ -336,6 +366,10 @@ func (s *Scheduler) feed(event func(t time.Time) actions) bool {
 	return true
 }
 
+// handle registers a camera from its hello with the machine of its shard
+// and runs the connection's read loop. The wire carries global camera
+// indices; the machine speaks its local roster position, translated here
+// on the way in and in feed on the way out.
 func (s *Scheduler) handle(conn net.Conn) {
 	defer conn.Close()
 	env, err := ReadMessage(conn)
@@ -343,34 +377,24 @@ func (s *Scheduler) handle(conn net.Conn) {
 		s.logger.Printf("cluster: handshake read: %v", err)
 		return
 	}
-	s.handleHello(conn, env)
-}
-
-// handleHello registers a camera from its (already read) hello envelope
-// and runs the connection's read loop. It does not close conn; the
-// caller owns the connection's lifetime. Split from handle so a
-// ShardedScheduler can read the hello itself, route the connection to
-// the owning shard's scheduler, and delegate here.
-func (s *Scheduler) handleHello(conn net.Conn, env *Envelope) {
 	if env.Type != TypeHello || env.Hello == nil {
 		_ = WriteMessage(conn, &Envelope{Type: TypeError, Error: "expected hello"})
 		return
 	}
-	// The wire carries global camera indices; a shard-scoped scheduler
-	// translates to its local roster position at this boundary and back
-	// out in every reply.
 	globalCam := env.Hello.Camera
-	cam, ok := s.m.local(globalCam)
-	if !ok {
+	if globalCam < 0 || globalCam >= len(s.shardOf) {
 		_ = WriteMessage(conn, &Envelope{Type: TypeError, Error: fmt.Sprintf("camera %d out of range", globalCam)})
 		return
 	}
+	sid := s.shardOf[globalCam]
+	m := s.machines[sid]
+	cam := m.local(globalCam)
 	sc := &schedConn{conn: conn}
 	// A closed scheduler registers nothing: this connection was accepted
 	// before the listener went down but would linger unclosed (Close
 	// already swept s.conns).
-	if !s.feed(func(t time.Time) actions {
-		if old, dup := s.conns[cam]; dup {
+	if !s.feed(sid, func(m *machine, t time.Time) actions {
+		if old, dup := s.conns[globalCam]; dup {
 			// A reconnecting camera takes over its registration: the old
 			// connection may be half-dead (the node crashed, or a NAT ate
 			// the flow) without this end noticing, and rejecting the new
@@ -381,21 +405,21 @@ func (s *Scheduler) handleHello(conn net.Conn, env *Envelope) {
 			s.logger.Printf("cluster: camera %d reconnected, replacing previous connection from %v",
 				globalCam, old.conn.RemoteAddr())
 		}
-		s.conns[cam] = sc
-		return s.m.register(cam, t)
+		s.conns[globalCam] = sc
+		return m.register(cam, t)
 	}) {
 		return
 	}
-	defer s.feed(func(t time.Time) actions {
+	defer s.feed(sid, func(m *machine, t time.Time) actions {
 		// Only a conn that still owns the slot unregisters — a reconnect
 		// may have taken it over. A camera dropping out must not stall
 		// in-flight rounds: any round now complete without it is
 		// scheduled at once.
-		if s.conns[cam] != sc {
-			return s.m.tick(t)
+		if s.conns[globalCam] != sc {
+			return m.tick(t)
 		}
-		delete(s.conns, cam)
-		return s.m.leave(cam, t)
+		delete(s.conns, globalCam)
+		return m.leave(cam, t)
 	})
 	s.logger.Printf("cluster: camera %d connected from %v", globalCam, conn.RemoteAddr())
 	// Ack the handshake so Dial returns only once the camera is
@@ -405,17 +429,17 @@ func (s *Scheduler) handleHello(conn net.Conn, env *Envelope) {
 	ack := &HelloAck{Camera: globalCam}
 	if env.Hello.FrameW > 0 && env.Hello.FrameH > 0 {
 		grid := geom.NewGrid(geom.Rect{MaxX: env.Hello.FrameW, MaxY: env.Hello.FrameH}, maskGridCols, maskGridRows)
-		cover, err := s.m.model.CellCoverageWorkers(cam, grid, s.m.workers)
+		cover, err := m.model.CellCoverageWorkers(cam, grid, m.workers)
 		if err != nil {
 			s.logger.Printf("cluster: camera %d coverage: %v", globalCam, err)
 			_ = sc.send(&Envelope{Type: TypeError, Error: fmt.Sprintf("coverage: %v", err)})
 			return
 		}
-		// The subset model of a shard speaks local indices; nodes work
-		// in global ones.
+		// A shard's subset model speaks local indices; nodes work in
+		// global ones.
 		for _, set := range cover {
 			for k, c := range set {
-				set[k] = s.m.glob(c)
+				set[k] = m.glob(c)
 			}
 		}
 		ack.GridCols = maskGridCols
@@ -435,16 +459,15 @@ func (s *Scheduler) handleHello(conn net.Conn, env *Envelope) {
 		}
 		switch {
 		case env.Type == TypePing:
-			s.feed(func(t time.Time) actions { return s.m.touch(cam, t) })
+			s.feed(sid, func(m *machine, t time.Time) actions { return m.touch(cam, t) })
 			_ = sc.send(&Envelope{Type: TypePong, Heartbeat: env.Heartbeat})
 		case env.Type == TypeDetections && env.Detections != nil:
 			if env.Detections.Camera != globalCam {
 				_ = sc.send(&Envelope{Type: TypeError, Error: "camera id mismatch"})
 				continue
 			}
-			// Rounds and reports are local-indexed internally.
 			env.Detections.Camera = cam
-			s.feed(func(t time.Time) actions { return s.m.report(env.Detections, t) })
+			s.feed(sid, func(m *machine, t time.Time) actions { return m.report(env.Detections, t) })
 		case env.Type == TypeDetections || env.Type == TypeHello:
 			// A malformed known message is a protocol error worth
 			// reporting back.

@@ -3,8 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 
 	"mvs/internal/assoc"
 	"mvs/internal/core"
@@ -22,7 +20,7 @@ import (
 // forever.
 const handoffTTL = 20
 
-// shardCtx scopes a Scheduler to one shard of a ShardedScheduler.
+// shardCtx scopes a round machine to one shard of a sharded scheduler.
 type shardCtx struct {
 	// id is the shard's index in the shard.Map (also its hand-off
 	// ownership rank: lower IDs own straddling objects).
@@ -43,8 +41,8 @@ type shardCtx struct {
 	foreign map[int][]int
 	// shardOf is the fleet-wide camera-to-shard map.
 	shardOf []int
-	// bus is the hand-off claim exchange shared by all shards.
-	bus *handoffBus
+	// claims is the hand-off claim table every shard's machine shares.
+	claims claimTable
 }
 
 // handoffClaim is one shard's statement, for one round, that it is
@@ -61,40 +59,37 @@ type handoffClaim struct {
 	Owner int
 }
 
-// handoffBus is the only coordination channel between shard round
-// loops: each shard publishes its boundary claims when a round
-// completes, and consults neighbouring shards' claims when scheduling
-// its own. Claims are keyed by key-frame index, so consulting is
-// deterministic given the same claim history; the frame-based TTL
-// bounds how long a stalled shard's last claims keep influencing
-// neighbours.
-type handoffBus struct {
-	mu sync.Mutex
-	// claims[shard][frame] is the shard's claim list for that round.
-	// An empty (but present) list is meaningful: the shard completed
-	// the round and claims nothing, releasing any earlier claims —
-	// which is how an object whose owner died at the boundary becomes
-	// claimable by the neighbour within one round.
-	claims []map[int][]handoffClaim
-}
+// claimTable is the only coordination between shards: claimTable[s][f]
+// is shard s's claim list for its round at key frame f. Each shard
+// publishes its boundary claims when a round completes, and consults
+// lower shards' claims when scheduling its own. It is plain data: the
+// machines read and write it only inside their events, which the shell
+// runs one at a time under its lock. Claims are keyed by key-frame index,
+// so consulting is deterministic given the same claim history; the
+// frame-based TTL bounds how long a stalled shard's last claims keep
+// influencing neighbours.
+//
+// An empty (but present) list is meaningful: the shard completed the
+// round and claims nothing, releasing any earlier claims — which is how
+// an object whose owner died at the boundary becomes claimable by the
+// neighbour within one round.
+type claimTable []map[int][]handoffClaim
 
-func newHandoffBus(numShards int) *handoffBus {
-	b := &handoffBus{claims: make([]map[int][]handoffClaim, numShards)}
-	for i := range b.claims {
-		b.claims[i] = make(map[int][]handoffClaim)
+func newClaimTable(numShards int) claimTable {
+	c := make(claimTable, numShards)
+	for i := range c {
+		c[i] = make(map[int][]handoffClaim)
 	}
-	return b
+	return c
 }
 
 // publish records a shard's claims for a completed round (empty claims
 // included) and prunes that shard's entries older than the TTL.
-func (b *handoffBus) publish(shard, frame int, claims []handoffClaim) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.claims[shard][frame] = claims
-	for f := range b.claims[shard] {
+func (c claimTable) publish(shard, frame int, claims []handoffClaim) {
+	c[shard][frame] = claims
+	for f := range c[shard] {
 		if f < frame-handoffTTL {
-			delete(b.claims[shard], f)
+			delete(c[shard], f)
 		}
 	}
 }
@@ -103,14 +98,12 @@ func (b *handoffBus) publish(shard, frame int, claims []handoffClaim) {
 // published, otherwise the most recent earlier round still within the
 // TTL, otherwise nil (the shard has said nothing relevant — no
 // demotion, the conservative default).
-func (b *handoffBus) lookup(shard, frame int) []handoffClaim {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if c, ok := b.claims[shard][frame]; ok {
-		return c
+func (c claimTable) lookup(shard, frame int) []handoffClaim {
+	if claims, ok := c[shard][frame]; ok {
+		return claims
 	}
 	best := -1
-	for f := range b.claims[shard] {
+	for f := range c[shard] {
 		if f < frame && f > best && f >= frame-handoffTTL {
 			best = f
 		}
@@ -118,7 +111,7 @@ func (b *handoffBus) lookup(shard, frame int) []handoffClaim {
 	if best < 0 {
 		return nil
 	}
-	return b.claims[shard][best]
+	return c[shard][best]
 }
 
 // consultHandoff checks every scheduled object with a member box on a
@@ -126,7 +119,7 @@ func (b *handoffBus) lookup(shard, frame int) []handoffClaim {
 // if a neighbour's claimed boundary box maps onto the local box with
 // IoU >= minIoU, the neighbour owns the object (lower shard ID wins the
 // tie deterministically) and the object is demoted — the returned map
-// gives the foreign owner per object ID. Standalone schedulers return
+// gives the foreign owner per object ID. An unsharded machine returns
 // nil. Iteration order (groups, members, foreign cameras, claims in
 // published order) is fixed, so the same claim history always produces
 // the same demotions.
@@ -149,7 +142,7 @@ func (m *machine) consultHandoff(frame int, groups []assoc.Group, boxes [][]geom
 				if fs >= ctx.id {
 					continue // higher-ID shards defer to us, not we to them
 				}
-				for _, claim := range ctx.bus.lookup(fs, frame) {
+				for _, claim := range ctx.claims.lookup(fs, frame) {
 					if claim.FromCam != f {
 						continue
 					}
@@ -177,7 +170,7 @@ func (m *machine) consultHandoff(frame int, groups []assoc.Group, boxes [][]geom
 // (non-demoted) object with a member box on a boundary camera, stamped
 // with its owning camera. Always called on a sharded round — an empty
 // claim list is itself information (nothing claimed, releasing earlier
-// claims). No-op for standalone schedulers.
+// claims). No-op for an unsharded machine.
 func (m *machine) publishHandoff(frame int, groups []assoc.Group, boxes [][]geom.Rect, sol *core.Solution, demoted map[int]int) {
 	ctx := m.shard
 	if ctx == nil {
@@ -197,46 +190,27 @@ func (m *machine) publishHandoff(frame int, groups []assoc.Group, boxes [][]geom
 			}
 		}
 	}
-	ctx.bus.publish(ctx.id, frame, claims)
+	ctx.claims.publish(ctx.id, frame, claims)
 }
 
-// ShardedScheduler runs one independent Scheduler round loop per shard
-// of a shard.Map: each shard has its own round barrier, liveness
-// leases, round timeouts, Dead broadcast, and degraded-mode story —
-// configured by the same Options, applied per shard — so no barrier,
-// association pass, or BALB instance ever spans more than the largest
-// shard's cameras. The shards coordinate only through the
-// boundary hand-off bus: when a tracked object is visible from two
-// shards, the lower-ID shard owns it and the higher-ID shard demotes
-// its local tracks to shadows of the foreign owner (see handoffBus).
+// NewShardedScheduler builds a Scheduler whose one shell hosts one round
+// machine per shard of m, over the fleet-wide model and profiles. Each
+// machine has its own round barrier, liveness leases, round timeouts,
+// Dead broadcast, and degraded-mode story — configured by the same
+// Options — so no barrier, association pass, or BALB instance ever spans
+// more than the largest shard's cameras. The shards coordinate only
+// through the hand-off claims (claimTable): when a tracked object is
+// visible from two shards, the lower-ID shard owns it and the higher-ID
+// shard demotes its local tracks to shadows of the foreign owner.
 //
-// Nodes connect exactly as they would to a standalone Scheduler — same
-// protocol, global camera indices — and are routed to their shard's
-// scheduler by the hello handshake. Shard-scoped assignments carry the
-// shard's Roster, and nodes build a scoped ownership policy from it.
-//
-// A shared metrics sink receives every shard's round snapshots,
-// demultiplexed by Snapshot.Label ("shard0", "shard1", ...); the sink
-// must therefore accept concurrent RecordFrame calls (the metrics.Sink
-// contract).
-type ShardedScheduler struct {
-	smap   *shard.Map
-	shards []*Scheduler
-
-	shutdown  chan struct{}
-	closeOnce sync.Once
-	handlers  sync.WaitGroup
-
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
-}
-
-// NewShardedScheduler builds one shard-scoped Scheduler per shard of m
-// over the fleet-wide model and profiles. Every Option is applied to
-// every shard's scheduler. The map must cover exactly the model's
+// Nodes connect exactly as they would to an unsharded Scheduler — same
+// protocol, global camera indices — and their hello picks their shard's
+// machine. Shard-scoped assignments carry the shard's Roster, and nodes
+// build a scoped ownership policy from it. The metrics sink receives
+// every shard's round snapshots, demultiplexed by Snapshot.Label
+// ("shard0", "shard1", ...). The map must cover exactly the model's
 // cameras.
-func NewShardedScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU float64, m *shard.Map, opts ...Option) (*ShardedScheduler, error) {
+func NewShardedScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU float64, m *shard.Map, opts ...Option) (*Scheduler, error) {
 	if model == nil {
 		return nil, errors.New("cluster: nil association model")
 	}
@@ -255,9 +229,8 @@ func NewShardedScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU
 			len(profiles), model.NumCameras())
 	}
 
-	ss := &ShardedScheduler{smap: m, shutdown: make(chan struct{})}
-	bus := newHandoffBus(m.NumShards())
-
+	claims := newClaimTable(m.NumShards())
+	machines := make([]*machine, m.NumShards())
 	for sid, roster := range m.Shards {
 		sub, err := model.Subset(roster)
 		if err != nil {
@@ -267,11 +240,11 @@ func NewShardedScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU
 		for i, c := range roster {
 			subProfiles[i] = profiles[c]
 		}
-		sched, err := NewScheduler(sub, subProfiles, minIoU, opts...)
+		mc, err := newMachine(sub, subProfiles, minIoU)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", sid, err)
 		}
-		ctx := &shardCtx{
+		mc.shard = &shardCtx{
 			id:       sid,
 			roster:   roster,
 			full:     model,
@@ -279,95 +252,18 @@ func NewShardedScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU
 			boundary: make(map[int]bool),
 			foreign:  make(map[int][]int),
 			shardOf:  m.ShardOf,
-			bus:      bus,
+			claims:   claims,
 		}
 		for _, c := range m.BoundaryCameras(sid) {
-			ctx.boundary[c] = true
+			mc.shard.boundary[c] = true
 		}
 		for _, e := range m.Neighbors(sid) {
 			// Neighbors yields {A: foreign, B: local} sorted by
 			// (foreign, local); regrouping per local camera keeps the
 			// foreign lists ascending.
-			ctx.foreign[e.B] = append(ctx.foreign[e.B], e.A)
+			mc.shard.foreign[e.B] = append(mc.shard.foreign[e.B], e.A)
 		}
-		sched.m.shard = ctx
-		ss.shards = append(ss.shards, sched)
+		machines[sid] = mc
 	}
-	return ss, nil
-}
-
-// Serve accepts camera connections on ln, reads each connection's hello
-// handshake, and hands the connection to the owning shard's scheduler.
-// It blocks until the listener closes (or Close is called) and every
-// routed connection handler has exited.
-func (ss *ShardedScheduler) Serve(ln net.Listener) error {
-	ss.mu.Lock()
-	if ss.closed {
-		ss.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	ss.ln = ln
-	ss.mu.Unlock()
-
-	var err error
-	for {
-		conn, aerr := ln.Accept()
-		if aerr != nil {
-			select {
-			case <-ss.shutdown:
-			default:
-				err = fmt.Errorf("cluster: accept: %w", aerr)
-			}
-			break
-		}
-		ss.handlers.Add(1)
-		go func() {
-			defer ss.handlers.Done()
-			ss.route(conn)
-		}()
-	}
-	ss.handlers.Wait()
-	return err
-}
-
-// route reads a connection's hello and delegates it to the owning
-// shard's scheduler, which registers the camera under its local roster
-// index and runs the read loop to completion.
-func (ss *ShardedScheduler) route(conn net.Conn) {
-	defer conn.Close()
-	env, err := ReadMessage(conn)
-	if err != nil {
-		ss.shards[0].logger.Printf("cluster: sharded handshake read: %v", err)
-		return
-	}
-	if env.Type != TypeHello || env.Hello == nil {
-		_ = WriteMessage(conn, &Envelope{Type: TypeError, Error: "expected hello"})
-		return
-	}
-	cam := env.Hello.Camera
-	if cam < 0 || cam >= ss.smap.NumCameras() {
-		_ = WriteMessage(conn, &Envelope{Type: TypeError, Error: fmt.Sprintf("camera %d out of range", cam)})
-		return
-	}
-	ss.shards[ss.smap.ShardOf[cam]].handleHello(conn, env)
-}
-
-// Close stops every shard's scheduler and the shared listener, then
-// waits for all routed connection handlers to exit. After Close
-// returns, no goroutine of this scheduler touches the sink or logger.
-func (ss *ShardedScheduler) Close() {
-	ss.closeOnce.Do(func() {
-		close(ss.shutdown)
-		ss.mu.Lock()
-		ss.closed = true
-		if ss.ln != nil {
-			ss.ln.Close()
-		}
-		ss.mu.Unlock()
-		for _, sched := range ss.shards {
-			sched.Close()
-		}
-	})
-	ss.handlers.Wait()
+	return newShell(machines, m.ShardOf, opts), nil
 }

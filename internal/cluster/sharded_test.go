@@ -78,8 +78,8 @@ func buildShardedEnv(t *testing.T, n int, seed int64, maxShard int) *shardedEnv 
 	return e
 }
 
-// startSharded serves a ShardedScheduler on a loopback port.
-func startSharded(t *testing.T, e *shardedEnv, opts ...Option) (*ShardedScheduler, string) {
+// startSharded serves a sharded scheduler on a loopback port.
+func startSharded(t *testing.T, e *shardedEnv, opts ...Option) (*Scheduler, string) {
 	t.Helper()
 	ss, err := NewShardedScheduler(e.model, e.profiles, 0, e.m, opts...)
 	if err != nil {

@@ -318,7 +318,8 @@ var shardMax = []int{16, 8, 4}
 // shardSweep prices overlap-group sharding: the same trace and model run
 // once globally and once per max-shard bound, under
 // pipeline.Config.Sched.Shards (the in-process analogue of
-// cluster.ShardedScheduler). The central-cost column is wall-clock.
+// cluster.NewShardedScheduler, without its boundary hand-off). The
+// central-cost column is wall-clock.
 func shardSweep(p *plan) error {
 	s, err := p.setup()
 	if err != nil {

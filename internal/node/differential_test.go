@@ -111,10 +111,7 @@ func runLoopbackCluster(t *testing.T, trace *scene.Trace, model *assoc.Model, pr
 	t.Helper()
 	rounds := &roundLog{}
 	opts = append(opts, cluster.WithRounds(rounds), cluster.WithWorkers(1))
-	var sched interface {
-		Serve(net.Listener) error
-		Close()
-	}
+	var sched *cluster.Scheduler
 	var err error
 	if smap != nil {
 		sched, err = cluster.NewShardedScheduler(model, profiles, 0, smap, opts...)
@@ -200,7 +197,7 @@ func runLoopbackCluster(t *testing.T, trace *scene.Trace, model *assoc.Model, pr
 // make the same central decisions every round and price, track and
 // shadow the same on every camera-frame. The sharded case runs on
 // islands (zero cross-shard coverage), where docs/ARCHITECTURE.md
-// promises bit-identity between Sched.Shards and ShardedScheduler.
+// promises bit-identity between Sched.Shards and a sharded scheduler.
 func TestInProcessMatchesLoopbackCluster(t *testing.T) {
 	const seed, horizon = 4, 10
 	islands, err := workload.Islands(2, 3, 3)

@@ -90,13 +90,15 @@ type Sched struct {
 	// (on an assoc.Model.Subset), the shard priority orders concatenated
 	// in shard order into the distributed stage's one
 	// core.DistributedPolicy. This is the in-process analogue of
-	// cluster.ShardedScheduler — no fleet-wide O(N²) association, no
+	// cluster.NewShardedScheduler — no fleet-wide O(N²) association, no
 	// data structure spanning shards — usable at 64+ cameras without
-	// sockets. Only valid for BALB and CentralOnly modes. On a scenario
-	// with zero cross-shard coverage the modelled results are
-	// bit-identical to the unsharded run (see docs/ARCHITECTURE.md,
-	// determinism contract); with boundary traffic, ownership of
-	// straddling objects follows the lowest covering shard.
+	// sockets, but with no boundary hand-off. Only valid for BALB and
+	// CentralOnly modes. On a scenario with zero cross-shard coverage the
+	// modelled results are bit-identical to the unsharded run (see
+	// docs/ARCHITECTURE.md, determinism contract). With boundary traffic,
+	// each shard keeps its own copy of a straddling object at key frames,
+	// and only between key frames does a new boundary object go to the
+	// lowest covering shard.
 	Shards *shard.Map
 }
 

@@ -29,8 +29,8 @@
 //
 // Consumers: pipeline.Config.Sched.Shards runs one in-process central stage
 // per shard; cluster.NewShardedScheduler runs one independent round
-// loop (barrier, leases, dead broadcast) per shard with a boundary
-// hand-off bus between them.
+// machine (barrier, leases, dead broadcast) per shard, the machines
+// sharing the boundary hand-off claims.
 //
 // # Determinism
 //
@@ -358,7 +358,7 @@ func boundaryEdges(g *Graph, m *Map) []Edge {
 
 // BoundaryCameras returns, ascending, the cameras of the given shard
 // that sit on at least one boundary edge — the cameras whose reports
-// must be published on the hand-off bus.
+// must be published as hand-off claims.
 func (m *Map) BoundaryCameras(shard int) []int {
 	set := map[int]bool{}
 	for _, e := range m.Boundary {
