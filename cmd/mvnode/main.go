@@ -1,45 +1,25 @@
 // Command mvnode runs one camera node of a distributed deployment: it
 // regenerates its camera's observations from the shared (scenario, seed)
-// pair, connects to the central scheduler, and executes the BALB camera
-// loop — full-frame inspection and detection upload at key frames,
-// tracking-based sliced batched inspection plus the distributed stage on
-// regular frames.
-//
-// Start one mvscheduler and one mvnode per camera:
+// pair, connects to the central scheduler, and runs the BALB camera loop.
 //
 //	mvscheduler -scenario S2 -seed 42 &
 //	mvnode -addr localhost:7001 -camera 0 -scenario S2 -seed 42
 //	mvnode -addr localhost:7001 -camera 1 -scenario S2 -seed 42
 //
-// The node is fault tolerant (docs/FAULTS.md): the scheduler connection
-// reconnects with capped exponential backoff, a round whose assignment
-// never arrives puts the node in degraded mode — it keeps inspecting all
-// of its own tracks under the last-known priority order and masks — and
-// the next successful round rejoins. -faults injects deterministic
-// connection faults for chaos runs; -cam-faults injects data-plane
-// camera outages (the node skips the frame loop while "down", which a
-// lease-armed scheduler observes as silence and reports as a dead
-// camera to the surviving nodes). When the scheduler runs -adapt, its
-// assignments carry a degradation level: the node caps its inspection
-// input sizes at adapt.SizeCapFor(level) and stretches its key-frame
-// cadence on the adapt.KeyFrame grid (docs/FAULTS.md §10).
-//
-// The frame loop's body is node.Runtime.Step; what this binary owns is
-// where observations come from, the camera-fault schedule, pacing, and
-// the summary.
-//
-// Sharded deployments (mvscheduler -shard-max / -shards) need no node
-// flag: the scheduler routes the node to its shard's round loop at the
-// hello handshake, and shard-scoped assignments carry their camera
-// roster, from which the node builds a scoped ownership policy
-// (docs/SCALING.md §3, docs/ARCHITECTURE.md).
-//
-// -record <dir> captures the node's per-frame snapshots into a run
-// store labelled with its camera index (capture-only). -ingest-addr
-// replaces the regenerated observations with a live feed (push with
-// mvingest -camera N): it sheds under overload per -shed-policy and
-// fails with a typed stall error if the feed goes silent past -deadline
-// (docs/STREAMING.md §6).
+// The node is a clock-free machine under a TCP shell. node.Runtime.Step
+// decides each frame — a key frame's full inspection and the reports to
+// upload, or a regular frame — and takes the round's assignment, or the
+// miss that puts it in degraded mode until a later assignment rejoins it
+// (following the -adapt level it carries, docs/FAULTS.md §10). The
+// cluster.ReconnectClient's node machine owns the connection: retries
+// with capped exponential backoff, the reply rules, heartbeats. This
+// binary is their shell, and the only node-side code that reads a clock
+// or sleeps: it owns where observations come from, the exchanges, the
+// camera-fault schedule, pacing, and the summary. -faults injects
+// connection faults and -cam-faults camera outages (docs/FAULTS.md);
+// sharded schedulers need no node flag (docs/SCALING.md §3). -record
+// captures the node's snapshots into a run store; -ingest-addr replaces
+// the regenerated observations with a live feed (docs/STREAMING.md §6).
 package main
 
 import (
@@ -48,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
 	"time"
 
 	"mvs/internal/cliconf"
@@ -175,11 +156,7 @@ func run(cfg runConfig) error {
 		NumCameras: len(s.World.Cameras),
 		Seed:       cfg.seed,
 		Sink:       cfg.shared.Sink(cfg.export, rec),
-
-		Link:           client,
-		Horizon:        cfg.horizon,
-		Deadline:       cfg.deadline,
-		HeartbeatEvery: cfg.hbEvery,
+		Horizon:    cfg.horizon,
 	}
 	if err := client.Connect(); err != nil {
 		// The scheduler is unreachable right now: run maskless (masks
@@ -246,20 +223,31 @@ func run(cfg runConfig) error {
 		if !ok {
 			break
 		}
-		wasDegraded := rt.Degraded()
 		if camModel != nil && camModel.Down(cfg.camera, fi) {
 			// Camera outage: no capture, no inference, no upload, no
 			// heartbeat. A lease-armed scheduler sees the silence, declares
 			// this camera dead, and the survivors take over its objects.
 			rt.OutageFrame()
-		} else if err := rt.Step(fi, obs); err != nil {
-			return err
-		}
-		if rt.Degraded() != wasDegraded {
-			if wasDegraded {
-				log.Printf("round %d: assignment received, rejoining cluster", fi)
-			} else {
-				log.Printf("round %d got no assignment; entering degraded mode", fi)
+		} else {
+			reports, settle, err := rt.Step(fi, obs, client.Reconnects())
+			switch {
+			case err != nil:
+				return err
+			case settle != nil:
+				// A failed exchange returns no assignment: the miss.
+				a, _ := client.KeyFrame(fi, reports, cfg.deadline)
+				switch {
+				case a == nil && !rt.Degraded():
+					log.Printf("round %d got no assignment; entering degraded mode", fi)
+				case a != nil && rt.Degraded():
+					log.Printf("round %d: assignment received, rejoining cluster", fi)
+				}
+				if err := settle(a); err != nil {
+					return err
+				}
+			case cfg.hbEvery > 0 && fi%cfg.hbEvery == 0:
+				// A failed ping already ran the reconnect attempts.
+				_ = client.Ping(0)
 			}
 		}
 		if cfg.rate > 0 {
@@ -268,25 +256,33 @@ func run(cfg runConfig) error {
 	}
 
 	st := rt.Stats()
+	st.Reconnects = client.Reconnects() // the last exchange's included
 	log.Printf("done in %v wall time", time.Since(start).Round(time.Millisecond))
-	fmt.Printf("camera %d summary:\n", cfg.camera)
-	fmt.Printf("  frames:            %d\n", st.Frames)
-	fmt.Printf("  mean inference:    %v/frame\n", st.MeanLatency.Round(100_000))
-	fmt.Printf("  distinct objects:  %d detected\n", st.DetectedObjects)
-	fmt.Printf("  final tracks:      %d active, %d shadows\n", st.ActiveTracks, st.Shadows)
-	if st.DegradedFrames > 0 || st.Reconnects > 0 || st.OutageFrames > 0 {
-		fmt.Printf("  resilience:        %d degraded frames, %d reconnects, %d outage frames, %d takeovers\n",
-			st.DegradedFrames, st.Reconnects, st.OutageFrames, st.Reassignments)
-	}
-	// Uplink usage vs the testbed's 20 Mbps budget: key-frame uploads are
-	// tiny compared to streaming video, which is the point of onboard
-	// processing.
-	secs := float64(st.Frames) / 10.0
-	upKbps := float64(client.BytesSent()) * 8 / 1000 / secs
-	fmt.Printf("  network:           %d B up, %d B down (%.1f kbit/s uplink)\n",
-		client.BytesSent(), client.BytesReceived(), upKbps)
+	summarize(os.Stdout, cfg.camera, st, client.BytesSent(), client.BytesReceived())
 	if rec != nil {
 		return rec.Close()
 	}
 	return nil
+}
+
+// summarize prints the run's summary. The uplink rate is over the
+// frames' 10 FPS stream time, so a run that processed no frame has none.
+func summarize(w io.Writer, camera int, st node.Stats, sent, received int64) {
+	fmt.Fprintf(w, "camera %d summary:\n", camera)
+	fmt.Fprintf(w, "  frames:            %d\n", st.Frames)
+	fmt.Fprintf(w, "  mean inference:    %v/frame\n", st.MeanLatency.Round(100_000))
+	fmt.Fprintf(w, "  distinct objects:  %d detected\n", st.DetectedObjects)
+	fmt.Fprintf(w, "  final tracks:      %d active, %d shadows\n", st.ActiveTracks, st.Shadows)
+	if st.DegradedFrames > 0 || st.Reconnects > 0 || st.OutageFrames > 0 {
+		fmt.Fprintf(w, "  resilience:        %d degraded frames, %d reconnects, %d outage frames, %d takeovers\n",
+			st.DegradedFrames, st.Reconnects, st.OutageFrames, st.Reassignments)
+	}
+	// Uplink usage vs the testbed's 20 Mbps budget: tiny, the point of
+	// onboard processing.
+	fmt.Fprintf(w, "  network:           %d B up, %d B down", sent, received)
+	if st.Frames > 0 {
+		secs := float64(st.Frames) / 10.0
+		fmt.Fprintf(w, " (%.1f kbit/s uplink)", float64(sent)*8/1000/secs)
+	}
+	fmt.Fprintln(w)
 }

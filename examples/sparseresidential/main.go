@@ -99,19 +99,25 @@ func runNode(addr string, cam int, scenario *workload.Scenario, test *scene.Trac
 		Coverage:   ack.Coverage,
 		NumCameras: len(scenario.World.Cameras),
 		Seed:       7,
-		Link:       client,
 		Horizon:    10,
-		Deadline:   15 * time.Second,
 	})
 	if err != nil {
 		return node.Stats{}, err
 	}
 	for fi := range test.Frames {
-		if err := rt.Step(fi, test.Frames[fi].PerCamera[cam]); err != nil {
+		reports, settle, err := rt.Step(fi, test.Frames[fi].PerCamera[cam], 0)
+		if err != nil {
 			return node.Stats{}, err
 		}
-		if rt.Degraded() {
-			return node.Stats{}, fmt.Errorf("round %d got no assignment", fi)
+		if settle == nil {
+			continue
+		}
+		a, err := client.KeyFrame(fi, reports, 15*time.Second)
+		if err != nil {
+			return node.Stats{}, fmt.Errorf("round %d got no assignment: %w", fi, err)
+		}
+		if err := settle(a); err != nil {
+			return node.Stats{}, err
 		}
 	}
 	return rt.Stats(), nil

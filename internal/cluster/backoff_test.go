@@ -2,47 +2,47 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"testing"
 	"time"
-
-	"mvs/internal/clock"
 )
 
+// TestBackoffDelayGrowsAndCaps pins the reconnect schedule as literal
+// values, for seeds mvnode derives (seed + camera: 42 + 0 and 42 + 1),
+// so any edit of the schedule's constants fails here: 100ms·2ⁿ, ±20%,
+// capped at 5s.
 func TestBackoffDelayGrowsAndCaps(t *testing.T) {
-	b := Backoff{Jitter: -1} // defaults, jitter disabled
-	want := []time.Duration{
-		100 * time.Millisecond,
-		200 * time.Millisecond,
-		400 * time.Millisecond,
-		800 * time.Millisecond,
-		1600 * time.Millisecond,
-		3200 * time.Millisecond,
-		5 * time.Second, // capped
-		5 * time.Second,
+	want := map[int64][]time.Duration{
+		42: {105133623, 177628119, 396164579, 895386640, 1514691853, 2970687587, 4827782448, 4430829751},
+		43: {82634821, 222472349, 466465295, 742231380, 1817105985, 3687804669, 5000000000, 5000000000},
 	}
-	for attempt, w := range want {
-		if got := b.Delay(attempt); got != w {
-			t.Fatalf("Delay(%d) = %v, want %v", attempt, got, w)
+	for seed, delays := range want {
+		b := Backoff{Seed: seed}
+		for attempt, w := range delays {
+			if got := b.Delay(attempt); got != w {
+				t.Fatalf("seed %d: Delay(%d) = %d, want %d", seed, attempt, got, w)
+			}
 		}
-	}
-	if got := b.Delay(-3); got != want[0] {
-		t.Fatalf("Delay(-3) = %v, want %v", got, want[0])
+		if got := b.Delay(-3); got != delays[0] {
+			t.Fatalf("seed %d: Delay(-3) = %v, want Delay(0) = %v", seed, got, delays[0])
+		}
+		if got := b.Delay(40); got > backoffMax {
+			t.Fatalf("seed %d: Delay(40) = %v, above the cap", seed, got)
+		}
 	}
 }
 
 func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
-	b := Backoff{Seed: 42} // default 20% jitter
+	b := Backoff{Seed: 42}
 	for attempt := 0; attempt < 8; attempt++ {
 		d1 := b.Delay(attempt)
 		d2 := b.Delay(attempt)
 		if d1 != d2 {
 			t.Fatalf("Delay(%d) not deterministic: %v vs %v", attempt, d1, d2)
 		}
-		nominal := Backoff{Seed: 42, Jitter: -1}.Delay(attempt)
-		lo := time.Duration(float64(nominal) * 0.8)
-		hi := time.Duration(float64(nominal) * 1.2)
+		nominal := min(backoffBase<<attempt, backoffMax)
+		lo := time.Duration(float64(nominal) * (1 - backoffJitter))
+		hi := min(time.Duration(float64(nominal)*(1+backoffJitter)), backoffMax)
 		if d1 < lo || d1 > hi {
 			t.Fatalf("Delay(%d) = %v outside jitter band [%v, %v]", attempt, d1, lo, hi)
 		}
@@ -61,91 +61,103 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestReconnectClientRetriesOnFakeClock walks the node machine through
+// an operation whose every dial fails, on virtual time: it must ask for
+// MaxAttempts dials, wait the backoff schedule between them — the
+// machine's wake-ups, not sleeps — and give up with the dial error.
 func TestReconnectClientRetriesOnFakeClock(t *testing.T) {
-	// Every dial fails: the client must walk the full backoff schedule on
-	// the fake clock — recording, not serving, the sleeps — and give up
-	// after MaxAttempts with the dial error.
-	fake := clock.NewFake(time.Unix(0, 0))
+	m := nodeMachine{camera: 0, seed: 7, attempts: 4}
 	dialErr := errors.New("synthetic dial failure")
+	now := epoch
+	acts := m.connect(now)
 	dials := 0
-	rc := NewReconnectClient(ReconnectConfig{
-		Addr: "test:0", Camera: 0,
-		Backoff:     Backoff{Seed: 7},
-		MaxAttempts: 4,
-		Clock:       fake,
-		Dial: func(string, time.Duration) (net.Conn, error) {
+	var waits []time.Duration
+	for !acts.done {
+		switch {
+		case acts.dial:
 			dials++
-			return nil, dialErr
-		},
-	})
-	defer rc.Close()
-
-	err := rc.Connect()
-	if !errors.Is(err, dialErr) {
-		t.Fatalf("Connect error = %v, want wrapped %v", err, dialErr)
+			acts = m.dialed(dialErr, now)
+		case !acts.wakeAt.IsZero():
+			waits = append(waits, acts.wakeAt.Sub(now))
+			now = acts.wakeAt
+			acts = m.tick(now)
+		default:
+			t.Fatalf("stuck with actions %+v", acts)
+		}
+	}
+	if !errors.Is(acts.err, dialErr) {
+		t.Fatalf("gave up with %v, want %v", acts.err, dialErr)
 	}
 	if dials != 4 {
 		t.Fatalf("dials = %d, want 4", dials)
 	}
-	sleeps := fake.Sleeps()
-	if len(sleeps) != 3 {
-		t.Fatalf("sleeps = %v, want 3 entries", sleeps)
+	if len(waits) != 3 {
+		t.Fatalf("waits = %v, want 3 entries", waits)
 	}
-	b := Backoff{Seed: 7}
-	for i, d := range sleeps {
-		if want := b.Delay(i); d != want {
-			t.Fatalf("sleep %d = %v, want %v", i, d, want)
+	for i, d := range waits {
+		if want := (Backoff{Seed: 7}).Delay(i); d != want {
+			t.Fatalf("wait %d = %v, want %v", i, d, want)
 		}
 	}
 }
 
+// TestReconnectClientRecoversMidSchedule: the first two dials fail, the
+// third registers; the operation settles after two backoff waits, and
+// the first connection is not a reconnect — the next one is. A ping on
+// the live connection then awaits the pong echoing its number.
 func TestReconnectClientRecoversMidSchedule(t *testing.T) {
-	// The first two dials fail, the third reaches a real scheduler: the
-	// operation succeeds, two backoff delays were slept (on the fake
-	// clock), and the registration ack is available.
-	_, addr := startScheduler(t)
-	fake := clock.NewFake(time.Unix(0, 0))
-	dials := 0
-	rc := NewReconnectClient(ReconnectConfig{
-		Addr: addr, Camera: 0,
-		Backoff:     Backoff{Seed: 1},
-		MaxAttempts: 4,
-		Clock:       fake,
-		Dial: func(a string, timeout time.Duration) (net.Conn, error) {
+	m := nodeMachine{camera: 0, seed: 1, attempts: 4}
+	now := epoch
+	acts := m.connect(now)
+	dials, waits := 0, 0
+	for !acts.done {
+		switch {
+		case acts.dial:
 			dials++
+			var err error
 			if dials <= 2 {
-				return nil, fmt.Errorf("flaky dial %d", dials)
+				err = errors.New("flaky dial")
 			}
-			return net.DialTimeout("tcp", a, timeout)
-		},
-	})
-	defer rc.Close()
-
-	if err := rc.Connect(); err != nil {
-		t.Fatal(err)
+			acts = m.dialed(err, now)
+		default:
+			waits++
+			now = acts.wakeAt
+			acts = m.tick(now)
+		}
 	}
-	if dials != 3 {
-		t.Fatalf("dials = %d, want 3", dials)
+	if acts.err != nil || dials != 3 || waits != 2 {
+		t.Fatalf("connect: err %v after %d dials and %d waits, want nil after 3 and 2", acts.err, dials, waits)
 	}
-	if got := len(fake.Sleeps()); got != 2 {
-		t.Fatalf("sleeps = %d, want 2", got)
+	if m.reconnects != 0 {
+		t.Fatalf("reconnects = %d, want 0", m.reconnects)
 	}
-	if rc.Ack() == nil {
-		t.Fatal("no registration ack after Connect")
+	acts = m.ping(0, now)
+	if acts.send == nil || acts.send.Heartbeat.Seq != 1 || !acts.await {
+		t.Fatalf("ping: actions %+v, want the first heartbeat sent and awaited", acts)
 	}
-	// First successful connection is not a reconnect.
-	if n := rc.Reconnects(); n != 0 {
-		t.Fatalf("reconnects = %d, want 0", n)
+	if acts = m.reply(&Envelope{Type: TypePong, Heartbeat: &Heartbeat{Seq: 7}}, now); acts.done {
+		t.Fatal("a pong for another heartbeat settled the ping")
 	}
-	if err := rc.Ping(0); err != nil {
-		t.Fatal(err)
+	if acts = m.reply(&Envelope{Type: TypePong, Heartbeat: &Heartbeat{Seq: 1}}, now); !acts.done || acts.err != nil {
+		t.Fatalf("the matching pong left %+v", acts)
+	}
+	// The connection breaks during the next heartbeat: the machine drops
+	// it, backs off, and redials — a reconnect — to send a new heartbeat.
+	m.ping(0, now)
+	if acts = m.lost(errors.New("reset"), now); !acts.drop || acts.wakeAt.IsZero() {
+		t.Fatalf("loss mid-ping: %+v, want a drop and a backoff", acts)
+	}
+	if acts = m.tick(acts.wakeAt); !acts.dial {
+		t.Fatalf("after the backoff: %+v, want a dial", acts)
+	}
+	if acts = m.dialed(nil, now); acts.send == nil || acts.send.Heartbeat.Seq != 1 || m.reconnects != 1 {
+		t.Fatalf("redial: %+v, reconnects %d, want the new connection's first heartbeat and 1", acts, m.reconnects)
 	}
 }
 
 func TestReconnectClientClosedFailsFast(t *testing.T) {
-	fake := clock.NewFake(time.Unix(0, 0))
 	rc := NewReconnectClient(ReconnectConfig{
-		Addr: "test:0", Camera: 0, Clock: fake,
+		Addr: "test:0", Camera: 0,
 		Dial: func(string, time.Duration) (net.Conn, error) {
 			t.Fatal("dial after Close")
 			return nil, nil
@@ -154,10 +166,14 @@ func TestReconnectClientClosedFailsFast(t *testing.T) {
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	if err := rc.Connect(); !errors.Is(err, errClosed) {
 		t.Fatalf("Connect after Close = %v, want errClosed", err)
 	}
-	if len(fake.Sleeps()) != 0 {
-		t.Fatal("closed client slept")
+	if _, err := rc.KeyFrame(0, nil, 0); !errors.Is(err, errClosed) {
+		t.Fatalf("KeyFrame after Close = %v, want errClosed", err)
+	}
+	if d := time.Since(start); d > backoffBase/2 {
+		t.Fatalf("closed client took %v: it slept", d)
 	}
 }

@@ -17,6 +17,7 @@ import (
 // the clients reconnect, and the scheduler survives to answer a final
 // ping. Run under -race by CI's chaos smoke step.
 func TestChaosReconnectUnderWriteCut(t *testing.T) {
+	t.Parallel() // mostly backoff sleeps
 	model, profiles := testModel(t)
 	sink := metrics.NewChannelSink(1, 256)
 	s, err := NewScheduler(model, profiles, 0,
@@ -47,9 +48,8 @@ func TestChaosReconnectUnderWriteCut(t *testing.T) {
 		c := NewReconnectClient(ReconnectConfig{
 			Addr: addr, Camera: cam,
 			DialTimeout: 2 * time.Second,
-			IOTimeout:   2 * time.Second,
-			Backoff:     Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond, Seed: int64(cam)},
-			MaxAttempts: 6,
+			Backoff:     Backoff{Seed: int64(cam)},
+			MaxAttempts: 2,
 			Dial:        DialFunc(inj.Dialer(nil)),
 		})
 		*rc = c

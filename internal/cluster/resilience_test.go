@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -57,7 +56,7 @@ func TestWriteMessageSingleWrite(t *testing.T) {
 // against a hand-scripted peer.
 func pipeClient(camera int) (*Client, net.Conn) {
 	a, b := net.Pipe()
-	return &Client{camera: camera, conn: &countingConn{Conn: a}}, b
+	return newClient(camera, &countingConn{Conn: a}, nil), b
 }
 
 func TestKeyFrameSkipsUnknownAndStaleMessages(t *testing.T) {
@@ -122,10 +121,11 @@ func TestPingMatchesSequence(t *testing.T) {
 }
 
 func TestChaosDeadCameraBroadcast(t *testing.T) {
-	// The lease-fed data-plane health model: a camera that reported in
-	// round 0 (and got assignments) goes silent; the next round must
-	// complete without it, declare it dead in every reply, and charge
-	// its orphaned assignments to the reassignment counter.
+	// The lease-fed data-plane health model, through the scheduler shell
+	// on virtual time: a camera that reported in round 0 (and got
+	// assignments) goes silent; the next round completes without it,
+	// declares it dead in every reply, and charges its orphaned
+	// assignments to the reassignment counter.
 	model, profiles := testModel(t)
 	sink := metrics.NewChannelSink(1, 16)
 	s, err := NewScheduler(model, profiles, 0,
@@ -133,51 +133,33 @@ func TestChaosDeadCameraBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	v := Virtualize(s, epoch)
+	for cam := 0; cam < 2; cam++ {
+		if ack, _ := v.Hello(cam+1, &Hello{Camera: cam}, epoch); ack.Type != TypeHello {
+			t.Fatalf("camera %d not registered: %+v", cam, ack)
+		}
 	}
-	go func() { _ = s.Serve(ln) }()
-	defer func() {
-		s.Close()
-		ln.Close()
-	}()
-	addr := ln.Addr().String()
-
-	c0, err := Dial(addr, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	report := func(cam, frame int, box [4]float64, d time.Duration) map[int]*Assignment {
+		env := &Envelope{Type: TypeDetections, Detections: &Detections{Camera: cam, Frame: frame,
+			Tracks: []TrackReport{{TrackID: cam + 1, Box: box, Size: 64}}}}
+		_, msgs := v.Receive(cam, cam+1, env, at(d))
+		out := map[int]*Assignment{}
+		for _, m := range msgs {
+			out[m.Camera] = m.Env.Assignment
+		}
+		return out
 	}
-	defer c0.Close()
-	c1, err := Dial(addr, 1, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
 
 	// Round 0: both cameras report disjoint tracks (no cross-camera
 	// association), so each keeps its own object.
-	c1done := make(chan error, 1)
-	go func() {
-		a, err := c1.KeyFrame(0, []TrackReport{
-			{TrackID: 7, Box: [4]float64{900, 300, 980, 380}, Size: 64},
-		}, 10*time.Second)
-		if err == nil && len(a.Dead) > 0 {
-			err = fmt.Errorf("round 0 declared %v dead", a.Dead)
+	if got := report(1, 0, [4]float64{900, 300, 980, 380}, 10*time.Millisecond); len(got) != 0 {
+		t.Fatalf("round 0 answered before camera 0 reported: %v", got)
+	}
+	round0Replies := report(0, 0, [4]float64{100, 100, 150, 150}, 20*time.Millisecond)
+	for cam := 0; cam < 2; cam++ {
+		if a := round0Replies[cam]; a == nil || len(a.Dead) > 0 {
+			t.Fatalf("round 0 reply to camera %d = %+v, want an assignment with no dead", cam, a)
 		}
-		c1done <- err
-	}()
-	a0, err := c0.KeyFrame(0, []TrackReport{
-		{TrackID: 1, Box: [4]float64{100, 100, 150, 150}, Size: 64},
-	}, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a0.Dead) > 0 {
-		t.Fatalf("round 0 declared %v dead with both cameras live", a0.Dead)
-	}
-	if err := <-c1done; err != nil {
-		t.Fatal(err)
 	}
 	round0 := <-sink.Snapshots()
 	if round0.OutageFrames != 0 || round0.Reassignments != 0 {
@@ -188,12 +170,9 @@ func TestChaosDeadCameraBroadcast(t *testing.T) {
 	}
 
 	// Camera 1 goes silent past its lease; camera 0 reports round 10.
-	time.Sleep(250 * time.Millisecond)
-	a10, err := c0.KeyFrame(10, []TrackReport{
-		{TrackID: 1, Box: [4]float64{110, 100, 160, 150}, Size: 64},
-	}, 10*time.Second)
-	if err != nil {
-		t.Fatalf("round blocked on dead camera: %v", err)
+	a10 := report(0, 10, [4]float64{110, 100, 160, 150}, 270*time.Millisecond)[0]
+	if a10 == nil {
+		t.Fatal("round blocked on dead camera")
 	}
 	if len(a10.Dead) != 1 || a10.Dead[0] != 1 {
 		t.Fatalf("round 10 Dead = %v, want [1]", a10.Dead)

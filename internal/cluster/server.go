@@ -301,12 +301,11 @@ const everyMachine = -1
 // emits the round records (holding mu across the sinks makes "no record
 // after Close" exact, and sinks are cheap and non-blocking by the
 // metrics.Sink contract), re-arms the wake-up timer at the earliest
-// wake-up of any machine, and sends the messages, addressed to global
-// cameras, once mu is released. A failed send is not logged: the
-// connection's read loop sees the same failure and leaves, and the
-// timer's goroutine, which Close does not wait for, must not touch the
-// logger. feed reports false, running nothing, once the scheduler is
-// closed.
+// wake-up of any machine, and sends the messages once mu is released. A
+// failed send is not logged: the connection's read loop sees the same
+// failure and leaves, and the timer's goroutine, which Close does not
+// wait for, must not touch the logger. feed reports false, running
+// nothing, once the scheduler is closed.
 func (s *Scheduler) feed(sid int, event func(m *machine, t time.Time) actions) bool {
 	s.mu.Lock()
 	if s.closed {
@@ -314,40 +313,10 @@ func (s *Scheduler) feed(sid int, event func(m *machine, t time.Time) actions) b
 		return false
 	}
 	now := time.Now()
-	type delivery struct {
-		sc  *schedConn
-		env *Envelope
-	}
-	var deliveries []delivery
-	for i, m := range s.machines {
-		if sid != everyMachine && sid != i {
-			continue
-		}
-		acts := event(m, now)
-		s.wakes[i] = acts.wakeAt
-		for _, e := range acts.emits {
-			e.snap.RoundLatency = time.Since(now)
-			s.sink.RecordFrame(e.snap)
-			if s.roundSink != nil {
-				e.round.RoundLatency = e.snap.RoundLatency
-				s.roundSink.RecordRound(e.round)
-			}
-		}
-		for _, o := range acts.sends {
-			if sc := s.conns[m.glob(o.cam)]; sc != nil {
-				env := &Envelope{Type: TypeAssignment, Assignment: o.assignment}
-				if o.assignment == nil {
-					env = &Envelope{Type: TypeError, Error: o.err}
-				}
-				deliveries = append(deliveries, delivery{sc, env})
-			}
-		}
-	}
-	var wakeAt time.Time
-	for _, w := range s.wakes {
-		if !w.IsZero() && (wakeAt.IsZero() || w.Before(wakeAt)) {
-			wakeAt = w
-		}
+	msgs, wakeAt := s.step(sid, event, now, func() time.Duration { return time.Since(now) })
+	to := make([]*schedConn, len(msgs))
+	for i, msg := range msgs {
+		to[i] = s.conns[msg.cam]
 	}
 	switch {
 	case wakeAt.IsZero():
@@ -360,10 +329,110 @@ func (s *Scheduler) feed(sid int, event func(m *machine, t time.Time) actions) b
 		s.timer.Reset(wakeAt.Sub(now))
 	}
 	s.mu.Unlock()
-	for _, d := range deliveries {
-		_ = d.sc.send(d.env)
+	for i, sc := range to {
+		if sc != nil {
+			_ = sc.send(msgs[i].env)
+		}
 	}
 	return true
+}
+
+// message is one envelope for a global camera.
+type message struct {
+	cam int
+	env *Envelope
+}
+
+// step runs one event on machine sid (or every machine) at now, emits
+// the completed rounds' records stamped with the latency measured by
+// since (nil: zero), and returns the machines' messages addressed to
+// global cameras and their earliest wake-up. It is the shell without the
+// I/O: the caller serializes the calls.
+func (s *Scheduler) step(sid int, event func(m *machine, t time.Time) actions, now time.Time, since func() time.Duration) ([]message, time.Time) {
+	var msgs []message
+	for i, m := range s.machines {
+		if sid != everyMachine && sid != i {
+			continue
+		}
+		acts := event(m, now)
+		s.wakes[i] = acts.wakeAt
+		for _, e := range acts.emits {
+			if since != nil {
+				e.snap.RoundLatency = since()
+				e.round.RoundLatency = e.snap.RoundLatency
+			}
+			s.sink.RecordFrame(e.snap)
+			if s.roundSink != nil {
+				s.roundSink.RecordRound(e.round)
+			}
+		}
+		for _, o := range acts.sends {
+			env := &Envelope{Type: TypeAssignment, Assignment: o.assignment}
+			if o.assignment == nil {
+				env = &Envelope{Type: TypeError, Error: o.err}
+			}
+			msgs = append(msgs, message{m.glob(o.cam), env})
+		}
+	}
+	var wakeAt time.Time
+	for _, w := range s.wakes {
+		if !w.IsZero() && (wakeAt.IsZero() || w.Before(wakeAt)) {
+			wakeAt = w
+		}
+	}
+	return msgs, wakeAt
+}
+
+// helloAck builds the registration reply to camera cam of machine m,
+// with the static cell-coverage masks if the hello carried a frame size.
+func (s *Scheduler) helloAck(m *machine, cam int, h *Hello) (*HelloAck, error) {
+	ack := &HelloAck{Camera: h.Camera}
+	if h.FrameW <= 0 || h.FrameH <= 0 {
+		return ack, nil
+	}
+	grid := geom.NewGrid(geom.Rect{MaxX: h.FrameW, MaxY: h.FrameH}, maskGridCols, maskGridRows)
+	cover, err := m.model.CellCoverageWorkers(cam, grid, m.workers)
+	if err != nil {
+		return nil, err
+	}
+	// A shard's subset model speaks local indices; nodes work in global
+	// ones.
+	for _, set := range cover {
+		for k, c := range set {
+			set[k] = m.glob(c)
+		}
+	}
+	ack.GridCols = maskGridCols
+	ack.GridRows = maskGridRows
+	ack.Coverage = cover
+	return ack, nil
+}
+
+// receive handles one message read from a registered camera's
+// connection: it runs its event through feed and returns the reply due.
+func (s *Scheduler) receive(env *Envelope, globalCam int, feed func(event func(m *machine, t time.Time) actions)) *Envelope {
+	cam := s.machines[s.shardOf[globalCam]].local(globalCam)
+	switch {
+	case env.Type == TypePing:
+		feed(func(m *machine, t time.Time) actions { return m.touch(cam, t) })
+		return &Envelope{Type: TypePong, Heartbeat: env.Heartbeat}
+	case env.Type == TypeDetections && env.Detections != nil:
+		if env.Detections.Camera != globalCam {
+			return &Envelope{Type: TypeError, Error: "camera id mismatch"}
+		}
+		det := *env.Detections
+		det.Camera = cam
+		feed(func(m *machine, t time.Time) actions { return m.report(&det, t) })
+	case env.Type == TypeDetections || env.Type == TypeHello:
+		// A malformed known message is a protocol error worth reporting
+		// back.
+		return &Envelope{Type: TypeError, Error: "expected detections"}
+	default:
+		// Unknown (newer-protocol) types are skipped, mirroring the
+		// client's tolerance, so mixed-version fleets keep running.
+		s.logger.Printf("cluster: camera %d sent unknown message type %q, ignoring", globalCam, env.Type)
+	}
+	return nil
 }
 
 // handle registers a camera from its hello with the machine of its shard
@@ -424,58 +493,27 @@ func (s *Scheduler) handle(conn net.Conn) {
 	s.logger.Printf("cluster: camera %d connected from %v", globalCam, conn.RemoteAddr())
 	// Ack the handshake so Dial returns only once the camera is
 	// registered (otherwise two racing hellos for the same index could
-	// each believe they won). When the node announced its frame size,
-	// the ack carries the static cell-coverage masks.
-	ack := &HelloAck{Camera: globalCam}
-	if env.Hello.FrameW > 0 && env.Hello.FrameH > 0 {
-		grid := geom.NewGrid(geom.Rect{MaxX: env.Hello.FrameW, MaxY: env.Hello.FrameH}, maskGridCols, maskGridRows)
-		cover, err := m.model.CellCoverageWorkers(cam, grid, m.workers)
-		if err != nil {
-			s.logger.Printf("cluster: camera %d coverage: %v", globalCam, err)
-			_ = sc.send(&Envelope{Type: TypeError, Error: fmt.Sprintf("coverage: %v", err)})
-			return
-		}
-		// A shard's subset model speaks local indices; nodes work in
-		// global ones.
-		for _, set := range cover {
-			for k, c := range set {
-				set[k] = m.glob(c)
-			}
-		}
-		ack.GridCols = maskGridCols
-		ack.GridRows = maskGridRows
-		ack.Coverage = cover
+	// each believe they won).
+	ack, err := s.helloAck(m, cam, env.Hello)
+	if err != nil {
+		s.logger.Printf("cluster: camera %d coverage: %v", globalCam, err)
+		_ = sc.send(&Envelope{Type: TypeError, Error: fmt.Sprintf("coverage: %v", err)})
+		return
 	}
 	if err := sc.send(&Envelope{Type: TypeHello, Ack: ack}); err != nil {
 		s.logger.Printf("cluster: camera %d ack: %v", globalCam, err)
 		return
 	}
 
+	feed := func(event func(m *machine, t time.Time) actions) { s.feed(sid, event) }
 	for {
 		env, err := ReadMessage(conn)
 		if err != nil {
 			s.logger.Printf("cluster: camera %d read: %v", globalCam, err)
 			return
 		}
-		switch {
-		case env.Type == TypePing:
-			s.feed(sid, func(m *machine, t time.Time) actions { return m.touch(cam, t) })
-			_ = sc.send(&Envelope{Type: TypePong, Heartbeat: env.Heartbeat})
-		case env.Type == TypeDetections && env.Detections != nil:
-			if env.Detections.Camera != globalCam {
-				_ = sc.send(&Envelope{Type: TypeError, Error: "camera id mismatch"})
-				continue
-			}
-			env.Detections.Camera = cam
-			s.feed(sid, func(m *machine, t time.Time) actions { return m.report(env.Detections, t) })
-		case env.Type == TypeDetections || env.Type == TypeHello:
-			// A malformed known message is a protocol error worth
-			// reporting back.
-			_ = sc.send(&Envelope{Type: TypeError, Error: "expected detections"})
-		default:
-			// Unknown (newer-protocol) types are skipped, mirroring the
-			// client's tolerance, so mixed-version fleets keep running.
-			s.logger.Printf("cluster: camera %d sent unknown message type %q, ignoring", globalCam, env.Type)
+		if reply := s.receive(env, globalCam, feed); reply != nil {
+			_ = sc.send(reply)
 		}
 	}
 }

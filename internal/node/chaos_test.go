@@ -1,18 +1,12 @@
 package node
 
 import (
-	"net"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
-	"mvs/internal/assoc"
 	"mvs/internal/cluster"
-	"mvs/internal/faults"
 	"mvs/internal/geom"
 	"mvs/internal/metrics"
-	"mvs/internal/profile"
 	"mvs/internal/scene"
 )
 
@@ -27,10 +21,9 @@ func TestDegradedModeCountsAndClears(t *testing.T) {
 	}
 	sink := metrics.NewChannelSink(1, len(trace.Frames)+1)
 	// Scheduler unreachable for the first two horizons.
-	link := &fakeLink{down: func(fi int) bool { return fi < 20 }}
+	sched := &fakeScheduler{down: func(fi int) bool { return fi < 20 }}
 	cfg := baseConfig(0)
 	cfg.Sink = sink
-	cfg.Link = link
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -42,11 +35,11 @@ func TestDegradedModeCountsAndClears(t *testing.T) {
 	for fi := range trace.Frames {
 		switch fi {
 		case 20:
-			link.reconnects = 2
+			sched.reconnects = 2
 		case 30:
-			link.reconnects = 1 // monotone: lower value ignored
+			sched.reconnects = 1 // monotone: lower value ignored
 		}
-		if err := rt.Step(fi, trace.Frames[fi].PerCamera[0]); err != nil {
+		if err := sched.step(rt, fi, trace.Frames[fi].PerCamera[0]); err != nil {
 			t.Fatal(err)
 		}
 		if want := fi < 20; rt.Degraded() != want {
@@ -90,13 +83,11 @@ func TestMissedAssignmentRejoinsKeyFrameGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heard := &fakeLink{}
-	missed := &fakeLink{down: func(fi int) bool { return fi == 20 }}
+	heard := &fakeScheduler{}
+	missed := &fakeScheduler{down: func(fi int) bool { return fi == 20 }}
 	var nodes [2]*Runtime
-	for i, link := range []*fakeLink{heard, missed} {
-		cfg := baseConfig(0)
-		cfg.Link = link
-		if nodes[i], err = New(cfg); err != nil {
+	for i := range nodes {
+		if nodes[i], err = New(baseConfig(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,8 +97,8 @@ func TestMissedAssignmentRejoinsKeyFrameGrid(t *testing.T) {
 			level = 2
 		}
 		heard.level, missed.level = level, level
-		for _, rt := range nodes {
-			if err := rt.Step(fi, trace.Frames[fi].PerCamera[0]); err != nil {
+		for i, sched := range []*fakeScheduler{heard, missed} {
+			if err := sched.step(nodes[i], fi, trace.Frames[fi].PerCamera[0]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -119,152 +110,6 @@ func TestMissedAssignmentRejoinsKeyFrameGrid(t *testing.T) {
 	// Degraded from the lost round to the next key frame, and not beyond.
 	if got := nodes[1].Stats().DegradedFrames; got != 20 {
 		t.Fatalf("the node that missed round 20 ran %d frames degraded, want 20", got)
-	}
-}
-
-// TestChaosDegradedRejoinEndToEnd is the full-stack chaos run: two node
-// runtimes drive a real scheduler over loopback TCP through reconnecting
-// clients whose connections are deterministically killed every few
-// writes. Every node must finish its trace — degraded when a round gets
-// no assignment, rejoining when one does — the scheduler must never
-// deadlock (round timeouts bound every barrier), and the fault counters
-// must surface in the nodes' sink snapshots. Run under -race by CI's
-// chaos smoke step.
-func TestChaosDegradedRejoinEndToEnd(t *testing.T) {
-	world := twoCamWorld(5)
-	trace, err := world.Run(400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test := trace.SplitTrain()
-	model, err := assoc.Train(train, assoc.Factories{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles := []*profile.Profile{
-		profile.Derived(profile.JetsonXavier),
-		profile.Derived(profile.JetsonNano),
-	}
-	sched, err := cluster.NewScheduler(model, profiles, 0,
-		cluster.WithRoundTimeout(250*time.Millisecond),
-		cluster.WithLease(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = sched.Serve(ln) }()
-	defer func() {
-		sched.Close()
-		ln.Close()
-	}()
-
-	// Deterministic chaos: handshakes succeed (grace), then every 5th
-	// write kills the client's connection.
-	inj := faults.New(faults.Config{Seed: 23, Grace: 2, WriteCut: 5})
-
-	type camResult struct {
-		err      error
-		detected map[int]bool
-		stats    Stats
-		last     metrics.Snapshot
-	}
-	runCam := func(cam int, res *camResult, wg *sync.WaitGroup) {
-		defer wg.Done()
-		sc := world.Cameras[cam]
-		client := cluster.NewReconnectClient(cluster.ReconnectConfig{
-			Addr: ln.Addr().String(), Camera: cam,
-			FrameW: sc.ImageW, FrameH: sc.ImageH,
-			DialTimeout: 2 * time.Second,
-			IOTimeout:   2 * time.Second,
-			Backoff:     cluster.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond, Seed: int64(cam)},
-			MaxAttempts: 6,
-			Dial:        cluster.DialFunc(inj.Dialer(nil)),
-		})
-		defer client.Close()
-		if err := client.Connect(); err != nil {
-			res.err = err
-			return
-		}
-		ack := client.Ack()
-		sink := metrics.NewChannelSink(1, len(test.Frames)+1)
-		rt, err := New(Config{
-			Camera: cam, Frame: sc.Frame(), Profile: profiles[cam],
-			GridCols: ack.GridCols, GridRows: ack.GridRows, Coverage: ack.Coverage,
-			NumCameras: 2, Seed: 4, Sink: sink,
-			Link: client, Horizon: 10, Deadline: 2 * time.Second,
-		})
-		if err != nil {
-			res.err = err
-			return
-		}
-		// A round without guidance degrades the node; it keeps going.
-		for fi := range test.Frames {
-			if err := rt.Step(fi, test.Frames[fi].PerCamera[cam]); err != nil {
-				res.err = err
-				return
-			}
-		}
-		res.detected = rt.DetectedIDs()
-		res.stats = rt.Stats()
-		sink.Close()
-		for snap := range sink.Snapshots() {
-			res.last = snap
-		}
-	}
-
-	var wg sync.WaitGroup
-	var r0, r1 camResult
-	wg.Add(2)
-	go runCam(0, &r0, &wg)
-	go runCam(1, &r1, &wg)
-	wg.Wait()
-	if r0.err != nil || r1.err != nil {
-		t.Fatalf("node errors: %v / %v", r0.err, r1.err)
-	}
-
-	// The chaos schedule actually fired, and the clients recovered.
-	if inj.Faults() == 0 {
-		t.Fatal("no faults injected")
-	}
-	if r0.stats.Reconnects+r1.stats.Reconnects == 0 {
-		t.Fatal("no reconnects recorded despite injected kills")
-	}
-	// Every node processed its whole trace, degraded or not.
-	for i, r := range []camResult{r0, r1} {
-		if r.stats.Frames != len(test.Frames) {
-			t.Fatalf("camera %d processed %d/%d frames", i, r.stats.Frames, len(test.Frames))
-		}
-		// Counters flow into the snapshot stream.
-		if r.last.Reconnects != r.stats.Reconnects {
-			t.Fatalf("camera %d: snapshot reconnects %d != stats %d", i, r.last.Reconnects, r.stats.Reconnects)
-		}
-		if r.last.DegradedFrames != r.stats.DegradedFrames {
-			t.Fatalf("camera %d: snapshot degraded %d != stats %d", i, r.last.DegradedFrames, r.stats.DegradedFrames)
-		}
-	}
-
-	// Recall floor: even under faults the two nodes together must see
-	// most ground-truth objects — degraded mode keeps them inspecting.
-	truth := make(map[int]bool)
-	for fi := range test.Frames {
-		for id := range test.Frames[fi].VisibleObjectIDs() {
-			truth[id] = true
-		}
-	}
-	if len(truth) == 0 {
-		t.Skip("no objects in test half")
-	}
-	missed := 0
-	for id := range truth {
-		if !r0.detected[id] && !r1.detected[id] {
-			missed++
-		}
-	}
-	if frac := float64(missed) / float64(len(truth)); frac > 0.3 {
-		t.Fatalf("missed %d/%d distinct objects under chaos", missed, len(truth))
 	}
 }
 

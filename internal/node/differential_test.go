@@ -78,27 +78,14 @@ func composeRounds(rounds []metrics.Round, numCams int) []roundDecision {
 	return out
 }
 
-// recordingLink notes the frames its node key-framed on.
-type recordingLink struct {
-	Link
-	keyFrames []int
-}
-
-func (l *recordingLink) KeyFrame(fi int, tracks []cluster.TrackReport, deadline time.Duration) (*cluster.Assignment, error) {
-	l.keyFrames = append(l.keyFrames, fi)
-	return l.Link.KeyFrame(fi, tracks, deadline)
-}
-
 // loopbackRun is what one trace through a loopback cluster leaves
 // behind: the scheduler's round records and, per camera, the node's
-// snapshots, final counters, detected objects and the frames it
-// key-framed on.
+// snapshots, final counters and detected objects.
 type loopbackRun struct {
-	rounds    []metrics.Round
-	frames    [][]metrics.Snapshot
-	stats     []Stats
-	detected  []map[int]bool
-	keyFrames [][]int
+	rounds   []metrics.Round
+	frames   [][]metrics.Snapshot
+	stats    []Stats
+	detected []map[int]bool
 }
 
 // runLoopbackCluster drives the trace through a scheduler (sharded when
@@ -140,7 +127,7 @@ func runLoopbackCluster(t *testing.T, trace *scene.Trace, model *assoc.Model, pr
 	errs := make([]error, n)
 	run := loopbackRun{
 		frames: make([][]metrics.Snapshot, n), stats: make([]Stats, n),
-		detected: make([]map[int]bool, n), keyFrames: make([][]int, n),
+		detected: make([]map[int]bool, n),
 	}
 	var done sync.WaitGroup
 	done.Add(n)
@@ -157,24 +144,29 @@ func runLoopbackCluster(t *testing.T, trace *scene.Trace, model *assoc.Model, pr
 			}
 			defer client.Close()
 			ack := client.Ack()
-			link := &recordingLink{Link: client}
 			rt, err := New(Config{
 				Camera: cam, Frame: sc.Frame(), Profile: profiles[cam],
 				GridCols: ack.GridCols, GridRows: ack.GridRows, Coverage: ack.Coverage,
-				NumCameras: n, Seed: seed, Sink: logs[cam],
-				Link: link, Horizon: horizon, Deadline: 20 * time.Second,
+				NumCameras: n, Seed: seed, Sink: logs[cam], Horizon: horizon,
 			})
 			if err != nil {
 				errs[cam] = err
 				return
 			}
 			for fi := range trace.Frames {
-				if err := rt.Step(fi, trace.Frames[fi].PerCamera[cam]); err != nil {
+				reports, settle, err := rt.Step(fi, trace.Frames[fi].PerCamera[cam], 0)
+				if err == nil && settle != nil {
+					// A failed exchange is the miss, which the run fails on
+					// below.
+					a, _ := client.KeyFrame(fi, reports, 20*time.Second)
+					err = settle(a)
+				}
+				if err != nil {
 					errs[cam] = err
 					return
 				}
 			}
-			run.stats[cam], run.detected[cam], run.keyFrames[cam] = rt.Stats(), rt.DetectedIDs(), link.keyFrames
+			run.stats[cam], run.detected[cam] = rt.Stats(), rt.DetectedIDs()
 		}(cam)
 	}
 	done.Wait()
@@ -299,50 +291,5 @@ func TestInProcessMatchesLoopbackCluster(t *testing.T) {
 				t.Fatal("no camera ever held a shadow: the distributed stage was not exercised")
 			}
 		})
-	}
-}
-
-// TestAdaptLockstepOverLoopback runs the loopback cluster under a
-// scheduler-side controller whose SLO no round can meet, so the ladder
-// steps and the cadence stretches mid-run: every node, following only
-// the level its assignments carry, must key-frame on the same frames,
-// and every one of those rounds must complete with the whole roster —
-// no node left waiting for a peer on another grid (runLoopbackCluster
-// fails on a degraded frame).
-func TestAdaptLockstepOverLoopback(t *testing.T) {
-	const seed, horizon = 4, 10
-	s4 := workload.S4(3)
-	full, err := s4.World.Run(900)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, trace := full.SplitTrain()
-	model, err := assoc.Train(train, assoc.Factories{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clu := runLoopbackCluster(t, trace, model, s4.Profiles(), nil, seed, horizon, 0,
-		cluster.WithAdapt(adapt.Policy{SLO: time.Millisecond, Cooldown: 1}))
-
-	for cam, keys := range clu.keyFrames {
-		if !reflect.DeepEqual(keys, clu.keyFrames[0]) {
-			t.Fatalf("camera %d key-framed on %v, camera 0 on %v", cam, keys, clu.keyFrames[0])
-		}
-		if last := clu.frames[cam][len(clu.frames[cam])-1]; last.AdaptLevel < 1 {
-			t.Fatalf("camera %d ended at adapt level %d: the ladder never stepped", cam, last.AdaptLevel)
-		}
-	}
-	keys := clu.keyFrames[0]
-	t.Logf("key frames: %v", keys)
-	if plain := (len(trace.Frames) + horizon - 1) / horizon; len(keys) >= plain {
-		t.Fatalf("%d key frames over %d frames: the cadence never stretched", len(keys), len(trace.Frames))
-	}
-	if len(clu.rounds) != len(keys) {
-		t.Fatalf("scheduler completed %d rounds, nodes key-framed %d times", len(clu.rounds), len(keys))
-	}
-	for i, r := range clu.rounds {
-		if r.Frame != keys[i] || r.Partial {
-			t.Fatalf("round %d: frame %d partial=%v, want frame %d with the full roster", i, r.Frame, r.Partial, keys[i])
-		}
 	}
 }

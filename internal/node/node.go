@@ -5,17 +5,17 @@
 // central scheduler over the cluster protocol.
 //
 // The in-process pipeline package hosts the same kernel for evaluation;
-// this package is the deployable host. What it owns is what only a node
-// has: the frame loop's body (Step — the key-frame cadence, the report →
-// assignment exchange over its Link, degrade-on-error and rejoin, the
-// heartbeat between key frames), building the horizon's ownership policy
-// from the wire (scoped or global priority, dead set), following the
-// scheduler's degradation rung, the degraded/reconnect/outage counters,
-// and its snapshot stream.
+// this package is the deployable host. It owns what only a node has: the
+// frame loop's body (Step: the key-frame cadence, the reports it returns
+// and the assignment or miss it takes back, degrade and rejoin), the
+// ownership policy built from the wire, the scheduler's degradation
+// rung, the fault counters, and the snapshot stream. It does no I/O and
+// reads no clock: the exchange is its shell's (cmd/mvnode).
 package node
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mvs/internal/adapt"
@@ -29,18 +29,6 @@ import (
 	"mvs/internal/vision"
 )
 
-// Link is the node's end of its scheduler connection, as Step uses it;
-// *cluster.Client and *cluster.ReconnectClient are the two that ship.
-type Link interface {
-	// KeyFrame uploads a key frame's track reports and waits up to
-	// deadline for that round's assignment.
-	KeyFrame(frame int, tracks []cluster.TrackReport, deadline time.Duration) (*cluster.Assignment, error)
-	// Ping refreshes this camera's liveness lease between key frames.
-	Ping(timeout time.Duration) error
-	// Reconnects is the cumulative count of re-established connections.
-	Reconnects() int
-}
-
 // Runtime is one camera node's state.
 type Runtime struct {
 	camera int
@@ -51,22 +39,16 @@ type Runtime struct {
 	// out is the kernel's frame record, reused every frame.
 	out camera.Frame
 
-	link           Link
-	horizon        int
-	deadline       time.Duration
-	heartbeatEvery int
+	horizon int
 
-	// Degraded mode: true while the node operates without scheduler
-	// guidance — from a key frame whose assignment never arrived until
-	// the next one that does. The node keeps inspecting all of its own
+	// degraded is set from a key frame whose assignment never arrived to
+	// the next one whose does: the node keeps inspecting all of its own
 	// tracks under the last-known priority order and cell masks.
 	degraded bool
 
-	// adaptLevel is the degradation-ladder rung carried by the last
-	// applied assignment (scheduler-side WithAdapt): the kernel's size
-	// cap follows it, and Step stretches the key-frame cadence by
-	// adapt.StretchFor(adaptLevel). adaptTransitions counts the level
-	// changes this node has applied.
+	// adaptLevel is the ladder rung of the last applied assignment: the
+	// kernel's size cap and Step's key-frame stretch follow it.
+	// adaptTransitions counts the level changes applied.
 	adaptLevel       int
 	adaptTransitions int
 
@@ -106,17 +88,9 @@ type Config struct {
 	// recall — it never sees the cross-camera truth denominator — so the
 	// recall fields stay zero.
 	Sink metrics.Sink
-	// Link is the scheduler connection Step exchanges key frames over.
-	Link Link
 	// Horizon is T, the frames per scheduling horizon: Step full-inspects
-	// and uploads on the adapt.KeyFrame grid of it.
+	// and reports on the adapt.KeyFrame grid of it.
 	Horizon int
-	// Deadline is how long a key frame waits for its assignment before
-	// the node degrades (0 = the link's default).
-	Deadline time.Duration
-	// HeartbeatEvery pings the scheduler on every N-th frame that is not
-	// a key frame, keeping a liveness lease fresh (0 = never).
-	HeartbeatEvery int
 }
 
 // New builds a camera runtime.
@@ -126,9 +100,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.NumCameras <= 0 {
 		return nil, fmt.Errorf("node: NumCameras must be positive")
-	}
-	if cfg.Link == nil {
-		return nil, fmt.Errorf("node: nil Link")
 	}
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("node: Horizon must be positive")
@@ -167,45 +138,36 @@ func New(cfg Config) (*Runtime, error) {
 		label:    fmt.Sprintf("camera%d", cfg.Camera),
 		detected: make(map[int]bool),
 
-		link:           cfg.Link,
-		horizon:        cfg.Horizon,
-		deadline:       cfg.Deadline,
-		heartbeatEvery: cfg.HeartbeatEvery,
+		horizon: cfg.Horizon,
 	}, nil
 }
 
-// Step processes frame fi of this camera's stream. On a key frame
-// (adapt.KeyFrame, stretched by the last assignment's level) it runs the
-// full-frame inspection, uploads the track reports and applies the
-// round's assignment; a round that yields none puts the node in degraded
-// mode, and the next one that does rejoins it. On every other frame it
-// runs the sliced inspection and the distributed stage, and sends the
-// configured heartbeat. A returned error is the node's own (kernel,
-// malformed assignment) — a link failure never is.
-func (r *Runtime) Step(fi int, obs []scene.Observation) error {
-	if adapt.KeyFrame(fi, r.horizon, adapt.StretchFor(r.adaptLevel)) {
-		reports, err := r.keyFrame(obs)
-		if err != nil {
-			return err
-		}
-		a, err := r.link.KeyFrame(fi, reports, r.deadline)
-		r.reconnects = max(r.reconnects, r.link.Reconnects())
-		if err != nil {
+// Step processes frame fi of this camera's stream; reconnects is the
+// scheduler connection's reconnect count so far, which the frame's
+// snapshot reports. On a key frame (adapt.KeyFrame, stretched by the
+// last assignment's level) it runs the full-frame inspection and returns
+// the track reports to upload with settle, which takes the round's
+// outcome once the exchange is over: the assignment, applied, or nil —
+// the miss — which puts the node in degraded mode until a later key
+// frame's assignment rejoins it. The runtime is not to be stepped before
+// settle has run. On every other frame it runs the sliced inspection and
+// the distributed stage and returns neither. A returned error is the
+// node's own (kernel, malformed assignment).
+func (r *Runtime) Step(fi int, obs []scene.Observation, reconnects int) (reports []cluster.TrackReport, settle func(*cluster.Assignment) error, err error) {
+	r.reconnects = max(r.reconnects, reconnects)
+	if !adapt.KeyFrame(fi, r.horizon, adapt.StretchFor(r.adaptLevel)) {
+		return nil, nil, r.regularFrame(obs)
+	}
+	if reports, err = r.keyFrame(obs); err != nil {
+		return nil, nil, err
+	}
+	return reports, func(a *cluster.Assignment) error {
+		if a == nil {
 			r.degraded = true
 			return nil
 		}
 		return r.applyAssignment(a)
-	}
-	if err := r.regularFrame(obs); err != nil {
-		return err
-	}
-	if r.heartbeatEvery > 0 && fi%r.heartbeatEvery == 0 {
-		// A failed ping already triggered the link's reconnect attempts;
-		// the error itself is not actionable here.
-		_ = r.link.Ping(0)
-		r.reconnects = max(r.reconnects, r.link.Reconnects())
-	}
-	return nil
+	}, nil
 }
 
 // finishFrame prices the kernel's frame record on the node's own GPU,
@@ -307,23 +269,11 @@ func (r *Runtime) applyAssignment(a *cluster.Assignment) error {
 	if len(a.Dead) > 0 {
 		// The scheduler's liveness leases feed the distributed stage:
 		// every node installs the identical dead set, so failover
-		// ownership decisions stay communication-free.
-		// Size the mask by the largest camera index on the wire, not
-		// len(Priority): a scoped assignment's priority holds sparse
-		// global indices, and the dead set may name foreign-shard
-		// cameras (whose entries the scoped policy simply ignores).
-		maxCam := -1
-		for _, c := range a.Priority {
-			if c > maxCam {
-				maxCam = c
-			}
-		}
-		for _, c := range a.Dead {
-			if c > maxCam {
-				maxCam = c
-			}
-		}
-		mask := make([]bool, maxCam+1)
+		// ownership decisions stay communication-free. The mask spans the
+		// largest camera index on the wire: a scoped assignment's priority
+		// holds sparse global indices, and the dead set may name
+		// foreign-shard cameras (which the scoped policy ignores).
+		mask := make([]bool, max(slices.Max(a.Priority), slices.Max(a.Dead))+1)
 		for _, c := range a.Dead {
 			if c >= 0 {
 				mask[c] = true
@@ -374,8 +324,7 @@ type Stats struct {
 	// DegradedFrames is how many frames ran in degraded mode (no
 	// scheduler assignment; see Degraded).
 	DegradedFrames int
-	// Reconnects is the link's cumulative reconnect count as of the last
-	// exchange or heartbeat.
+	// Reconnects is the connection's reconnect count as of the last Step.
 	Reconnects int
 	// OutageFrames is how many frames were lost to camera faults (see
 	// OutageFrame).

@@ -1,11 +1,9 @@
 package node
 
 import (
-	"errors"
 	"math"
 	"runtime"
 	"testing"
-	"time"
 
 	"mvs/internal/adapt"
 	"mvs/internal/assoc"
@@ -32,25 +30,29 @@ func twoCamWorld(seed int64) *scene.World {
 	}
 }
 
-// fakeLink stands in for the scheduler where a test feeds a Runtime by
-// hand: every key frame is answered with a keep-everything assignment
-// at its level, except the frames down names, which get no answer.
-type fakeLink struct {
+// fakeScheduler stands in for the scheduler where a test feeds a
+// Runtime by hand: every key frame is answered with a keep-everything
+// assignment at its level, except the frames down names, which get no
+// answer (the miss).
+type fakeScheduler struct {
 	down       func(fi int) bool
 	level      int
 	reconnects int
 	keyFrames  []int
 }
 
-func (l *fakeLink) KeyFrame(fi int, _ []cluster.TrackReport, _ time.Duration) (*cluster.Assignment, error) {
-	l.keyFrames = append(l.keyFrames, fi)
-	if l.down != nil && l.down(fi) {
-		return nil, errors.New("scheduler unreachable")
+// step runs frame fi on rt and settles its key frame.
+func (f *fakeScheduler) step(rt *Runtime, fi int, obs []scene.Observation) error {
+	_, settle, err := rt.Step(fi, obs, f.reconnects)
+	if err != nil || settle == nil {
+		return err
 	}
-	return &cluster.Assignment{Frame: fi, Priority: []int{0, 1}, AdaptLevel: l.level}, nil
+	f.keyFrames = append(f.keyFrames, fi)
+	if f.down != nil && f.down(fi) {
+		return settle(nil)
+	}
+	return settle(&cluster.Assignment{Frame: fi, Priority: []int{0, 1}, AdaptLevel: f.level})
 }
-func (l *fakeLink) Ping(time.Duration) error { return nil }
-func (l *fakeLink) Reconnects() int          { return l.reconnects }
 
 func baseConfig(cam int) Config {
 	return Config{
@@ -61,7 +63,6 @@ func baseConfig(cam int) Config {
 		GridRows:   9,
 		NumCameras: 2,
 		Seed:       9,
-		Link:       &fakeLink{},
 		Horizon:    10,
 	}
 }
@@ -81,11 +82,6 @@ func TestNewValidation(t *testing.T) {
 	cfg.Profile = nil
 	if _, err := New(cfg); err == nil {
 		t.Fatal("nil profile accepted")
-	}
-	cfg = baseConfig(0)
-	cfg.Link = nil
-	if _, err := New(cfg); err == nil {
-		t.Fatal("nil link accepted")
 	}
 	cfg = baseConfig(0)
 	cfg.Horizon = 0
@@ -111,9 +107,10 @@ func TestStandaloneLoopWithoutMasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Standalone: the fake link answers with an identity assignment.
+	// Standalone: the fake scheduler answers with an identity assignment.
+	sched := &fakeScheduler{}
 	for fi := range trace.Frames {
-		if err := rt.Step(fi, trace.Frames[fi].PerCamera[0]); err != nil {
+		if err := sched.step(rt, fi, trace.Frames[fi].PerCamera[0]); err != nil {
 			t.Fatal(err)
 		}
 	}

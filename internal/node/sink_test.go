@@ -23,8 +23,9 @@ func TestNodeSinkSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched := &fakeScheduler{}
 	for fi := range trace.Frames {
-		if err := rt.Step(fi, trace.Frames[fi].PerCamera[0]); err != nil {
+		if err := sched.step(rt, fi, trace.Frames[fi].PerCamera[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
