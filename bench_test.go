@@ -1,8 +1,9 @@
-// Package mvs's root benchmarks time the layers and ablate the design
-// choices the paper calls out (optimality gap, batch awareness, the
-// central stage's scaling). The paper's tables and figures themselves
-// are regenerated in one place, `mvexp -exp ...` (DESIGN.md's experiment
-// index); the end-to-end benchmark with paired runs lives in bench/.
+// Package mvs's root benchmarks time the layers: the central stage and
+// its scaling, association, training, the streaming engine and live
+// ingest. Every table, figure and ablation (optimality gap, batch
+// awareness, heterogeneity) is regenerated in one place, `mvexp -exp
+// ...` (DESIGN.md's experiment index); the end-to-end benchmark with
+// paired runs lives in bench/.
 package mvs
 
 import (
@@ -21,7 +22,7 @@ import (
 	"mvs/internal/workload"
 )
 
-// --- Ablation and micro benches (DESIGN.md section 5) ---
+// --- Central-stage and association benches ---
 
 // randomInstance builds a synthetic MVS instance.
 func randomInstance(rng *rand.Rand, m, n int) ([]core.CameraSpec, []core.ObjectSpec) {
@@ -42,92 +43,6 @@ func randomInstance(rng *rand.Rand, m, n int) ([]core.CameraSpec, []core.ObjectS
 		objects[i] = core.ObjectSpec{ID: i + 1, Coverage: perm, Size: sz}
 	}
 	return cams, objects
-}
-
-// BenchmarkAblationBatchAwareness compares BALB with and without the
-// incomplete-batch rule and reports the latency inflation of turning
-// batching off.
-func BenchmarkAblationBatchAwareness(b *testing.B) {
-	// Batch-heavy instance: many same-size objects in a shared region,
-	// where the incomplete-batch rule does its work.
-	cams := []core.CameraSpec{
-		{Index: 0, Profile: profile.Derived(profile.JetsonXavier)},
-		{Index: 1, Profile: profile.Derived(profile.JetsonTX2)},
-		{Index: 2, Profile: profile.Derived(profile.JetsonNano)},
-	}
-	objects := make([]core.ObjectSpec, 60)
-	for i := range objects {
-		objects[i] = core.ObjectSpec{
-			ID:       i + 1,
-			Coverage: []int{0, 1, 2},
-			Size:     map[int]int{0: 64, 1: 64, 2: 64},
-		}
-	}
-	var maxInflation, busyInflation float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		with, err := core.Central(cams, objects, core.CentralOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		without, err := core.Central(cams, objects, core.CentralOptions{DisableBatching: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Two views of the cost: the min-max objective (system latency as
-		// scheduled, one GPU launch per object without batching) and the
-		// total GPU busy time across cameras. Batching's headline effect
-		// is on busy time — serialized per-object launches pay the full
-		// batch latency each.
-		// Strip the constant key-frame full-inspection term so the
-		// comparison isolates the partial-inspection work.
-		sumOf := func(s *core.Solution) float64 {
-			var sum float64
-			for i, l := range s.Latencies {
-				sum += float64(l - cams[i].Profile.FullFrame)
-			}
-			return sum
-		}
-		maxInflation = float64(without.System()) / float64(with.System())
-		busyInflation = sumOf(without) / sumOf(with)
-	}
-	b.ReportMetric(maxInflation, "no-batching-maxlat-x")
-	b.ReportMetric(busyInflation, "no-batching-busytime-x")
-}
-
-// BenchmarkAblationOptimalityGap measures BALB's system latency against
-// the brute-force optimum over a fixed, seeded set of small instances,
-// built and solved to optimality once: the reported worst ratio is the
-// same however many iterations the benchmark runs.
-func BenchmarkAblationOptimalityGap(b *testing.B) {
-	const instances = 200
-	rng := rand.New(rand.NewSource(6))
-	type instance struct {
-		cams    []core.CameraSpec
-		objects []core.ObjectSpec
-		opt     float64
-	}
-	set := make([]instance, instances)
-	for i := range set {
-		cams, objects := randomInstance(rng, 3, 6)
-		opt, err := core.BruteForce(cams, core.NewInstance(objects), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		set[i] = instance{cams, objects, float64(opt.System())}
-	}
-	worst := 1.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range set {
-			balb, err := core.Central(in.cams, in.objects, core.CentralOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			worst = max(worst, float64(balb.System())/in.opt)
-		}
-	}
-	b.ReportMetric(worst, "worst-balb/opt")
 }
 
 // BenchmarkCentralStage measures the central-stage scheduling cost at the

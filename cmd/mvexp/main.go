@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mvexp [-exp all|table1|fig2|fig10|fig11|fig12|fig13|table2|fig14|
-//	           sweep|occlusion|chaos|shard|shed|adapt|tenants]
+//	           sweep|occlusion|chaos|shard|shed|adapt|tenants|ablation]
 //	      [-scenario all|S1|S2|S3|S4|C<n>] [-frames N] [-seed N]
 //	      [-workers N] [-csv dir] [-metrics-addr :8080]
 //	      [-metrics-jsonl run.jsonl] [-cam-faults seed=7,rate=0.1]
@@ -13,14 +13,16 @@
 //
 // Every study is an experiments.Study: a title, the labelled arms it
 // runs, its columns and its expected shape. -exp all runs the paper's
-// eight (Table I, Figs. 2 and 10-14, Table II); the seven extension
+// eight (Table I, Figs. 2 and 10-14, Table II); the eight extension
 // studies run only when named: the arrival-rate sweep, the
 // redundancy-2 occlusion study, the camera-outage chaos sweep, the
 // shard-count sweep on a 64-camera corridor (its own fleet, whatever
 // -scenario says), the ingest-overload shed-policy sweep, the
 // degradation-control-loop sweep (controller on vs shed-only, tunable
-// with -adapt) and the consolidated-vs-dedicated tenant sweep of
-// docs/SERVING.md.
+// with -adapt), the consolidated-vs-dedicated tenant sweep of
+// docs/SERVING.md, and the ablations of Algorithm 1 (optimality gap,
+// batch awareness, heterogeneity) on seeded synthetic instances, no
+// world and no scenario.
 //
 // -scenario names one workload.ByName scenario for every study; "all"
 // runs each study on its defaults: S1, S2 and S3, except Fig. 14 and the

@@ -39,11 +39,13 @@ func mustContain(t *testing.T, out string, err error, want ...string) {
 
 // TestEveryStudy runs each registered study on S1 and checks what it
 // prints and the CSV it writes: the header is its column list and the
-// row count its shape on S1 (the shard sweep keeps its own C64 fleet).
+// row count its shape on S1 (the shard sweep keeps its own C64 fleet, the
+// ablations their synthetic instances).
 func TestEveryStudy(t *testing.T) {
 	wantRows := map[string]int{
 		"table1": 5, "fig2": 5, "fig10": 4, "fig11": 4, "fig12": 5, "fig13": 5, "table2": 1, "fig14": 6,
 		"sweep": 3, "occlusion": 2, "chaos": 3, "shard": 4, "shed": 12, "adapt": 4, "tenants": 5,
+		"ablation": 18,
 	}
 	studies := experiments.Studies()
 	if len(studies) != len(wantRows) {

@@ -60,7 +60,6 @@ import (
 	"mvs/internal/pipeline"
 	"mvs/internal/scene"
 	"mvs/internal/store"
-	"mvs/internal/workload"
 )
 
 func main() {
@@ -72,7 +71,6 @@ type options struct {
 	scenario, mode  string
 	frames, horizon int
 	seed            int64
-	saveTrace       string
 	pace, stall     time.Duration
 	replay          string
 	verify, recover bool
@@ -95,7 +93,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	fs.IntVar(&o.frames, "frames", 1200, "trace length in frames (10 FPS)")
 	fs.IntVar(&o.horizon, "horizon", 10, "frames per scheduling horizon (T)")
 	fs.Int64Var(&o.seed, "seed", 42, "simulation seed")
-	fs.StringVar(&o.saveTrace, "save-trace", "", "write the generated trace as JSON and exit")
 	fs.DurationVar(&o.pace, "pace", 0, "throttle the trace to one frame per interval (e.g. 5ms), so the run spans wall time")
 	fs.DurationVar(&o.stall, "ingest-stall", 30*time.Second, "live-ingest watchdog deadline: fail the run if no frame assembles for this long (0 disables)")
 	fs.StringVar(&o.replay, "replay", "", "re-drive the run recorded in this run-store directory instead of generating one")
@@ -124,35 +121,9 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	case shared.IngestAddr != "" && shared.CamFaults != "":
 		return errors.New("-cam-faults schedules are trace-indexed and cannot be combined with -ingest-addr (use mvingest -faults for live network chaos)")
 	}
-	if o.saveTrace != "" {
-		return dumpTrace(o.scenario, o.frames, o.seed, o.saveTrace, fs.Output())
-	}
 	return shared.WithExport(func(export *metrics.Export) error {
 		return simulate(o, shared, export, stdout, fs.Output())
 	})
-}
-
-// dumpTrace archives a generated workload for external analysis.
-func dumpTrace(scenario string, frames int, seed int64, path string, stderr io.Writer) error {
-	s, err := workload.ByName(scenario, seed)
-	if err != nil {
-		return err
-	}
-	trace, err := s.World.Run(frames)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := trace.Save(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote %d frames (%d cameras) to %s\n",
-		len(trace.Frames), len(trace.Cameras), path)
-	return f.Close()
 }
 
 // openReplay opens the -replay store (repairing it first under -recover)

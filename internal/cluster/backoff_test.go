@@ -155,6 +155,44 @@ func TestReconnectClientRecoversMidSchedule(t *testing.T) {
 	}
 }
 
+// TestStaleRoundSettlesAsMiss: a key frame whose round the scheduler
+// already scheduled is answered "stale round". The machine settles it as
+// a miss at once — no drop, no backoff, no redial, no resend — and the
+// live connection carries the next key frame.
+func TestStaleRoundSettlesAsMiss(t *testing.T) {
+	m := nodeMachine{camera: 1, seed: 7, attempts: 4}
+	now := epoch
+	if acts := m.connect(now); !acts.dial {
+		t.Fatalf("connect: %+v, want a dial", acts)
+	}
+	if acts := m.dialed(nil, now); !acts.done || acts.err != nil {
+		t.Fatalf("dialed: %+v, want settled", acts)
+	}
+	acts := m.keyFrame(20, nil, 0, now)
+	if acts.send == nil || !acts.await {
+		t.Fatalf("key frame: %+v, want the report sent and awaited", acts)
+	}
+	acts = m.reply(&Envelope{Type: TypeError, Error: staleRound + ": frame 20, round 30 already scheduled"}, now)
+	if !acts.done || !errors.Is(acts.err, errStaleRound) || acts.assignment != nil || acts.drop || acts.dial || acts.send != nil {
+		t.Fatalf("stale answer: %+v, want a miss settled on the live connection", acts)
+	}
+	if !m.up || m.reconnects != 0 || m.op != nil {
+		t.Fatalf("after the miss: up %v, reconnects %d, op %+v; want the connection kept", m.up, m.reconnects, m.op)
+	}
+	acts = m.keyFrame(40, nil, 0, now)
+	if acts.dial || acts.send == nil || acts.send.Detections.Frame != 40 {
+		t.Fatalf("next key frame: %+v, want its report sent on the live connection", acts)
+	}
+	if acts = m.reply(&Envelope{Type: TypeAssignment, Assignment: &Assignment{Frame: 40}}, now); !acts.done || acts.err != nil || acts.assignment == nil {
+		t.Fatalf("next key frame's assignment: %+v", acts)
+	}
+	// Any other scheduler error still fails the attempt.
+	m.keyFrame(50, nil, 0, now)
+	if acts = m.reply(&Envelope{Type: TypeError, Error: "camera 1 not registered"}, now); acts.done || !acts.drop {
+		t.Fatalf("other error: %+v, want the attempt failed and the connection dropped", acts)
+	}
+}
+
 func TestReconnectClientClosedFailsFast(t *testing.T) {
 	rc := NewReconnectClient(ReconnectConfig{
 		Addr: "test:0", Camera: 0,

@@ -151,7 +151,7 @@ func (c *Client) do(begin func(t time.Time) nodeActions) (*Assignment, error) {
 		event := c.m.tick
 		switch {
 		case acts.done:
-			if acts.err != nil && c.m.attempts > 1 {
+			if acts.err != nil && c.m.attempts > 1 && !errors.Is(acts.err, errStaleRound) {
 				c.logger.Printf("cluster: camera %d gave up after %d attempts: %v", c.m.camera, c.m.attempts, acts.err)
 			}
 			return acts.assignment, acts.err

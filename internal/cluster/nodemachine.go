@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -37,6 +38,10 @@ type nodeOp struct {
 	attempt          int
 	expires, retryAt time.Time
 }
+
+// errStaleRound marks a key frame the scheduler answered "stale round":
+// a miss, not an operation that gave up.
+var errStaleRound = errors.New("cluster: key frame missed its round")
 
 // nodeActions is what one event asks of the shell, in order: tear the
 // live connection down (drop), dial a new one and answer with dialed,
@@ -115,14 +120,19 @@ func (m *nodeMachine) dialed(err error, t time.Time) nodeActions {
 // is awaited. A key frame is
 // settled by the assignment for its own frame; an assignment for another
 // round (stale: its round was given up on, or a reconnect raced it) is
-// skipped. A heartbeat is settled by the pong echoing its number (or
-// none). A scheduler error fails either; every other message — pongs and
-// assignments not asked for, types this version does not know — is
+// skipped. A key frame answered "stale round" is settled as a miss on
+// the live connection: its round is scheduled, so no resend can join
+// it. A heartbeat is settled by the pong echoing its number (or none).
+// Any other scheduler error fails either; every other message — pongs
+// and assignments not asked for, types this version does not know — is
 // skipped, so protocol additions and reconnect races never fail an
 // operation.
 func (m *nodeMachine) reply(env *Envelope, t time.Time) nodeActions {
 	op := m.op
 	switch {
+	case env.Type == TypeError && op.env.Type == TypeDetections && strings.HasPrefix(env.Error, staleRound):
+		m.op = nil
+		return nodeActions{done: true, err: fmt.Errorf("%w: camera %d: %s", errStaleRound, m.camera, env.Error)}
 	case env.Type == TypeError:
 		return m.fail(fmt.Errorf("cluster: scheduler error: %s", env.Error), t)
 	case op.env.Type == TypeDetections && env.Type == TypeAssignment:

@@ -432,6 +432,16 @@ func priorityFromLatencies(dst []int, lat []time.Duration) []int {
 	return dst
 }
 
+// priced returns assign with the latencies and priority it implies on a
+// prepared instance.
+func (w *Solver) priced(cams []CameraSpec, in *Instance, assign []int) (*Solution, error) {
+	lat, err := w.cameraLatencies(cams, in, assign, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{Assign: assign, Latencies: lat, Priority: priorityFromLatencies(nil, lat)}, nil
+}
+
 // BruteForce solves MVS exactly by enumerating all feasible single-camera
 // assignments. It is exponential (prod |C_j|) and intended only for small
 // instances in tests and optimality-gap experiments. It returns an error

@@ -309,3 +309,54 @@ func TestShardSweepSmall(t *testing.T) {
 		t.Fatalf("sharding cost %.3f recall", diff)
 	}
 }
+
+// TestAblationExpect holds the ablation study's rows to its Expect
+// sentence: BALB at the optimum on every small instance, busy time more
+// than 10x without batching, BALB's Nano below SP's and BALB-Ind's, and
+// every shared object on the Xavier.
+func TestAblationExpect(t *testing.T) {
+	st := study(t, "ablation")
+	rows, err := (&Harness{}).Run(st, st.ScenariosFor("all")[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := map[[3]string]float64{}
+	for _, r := range rows {
+		var v float64
+		switch x := r[3].(type) {
+		case float64:
+			v = x
+		case int64:
+			v = float64(x)
+		case int:
+			v = float64(x)
+		default:
+			t.Fatalf("row %v: value of type %T", r, x)
+		}
+		cell[[3]string{r[0].(string), r[1].(string), r[2].(string)}] = v
+	}
+	get := func(ablation, arm, metric string) float64 {
+		t.Helper()
+		v, ok := cell[[3]string{ablation, arm, metric}]
+		if !ok {
+			t.Fatalf("no row %s/%s/%s in %v", ablation, arm, metric, rows)
+		}
+		return v
+	}
+	if worst := get("optimality", "BALB", "worst_over_optimum"); worst != 1 {
+		t.Errorf("worst BALB-to-optimum ratio = %.4f, want 1.000", worst)
+	}
+	if busy := get("batching", "BALB-no-batching", "busy_time_x"); busy <= 10 {
+		t.Errorf("busy-time inflation without batching = %.2fx, want above 10x", busy)
+	}
+	nano := get("heterogeneity", "BALB", "nano_ms")
+	for _, arm := range []string{"SP", "BALB-Ind"} {
+		if other := get("heterogeneity", arm, "nano_ms"); nano >= other {
+			t.Errorf("BALB's Nano %v ms is not below %s's %v ms", nano, arm, other)
+		}
+	}
+	onXavier := get("heterogeneity", "BALB", "shared_on_xavier")
+	if elsewhere := get("heterogeneity", "BALB", "shared_on_nano") + get("heterogeneity", "BALB", "shared_on_tx2"); onXavier == 0 || elsewhere != 0 {
+		t.Errorf("shared objects: %v on the Xavier, %v elsewhere; want all on the Xavier", onXavier, elsewhere)
+	}
+}

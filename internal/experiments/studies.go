@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"time"
 
 	"mvs/internal/adapt"
 	"mvs/internal/camfault"
+	"mvs/internal/core"
 	"mvs/internal/geom"
 	"mvs/internal/metrics"
 	"mvs/internal/pipeline"
@@ -18,7 +20,7 @@ import (
 )
 
 // Studies lists every study in the order mvexp prints them: the paper's
-// eight, then the seven extensions.
+// eight, then the eight extensions.
 func Studies() []*Study {
 	return []*Study{
 		{
@@ -105,6 +107,14 @@ func Studies() []*Study {
 			Expect: "consolidation packs cross-tenant work into fuller batches, so at every tenant count its worst per-tenant " +
 				"P99 and SLO violations sit at or below the dedicated baseline's, decisively so once the dedicated slices " +
 				"saturate (docs/SERVING.md)",
+		},
+		{
+			Name: "ablation", Title: "Ablations: BALB against the optimum, without batching, and on a mixed fleet", plan: ablation,
+			scenarios: []string{"synthetic"}, pinned: true,
+			Columns: []Column{{"ablation", 0}, {"arm", 0}, {"metric", 0}, {"value", 3}},
+			Expect: "BALB equals the brute-force optimum on every small instance (worst ratio 1.000); without " +
+				"batching the max latency holds but GPU busy time inflates more than 10x; on the Nano/TX2/Xavier " +
+				"fleet BALB puts every shared object on the Xavier, so its Nano latency sits below SP's and BALB-Ind's",
 		},
 	}
 }
@@ -511,6 +521,159 @@ func tenantSweep(p *plan) error {
 			return []any{p.scenario, n, p99[0], p99[1], con.SLOViolations, ded.SLOViolations, con.ShedTasks, ded.ShedTasks,
 				con.SharedBatches, con.MeanOccupancy, ded.MeanOccupancy, throughput[0], throughput[1]}
 		})
+	}
+	return nil
+}
+
+// ablation prices Algorithm 1's design claims on synthetic instances, no
+// world: its gap to the brute-force optimum, its batch awareness
+// (core.CentralOptions.DisableBatching) and its heterogeneity awareness
+// against SP and BALB-Ind.
+func ablation(p *plan) error {
+	worst, err := optimalityGap()
+	if err != nil {
+		return err
+	}
+	p.row("optimality", "BALB", "worst_over_optimum", worst)
+
+	maxX, busyX, err := batchInflation()
+	if err != nil {
+		return err
+	}
+	p.row("batching", "BALB-no-batching", "max_latency_x", maxX)
+	p.row("batching", "BALB-no-batching", "busy_time_x", busyX)
+	return heterogeneity(p)
+}
+
+// ablationFleet is one camera per device class, Nano first.
+var ablationFleet = []struct {
+	name  string
+	class profile.DeviceClass
+}{{"nano", profile.JetsonNano}, {"tx2", profile.JetsonTX2}, {"xavier", profile.JetsonXavier}}
+
+// fleetSpecs returns cameras of the named ablationFleet classes, in order.
+func fleetSpecs(classes ...int) []core.CameraSpec {
+	cams := make([]core.CameraSpec, len(classes))
+	for i, k := range classes {
+		cams[i] = core.CameraSpec{Index: i, Profile: profile.Derived(ablationFleet[k].class)}
+	}
+	return cams
+}
+
+// optimalityGap is the worst ratio of BALB's system latency to the
+// optimum over 200 seeded 3-camera, 6-object instances: each object is
+// seen by a random subset of the cameras, at a random size per camera.
+func optimalityGap() (float64, error) {
+	rng := rand.New(rand.NewSource(6))
+	sizes := []int{64, 128, 256, 512}
+	cams := fleetSpecs(0, 1, 2)
+	worst := 1.0
+	for range 200 {
+		objects := make([]core.ObjectSpec, 6)
+		for i := range objects {
+			k := 1 + rng.Intn(len(cams))
+			cover := rng.Perm(len(cams))[:k]
+			sz := make(map[int]int, len(cover))
+			for _, c := range cover {
+				sz[c] = sizes[rng.Intn(len(sizes))]
+			}
+			objects[i] = core.ObjectSpec{ID: i + 1, Coverage: cover, Size: sz}
+		}
+		opt, err := core.BruteForce(cams, core.NewInstance(objects), 0)
+		if err != nil {
+			return 0, err
+		}
+		balb, err := core.Central(cams, objects, core.CentralOptions{})
+		if err != nil {
+			return 0, err
+		}
+		worst = max(worst, float64(balb.System())/float64(opt.System()))
+	}
+	return worst, nil
+}
+
+// batchInflation solves a batch-heavy instance — 60 same-size objects
+// every camera sees — with and without the incomplete-batch rule, and
+// returns the no-batching solution's max latency and GPU busy time over
+// BALB's. Busy time leaves out the key frame's fixed full-frame pass.
+func batchInflation() (maxX, busyX float64, err error) {
+	cams := fleetSpecs(2, 1, 0)
+	objects := make([]core.ObjectSpec, 60)
+	for i := range objects {
+		objects[i] = core.ObjectSpec{ID: i + 1, Coverage: []int{0, 1, 2}, Size: map[int]int{0: 64, 1: 64, 2: 64}}
+	}
+	with, err := core.Central(cams, objects, core.CentralOptions{})
+	if err != nil {
+		return 0, 0, err
+	}
+	without, err := core.Central(cams, objects, core.CentralOptions{DisableBatching: true})
+	if err != nil {
+		return 0, 0, err
+	}
+	busy := func(s *core.Solution) (sum float64) {
+		for i, l := range s.Latencies {
+			sum += float64(l - cams[i].Profile.FullFrame)
+		}
+		return sum
+	}
+	return float64(without.System()) / float64(with.System()), busy(without) / busy(with), nil
+}
+
+// heterogeneity schedules 30 seeded objects on the Nano/TX2/Xavier fleet
+// — each seen by all three cameras with probability 0.6, else by one — and adds
+// each arm's per-camera scheduled latency (ms, key-frame full inspection
+// included) and where BALB put the shared objects.
+func heterogeneity(p *plan) error {
+	rng := rand.New(rand.NewSource(3))
+	sizes := []int{64, 128, 256}
+	cams := fleetSpecs(0, 1, 2)
+	objects := make([]core.ObjectSpec, 30)
+	for i := range objects {
+		size := sizes[rng.Intn(len(sizes))]
+		cover := []int{0, 1, 2}
+		if rng.Float64() >= 0.6 {
+			cover = []int{rng.Intn(3)}
+		}
+		sz := make(map[int]int, len(cover))
+		for _, c := range cover {
+			sz[c] = size
+		}
+		objects[i] = core.ObjectSpec{ID: i + 1, Coverage: cover, Size: sz}
+	}
+
+	balb, err := core.Central(cams, objects, core.CentralOptions{})
+	if err != nil {
+		return err
+	}
+	noBatch, err := core.Central(cams, objects, core.CentralOptions{DisableBatching: true})
+	if err != nil {
+		return err
+	}
+	in := core.NewInstance(objects)
+	sp, err := core.StaticPartition(cams, in)
+	if err != nil {
+		return err
+	}
+	ind, err := core.IndependentLatencies(cams, in, true)
+	if err != nil {
+		return err
+	}
+	for _, arm := range []struct {
+		name string
+		lat  []time.Duration
+	}{{"BALB", balb.Latencies}, {"BALB-no-batching", noBatch.Latencies}, {"SP", sp.Latencies}, {"BALB-Ind", ind}} {
+		for c, l := range arm.lat {
+			p.row("heterogeneity", arm.name, ablationFleet[c].name+"_ms", l.Milliseconds())
+		}
+	}
+	shared := make([]int, len(cams))
+	for i := range objects {
+		if len(objects[i].Coverage) == len(cams) {
+			shared[balb.Assign[i]]++
+		}
+	}
+	for c, n := range shared {
+		p.row("heterogeneity", "BALB", "shared_on_"+ablationFleet[c].name, n)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package scene
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -276,8 +277,10 @@ func TestFrameCodecGenerated(t *testing.T) {
 	}
 }
 
-// TestSaveMatchesEncoder holds Trace.Save to the json.Encoder document
-// it replaced, on a real trace and on the nil-slice corners.
+// TestSaveMatchesEncoder holds what a run store saves of a trace — the
+// roster through MarshalCameras and each frame through MarshalFrame — to
+// json.Marshal of the wire structs, on a real trace and on the nil-slice
+// corners, and checks a NaN box is refused rather than written.
 func TestSaveMatchesEncoder(t *testing.T) {
 	trace, err := testWorld(4).Run(40)
 	if err != nil {
@@ -289,20 +292,32 @@ func TestSaveMatchesEncoder(t *testing.T) {
 		"no cameras": {FPS: 29.97, Frames: []FrameTruth{{Index: 3, PerCamera: [][]Observation{}}, {Index: 4}}},
 		"empty":      {},
 	} {
-		var got, want bytes.Buffer
-		if err := tr.Save(&got); err != nil {
+		roster, err := MarshalCameras(tr.Cameras)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := oracleSave(tr, &want); err != nil {
+		wire := make([]cameraJSON, 0, len(tr.Cameras))
+		for _, c := range tr.Cameras {
+			wire = append(wire, toCameraJSON(c))
+		}
+		want, err := json.Marshal(wire)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%s: Save wrote\n%.300s\njson.Encoder wrote\n%.300s", name, got.Bytes(), want.Bytes())
+		if !bytes.Equal(roster, want) {
+			t.Fatalf("%s: MarshalCameras wrote\n%.300s\njson.Marshal wrote\n%.300s", name, roster, want)
+		}
+		for fi := range tr.Frames {
+			got, err := MarshalFrame(&tr.Frames[fi])
+			want, wantErr := oracleMarshalFrame(&tr.Frames[fi])
+			if err != nil || wantErr != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s frame %d: MarshalFrame wrote %.300s (%v), json.Marshal wrote %.300s (%v)", name, fi, got, err, want, wantErr)
+			}
 		}
 	}
-	bad := &Trace{FPS: 10, Cameras: trace.Cameras, Frames: []FrameTruth{{PerCamera: [][]Observation{{{ObjectID: 1, Box: geom.Rect{MaxX: math.NaN()}}}}}}}
-	if err := bad.Save(&bytes.Buffer{}); err == nil {
-		t.Fatal("Save accepted a NaN box")
+	bad := FrameTruth{PerCamera: [][]Observation{{{ObjectID: 1, Box: geom.Rect{MaxX: math.NaN()}}}}}
+	if _, err := MarshalFrame(&bad); err == nil {
+		t.Fatal("MarshalFrame accepted a NaN box")
 	}
 }
 

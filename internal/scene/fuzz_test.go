@@ -1,44 +1,40 @@
 package scene
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
-// FuzzReadTrace feeds arbitrary JSON to the trace decoder: it must never
-// panic, and anything it accepts must round-trip through Save.
-func FuzzReadTrace(f *testing.F) {
+// FuzzUnmarshalCameras feeds arbitrary JSON to the camera-roster decoder
+// every run-store open reads a manifest through: it must never panic,
+// and anything it accepts must round-trip through MarshalCameras.
+func FuzzUnmarshalCameras(f *testing.F) {
 	trace, err := testWorld(1).Run(5)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var valid bytes.Buffer
-	if err := trace.Save(&valid); err != nil {
+	valid, err := MarshalCameras(trace.Cameras)
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid.String())
-	f.Add(`{"fps_milli":10000,"cameras":[]}`)
-	f.Add(`{"fps_milli":-1}`)
+	f.Add(string(valid))
+	f.Add(`[]`)
+	f.Add(`null`)
 	f.Add(`garbage`)
-	f.Add(`{"fps_milli":10000,"cameras":[{"name":"x","height":5,"pitch":0.4,"focal":100,"image_w":10,"image_h":10}],"frames":[{"index":0,"per_camera":[[]]}]}`)
+	f.Add(`[{"name":"x","height":5,"pitch":0.4,"focal":100,"image_w":10,"image_h":10}]`)
 
 	f.Fuzz(func(t *testing.T, data string) {
-		got, err := ReadTrace(strings.NewReader(data))
+		got, err := UnmarshalCameras([]byte(data))
 		if err != nil {
 			return
 		}
-		// Accepted traces must re-serialize and re-parse losslessly.
-		var buf bytes.Buffer
-		if err := got.Save(&buf); err != nil {
-			t.Fatalf("accepted trace failed to save: %v", err)
+		roster, err := MarshalCameras(got)
+		if err != nil {
+			t.Fatalf("accepted roster failed to encode: %v", err)
 		}
-		again, err := ReadTrace(&buf)
+		again, err := UnmarshalCameras(roster)
 		if err != nil {
 			t.Fatalf("own encoding rejected: %v", err)
 		}
-		if len(again.Frames) != len(got.Frames) || len(again.Cameras) != len(got.Cameras) {
-			t.Fatal("round trip changed shape")
+		if len(again) != len(got) {
+			t.Fatal("round trip changed the roster's length")
 		}
 	})
 }

@@ -3,7 +3,6 @@ package scene
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"mvs/internal/geom"
 )
@@ -107,19 +106,4 @@ func oracleUnmarshalObjects(data json.RawMessage) ([]ObjectState, error) {
 		})
 	}
 	return objs, nil
-}
-
-func oracleSave(t *Trace, w io.Writer) error {
-	out := traceJSON{FPS: int64(t.FPS * 1000)}
-	for _, c := range t.Cameras {
-		out.Cameras = append(out.Cameras, toCameraJSON(c))
-	}
-	for fi := range t.Frames {
-		out.Frames = append(out.Frames, oracleToFrameJSON(&t.Frames[fi]))
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(&out); err != nil {
-		return fmt.Errorf("scene: encode trace: %w", err)
-	}
-	return nil
 }

@@ -3,20 +3,13 @@ package scene
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"strconv"
 
 	"mvs/internal/geom"
 )
 
-// The wire representation of a trace, decoupled from the runtime structs
-// so the on-disk format stays stable if internals evolve.
-
-type traceJSON struct {
-	FPS     int64        `json:"fps_milli"` // FPS x 1000, to avoid float drift
-	Cameras []cameraJSON `json:"cameras"`
-	Frames  []frameJSON  `json:"frames"`
-}
+// The wire representation of a camera roster and of a frame, decoupled
+// from the runtime structs so the run store's on-disk format stays stable
+// if internals evolve.
 
 type cameraJSON struct {
 	Name         string  `json:"name"`
@@ -100,9 +93,9 @@ func fromFrameJSON(jf frameJSON, numCameras int) (*FrameTruth, error) {
 	return f, nil
 }
 
-// MarshalCameras returns the wire JSON for a camera roster — the same
-// schema Save embeds in a trace — so other packages (the run store's
-// manifest) can persist cameras without coupling to runtime structs.
+// MarshalCameras returns the wire JSON for a camera roster, so other
+// packages (the run store's manifest) can persist cameras without
+// coupling to runtime structs.
 func MarshalCameras(cams []*Camera) (json.RawMessage, error) {
 	out := make([]cameraJSON, 0, len(cams))
 	for _, c := range cams {
@@ -134,7 +127,7 @@ func UnmarshalCameras(data json.RawMessage) ([]*Camera, error) {
 }
 
 // MarshalFrame returns one frame's wire JSON (one line of a run-store
-// frame segment; the same schema Save uses inside a trace).
+// frame segment).
 func MarshalFrame(f *FrameTruth) ([]byte, error) {
 	data, err := AppendFrame(nil, f)
 	if err != nil {
@@ -200,74 +193,4 @@ func UnmarshalObjects(data json.RawMessage) ([]ObjectState, error) {
 		})
 	}
 	return objs, nil
-}
-
-// Save serializes the trace as JSON, so a generated workload can be
-// archived and replayed (e.g. shipped to camera nodes instead of
-// regenerating from a seed). The document is traceJSON's — cameras
-// through encoding/json, each frame through AppendFrame — in one Write.
-func (t *Trace) Save(w io.Writer) error {
-	out := append([]byte(`{"fps_milli":`), strconv.FormatInt(int64(t.FPS*1000), 10)...)
-	// No cameras, or no frames, is null: traceJSON's slice was nil then.
-	out = append(out, `,"cameras":`...)
-	if len(t.Cameras) == 0 {
-		out = append(out, "null"...)
-	} else {
-		cams, err := MarshalCameras(t.Cameras)
-		if err != nil {
-			return err
-		}
-		out = append(out, cams...)
-	}
-	out = append(out, `,"frames":`...)
-	if len(t.Frames) == 0 {
-		out = append(out, "null"...)
-	} else {
-		for fi := range t.Frames {
-			sep := byte(',')
-			if fi == 0 {
-				sep = '['
-			}
-			var err error
-			if out, err = AppendFrame(append(out, sep), &t.Frames[fi]); err != nil {
-				return fmt.Errorf("scene: encode trace: frame %d: %w", t.Frames[fi].Index, err)
-			}
-		}
-		out = append(out, ']')
-	}
-	if _, err := w.Write(append(out, "}\n"...)); err != nil {
-		return fmt.Errorf("scene: encode trace: %w", err)
-	}
-	return nil
-}
-
-// ReadTrace deserializes a trace written by Save.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	var in traceJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("scene: decode trace: %w", err)
-	}
-	if in.FPS <= 0 {
-		return nil, fmt.Errorf("scene: trace has non-positive fps")
-	}
-	if len(in.Cameras) == 0 {
-		return nil, fmt.Errorf("scene: trace has no cameras")
-	}
-	t := &Trace{FPS: float64(in.FPS) / 1000}
-	for _, c := range in.Cameras {
-		cam, err := fromCameraJSON(c)
-		if err != nil {
-			return nil, err
-		}
-		t.Cameras = append(t.Cameras, cam)
-	}
-	for _, jf := range in.Frames {
-		f, err := fromFrameJSON(jf, len(t.Cameras))
-		if err != nil {
-			return nil, err
-		}
-		t.Frames = append(t.Frames, *f)
-	}
-	return t, nil
 }

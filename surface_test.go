@@ -30,8 +30,8 @@ const surfaceAllowFile = "surface_allow.txt"
 // with its reason — in surface_allow.txt. A new unreachable export fails;
 // so does an allow-list entry that became reachable or no longer exists,
 // so the list can only shrink. Tests and examples/ are not roots: what
-// only they use is on the list as a test oracle, a fake, a fuzz surface or
-// a paper-§V extension.
+// only they use is on the list as a test oracle, a fake or a fuzz
+// surface.
 //
 // Reachability is computed with the standard library alone: `go list
 // -export` names every package's files and the export data of the
