@@ -17,17 +17,18 @@
 //
 // Both per-pair hot loops fan out on the internal/pool worker pool:
 // Train over the N*(N-1) directed pairs (bounded by Factories.Workers)
-// and AssociateWorkers over the N*(N-1)/2 unordered pairs. Every pair's
-// computation is independent — it reads only the shared inputs and
-// writes only its own slot of a per-pair result array — and the merge
-// back into shared state happens sequentially after the fan-out, in
-// ascending pair order. The contract callers rely on:
+// and association (Workspace.Associate) over the N*(N-1)/2 unordered
+// pairs. Every pair's computation is independent — it reads only the
+// shared inputs and writes only its own slot of a per-pair result array
+// — and the merge back into shared state happens sequentially after the
+// fan-out, in ascending pair order. The contract callers rely on:
 //
 //   - Train produces a bit-identical Model at every worker count: pair
 //     (src, dst) is always trained on exactly BuildPairSamples(trace,
 //     src, dst), and the pair map is assembled after the fan-out;
-//   - AssociateWorkers produces bit-identical groups at every worker
-//     count: per-pair match lists are computed in isolation and the
+//   - association produces bit-identical groups at every worker count,
+//     on a fresh or a reused Workspace: per-pair match lists are
+//     computed in isolation, each in its pair's slot, and the
 //     union-find merges are applied in ascending (i, j) pair order
 //     (docs/CONCURRENCY.md §5 documents why the grouping is already
 //     order-invariant; the fixed order makes it checkable);
@@ -47,12 +48,20 @@
 // is building; the model factories it is given are called concurrently
 // from worker goroutines and must return a fresh, unshared model per
 // call.
+//
+// The scratch of association — feature vectors, match lists, a
+// Hungarian solver and prediction buffer per fan-out worker, the
+// union-find, the groups — lives in a Workspace, not on the shared
+// Model: one Workspace per concurrent caller, reused across its calls,
+// so that a host solving a round every key frame (central.Round keeps
+// one) allocates nothing for it. Associate and AssociateWorkers run on a
+// fresh Workspace, whose groups the caller then owns.
 package assoc
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 
 	"mvs/internal/geom"
 	"mvs/internal/hungarian"
@@ -177,12 +186,14 @@ func (pm *PairModel) Map(box geom.Rect) (geom.Rect, bool, error) {
 	if !pm.hasReg {
 		return geom.Rect{}, false, nil
 	}
-	return pm.mapVec(box.Vec4())
+	var pred []float64
+	return pm.mapVec(box.Vec4(), &pred)
 }
 
 // mapVec is Map for a pair that has a regressor, on the box's feature
-// vector (geom.Rect.Vec4), which the models do not retain.
-func (pm *PairModel) mapVec(vec []float64) (geom.Rect, bool, error) {
+// vector (geom.Rect.Vec4), which the models do not retain. The
+// regressor predicts into *pred, which keeps the grown buffer.
+func (pm *PairModel) mapVec(vec []float64, pred *[]float64) (geom.Rect, bool, error) {
 	visible, err := pm.clf.Predict(vec)
 	if err != nil {
 		return geom.Rect{}, false, fmt.Errorf("assoc: classify: %w", err)
@@ -190,11 +201,11 @@ func (pm *PairModel) mapVec(vec []float64) (geom.Rect, bool, error) {
 	if !visible {
 		return geom.Rect{}, false, nil
 	}
-	v, err := pm.reg.Predict(vec)
+	*pred, err = pm.reg.Predict((*pred)[:0], vec)
 	if err != nil {
 		return geom.Rect{}, false, fmt.Errorf("assoc: regress: %w", err)
 	}
-	return geom.RectFromVec4(v), true, nil
+	return geom.RectFromVec4(*pred), true, nil
 }
 
 // Model is the full cross-camera association model: one PairModel per
@@ -354,103 +365,115 @@ func (m *Model) Associate(boxes [][]geom.Rect, minIoU float64) ([]Group, error) 
 	return m.AssociateWorkers(boxes, minIoU, 1)
 }
 
+// AssociateWorkers is Workspace.Associate on a fresh workspace; the
+// caller owns the returned groups.
+func (m *Model) AssociateWorkers(boxes [][]geom.Rect, minIoU float64, workers int) ([]Group, error) {
+	var w Workspace
+	return w.Associate(m, boxes, minIoU, workers)
+}
+
+// Workspace is association's reusable scratch: the flat box index and
+// every box's feature vector, the frame's matchable pairs and their match
+// lists, one Hungarian solver and prediction buffer per fan-out worker,
+// the union-find, and the groups with the member array they are cut
+// from.
+// A Model is immutable and shared by concurrent callers, so the scratch
+// cannot live on it: each concurrent caller brings a Workspace of its
+// own. The zero value is ready to use; a Workspace that has associated
+// its largest round allocates nothing at width 1. It is not safe for
+// concurrent use, and the groups Associate returns live in it: they are
+// valid until its next Associate.
+type Workspace struct {
+	// The current call's inputs, which every pair's match reads.
+	boxes  [][]geom.Rect
+	minIoU float64
+
+	// Flat indexing: box k of camera i is box offsets[i]+k, and its
+	// feature vector is feat[4*(offsets[i]+k):][:4].
+	offsets []int
+	feat    []float64
+	// pairs are the pairs that can match this frame, in the merge order
+	// (ascending i, then j); matches[k] is pair k's output, and
+	// scratch[w] the scratch of the fan-out's worker w.
+	pairs   []matchPair
+	matches [][]pairMatch
+	scratch []pairScratch
+
+	dsu            dsu
+	groupOf, sizes []int
+	groups         []Group
+	refs           []Ref
+}
+
+// pairScratch is one fan-out worker's scratch: it matches one pair at a
+// time.
+type pairScratch struct {
+	solver hungarian.Solver
+	pred   []float64
+}
+
 // pairMatch records one Hungarian match of a camera pair in the flat
 // union-find index space.
 type pairMatch struct {
 	a, b int
 }
 
-// solvers recycles Hungarian workspaces (and the profit matrices they
-// back) across camera pairs and across calls. A Model is immutable and
-// shared by concurrent callers, so the scratch cannot live on it; each
-// pair borrows a solver for the duration of its own match.
-var solvers = sync.Pool{New: func() any { return new(hungarian.Solver) }}
+// pairWork is a Workspace as pool.Run's work: item k matches pair k. A
+// struct of one pointer is passed in an interface without allocating.
+type pairWork struct{ w *Workspace }
 
-// AssociateWorkers clusters per-camera boxes into global objects. For
-// each camera pair (i < j), every box on i that the pair model maps
-// into j is matched against j's boxes by IoU (Hungarian, threshold
-// minIoU); matched pairs are merged with union-find. minIoU <= 0
-// defaults to 0.1 (the paper's "preset threshold" on area overlap).
+func (p pairWork) Item(worker, k int) error { return p.w.match(worker, k) }
+
+// Associate clusters per-camera boxes into global objects. For each
+// camera pair (i < j), every box on i that the pair model maps into j is
+// matched against j's boxes by IoU (Hungarian, threshold minIoU);
+// matched pairs are merged with union-find. minIoU <= 0 defaults to 0.1
+// (the paper's "preset threshold" on area overlap).
 //
 // The unordered pairs are matched independently on up to workers
 // goroutines (<= 0 selects GOMAXPROCS, 1 runs inline) — each pair
-// writes only its own match list — and the union-find merges are then
-// applied sequentially in ascending (i, then j) pair order, so the
-// returned groups, their order, and their member order are bit-identical
-// at every worker count. A pair with an empty side, with no trained
-// regressor (it can only answer "not visible"), or whose boxes are all
-// predicted invisible on the other camera, contributes no matches and
-// never invokes the Hungarian solver, exactly as in the sequential path.
-func (m *Model) AssociateWorkers(boxes [][]geom.Rect, minIoU float64, workers int) ([]Group, error) {
+// writes only its own match list, each worker only its own scratch — and
+// the union-find merges are then applied
+// sequentially in ascending (i, then j) pair order, so the returned
+// groups, their order, and their member order are bit-identical at every
+// worker count, and whether the Workspace is fresh or reused. A pair
+// with an empty side, with no trained regressor (it can only answer "not
+// visible"), or whose boxes are all predicted invisible on the other
+// camera, contributes no matches and never invokes the Hungarian solver,
+// exactly as in the sequential path.
+func (w *Workspace) Associate(m *Model, boxes [][]geom.Rect, minIoU float64, workers int) ([]Group, error) {
 	if len(boxes) != m.numCams {
 		return nil, fmt.Errorf("assoc: %d camera lists, model trained for %d", len(boxes), m.numCams)
 	}
 	if minIoU <= 0 {
 		minIoU = 0.1
 	}
-	// Flat indexing for union-find.
-	offsets := make([]int, len(boxes)+1)
-	for i, b := range boxes {
-		offsets[i+1] = offsets[i] + len(b)
-	}
-	total := offsets[len(boxes)]
+	w.boxes, w.minIoU = boxes, minIoU
 
-	// Every box's feature vector, computed once for all the pairs that
-	// query it: box k of camera i is feat[4*(offsets[i]+k):][:4].
-	feat := make([]float64, 0, 4*total)
-	for _, cam := range boxes {
+	w.offsets = append(w.offsets[:0], 0)
+	w.feat = w.feat[:0]
+	for i, cam := range boxes {
+		w.offsets = append(w.offsets, w.offsets[i]+len(cam))
 		for _, b := range cam {
-			feat = append(feat, b.MinX, b.MinY, b.MaxX, b.MaxY)
+			w.feat = append(w.feat, b.MinX, b.MinY, b.MaxX, b.MaxY)
 		}
 	}
+	total := w.offsets[len(boxes)]
 
-	// The pairs that can match this frame, in the merge order (ascending
-	// i, then j); matches[k] is pair k's private output slot.
-	var pairs []matchPair
+	w.pairs = w.pairs[:0]
 	for _, p := range m.matchable {
 		if len(boxes[p.i]) > 0 && len(boxes[p.j]) > 0 {
-			pairs = append(pairs, p)
+			w.pairs = append(w.pairs, p)
 		}
 	}
-	matches := make([][]pairMatch, len(pairs))
-	err := pool.Do(workers, len(pairs), func(k int) error {
-		i, j, pm := pairs[k].i, pairs[k].j, pairs[k].pm
-		solver := solvers.Get().(*hungarian.Solver)
-		defer solvers.Put(solver)
-		// Map each box on i into j; rows that aren't predicted visible
-		// get zero profit everywhere.
-		profit := solver.Matrix(len(boxes[i]), len(boxes[j]))
-		anyVisible := false
-		for bi := range boxes[i] {
-			at := 4 * (offsets[i] + bi)
-			pred, visible, err := pm.mapVec(feat[at : at+4 : at+4])
-			if err != nil {
-				return err
-			}
-			if !visible {
-				continue
-			}
-			anyVisible = true
-			for bj, other := range boxes[j] {
-				profit[bi][bj] = pred.IoU(other)
-			}
-		}
-		if !anyVisible {
-			return nil // all-zero profit matrix: nothing to solve
-		}
-		assign, _, err := solver.MaximizeProfit(profit, minIoU)
-		if err != nil {
-			return fmt.Errorf("assoc: matching cameras (%d,%d): %w", i, j, err)
-		}
-		for bi, bj := range assign {
-			if bj < 0 {
-				continue
-			}
-			matches[k] = append(matches[k], pairMatch{a: offsets[i] + bi, b: offsets[j] + bj})
-		}
-		return nil
-	})
-	if err != nil {
+	if n := len(w.pairs) - len(w.matches); n > 0 {
+		w.matches = append(w.matches, make([][]pairMatch, n)...)
+	}
+	workers = pool.Workers(workers, len(w.pairs))
+	if n := workers - len(w.scratch); n > 0 {
+		w.scratch = append(w.scratch, make([]pairScratch, n)...)
+	}
+	if err := pool.Run(workers, len(w.pairs), pairWork{w}); err != nil {
 		return nil, err
 	}
 
@@ -458,39 +481,80 @@ func (m *Model) AssociateWorkers(boxes [][]geom.Rect, minIoU float64, workers in
 	// order. (The grouping is a connected-components computation, so it
 	// is invariant to this order anyway; fixing it makes the parallel
 	// path checkably identical to the sequential one.)
-	dsu := newDSU(total)
-	for _, ms := range matches {
+	w.dsu.reset(total)
+	for _, ms := range w.matches[:len(w.pairs)] {
 		for _, pm := range ms {
-			dsu.union(pm.a, pm.b)
+			w.dsu.union(pm.a, pm.b)
 		}
 	}
 
 	// Collect groups in deterministic order of their smallest member.
 	// Sizes are counted first, so that every Members list is cut, at its
 	// exact capacity, from one array.
-	groupOf := make([]int, total) // union-find root -> group + 1
-	var sizes []int
+	w.groupOf = slices.Grow(w.groupOf[:0], total)[:total] // union-find root -> group + 1
+	clear(w.groupOf)
+	w.sizes = w.sizes[:0]
 	for k := 0; k < total; k++ {
-		root := dsu.find(k)
-		if groupOf[root] == 0 {
-			sizes = append(sizes, 0)
-			groupOf[root] = len(sizes)
+		root := w.dsu.find(k)
+		if w.groupOf[root] == 0 {
+			w.sizes = append(w.sizes, 0)
+			w.groupOf[root] = len(w.sizes)
 		}
-		sizes[groupOf[root]-1]++
+		w.sizes[w.groupOf[root]-1]++
 	}
-	groups := make([]Group, len(sizes))
-	refs := make([]Ref, total)
-	for gi, n := range sizes {
-		groups[gi].Members = refs[:0:n]
+	w.groups = slices.Grow(w.groups[:0], len(w.sizes))[:len(w.sizes)]
+	w.refs = slices.Grow(w.refs[:0], total)[:total]
+	refs := w.refs
+	for gi, n := range w.sizes {
+		w.groups[gi].Members = refs[:0:n]
 		refs = refs[n:]
 	}
-	for i := 0; i < m.numCams; i++ {
+	for i := range boxes {
 		for k := range boxes[i] {
-			g := &groups[groupOf[dsu.find(offsets[i]+k)]-1]
+			g := &w.groups[w.groupOf[w.dsu.find(w.offsets[i]+k)]-1]
 			g.Members = append(g.Members, Ref{Cam: i, Index: k})
 		}
 	}
-	return groups, nil
+	return w.groups, nil
+}
+
+// match maps every box of pair k's camera i into camera j and matches
+// the visible ones against j's boxes into the pair's match list, on the
+// scratch of the worker running it. Rows that aren't predicted visible
+// get zero profit everywhere.
+func (w *Workspace) match(worker, k int) error {
+	p, s := w.pairs[k], &w.scratch[worker]
+	w.matches[k] = w.matches[k][:0]
+	src, dst := w.boxes[p.i], w.boxes[p.j]
+	profit := s.solver.Matrix(len(src), len(dst))
+	anyVisible := false
+	for bi := range src {
+		at := 4 * (w.offsets[p.i] + bi)
+		pred, visible, err := p.pm.mapVec(w.feat[at:at+4:at+4], &s.pred)
+		if err != nil {
+			return err
+		}
+		if !visible {
+			continue
+		}
+		anyVisible = true
+		for bj, other := range dst {
+			profit[bi][bj] = pred.IoU(other)
+		}
+	}
+	if !anyVisible {
+		return nil // all-zero profit matrix: nothing to solve
+	}
+	assign, _, err := s.solver.MaximizeProfit(profit, w.minIoU)
+	if err != nil {
+		return fmt.Errorf("assoc: matching cameras (%d,%d): %w", p.i, p.j, err)
+	}
+	for bi, bj := range assign {
+		if bj >= 0 {
+			w.matches[k] = append(w.matches[k], pairMatch{a: w.offsets[p.i] + bi, b: w.offsets[p.j] + bj})
+		}
+	}
+	return nil
 }
 
 // dsu is a minimal union-find with path halving.
@@ -498,12 +562,12 @@ type dsu struct {
 	parent []int
 }
 
-func newDSU(n int) *dsu {
-	d := &dsu{parent: make([]int, n)}
+// reset makes n singletons, reusing the parent array.
+func (d *dsu) reset(n int) {
+	d.parent = slices.Grow(d.parent[:0], n)[:n]
 	for i := range d.parent {
 		d.parent[i] = i
 	}
-	return d
 }
 
 func (d *dsu) find(x int) int {

@@ -318,7 +318,8 @@ func TestNominalBoxFallback(t *testing.T) {
 }
 
 func TestDSU(t *testing.T) {
-	d := newDSU(5)
+	var d dsu
+	d.reset(5)
 	d.union(0, 1)
 	d.union(3, 4)
 	if d.find(0) != d.find(1) || d.find(3) != d.find(4) {

@@ -64,14 +64,14 @@ func (b *bruteKNNReg) Fit(x [][]float64, y [][]float64) error {
 	return nil
 }
 
-func (b *bruteKNNReg) Predict(q []float64) ([]float64, error) {
+func (b *bruteKNNReg) Predict(dst, q []float64) ([]float64, error) {
 	rows, dist := b.nearest(q)
 	pred := make([]float64, len(b.targets[0]))
 	var wsum float64
 	for _, i := range rows {
 		if dist[i] == 0 {
 			copy(pred, b.targets[i])
-			return pred, nil
+			return append(dst, pred...), nil
 		}
 		w := 1 / math.Sqrt(dist[i])
 		wsum += w
@@ -82,7 +82,7 @@ func (b *bruteKNNReg) Predict(q []float64) ([]float64, error) {
 	for j := range pred {
 		pred[j] /= wsum
 	}
-	return pred, nil
+	return append(dst, pred...), nil
 }
 
 // TestAssociateMatchesBruteForceKNN trains the C16 and S4 models the way

@@ -19,7 +19,7 @@ func referenceMap(pm *PairModel, box geom.Rect) (geom.Rect, bool, error) {
 	if !visible || !pm.hasReg {
 		return geom.Rect{}, false, nil
 	}
-	v, err := pm.reg.Predict(box.Vec4())
+	v, err := pm.reg.Predict(nil, box.Vec4())
 	if err != nil {
 		return geom.Rect{}, false, err
 	}
@@ -35,7 +35,8 @@ func referenceAssociate(m *Model, boxes [][]geom.Rect, minIoU float64) ([]Group,
 	for i, b := range boxes {
 		offsets[i+1] = offsets[i] + len(b)
 	}
-	dsu := newDSU(offsets[len(boxes)])
+	var dsu dsu
+	dsu.reset(offsets[len(boxes)])
 	for i := 0; i < m.numCams; i++ {
 		for j := i + 1; j < m.numCams; j++ {
 			if len(boxes[i]) == 0 || len(boxes[j]) == 0 {

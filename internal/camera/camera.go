@@ -93,10 +93,12 @@ type Kernel struct {
 	coverage  [][]int
 	cellOwner []int
 	shadows   []shadow
-	// Per-frame scratch of RegularFrame, reused across frames. Nothing
+	// Per-frame scratch of the frame calls, reused across frames: the
+	// full-frame detections and RegularFrame's regions and tasks. Nothing
 	// outside the kernel keeps a reference past the frame: the one slice
 	// that is handed out — Frame.Tasks — is valid until the next frame
 	// call, and a host that lets it cross a seam copies it first.
+	dets                                  []vision.Detection
 	regions, explained, moving, proposals []geom.Rect
 	tasks                                 []gpu.Task
 }
@@ -175,12 +177,12 @@ func (k *Kernel) SetSizeCap(capPx int) { k.tracker.SetSizeCap(capPx) }
 // refill.
 func (k *Kernel) KeyFrame(obs []scene.Observation, out *Frame) error {
 	out.Full = true
-	dets := k.det.DetectFull(obs)
-	for _, d := range dets {
+	k.dets = k.det.AppendFull(k.dets[:0], obs)
+	for _, d := range k.dets {
 		out.TruthIDs = append(out.TruthIDs, d.TruthID)
 	}
 	start := time.Now()
-	if _, err := k.tracker.Update(dets); err != nil {
+	if _, err := k.tracker.Update(k.dets); err != nil {
 		return fmt.Errorf("camera %d: key-frame tracking: %w", k.index, err)
 	}
 	k.tracker.RefreshSizes()
@@ -201,7 +203,8 @@ func (k *Kernel) KeyFrame(obs []scene.Observation, out *Frame) error {
 // FullFrame is the camera's share of a Full-mode regular frame.
 func (k *Kernel) FullFrame(obs []scene.Observation, out *Frame) {
 	out.Full = true
-	for _, d := range k.det.DetectFull(obs) {
+	k.dets = k.det.AppendFull(k.dets[:0], obs)
+	for _, d := range k.dets {
 		out.TruthIDs = append(out.TruthIDs, d.TruthID)
 	}
 }

@@ -163,6 +163,38 @@ func TestRegularFrameAllocatesNothingWhenWarm(t *testing.T) {
 	}
 }
 
+// TestKeyFrameAllocatesNothingWhenWarm is the key frame's budget beside
+// the regular frame's: the full-frame detections land in kernel scratch,
+// and a track the central round demoted, detected again at the next key
+// frame, is spawned into a recycled Track. Every cycle is a key frame
+// over all three objects and the demotion of the middle one, the fate
+// of most key-frame arrivals on a fleet whose views overlap.
+func TestKeyFrameAllocatesNothingWhenWarm(t *testing.T) {
+	k := newKernel(t, OwnMasks)
+	obs := []scene.Observation{objLeft, objMiddle, objRight}
+	var out Frame
+	cycle := func() {
+		out.Reset()
+		if err := k.KeyFrame(obs, &out); err != nil {
+			panic(err)
+		}
+		for _, tr := range k.Tracks() {
+			if tr.TruthID == objMiddle.ObjectID {
+				k.Demote(tr.ID, 2)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if !slices.Equal(out.TruthIDs, []int{10, 11, 12}) || !slices.Equal(trackedTruths(k), []int{10, 12}) || k.Shadows() != 1 {
+		t.Fatalf("fixture: detected %v, tracks %v, %d shadows", out.TruthIDs, trackedTruths(k), k.Shadows())
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("KeyFrame + Demote: %v allocs per key frame, want 0", n)
+	}
+}
+
 // TestKeyFrameAndDemote: a key frame tracks everything in view (SP prunes
 // to its partition at once, having no central round to do it), and Demote
 // turns a track into a shadow of the camera the round assigned.

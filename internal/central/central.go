@@ -9,9 +9,10 @@
 // keeps inspecting it or shadows the object's owner. The instance builder
 // and that keep-or-shadow rule live here and nowhere else.
 //
-// A Round is the round's whole workspace — views, instance, solver — so a
-// host that keeps one and solves it every key frame allocates, in steady
-// state, only for association.
+// A Round is the round's whole workspace — views, association
+// workspace, instance, solver — so a host that keeps one and solves it
+// every key frame allocates, in steady state, nothing (association's
+// fan-out goroutines aside, when Params.Workers asks for more than one).
 //
 // Both deployment shapes host it: pipeline's central stage gathers views
 // from its camera kernels and applies the decisions to them directly;
@@ -51,14 +52,15 @@ type Views struct {
 
 // Reset empties the views for a round over the given camera count; the
 // per-camera lists are cut from two arrays kept across rounds and grown
-// to hold tracks entries in total (more are accepted, at the cost of a
-// reallocation).
+// — to at least twice their old size — to hold tracks entries in total
+// (more are accepted, at the cost of a reallocation).
 func (v *Views) Reset(cams, tracks int) {
 	v.Boxes = resize(v.Boxes, cams)
 	v.Tracks = resize(v.Tracks, cams)
 	if cap(v.boxArena) < tracks {
-		v.boxArena = make([]geom.Rect, 0, tracks)
-		v.trackArena = make([]Track, 0, tracks)
+		n := max(tracks, 2*cap(v.boxArena))
+		v.boxArena = make([]geom.Rect, 0, n)
+		v.trackArena = make([]Track, 0, n)
 	}
 	v.boxArena, v.trackArena = v.boxArena[:0], v.trackArena[:0]
 }
@@ -114,6 +116,7 @@ type Round struct {
 	// trackers, and the priority order; it lives in the Round's solver.
 	Solution *core.Solution
 
+	assoc  assoc.Workspace
 	solver core.Solver
 }
 
@@ -132,9 +135,10 @@ type Member struct {
 }
 
 // Solve associates r's views, rebuilds its MVS instance and schedules
-// it, overwriting what the previous Solve left in r.
+// it, overwriting what the previous Solve left in r. Groups live in r's
+// association workspace.
 func Solve(p Params, r *Round) error {
-	groups, err := p.Model.AssociateWorkers(r.Views.Boxes, p.MinIoU, p.Workers)
+	groups, err := r.assoc.Associate(p.Model, r.Views.Boxes, p.MinIoU, p.Workers)
 	if err != nil {
 		return fmt.Errorf("association: %w", err)
 	}

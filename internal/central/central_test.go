@@ -8,6 +8,8 @@ import (
 	"mvs/internal/core"
 	"mvs/internal/geom"
 	"mvs/internal/profile"
+	"mvs/internal/scene"
+	"mvs/internal/workload"
 )
 
 // TestViewsSurviveAnUndersizedArena pins the one non-obvious property of
@@ -106,7 +108,9 @@ func TestBuildObjectsFromGroups(t *testing.T) {
 // TestRefillAllocatesNothing is the budget of a host that keeps one
 // Round: once its views and instance have held a corridor-sized round
 // (16 cameras, ~100 objects), refilling them for another allocates
-// nothing.
+// nothing; and once it has solved every key frame of a 16-camera
+// corridor run, solving them all again — association on the Round's
+// workspace, the instance, BALB — allocates nothing either.
 func TestRefillAllocatesNothing(t *testing.T) {
 	const cams, objects = 16, 100
 	tracks := make([][]Track, cams)
@@ -132,5 +136,50 @@ func TestRefillAllocatesNothing(t *testing.T) {
 	refill()
 	if n := testing.AllocsPerRun(100, refill); n != 0 {
 		t.Errorf("refilling a warm Round's views and instance: %v allocs/run, want 0", n)
+	}
+
+	scn, err := workload.Corridor(cams, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const train, test = 150, 200
+	trace, err := scn.World.Run(train + test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := assoc.Train(&scene.Trace{FPS: trace.FPS, Cameras: trace.Cameras, Frames: trace.Frames[:train]},
+		assoc.Factories{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Model: model, MinIoU: 0.1, Workers: 1}
+	for i, prof := range scn.Profiles() {
+		p.Cameras = append(p.Cameras, core.CameraSpec{Index: i, Profile: prof})
+	}
+	grouped := 0
+	solveAll := func() {
+		for fi := train; fi < train+test; fi += 10 {
+			r.Views.Reset(cams, 0)
+			for c, obs := range trace.Frames[fi].PerCamera {
+				for k, o := range obs {
+					r.Views.Add(c, o.Box, Track{ID: k + 1, Size: geom.QuantizeSize(o.Box.LongSide(), geom.StandardSizes)})
+				}
+			}
+			if err := Solve(p, &r); err != nil {
+				panic(err)
+			}
+			for _, g := range r.Groups {
+				if len(g.Members) > 1 {
+					grouped++
+				}
+			}
+		}
+	}
+	solveAll()
+	if grouped == 0 {
+		t.Fatal("no object associated across two views: fixture degenerate")
+	}
+	if n := testing.AllocsPerRun(3, solveAll); n != 0 {
+		t.Errorf("solving warm key frames again: %v allocs per pass of %d key frames, want 0", n, test/10)
 	}
 }

@@ -121,7 +121,7 @@ type DistributedPolicy struct {
 	rank []int
 	// dead[c] marks camera c dead: Owner and ShouldTrack skip it, so
 	// the next-priority covering camera takes over its objects
-	// (docs/FAULTS.md, "Data-plane failure model"). nil = all alive.
+	// (docs/FAULTS.md, "Data-plane failure model"). Empty = all alive.
 	dead []bool
 }
 
@@ -129,23 +129,37 @@ type DistributedPolicy struct {
 // (e.g. Solution.Priority). The order must be a permutation of 0..M-1;
 // an empty order returns ErrEmptyPriority.
 func NewDistributedPolicy(priority []int) (*DistributedPolicy, error) {
-	if len(priority) == 0 {
-		return nil, ErrEmptyPriority
+	p := new(DistributedPolicy)
+	if err := p.Reset(priority); err != nil {
+		return nil, err
 	}
-	rank := make([]int, len(priority))
-	for i := range rank {
-		rank[i] = -1
+	return p, nil
+}
+
+// Reset rebuilds p in place as NewDistributedPolicy(priority) builds a
+// policy — every camera alive — reusing p's storage, so a host that
+// keeps one policy across horizons allocates nothing. priority is
+// copied. On error p is left unusable.
+func (p *DistributedPolicy) Reset(priority []int) error {
+	if len(priority) == 0 {
+		return ErrEmptyPriority
+	}
+	p.rank = grow(p.rank, len(priority))
+	for i := range p.rank {
+		p.rank[i] = -1
 	}
 	for pos, cam := range priority {
 		if cam < 0 || cam >= len(priority) {
-			return nil, fmt.Errorf("core: priority entry %d out of range", cam)
+			return fmt.Errorf("core: priority entry %d out of range", cam)
 		}
-		if rank[cam] != -1 {
-			return nil, fmt.Errorf("core: camera %d appears twice in priority", cam)
+		if p.rank[cam] != -1 {
+			return fmt.Errorf("core: camera %d appears twice in priority", cam)
 		}
-		rank[cam] = pos
+		p.rank[cam] = pos
 	}
-	return &DistributedPolicy{Priority: append([]int(nil), priority...), rank: rank}, nil
+	p.Priority = append(p.Priority[:0], priority...)
+	p.dead = p.dead[:0]
+	return nil
 }
 
 // NewScopedPolicy builds a policy over a camera *subset*: priority
@@ -194,12 +208,10 @@ func (p *DistributedPolicy) SetDead(dead []bool) {
 		any = any || d
 	}
 	if !any {
-		p.dead = nil
+		p.dead = p.dead[:0]
 		return
 	}
-	if len(p.dead) != len(p.rank) {
-		p.dead = make([]bool, len(p.rank))
-	}
+	p.dead = grow(p.dead, len(p.rank))
 	copy(p.dead, dead)
 	for i := len(dead); i < len(p.dead); i++ {
 		p.dead[i] = false
@@ -209,7 +221,7 @@ func (p *DistributedPolicy) SetDead(dead []bool) {
 // Dead reports whether cam is marked dead by SetDead. Out-of-range
 // cameras are not dead (they are simply unknown).
 func (p *DistributedPolicy) Dead(cam int) bool {
-	return p.dead != nil && cam >= 0 && cam < len(p.dead) && p.dead[cam]
+	return cam >= 0 && cam < len(p.dead) && p.dead[cam]
 }
 
 // Owner returns the camera responsible for a new object whose coverage

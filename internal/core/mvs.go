@@ -254,9 +254,13 @@ type Solver struct {
 	sol   Solution
 }
 
+// grow returns buf resized to n elements, reallocating only when its
+// capacity is too small, and then to at least twice the old capacity, so
+// a Solver fed slowly growing instances reallocates a logarithmic number
+// of times. The contents are unspecified.
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }

@@ -83,10 +83,13 @@ func (c Config) withDefaults() Config {
 // use.
 //
 // The tracker owns its per-frame scratch (the Tracks view, the predicted
-// boxes, the match flags, the Hungarian workspace, the created-ID list),
-// so a frame with no arrivals allocates nothing. The price is in the doc
-// comments of Tracks and Update: what they return is valid until the
-// next call of the same method.
+// boxes, the match flags, the Hungarian workspace, the created-ID list)
+// and recycles the Track values of dropped and removed tracks, so once it
+// has held its largest track set it allocates nothing, arrivals included.
+// The price is in the doc comments of Tracks and Update: what they return
+// is valid until the next call of the same method, and a *Track that has
+// left the tracker may be reused — with another ID — from the next Tracks
+// or Update call on.
 type Tracker struct {
 	cfg      Config
 	allSizes []int // the full configured size set; cfg.Sizes is the capped view
@@ -95,6 +98,11 @@ type Tracker struct {
 	// tracks holds the live tracks in ascending ID order. IDs only grow,
 	// so Spawn's append keeps the order and Get/Remove can bisect.
 	tracks []*Track
+	// free holds Track values for Spawn to reuse. retired holds the
+	// tracks dropped or removed since the last Tracks or Update call: a
+	// Tracks snapshot may still show them, so they join free only at the
+	// next Tracks or Update.
+	free, retired []*Track
 
 	view         []*Track
 	predicted    []geom.Rect
@@ -150,11 +158,21 @@ func (tr *Tracker) Sizes() []int { return tr.cfg.Sizes }
 
 // Tracks returns the live tracks sorted by ID (deterministic order). The
 // slice is a snapshot in the tracker's own buffer: Spawn and Remove may be
-// called while ranging over it, and it is valid until the next call to
-// Tracks. Callers that keep tracks longer copy them out.
+// called while ranging over it — a track removed meanwhile keeps its
+// values — and it is valid until the next call to Tracks or Update.
+// Callers that keep tracks longer copy them out.
 func (tr *Tracker) Tracks() []*Track {
+	tr.recycle()
 	tr.view = append(tr.view[:0], tr.tracks...)
 	return tr.view
+}
+
+// recycle hands the tracks retired since the last Tracks or Update call
+// to Spawn.
+func (tr *Tracker) recycle() {
+	tr.free = append(tr.free, tr.retired...)
+	clear(tr.retired)
+	tr.retired = tr.retired[:0]
 }
 
 // Len returns the number of live tracks.
@@ -177,6 +195,7 @@ func (tr *Tracker) Get(id int) *Track {
 // different camera).
 func (tr *Tracker) Remove(id int) {
 	if i, ok := tr.find(id); ok {
+		tr.retired = append(tr.retired, tr.tracks[i])
 		tr.tracks = slices.Delete(tr.tracks, i, i+1)
 	}
 }
@@ -188,6 +207,7 @@ func (tr *Tracker) Remove(id int) {
 // a buffer of the tracker's that is valid until the next Update; dets is
 // not retained.
 func (tr *Tracker) Update(dets []vision.Detection) ([]int, error) {
+	tr.recycle()
 	tracks := tr.tracks
 	// Predict all current tracks forward.
 	tr.predicted = tr.predicted[:0]
@@ -228,12 +248,13 @@ func (tr *Tracker) Update(dets []vision.Detection) ([]int, error) {
 			t.Age++
 			t.Missed++
 			if t.Missed > tr.cfg.MaxMissed || t.Box.Empty() {
+				tr.retired = append(tr.retired, t)
 				continue
 			}
 		}
 		live = append(live, t)
 	}
-	clear(tracks[len(live):]) // let the dropped tracks go
+	clear(tracks[len(live):]) // the dropped tracks are retired
 	tr.tracks = live
 
 	// Unmatched detections spawn new tracks.
@@ -247,10 +268,12 @@ func (tr *Tracker) Update(dets []vision.Detection) ([]int, error) {
 	return tr.created, nil
 }
 
-// resetFlags returns flags resized to n, all false.
+// resetFlags returns flags resized to n, all false. It reallocates only
+// when the capacity is too small, and then to at least twice the old
+// capacity.
 func resetFlags(flags []bool, n int) []bool {
 	if cap(flags) < n {
-		return make([]bool, n)
+		return make([]bool, n, max(n, 2*cap(flags)))
 	}
 	flags = flags[:n]
 	clear(flags)
@@ -275,17 +298,26 @@ func (tr *Tracker) applyMatch(t *Track, d vision.Detection) {
 // Spawn creates a track directly from a detection (used for new-region
 // hits and for objects handed over by the scheduler) and returns its ID.
 // The quantized size is chosen immediately; it stays fixed until the next
-// RefreshSizes.
+// RefreshSizes. The new track reuses a recycled Track when one is free.
 func (tr *Tracker) Spawn(d vision.Detection) int {
 	id := tr.nextID
 	tr.nextID++
 	_, size := geom.QuantizeRect(d.Box, tr.frame, tr.cfg.Sizes)
-	tr.tracks = append(tr.tracks, &Track{
+	var t *Track
+	if n := len(tr.free); n > 0 {
+		t = tr.free[n-1]
+		tr.free[n-1] = nil
+		tr.free = tr.free[:n-1]
+	} else {
+		t = new(Track)
+	}
+	*t = Track{
 		ID:        id,
 		TruthID:   d.TruthID,
 		Box:       d.Box,
 		QuantSize: size,
-	})
+	}
+	tr.tracks = append(tr.tracks, t)
 	return id
 }
 

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -344,6 +345,114 @@ func TestTracksIsASnapshotInTrackerStorage(t *testing.T) {
 	if tr.Len() != 4 {
 		t.Fatalf("len = %d", tr.Len())
 	}
+}
+
+// TestRecycledTracksKeepSnapshots is the property behind the tracker's
+// recycled tracks, over a seeded random mix of Update, Spawn, Remove and
+// Tracks: (1) while Spawn and Remove run during the ranging over a
+// Tracks snapshot, every track of the snapshot keeps its values, and
+// (2) a track removed or dropped is handed out again by Spawn or
+// Update's arrivals only after the next Tracks or Update call.
+func TestRecycledTracksKeepSnapshots(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr := newTracker(t)
+	randomDet := func() vision.Detection {
+		return det(rng.Intn(1000), rng.Float64()*1200, rng.Float64()*640, 30+rng.Float64()*40, 30+rng.Float64()*40)
+	}
+	// retired holds the tracks removed or dropped since the last Tracks
+	// or Update call; seen every Track value ever handed out.
+	retired := map[*Track]bool{}
+	seen := map[*Track]bool{}
+	handed, reused := 0, 0
+	handedOut := func(id int, during string) {
+		p := tr.Get(id)
+		if retired[p] {
+			t.Fatalf("%s: track %d reuses a Track retired since the last Tracks or Update", during, id)
+		}
+		handed++
+		if seen[p] {
+			reused++
+		}
+		seen[p] = true
+	}
+	spawn := func(during string) { handedOut(tr.Spawn(randomDet()), during) }
+	remove := func(id int) {
+		if p := tr.Get(id); p != nil {
+			retired[p] = true
+		}
+		tr.Remove(id)
+	}
+	randomID := func() int { return 1 + rng.Intn(tr.nextID) }
+
+	for step := 0; step < 3000; step++ {
+		switch op := rng.Intn(4); {
+		case op == 0: // an Update: most tracks re-detected, some arrivals
+			before := slices.Clone(tr.tracks)
+			var dets []vision.Detection
+			for _, p := range before {
+				if rng.Intn(4) > 0 {
+					d := randomDet()
+					d.Box = p.Predicted().Translate(geom.Point{X: rng.Float64()*4 - 2, Y: rng.Float64()*4 - 2})
+					dets = append(dets, d)
+				}
+			}
+			for n := rng.Intn(3); n > 0; n-- {
+				dets = append(dets, randomDet())
+			}
+			clear(retired)
+			created, err := tr.Update(dets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range before {
+				if tr.Get(p.ID) != p {
+					retired[p] = true // dropped by this Update
+				}
+			}
+			for _, id := range created {
+				handedOut(id, "Update")
+			}
+		case op == 1:
+			spawn("Spawn")
+		case op == 2:
+			remove(randomID())
+		default: // range over a snapshot, spawning and removing meanwhile
+			snap := tr.Tracks()
+			clear(retired)
+			vals := make([]Track, len(snap))
+			for i, p := range snap {
+				vals[i] = *p
+			}
+			for i, p := range snap {
+				switch rng.Intn(3) {
+				case 0:
+					remove(p.ID)
+				case 1:
+					remove(randomID())
+				}
+				spawn("Spawn while ranging")
+				if *p != vals[i] {
+					t.Fatalf("step %d: snapshot track %d changed while ranging: %+v, was %+v", step, i, *p, vals[i])
+				}
+			}
+			for i, p := range snap {
+				if *p != vals[i] {
+					t.Fatalf("step %d: snapshot track %d changed while ranging: %+v, was %+v", step, i, *p, vals[i])
+				}
+			}
+		}
+		if tr.Len() > 40 { // keep the population bounded
+			snap := tr.Tracks()
+			clear(retired)
+			for _, p := range snap[:20] {
+				remove(p.ID)
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no Track was ever recycled: the property is vacuous")
+	}
+	t.Logf("%d tracks handed out, %d of them in recycled Track values", handed, reused)
 }
 
 // TestUpdateDropsAndSpawnsKeepOrder drives expiry in the middle of the

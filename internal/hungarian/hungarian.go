@@ -75,10 +75,13 @@ func (s *Solver) Matrix(rows, cols int) [][]float64 {
 }
 
 // grow returns buf resized to n elements, reallocating only when its
-// capacity is too small. The contents are unspecified.
+// capacity is too small, and then to at least twice the old capacity, so
+// a workspace fed slowly growing problems reallocates a logarithmic
+// number of times rather than at every new largest size. The contents
+// are unspecified.
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }

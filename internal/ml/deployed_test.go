@@ -74,9 +74,9 @@ func (g *recReg) Fit(x [][]float64, y [][]float64) error {
 	g.l.x = x
 	return g.l.reg.Fit(x, y)
 }
-func (g *recReg) Predict(q []float64) ([]float64, error) {
+func (g *recReg) Predict(dst, q []float64) ([]float64, error) {
 	g.r.note(g.l, q)
-	return g.l.reg.Predict(q)
+	return g.l.reg.Predict(dst, q)
 }
 
 // TestKNNIndexOnDeployedShape trains the C16 and S4 association models

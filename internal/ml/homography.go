@@ -48,14 +48,14 @@ func (h *HomographyRegressor) Fit(x [][]float64, y [][]float64) error {
 	return nil
 }
 
-// Predict maps both corners of the box through the homography and returns
-// the normalized (min, max) box.
-func (h *HomographyRegressor) Predict(x []float64) ([]float64, error) {
+// Predict maps both corners of the box through the homography and
+// appends the normalized (min, max) box to dst.
+func (h *HomographyRegressor) Predict(dst, x []float64) ([]float64, error) {
 	if !h.fitted {
-		return nil, ErrNotFitted
+		return dst, ErrNotFitted
 	}
 	if len(x) != 4 {
-		return nil, fmt.Errorf("homography regressor: feature dim %d, want 4", len(x))
+		return dst, fmt.Errorf("homography regressor: feature dim %d, want 4", len(x))
 	}
 	x1, y1 := h.h.Apply(x[0], x[1])
 	x2, y2 := h.h.Apply(x[2], x[3])
@@ -65,5 +65,5 @@ func (h *HomographyRegressor) Predict(x []float64) ([]float64, error) {
 	if y1 > y2 {
 		y1, y2 = y2, y1
 	}
-	return []float64{x1, y1, x2, y2}, nil
+	return append(dst, x1, y1, x2, y2), nil
 }

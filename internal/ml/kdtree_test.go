@@ -258,7 +258,7 @@ func TestKNNModelsIdenticalWithAndWithoutIndex(t *testing.T) {
 			if want := referenceVote(x, y, q, 5); got != want {
 				t.Fatalf("n=%d: classifier at %v: indexed=%v reference=%v", n, q, got, want)
 			}
-			pred, err := r.Predict(q)
+			pred, err := r.Predict(nil, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,7 +357,7 @@ func FuzzKNN(f *testing.F) {
 		if err := r.Fit(x, targets); err != nil {
 			t.Fatal(err)
 		}
-		pred, err := r.Predict(q)
+		pred, err := r.Predict(nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // KNNClassifier is the paper's association classifier: a non-parametric
@@ -92,25 +93,28 @@ func (k *KNNRegressor) Fit(x [][]float64, y [][]float64) error {
 	return nil
 }
 
-// Predict returns the inverse-distance-weighted mean of the nearest
-// neighbors' targets. An exact feature match returns that case's target
-// directly (true lookup-table behaviour).
-func (k *KNNRegressor) Predict(x []float64) ([]float64, error) {
+// Predict appends the inverse-distance-weighted mean of the nearest
+// neighbors' targets to dst. An exact feature match yields that case's
+// target directly (true lookup-table behaviour).
+func (k *KNNRegressor) Predict(dst, x []float64) ([]float64, error) {
 	if k.tree == nil {
-		return nil, ErrNotFitted
+		return dst, ErrNotFitted
 	}
 	if len(x) != k.dim {
-		return nil, fmt.Errorf("knn regressor: feature dim %d, want %d", len(x), k.dim)
+		return dst, fmt.Errorf("knn regressor: feature dim %d, want %d", len(x), k.dim)
 	}
 	var store [stackK]neighbor
 	near := k.tree.nearest(x, k.kEff(), &store)
-	pred := make([]float64, k.out)
+	n0 := len(dst)
+	dst = slices.Grow(dst, k.out)[:n0+k.out]
+	pred := dst[n0:]
+	clear(pred)
 	var wsum float64
 	for _, n := range near {
 		i, d := n.index, n.dist
 		if d == 0 {
 			copy(pred, k.targets[i])
-			return pred, nil
+			return dst, nil
 		}
 		w := 1 / math.Sqrt(d)
 		wsum += w
@@ -121,7 +125,7 @@ func (k *KNNRegressor) Predict(x []float64) ([]float64, error) {
 	for j := range pred {
 		pred[j] /= wsum
 	}
-	return pred, nil
+	return dst, nil
 }
 
 func (k *KNNRegressor) kEff() int {

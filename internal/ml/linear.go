@@ -261,18 +261,17 @@ func (l *LinearRegressor) Fit(x [][]float64, y [][]float64) error {
 }
 
 // Predict implements Regressor.
-func (l *LinearRegressor) Predict(x []float64) ([]float64, error) {
+func (l *LinearRegressor) Predict(dst, x []float64) ([]float64, error) {
 	if l.coef == nil {
-		return nil, ErrNotFitted
+		return dst, ErrNotFitted
 	}
 	if len(x) != l.dim {
-		return nil, fmt.Errorf("linear regressor: feature dim %d, want %d", len(x), l.dim)
+		return dst, fmt.Errorf("linear regressor: feature dim %d, want %d", len(x), l.dim)
 	}
-	pred := make([]float64, l.out)
-	for k, c := range l.coef {
-		pred[k] = dotBias(c, x)
+	for _, c := range l.coef {
+		dst = append(dst, dotBias(c, x))
 	}
-	return pred, nil
+	return dst, nil
 }
 
 // dotBias computes w[:len(x)] . x + w[len(x)] (the bias term).

@@ -35,8 +35,11 @@ type Classifier interface {
 type Regressor interface {
 	// Fit trains on feature rows X with target rows Y.
 	Fit(x [][]float64, y [][]float64) error
-	// Predict returns the predicted target vector for one feature vector.
-	Predict(x []float64) ([]float64, error)
+	// Predict appends the predicted target vector for one feature vector
+	// to dst and returns the extended slice, the way strconv's Append
+	// functions do: with room in dst it allocates nothing, and
+	// Predict(nil, x) returns a fresh vector the caller owns.
+	Predict(dst, x []float64) ([]float64, error)
 	// Name identifies the model in experiment output.
 	Name() string
 }
@@ -145,8 +148,10 @@ func EvaluateRegressor(r Regressor, x [][]float64, y [][]float64) (float64, erro
 	}
 	var sum float64
 	var count int
+	var pred []float64
 	for i, row := range x {
-		pred, err := r.Predict(row)
+		var err error
+		pred, err = r.Predict(pred[:0], row)
 		if err != nil {
 			return 0, fmt.Errorf("ml: evaluating %s: %w", r.Name(), err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -128,7 +129,7 @@ func TestKNNRegressorLookupBehaviour(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exact match returns the stored case.
-	pred, err := r.Predict([]float64{10, 0})
+	pred, err := r.Predict(nil, []float64{10, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestKNNRegressorLookupBehaviour(t *testing.T) {
 		t.Fatalf("exact lookup = %v", pred)
 	}
 	// Near a point, prediction is pulled toward its target.
-	pred, err = r.Predict([]float64{9, 0})
+	pred, err = r.Predict(nil, []float64{9, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestKNNRegressorWeightsAreConvex(t *testing.T) {
 	}
 	f := func(q float64) bool {
 		q = math.Mod(math.Abs(q), 3)
-		pred, err := r.Predict([]float64{q})
+		pred, err := r.Predict(nil, []float64{q})
 		if err != nil {
 			return false
 		}
@@ -179,7 +180,7 @@ func TestLinearRegressorRecoversPlane(t *testing.T) {
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	pred, err := r.Predict([]float64{10, 20})
+	pred, err := r.Predict(nil, []float64{10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +219,8 @@ func TestRANSACIgnoresOutliers(t *testing.T) {
 	if err := ransac.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	p1, _ := plain.Predict([]float64{50})
-	p2, _ := ransac.Predict([]float64{50})
+	p1, _ := plain.Predict(nil, []float64{50})
+	p2, _ := ransac.Predict(nil, []float64{50})
 	truth := 151.0
 	if math.Abs(p2[0]-truth) > 5 {
 		t.Fatalf("ransac pred = %v, want ~%v", p2[0], truth)
@@ -237,7 +238,7 @@ func TestRANSACFallbackOnTinyData(t *testing.T) {
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	pred, err := r.Predict([]float64{3})
+	pred, err := r.Predict(nil, []float64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestHomographyRegressorRejectsBadDims(t *testing.T) {
 	if err := r.Fit([][]float64{{1, 2}}, [][]float64{{1, 2}}); err == nil {
 		t.Fatal("2-dim features accepted")
 	}
-	if _, err := r.Predict([]float64{1, 2, 3, 4}); !errors.Is(err, ErrNotFitted) {
+	if _, err := r.Predict(nil, []float64{1, 2, 3, 4}); !errors.Is(err, ErrNotFitted) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -292,7 +293,7 @@ func TestHomographyRegressorNormalizesCorners(t *testing.T) {
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	pred, err := r.Predict([]float64{5, 5, 15, 15})
+	pred, err := r.Predict(nil, []float64{5, 5, 15, 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +311,49 @@ func TestRegressorsBadInputs(t *testing.T) {
 		if err := r.Fit([][]float64{{1}}, [][]float64{{1}, {2}}); err == nil {
 			t.Errorf("%s: mismatched fit accepted", r.Name())
 		}
-		if _, err := r.Predict([]float64{1}); !errors.Is(err, ErrNotFitted) {
+		if _, err := r.Predict(nil, []float64{1}); !errors.Is(err, ErrNotFitted) {
 			t.Errorf("%s: err = %v, want ErrNotFitted", r.Name(), err)
+		}
+	}
+}
+
+// TestRegressorsPredictIntoDst pins the append form of Regressor.Predict
+// for every regressor: with room in dst, Predict(dst[:0], x) allocates
+// nothing and yields exactly the values of Predict(nil, x), and a
+// non-empty dst keeps its prefix.
+func TestRegressorsPredictIntoDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var x, y [][]float64
+	for i := 0; i < 40; i++ {
+		x1, y1 := rng.Float64()*500, rng.Float64()*500
+		w, h := 20+rng.Float64()*50, 20+rng.Float64()*50
+		x = append(x, []float64{x1, y1, x1 + w, y1 + h})
+		y = append(y, []float64{0.9*x1 + 30, y1 - 20, 0.9*(x1+w) + 30, y1 + h - 20 + rng.Float64()})
+	}
+	for _, r := range []Regressor{&KNNRegressor{K: 5}, &LinearRegressor{}, &RANSACRegressor{Seed: 1}, &HomographyRegressor{}} {
+		if err := r.Fit(x, y); err != nil {
+			t.Fatalf("%s: %v", r.Name(), err)
+		}
+		// A training point (KNN's exact-match lookup) and a fresh one.
+		for _, q := range [][]float64{x[3], {111, 222, 150, 260}} {
+			want, err := r.Predict(nil, q)
+			if err != nil {
+				t.Fatalf("%s: %v", r.Name(), err)
+			}
+			dst := make([]float64, 0, 8)
+			var got []float64
+			if n := testing.AllocsPerRun(100, func() {
+				got, err = r.Predict(dst[:0], q)
+			}); n != 0 || err != nil {
+				t.Errorf("%s: Predict into a roomy dst: %v allocs, err %v; want 0, nil", r.Name(), n, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: Predict(dst[:0], %v) = %v, Predict(nil, ..) = %v", r.Name(), q, got, want)
+			}
+			prefixed, err := r.Predict([]float64{-1}, q)
+			if err != nil || prefixed[0] != -1 || !slices.Equal(prefixed[1:], want) {
+				t.Errorf("%s: Predict after a prefix = %v, %v; want [-1 %v]", r.Name(), prefixed, err, want)
+			}
 		}
 	}
 }

@@ -62,8 +62,9 @@ func (r *RANSACRegressor) Fit(x [][]float64, y [][]float64) error {
 			continue // degenerate sample
 		}
 		var inliers []int
+		var pred []float64
 		for i := range x {
-			pred, err := cand.Predict(x[i])
+			pred, err = cand.Predict(pred[:0], x[i])
 			if err != nil {
 				continue
 			}
@@ -91,11 +92,11 @@ func (r *RANSACRegressor) Fit(x [][]float64, y [][]float64) error {
 }
 
 // Predict implements Regressor.
-func (r *RANSACRegressor) Predict(x []float64) ([]float64, error) {
+func (r *RANSACRegressor) Predict(dst, x []float64) ([]float64, error) {
 	if !r.ready {
-		return nil, ErrNotFitted
+		return dst, ErrNotFitted
 	}
-	return r.inner.Predict(x)
+	return r.inner.Predict(dst, x)
 }
 
 func gather[T any](rows []T, idx []int) []T {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"mvs/internal/adapt"
@@ -56,9 +57,14 @@ type Engine struct {
 	// roster's round.
 	rosterCams [][]core.CameraSpec
 	round      central.Round
+	// info is the latest central-stage round's summary, refilled in
+	// place every round.
+	info roundInfo
 
 	cams []*camera.Kernel
 
+	// policy is the horizon's ownership policy, rebuilt in place by every
+	// central-stage round.
 	policy   *core.DistributedPolicy
 	health   *camfault.Tracker
 	deadMask []bool
@@ -387,20 +393,17 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	clear(e.detectedIDs)
 	mergeCamFrames(results, e.detectedIDs, e.breakdown, e.horizonCam)
 
-	if isKey {
-		if e.needsModel {
-			start := time.Now()
-			newPolicy, round, err := e.centralStage()
-			if err != nil {
-				return err
-			}
-			e.centralTotal += time.Since(start)
-			if newPolicy != nil {
-				e.policy = newPolicy
-				e.policy.SetDead(e.deadMask)
-			}
-			if round != nil && e.cfg.Obs.Rounds != nil {
-				e.emitRound(fi, round)
+	if isKey && e.needsModel {
+		start := time.Now()
+		ran, err := e.centralStage()
+		if err != nil {
+			return err
+		}
+		e.centralTotal += time.Since(start)
+		if ran {
+			e.policy.SetDead(e.deadMask)
+			if e.cfg.Obs.Rounds != nil {
+				e.emitRound(fi)
 			}
 		}
 	}
@@ -514,16 +517,18 @@ func (e *Engine) resolveServe(results []camera.Frame, down []bool) error {
 	return nil
 }
 
-// emitRound records one central-stage decision (docs/STREAMING.md).
-func (e *Engine) emitRound(fi int, round *roundInfo) {
+// emitRound records the latest central-stage decision, e.info
+// (docs/STREAMING.md). The sink may keep the record, so its lists are
+// copies of the engine's.
+func (e *Engine) emitRound(fi int) {
 	r := metrics.Round{
 		Source:        metrics.SourcePipeline,
 		Label:         e.label,
 		Seq:           e.roundSeq,
 		Frame:         fi,
-		Objects:       round.objects,
-		Priority:      round.priority,
-		Assigned:      round.assigned,
+		Objects:       e.info.objects,
+		Priority:      slices.Clone(e.info.priority),
+		Assigned:      slices.Clone(e.info.assigned),
 		Reassignments: e.reassigned,
 		Orphaned:      e.orphaned,
 	}

@@ -380,20 +380,22 @@ func (e *Engine) runCameras(isKey bool, obs [][]scene.Observation, down []bool, 
 // roundInfo is one central-stage round's decision summary, feeding the
 // metrics.Round record the engine emits (Config.Obs.Rounds): the
 // composed priority order (global camera indices), per-camera assigned
-// object counts, and the scheduled object-group count.
+// object counts, and the scheduled object-group count. The engine keeps
+// one and refills it every round; emitRound copies it out.
 type roundInfo struct {
 	objects  int
 	priority []int
 	assigned []int
 }
 
-// centralStage runs the central-stage round and applies the assignment:
-// unassigned members become shadows. The pairwise association — the
-// stage's O(N^2) term — fans out per camera pair on Sched.Workers
-// (assoc.AssociateWorkers); the BALB solve and the shadow bookkeeping
-// stay inline. For SP the round is skipped (its partition is static, and
-// the kernels prune by cell owner at the key frame) — it returns a nil
-// policy (keep the previous one) and a nil round.
+// centralStage runs the central-stage round, applies the assignment —
+// unassigned members become shadows — and rebuilds the engine's policy
+// in place from the round's priority order, leaving the round's summary
+// in e.info. The pairwise association — the stage's O(N^2) term — fans
+// out per camera pair on Sched.Workers (assoc.Workspace.Associate); the
+// BALB solve and the shadow bookkeeping stay inline. For SP the round
+// is skipped (its partition is static, and the kernels prune by cell
+// owner at the key frame): it reports false, and the policy stays.
 //
 // The stage runs once per roster (Engine.rosters: the whole fleet, or
 // with Sched.Shards each shard's cameras in shard order) under the model
@@ -406,21 +408,23 @@ type roundInfo struct {
 // from the round, so the MVS instance is built over the healthy subset
 // only and every orphaned object is implicitly reassigned to a live
 // covering camera by Central.
-func (e *Engine) centralStage() (*core.DistributedPolicy, *roundInfo, error) {
+func (e *Engine) centralStage() (bool, error) {
 	if e.cfg.Sched.Mode == StaticPartition {
-		return nil, nil, nil
+		return false, nil
 	}
-	info := &roundInfo{assigned: make([]int, len(e.cams)), priority: make([]int, 0, len(e.cams))}
+	info := &e.info
+	info.objects = 0
+	info.priority = info.priority[:0]
+	info.assigned = append(info.assigned[:0], make([]int, len(e.cams))...)
 	for s := range e.rosters {
 		if err := e.centralShard(s, info); err != nil {
-			return nil, nil, fmt.Errorf("pipeline: roster %d: %w", s, err)
+			return false, fmt.Errorf("pipeline: roster %d: %w", s, err)
 		}
 	}
-	policy, err := core.NewDistributedPolicy(info.priority)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline: %w", err)
+	if err := e.policy.Reset(info.priority); err != nil {
+		return false, fmt.Errorf("pipeline: %w", err)
 	}
-	return policy, info, nil
+	return true, nil
 }
 
 // centralShard runs one central-stage round over roster s and adds its

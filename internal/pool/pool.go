@@ -2,7 +2,8 @@
 // abstraction. Everything that fans out — the camera pairs of
 // association and training, the cells of coverage precomputation, the
 // independent experiment points of the harness — does so through
-// pool.Do, so the execution model documented in docs/CONCURRENCY.md is
+// pool.Do (or Run, its form for a workspace that brings its own work),
+// so the execution model documented in docs/CONCURRENCY.md is
 // implemented in exactly one place.
 //
 // The contract callers rely on:
@@ -48,13 +49,34 @@ func Workers(workers, n int) int {
 // complete in any order, so fn must confine its writes to per-index
 // state and leave shared merging to the caller.
 func Do(workers, n int, fn func(i int) error) error {
+	return Run(workers, n, funcItems(fn))
+}
+
+// Items is a fan-out's work for Run: Item(worker, i) does work item i on
+// the worker with index worker, in [0, Workers(workers, n)), so that each
+// worker can use scratch of its own. One worker runs one item at a time.
+type Items interface {
+	Item(worker, i int) error
+}
+
+// funcItems adapts Do's function to Items.
+type funcItems func(i int) error
+
+func (f funcItems) Item(_, i int) error { return f(i) }
+
+// Run is Do over work.Item(worker, 0), ..., work.Item(worker, n-1), with
+// Do's rules. A closure handed to Do is allocated on every call, because
+// the worker goroutines may hold it; a pointer to a workspace that
+// implements Items is passed as it is, so a caller that keeps each call's
+// inputs in its own workspace fans out without allocating at width 1.
+func Run(workers, n int, work Items) error {
 	if n <= 0 {
 		return nil
 	}
 	workers = Workers(workers, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := work.Item(0, i); err != nil {
 				return err
 			}
 		}
@@ -73,7 +95,7 @@ func Do(workers, n int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = fn(i)
+				errs[i] = work.Item(w, i)
 			}
 		}()
 	}

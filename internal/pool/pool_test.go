@@ -115,3 +115,45 @@ func TestDoConcurrentWrites(t *testing.T) {
 		}
 	}
 }
+
+// perWorker is Items that checks Run's worker contract: every item runs
+// once, on a worker index below Workers(workers, n), and a worker's
+// scratch — here a plain, unsynchronized counter — is never used by two
+// goroutines at once (the -race CI run catches a shared one).
+type perWorker struct {
+	max     int
+	runs    []atomic.Int32
+	scratch []int
+}
+
+func (p *perWorker) Item(worker, i int) error {
+	if worker < 0 || worker >= p.max {
+		return fmt.Errorf("item %d on worker %d, want below %d", i, worker, p.max)
+	}
+	p.scratch[worker]++
+	p.runs[i].Add(1)
+	return nil
+}
+
+func TestRunGivesEachWorkerItsOwnIndex(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		const n = 500
+		w := Workers(workers, n)
+		p := &perWorker{max: w, runs: make([]atomic.Int32, n), scratch: make([]int, w)}
+		if err := Run(workers, n, p); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		total := 0
+		for _, c := range p.scratch {
+			total += c
+		}
+		if total != n {
+			t.Fatalf("workers=%d: workers counted %d items, want %d", workers, total, n)
+		}
+		for i := range p.runs {
+			if got := p.runs[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: item %d ran %d times", workers, i, got)
+			}
+		}
+	}
+}

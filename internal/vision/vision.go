@@ -114,12 +114,22 @@ func (d *Detector) noisyBox(box geom.Rect) geom.Rect {
 }
 
 // DetectFull runs a simulated full-frame inspection over the camera's
-// visible objects. The caller owns the returned slice.
+// visible objects. The caller owns the returned slice, which may be kept
+// across calls; AppendFull is the same inspection into a buffer of the
+// caller's.
 func (d *Detector) DetectFull(objs []scene.Observation) []Detection {
 	if len(objs) == 0 {
 		return nil
 	}
-	return d.detect(make([]Detection, 0, len(objs)), objs, nil, 1)
+	return d.AppendFull(make([]Detection, 0, len(objs)), objs)
+}
+
+// AppendFull runs the full-frame inspection of DetectFull and appends
+// its detections to dst, returning the extended slice, so a caller that
+// passes its own scratch allocates nothing once the scratch has grown.
+// It draws the same noise as DetectFull would.
+func (d *Detector) AppendFull(dst []Detection, objs []scene.Observation) []Detection {
+	return d.detect(dst, objs, nil, 1)
 }
 
 // DetectRegions runs simulated partial-region inspections over a batch of
