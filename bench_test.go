@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"mvs/internal/assoc"
 	"mvs/internal/core"
@@ -130,17 +131,18 @@ func BenchmarkCrossCameraAssociation(b *testing.B) {
 
 // --- Central-stage scaling benches (docs/SCALING.md) ---
 
-// corridorWorld chains n cameras along a straight road (the S4 idiom at
-// arbitrary width): adjacent cameras overlap, so the trained model holds
-// O(n) useful pairs out of the n*(n-1) directed pairs the association
-// layer enumerates. Traffic arrives on per-segment routes (one pair per
+// corridorWorld chains n cameras, spacing metres apart, along a straight
+// road (the S4 idiom at arbitrary width): adjacent cameras overlap, so
+// the trained model holds O(n) useful pairs out of the n*(n-1) directed
+// pairs the association layer enumerates — more of them the closer the
+// cameras stand. Traffic arrives on per-segment routes (one pair per
 // adjacent camera pair) rather than one end-to-end route, so every
 // camera sees vehicles from the first frames even on a short trace —
 // a full-corridor route would leave the far half of a 32-camera world
 // empty for the first ~two minutes.
-func corridorWorld(seed int64, n int) *scene.World {
-	length := 40.0*float64(n) + 40
-	camX := func(i int) float64 { return -length/2 + 40 + float64(i)*40 }
+func corridorWorld(seed int64, n int, spacing float64) *scene.World {
+	length := spacing * float64(n+1)
+	camX := func(i int) float64 { return -length/2 + spacing*float64(i+1) }
 	cams := make([]*scene.Camera, n)
 	var routes []scene.Route
 	for i := range cams {
@@ -155,7 +157,7 @@ func corridorWorld(seed int64, n int) *scene.World {
 			ImageW: 1280, ImageH: 704, MaxRange: 68,
 		}
 		if i+1 < n {
-			a, bx := camX(i)-20, camX(i+1)+20
+			a, bx := camX(i)-spacing/2, camX(i+1)+spacing/2
 			east := scene.MustPath(geom.Point{X: a, Y: 4}, geom.Point{X: bx, Y: 4})
 			west := scene.MustPath(geom.Point{X: bx, Y: -4}, geom.Point{X: a, Y: -4})
 			routes = append(routes,
@@ -172,47 +174,66 @@ func corridorWorld(seed int64, n int) *scene.World {
 	}
 }
 
-// corridorFixture is a per-width cached corridor world: the training
-// half, a trained model, and one mid-trace frame's boxes.
+// corridorFixture is a cached corridor world of one width and spacing:
+// the training half, a trained model, one mid-trace frame's boxes, and
+// the boxes of every key frame (each tenth frame) of the test half.
 type corridorFixture struct {
-	train *scene.Trace
-	model *assoc.Model
-	boxes [][]geom.Rect
-	err   error
+	train    *scene.Trace
+	model    *assoc.Model
+	boxes    [][]geom.Rect
+	keyBoxes [][][]geom.Rect
+	err      error
+}
+
+// corridorKey names a corridor fixture: width and camera spacing.
+type corridorKey struct {
+	cams    int
+	spacing float64
 }
 
 var (
 	corridorMu       sync.Mutex
-	corridorFixtures = map[int]*corridorFixture{}
+	corridorFixtures = map[corridorKey]*corridorFixture{}
 )
 
-// benchCorridor builds (once per width) the corridor fixture used by the
-// central-stage scaling benches.
-func benchCorridor(b *testing.B, cams int) *corridorFixture {
+// frameBoxes is one frame's per-camera detection boxes, ground truth.
+func frameBoxes(frame *scene.FrameTruth) [][]geom.Rect {
+	boxes := make([][]geom.Rect, len(frame.PerCamera))
+	for ci, obs := range frame.PerCamera {
+		for _, o := range obs {
+			boxes[ci] = append(boxes[ci], o.Box)
+		}
+	}
+	return boxes
+}
+
+// benchCorridor builds (once per width and spacing) the corridor fixture
+// used by the central-stage scaling benches.
+func benchCorridor(b *testing.B, cams int, spacing float64) *corridorFixture {
 	b.Helper()
 	corridorMu.Lock()
-	fx, ok := corridorFixtures[cams]
+	key := corridorKey{cams, spacing}
+	fx, ok := corridorFixtures[key]
 	if !ok {
 		fx = &corridorFixture{}
-		corridorFixtures[cams] = fx
+		corridorFixtures[key] = fx
 		fx.err = func() error {
-			trace, err := corridorWorld(9, cams).Run(240)
+			trace, err := corridorWorld(9, cams, spacing).Run(240)
 			if err != nil {
 				return err
 			}
 			train, test := trace.SplitTrain()
+			start := time.Now()
 			model, err := assoc.Train(train, assoc.Factories{})
 			if err != nil {
 				return err
 			}
-			frame := &test.Frames[len(test.Frames)/2]
-			boxes := make([][]geom.Rect, cams)
-			for ci, obs := range frame.PerCamera {
-				for _, o := range obs {
-					boxes[ci] = append(boxes[ci], o.Box)
-				}
+			b.Logf("corridor %d cameras, %g m apart: trained in %v", cams, spacing, time.Since(start).Round(time.Millisecond))
+			fx.boxes = frameBoxes(&test.Frames[len(test.Frames)/2])
+			for fi := 0; fi < len(test.Frames); fi += 10 {
+				fx.keyBoxes = append(fx.keyBoxes, frameBoxes(&test.Frames[fi]))
 			}
-			fx.train, fx.model, fx.boxes = train, model, boxes
+			fx.train, fx.model = train, model
 			return nil
 		}()
 	}
@@ -232,7 +253,7 @@ func BenchmarkTrainWorkers(b *testing.B) {
 		for _, w := range []int{1, 4, 8} {
 			cams, w := cams, w
 			b.Run(fmt.Sprintf("cams=%d/workers=%d", cams, w), func(b *testing.B) {
-				fx := benchCorridor(b, cams)
+				fx := benchCorridor(b, cams, 40)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := assoc.Train(fx.train, assoc.Factories{Workers: w}); err != nil {
@@ -246,16 +267,35 @@ func BenchmarkTrainWorkers(b *testing.B) {
 
 // BenchmarkAssociateWorkers measures one cross-camera association round
 // — the N*(N-1)/2 unordered-pair Hungarian fan-out — across corridor
-// widths and worker bounds, on a mid-trace frame's boxes.
+// widths and worker bounds, on a mid-trace frame's boxes. The dense
+// case stands the cameras 8 m apart, where every camera overlaps many
+// others and a round is large enough for the fan-out to pay if it ever
+// does: it associates the test half's twelve key frames in turn on one
+// reused Workspace, as central.Round does (docs/SCALING.md §2).
 func BenchmarkAssociateWorkers(b *testing.B) {
 	for _, cams := range []int{4, 8, 16, 32} {
 		for _, w := range []int{1, 4, 8} {
 			cams, w := cams, w
 			b.Run(fmt.Sprintf("cams=%d/workers=%d", cams, w), func(b *testing.B) {
-				fx := benchCorridor(b, cams)
+				fx := benchCorridor(b, cams, 40)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := fx.model.AssociateWorkers(fx.boxes, 0.1, w); err != nil {
+					if _, err := fx.model.AssociateWorkers(fx.boxes, assoc.MinIoU, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+	for _, cams := range []int{32, 64} {
+		for _, w := range []int{1, 2} {
+			cams, w := cams, w
+			b.Run(fmt.Sprintf("dense/cams=%d/workers=%d", cams, w), func(b *testing.B) {
+				fx := benchCorridor(b, cams, 8)
+				var ws assoc.Workspace
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := ws.Associate(fx.model, fx.keyBoxes[i%len(fx.keyBoxes)], assoc.MinIoU, w); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -96,7 +96,7 @@ func shardMap(spec string, maxShard int, s *workload.Scenario, model *assoc.Mode
 	for i, c := range s.World.Cameras {
 		rects[i] = c.Frame()
 	}
-	adj, err := model.OverlapAdjacency(rects, 16, 9, 0)
+	adj, err := model.OverlapAdjacency(rects)
 	if err != nil {
 		return nil, err
 	}

@@ -70,6 +70,19 @@ import (
 	"mvs/internal/scene"
 )
 
+// GridCols and GridRows shape every camera's cell grid: the per-cell
+// coverage sets the distributed stage's ownership masks are built from
+// (CellCoverage), and the overlap graph a fleet is sharded on
+// (OverlapAdjacency). The cameras and the scheduler share this one
+// precomputed grid, which is what lets the distributed stage decide
+// ownership without communication.
+const GridCols, GridRows = 16, 9
+
+// MinIoU is the paper's preset association threshold on area overlap:
+// a mapped box matches a box on the destination camera only at IoU >=
+// MinIoU.
+const MinIoU = 0.1
+
 // Sample is one training or evaluation case for a camera pair: a box on
 // the source camera, whether the same object is visible on the
 // destination camera, and (when visible) its box there.
@@ -427,8 +440,7 @@ func (p pairWork) Item(worker, k int) error { return p.w.match(worker, k) }
 // Associate clusters per-camera boxes into global objects. For each
 // camera pair (i < j), every box on i that the pair model maps into j is
 // matched against j's boxes by IoU (Hungarian, threshold minIoU);
-// matched pairs are merged with union-find. minIoU <= 0 defaults to 0.1
-// (the paper's "preset threshold" on area overlap).
+// matched pairs are merged with union-find. minIoU <= 0 selects MinIoU.
 //
 // The unordered pairs are matched independently on up to workers
 // goroutines (<= 0 selects GOMAXPROCS, 1 runs inline) — each pair
@@ -446,7 +458,7 @@ func (w *Workspace) Associate(m *Model, boxes [][]geom.Rect, minIoU float64, wor
 		return nil, fmt.Errorf("assoc: %d camera lists, model trained for %d", len(boxes), m.numCams)
 	}
 	if minIoU <= 0 {
-		minIoU = 0.1
+		minIoU = MinIoU
 	}
 	w.boxes, w.minIoU = boxes, minIoU
 
@@ -624,26 +636,23 @@ func (m *Model) Subset(cams []int) (*Model, error) {
 }
 
 // OverlapAdjacency extracts the model's pairwise overlap graph: for
-// each source camera, a cell grid of the given shape is laid over its
+// each source camera, the GridCols x GridRows cell grid is laid over its
 // frame and every cell's coverage set is queried
-// (CellCoverageWorkers); adj[src][dst] is true when any cell of src
-// predicts dst visible. frames[i] is camera i's pixel frame. The
-// matrix is directed as predicted; shard.FromAdjacency symmetrizes it
-// into the overlap graph that Partition consumes. Cost: one
-// CellCoverage sweep per camera (N · cols·rows · (N−1) MapBox
+// (CellCoverageWorkers on GOMAXPROCS workers); adj[src][dst] is true
+// when any cell of src predicts dst visible. frames[i] is camera i's
+// pixel frame. The matrix is directed as predicted; shard.FromAdjacency
+// symmetrizes it into the overlap graph that Partition consumes. Cost: one
+// CellCoverage sweep per camera (N · GridCols·GridRows · (N−1) MapBox
 // queries), paid once at deployment time, like the mask precomputation
 // it reuses.
-func (m *Model) OverlapAdjacency(frames []geom.Rect, cols, rows, workers int) ([][]bool, error) {
+func (m *Model) OverlapAdjacency(frames []geom.Rect) ([][]bool, error) {
 	if len(frames) != m.numCams {
 		return nil, fmt.Errorf("assoc: %d frames for model with %d cameras", len(frames), m.numCams)
-	}
-	if cols <= 0 || rows <= 0 {
-		return nil, fmt.Errorf("assoc: bad grid %dx%d", cols, rows)
 	}
 	adj := make([][]bool, m.numCams)
 	for src := range adj {
 		adj[src] = make([]bool, m.numCams)
-		cover, err := m.CellCoverageWorkers(src, geom.NewGrid(frames[src], cols, rows), workers)
+		cover, err := m.CellCoverageWorkers(src, geom.NewGrid(frames[src], GridCols, GridRows), 0)
 		if err != nil {
 			return nil, fmt.Errorf("assoc: overlap for camera %d: %w", src, err)
 		}

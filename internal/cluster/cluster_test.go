@@ -40,6 +40,18 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteMessageRejectsInvalidUTF8: encoding/json would send U+FFFD
+// for invalid UTF-8, so such a Type or Error is an error and nothing is
+// written.
+func TestWriteMessageRejectsInvalidUTF8(t *testing.T) {
+	for _, env := range []*Envelope{{Type: "\xff"}, {Type: TypeError, Error: "bad \xc3"}} {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, env); err == nil || buf.Len() != 0 {
+			t.Fatalf("%q / %q: err %v, %d bytes written", env.Type, env.Error, err, buf.Len())
+		}
+	}
+}
+
 func TestReadMessageRejectsBadLength(t *testing.T) {
 	if _, err := ReadMessage(bytes.NewReader([]byte{0, 0, 0, 0})); err == nil {
 		t.Fatal("zero length accepted")

@@ -118,7 +118,7 @@ func newMachine(model *assoc.Model, profiles []*profile.Profile, minIoU float64)
 		cams[i] = core.CameraSpec{Index: i, Profile: p}
 	}
 	if minIoU <= 0 {
-		minIoU = 0.1
+		minIoU = assoc.MinIoU
 	}
 	return &machine{model: model, cams: cams, minIoU: minIoU}, nil
 }

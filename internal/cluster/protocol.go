@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"unicode/utf8"
 )
 
 // MaxMessageSize bounds a single message to protect against corrupt
@@ -164,8 +165,13 @@ type Envelope struct {
 // then the JSON body, issued as a single Write. One write per envelope
 // means concurrent writers sharing a conn (each envelope guarded by its
 // own lock) cannot interleave a torn header/body pair, and each message
-// costs one syscall instead of two.
+// costs one syscall instead of two. A Type or Error that is not valid
+// UTF-8 is an error: encoding/json would send U+FFFD in its place, and
+// the peer would read a different message than the one written.
 func WriteMessage(w io.Writer, env *Envelope) error {
+	if !utf8.ValidString(env.Type) || !utf8.ValidString(env.Error) {
+		return fmt.Errorf("cluster: encode: type or error is not valid UTF-8")
+	}
 	body, err := json.Marshal(env)
 	if err != nil {
 		return fmt.Errorf("cluster: encode: %w", err)

@@ -15,13 +15,6 @@ import (
 	"mvs/internal/profile"
 )
 
-// maskGridCols and maskGridRows shape every camera's cell grid for the
-// distributed-stage masks.
-const (
-	maskGridCols = 16
-	maskGridRows = 9
-)
-
 // Scheduler is the central scheduler service: it accepts one connection
 // per camera, barriers each key-frame round until every camera of the
 // configured roster has uploaded its detections, then runs association +
@@ -200,7 +193,8 @@ func WithLease(d time.Duration) Option {
 	}
 }
 
-// NewScheduler builds the service for a fixed camera roster.
+// NewScheduler builds the service for a fixed camera roster; minIoU is
+// the association threshold, and <= 0 selects assoc.MinIoU.
 func NewScheduler(model *assoc.Model, profiles []*profile.Profile, minIoU float64, opts ...Option) (*Scheduler, error) {
 	m, err := newMachine(model, profiles, minIoU)
 	if err != nil {
@@ -390,7 +384,7 @@ func (s *Scheduler) helloAck(m *machine, cam int, h *Hello) (*HelloAck, error) {
 	if h.FrameW <= 0 || h.FrameH <= 0 {
 		return ack, nil
 	}
-	grid := geom.NewGrid(geom.Rect{MaxX: h.FrameW, MaxY: h.FrameH}, maskGridCols, maskGridRows)
+	grid := geom.NewGrid(geom.Rect{MaxX: h.FrameW, MaxY: h.FrameH}, assoc.GridCols, assoc.GridRows)
 	cover, err := m.model.CellCoverageWorkers(cam, grid, m.workers)
 	if err != nil {
 		return nil, err
@@ -402,8 +396,8 @@ func (s *Scheduler) helloAck(m *machine, cam int, h *Hello) (*HelloAck, error) {
 			set[k] = m.glob(c)
 		}
 	}
-	ack.GridCols = maskGridCols
-	ack.GridRows = maskGridRows
+	ack.GridCols = assoc.GridCols
+	ack.GridRows = assoc.GridRows
 	ack.Coverage = cover
 	return ack, nil
 }

@@ -58,7 +58,7 @@ func buildShardedEnv(t *testing.T, n int, seed int64, maxShard int) *shardedEnv 
 	for i, c := range s.World.Cameras {
 		frames[i] = c.Frame()
 	}
-	adj, err := model.OverlapAdjacency(frames, maskGridCols, maskGridRows, 0)
+	adj, err := model.OverlapAdjacency(frames)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"time"
+
+	"mvs/internal/profile"
 )
 
 // The reference implementation of the central stage: the map-based
@@ -110,6 +112,16 @@ func oracleCameraLatencies(cams []CameraSpec, objects []ObjectSpec, a oracleAssi
 	return out, nil
 }
 
+// oracleBatchLatency is t_i^s for a size, or an error for a size the
+// profile does not know.
+func oracleBatchLatency(p *profile.Profile, size int) (time.Duration, error) {
+	lat, ok := p.BatchLatency[size]
+	if !ok {
+		return 0, fmt.Errorf("profile: no latency for size %d on %s", size, p.Class)
+	}
+	return lat, nil
+}
+
 func oracleScheduledLatency(counts map[int]int, cam CameraSpec) (time.Duration, error) {
 	var total time.Duration
 	for size, n := range counts {
@@ -120,7 +132,7 @@ func oracleScheduledLatency(counts map[int]int, cam CameraSpec) (time.Duration, 
 		if err != nil {
 			return 0, fmt.Errorf("core: camera %d: %w", cam.Index, err)
 		}
-		t, err := cam.Profile.BatchLatencyFor(size)
+		t, err := oracleBatchLatency(cam.Profile, size)
 		if err != nil {
 			return 0, fmt.Errorf("core: camera %d: %w", cam.Index, err)
 		}
@@ -221,7 +233,7 @@ func oracleCentral(cams []CameraSpec, objects []ObjectSpec, opts CentralOptions)
 		var bestLat time.Duration
 		for _, c := range o.Coverage {
 			size := o.Size[c]
-			t, err := cams[c].Profile.BatchLatencyFor(size)
+			t, err := oracleBatchLatency(cams[c].Profile, size)
 			if err != nil {
 				return nil, fmt.Errorf("core: central: %w", err)
 			}
@@ -232,7 +244,7 @@ func oracleCentral(cams []CameraSpec, objects []ObjectSpec, opts CentralOptions)
 			}
 		}
 		size := o.Size[bestCam]
-		t, err := cams[bestCam].Profile.BatchLatencyFor(size)
+		t, err := oracleBatchLatency(cams[bestCam].Profile, size)
 		if err != nil {
 			return nil, fmt.Errorf("core: central: %w", err)
 		}
@@ -288,7 +300,7 @@ func oracleCentralRedundant(cams []CameraSpec, objects []ObjectSpec, redundancy 
 		if counts[c][size]%limit != 0 {
 			return 0, nil // joins an incomplete batch
 		}
-		return cams[c].Profile.BatchLatencyFor(size)
+		return oracleBatchLatency(cams[c].Profile, size)
 	}
 
 	extra := make(map[int][]int, len(objects))

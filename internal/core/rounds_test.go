@@ -34,11 +34,12 @@ func parentObjects(groups []assoc.Group, v *central.Views) []core.ObjectSpec {
 // TestSolverMatchesReferenceOnRunRounds holds the round kernel to the
 // reference on the rounds a BALB run schedules: 300 test frames of the
 // 16-camera corridor and of S4, every camera a camera.Kernel with the
-// engine's defaults (16x9 cells, T = 10, IoU 0.1), every key frame one
-// central.Solve whose decisions are applied before the next frame. Each
-// round's instance must equal the parent builder's, its solution the
-// reference's, and the same instance solved without batching and with
-// redundancy 2 / slack 1.3 must match the reference too.
+// engine's defaults (assoc's cell grid and threshold, T = 10), every key
+// frame one central.Solve whose decisions are applied before the next
+// frame. Each round's instance must equal the parent builder's, its
+// solution the reference's, and the same instance solved without
+// batching and with redundancy 2 / slack 1.3 must match the reference
+// too.
 func TestSolverMatchesReferenceOnRunRounds(t *testing.T) {
 	for _, name := range []string{"C16", "S4"} {
 		t.Run(name, func(t *testing.T) {
@@ -51,7 +52,7 @@ func TestSolverMatchesReferenceOnRunRounds(t *testing.T) {
 			kernels := make([]*camera.Kernel, len(profiles))
 			for i, p := range profiles {
 				cams[i] = core.CameraSpec{Index: i, Profile: p}
-				grid := geom.NewGrid(setup.Test.Cameras[i].Frame(), 16, 9)
+				grid := geom.NewGrid(setup.Test.Cameras[i].Frame(), assoc.GridCols, assoc.GridRows)
 				cover, err := setup.Model.CellCoverageWorkers(i, grid, 1)
 				if err != nil {
 					t.Fatal(err)
@@ -73,7 +74,7 @@ func TestSolverMatchesReferenceOnRunRounds(t *testing.T) {
 
 			var r central.Round
 			var w core.Solver
-			params := central.Params{Model: setup.Model, Cameras: cams, MinIoU: 0.1, Workers: 1}
+			params := central.Params{Model: setup.Model, Cameras: cams, MinIoU: assoc.MinIoU, Workers: 1}
 			rounds, objects := 0, 0
 			for fi, frame := range setup.Test.Frames {
 				var out camera.Frame

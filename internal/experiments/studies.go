@@ -339,7 +339,7 @@ func shardSweep(p *plan) error {
 	for i, c := range s.Scenario.World.Cameras {
 		rects[i] = c.Frame()
 	}
-	adj, err := s.Model.OverlapAdjacency(rects, 16, 9, 0)
+	adj, err := s.Model.OverlapAdjacency(rects)
 	if err != nil {
 		return err
 	}

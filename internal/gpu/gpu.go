@@ -8,7 +8,8 @@
 //
 //   - the *scheduler's* view charges every batch the profiled latency
 //     t_i^s measured at the batch limit (the paper's conservative
-//     operating point);
+//     operating point); BALB prices with it (Profile.BatchLatency, in
+//     internal/core);
 //   - the *hardware's* view charges the true latency curve at the actual
 //     fill level, which is what the simulated executor reports.
 package gpu
@@ -123,9 +124,6 @@ type FrameResult struct {
 	Batches []Batch
 	// Latency is the true (hardware-view) total execution latency.
 	Latency time.Duration
-	// ScheduledLatency is what the scheduler's profile-based estimate
-	// would have predicted for the same batches.
-	ScheduledLatency time.Duration
 	// Images is the total number of regions inspected.
 	Images int
 }
@@ -169,7 +167,7 @@ func NewExecutor(prof *profile.Profile) (*Executor, error) {
 func (e *Executor) Profile() *profile.Profile { return e.prof }
 
 // RunFrame batches and "executes" the given partial-region tasks,
-// returning the formed batches and both latency views. The batches are
+// returning the formed batches and their true latency. The batches are
 // formed in the executor's own buffers (see FrameResult.Batches); tasks
 // is copied, not retained.
 func (e *Executor) RunFrame(tasks []Task) (FrameResult, error) {
@@ -180,11 +178,6 @@ func (e *Executor) RunFrame(tasks []Task) (FrameResult, error) {
 	res := FrameResult{Batches: batches}
 	for _, b := range batches {
 		res.Latency += profile.TrueBatchLatency(e.prof.Class, b.Size, len(b.Tasks))
-		sched, err := e.prof.BatchLatencyFor(b.Size)
-		if err != nil {
-			return FrameResult{}, err
-		}
-		res.ScheduledLatency += sched
 		res.Images += len(b.Tasks)
 	}
 	e.stats.Frames++

@@ -105,39 +105,6 @@ func TestFormBatchesPreservesAllTasks(t *testing.T) {
 	}
 }
 
-// The scheduler-side estimate of a frame — batches per size times the
-// profiled batch latency t_i^s — as RunFrame reports it.
-func TestScheduledLatencyMatchesHandComputation(t *testing.T) {
-	prof := xavier()
-	ex, err := NewExecutor(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := make([]int, 0, 20)
-	for i := 0; i < 17; i++ {
-		sizes = append(sizes, 64)
-	}
-	res, err := ex.RunFrame(makeTasks(append(sizes, 512, 512, 512)...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 2*prof.BatchLatency[64] + 2*prof.BatchLatency[512]
-	if res.ScheduledLatency != want {
-		t.Fatalf("latency = %v want %v", res.ScheduledLatency, want)
-	}
-}
-
-func TestScheduledLatencyEmpty(t *testing.T) {
-	ex, err := NewExecutor(xavier())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ex.RunFrame(nil)
-	if err != nil || res.ScheduledLatency != 0 {
-		t.Fatalf("empty = %v, %v", res.ScheduledLatency, err)
-	}
-}
-
 func TestExecutorRunFrame(t *testing.T) {
 	ex, err := NewExecutor(xavier())
 	if err != nil {
@@ -150,12 +117,8 @@ func TestExecutorRunFrame(t *testing.T) {
 	if res.Images != 3 || len(res.Batches) != 2 {
 		t.Fatalf("res = %+v", res)
 	}
-	if res.Latency <= 0 || res.ScheduledLatency <= 0 {
-		t.Fatalf("latencies = %v / %v", res.Latency, res.ScheduledLatency)
-	}
-	// Scheduler's estimate (batch-limit pricing) is conservative: >= true.
-	if res.ScheduledLatency < res.Latency {
-		t.Fatalf("scheduled %v < true %v", res.ScheduledLatency, res.Latency)
+	if res.Latency <= 0 {
+		t.Fatalf("latency = %v", res.Latency)
 	}
 	st := ex.Stats()
 	if st.Frames != 1 || st.Images != 3 || st.Batches != 2 || st.BusyTime != res.Latency {

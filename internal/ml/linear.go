@@ -53,13 +53,6 @@ func (s featureScaler) apply(x []float64) []float64 {
 // LogisticClassifier is L2-regularized logistic regression trained by
 // batch gradient descent, one of the paper's classification baselines.
 type LogisticClassifier struct {
-	// Epochs is the number of full-batch gradient steps (default 500).
-	Epochs int
-	// LearningRate is the gradient step size (default 0.1).
-	LearningRate float64
-	// L2 is the regularization strength (default 1e-4).
-	L2 float64
-
 	dim     int
 	weights []float64 // last element is the bias
 	scaler  featureScaler
@@ -67,6 +60,14 @@ type LogisticClassifier struct {
 
 // Name implements Classifier.
 func (l *LogisticClassifier) Name() string { return "logistic" }
+
+// The logistic baseline's training: full-batch gradient steps, their
+// step size, and the L2 regularization strength.
+const (
+	logisticEpochs       = 500
+	logisticLearningRate = 0.1
+	logisticL2           = 1e-4
+)
 
 // Fit trains the model with full-batch gradient descent on the logistic
 // loss.
@@ -82,23 +83,10 @@ func (l *LogisticClassifier) Fit(x [][]float64, y []bool) error {
 		scaled[i] = l.scaler.apply(row)
 	}
 
-	epochs := l.Epochs
-	if epochs <= 0 {
-		epochs = 500
-	}
-	lr := l.LearningRate
-	if lr <= 0 {
-		lr = 0.1
-	}
-	l2 := l.L2
-	if l2 <= 0 {
-		l2 = 1e-4
-	}
-
 	w := make([]float64, dim+1)
 	grad := make([]float64, dim+1)
 	n := float64(len(x))
-	for e := 0; e < epochs; e++ {
+	for e := 0; e < logisticEpochs; e++ {
 		for j := range grad {
 			grad[j] = 0
 		}
@@ -115,9 +103,9 @@ func (l *LogisticClassifier) Fit(x [][]float64, y []bool) error {
 			grad[dim] += g
 		}
 		for j := 0; j < dim; j++ {
-			w[j] -= lr * (grad[j]/n + l2*w[j])
+			w[j] -= logisticLearningRate * (grad[j]/n + logisticL2*w[j])
 		}
-		w[dim] -= lr * grad[dim] / n
+		w[dim] -= logisticLearningRate * grad[dim] / n
 	}
 	l.weights = w
 	return nil
@@ -138,11 +126,6 @@ func (l *LogisticClassifier) Predict(x []float64) (bool, error) {
 // stochastic sub-gradient method, one of the paper's classification
 // baselines.
 type SVMClassifier struct {
-	// Epochs is the number of passes over the data (default 200).
-	Epochs int
-	// Lambda is the regularization strength (default 1e-3).
-	Lambda float64
-
 	dim     int
 	weights []float64 // last element is the bias
 	scaler  featureScaler
@@ -150,6 +133,13 @@ type SVMClassifier struct {
 
 // Name implements Classifier.
 func (s *SVMClassifier) Name() string { return "svm" }
+
+// The SVM baseline's training: passes over the data and the
+// regularization strength.
+const (
+	svmEpochs = 200
+	svmLambda = 1e-3
+)
 
 // Fit trains the model with the deterministic-order Pegasos schedule
 // (cycling through examples), which keeps training reproducible without
@@ -166,20 +156,11 @@ func (s *SVMClassifier) Fit(x [][]float64, y []bool) error {
 		scaled[i] = s.scaler.apply(row)
 	}
 
-	epochs := s.Epochs
-	if epochs <= 0 {
-		epochs = 200
-	}
-	lambda := s.Lambda
-	if lambda <= 0 {
-		lambda = 1e-3
-	}
-
 	w := make([]float64, dim+1)
 	t := 1
-	for e := 0; e < epochs; e++ {
+	for e := 0; e < svmEpochs; e++ {
 		for i, row := range scaled {
-			eta := 1 / (lambda * float64(t))
+			eta := 1 / (svmLambda * float64(t))
 			t++
 			yi := -1.0
 			if y[i] {
@@ -187,7 +168,7 @@ func (s *SVMClassifier) Fit(x [][]float64, y []bool) error {
 			}
 			margin := yi * dotBias(w, row)
 			for j := 0; j < dim; j++ {
-				w[j] *= 1 - eta*lambda
+				w[j] *= 1 - eta*svmLambda
 			}
 			if margin < 1 {
 				for j, v := range row {
@@ -217,9 +198,6 @@ func (s *SVMClassifier) Predict(x []float64) (bool, error) {
 // For cross-camera box mapping this is the paper's "learnable homography"
 // baseline.
 type LinearRegressor struct {
-	// Ridge is the L2 damping on the normal equations (default 1e-8).
-	Ridge float64
-
 	dim, out int
 	coef     [][]float64 // out rows of dim+1 coefficients (bias last)
 }
@@ -227,15 +205,14 @@ type LinearRegressor struct {
 // Name implements Regressor.
 func (l *LinearRegressor) Name() string { return "linear" }
 
+// linearRidge is the L2 damping on the normal equations.
+const linearRidge = 1e-8
+
 // Fit solves one least-squares problem per output coordinate.
 func (l *LinearRegressor) Fit(x [][]float64, y [][]float64) error {
 	dim, out, err := checkXYReg(x, y)
 	if err != nil {
 		return fmt.Errorf("linear regressor: %w", err)
-	}
-	ridge := l.Ridge
-	if ridge <= 0 {
-		ridge = 1e-8
 	}
 	design := mat.NewDense(len(x), dim+1)
 	for i, row := range x {
@@ -250,7 +227,7 @@ func (l *LinearRegressor) Fit(x [][]float64, y [][]float64) error {
 		for i := range y {
 			rhs[i] = y[i][k]
 		}
-		c, err := mat.LeastSquares(design, rhs, ridge)
+		c, err := mat.LeastSquares(design, rhs, linearRidge)
 		if err != nil {
 			return fmt.Errorf("linear regressor output %d: %w", k, err)
 		}

@@ -215,7 +215,7 @@ func TestRANSACIgnoresOutliers(t *testing.T) {
 	if err := plain.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	ransac := &RANSACRegressor{Iterations: 200, InlierThreshold: 10, Seed: 1}
+	ransac := &RANSACRegressor{Seed: 1}
 	if err := ransac.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestRANSACFallbackOnTinyData(t *testing.T) {
 	// Fewer points than the default sample size: must still fit.
 	x := [][]float64{{0}, {1}, {2}}
 	y := [][]float64{{0}, {2}, {4}}
-	r := &RANSACRegressor{Iterations: 10, Seed: 2}
+	r := &RANSACRegressor{Seed: 2}
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -398,14 +398,28 @@ func nodeDepth(n *treeNode) int {
 	return 1 + max(nodeDepth(n.left), nodeDepth(n.right))
 }
 
+// TestTreeDepthBounded fits labels that are noise, which a tree without
+// the depth bound chases well past treeMaxDepth, and checks that the
+// fitted tree stops at the bound.
 func TestTreeDepthBounded(t *testing.T) {
-	x, y := linearlySeparable(500, 9)
-	tr := &TreeClassifier{MaxDepth: 3}
+	rng := rand.New(rand.NewSource(9))
+	x := make([][]float64, 2000)
+	y := make([]bool, len(x))
+	idx := make([]int, len(x))
+	for i := range x {
+		x[i] = []float64{rng.Float64() * 200, rng.Float64() * 200}
+		y[i] = rng.Intn(2) == 0
+		idx[i] = i
+	}
+	if d := nodeDepth(grow(x, y, idx, 64, treeMinSamplesLeaf)); d <= treeMaxDepth {
+		t.Fatalf("unbounded tree reaches depth %d: this data cannot catch a bound of %d", d, treeMaxDepth)
+	}
+	tr := &TreeClassifier{}
 	if err := tr.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if d := nodeDepth(tr.root); d > 3 {
-		t.Fatalf("depth %d > 3", d)
+	if d := nodeDepth(tr.root); d > treeMaxDepth {
+		t.Fatalf("depth %d > %d", d, treeMaxDepth)
 	}
 }
 
@@ -503,7 +517,7 @@ func BenchmarkLogisticFit(b *testing.B) {
 	x, y := linearlySeparable(500, 22)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := &LogisticClassifier{Epochs: 100}
+		c := &LogisticClassifier{}
 		if err := c.Fit(x, y); err != nil {
 			b.Fatal(err)
 		}

@@ -9,14 +9,6 @@ import (
 // loop of Fischler & Bolles, one of the paper's regression baselines
 // ("a robust regression model in the presence of many data outliers").
 type RANSACRegressor struct {
-	// Iterations is the number of random minimal samples tried
-	// (default 100).
-	Iterations int
-	// SampleSize is the size of each minimal sample (default dim+2).
-	SampleSize int
-	// InlierThreshold is the max mean-absolute residual for a point to
-	// count as an inlier (default 50, in pixels).
-	InlierThreshold float64
 	// Seed drives the deterministic sampling sequence.
 	Seed int64
 
@@ -28,6 +20,14 @@ type RANSACRegressor struct {
 // Name implements Regressor.
 func (r *RANSACRegressor) Name() string { return "ransac" }
 
+// The RANSAC loop: random minimal samples tried, and the largest mean
+// absolute residual, in pixels, at which a point counts as an inlier.
+// A minimal sample holds dim+2 points.
+const (
+	ransacIterations      = 100
+	ransacInlierThreshold = 50
+)
+
 // Fit runs the RANSAC loop: sample a minimal subset, fit, count inliers,
 // keep the consensus-maximizing model, then refit on its inlier set.
 func (r *RANSACRegressor) Fit(x [][]float64, y [][]float64) error {
@@ -37,25 +37,11 @@ func (r *RANSACRegressor) Fit(x [][]float64, y [][]float64) error {
 	}
 	r.dim = dim
 
-	iters := r.Iterations
-	if iters <= 0 {
-		iters = 100
-	}
-	sample := r.SampleSize
-	if sample <= 0 {
-		sample = dim + 2
-	}
-	if sample > len(x) {
-		sample = len(x)
-	}
-	thresh := r.InlierThreshold
-	if thresh <= 0 {
-		thresh = 50
-	}
+	sample := min(dim+2, len(x))
 
 	rng := rand.New(rand.NewSource(r.Seed + 1))
 	bestInliers := []int(nil)
-	for it := 0; it < iters; it++ {
+	for it := 0; it < ransacIterations; it++ {
 		idx := rng.Perm(len(x))[:sample]
 		var cand LinearRegressor
 		if err := cand.Fit(gather(x, idx), gather(y, idx)); err != nil {
@@ -68,7 +54,7 @@ func (r *RANSACRegressor) Fit(x [][]float64, y [][]float64) error {
 			if err != nil {
 				continue
 			}
-			if meanAbsResidual(pred, y[i]) <= thresh {
+			if meanAbsResidual(pred, y[i]) <= ransacInlierThreshold {
 				inliers = append(inliers, i)
 			}
 		}

@@ -8,11 +8,6 @@ import (
 // TreeClassifier is a CART-style binary decision tree with Gini-impurity
 // splits, one of the paper's classification baselines.
 type TreeClassifier struct {
-	// MaxDepth bounds tree depth (default 8).
-	MaxDepth int
-	// MinSamplesLeaf is the minimum examples per leaf (default 3).
-	MinSamplesLeaf int
-
 	dim  int
 	root *treeNode
 }
@@ -31,6 +26,13 @@ type treeNode struct {
 // Name implements Classifier.
 func (t *TreeClassifier) Name() string { return "tree" }
 
+// The tree baseline's growth bounds: the deepest a tree grows, and the
+// fewest examples a leaf holds.
+const (
+	treeMaxDepth       = 8
+	treeMinSamplesLeaf = 3
+)
+
 // Fit grows the tree greedily, choosing at each node the (feature,
 // threshold) split that minimizes weighted Gini impurity.
 func (t *TreeClassifier) Fit(x [][]float64, y []bool) error {
@@ -39,19 +41,11 @@ func (t *TreeClassifier) Fit(x [][]float64, y []bool) error {
 		return fmt.Errorf("tree: %w", err)
 	}
 	t.dim = dim
-	maxDepth := t.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 8
-	}
-	minLeaf := t.MinSamplesLeaf
-	if minLeaf <= 0 {
-		minLeaf = 3
-	}
 	idx := make([]int, len(x))
 	for i := range idx {
 		idx[i] = i
 	}
-	t.root = grow(x, y, idx, maxDepth, minLeaf)
+	t.root = grow(x, y, idx, treeMaxDepth, treeMinSamplesLeaf)
 	return nil
 }
 

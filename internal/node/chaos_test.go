@@ -127,7 +127,7 @@ func TestChaosDeadOwnerFailover(t *testing.T) {
 	// ... except the one the second object sits in, which the masks give
 	// to camera 1 alone.
 	lost := geom.Rect{MinX: 900, MinY: 500, MaxX: 960, MaxY: 550}
-	cell, _ := geom.NewGrid(cfg.Frame, 16, 9).CellIndex(lost.Center())
+	cell, _ := geom.NewGrid(cfg.Frame, cfg.GridCols, cfg.GridRows).CellIndex(lost.Center())
 	cfg.Coverage[cell] = []int{1}
 	sink := metrics.NewChannelSink(1, 16)
 	cfg.Sink = sink

@@ -59,8 +59,8 @@ func baseConfig(cam int) Config {
 		Camera:     cam,
 		Frame:      geom.Rect{MaxX: 1280, MaxY: 704},
 		Profile:    profile.Derived(profile.JetsonXavier),
-		GridCols:   16,
-		GridRows:   9,
+		GridCols:   assoc.GridCols,
+		GridRows:   assoc.GridRows,
 		NumCameras: 2,
 		Seed:       9,
 		Horizon:    10,

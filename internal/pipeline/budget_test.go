@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mvs/internal/assoc"
+	"mvs/internal/camfault"
 	"mvs/internal/gpu"
 	"mvs/internal/metrics"
 	"mvs/internal/workload"
@@ -23,9 +24,16 @@ import (
 // per frame, five on S1, past the ceiling.
 const stepAllocCeiling = 2
 
+// faultedStepAllocCeiling bounds the same Step under camera faults.
+// Only some frames have a dead camera, so a mask made for each of them
+// costs a fraction of an allocation a Step, not one per camera: the
+// mask lived in a fresh make() once, and read 0.69 a Step on this run.
+const faultedStepAllocCeiling = 0.3
+
 // TestStepAllocationBudget is the end-to-end guard of the allocation
 // budget, in tier 1 because the benchmark module is not: steady state,
-// sequential reference path, no sinks.
+// sequential reference path, no sinks; once fault-free and once with a
+// fifth of the camera-frames lost and health tracking on.
 func TestStepAllocationBudget(t *testing.T) {
 	const warm, measured = 300, 300
 	s := workload.S1(3)
@@ -39,29 +47,45 @@ func TestStepAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := NewConfig(BALB, 3)
-	cfg.Sched.Workers = 1
-	eng, err := NewEngine(NewTraceSource(&test), s.Profiles(), model, cfg)
+	faults, err := camfault.Generate(camfault.Config{Seed: 7, Rate: 0.2}, len(test.Cameras), len(test.Frames))
 	if err != nil {
 		t.Fatal(err)
 	}
-	step := func(n int) {
-		for i := 0; i < n; i++ {
-			if ok, err := eng.Step(); !ok || err != nil {
-				t.Fatalf("step: %v %v", ok, err)
+	for _, tc := range []struct {
+		name    string
+		fault   Fault
+		ceiling float64
+	}{
+		{"fault-free", Fault{}, stepAllocCeiling},
+		{"camfault", Fault{CamFaults: faults, HealthK: 3}, faultedStepAllocCeiling},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := NewConfig(BALB, 3)
+			cfg.Sched.Workers = 1
+			cfg.Fault = tc.fault
+			eng, err := NewEngine(NewTraceSource(&test), s.Profiles(), model, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	step(warm)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	step(measured)
-	runtime.ReadMemStats(&after)
-	perStep := float64(after.Mallocs-before.Mallocs) / measured
-	t.Logf("%.1f allocations, %.0f bytes per Step", perStep, float64(after.TotalAlloc-before.TotalAlloc)/measured)
-	if perStep > stepAllocCeiling {
-		t.Fatalf("%.1f allocations per Step over frames %d..%d, ceiling %d: some per-frame scratch is being reallocated",
-			perStep, warm, warm+measured, stepAllocCeiling)
+			step := func(n int) {
+				for i := 0; i < n; i++ {
+					if ok, err := eng.Step(); !ok || err != nil {
+						t.Fatalf("step: %v %v", ok, err)
+					}
+				}
+			}
+			step(warm)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			step(measured)
+			runtime.ReadMemStats(&after)
+			perStep := float64(after.Mallocs-before.Mallocs) / measured
+			t.Logf("%.2f allocations, %.0f bytes per Step", perStep, float64(after.TotalAlloc-before.TotalAlloc)/measured)
+			if perStep > tc.ceiling {
+				t.Fatalf("%.2f allocations per Step over frames %d..%d, ceiling %g: some per-frame scratch is being reallocated",
+					perStep, warm, warm+measured, tc.ceiling)
+			}
+		})
 	}
 }
 

@@ -15,8 +15,10 @@ import (
 // Serve couples the engine to a shared executor pool, and Obs attaches
 // observability. The zero value is a
 // valid fault-free Full-mode run; NewConfig fills the two knobs every
-// caller sets. Defaults (Horizon 10, 16x9 grid, IoU 0.1, redundancy 1,
-// slack 1.2) are applied when the engine is built.
+// caller sets. Defaults (Horizon 10, redundancy 1, slack 1.2) are
+// applied when the engine is built; the cell grid and the association
+// threshold are assoc's constants (assoc.GridCols x assoc.GridRows,
+// assoc.MinIoU).
 //
 // Every field except Sched.Workers is part of the determinism contract:
 // the same (source, profiles, model, Config modulo Workers) produces
@@ -45,19 +47,8 @@ func NewConfig(mode Mode, seed int64) Config {
 type Sim struct {
 	// Seed drives detector noise.
 	Seed int64
-	// GridCols, GridRows shape the per-camera cell grid for masks
-	// (default 16 x 9).
-	GridCols, GridRows int
 	// Detector tunes the simulated DNN.
 	Detector vision.Config
-	// CameraLag models imperfect synchronization (the paper's §V): when
-	// non-nil, camera i processes the scene as it was CameraLag[i] frames
-	// ago ("while some cameras are processing the 'current' scene, others
-	// might still be working on older versions"). Recall is still scored
-	// against the current frame, so lag shows up as handoff anomalies.
-	// The streaming engine keeps a bounded ring buffer of the last
-	// max(CameraLag)+1 frames to serve lagged views.
-	CameraLag []int
 }
 
 // Sched selects and tunes the scheduling algorithm under evaluation.
@@ -66,8 +57,6 @@ type Sched struct {
 	Mode Mode
 	// Horizon is T, the frames per scheduling horizon (default 10).
 	Horizon int
-	// AssocMinIoU is the association matching threshold (default 0.1).
-	AssocMinIoU float64
 	// Redundancy, when > 1, makes the central stage keep up to this many
 	// trackers per object (latency budget permitting) — the paper's §V
 	// occlusion-hedging extension. Only meaningful in BALB/CentralOnly
@@ -178,15 +167,6 @@ type Obs struct {
 func (c Config) withDefaults() Config {
 	if c.Sched.Horizon <= 0 {
 		c.Sched.Horizon = 10
-	}
-	if c.Sim.GridCols <= 0 {
-		c.Sim.GridCols = 16
-	}
-	if c.Sim.GridRows <= 0 {
-		c.Sim.GridRows = 9
-	}
-	if c.Sched.AssocMinIoU <= 0 {
-		c.Sched.AssocMinIoU = 0.1
 	}
 	if c.Sched.Redundancy < 1 {
 		c.Sched.Redundancy = 1

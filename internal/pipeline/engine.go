@@ -100,17 +100,13 @@ type Engine struct {
 	ctrl      *adapt.Controller
 	lastDrift int
 
-	// hist is the bounded ring buffer serving lagged camera views
-	// (Sim.CameraLag): slot fi % (maxLag+1) holds frame fi, so the last
-	// maxLag+1 frames are always addressable.
-	hist   []*scene.FrameTruth
-	maxLag int
-
 	// Per-frame scratch of process, reused across frames: each camera's
-	// view of the scene, the per-camera records (whose TruthIDs buffers are
-	// kept), and the frame's visible / detected object sets. None of it
-	// leaves the engine: sinks and executors get freshly built values.
+	// view of the scene, the mask of cameras the fault schedule has down,
+	// the per-camera records (whose TruthIDs buffers are kept), and the
+	// frame's visible / detected object sets. None of it leaves the
+	// engine: sinks and executors get freshly built values.
 	obs         [][]scene.Observation
+	down        []bool
 	results     []camera.Frame
 	truthIDs    map[int]bool
 	detectedIDs map[int]bool
@@ -171,10 +167,6 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 		}
 	}
 
-	if cfg.Sim.CameraLag != nil && len(cfg.Sim.CameraLag) != len(cameras) {
-		return nil, fmt.Errorf("pipeline: CameraLag has %d entries for %d cameras",
-			len(cfg.Sim.CameraLag), len(cameras))
-	}
 	if cfg.Fault.CamFaults != nil && cfg.Fault.CamFaults.NumCameras() != len(cameras) {
 		return nil, fmt.Errorf("pipeline: fault schedule for %d cameras, trace has %d",
 			cfg.Fault.CamFaults.NumCameras(), len(cameras))
@@ -205,17 +197,11 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 		busy:       make([]time.Duration, len(cams)),
 
 		obs:         make([][]scene.Observation, len(cams)),
+		down:        make([]bool, len(cams)),
 		results:     make([]camera.Frame, len(cams)),
 		truthIDs:    make(map[int]bool),
 		detectedIDs: make(map[int]bool),
 	}
-	for _, lag := range cfg.Sim.CameraLag {
-		if lag > e.maxLag {
-			e.maxLag = lag
-		}
-	}
-	e.hist = make([]*scene.FrameTruth, e.maxLag+1)
-
 	// Default policy (before the first central stage): priority by index
 	// within each roster, rosters end to end as the central stage composes
 	// them, so the pre-key-frame decisions of a sharded run match the
@@ -322,32 +308,23 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 		return fmt.Errorf("pipeline: fault schedule covers %d frames, stream reached frame %d",
 			e.cfg.Fault.CamFaults.NumFrames(), fi)
 	}
-	e.hist[fi%len(e.hist)] = frame
-
-	// Each camera sees the scene as of its own (possibly lagged) frame —
-	// the paper's imperfect-synchronization model, served from the ring
-	// buffer. A camera down per the fault schedule sees nothing and does
-	// no work this frame; its state freezes until it recovers.
+	// A camera down per the fault schedule sees nothing and does no work
+	// this frame; its state freezes until it recovers. down stays nil on
+	// a frame with every camera up.
 	obs := e.obs
 	var down []bool
 	for i := range cams {
 		obs[i] = nil
 		if e.cfg.Fault.CamFaults.Down(i, fi) {
 			if down == nil {
-				down = make([]bool, len(cams))
+				down = e.down
+				clear(down)
 			}
 			down[i] = true
 			e.outageFrames++
 			continue
 		}
-		src := fi
-		if e.cfg.Sim.CameraLag != nil && e.cfg.Sim.CameraLag[i] > 0 {
-			src = fi - e.cfg.Sim.CameraLag[i]
-			if src < 0 {
-				src = 0
-			}
-		}
-		obs[i] = e.hist[src%len(e.hist)].PerCamera[i]
+		obs[i] = frame.PerCamera[i]
 	}
 	if e.health != nil {
 		for i := range cams {

@@ -3,12 +3,67 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
 	"mvs/internal/metrics"
 	"mvs/internal/scene"
 )
+
+// reusingSource serves a trace through one frame it overwrites on every
+// Next, observation lists included: the Source contract lets a source
+// recycle a frame's storage once Next is called again.
+type reusingSource struct {
+	trace *scene.Trace
+	i     int
+	buf   scene.FrameTruth
+}
+
+func (s *reusingSource) Cameras() []*scene.Camera { return s.trace.Cameras }
+
+func (s *reusingSource) Next() (*scene.FrameTruth, error) {
+	if s.i >= len(s.trace.Frames) {
+		return nil, io.EOF
+	}
+	f := &s.trace.Frames[s.i]
+	s.i++
+	s.buf.Index = f.Index
+	s.buf.Objects = append(s.buf.Objects[:0], f.Objects...)
+	if s.buf.PerCamera == nil {
+		s.buf.PerCamera = make([][]scene.Observation, len(f.PerCamera))
+	}
+	for c, obs := range f.PerCamera {
+		s.buf.PerCamera[c] = append(s.buf.PerCamera[c][:0], obs...)
+	}
+	return &s.buf, nil
+}
+
+// TestEngineKeepsNoFramePastNext pins the Source contract: the engine
+// reads a frame only until its next Next call, so a source that hands
+// out one recycled frame buffer models exactly what the trace does.
+func TestEngineKeepsNoFramePastNext(t *testing.T) {
+	e := getEnv(t)
+	for _, mode := range []Mode{Full, Independent, CentralOnly, BALB, StaticPartition} {
+		var reports [2]*Report
+		for k, src := range []Source{NewTraceSource(e.test), &reusingSource{trace: e.test}} {
+			eng, err := NewEngine(src, e.profiles, e.model, NewConfig(mode, 5))
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			if err := eng.Run(); err != nil {
+				t.Fatalf("%v run: %v", mode, err)
+			}
+			if reports[k], err = eng.Report(); err != nil {
+				t.Fatalf("%v report: %v", mode, err)
+			}
+		}
+		if !reflect.DeepEqual(reports[0].Modeled(), reports[1].Modeled()) {
+			t.Fatalf("%v: a recycled frame buffer changed the run:\ntrace:    %+v\nrecycled: %+v",
+				mode, reports[0].Modeled(), reports[1].Modeled())
+		}
+	}
+}
 
 // TestEngineMatchesRun is the API-redesign acceptance test: draining an
 // Engine over a TraceSource produces a Report bit-identical (modeled

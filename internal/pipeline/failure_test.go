@@ -179,38 +179,3 @@ func TestRedundancyImprovesOcclusionRecall(t *testing.T) {
 		t.Fatalf("redundancy latency unbounded: %v vs %v", double.MeanSlowest, single.MeanSlowest)
 	}
 }
-
-// TestCameraLagDegradesRecallGracefully models the §V imperfect-
-// synchronization anomaly: one camera runs several frames behind. Recall
-// must drop (handoffs misfire) but the system must neither crash nor
-// collapse.
-func TestCameraLagDegradesRecallGracefully(t *testing.T) {
-	e := getEnv(t)
-	sync0, err := Run(e.test, e.profiles, e.model, NewConfig(BALB, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lagged, err := Run(e.test, e.profiles, e.model, Config{
-		Sched: Sched{Mode: BALB},
-		Sim:   Sim{Seed: 5, CameraLag: []int{0, 8}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lagged.Recall > sync0.Recall+0.005 {
-		t.Fatalf("lag improved recall: %v vs %v", lagged.Recall, sync0.Recall)
-	}
-	if lagged.Recall < 0.5 {
-		t.Fatalf("lag collapsed recall: %v", lagged.Recall)
-	}
-}
-
-func TestCameraLagValidation(t *testing.T) {
-	e := getEnv(t)
-	if _, err := Run(e.test, e.profiles, e.model, Config{
-		Sched: Sched{Mode: BALB},
-		Sim:   Sim{Seed: 5, CameraLag: []int{1}},
-	}); err == nil {
-		t.Fatal("wrong-length CameraLag accepted")
-	}
-}

@@ -42,9 +42,9 @@ const (
 	// full queue, keeping only the newest frame: minimal staleness at
 	// maximal drop cost (freshest-frame-wins).
 	ShedFreshest
-	// ShedStale prunes, on every offer, queued parts more than the
-	// staleness cutoff behind the incoming frame, then falls back to
-	// drop-oldest if the queue is still full.
+	// ShedStale prunes, on every offer, queued parts more than twice the
+	// queue capacity in frames behind the incoming frame, then falls
+	// back to drop-oldest if the queue is still full.
 	ShedStale
 )
 
@@ -151,10 +151,6 @@ type IngestConfig struct {
 	Queue int
 	// Policy selects the overflow shed policy.
 	Policy ShedPolicy
-	// Staleness is the ShedStale cutoff in frames (<= 0 defaults to
-	// 2 x Queue): a queued part more than this far behind the incoming
-	// frame is pruned.
-	Staleness int
 	// Stall arms the watchdog: when > 0 and a Next call has been waiting
 	// with no frame assembled for at least this long, Next returns a
 	// *StallError instead of blocking forever. 0 disables.
@@ -171,12 +167,11 @@ type IngestConfig struct {
 // the producer; Next blocks until a frame is assemblable, the stream
 // ends, or the watchdog declares a stall.
 type IngestSource struct {
-	cams      []*scene.Camera
-	queueCap  int
-	policy    ShedPolicy
-	staleness int
-	stall     time.Duration
-	clk       clock.Clock
+	cams     []*scene.Camera
+	queueCap int
+	policy   ShedPolicy
+	stall    time.Duration
+	clk      clock.Clock
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -244,23 +239,19 @@ func NewIngestSource(cams []*scene.Camera, cfg IngestConfig) (*IngestSource, err
 	if cfg.Queue <= 0 {
 		cfg.Queue = 16
 	}
-	if cfg.Staleness <= 0 {
-		cfg.Staleness = 2 * cfg.Queue
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System{}
 	}
 	s := &IngestSource{
-		cams:      cams,
-		queueCap:  cfg.Queue,
-		policy:    cfg.Policy,
-		staleness: cfg.Staleness,
-		stall:     cfg.Stall,
-		clk:       cfg.Clock,
-		queues:    make([]partQueue, len(cams)),
-		eos:       make([]bool, len(cams)),
-		objects:   make(map[int][]scene.ObjectState),
-		conns:     make(map[net.Conn]struct{}),
+		cams:     cams,
+		queueCap: cfg.Queue,
+		policy:   cfg.Policy,
+		stall:    cfg.Stall,
+		clk:      cfg.Clock,
+		queues:   make([]partQueue, len(cams)),
+		eos:      make([]bool, len(cams)),
+		objects:  make(map[int][]scene.ObjectState),
+		conns:    make(map[net.Conn]struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.last = s.clk.Now()
@@ -317,7 +308,7 @@ func (s *IngestSource) Offer(p FramePart) error {
 		return nil
 	}
 	if s.policy == ShedStale {
-		cut := p.Frame - s.staleness
+		cut := p.Frame - 2*s.queueCap
 		for q.n > 0 && q.at(0).frame < cut {
 			q.pop()
 			s.shed++

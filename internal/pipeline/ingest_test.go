@@ -184,8 +184,9 @@ func TestIngestShedPolicies(t *testing.T) {
 		{"drop-oldest", IngestConfig{Queue: 4}, []int{0, 1, 2, 3, 4, 5}, []int{2, 3, 4, 5}, 2},
 		// Queue 4: frame 4 finds the queue full and clears it, 5 joins.
 		{"freshest", IngestConfig{Queue: 4, Policy: ShedFreshest}, []int{0, 1, 2, 3, 4, 5}, []int{4, 5}, 4},
-		// Staleness 3: offering 5 prunes queued frames < 2 (0 and 1).
-		{"stale", IngestConfig{Queue: 8, Policy: ShedStale, Staleness: 3}, []int{0, 1, 2, 5}, []int{2, 5}, 2},
+		// Queue 4, so the cutoff is 8 frames: offering 10 prunes queued
+		// frames < 2 (0 and 1) and keeps 2.
+		{"stale", IngestConfig{Queue: 4, Policy: ShedStale}, []int{0, 1, 2, 10}, []int{2, 10}, 2},
 		// Duplicates and reordered stragglers shed at admission.
 		{"monotonic", IngestConfig{Queue: 8}, []int{0, 2, 2, 1, 3}, []int{0, 2, 3}, 2},
 	}

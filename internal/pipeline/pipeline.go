@@ -224,7 +224,7 @@ func buildCameras(cameras []*scene.Camera, profiles []*profile.Profile, model *a
 	coverage := make([][][]int, len(cameras))
 	owners := make([][]int, len(cameras))
 	for i, sc := range cameras {
-		grids[i] = geom.NewGrid(sc.Frame(), cfg.Sim.GridCols, cfg.Sim.GridRows)
+		grids[i] = geom.NewGrid(sc.Frame(), assoc.GridCols, assoc.GridRows)
 		if cfg.Sched.Mode == CentralOnly || cfg.Sched.Mode == BALB || cfg.Sched.Mode == StaticPartition {
 			cover, err := model.CellCoverageWorkers(i, grids[i], cfg.Sched.Workers)
 			if err != nil {
@@ -453,7 +453,7 @@ func (e *Engine) centralShard(s int, info *roundInfo) error {
 	sched := &e.cfg.Sched
 	if err := central.Solve(central.Params{
 		Model: e.models[s], Cameras: e.rosterCams[s],
-		MinIoU: sched.AssocMinIoU, Workers: sched.Workers,
+		MinIoU: assoc.MinIoU, Workers: sched.Workers,
 		Redundancy: sched.Redundancy, Slack: sched.RedundancySlack,
 	}, r); err != nil {
 		return err

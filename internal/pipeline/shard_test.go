@@ -122,7 +122,7 @@ func TestShardedCorridorSmoke(t *testing.T) {
 	}
 	test, model, profiles := buildScenarioEnv(t, s, 400)
 
-	adj, err := model.OverlapAdjacency(frameRects(s), 16, 9, 0)
+	adj, err := model.OverlapAdjacency(frameRects(s))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,16 +11,16 @@ import (
 // Source yields the timestamped frame observations an Engine consumes:
 // a fixed camera roster plus an ordered stream of ground-truth frames
 // (each carrying the per-camera observations the detectors will see).
-// The simulator (TraceSource), a recorded run (the store's Replay), and
-// tests (ChannelSource) all speak this interface; live socket ingest is
-// the intended fourth implementation.
+// The simulator (TraceSource), a recorded run (the store's Replay),
+// live ingest (IngestSource) and tests (ChannelSource) all speak this
+// interface.
 //
 // Contract: Cameras is constant for the life of the source and every
 // frame's PerCamera has exactly one list per camera; Next returns
 // frames in stream order and io.EOF — and only io.EOF — once the
 // stream is exhausted. The engine never mutates returned frames and
-// does not retain them past the CameraLag window, so a source may
-// recycle storage older than max(CameraLag)+1 frames.
+// reads a frame only until its next call to Next, so a source may
+// recycle a frame's storage from then on.
 type Source interface {
 	// Cameras is the fixed camera roster of the stream.
 	Cameras() []*scene.Camera

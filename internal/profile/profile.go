@@ -171,16 +171,6 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// BatchLatencyFor returns t_i^s for a size, or an error for an unknown
-// size (a scheduling bug, since sizes come from the shared quantized set).
-func (p *Profile) BatchLatencyFor(size int) (time.Duration, error) {
-	lat, ok := p.BatchLatency[size]
-	if !ok {
-		return 0, fmt.Errorf("profile: no latency for size %d on %s", size, p.Class)
-	}
-	return lat, nil
-}
-
 // BatchLimitFor returns B_i^s for a size, or an error for an unknown size.
 func (p *Profile) BatchLimitFor(size int) (int, error) {
 	b, ok := p.BatchLimit[size]

@@ -11,14 +11,12 @@ import (
 )
 
 // TenantSpec describes one tenant for Run: its identity and SLO at the
-// pool, plus the inputs of its private pipeline engine. Config.Serve
+// pool (every tenant Run registers has fair-share weight 1), plus the inputs of its private pipeline engine. Config.Serve
 // and Config.Obs.Label are filled by Run (Serve from the registration,
 // Label from the ID when unset); everything else is the tenant's own.
 type TenantSpec struct {
 	// ID names the tenant (metrics label, pool registration).
 	ID string
-	// Weight scales the tenant's fair share (<= 0 means 1).
-	Weight float64
 	// SLO is the tenant's latency objective (0 uses the pool default).
 	SLO time.Duration
 	// Source, Profiles, Model and Config build the tenant's engine,
@@ -53,7 +51,7 @@ func Run(pool *Pool, specs []TenantSpec) ([]TenantResult, error) {
 	handles := make([]*Tenant, len(specs))
 	engines := make([]*pipeline.Engine, len(specs))
 	for i, spec := range specs {
-		h, err := pool.Register(spec.ID, spec.Weight, spec.SLO)
+		h, err := pool.Register(spec.ID, 1, spec.SLO)
 		if err == nil {
 			cfg := spec.Config
 			cfg.Serve = pipeline.Serve{Tenant: spec.ID, Executor: h}

@@ -72,10 +72,11 @@ type Config struct {
 	// is called with slo == 0. A tenant whose resolved SLO is 0 is never
 	// shed and never counts violations.
 	DefaultSLO time.Duration
-	// MaxShedLevel caps the admission ladder depth, 1..3 (default 3 =
-	// shed up to ¾ of partial tasks).
-	MaxShedLevel int
 }
+
+// maxShedLevel is the admission ladder's deepest rung: level L sheds the
+// first L of every 4 partial tasks, so the deepest sheds ¾ of them.
+const maxShedLevel = 3
 
 // PoolStats aggregates pool-wide counters across all epochs priced so
 // far.
@@ -130,9 +131,6 @@ func NewPool(cfg Config) (*Pool, error) {
 	}
 	if cfg.Period <= 0 {
 		cfg.Period = DefaultPeriod
-	}
-	if cfg.MaxShedLevel <= 0 || cfg.MaxShedLevel > 3 {
-		cfg.MaxShedLevel = 3
 	}
 	p := &Pool{cfg: cfg, avail: make([]time.Duration, cfg.Executors)}
 	p.cond = sync.NewCond(&p.mu)
@@ -310,7 +308,7 @@ func (p *Pool) priceEpoch() {
 		if t.slo <= 0 {
 			continue
 		}
-		if t.lastLatency > t.slo && t.shedLevel < p.cfg.MaxShedLevel {
+		if t.lastLatency > t.slo && t.shedLevel < maxShedLevel {
 			t.shedLevel++
 		} else if t.shedLevel > 0 && t.lastLatency*10 <= t.slo*7 {
 			t.shedLevel--

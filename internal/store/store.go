@@ -73,7 +73,7 @@ const (
 	// FsyncNever (the default) leaves durability to the OS page cache:
 	// fastest, and a crash can lose everything since the last flush.
 	FsyncNever FsyncPolicy = iota
-	// FsyncInterval syncs each log file every FsyncEvery records:
+	// FsyncInterval syncs each log file every fsyncEvery (64) records:
 	// bounded loss at bounded cost.
 	FsyncInterval
 	// FsyncEveryRecord syncs after every record: at most one torn line
@@ -114,9 +114,6 @@ func ParseFsync(s string) (FsyncPolicy, error) {
 type Options struct {
 	// Fsync is the durability policy for all three logs.
 	Fsync FsyncPolicy
-	// FsyncEvery is the records-per-sync interval for FsyncInterval
-	// (<= 0 defaults to 64).
-	FsyncEvery int
 	// KeepSegments, when > 0, bounds the frame log to the newest N
 	// segments: each roll past the bound deletes the oldest segment
 	// file (retention for long-running recordings). A retained run
@@ -313,9 +310,6 @@ func CreateWith(dir string, man Manifest, opts Options) (*Writer, error) {
 	if man.SegmentSize <= 0 {
 		man.SegmentSize = DefaultSegmentSize
 	}
-	if opts.FsyncEvery <= 0 {
-		opts.FsyncEvery = 64
-	}
 	if opts.Fsync != FsyncNever {
 		man.Fsync = opts.Fsync.String()
 	}
@@ -355,16 +349,18 @@ type jsonlWriter struct {
 	f     *os.File
 	bw    *bufio.Writer
 	fsync FsyncPolicy
-	every int
 	n     int // records since the last sync
 }
+
+// fsyncEvery is the records-per-sync interval of FsyncInterval.
+const fsyncEvery = 64
 
 func openJSONL(path string, opts Options) (*jsonlWriter, error) {
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &jsonlWriter{f: f, bw: bufio.NewWriter(f), fsync: opts.Fsync, every: opts.FsyncEvery}, nil
+	return &jsonlWriter{f: f, bw: bufio.NewWriter(f), fsync: opts.Fsync}, nil
 }
 
 // record appends one sealed line and applies the fsync policy.
@@ -377,7 +373,7 @@ func (j *jsonlWriter) record(line []byte) error {
 	case FsyncEveryRecord:
 		return j.sync()
 	case FsyncInterval:
-		if j.n >= j.every {
+		if j.n >= fsyncEvery {
 			return j.sync()
 		}
 	}
