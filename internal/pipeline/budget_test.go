@@ -3,12 +3,14 @@ package pipeline
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mvs/internal/assoc"
 	"mvs/internal/camfault"
 	"mvs/internal/gpu"
 	"mvs/internal/metrics"
+	"mvs/internal/profile"
 	"mvs/internal/workload"
 )
 
@@ -30,10 +32,20 @@ const stepAllocCeiling = 2
 // mask lived in a fresh make() once, and read 0.69 a Step on this run.
 const faultedStepAllocCeiling = 0.3
 
+// servedStepAllocCeiling bounds what pricing the same Step through a
+// TenantExecutor that keeps nothing adds to it. What crosses the seam is
+// the executor's to keep, so it is allocated per frame: the request
+// slice and one task arena for all cameras (none on a frame without
+// tasks). A per-camera copy of the task lists added about 4.3 a Step
+// here. It is a difference, not a total, because the race detector
+// lifts the engine's own growth (0.10 a Step) to about 0.2.
+const servedStepAllocCeiling = 2
+
 // TestStepAllocationBudget is the end-to-end guard of the allocation
 // budget, in tier 1 because the benchmark module is not: steady state,
-// sequential reference path, no sinks; once fault-free and once with a
-// fifth of the camera-frames lost and health tracking on.
+// sequential reference path, no sinks; once fault-free, once with a
+// fifth of the camera-frames lost and health tracking on, and once
+// priced through a serve executor.
 func TestStepAllocationBudget(t *testing.T) {
 	const warm, measured = 300, 300
 	s := workload.S1(3)
@@ -51,6 +63,33 @@ func TestStepAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// perStep is the mean allocations of a warm Step over the measured
+	// frames.
+	perStep := func(t *testing.T, fault Fault, exec TenantExecutor) float64 {
+		cfg := NewConfig(BALB, 3)
+		cfg.Sched.Workers = 1
+		cfg.Fault = fault
+		cfg.Serve.Executor = exec
+		eng, err := NewEngine(NewTraceSource(&test), s.Profiles(), model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func(n int) {
+			for i := 0; i < n; i++ {
+				if ok, err := eng.Step(); !ok || err != nil {
+					t.Fatalf("step: %v %v", ok, err)
+				}
+			}
+		}
+		step(warm)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		step(measured)
+		runtime.ReadMemStats(&after)
+		n := float64(after.Mallocs-before.Mallocs) / measured
+		t.Logf("%.2f allocations, %.0f bytes per Step", n, float64(after.TotalAlloc-before.TotalAlloc)/measured)
+		return n
+	}
 	for _, tc := range []struct {
 		name    string
 		fault   Fault
@@ -60,33 +99,62 @@ func TestStepAllocationBudget(t *testing.T) {
 		{"camfault", Fault{CamFaults: faults, HealthK: 3}, faultedStepAllocCeiling},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := NewConfig(BALB, 3)
-			cfg.Sched.Workers = 1
-			cfg.Fault = tc.fault
-			eng, err := NewEngine(NewTraceSource(&test), s.Profiles(), model, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			step := func(n int) {
-				for i := 0; i < n; i++ {
-					if ok, err := eng.Step(); !ok || err != nil {
-						t.Fatalf("step: %v %v", ok, err)
-					}
-				}
-			}
-			step(warm)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			step(measured)
-			runtime.ReadMemStats(&after)
-			perStep := float64(after.Mallocs-before.Mallocs) / measured
-			t.Logf("%.2f allocations, %.0f bytes per Step", perStep, float64(after.TotalAlloc-before.TotalAlloc)/measured)
-			if perStep > tc.ceiling {
+			if n := perStep(t, tc.fault, nil); n > tc.ceiling {
 				t.Fatalf("%.2f allocations per Step over frames %d..%d, ceiling %g: some per-frame scratch is being reallocated",
-					perStep, warm, warm+measured, tc.ceiling)
+					n, warm, warm+measured, tc.ceiling)
 			}
 		})
 	}
+	t.Run("serve", func(t *testing.T) {
+		exec, err := newPricingExecutor(s.Profiles())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inline, served := perStep(t, Fault{}, nil), perStep(t, Fault{}, exec)
+		if served-inline > servedStepAllocCeiling {
+			t.Fatalf("pricing through the seam adds %.2f allocations per Step over frames %d..%d, ceiling %g: the request hand-over copies more than the request slice and one task arena",
+				served-inline, warm, warm+measured, float64(servedStepAllocCeiling))
+		}
+	})
+}
+
+// pricingExecutor prices each request on a private executor per camera,
+// as the engine's local path does, and keeps nothing: its results are
+// one buffer, reused.
+type pricingExecutor struct {
+	execs []*gpu.Executor
+	out   []ExecResult
+}
+
+func newPricingExecutor(profiles []*profile.Profile) (*pricingExecutor, error) {
+	p := &pricingExecutor{}
+	for _, prof := range profiles {
+		ex, err := gpu.NewExecutor(prof)
+		if err != nil {
+			return nil, err
+		}
+		p.execs = append(p.execs, ex)
+	}
+	return p, nil
+}
+
+func (p *pricingExecutor) SubmitFrame(frame int, reqs []ExecRequest) ([]ExecResult, ExecStats, error) {
+	p.out = slices.Grow(p.out[:0], len(reqs))[:len(reqs)]
+	clear(p.out)
+	for i, r := range reqs {
+		ex := p.execs[r.Cam]
+		if r.Full {
+			p.out[i].Latency = ex.RunFullFrame()
+			continue
+		}
+		res, err := ex.RunFrame(r.Tasks)
+		if err != nil {
+			return nil, ExecStats{}, err
+		}
+		p.out[i] = ExecResult{Latency: res.Latency, Batches: len(res.Batches), Images: res.Images,
+			Occupancy: gpu.BatchOccupancy(res.Batches, ex.Profile())}
+	}
+	return p.out, ExecStats{}, nil
 }
 
 // keepingSink and keepingExecutor hold on to everything the engine hands

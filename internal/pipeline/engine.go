@@ -454,24 +454,34 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 // camera in ascending camera order — including cameras with no tasks,
 // so the pool's epoch barrier sees every active tenant every frame —
 // blocks until the pool has priced the epoch, and writes the replies
-// back into the frame records. A request outlives the frame (the pool,
-// or a recorder in front of it, may keep it), so this is where a task
-// list leaves the kernel's scratch: copied into storage of its own, of
-// exactly its size, and not at all when empty. A no-op without a serve
-// executor.
+// back into the frame records. The executor may keep the requests (the
+// pool does not; a recorder in front of it may), so this is where a
+// task list leaves the kernel's scratch: the frame's lists are copied
+// into one arena of their total size, allocated per frame, and each
+// request gets its own capped sub-slice, so a keeper's append never
+// runs into a neighbour's tasks. An empty list gets none. A no-op
+// without a serve executor.
 func (e *Engine) resolveServe(results []camera.Frame, down []bool) error {
 	if e.cfg.Serve.Executor == nil {
 		return nil
 	}
+	total := 0
+	for i := range results {
+		if down == nil || !down[i] {
+			total += len(results[i].Tasks)
+		}
+	}
+	arena := make([]gpu.Task, 0, total)
 	reqs := make([]ExecRequest, 0, len(results))
 	for i := range results {
 		if down != nil && down[i] {
 			continue
 		}
 		req := ExecRequest{Cam: i, Full: results[i].Full}
-		if n := len(results[i].Tasks); n > 0 {
-			req.Tasks = make([]gpu.Task, n)
-			copy(req.Tasks, results[i].Tasks)
+		if len(results[i].Tasks) > 0 {
+			lo := len(arena)
+			arena = append(arena, results[i].Tasks...)
+			req.Tasks = arena[lo:len(arena):len(arena)]
 		}
 		reqs = append(reqs, req)
 	}

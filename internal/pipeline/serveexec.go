@@ -24,6 +24,10 @@ import (
 // SubmitFrame blocks until the work is priced — for the multi-tenant
 // pool, until every active tenant has submitted its frame for the same
 // epoch — and must return one ExecResult per request, in request order.
+// The results are the executor's storage, valid until the same tenant's
+// next SubmitFrame; the engine reads them before it steps again. The
+// request slice and its task lists are the executor's to keep: the
+// engine never touches them again.
 // Implementations must be safe for concurrent SubmitFrame calls from
 // different tenants (each engine calls from its own goroutine).
 type TenantExecutor interface {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"mvs/internal/gpu"
@@ -19,6 +20,7 @@ import (
 type Local struct {
 	mu    sync.Mutex
 	execs []*gpu.Executor
+	out   []pipeline.ExecResult // SubmitFrame's result, reused
 }
 
 // NewLocal builds a passthrough over one executor per camera profile.
@@ -36,11 +38,14 @@ func NewLocal(profiles []*profile.Profile) (*Local, error) {
 
 // SubmitFrame implements pipeline.TenantExecutor by running each
 // request on the camera's private executor, exactly as the engine's
-// local path would have.
+// local path would have. The results are the Local's buffer, valid
+// until the next SubmitFrame; a warm Local allocates nothing.
 func (l *Local) SubmitFrame(frame int, reqs []pipeline.ExecRequest) ([]pipeline.ExecResult, pipeline.ExecStats, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]pipeline.ExecResult, len(reqs))
+	l.out = slices.Grow(l.out[:0], len(reqs))[:len(reqs)]
+	clear(l.out)
+	out := l.out
 	for i, r := range reqs {
 		if r.Cam < 0 || r.Cam >= len(l.execs) {
 			return nil, pipeline.ExecStats{}, fmt.Errorf("serve: request for camera %d, have %d", r.Cam, len(l.execs))

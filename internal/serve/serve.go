@@ -35,8 +35,10 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -116,6 +118,17 @@ type Pool struct {
 	avail   []time.Duration // per-executor virtual availability
 	stats   PoolStats
 	occSum  float64
+
+	// Epoch scratch, guarded by mu and reused by every priceEpoch: the
+	// active tenants (registration order) and the same in fair order,
+	// the packer, the packer's ObjectID -> member table, and the priced
+	// batches with the one member arena they index.
+	active     []*Tenant
+	order      []*Tenant
+	packer     *gpu.Packer
+	memberList []member
+	batches    []pricedBatch
+	members    []member
 }
 
 // NewPool validates the config and builds an empty pool.
@@ -132,17 +145,21 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.Period <= 0 {
 		cfg.Period = DefaultPeriod
 	}
-	p := &Pool{cfg: cfg, avail: make([]time.Duration, cfg.Executors)}
+	packer, err := gpu.NewPacker(cfg.Profile)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	p := &Pool{cfg: cfg, avail: make([]time.Duration, cfg.Executors), packer: packer}
 	p.cond = sync.NewCond(&p.mu)
 	return p, nil
 }
 
 // Register adds a tenant to the pool and returns its executor handle
 // (a pipeline.TenantExecutor for Config.Serve.Executor). weight scales
-// the tenant's fair share (<= 0 means 1); slo is its latency objective
-// (0 falls back to Config.DefaultSLO). Registration order is part of
-// the determinism contract, and all tenants must register before the
-// first SubmitFrame.
+// the tenant's fair share (<= 0 means 1; NaN and ±Inf are errors); slo
+// is its latency objective (0 falls back to Config.DefaultSLO; negative
+// is an error). Registration order is part of the determinism contract,
+// and all tenants must register before the first SubmitFrame.
 func (p *Pool) Register(id string, weight float64, slo time.Duration) (*Tenant, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -151,6 +168,12 @@ func (p *Pool) Register(id string, weight float64, slo time.Duration) (*Tenant, 
 	}
 	if id == "" {
 		return nil, fmt.Errorf("serve: empty tenant id")
+	}
+	if math.IsNaN(weight) || math.IsInf(weight, 0) {
+		return nil, fmt.Errorf("serve: tenant %q: weight %v is not finite", id, weight)
+	}
+	if slo < 0 {
+		return nil, fmt.Errorf("serve: tenant %q: negative SLO %v", id, slo)
 	}
 	for _, t := range p.tenants {
 		if t.id == id {
@@ -196,7 +219,8 @@ type Tenant struct {
 	lastLatency time.Duration
 	stats       pipeline.ExecStats
 
-	// Epoch exchange, guarded by pool.mu.
+	// Epoch exchange, guarded by pool.mu. reply is the tenant's reply
+	// buffer, reused every epoch.
 	pending    []pipeline.ExecRequest
 	hasPending bool
 	finished   bool
@@ -209,16 +233,31 @@ type Tenant struct {
 // SubmitFrame implements pipeline.TenantExecutor: it files the
 // tenant's frame into the current epoch and blocks until every active
 // tenant has submitted and the epoch is priced. The returned results
-// parallel reqs; stats restates the tenant's cumulative counters.
+// parallel reqs and are the tenant's reply buffer, valid until its next
+// SubmitFrame; stats restates the tenant's cumulative counters. The
+// pool reads reqs only until the epoch is priced and keeps none of it.
 func (t *Tenant) SubmitFrame(frame int, reqs []pipeline.ExecRequest) ([]pipeline.ExecResult, pipeline.ExecStats, error) {
 	p := t.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := t.file(reqs); err != nil {
+		return nil, pipeline.ExecStats{}, err
+	}
+	for !t.replyReady {
+		p.cond.Wait()
+	}
+	return t.take()
+}
+
+// file enters reqs as the tenant's submission to the current epoch and
+// prices the epoch if it was the last one missing. Caller holds pool.mu.
+func (t *Tenant) file(reqs []pipeline.ExecRequest) error {
+	p := t.pool
 	if t.finished {
-		return nil, pipeline.ExecStats{}, fmt.Errorf("serve: tenant %q: submit after Finish", t.id)
+		return fmt.Errorf("serve: tenant %q: submit after Finish", t.id)
 	}
 	if t.hasPending || t.replyReady {
-		return nil, pipeline.ExecStats{}, fmt.Errorf("serve: tenant %q: concurrent SubmitFrame", t.id)
+		return fmt.Errorf("serve: tenant %q: concurrent SubmitFrame", t.id)
 	}
 	p.started = true
 	t.pending = reqs
@@ -226,12 +265,15 @@ func (t *Tenant) SubmitFrame(frame int, reqs []pipeline.ExecRequest) ([]pipeline
 	if p.allSubmitted() {
 		p.priceEpoch()
 	}
-	for !t.replyReady {
-		p.cond.Wait()
-	}
-	reply, stats, err := t.reply, t.replyStats, t.replyErr
-	t.reply, t.replyErr, t.replyReady = nil, nil, false
-	return reply, stats, err
+	return nil
+}
+
+// take hands over the priced reply and clears the exchange for the next
+// epoch. Caller holds pool.mu and has seen replyReady.
+func (t *Tenant) take() ([]pipeline.ExecResult, pipeline.ExecStats, error) {
+	err := t.replyErr
+	t.replyErr, t.replyReady = nil, false
+	return t.reply, t.replyStats, err
 }
 
 // Finish marks the tenant's stream as ended: it leaves the active set,
@@ -278,28 +320,32 @@ type member struct {
 
 // pricedBatch is one GPU launch scheduled within an epoch: either a
 // full-frame inspection (size 0, a single member) or a partial-task
-// batch.
+// batch. Its members are Pool.members[lo:hi].
 type pricedBatch struct {
 	size     int // 0 marks a full-frame inspection
 	dur      time.Duration
 	complete time.Duration // absolute virtual completion time
-	members  []member
+	lo, hi   int
 }
 
 // priceEpoch prices the current epoch: admission, fair-queue ordering,
 // batch packing, executor placement, and result attribution, entirely
 // from registration order and the pending submissions. Caller holds
 // p.mu; replies are published and the barrier broadcast before return.
+// Everything it builds lives in the pool's epoch scratch and the
+// tenants' reply buffers, so a warm pool prices an epoch without
+// allocating.
 func (p *Pool) priceEpoch() {
 	prof := p.cfg.Profile
 	epochStart := time.Duration(p.epoch) * p.cfg.Period
 
-	active := make([]*Tenant, 0, len(p.tenants))
+	p.active = p.active[:0]
 	for _, t := range p.tenants {
 		if !t.finished && t.hasPending {
-			active = append(active, t)
+			p.active = append(p.active, t)
 		}
 	}
+	active := p.active
 
 	// Admission ladder: react to the previous epoch's priced latency.
 	// The recovery edge sits at 70% of the SLO (hysteresis, mirroring
@@ -317,49 +363,28 @@ func (p *Pool) priceEpoch() {
 
 	// Weighted fair queueing: serve tenants in ascending accumulated
 	// virtual service, ties by registration order.
-	order := append([]*Tenant(nil), active...)
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].vtime != order[j].vtime {
-			return order[i].vtime < order[j].vtime
-		}
-		return order[i].index < order[j].index
+	p.order = append(p.order[:0], active...)
+	slices.SortStableFunc(p.order, func(a, b *Tenant) int {
+		return cmp.Or(cmp.Compare(a.vtime, b.vtime), cmp.Compare(a.index, b.index))
 	})
 
 	// Pack: full frames are unsharable single launches; partial tasks
-	// flow through a gpu.Packer — one shared across tenants when
-	// consolidating, one per tenant otherwise — with ObjectID indexing
-	// the member list so sealed batches map back to (tenant, request).
-	var (
-		batches    []pricedBatch
-		memberList []member
-		packErr    error
-	)
-	seal := func(b gpu.Batch) {
-		pb := pricedBatch{
-			size:    b.Size,
-			dur:     profile.TrueBatchLatency(prof.Class, b.Size, len(b.Tasks)),
-			members: make([]member, len(b.Tasks)),
-		}
-		for i, task := range b.Tasks {
-			pb.members[i] = memberList[task.ObjectID]
-		}
-		batches = append(batches, pb)
-	}
-	var shared *gpu.Packer
-	if p.cfg.Consolidate {
-		shared, _ = gpu.NewPacker(prof) // profile validated in NewPool
-	}
-	for _, t := range order {
-		t.reply = make([]pipeline.ExecResult, len(t.pending))
-		pk := shared
-		if pk == nil {
-			pk, _ = gpu.NewPacker(prof)
-		}
+	// flow through the pool's gpu.Packer in fair order — flushed at every
+	// tenant boundary unless consolidating — with ObjectID indexing the
+	// member list so sealed batches map back to (tenant, request). The
+	// packer's batches are lent, so seal copies their members out.
+	p.batches, p.members, p.memberList = p.batches[:0], p.members[:0], p.memberList[:0]
+	var packErr error
+	for _, t := range p.order {
+		t.reply = slices.Grow(t.reply[:0], len(t.pending))[:len(t.pending)]
+		clear(t.reply)
 		for ri, req := range t.pending {
 			if req.Full {
-				batches = append(batches, pricedBatch{
-					dur:     profile.TrueFullFrameLatency(prof.Class),
-					members: []member{{t, ri}},
+				p.members = append(p.members, member{t, ri})
+				p.batches = append(p.batches, pricedBatch{
+					dur: profile.TrueFullFrameLatency(prof.Class),
+					lo:  len(p.members) - 1,
+					hi:  len(p.members),
 				})
 				continue
 			}
@@ -372,28 +397,22 @@ func (p *Pool) priceEpoch() {
 					p.stats.ShedTasks++
 					continue
 				}
-				idx := len(memberList)
-				memberList = append(memberList, member{t, ri})
-				sealed, full, err := pk.Add(gpu.Task{ObjectID: idx, Size: task.Size})
+				idx := len(p.memberList)
+				p.memberList = append(p.memberList, member{t, ri})
+				sealed, full, err := p.packer.Add(gpu.Task{ObjectID: idx, Size: task.Size})
 				if err != nil && packErr == nil {
 					packErr = fmt.Errorf("serve: tenant %q camera %d: %w", t.id, req.Cam, err)
 				}
 				if full {
-					seal(sealed)
+					p.seal(sealed)
 				}
 			}
 		}
-		if pk != shared {
-			for _, b := range pk.Flush() {
-				seal(b)
-			}
+		if !p.cfg.Consolidate {
+			p.flush()
 		}
 	}
-	if shared != nil {
-		for _, b := range shared.Flush() {
-			seal(b)
-		}
-	}
+	p.flush()
 	if packErr != nil {
 		for _, t := range active {
 			t.replyErr = packErr
@@ -410,8 +429,8 @@ func (p *Pool) priceEpoch() {
 	// (ties to the lowest index). Backlog carries across epochs: a batch
 	// starts no earlier than the epoch itself, but a busy executor
 	// pushes it — and the tenant latencies it feeds — later.
-	for bi := range batches {
-		b := &batches[bi]
+	for bi := range p.batches {
+		b := &p.batches[bi]
 		e := 0
 		for k := 1; k < len(p.avail); k++ {
 			if p.avail[k] < p.avail[e] {
@@ -430,10 +449,11 @@ func (p *Pool) priceEpoch() {
 	// Attribute each batch to the requests it served. Per-request
 	// occupancy temporarily accumulates the fill-fraction sum; it is
 	// normalized by the batch count below.
-	for _, b := range batches {
+	for _, b := range p.batches {
 		rel := b.complete - epochStart
+		members := p.members[b.lo:b.hi]
 		if b.size == 0 {
-			m := b.members[0]
+			m := members[0]
 			r := &m.t.reply[m.ri]
 			if rel > r.Latency {
 				r.Latency = rel
@@ -446,17 +466,19 @@ func (p *Pool) priceEpoch() {
 		if err != nil || limit <= 0 {
 			continue // unreachable: the packer validated the size
 		}
-		fill := float64(len(b.members)) / float64(limit)
+		fill := float64(len(members)) / float64(limit)
 		p.stats.Batches++
-		p.stats.Images += len(b.members)
+		p.stats.Images += len(members)
 		p.occSum += fill
-		perReq := make(map[member]int, len(b.members))
-		perTenant := make(map[*Tenant]int, 2)
-		for _, m := range b.members {
-			perReq[m]++
-			perTenant[m.t]++
-		}
-		for m, n := range perReq {
+		// Members arrive grouped by tenant in fair order, then by
+		// request, so each request and each tenant is one run: one
+		// update per run is the same arithmetic as one per distinct key.
+		shared := members[0].t != members[len(members)-1].t
+		for i := 0; i < len(members); {
+			m, n := members[i], 1
+			for i+n < len(members) && members[i+n] == m {
+				n++
+			}
 			r := &m.t.reply[m.ri]
 			if rel > r.Latency {
 				r.Latency = rel
@@ -464,21 +486,27 @@ func (p *Pool) priceEpoch() {
 			r.Batches++
 			r.Images += n
 			r.Occupancy += fill
+			i += n
 		}
-		for t, n := range perTenant {
-			t.vtime += b.dur.Seconds() * float64(n) / float64(len(b.members)) / t.weight
-			if len(perTenant) >= 2 {
+		for i := 0; i < len(members); {
+			t, n := members[i].t, 1
+			for i+n < len(members) && members[i+n].t == t {
+				n++
+			}
+			t.vtime += b.dur.Seconds() * float64(n) / float64(len(members)) / t.weight
+			if shared {
 				t.stats.SharedBatches++
 			}
+			i += n
 		}
-		if len(perTenant) >= 2 {
+		if shared {
 			p.stats.SharedBatches++
 		}
 	}
 
 	// Queue depth: launches still executing past the end of this epoch.
 	queue := 0
-	for _, b := range batches {
+	for _, b := range p.batches {
 		if b.complete > epochStart+p.cfg.Period {
 			queue++
 		}
@@ -511,4 +539,26 @@ func (p *Pool) priceEpoch() {
 	}
 	p.epoch++
 	p.cond.Broadcast()
+}
+
+// seal prices one packed batch and copies its members out of the
+// packer's lent storage into the epoch's member arena.
+func (p *Pool) seal(b gpu.Batch) {
+	lo := len(p.members)
+	for _, task := range b.Tasks {
+		p.members = append(p.members, p.memberList[task.ObjectID])
+	}
+	p.batches = append(p.batches, pricedBatch{
+		size: b.Size,
+		dur:  profile.TrueBatchLatency(p.cfg.Profile.Class, b.Size, len(b.Tasks)),
+		lo:   lo,
+		hi:   len(p.members),
+	})
+}
+
+// flush seals every group the packer still holds open.
+func (p *Pool) flush() {
+	for _, b := range p.packer.Flush() {
+		p.seal(b)
+	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -311,6 +312,23 @@ func TestPoolLifecycleErrors(t *testing.T) {
 	if _, err := pool.Register("a", 1, 0); err == nil {
 		t.Error("duplicate id registered")
 	}
+	// A NaN weight would make every fair-queue comparison false, and a
+	// negative SLO would silently mean "no SLO".
+	for _, bad := range []struct {
+		weight float64
+		slo    time.Duration
+	}{
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+		{1, -5 * time.Millisecond},
+		{math.Inf(1), -5 * time.Millisecond},
+	} {
+		if x, err := pool.Register(fmt.Sprint(bad), bad.weight, bad.slo); err == nil {
+			t.Errorf("Register(weight %v, slo %v) accepted", bad.weight, bad.slo)
+			x.Finish()
+		}
+	}
 
 	done := make(chan error, 1)
 	go func() {
@@ -331,4 +349,85 @@ func TestPoolLifecycleErrors(t *testing.T) {
 		t.Error("submit after Finish succeeded")
 	}
 	a.Finish()
+}
+
+// allocFrame is one tenant's frame for the allocation tests: full-frame
+// and partial cameras, every profiled size, enough tasks to seal full
+// batches mid-stream and leave partial ones for the flush.
+func allocFrame(prof *profile.Profile) []pipeline.ExecRequest {
+	reqs := []pipeline.ExecRequest{{Cam: 0, Full: true}, {Cam: 1}, {Cam: 2}, {Cam: 3}}
+	for c := 1; c < len(reqs); c++ {
+		for i := 0; i < 23*c; i++ {
+			reqs[c].Tasks = append(reqs[c].Tasks, gpu.Task{ObjectID: i, Size: prof.Sizes[(i+c)%len(prof.Sizes)]})
+		}
+	}
+	return reqs
+}
+
+// TestPoolSubmitFrameAllocatesNothing: a warm one-tenant pool prices an
+// epoch on its own scratch and the tenant's reply buffer — with
+// consolidation on and off, full frames included, and with admission
+// control shedding.
+func TestPoolSubmitFrameAllocatesNothing(t *testing.T) {
+	prof := profile.Derived(profile.JetsonXavier)
+	reqs := allocFrame(prof)
+	for _, tc := range []struct {
+		name        string
+		consolidate bool
+		slo         time.Duration
+	}{
+		{"consolidated", true, 0},
+		{"dedicated", false, 0},
+		{"shedding", true, time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool, err := NewPool(Config{Executors: 2, Profile: prof, Consolidate: tc.consolidate})
+			if err != nil {
+				t.Fatalf("NewPool: %v", err)
+			}
+			tenant, err := pool.Register("solo", 1, tc.slo)
+			if err != nil {
+				t.Fatalf("Register: %v", err)
+			}
+			defer tenant.Finish()
+			frame := 0
+			submit := func() {
+				res, _, err := tenant.SubmitFrame(frame, reqs)
+				if err != nil || len(res) != len(reqs) {
+					t.Fatalf("SubmitFrame: %d results, %v", len(res), err)
+				}
+				frame++
+			}
+			for i := 0; i < 8; i++ {
+				submit()
+			}
+			if allocs := testing.AllocsPerRun(50, submit); allocs != 0 {
+				t.Errorf("warm SubmitFrame allocates %.1f times, want 0", allocs)
+			}
+			if tc.slo > 0 && tenant.shedLevel == 0 {
+				t.Error("tenant was never shed")
+			}
+		})
+	}
+}
+
+// TestLocalSubmitFrameAllocatesNothing: a warm Local prices a frame on
+// its executors' buffers and its own result buffer.
+func TestLocalSubmitFrameAllocatesNothing(t *testing.T) {
+	profiles := testProfiles(t)
+	local, err := NewLocal(profiles)
+	if err != nil {
+		t.Fatalf("NewLocal: %v", err)
+	}
+	reqs := allocFrame(profiles[0])
+	submit := func() {
+		res, _, err := local.SubmitFrame(0, reqs)
+		if err != nil || len(res) != len(reqs) {
+			t.Fatalf("SubmitFrame: %d results, %v", len(res), err)
+		}
+	}
+	submit()
+	if allocs := testing.AllocsPerRun(50, submit); allocs != 0 {
+		t.Errorf("warm SubmitFrame allocates %.1f times, want 0", allocs)
+	}
 }
