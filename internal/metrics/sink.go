@@ -261,9 +261,13 @@ func (s *ChannelSink) Close() { s.once.Do(func() { close(s.ch) }) }
 type JSONLSink struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
-	enc *json.Encoder
-	c   io.Closer
-	err error
+	enc *json.Encoder // writes into bw for the sink's lifetime
+	// snap is the snapshot being encoded: RecordFrame copies its argument
+	// here and zeroes it after the call, so encoding boxes nothing and
+	// the sink keeps no Cameras slice.
+	snap Snapshot
+	c    io.Closer
+	err  error
 }
 
 // NewJSONLSink wraps an open writer. The caller keeps ownership of the
@@ -292,7 +296,9 @@ func (s *JSONLSink) RecordFrame(snap Snapshot) {
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(snap)
+	s.snap = snap
+	s.err = s.enc.Encode(&s.snap)
+	s.snap = Snapshot{}
 }
 
 // Flush writes buffered lines through and returns the sticky error, if

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"os"
 	"reflect"
@@ -128,6 +129,38 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("line %d round-trip:\ngot  %+v\nwant %+v", i, got, want[i])
 		}
+	}
+}
+
+// TestJSONLSinkRecordFrameAllocatesNothing: a warm sink encodes from its
+// own Snapshot field with the one encoder it keeps, so a snapshot costs
+// no allocation; the bytes are json.Marshal's; and the field is zeroed
+// after the call, so the sink keeps no Cameras slice.
+func TestJSONLSinkRecordFrameAllocatesNothing(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewJSONLSink(&buf)
+	snap := testSnapshot(3)
+	s.RecordFrame(snap)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.TrimSuffix(buf.Bytes(), []byte("\n")); !bytes.Equal(got, want) {
+		t.Fatalf("sink wrote %s\njson.Marshal %s", got, want)
+	}
+	if s.snap.Cameras != nil {
+		t.Fatal("the sink kept the snapshot's Cameras past the call")
+	}
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops encoding/json's encode state at random")
+	}
+	s = NewJSONLSink(io.Discard)
+	s.RecordFrame(snap)
+	if n := testing.AllocsPerRun(100, func() { s.RecordFrame(snap) }); n != 0 {
+		t.Fatalf("warm JSONLSink.RecordFrame: %v allocations, want 0", n)
 	}
 }
 

@@ -200,26 +200,77 @@ func (d *dec) int(v *int) bool {
 	return err == nil
 }
 
-// float scans a number of the strict JSON grammar into v. The value is
-// strconv.ParseFloat's, as encoding/json's is, so the float64 round trip
-// is exact; the grammar is checked first because ParseFloat also takes
-// "+1", ".5", "1.", "0x1p-2", "1_0" and "Inf".
+// float64pow10 holds the powers of ten a float64 represents exactly.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// mantissa scans a digit string like digits and folds it into *m,
+// counting in *nd the significant digits, those from the first non-zero
+// one on. *m is exact while *nd is at most 19; past that it wraps and
+// must not be used.
+func (d *dec) mantissa(m *uint64, nd *int) bool {
+	start := d.i
+	for ; d.i < len(d.b); d.i++ {
+		c := d.b[d.i] - '0'
+		if c > 9 {
+			break
+		}
+		if *nd > 0 || c != 0 {
+			*nd++
+		}
+		*m = *m*10 + uint64(c)
+	}
+	return d.i > start
+}
+
+// float scans a number of the strict JSON grammar into v in one pass,
+// building the mantissa as it checks the grammar; strconv.ParseFloat
+// would also take "+1", ".5", "1.", "0x1p-2", "1_0" and "Inf". The value
+// is ParseFloat's, as encoding/json's is, so the float64 round trip is
+// exact. A number of at most 19 significant digits whose mantissa is
+// below 2^53, with at most 22 fraction digits and no exponent, is the
+// quotient of two exactly represented float64s, and one correctly
+// rounded division gives the correctly rounded value (Clinger's fast
+// path, strconv's atof64exact). Every other number is handed to
+// ParseFloat.
 func (d *dec) float(v *float64) bool {
 	start := d.i
-	ok := d.integer()
-	if ok && d.i < len(d.b) && d.b[d.i] == '.' {
+	neg := d.i < len(d.b) && d.b[d.i] == '-'
+	if neg {
 		d.i++
-		ok = d.digits()
 	}
-	if ok && d.i < len(d.b) && (d.b[d.i] == 'e' || d.b[d.i] == 'E') {
+	var mant uint64
+	nd, frac := 0, 0
+	if d.i < len(d.b) && d.b[d.i] == '0' {
+		d.i++
+	} else if !d.mantissa(&mant, &nd) {
+		return false
+	}
+	if d.i < len(d.b) && d.b[d.i] == '.' {
+		d.i++
+		at := d.i
+		if !d.mantissa(&mant, &nd) {
+			return false
+		}
+		frac = d.i - at
+	}
+	if d.i < len(d.b) && (d.b[d.i] == 'e' || d.b[d.i] == 'E') {
 		d.i++
 		if d.i < len(d.b) && (d.b[d.i] == '+' || d.b[d.i] == '-') {
 			d.i++
 		}
-		ok = d.digits()
-	}
-	if !ok {
-		return false
+		if !d.digits() {
+			return false
+		}
+	} else if nd <= 19 && mant < 1<<53 && frac < len(float64pow10) {
+		f := float64(mant) / float64pow10[frac]
+		if neg {
+			f = -f
+		}
+		*v = f
+		return true
 	}
 	f, err := strconv.ParseFloat(string(d.b[start:d.i]), 64)
 	*v = f
@@ -247,9 +298,21 @@ func (d *dec) listLen(minElem int) (int, bool) {
 	return n, n > 0 && n <= len(body)/minElem
 }
 
-// observations scans an observation list, allocating it once at its
-// exact size. [] yields an empty, non-nil list.
-func (d *dec) observations() ([]Observation, bool) {
+// grow returns s resized to n elements, never nil: on its own storage
+// when that holds n, else on a new array of at least twice its capacity,
+// so a list that keeps growing is reallocated a logarithmic number of
+// times. From nil it is one allocation of exactly n. The contents are
+// not kept; the caller overwrites every element.
+func grow[T any](s []T, n int) []T {
+	if s != nil && n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n, max(n, 2*cap(s)))
+}
+
+// observations scans an observation list into dst's storage, growing it
+// when the list is longer. [] yields an empty, non-nil list.
+func (d *dec) observations(dst []Observation) ([]Observation, bool) {
 	if d.lit("[]") {
 		return []Observation{}, true
 	}
@@ -260,7 +323,7 @@ func (d *dec) observations() ([]Observation, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := make([]Observation, n)
+	out := grow(dst, n)
 	for k := range out {
 		o := &out[k]
 		if k > 0 && !d.lit(",") ||
@@ -277,7 +340,7 @@ func (d *dec) observations() ([]Observation, bool) {
 }
 
 // objects scans an object list under observations' rules.
-func (d *dec) objects() ([]ObjectState, bool) {
+func (d *dec) objects(dst []ObjectState) ([]ObjectState, bool) {
 	if d.lit("[]") {
 		return []ObjectState{}, true
 	}
@@ -288,7 +351,7 @@ func (d *dec) objects() ([]ObjectState, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := make([]ObjectState, n)
+	out := grow(dst, n)
 	for k := range out {
 		o := &out[k]
 		if k > 0 && !d.lit(",") ||
@@ -307,44 +370,83 @@ func (d *dec) objects() ([]ObjectState, bool) {
 	return out, d.lit("]")
 }
 
-// frame scans a whole canonical frame of numCameras observation lists.
-func (d *dec) frame(numCameras int) (*FrameTruth, bool) {
-	if numCameras < 0 {
-		return nil, false
+// frame scans a whole canonical frame of numCameras observation lists
+// into f. With a decoder, f's camera table and lists grow from the
+// decoder's storage and are kept there for its next frame; with nil,
+// each is allocated at its exact size.
+func (d *dec) frame(f *FrameTruth, fd *FrameDecoder, numCameras int) bool {
+	if numCameras < 0 || !d.lit(`{"index":`) || !d.int(&f.Index) {
+		return false
 	}
-	var f FrameTruth
-	if !d.lit(`{"index":`) || !d.int(&f.Index) {
-		return nil, false
-	}
+	f.Objects = nil
 	if d.lit(`,"objects":`) {
 		// The encoder omits an empty object list and writes null for an
 		// empty camera, so [] in either place is not canonical.
+		var dst []ObjectState
+		if fd != nil {
+			dst = fd.objs
+		}
 		var ok bool
-		if f.Objects, ok = d.objects(); !ok || len(f.Objects) == 0 {
-			return nil, false
+		if f.Objects, ok = d.objects(dst); !ok || len(f.Objects) == 0 {
+			return false
+		}
+		if fd != nil {
+			fd.objs = f.Objects
 		}
 	}
 	if !d.lit(`,"per_camera":[`) {
-		return nil, false
+		return false
 	}
-	f.PerCamera = make([][]Observation, numCameras)
+	f.PerCamera = grow(f.PerCamera, numCameras)
 	for ci := range f.PerCamera {
+		f.PerCamera[ci] = nil
 		if ci > 0 && !d.lit(",") {
-			return nil, false
+			return false
 		}
 		if d.lit("null") {
 			continue
 		}
-		obs, ok := d.observations()
+		var dst []Observation
+		if fd != nil {
+			dst = fd.obs[ci]
+		}
+		obs, ok := d.observations(dst)
 		if !ok || len(obs) == 0 {
-			return nil, false
+			return false
 		}
 		f.PerCamera[ci] = obs
+		if fd != nil {
+			fd.obs[ci] = obs
+		}
 	}
-	if !d.lit("]}") || d.i != len(d.b) {
-		return nil, false
+	return d.lit("]}") && d.i == len(d.b)
+}
+
+// FrameDecoder decodes frames the way UnmarshalFrame does, into storage
+// it keeps: the frame, its camera table, its object list and each
+// camera's observation list are reused from one Decode to the next and
+// grow geometrically, so a warm decoder allocates nothing for a frame no
+// larger than the largest it has decoded. The zero value is ready to
+// use. Not safe for concurrent use.
+type FrameDecoder struct {
+	frame FrameTruth
+	objs  []ObjectState   // storage of frame.Objects, kept while a frame has none
+	obs   [][]Observation // per camera: storage of frame.PerCamera[ci], kept while it is null
+}
+
+// Decode parses a frame as UnmarshalFrame does and returns a value equal
+// to UnmarshalFrame's, nil and empty lists included. The frame is lent:
+// it and its lists are valid until the next Decode. A frame that is not
+// in the canonical shape goes through encoding/json into a fresh frame.
+func (fd *FrameDecoder) Decode(data []byte, numCameras int) (*FrameTruth, error) {
+	if n := numCameras - len(fd.obs); n > 0 {
+		fd.obs = append(fd.obs, make([][]Observation, n)...)
 	}
-	return &f, true
+	d := dec{b: data}
+	if d.frame(&fd.frame, fd, numCameras) {
+		return &fd.frame, nil
+	}
+	return unmarshalFrameJSON(data, numCameras)
 }
 
 // ScanObservations reads a canonical observation list from the front of
@@ -354,7 +456,7 @@ func (d *dec) frame(numCameras int) (*FrameTruth, bool) {
 // exported for a message that embeds the list (pipeline's frame part).
 func ScanObservations(data []byte) (obs []Observation, rest []byte, ok bool) {
 	d := dec{b: data}
-	if obs, ok = d.observations(); !ok {
+	if obs, ok = d.observations(nil); !ok {
 		return nil, data, false
 	}
 	return obs, data[d.i:], true
@@ -363,7 +465,7 @@ func ScanObservations(data []byte) (obs []Observation, rest []byte, ok bool) {
 // ScanObjects is ScanObservations for an object list.
 func ScanObjects(data []byte) (objs []ObjectState, rest []byte, ok bool) {
 	d := dec{b: data}
-	if objs, ok = d.objects(); !ok {
+	if objs, ok = d.objects(nil); !ok {
 		return nil, data, false
 	}
 	return objs, data[d.i:], true

@@ -175,6 +175,24 @@ func checkDecode(t *testing.T, data []byte, numCams int) {
 	}
 }
 
+// checkDecoder holds a FrameDecoder, which may have decoded other frames
+// before, to UnmarshalFrame on data: the same value, or an error from
+// both.
+func checkDecoder(t *testing.T, fd *FrameDecoder, data []byte, numCams int) {
+	t.Helper()
+	got, err := fd.Decode(data, numCams)
+	want, wantErr := UnmarshalFrame(data, numCams)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("FrameDecoder.Decode(%q, %d): error %v, UnmarshalFrame error %v", data, numCams, err, wantErr)
+	}
+	if err == nil && !sameValue(got, want, func(v any) []byte {
+		b, _ := oracleMarshalFrame(v.(*FrameTruth))
+		return b
+	}) {
+		t.Fatalf("FrameDecoder.Decode(%q, %d):\ngot  %+v\nwant %+v", data, numCams, got, want)
+	}
+}
+
 // codecSeeds are the decoder's hand-picked inputs: every number spelling
 // strconv takes and JSON does not, in a box and in an id; keys repeated,
 // upper-cased, reordered and unknown; [] against null in each position;
@@ -225,7 +243,9 @@ func codecSeeds() []string {
 // generated from seed, Append* is json.Marshal of the wire structs byte
 // for byte, NaN and Inf failing on both sides; (b) on arbitrary bytes,
 // and on what (a) just encoded, Unmarshal* returns what the
-// encoding/json-only decoders return, or both fail.
+// encoding/json-only decoders return, or both fail; (c) one FrameDecoder
+// decoding the generated frame, the arbitrary bytes and the generated
+// frame again returns what UnmarshalFrame returns each time.
 func FuzzFrameCodec(f *testing.F) {
 	for i, s := range codecSeeds() {
 		f.Add([]byte(s), int64(i), uint8(2))
@@ -248,6 +268,14 @@ func FuzzFrameCodec(f *testing.F) {
 			}
 		}
 		checkDecode(t, data, cams)
+		var fd FrameDecoder
+		if enc, err := AppendFrame(nil, frame); err == nil {
+			checkDecoder(t, &fd, enc, cams)
+			checkDecoder(t, &fd, data, cams)
+			checkDecoder(t, &fd, enc, cams)
+		} else {
+			checkDecoder(t, &fd, data, cams)
+		}
 	})
 }
 

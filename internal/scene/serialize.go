@@ -139,12 +139,21 @@ func MarshalFrame(f *FrameTruth) ([]byte, error) {
 // UnmarshalFrame parses a frame written by MarshalFrame, checking it
 // carries exactly numCameras observation lists. MarshalFrame's own bytes
 // are scanned (codec.go); any other JSON spelling of the schema goes
-// through encoding/json.
+// through encoding/json. It is the allocating form of FrameDecoder: the
+// frame, its camera table and each non-empty list are the caller's, each
+// allocated once at its exact size.
 func UnmarshalFrame(data []byte, numCameras int) (*FrameTruth, error) {
+	f := new(FrameTruth)
 	d := dec{b: data}
-	if f, ok := d.frame(numCameras); ok {
+	if d.frame(f, nil, numCameras) {
 		return f, nil
 	}
+	return unmarshalFrameJSON(data, numCameras)
+}
+
+// unmarshalFrameJSON decodes a frame with encoding/json, the path for
+// anything the scanner reports as not canonical.
+func unmarshalFrameJSON(data []byte, numCameras int) (*FrameTruth, error) {
 	var jf frameJSON
 	if err := json.Unmarshal(data, &jf); err != nil {
 		return nil, fmt.Errorf("scene: decode frame: %w", err)

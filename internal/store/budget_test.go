@@ -67,10 +67,12 @@ func (b *budgetFleet) create(t *testing.T, segmentSize int) (string, *Writer) {
 // production shape below: about a third above the 32 a frame it reads
 // with the frame codec, the per-connection reader and the writer's line
 // buffer in place (the same run allocated 179 a frame before them). What
-// is left: the engine's own 23, one exact-size list per part, the
-// assembled frame and its camera table, and encoding/json on the
-// snapshot and the round. A per-part or per-record make() anywhere on the
-// path adds at least four a frame on this four-camera fleet.
+// is left: the engine's own, one exact-size list per part, and the
+// assembled frame and its camera table; the snapshot and the round encode
+// into the writer's own buffer and allocate nothing
+// (TestWriterRecordAllocatesNothing). A per-part or per-record make()
+// anywhere on the path adds at least four a frame on this four-camera
+// fleet.
 const liveRecordAllocCeiling = 43
 
 // TestLiveRecordAllocationBudget runs S1 over loopback TCP into an
@@ -148,29 +150,20 @@ func TestLiveRecordAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestReplayAllocationBudget bounds Replay.Next alone: the frame, its
-// camera table and one exact-size list per non-empty list, and nothing
-// per line read.
+// TestReplayAllocationBudget bounds Replay.Next: warm, a frame allocates
+// nothing — the read buffer, the line and the decoded frame are reused —
+// and crossing into the next segment costs what opening its file costs
+// and no new read buffer.
 func TestReplayAllocationBudget(t *testing.T) {
-	const frames = 400
+	const frames, segmentSize = 200, 50
 	b := newBudgetFleet(t, frames)
-	dir, w := b.create(t, frames) // one segment, opened by the first Next
-	budget := 0
-	for fi := range b.test.Frames {
-		f := &b.test.Frames[fi]
-		if err := w.AppendFrame(f); err != nil {
-			t.Fatal(err)
-		}
-		if fi == 0 {
-			continue
-		}
-		budget += 2
-		if len(f.Objects) > 0 {
-			budget++
-		}
-		for _, obs := range f.PerCamera {
-			if len(obs) > 0 {
-				budget++
+	dir, w := b.create(t, segmentSize)
+	// The log holds the frames twice: reading the first copy grows the
+	// replay's storage to the largest of them, the second is measured.
+	for range 2 {
+		for fi := range b.test.Frames {
+			if err := w.AppendFrame(&b.test.Frames[fi]); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -186,28 +179,50 @@ func TestReplayAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	if _, err := src.Next(); err != nil {
-		t.Fatal(err)
+	next := func() {
+		if _, err := src.Next(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	for range frames + 1 { // the first copy, and into the second's first segment
+		next()
+	}
+	openSeg := filepath.Join(dir, framesDir, segmentName(0))
+	perOpen := testing.AllocsPerRun(20, func() {
+		f, err := os.Open(openSeg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	})
+
+	// The rest of that segment: nothing at all.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for fi := 1; fi < frames; fi++ {
-		if _, err := src.Next(); err != nil {
-			t.Fatalf("frame %d: %v", fi, err)
-		}
+	for range segmentSize - 1 {
+		next()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d allocations over %d warm frames of one segment, want 0", n, segmentSize-1)
+	}
+	// Across the remaining segment boundaries: the opens, and no more.
+	left := frames - segmentSize
+	opened := left / segmentSize
+	runtime.ReadMemStats(&before)
+	if n := testing.AllocsPerRun(left-1, next); n != 0 {
+		t.Fatalf("warm Replay.Next across %d segment boundaries: %v allocations a frame, want 0", opened, n)
 	}
 	runtime.ReadMemStats(&after)
 	if _, err := src.Next(); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
-	// The reused line grows to the longest record by doubling; that is the
-	// only allocation a frame may make beyond its own value.
-	const lineGrowth = 8
-	got := int(after.Mallocs - before.Mallocs)
-	t.Logf("%d allocations over %d frames, %d in the frames themselves", got, frames-1, budget)
-	if got > budget+lineGrowth {
-		t.Fatalf("Replay.Next made %d allocations over %d frames; the frames account for %d (2 + one per non-empty list each)",
-			got, frames-1, budget)
+	mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d allocations, %d bytes over %d frames and %d segment opens (an open alone: %v allocations)",
+		mallocs, bytes, left, opened, perOpen)
+	if mallocs > uint64(opened)*uint64(perOpen+1) || bytes >= replayReadBuffer {
+		t.Fatalf("%d allocations (%d bytes) over %d frames and %d segment opens; the opens account for %v each and no read buffer",
+			mallocs, bytes, left, opened, perOpen+1)
 	}
 }
 
@@ -290,5 +305,71 @@ func TestRecordedBytesUnchanged(t *testing.T) {
 		if !bytes.Equal(got, buf.Bytes()) {
 			t.Fatalf("%s differs from the json.Marshal + checksumLine file (%d bytes against %d)", file, len(got), buf.Len())
 		}
+	}
+}
+
+// TestWriterRecordAllocatesNothing: a warm Writer encodes a snapshot and
+// a round with its own encoder into its own buffer, so recording either
+// allocates nothing, and it keeps neither record's slices past the call.
+func TestWriterRecordAllocatesNothing(t *testing.T) {
+	_, roster := testRoster(t, 3)
+	w, err := Create(filepath.Join(t.TempDir(), "run"), Manifest{Mode: "balb", Cameras: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	snap := metrics.Snapshot{Source: metrics.SourcePipeline, Label: "balb", Seq: 7, Frame: 7, TP: 40, FN: 2,
+		Recall: 0.95, FrameLatency: 31e6, Cameras: []metrics.CameraSnapshot{
+			{Camera: 0, Latency: 31e6, Batches: 2, Images: 9, BatchOccupancy: 0.5625, Tracks: 9},
+			{Camera: 1, Latency: 12e6, Tracks: 1, Shadows: 2},
+			{Camera: 2},
+		}}
+	round := metrics.Round{Source: metrics.SourcePipeline, Label: "balb", Seq: 1, Frame: 10, Objects: 12,
+		Priority: []int{2, 0, 1}, Assigned: []int{5, 4, 3}}
+	w.RecordFrame(snap)
+	w.RecordRound(round)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if w.snap.Cameras != nil || w.round.Priority != nil {
+		t.Fatal("the writer kept the last record's slices past the call")
+	}
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops encoding/json's encode state at random")
+	}
+	if n := testing.AllocsPerRun(100, func() { w.RecordFrame(snap) }); n != 0 {
+		t.Fatalf("warm Writer.RecordFrame: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.RecordRound(round) }); n != 0 {
+		t.Fatalf("warm Writer.RecordRound: %v allocations, want 0", n)
+	}
+}
+
+// TestRecoverDecodesWithoutGarbage: Recover validates every frame record
+// through one reused decoder, so what it allocates does not grow with
+// the frames it reads (UnmarshalFrame allocates at least two a frame).
+func TestRecoverDecodesWithoutGarbage(t *testing.T) {
+	const frames = 300
+	b := newBudgetFleet(t, frames)
+	dir, w := b.create(t, frames)
+	for fi := range b.test.Frames {
+		if err := w.AppendFrame(&b.test.Frames[fi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec, err := Recover(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil || rec.Frames != frames {
+		t.Fatalf("Recover: %+v, %v", rec, err)
+	}
+	n := after.Mallocs - before.Mallocs
+	t.Logf("Recover of %d frames: %d allocations", frames, n)
+	if n >= frames/2 {
+		t.Fatalf("Recover made %d allocations over %d frames; decoding a frame must not allocate", n, frames)
 	}
 }

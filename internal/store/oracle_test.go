@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 )
@@ -14,4 +15,25 @@ func checksumLine(body []byte) []byte {
 	out = fmt.Appendf(out, "%08x ", crc32.ChecksumIEEE(body))
 	out = append(out, body...)
 	return append(out, '\n')
+}
+
+// oracleSnapshotsRaw is Run.SnapshotsRaw's log walk as it stood before it
+// stripped checksums in place, kept verbatim but for the name and the
+// error wrapping: bytes.Split into lines, each body copied into a second
+// buffer.
+func oracleSnapshotsRaw(data []byte, version int) ([]byte, error) {
+	var out bytes.Buffer
+	out.Grow(len(data))
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		body, err := parseLine(line, version)
+		if err != nil {
+			return nil, err
+		}
+		out.Write(body)
+		out.WriteByte('\n')
+	}
+	return out.Bytes(), nil
 }

@@ -51,6 +51,9 @@ func Open(dir string) (*Run, error) {
 		if err := json.Unmarshal(idxData, &idx); err != nil {
 			return nil, fmt.Errorf("store: decode frame index: %w", err)
 		}
+		if err := idx.validate(); err != nil {
+			return nil, err
+		}
 		r.index = &idx
 	case os.IsNotExist(err):
 		// Capture-only run, or a writer that was never closed: no frame
@@ -82,8 +85,9 @@ func (r *Run) NumFrames() int {
 // byte-exact form mvsim -replay -verify compares a re-run's JSONL sink
 // output against. Version-2 checksum prefixes are verified and
 // stripped, so the result is checksum-free regardless of format
-// version. Missing file means the run recorded no snapshots (nil, no
-// error).
+// version. The checksums are stripped in place, in the one buffer the
+// file was read into. Missing file means the run recorded no snapshots
+// (nil, no error).
 func (r *Run) SnapshotsRaw() ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(r.dir, snapshotsFile))
 	if os.IsNotExist(err) {
@@ -92,16 +96,17 @@ func (r *Run) SnapshotsRaw() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var out bytes.Buffer
-	out.Grow(len(data))
+	// Each line is written back no later than where it was read from, so
+	// out never overtakes the line decodeLines is on; only a version-1
+	// file's unterminated last line gains a byte, at the very end.
+	out := data[:0]
 	if err := decodeLines(data, r.man.Version, func(line []byte) error {
-		out.Write(line)
-		out.WriteByte('\n')
+		out = append(append(out, line...), '\n')
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("store: snapshots: %w", err)
 	}
-	return out.Bytes(), nil
+	return out, nil
 }
 
 // Snapshots decodes the recorded per-frame snapshot log.
@@ -153,7 +158,13 @@ func (r *Run) Rounds() ([]metrics.Round, error) {
 // decodeLines walks a log's records, validating and stripping each
 // line's checksum per the format version before handing it to fn.
 func decodeLines(data []byte, version int, fn func([]byte) error) error {
-	for _, line := range bytes.Split(data, []byte("\n")) {
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
@@ -192,7 +203,10 @@ const replayReadBuffer = 32 << 10
 // Replay streams a recorded frame log segment by segment. It satisfies
 // pipeline.Source: Next returns frames in recorded order and io.EOF
 // after the last, and the frame count is checked against the index so a
-// truncated segment fails loudly instead of ending a replay early.
+// truncated segment fails loudly instead of ending a replay early. A
+// warm Replay allocates nothing per frame: the read buffer, the line and
+// the decoded frame are reused, so its working set is the largest frame
+// it has read.
 type Replay struct {
 	dir  string
 	cams []*scene.Camera
@@ -202,23 +216,27 @@ type Replay struct {
 
 	si   int // next segment to open
 	f    *os.File
-	br   *bufio.Reader
-	line []byte // the record being read, reused from frame to frame
-	left int    // frames remaining in the open segment
+	br   *bufio.Reader      // made for the first segment, Reset onto each next one
+	line []byte             // the record being read, reused from frame to frame
+	dec  scene.FrameDecoder // the frame Next lends
+	left int                // frames remaining in the open segment
 	read int
 }
 
 // Cameras returns the recorded roster.
 func (r *Replay) Cameras() []*scene.Camera { return r.cams }
 
-// Next returns the next recorded frame, or io.EOF after the last.
+// Next returns the next recorded frame, or io.EOF after the last. The
+// frame is lent: it and its lists are valid until the next call of Next
+// (the pipeline.Source contract), and a caller that keeps a frame longer
+// copies it.
 func (r *Replay) Next() (*scene.FrameTruth, error) {
 	for r.left == 0 {
 		if r.f != nil {
 			if err := r.f.Close(); err != nil {
 				return nil, fmt.Errorf("store: %w", err)
 			}
-			r.f, r.br = nil, nil
+			r.f = nil
 		}
 		if r.si >= len(r.segs) {
 			if r.read != r.want {
@@ -235,7 +253,12 @@ func (r *Replay) Next() (*scene.FrameTruth, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		r.f, r.br, r.left = f, bufio.NewReaderSize(f, replayReadBuffer), seg.Count
+		if r.br == nil {
+			r.br = bufio.NewReaderSize(f, replayReadBuffer)
+		} else {
+			r.br.Reset(f)
+		}
+		r.f, r.left = f, seg.Count
 	}
 	var err error
 	r.line, err = readLine(r.br, r.line)
@@ -249,7 +272,7 @@ func (r *Replay) Next() (*scene.FrameTruth, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: frame %d: %w", r.read, err)
 	}
-	frame, err := scene.UnmarshalFrame(body, len(r.cams))
+	frame, err := r.dec.Decode(body, len(r.cams))
 	if err != nil {
 		return nil, err
 	}
@@ -279,6 +302,6 @@ func (r *Replay) Close() error {
 		return nil
 	}
 	err := r.f.Close()
-	r.f, r.br = nil, nil
+	r.f = nil
 	return err
 }

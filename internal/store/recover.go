@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 
 	"mvs/internal/scene"
 )
@@ -146,19 +144,14 @@ func recoverSegments(dir string, version, numCams, segSize int, rec *Recovery) (
 	}
 	var files []segFile
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".jsonl") {
-			continue
+		if ord, ok := segmentOrdinal(e.Name()); ok {
+			files = append(files, segFile{name: e.Name(), ord: ord})
 		}
-		ord, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".jsonl"))
-		if err != nil {
-			continue
-		}
-		files = append(files, segFile{name: name, ord: ord})
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].ord < files[j].ord })
 
 	var segs []Segment
+	var fd scene.FrameDecoder // every record is decoded into the same storage
 	prevOrd := -1
 	for _, sf := range files {
 		if prevOrd >= 0 && sf.ord != prevOrd+1 {
@@ -169,7 +162,7 @@ func recoverSegments(dir string, version, numCams, segSize int, rec *Recovery) (
 			if err != nil {
 				return false
 			}
-			_, err = scene.UnmarshalFrame(body, numCams)
+			_, err = fd.Decode(body, numCams)
 			return err == nil
 		}, rec)
 		if err != nil {

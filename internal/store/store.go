@@ -31,11 +31,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -258,6 +260,47 @@ type frameIndex struct {
 	Segments []Segment `json:"segments"`
 }
 
+// ErrBadIndex is wrapped by the error Open returns for a frame index that
+// does not describe segments of its own run: a segment whose file is not
+// a name the writer gives (seg-NNNNNN.jsonl, no directory part, so a
+// replay can only open files inside frames/), or whose count is negative.
+var ErrBadIndex = errors.New("store: bad frame index")
+
+// validate checks what a replay takes from the index on trust.
+func (idx *frameIndex) validate() error {
+	for i, seg := range idx.Segments {
+		if _, ok := segmentOrdinal(seg.File); !ok {
+			return fmt.Errorf("%w: segment %d names %q, not a seg-NNNNNN.jsonl file", ErrBadIndex, i, seg.File)
+		}
+		if seg.Count < 0 {
+			return fmt.Errorf("%w: segment %d (%s) has count %d", ErrBadIndex, i, seg.File, seg.Count)
+		}
+	}
+	return nil
+}
+
+// segmentName is the file name of the segment with the given ordinal.
+func segmentName(ord int) string { return fmt.Sprintf("seg-%06d.jsonl", ord) }
+
+// segmentOrdinal parses a name segmentName gives: "seg-", six to
+// eighteen decimal digits, ".jsonl".
+func segmentOrdinal(name string) (int, bool) {
+	rest, isSeg := strings.CutPrefix(name, "seg-")
+	digits, isJSONL := strings.CutSuffix(rest, ".jsonl")
+	if !isSeg || !isJSONL || len(digits) < 6 || len(digits) > 18 {
+		return 0, false
+	}
+	ord := 0
+	for i := 0; i < len(digits); i++ {
+		c := digits[i] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		ord = ord*10 + int(c)
+	}
+	return ord, true
+}
+
 // Writer appends a run to a directory. All record methods are safe for
 // concurrent use and follow the sink error model (docs/OBSERVABILITY.md):
 // write errors are sticky, later records are discarded, and the first
@@ -279,7 +322,15 @@ type Writer struct {
 	births   []time.Time // per-segment birth times (memory only; never on disk)
 	segSeq   int         // next segment file ordinal (monotonic under retention)
 	frames   int
-	line     []byte // the record being built, reused by all three logs under mu
+	line     []byte // the frame record being built, reused under mu
+
+	// The snapshot or round record being encoded, under mu: enc writes
+	// into buf, and the value is copied into snap or round for the call
+	// and zeroed after it, so encoding boxes nothing and keeps nothing.
+	buf   bytes.Buffer
+	enc   *json.Encoder
+	snap  metrics.Snapshot
+	round metrics.Round
 }
 
 // Create starts a new run in dir with default Options (no fsync,
@@ -336,7 +387,9 @@ func CreateWith(dir string, man Manifest, opts Options) (*Writer, error) {
 	if err := os.WriteFile(mpath, append(data, '\n'), 0o644); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Writer{dir: dir, man: man, opts: opts, numCams: len(cams), segSize: man.SegmentSize}, nil
+	w := &Writer{dir: dir, man: man, opts: opts, numCams: len(cams), segSize: man.SegmentSize}
+	w.enc = json.NewEncoder(&w.buf)
+	return w, nil
 }
 
 // Manifest returns the manifest the run was created with (defaults
@@ -413,15 +466,20 @@ func (w *Writer) RecordFrame(snap metrics.Snapshot) {
 			return
 		}
 	}
-	w.recordJSON(w.snaps, snap)
+	w.snap = snap
+	w.recordJSON(w.snaps, &w.snap)
+	w.snap = metrics.Snapshot{}
 }
 
-// recordJSON appends v's JSON to log as one record. Caller holds w.mu.
+// recordJSON appends v's JSON to log as one record: the checksum's room,
+// then the encoder's bytes, whose newline sealLine writes again. v points
+// at w.snap or w.round. Caller holds w.mu.
 func (w *Writer) recordJSON(log *jsonlWriter, v any) {
-	var body []byte
-	if body, w.err = json.Marshal(v); w.err == nil {
-		w.line = sealLine(append(append(w.line[:0], linePad...), body...))
-		w.err = log.record(w.line)
+	w.buf.Reset()
+	w.buf.WriteString(linePad)
+	if w.err = w.enc.Encode(v); w.err == nil {
+		line := w.buf.Bytes()
+		w.err = log.record(sealLine(line[:len(line)-1]))
 	}
 }
 
@@ -438,7 +496,9 @@ func (w *Writer) RecordRound(round metrics.Round) {
 			return
 		}
 	}
-	w.recordJSON(w.rounds, round)
+	w.round = round
+	w.recordJSON(w.rounds, &w.round)
+	w.round = metrics.Round{}
 }
 
 // AppendFrame appends one frame to the run's frame log, rolling to a
@@ -494,7 +554,7 @@ func (w *Writer) rollSegment() error {
 			return err
 		}
 	}
-	name := fmt.Sprintf("seg-%06d.jsonl", w.segSeq)
+	name := segmentName(w.segSeq)
 	w.segSeq++
 	seg, err := openJSONL(filepath.Join(w.dir, framesDir, name), w.opts)
 	if err != nil {

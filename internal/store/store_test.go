@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -347,5 +350,154 @@ func TestReplayTruncationDetected(t *testing.T) {
 	}
 	if lastErr == nil || lastErr == io.EOF {
 		t.Fatalf("truncated segment must fail the replay, got %v", lastErr)
+	}
+}
+
+// TestOpenRejectsBadIndex: an index is taken on trust by the replay, which
+// opens frames/<file> for each segment, so Open refuses one that names
+// anything but a segment file of the run's own frames/ directory, or
+// gives a segment a negative count, with an error wrapping ErrBadIndex.
+func TestOpenRejectsBadIndex(t *testing.T) {
+	_, roster := testRoster(t, 1)
+	frames := randomFrames(rand.New(rand.NewSource(3)), 1, 4)
+	dir := filepath.Join(t.TempDir(), "run")
+	w, err := Create(dir, Manifest{Mode: "balb", Cameras: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi := range frames {
+		if err := w.AppendFrame(&frames[fi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A file outside the run with valid records, for the index to point at.
+	outside := filepath.Join(filepath.Dir(dir), "outside.jsonl")
+	if err := os.WriteFile(outside, mustRead(t, filepath.Join(dir, framesDir, segmentName(0))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	idxPath := filepath.Join(dir, framesDir, indexFile)
+	for _, seg := range []Segment{
+		{File: "../../outside.jsonl", Count: 4},
+		{File: "../outside.jsonl", Count: 4},
+		{File: outside, Count: 4},
+		{File: "../frames/seg-000000.jsonl", Count: 4},
+		{File: "seg-0.jsonl", Count: 4},
+		{File: "seg-00000x.jsonl", Count: 4},
+		{File: "seg-000000.json", Count: 4},
+		{File: "seg-+00000.jsonl", Count: 4},
+		{File: "", Count: 4},
+		{File: "seg-000000.jsonl", Count: -1},
+	} {
+		data, err := json.Marshal(frameIndex{Frames: 4, Segments: []Segment{seg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(idxPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); !errors.Is(err, ErrBadIndex) {
+			t.Fatalf("index segment %+v: Open returned %v, want an ErrBadIndex", seg, err)
+		}
+	}
+	data, err := json.Marshal(frameIndex{Frames: 4, Segments: []Segment{{File: "seg-000000.jsonl", Count: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(idxPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatalf("the writer's own index: %v", err)
+	}
+}
+
+// TestSnapshotsRawMatchesOracle holds SnapshotsRaw, which strips the
+// checksums in the buffer the log was read into, to the two-buffer walk
+// it replaced, on generated version-1 and version-2 logs with blank and
+// whitespace lines, with and without a final newline, and with a corrupt
+// record; and checks the log is held once, not twice.
+func TestSnapshotsRawMatchesOracle(t *testing.T) {
+	_, roster := testRoster(t, 1)
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 200; trial++ {
+		version := 1 + trial%2
+		var log bytes.Buffer
+		for n := rng.Intn(12); n > 0; n-- {
+			switch rng.Intn(6) {
+			case 0:
+				log.WriteString([]string{"\n", " \n", "\t\n", "\r\n"}[rng.Intn(4)])
+			default:
+				body := fmt.Appendf(nil, `{"seq":%d,"pad":%q}`, n, strings.Repeat("x", rng.Intn(40)))
+				if version == 2 {
+					log.Write(checksumLine(body))
+				} else {
+					log.Write(append(body, '\n'))
+				}
+			}
+		}
+		data := log.Bytes()
+		if len(data) > 0 && rng.Intn(3) == 0 {
+			data = data[:len(data)-1] // no final newline
+		}
+		if trial%10 == 9 && len(data) > 12 {
+			data = bytes.Clone(data)
+			data[len(data)/2] ^= 1
+		}
+		dir := filepath.Join(t.TempDir(), "run")
+		man, err := json.Marshal(Manifest{Version: version, Mode: "balb", Cameras: roster})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestFile), man, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, snapshotsFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		run, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := run.SnapshotsRaw()
+		want, wantErr := oracleSnapshotsRaw(data, version)
+		if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (version %d, %q):\ngot  %q (%v)\nwant %q (%v)", trial, version, data, got, err, want, wantErr)
+		}
+	}
+
+	// One copy of a large log: what SnapshotsRaw allocates is the file,
+	// not the file and a second buffer.
+	dir := filepath.Join(t.TempDir(), "run")
+	w, err := Create(dir, Manifest{Mode: "balb", Cameras: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		w.RecordFrame(metrics.Snapshot{Source: metrics.SourcePipeline, Seq: i, Frame: i,
+			Cameras: []metrics.CameraSnapshot{{Camera: 0, Latency: 12e6, Tracks: i % 7}}})
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	run, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := len(mustRead(t, filepath.Join(dir, snapshotsFile)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	raw, err := run.SnapshotsRaw()
+	runtime.ReadMemStats(&after)
+	if err != nil || len(raw) != size-2000*len(linePad) {
+		t.Fatalf("SnapshotsRaw: %d bytes (%v), want %d", len(raw), err, size-2000*len(linePad))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(size)+uint64(size)/4 {
+		t.Fatalf("SnapshotsRaw of a %d-byte log allocated %d bytes; it should hold the log once", size, alloc)
 	}
 }
