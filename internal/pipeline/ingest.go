@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -24,7 +25,8 @@ import (
 //
 // The shedding determinism contract: every admission decision is a pure
 // function of (the incoming part's frame index, the frame indices
-// already queued for that camera, the queue capacity, the policy). No
+// already queued for that camera, the last frame index admitted for it,
+// the queue capacity, the policy). No
 // wall-clock time, no consumer state, no randomness — so the same
 // offered sequence sheds the same set of parts at every worker count
 // and on every host, and a recorded shed run replays bit-identically.
@@ -78,7 +80,8 @@ func ParseShedPolicy(s string) (ShedPolicy, error) {
 
 // FramePart is one camera's contribution to one stream frame — the unit
 // a live producer pushes. Frame indices must be strictly ascending per
-// camera (an out-of-order or duplicate part is shed). Objects optionally
+// camera (a part at or below the camera's last admitted frame — a
+// duplicate, a reordered straggler, a re-send — is shed). Objects optionally
 // carries the frame's ground-truth object list for recall scoring; the
 // first part to deliver it for a frame wins, so producers send it on one
 // camera only. EOS marks the end of this camera's stream: once every
@@ -166,6 +169,16 @@ type IngestConfig struct {
 // the queued parts into whole frames for the engine. Offer never blocks
 // the producer; Next blocks until a frame is assemblable, the stream
 // ends, or the watchdog declares a stall.
+//
+// The source owns every list it holds and allocates nothing per frame
+// once warm: Offer copies a part's lists into a queue slot's storage,
+// Next lends the assembled frame, and the lists move between slots and
+// the frame without being copied again. What it keeps is, per camera,
+// its ring's slots each holding the largest part that slot has seen,
+// plus the lent frame's list; and one ground-truth list per frame index
+// that an admitted part carried objects for and assembly has not yet
+// passed, plus the lent frame's and at most Queue+1 spare ones kept for
+// reuse (docs/STREAMING.md §6).
 type IngestSource struct {
 	cams     []*scene.Camera
 	queueCap int
@@ -177,7 +190,9 @@ type IngestSource struct {
 	cond     *sync.Cond
 	queues   []partQueue
 	eos      []bool
-	objects  map[int][]scene.ObjectState
+	objects  objectTable
+	frame    scene.FrameTruth      // the lent frame, valid until the next Next
+	lent     [][]scene.Observation // per camera: storage of frame.PerCamera, kept while it is nil
 	closed   bool
 	waiting  int
 	stallErr error
@@ -190,25 +205,51 @@ type IngestSource struct {
 	conns map[net.Conn]struct{}
 }
 
+// owned is a list copied into storage its holder keeps: the copy is nil
+// for a nil list and empty for an empty one, and the storage outlives
+// the list, so the next copy reuses it and grows it only geometrically.
+type owned[T any] struct {
+	list []T // nil, or buf[:n] (an empty non-nil list while buf is nil)
+	buf  []T
+}
+
+func (o *owned[T]) set(src []T) {
+	if src == nil {
+		o.list = nil
+		return
+	}
+	o.buf = append(o.buf[:0], src...)
+	o.list = o.buf
+	if o.list == nil {
+		o.list = []T{}
+	}
+}
+
+// queuedPart is one ring slot: an admitted part's frame index and its
+// observation list, on storage the slot keeps across pops.
 type queuedPart struct {
 	frame int
-	obs   []scene.Observation
+	obs   owned[scene.Observation]
 }
 
 // partQueue is one camera's admission queue: a ring that doubles until
 // it holds the deepest backlog the shed policy lets it see and never
-// allocates after that. A popped slot is zeroed, so the queue does not
-// keep an emitted frame's observations alive.
+// allocates after that, and the camera's high-water mark, the frame of
+// the last part it admitted.
 type partQueue struct {
-	ring []queuedPart // len is zero or a power of two
-	head int
-	n    int
+	ring     []queuedPart // len is zero or a power of two
+	head     int
+	n        int
+	last     int  // the last admitted frame, once admitted is set
+	admitted bool // a part has been admitted
 }
 
 // at returns the i-th queued part, oldest first.
 func (q *partQueue) at(i int) *queuedPart { return &q.ring[(q.head+i)&(len(q.ring)-1)] }
 
-func (q *partQueue) push(p queuedPart) {
+// push queues a part of frame fi, copying obs into the tail slot's
+// storage.
+func (q *partQueue) push(fi int, obs []scene.Observation) {
 	if q.n == len(q.ring) {
 		grown := make([]queuedPart, max(4, 2*len(q.ring)))
 		for i := 0; i < q.n; i++ {
@@ -216,17 +257,92 @@ func (q *partQueue) push(p queuedPart) {
 		}
 		q.ring, q.head = grown, 0
 	}
+	slot := q.at(q.n)
 	q.n++
-	*q.at(q.n - 1) = p
+	slot.frame = fi
+	slot.obs.set(obs)
 }
 
-func (q *partQueue) pop() queuedPart {
-	slot := q.at(0)
-	p := *slot
-	*slot = queuedPart{}
+// drop discards the head part; its slot keeps the storage.
+func (q *partQueue) drop() {
+	q.at(0).obs.list = nil
 	q.head = (q.head + 1) & (len(q.ring) - 1)
 	q.n--
-	return p
+}
+
+// lend pops the head part and returns its list. The list's storage goes
+// to *held, and the storage *held had — the list lent before, which
+// nobody reads any more — goes to the slot in exchange.
+func (q *partQueue) lend(held *[]scene.Observation) []scene.Observation {
+	slot := q.at(0)
+	list := slot.obs.list
+	slot.obs.buf, *held = *held, slot.obs.buf
+	q.drop()
+	return list
+}
+
+// objectTable holds the ground truth of the frames assembly has not yet
+// passed, sorted by frame, each list on storage the table owns. The
+// storage of a passed frame's list goes to spare for the next frame to
+// deliver one, up to keep lists; beyond that it is left to the
+// collector. The lent frame's list stays out until the next take.
+type objectTable struct {
+	pending []pendingObjects
+	spare   [][]scene.ObjectState
+	keep    int
+	lent    []scene.ObjectState
+}
+
+type pendingObjects struct {
+	frame int
+	objs  owned[scene.ObjectState]
+}
+
+// add copies frame fi's objects in, unless the frame has some already:
+// the first delivery wins.
+func (t *objectTable) add(fi int, objs []scene.ObjectState) {
+	i := len(t.pending)
+	for i > 0 && t.pending[i-1].frame >= fi {
+		i--
+	}
+	if i < len(t.pending) && t.pending[i].frame == fi {
+		return
+	}
+	e := pendingObjects{frame: fi}
+	if n := len(t.spare); n > 0 {
+		e.objs.buf, t.spare[n-1] = t.spare[n-1], nil
+		t.spare = t.spare[:n-1]
+	}
+	e.objs.set(objs)
+	t.pending = slices.Insert(t.pending, i, e)
+}
+
+// take drops every frame up to fi and returns frame fi's objects, nil
+// when it has none. The list is lent until the next take.
+func (t *objectTable) take(fi int) []scene.ObjectState {
+	t.recycle(t.lent)
+	t.lent = nil
+	var out []scene.ObjectState
+	k := 0
+	for ; k < len(t.pending) && t.pending[k].frame <= fi; k++ {
+		e := &t.pending[k]
+		if e.frame == fi {
+			out, t.lent = e.objs.list, e.objs.buf
+		} else {
+			t.recycle(e.objs.buf)
+		}
+	}
+	n := copy(t.pending, t.pending[k:])
+	clear(t.pending[n:])
+	t.pending = t.pending[:n]
+	return out
+}
+
+// recycle keeps buf for a later frame's objects while spare has room.
+func (t *objectTable) recycle(buf []scene.ObjectState) {
+	if buf != nil && len(t.spare) < t.keep {
+		t.spare = append(t.spare, buf)
+	}
 }
 
 // NewIngestSource builds an in-process ingest source for a fixed roster.
@@ -250,7 +366,9 @@ func NewIngestSource(cams []*scene.Camera, cfg IngestConfig) (*IngestSource, err
 		clk:      cfg.Clock,
 		queues:   make([]partQueue, len(cams)),
 		eos:      make([]bool, len(cams)),
-		objects:  make(map[int][]scene.ObjectState),
+		objects:  objectTable{keep: cfg.Queue + 1},
+		frame:    scene.FrameTruth{PerCamera: make([][]scene.Observation, len(cams))},
+		lent:     make([][]scene.Observation, len(cams)),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -278,8 +396,10 @@ func (s *IngestSource) Counters() IngestCounters {
 // Offer admits one frame part (or records a camera's EOS). It never
 // blocks: when the camera's queue is full the shed policy decides what
 // drops, deterministically in the queue contents and the part's frame
-// index alone. Errors are reserved for misuse (bad camera index, offer
-// after Close) — a shed part is not an error.
+// index alone. An admitted part's lists are copied, so the caller keeps
+// its part and may reuse its storage as soon as Offer returns. Errors
+// are reserved for misuse (bad camera index, offer after Close) — a shed
+// part is not an error.
 func (s *IngestSource) Offer(p FramePart) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -301,36 +421,14 @@ func (s *IngestSource) Offer(p FramePart) error {
 		return nil
 	}
 	q := &s.queues[p.Cam]
-	// Per-camera frames must ascend strictly; duplicates and reordered
-	// stragglers are shed rather than corrupting assembly order.
-	if q.n > 0 && p.Frame <= q.at(q.n-1).frame {
-		s.shed++
+	if !s.admitLocked(q, p.Frame) {
 		return nil
 	}
-	if s.policy == ShedStale {
-		cut := p.Frame - 2*s.queueCap
-		for q.n > 0 && q.at(0).frame < cut {
-			q.pop()
-			s.shed++
-		}
-	}
-	if q.n >= s.queueCap {
-		drop := 1
-		if s.policy == ShedFreshest {
-			drop = q.n
-		}
-		for ; drop > 0; drop-- {
-			q.pop()
-			s.shed++
-		}
-	}
 	silent := q.n == 0
-	q.push(queuedPart{frame: p.Frame, obs: p.Obs})
+	q.push(p.Frame, p.Obs)
 	s.ingested++
 	if p.Objects != nil {
-		if _, ok := s.objects[p.Frame]; !ok {
-			s.objects[p.Frame] = p.Objects
-		}
+		s.objects.add(p.Frame, p.Objects)
 	}
 	// Next waits for every camera to be ready, so only the part that ends
 	// a camera's silence can be the one that makes a frame assemblable.
@@ -340,6 +438,39 @@ func (s *IngestSource) Offer(p FramePart) error {
 	return nil
 }
 
+// admitLocked decides, on frame indices alone, whether a part of frame fi
+// joins camera queue q: it sheds what the policy drops to make room,
+// counts every shed part, and reports whether the part is admitted.
+func (s *IngestSource) admitLocked(q *partQueue, fi int) bool {
+	// A camera's admitted frames ascend strictly: a part at or below the
+	// last one admitted — a duplicate, a reordered straggler, a re-send of
+	// a frame already emitted — is shed rather than corrupting assembly
+	// order.
+	if q.admitted && fi <= q.last {
+		s.shed++
+		return false
+	}
+	if s.policy == ShedStale {
+		cut := fi - 2*s.queueCap
+		for q.n > 0 && q.at(0).frame < cut {
+			q.drop()
+			s.shed++
+		}
+	}
+	if q.n >= s.queueCap {
+		drop := 1
+		if s.policy == ShedFreshest {
+			drop = q.n
+		}
+		for ; drop > 0; drop-- {
+			q.drop()
+			s.shed++
+		}
+	}
+	q.last, q.admitted = fi, true
+	return true
+}
+
 // Next assembles and returns the next frame: once every camera is ready
 // (has a queued part, sent EOS, or the source is closed), the lowest
 // queued frame index is emitted — cameras holding exactly that frame
@@ -347,7 +478,8 @@ func (s *IngestSource) Offer(p FramePart) error {
 // none (they shed it, an outage-shaped gap). Next blocks while any
 // camera is silent, returns io.EOF once every stream ended and the
 // queues drained, and returns a *StallError when the watchdog deadline
-// passes with no assembly progress.
+// passes with no assembly progress. The frame is lent: it and its lists
+// are valid until the next Next.
 func (s *IngestSource) Next() (*scene.FrameTruth, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -387,26 +519,25 @@ func (s *IngestSource) anyQueuedLocked() bool {
 	return false
 }
 
-// assembleLocked pops the lowest queued frame index into a FrameTruth.
+// assembleLocked pops the lowest queued frame index into the lent frame.
+// The previous frame's lists go back into the popped slots: the engine
+// asked for this frame, so it reads that one no more.
 func (s *IngestSource) assembleLocked() *scene.FrameTruth {
-	next := -1
+	next, found := 0, false
 	for i := range s.queues {
-		if q := &s.queues[i]; q.n > 0 && (next < 0 || q.at(0).frame < next) {
-			next = q.at(0).frame
+		if q := &s.queues[i]; q.n > 0 && (!found || q.at(0).frame < next) {
+			next, found = q.at(0).frame, true
 		}
 	}
-	per := make([][]scene.Observation, len(s.queues))
+	f := &s.frame
+	f.Index = next
 	for i := range s.queues {
+		f.PerCamera[i] = nil
 		if q := &s.queues[i]; q.n > 0 && q.at(0).frame == next {
-			per[i] = q.pop().obs
+			f.PerCamera[i] = q.lend(&s.lent[i])
 		}
 	}
-	f := &scene.FrameTruth{Index: next, Objects: s.objects[next], PerCamera: per}
-	for k := range s.objects {
-		if k <= next {
-			delete(s.objects, k)
-		}
-	}
+	f.Objects = s.objects.take(next)
 	s.last = s.clk.Now()
 	return f
 }
@@ -474,7 +605,8 @@ func (s *IngestSource) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	// One reader and one body buffer for the connection's whole stream.
+	// One reader, one body buffer and one set of lists for the
+	// connection's whole stream; Offer copies what it admits.
 	d := partDecoder{r: bufio.NewReaderSize(conn, connReadBuffer)}
 	for {
 		p, err := d.next()
@@ -580,20 +712,27 @@ func EncodeFramePart(w io.Writer, p FramePart) error {
 	return err
 }
 
-// DecodeFramePart reads one length-prefixed FramePart message.
+// DecodeFramePart reads one length-prefixed FramePart message into a
+// part the caller owns, its lists allocated at their exact size.
 func DecodeFramePart(r io.Reader) (FramePart, error) {
 	d := partDecoder{r: r}
 	return d.next()
 }
 
 // partDecoder reads the messages of one stream, reusing its header and
-// body buffers from one message to the next.
+// body buffers and the storage of the part's lists from one message to
+// the next.
 type partDecoder struct {
 	r    io.Reader
 	hdr  [4]byte
 	body []byte
+	obs  []scene.Observation // storage of the last part's Obs, kept while a part has none
+	objs []scene.ObjectState // and of its Objects
 }
 
+// next reads the next message. The part is lent: its lists are valid
+// until the next call, and a warm decoder allocates nothing for a
+// canonical part no larger than the largest it has read.
 func (d *partDecoder) next() (FramePart, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		return FramePart{}, err
@@ -619,16 +758,26 @@ func (d *partDecoder) next() (FramePart, error) {
 			return FramePart{}, err
 		}
 	}
-	p, err := parseFramePart(d.body)
+	p, err := d.parse(d.body)
 	if cap(d.body) > bodyStep {
-		d.body = nil
+		// Neither the buffer nor the lists of a message that large are
+		// kept for the rest of the stream.
+		d.body, d.obs, d.objs = nil, nil, nil
 	}
 	return p, err
 }
 
-// parseFramePart decodes one message body, retaining none of it.
-func parseFramePart(body []byte) (FramePart, error) {
-	if p, ok := scanFramePart(body); ok {
+// parse decodes one message body, retaining none of its bytes: a
+// canonical body's lists land on the decoder's storage, any other body's
+// are allocated.
+func (d *partDecoder) parse(body []byte) (FramePart, error) {
+	if p, ok := d.scan(body); ok {
+		if len(p.Obs) > 0 {
+			d.obs = p.Obs
+		}
+		if len(p.Objects) > 0 {
+			d.objs = p.Objects
+		}
 		return p, nil
 	}
 	var wp wirePart
@@ -650,9 +799,10 @@ func parseFramePart(body []byte) (FramePart, error) {
 	return p, nil
 }
 
-// scanFramePart reads a body spelled exactly as EncodeFramePart spells
-// it; ok is false for every other body, valid JSON or not.
-func scanFramePart(b []byte) (p FramePart, ok bool) {
+// scan reads a body spelled exactly as EncodeFramePart spells it, its
+// lists into the decoder's storage; ok is false for every other body,
+// valid JSON or not.
+func (d *partDecoder) scan(b []byte) (p FramePart, ok bool) {
 	if b, ok = cut(b, `{"cam":`); !ok {
 		return p, false
 	}
@@ -666,12 +816,12 @@ func scanFramePart(b []byte) (p FramePart, ok bool) {
 		return p, false
 	}
 	if rest, found := cut(b, `,"obs":`); found {
-		if p.Obs, b, ok = scene.ScanObservations(rest); !ok {
+		if p.Obs, b, ok = scene.ScanObservations(d.obs, rest); !ok {
 			return p, false
 		}
 	}
 	if rest, found := cut(b, `,"objects":`); found {
-		if p.Objects, b, ok = scene.ScanObjects(rest); !ok {
+		if p.Objects, b, ok = scene.ScanObjects(d.objs, rest); !ok {
 			return p, false
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -125,6 +126,76 @@ func framed(body string) []byte {
 	return append(out, body...)
 }
 
+// genPart draws a frame part of camera 0 or 1: nil, empty and populated
+// lists, objects or none, an end of stream now and then.
+func genPart(rng *rand.Rand) FramePart {
+	fl := func() float64 {
+		if rng.Intn(3) == 0 {
+			return []float64{0, math.Copysign(0, -1), 1e-7, 0.1, 1e21, 5e-324, 1279.999}[rng.Intn(7)]
+		}
+		return rng.NormFloat64() * 1000
+	}
+	p := FramePart{Cam: rng.Intn(2), Frame: rng.Intn(100) - 5, EOS: rng.Intn(8) == 0}
+	switch n := rng.Intn(6); n {
+	case 0:
+	case 1:
+		p.Obs = []scene.Observation{}
+	default:
+		for ; n > 1; n-- {
+			p.Obs = append(p.Obs, scene.Observation{ObjectID: rng.Intn(50), Box: geom.Rect{MinX: fl(), MinY: fl(), MaxX: fl(), MaxY: fl()}})
+		}
+	}
+	for n := rng.Intn(4); n > 0; n-- {
+		p.Objects = append(p.Objects, scene.ObjectState{ID: rng.Intn(50), Pos: geom.Point{X: fl(), Y: fl()},
+			Heading: fl(), Speed: fl(), Dims: scene.Dims{W: fl(), L: fl(), H: fl()}})
+	}
+	return p
+}
+
+// samePart holds a decoded part to the one it must equal: the same
+// value, nil against empty included, and the same wire bytes, which also
+// tell the sign of a zero apart.
+func samePart(t *testing.T, msg int, got, want FramePart) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("message %d: decoded %+v, want %+v", msg, got, want)
+	}
+	var a, b bytes.Buffer
+	if err := oracleEncodeFramePart(&a, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracleEncodeFramePart(&b, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("message %d: decoded %q, want %q", msg, a.Bytes(), b.Bytes())
+	}
+}
+
+// checkReusedDecoder reads stream through d, which may have read other
+// streams before, and holds each message to what DecodeFramePart reads
+// from the same bytes: the same part or an error from both, and the
+// same bytes left.
+func checkReusedDecoder(t *testing.T, d *partDecoder, stream []byte) {
+	t.Helper()
+	rd, fresh := bytes.NewReader(stream), bytes.NewReader(stream)
+	d.r = rd
+	for msg := 0; ; msg++ {
+		got, err := d.next()
+		want, wantErr := DecodeFramePart(fresh)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("message %d: reused decoder error %v, DecodeFramePart's %v", msg, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		samePart(t, msg, got, want)
+		if rd.Len() != fresh.Len() {
+			t.Fatalf("message %d: %d bytes left unread, DecodeFramePart leaves %d", msg, rd.Len(), fresh.Len())
+		}
+	}
+}
+
 // FuzzDecodeFramePart feeds arbitrary bytes to the one untrusted surface
 // that had no fuzz target (ROADMAP 7(d)): a stream of length-prefixed
 // frame parts, read the way a connection reads it — one decoder, buffers
@@ -132,7 +203,10 @@ func framed(body string) []byte {
 // message it accepts must be the message the encoding/json-only decoder
 // accepts, value for value and byte position for byte position; where it
 // fails the old decoder fails too; and offering what it accepted to a
-// source must not panic either, whatever the camera index.
+// source must not panic either, whatever the camera index. And a decoder
+// whose storage a generated part has grown then reads the fuzz bytes and
+// the generated part again, each message equal to the part
+// DecodeFramePart reads from the same bytes.
 func FuzzDecodeFramePart(f *testing.F) {
 	const obs = `{"id":1,"box":[1,2.5,3e-7,4]}`
 	const obj = `{"id":1,"x":1,"y":2,"heading":3,"speed":4,"w":5,"l":6,"h":7}`
@@ -147,40 +221,51 @@ func FuzzDecodeFramePart(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:valid.Len()-5])                            // truncated body
-	f.Add([]byte{0, 0, 0, 0})                                       // zero length
-	f.Add([]byte{0, 0, 0})                                          // truncated header
-	f.Add([]byte{1, 0, 0, 1, '{', '}'})                             // one past maxWirePart
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})                           // far past it
-	f.Add(append([]byte{0, 0xff, 0xff, 0xff}, "0123456789"...))     // large claim, ten bytes, EOF
-	f.Add(framed(`{"cam":99,"frame":0,"obs":[]}`))                  // camera out of range
-	f.Add(framed(`{"cam":-1,"frame":0,"obs":[]}`))                  //
-	f.Add(framed(`{"cam":9223372036854775808,"frame":0,"obs":[]}`)) // does not fit an int
-	f.Add(framed(`{"cam":01,"frame":0,"obs":[]}`))                  // not a JSON number
-	f.Add(framed(`{"cam":1.0,"frame":0,"obs":[]}`))                 //
-	f.Add(framed(`{"cam":0,"frame":-0,"obs":[` + obs + `,` + obs + `]}`))
-	f.Add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `],"objects":[` + obj + `]}`))
-	f.Add(framed(`{"cam":0,"frame":1,"obs":[],"objects":[]}`))
-	f.Add(framed(`{"cam":0,"frame":1,"objects":[` + obj + `],"eos":true}`))
-	f.Add(framed(`{"cam":0,"frame":1}`))
-	f.Add(framed(`{"cam":0,"frame":1,"obs":null}`))
-	f.Add(framed(`{"cam":0,"frame":1,"eos":false}`))
-	f.Add(framed(` { "cam" : 0, "frame" : 1, "obs" : [ ` + obs + ` ] } `)) // not canonical, valid
-	f.Add(framed(`{"frame":1,"cam":1,"obs":[` + obs + `]}`))               // reordered
-	f.Add(framed(`{"CAM":1,"Frame":2,"OBS":[` + obs + `]}`))               // upper-case keys
-	f.Add(framed(`{"cam":0,"cam":1,"frame":1,"obs":[]}`))                  // repeated key
-	f.Add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `],"extra":[{"a":{}}]}`))
-	f.Add(framed(`{"cam":0,"frame":1,"obs":[{"id":1,"box":[1,2,3]}]}`))
-	f.Add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `]}xyz`)) // canonical prefix, garbage tail
-	f.Add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `]}}`))
-	f.Add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `]`))
-	f.Add(framed(`{"cam":0,"frame":1,"obs":[{"id":1,"box":[1,2,3,+4]}]}`))
-	f.Add(framed(`{"cam":0,"frame":1,"obs":[` + strings.Repeat("{", 200) + `}]}`))
-	f.Add(append(framed(`{"cam":0,"frame":1,"obs":[`+obs+`]}`), framed(`{"cam":0,"frame":2,"obs":[]}`)...))
+	seed := int64(0)
+	add := func(stream []byte) { f.Add(stream, seed); seed++ }
+	add(valid.Bytes())
+	add(valid.Bytes()[:valid.Len()-5])                            // truncated body
+	add([]byte{0, 0, 0, 0})                                       // zero length
+	add([]byte{0, 0, 0})                                          // truncated header
+	add([]byte{1, 0, 0, 1, '{', '}'})                             // one past maxWirePart
+	add([]byte{0xff, 0xff, 0xff, 0xff})                           // far past it
+	add(append([]byte{0, 0xff, 0xff, 0xff}, "0123456789"...))     // large claim, ten bytes, EOF
+	add(framed(`{"cam":99,"frame":0,"obs":[]}`))                  // camera out of range
+	add(framed(`{"cam":-1,"frame":0,"obs":[]}`))                  //
+	add(framed(`{"cam":9223372036854775808,"frame":0,"obs":[]}`)) // does not fit an int
+	add(framed(`{"cam":01,"frame":0,"obs":[]}`))                  // not a JSON number
+	add(framed(`{"cam":1.0,"frame":0,"obs":[]}`))                 //
+	add(framed(`{"cam":0,"frame":-0,"obs":[` + obs + `,` + obs + `]}`))
+	add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `],"objects":[` + obj + `]}`))
+	add(framed(`{"cam":0,"frame":1,"obs":[],"objects":[]}`))
+	add(framed(`{"cam":0,"frame":1,"objects":[` + obj + `],"eos":true}`))
+	add(framed(`{"cam":0,"frame":1}`))
+	add(framed(`{"cam":0,"frame":1,"obs":null}`))
+	add(framed(`{"cam":0,"frame":1,"eos":false}`))
+	add(framed(` { "cam" : 0, "frame" : 1, "obs" : [ ` + obs + ` ] } `)) // not canonical, valid
+	add(framed(`{"frame":1,"cam":1,"obs":[` + obs + `]}`))               // reordered
+	add(framed(`{"CAM":1,"Frame":2,"OBS":[` + obs + `]}`))               // upper-case keys
+	add(framed(`{"cam":0,"cam":1,"frame":1,"obs":[]}`))                  // repeated key
+	add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `],"extra":[{"a":{}}]}`))
+	add(framed(`{"cam":0,"frame":1,"obs":[{"id":1,"box":[1,2,3]}]}`))
+	add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `]}xyz`)) // canonical prefix, garbage tail
+	add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `]}}`))
+	add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `]`))
+	add(framed(`{"cam":0,"frame":1,"obs":[{"id":1,"box":[1,2,3,+4]}]}`))
+	add(framed(`{"cam":0,"frame":1,"obs":[` + strings.Repeat("{", 200) + `}]}`))
+	add(append(framed(`{"cam":0,"frame":1,"obs":[`+obs+`]}`), framed(`{"cam":0,"frame":2,"obs":[]}`)...))
 
 	cams := []*scene.Camera{{Name: "a"}, {Name: "b"}}
-	f.Fuzz(func(t *testing.T, stream []byte) {
+	f.Fuzz(func(t *testing.T, stream []byte, seed int64) {
+		var gen bytes.Buffer
+		if err := EncodeFramePart(&gen, genPart(rand.New(rand.NewSource(seed)))); err != nil {
+			t.Fatal(err)
+		}
+		var reused partDecoder
+		checkReusedDecoder(t, &reused, gen.Bytes())
+		checkReusedDecoder(t, &reused, stream)
+		checkReusedDecoder(t, &reused, gen.Bytes())
+
 		src, err := NewIngestSource(cams, IngestConfig{Queue: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -211,21 +296,7 @@ func FuzzDecodeFramePart(f *testing.F) {
 				}
 				return
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("message %d: decoded %+v, encoding/json decoder %+v", msg, got, want)
-			}
-			// Equal floats may still differ in the sign of a zero; the
-			// wire shows it.
-			var a, b bytes.Buffer
-			if err := oracleEncodeFramePart(&a, got); err != nil {
-				t.Fatal(err)
-			}
-			if err := oracleEncodeFramePart(&b, want); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("message %d: decoded %q, encoding/json decoder %q", msg, a.Bytes(), b.Bytes())
-			}
+			samePart(t, msg, got, want)
 			if rd.Len() != oracle.Len() {
 				t.Fatalf("message %d: %d bytes left unread, encoding/json decoder leaves %d", msg, rd.Len(), oracle.Len())
 			}
@@ -299,7 +370,7 @@ func TestEncodeFramePartBytes(t *testing.T) {
 	if _, err := d.next(); err != io.EOF {
 		t.Fatalf("after the last part: %v, want io.EOF", err)
 	}
-	if _, ok := scanFramePart([]byte(`{"cam":0,"frame":1,"obs":[]}`)); !ok {
+	if _, ok := new(partDecoder).scan([]byte(`{"cam":0,"frame":1,"obs":[]}`)); !ok {
 		t.Fatal("the canonical body was not scanned")
 	}
 	bad := FramePart{Obs: []scene.Observation{{Box: geom.Rect{MinX: math.NaN()}}}}
@@ -379,45 +450,73 @@ func TestDecoderReleasesLargeBody(t *testing.T) {
 	}
 }
 
-// TestPartQueueRing walks the admission ring through growth and wrap,
-// and checks a popped slot lets go of its observations.
+// TestPartQueueRing walks the admission ring through growth and wrap
+// with the producer's one buffer reused and scribbled over after every
+// push: each popped part must still be the list that was pushed, nil and
+// empty kept apart; a lent list must keep its values while later parts
+// are pushed and dropped, until the next lend; and a slot that holds no
+// queued part must hold no list.
 func TestPartQueueRing(t *testing.T) {
+	obsOf := func(fi int) []scene.Observation {
+		if fi%7 == 3 {
+			return nil
+		}
+		obs := make([]scene.Observation, fi%5) // empty when fi%5 == 0
+		for k := range obs {
+			obs[k] = scene.Observation{ObjectID: fi*10 + k, Box: geom.Rect{MinX: float64(fi), MaxX: float64(k)}}
+		}
+		return obs
+	}
 	var q partQueue
+	var held, lent []scene.Observation
+	lentFrame := -1
+	prod := make([]scene.Observation, 0, 8)
 	next, want := 0, 0
-	for round := 0; round < 50; round++ {
+	for round := 0; round < 60; round++ {
 		for k := 0; k < 1+round%7; k++ {
-			q.push(queuedPart{frame: next, obs: make([]scene.Observation, 1)})
+			part := obsOf(next)
+			if part != nil {
+				part = append(prod[:0], part...)
+			}
+			q.push(next, part)
+			for i := range part {
+				part[i] = scene.Observation{ObjectID: -1}
+			}
 			next++
+		}
+		if lentFrame >= 0 && !reflect.DeepEqual(lent, obsOf(lentFrame)) {
+			t.Fatalf("round %d: lent frame %d changed to %+v while parts were pushed", round, lentFrame, lent)
 		}
 		for k := 0; k < 1+round%5 && q.n > 0; k++ {
 			if head := q.at(0).frame; head != want {
 				t.Fatalf("head is frame %d, want %d", head, want)
 			}
-			if got := q.pop(); got.frame != want || len(got.obs) != 1 {
-				t.Fatalf("popped %+v, want frame %d", got, want)
+			if k%3 == 2 {
+				q.drop()
+			} else {
+				lent, lentFrame = q.lend(&held), want
+				if got := lent; !reflect.DeepEqual(got, obsOf(want)) || (got == nil) != (obsOf(want) == nil) {
+					t.Fatalf("frame %d lent as %+v, pushed as %+v", want, got, obsOf(want))
+				}
 			}
 			want++
 		}
-		for i := 0; i < q.n; i++ {
-			if q.at(i).frame != want+i {
-				t.Fatalf("slot %d holds frame %d, want %d", i, q.at(i).frame, want+i)
+		for i := 0; i < len(q.ring); i++ {
+			slot := q.at(i)
+			if i < q.n && slot.frame != want+i {
+				t.Fatalf("slot %d holds frame %d, want %d", i, slot.frame, want+i)
+			}
+			if i >= q.n && slot.obs.list != nil {
+				t.Fatalf("free slot %d still holds a list", i)
 			}
 		}
-	}
-	live := 0
-	for _, slot := range q.ring {
-		if slot.obs != nil {
-			live++
-		}
-	}
-	if live != q.n {
-		t.Fatalf("%d slots hold observations, %d parts queued", live, q.n)
 	}
 }
 
 // TestIngestSteadyStateAllocations: lockstep offer and assembly — the
-// live path when the engine keeps up — allocates the frame and its
-// camera table and nothing for the queues.
+// live path when the engine keeps up — allocates nothing once warm,
+// objects included: the lists are copied into the slots' storage, and
+// the frame and its camera table are the source's.
 func TestIngestSteadyStateAllocations(t *testing.T) {
 	e := getEnv(t)
 	src, err := NewIngestSource(e.test.Cameras, IngestConfig{})
@@ -429,19 +528,72 @@ func TestIngestSteadyStateAllocations(t *testing.T) {
 	step := func() {
 		f := &e.test.Frames[fi%len(e.test.Frames)]
 		for cam, obs := range f.PerCamera {
-			if err := src.Offer(FramePart{Cam: cam, Frame: fi, Obs: obs}); err != nil {
+			p := FramePart{Cam: cam, Frame: fi, Obs: obs}
+			if cam == 0 {
+				p.Objects = f.Objects
+			}
+			if err := src.Offer(p); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := src.Next(); err != nil {
-			t.Fatal(err)
+		if got, err := src.Next(); err != nil || got.Index != fi {
+			t.Fatalf("frame %d: assembled %v, %v", fi, got, err)
 		}
 		fi++
 	}
-	for i := 0; i < 32; i++ {
+	for range 2 * len(e.test.Frames) {
 		step()
 	}
-	if n := testing.AllocsPerRun(200, step); n > 2 {
-		t.Fatalf("%v allocations per offered and assembled frame, want 2 (frame, camera table)", n)
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Fatalf("%v allocations per offered and assembled frame, want 0", n)
+	}
+}
+
+// TestPartDecoderAllocatesNothingWhenWarm reads a stream of parts — every
+// camera's part of every test frame, objects on camera 0's — through one
+// decoder twice: the second pass allocates nothing, and each part is the
+// one DecodeFramePart reads from the same bytes.
+func TestPartDecoderAllocatesNothingWhenWarm(t *testing.T) {
+	e := getEnv(t)
+	var stream bytes.Buffer
+	var parts []FramePart
+	for fi := range e.test.Frames {
+		parts = AppendFrameParts(parts[:0], fi, &e.test.Frames[fi])
+		for _, p := range parts {
+			if err := EncodeFramePart(&stream, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var rd bytes.Reader
+	d := partDecoder{r: &rd}
+	pass := func() {
+		rd.Reset(stream.Bytes())
+		for {
+			if _, err := d.next(); err == io.EOF {
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass()
+	if n := testing.AllocsPerRun(3, pass); n != 0 {
+		t.Fatalf("%v allocations per pass of %d bytes, want 0", n, stream.Len())
+	}
+	rd.Reset(stream.Bytes())
+	fresh := bytes.NewReader(stream.Bytes())
+	for i := 0; ; i++ {
+		got, err := d.next()
+		want, wantErr := DecodeFramePart(fresh)
+		if err != wantErr {
+			t.Fatalf("part %d: %v, DecodeFramePart %v", i, err, wantErr)
+		}
+		if err == io.EOF {
+			break
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("part %d: warm decoder %+v, DecodeFramePart %+v", i, got, want)
+		}
 	}
 }

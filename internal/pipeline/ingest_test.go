@@ -207,6 +207,130 @@ func TestIngestShedPolicies(t *testing.T) {
 	}
 }
 
+// TestIngestResendAfterDrain is the regression test of a re-sent part
+// re-emitting its frame: once a camera's queue had drained, the
+// ascending check saw nothing to compare with, so a producer's retry of
+// an emitted frame was admitted and assembled again, and the stream went
+// backwards. A part at or below its camera's last admitted frame is shed,
+// queue empty or not.
+func TestIngestResendAfterDrain(t *testing.T) {
+	cams := getEnv(t).test.Cameras[:2]
+	src, err := NewIngestSource(cams, IngestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	offer := func(cam, fi int) {
+		if err := src.Offer(FramePart{Cam: cam, Frame: fi, Obs: []scene.Observation{{ObjectID: 10*fi + cam}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := func() int {
+		f, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Index
+	}
+	offer(0, 0)
+	offer(1, 0)
+	offer(0, 1)
+	offer(1, 1)
+	if a, b := next(), next(); a != 0 || b != 1 {
+		t.Fatalf("emitted %d, %d, want 0, 1", a, b)
+	}
+	offer(1, 1) // a producer retry of an emitted frame
+	offer(0, 2)
+	offer(1, 2)
+	if got := next(); got != 2 {
+		t.Fatalf("after a re-send of frame 1, emitted frame %d, want 2", got)
+	}
+	if c := src.Counters(); c.Shed != 1 || c.Ingested != 6 || c.QueueDepth != 0 {
+		t.Fatalf("counters %+v, want the re-send shed and six parts ingested", c)
+	}
+}
+
+// TestIngestSpareObjectListsBounded: ground-truth objects outlive a shed
+// part, so a camera that lags leaves one object list per frame camera 0
+// delivered. When it catches up and assembly passes those frames, the
+// source keeps at most Queue+1 of their lists for reuse and leaves the
+// rest to the collector, and every emitted frame still carries its own
+// objects.
+func TestIngestSpareObjectListsBounded(t *testing.T) {
+	const queue, lag = 4, 100
+	cams := getEnv(t).test.Cameras[:2]
+	src, err := NewIngestSource(cams, IngestConfig{Queue: queue})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	objs := func(fi int) []scene.ObjectState { return []scene.ObjectState{{ID: fi}, {ID: -fi}} }
+	offer := func(p FramePart) {
+		if err := src.Offer(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for fi := 0; fi < lag; fi++ { // camera 1 is silent
+		offer(FramePart{Cam: 0, Frame: fi, Objects: objs(fi)})
+	}
+	if n := len(src.objects.pending); n != lag {
+		t.Fatalf("%d frames' objects pending while camera 1 lags, want %d", n, lag)
+	}
+	offer(FramePart{Cam: 1, Frame: lag - 1}) // the catch-up
+	offer(FramePart{Cam: 0, EOS: true})
+	offer(FramePart{Cam: 1, EOS: true})
+	for want := lag - queue; ; want++ {
+		f, err := src.Next()
+		if err == io.EOF {
+			if want != lag {
+				t.Fatalf("stream ended before frame %d", want)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Index != want || !reflect.DeepEqual(f.Objects, objs(want)) {
+			t.Fatalf("frame %d with objects %v, want frame %d with %v", f.Index, f.Objects, want, objs(want))
+		}
+		if n := len(src.objects.spare); n > queue+1 {
+			t.Fatalf("after frame %d the source keeps %d spare object lists, want at most %d", f.Index, n, queue+1)
+		}
+	}
+}
+
+// TestIngestNegativeFrameIndices: the wire carries any int as a frame
+// index, and assembly takes the lowest queued one however negative. It
+// used to start from -1 as "none yet", so with negative heads it took the
+// last camera's and the stream went backwards.
+func TestIngestNegativeFrameIndices(t *testing.T) {
+	cams := getEnv(t).test.Cameras[:2]
+	src, err := NewIngestSource(cams, IngestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for _, p := range []FramePart{{Cam: 0, Frame: -5}, {Cam: 1, Frame: -3}, {Cam: 0, EOS: true}, {Cam: 1, EOS: true}} {
+		if err := src.Offer(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []int
+	for {
+		f, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, f.Index)
+	}
+	if !reflect.DeepEqual(got, []int{-5, -3}) {
+		t.Fatalf("emitted %v, want [-5 -3]", got)
+	}
+}
+
 // TestIngestOfferNeverBlocks pins the producer-side guarantee: a
 // producer can offer far past the queue bound with no consumer at all,
 // synchronously, and the bounded queue sheds the overflow.

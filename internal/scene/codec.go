@@ -450,22 +450,24 @@ func (fd *FrameDecoder) Decode(data []byte, numCameras int) (*FrameTruth, error)
 }
 
 // ScanObservations reads a canonical observation list from the front of
-// data and returns it with the bytes that follow. ok is false when data
-// does not start with one: the caller then decodes the whole message
-// with encoding/json. It is the scanner UnmarshalObservations uses,
-// exported for a message that embeds the list (pipeline's frame part).
-func ScanObservations(data []byte) (obs []Observation, rest []byte, ok bool) {
+// data into dst's storage, growing it when the list is longer, and
+// returns it with the bytes that follow: with a nil dst the list is
+// allocated at its exact size. ok is false when data does not start with
+// one: the caller then decodes the whole message with encoding/json. It
+// is the scanner UnmarshalObservations uses, exported for a message that
+// embeds the list (pipeline's frame part).
+func ScanObservations(dst []Observation, data []byte) (obs []Observation, rest []byte, ok bool) {
 	d := dec{b: data}
-	if obs, ok = d.observations(nil); !ok {
+	if obs, ok = d.observations(dst); !ok {
 		return nil, data, false
 	}
 	return obs, data[d.i:], true
 }
 
 // ScanObjects is ScanObservations for an object list.
-func ScanObjects(data []byte) (objs []ObjectState, rest []byte, ok bool) {
+func ScanObjects(dst []ObjectState, data []byte) (objs []ObjectState, rest []byte, ok bool) {
 	d := dec{b: data}
-	if objs, ok = d.objects(nil); !ok {
+	if objs, ok = d.objects(dst); !ok {
 		return nil, data, false
 	}
 	return objs, data[d.i:], true

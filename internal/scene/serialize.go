@@ -166,7 +166,7 @@ func unmarshalFrameJSON(data []byte, numCameras int) (*FrameTruth, error) {
 // MarshalFrame's schema — so a live ingest protocol can ship a frame
 // camera by camera without coupling to runtime structs.
 func UnmarshalObservations(data json.RawMessage) ([]Observation, error) {
-	if obs, rest, ok := ScanObservations(data); ok && len(rest) == 0 {
+	if obs, rest, ok := ScanObservations(nil, data); ok && len(rest) == 0 {
 		return obs, nil
 	}
 	var in []obsJSON
@@ -186,7 +186,7 @@ func UnmarshalObservations(data json.RawMessage) ([]Observation, error) {
 // UnmarshalObjects parses the wire JSON of a ground-truth object list
 // (AppendObjects) — the objects element of MarshalFrame's schema.
 func UnmarshalObjects(data json.RawMessage) ([]ObjectState, error) {
-	if objs, rest, ok := ScanObjects(data); ok && len(rest) == 0 {
+	if objs, rest, ok := ScanObjects(nil, data); ok && len(rest) == 0 {
 		return objs, nil
 	}
 	var in []objectJSON

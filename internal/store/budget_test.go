@@ -64,16 +64,23 @@ func (b *budgetFleet) create(t *testing.T, segmentSize int) (string, *Writer) {
 }
 
 // liveRecordAllocCeiling bounds the mean allocations of one frame of the
-// production shape below: about a third above the 32 a frame it reads
-// with the frame codec, the per-connection reader and the writer's line
-// buffer in place (the same run allocated 179 a frame before them). What
-// is left: the engine's own, one exact-size list per part, and the
-// assembled frame and its camera table; the snapshot and the round encode
-// into the writer's own buffer and allocate nothing
+// production shape below: it reads 1.5 a frame, and the ceiling is that
+// plus a margin of 1.5. What is left is what crosses a sink seam and is
+// fresh on purpose (docs/CONCURRENCY.md §6 part 3) — the snapshot's
+// camera table every frame and a key frame's round lists — and the
+// engine's buffers still growing to a larger frame than any before. The
+// connection decodes into its reader's storage, the ingest queues and
+// the lent frame recycle theirs (pipeline.TestIngestSteadyStateAllocations),
+// and the snapshot and the round encode into the writer's own buffer
 // (TestWriterRecordAllocatesNothing). A per-part or per-record make()
 // anywhere on the path adds at least four a frame on this four-camera
 // fleet.
-const liveRecordAllocCeiling = 43
+const liveRecordAllocCeiling = 3
+
+// raceRecordAllocs is what a -race build adds to liveRecordAllocCeiling:
+// there sync.Pool drops encoding/json's encode state at random, and the
+// same run reads 4.3-5.4 a frame.
+const raceRecordAllocs = 4
 
 // TestLiveRecordAllocationBudget runs S1 over loopback TCP into an
 // IngestSource, through Writer.Tee into a BALB engine with the writer as
@@ -144,9 +151,13 @@ func TestLiveRecordAllocationBudget(t *testing.T) {
 	}
 	perFrame := float64(after.Mallocs-before.Mallocs) / measured
 	t.Logf("%.1f allocations, %.0f bytes per live recorded frame", perFrame, float64(after.TotalAlloc-before.TotalAlloc)/measured)
-	if perFrame > liveRecordAllocCeiling {
+	ceiling := liveRecordAllocCeiling
+	if raceEnabled {
+		ceiling += raceRecordAllocs
+	}
+	if perFrame > float64(ceiling) {
 		t.Fatalf("%.1f allocations per frame over frames %d..%d, ceiling %d: the ingest decode or the store append is allocating per part or per record again",
-			perFrame, warm, warm+measured, liveRecordAllocCeiling)
+			perFrame, warm, warm+measured, ceiling)
 	}
 }
 
