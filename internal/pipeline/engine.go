@@ -409,6 +409,14 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	}
 	e.frameSeries.Add(frameMax)
 
+	// The live admission counters are read once: the controller acts on
+	// the queue depth the frame's snapshot reports.
+	var ingest *IngestCounters
+	if e.cfg.Obs.Ingest != nil && (e.ctrl != nil || e.cfg.Obs.Sink != nil) {
+		c := e.cfg.Obs.Ingest.Counters()
+		ingest = &c
+	}
+
 	// Feed the control loop one sample per frame: the frame's modelled
 	// latency, the live queue depth behind it (0 for trace sources), the
 	// current dead-camera count, and this frame's association-drift
@@ -417,8 +425,8 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 		drift := e.orphaned + e.reassigned - e.lastDrift
 		e.lastDrift = e.orphaned + e.reassigned
 		var queueDepth, dead int
-		if e.cfg.Obs.Ingest != nil {
-			queueDepth = e.cfg.Obs.Ingest.Counters().QueueDepth
+		if ingest != nil {
+			queueDepth = ingest.QueueDepth
 		}
 		for _, d := range e.deadMask {
 			if d {
@@ -443,7 +451,7 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 		}
 		emitFrameSnapshot(e.cfg.Obs.Sink, e.label, fi, &e.recall, frameMax, cams, results,
 			e.outageFrames, e.orphaned, e.reassigned, level, transitions, violations,
-			e.cfg.Obs.Ingest, e.cfg.Serve.Tenant, e.lastExec)
+			ingest, e.cfg.Serve.Tenant, e.lastExec)
 	}
 	e.fi++
 	return nil

@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
 
-	"mvs/internal/clock"
 	"mvs/internal/scene"
 )
 
@@ -30,8 +28,9 @@ import (
 // wall-clock time, no consumer state, no randomness — so the same
 // offered sequence sheds the same set of parts at every worker count
 // and on every host, and a recorded shed run replays bit-identically.
-// The watchdog is the one wall-clock element, and it only ever turns a
-// hang into a typed error; it never influences which frames are shed.
+// The stall deadline is the one wall-clock element, and it only ever
+// turns a hang into a typed error; it never influences which frames are
+// shed.
 
 // ShedPolicy selects what an over-offered admission queue drops.
 type ShedPolicy int
@@ -116,13 +115,13 @@ func AppendEOSParts(dst []FramePart, cams int) []FramePart {
 	return dst
 }
 
-// StallError is the typed degraded state the watchdog surfaces when the
-// producer side goes quiet past the deadline while the engine is
+// StallError is the typed degraded state an IngestSource enters when the
+// producer side goes quiet past the stall deadline while the engine is
 // waiting in Next: instead of hanging forever on a half-dead source,
 // Next returns this (wrapped by the engine, so errors.As sees it
 // through Engine.Err).
 type StallError struct {
-	// Idle is how long the source had made no progress when the watchdog
+	// Idle is how long the source had made no progress when the deadline
 	// fired.
 	Idle time.Duration
 }
@@ -147,20 +146,18 @@ type IngestMeter interface {
 }
 
 // IngestConfig tunes an IngestSource. The zero value is usable:
-// drop-oldest shedding, default queue capacity, watchdog disabled.
+// drop-oldest shedding, default queue capacity, no stall deadline.
 type IngestConfig struct {
 	// Queue is the per-camera admission queue capacity in frame parts
 	// (<= 0 defaults to 16).
 	Queue int
 	// Policy selects the overflow shed policy.
 	Policy ShedPolicy
-	// Stall arms the watchdog: when > 0 and a Next call has been waiting
-	// with no frame assembled for at least this long, Next returns a
-	// *StallError instead of blocking forever. 0 disables.
+	// Stall sets the stall deadline: when > 0 and a Next call waits until
+	// this long after the last assembly (or construction, before the
+	// first), Next returns a *StallError instead of blocking forever.
+	// 0 disables.
 	Stall time.Duration
-	// Clock is the watchdog's time source (nil = system). Tests inject
-	// clock.Fake to drive the deadline without real sleeps.
-	Clock clock.Clock
 }
 
 // IngestSource is a live, push-driven Source: producers Offer per-camera
@@ -168,7 +165,12 @@ type IngestConfig struct {
 // admission queue sheds overload deterministically, and Next assembles
 // the queued parts into whole frames for the engine. Offer never blocks
 // the producer; Next blocks until a frame is assemblable, the stream
-// ends, or the watchdog declares a stall.
+// ends, or the stall deadline passes.
+//
+// The source is a thin shell over a clock-free ingest machine
+// (ingestmachine.go), which makes every decision: the shell holds the
+// listener, one decoder per connection, one mutex, and one timer, armed
+// to the stall deadline only while a Next waits.
 //
 // The source owns every list it holds and allocates nothing per frame
 // once warm: Offer copies a part's lists into a queue slot's storage,
@@ -180,202 +182,32 @@ type IngestConfig struct {
 // passed, plus the lent frame's and at most Queue+1 spare ones kept for
 // reuse (docs/STREAMING.md §6).
 type IngestSource struct {
-	cams     []*scene.Camera
-	queueCap int
-	policy   ShedPolicy
-	stall    time.Duration
-	clk      clock.Clock
+	cams []*scene.Camera
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queues   []partQueue
-	eos      []bool
-	objects  objectTable
-	frame    scene.FrameTruth      // the lent frame, valid until the next Next
-	lent     [][]scene.Observation // per camera: storage of frame.PerCamera, kept while it is nil
-	closed   bool
-	waiting  int
-	stallErr error
-	last     time.Time // last assembly progress (watchdog reference)
-
-	ingested int
-	shed     int
+	mu    sync.Mutex
+	cond  *sync.Cond
+	m     ingestMachine
+	timer *time.Timer // wakes a waiting Next at the stall deadline; stopped otherwise
 
 	ln    net.Listener
 	conns map[net.Conn]struct{}
 }
 
-// owned is a list copied into storage its holder keeps: the copy is nil
-// for a nil list and empty for an empty one, and the storage outlives
-// the list, so the next copy reuses it and grows it only geometrically.
-type owned[T any] struct {
-	list []T // nil, or buf[:n] (an empty non-nil list while buf is nil)
-	buf  []T
-}
-
-func (o *owned[T]) set(src []T) {
-	if src == nil {
-		o.list = nil
-		return
-	}
-	o.buf = append(o.buf[:0], src...)
-	o.list = o.buf
-	if o.list == nil {
-		o.list = []T{}
-	}
-}
-
-// queuedPart is one ring slot: an admitted part's frame index and its
-// observation list, on storage the slot keeps across pops.
-type queuedPart struct {
-	frame int
-	obs   owned[scene.Observation]
-}
-
-// partQueue is one camera's admission queue: a ring that doubles until
-// it holds the deepest backlog the shed policy lets it see and never
-// allocates after that, and the camera's high-water mark, the frame of
-// the last part it admitted.
-type partQueue struct {
-	ring     []queuedPart // len is zero or a power of two
-	head     int
-	n        int
-	last     int  // the last admitted frame, once admitted is set
-	admitted bool // a part has been admitted
-}
-
-// at returns the i-th queued part, oldest first.
-func (q *partQueue) at(i int) *queuedPart { return &q.ring[(q.head+i)&(len(q.ring)-1)] }
-
-// push queues a part of frame fi, copying obs into the tail slot's
-// storage.
-func (q *partQueue) push(fi int, obs []scene.Observation) {
-	if q.n == len(q.ring) {
-		grown := make([]queuedPart, max(4, 2*len(q.ring)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = *q.at(i)
-		}
-		q.ring, q.head = grown, 0
-	}
-	slot := q.at(q.n)
-	q.n++
-	slot.frame = fi
-	slot.obs.set(obs)
-}
-
-// drop discards the head part; its slot keeps the storage.
-func (q *partQueue) drop() {
-	q.at(0).obs.list = nil
-	q.head = (q.head + 1) & (len(q.ring) - 1)
-	q.n--
-}
-
-// lend pops the head part and returns its list. The list's storage goes
-// to *held, and the storage *held had — the list lent before, which
-// nobody reads any more — goes to the slot in exchange.
-func (q *partQueue) lend(held *[]scene.Observation) []scene.Observation {
-	slot := q.at(0)
-	list := slot.obs.list
-	slot.obs.buf, *held = *held, slot.obs.buf
-	q.drop()
-	return list
-}
-
-// objectTable holds the ground truth of the frames assembly has not yet
-// passed, sorted by frame, each list on storage the table owns. The
-// storage of a passed frame's list goes to spare for the next frame to
-// deliver one, up to keep lists; beyond that it is left to the
-// collector. The lent frame's list stays out until the next take.
-type objectTable struct {
-	pending []pendingObjects
-	spare   [][]scene.ObjectState
-	keep    int
-	lent    []scene.ObjectState
-}
-
-type pendingObjects struct {
-	frame int
-	objs  owned[scene.ObjectState]
-}
-
-// add copies frame fi's objects in, unless the frame has some already:
-// the first delivery wins.
-func (t *objectTable) add(fi int, objs []scene.ObjectState) {
-	i := len(t.pending)
-	for i > 0 && t.pending[i-1].frame >= fi {
-		i--
-	}
-	if i < len(t.pending) && t.pending[i].frame == fi {
-		return
-	}
-	e := pendingObjects{frame: fi}
-	if n := len(t.spare); n > 0 {
-		e.objs.buf, t.spare[n-1] = t.spare[n-1], nil
-		t.spare = t.spare[:n-1]
-	}
-	e.objs.set(objs)
-	t.pending = slices.Insert(t.pending, i, e)
-}
-
-// take drops every frame up to fi and returns frame fi's objects, nil
-// when it has none. The list is lent until the next take.
-func (t *objectTable) take(fi int) []scene.ObjectState {
-	t.recycle(t.lent)
-	t.lent = nil
-	var out []scene.ObjectState
-	k := 0
-	for ; k < len(t.pending) && t.pending[k].frame <= fi; k++ {
-		e := &t.pending[k]
-		if e.frame == fi {
-			out, t.lent = e.objs.list, e.objs.buf
-		} else {
-			t.recycle(e.objs.buf)
-		}
-	}
-	n := copy(t.pending, t.pending[k:])
-	clear(t.pending[n:])
-	t.pending = t.pending[:n]
-	return out
-}
-
-// recycle keeps buf for a later frame's objects while spare has room.
-func (t *objectTable) recycle(buf []scene.ObjectState) {
-	if buf != nil && len(t.spare) < t.keep {
-		t.spare = append(t.spare, buf)
-	}
-}
-
 // NewIngestSource builds an in-process ingest source for a fixed roster.
-// Call Serve to additionally accept TCP producers. The watchdog
-// goroutine (when cfg.Stall > 0) runs until Close or the first stall.
+// Call Serve to additionally accept TCP producers; the source starts no
+// goroutine before that.
 func NewIngestSource(cams []*scene.Camera, cfg IngestConfig) (*IngestSource, error) {
 	if len(cams) == 0 {
 		return nil, fmt.Errorf("pipeline: ingest: no cameras")
 	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 16
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.System{}
-	}
 	s := &IngestSource{
-		cams:     cams,
-		queueCap: cfg.Queue,
-		policy:   cfg.Policy,
-		stall:    cfg.Stall,
-		clk:      cfg.Clock,
-		queues:   make([]partQueue, len(cams)),
-		eos:      make([]bool, len(cams)),
-		objects:  objectTable{keep: cfg.Queue + 1},
-		frame:    scene.FrameTruth{PerCamera: make([][]scene.Observation, len(cams))},
-		lent:     make([][]scene.Observation, len(cams)),
-		conns:    make(map[net.Conn]struct{}),
+		cams:  cams,
+		m:     newIngestMachine(len(cams), cfg, time.Now()),
+		conns: make(map[net.Conn]struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.last = s.clk.Now()
-	if s.stall > 0 {
-		go s.watchdog()
-	}
+	s.timer = time.AfterFunc(time.Hour, s.wake)
+	s.timer.Stop() // Next arms it
 	return s, nil
 }
 
@@ -386,11 +218,7 @@ func (s *IngestSource) Cameras() []*scene.Camera { return s.cams }
 func (s *IngestSource) Counters() IngestCounters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := IngestCounters{Ingested: s.ingested, Shed: s.shed}
-	for i := range s.queues {
-		c.QueueDepth += s.queues[i].n
-	}
-	return c
+	return s.m.counters()
 }
 
 // Offer admits one frame part (or records a camera's EOS). It never
@@ -403,72 +231,11 @@ func (s *IngestSource) Counters() IngestCounters {
 func (s *IngestSource) Offer(p FramePart) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("pipeline: ingest: Offer after Close")
-	}
-	if p.Cam < 0 || p.Cam >= len(s.queues) {
-		return fmt.Errorf("pipeline: ingest: camera %d out of range [0,%d)", p.Cam, len(s.queues))
-	}
-	if p.EOS {
-		if !s.eos[p.Cam] {
-			s.eos[p.Cam] = true
-			s.cond.Broadcast()
-		}
-		return nil
-	}
-	if s.eos[p.Cam] {
-		s.shed++ // a part after the camera's own EOS can never be emitted
-		return nil
-	}
-	q := &s.queues[p.Cam]
-	if !s.admitLocked(q, p.Frame) {
-		return nil
-	}
-	silent := q.n == 0
-	q.push(p.Frame, p.Obs)
-	s.ingested++
-	if p.Objects != nil {
-		s.objects.add(p.Frame, p.Objects)
-	}
-	// Next waits for every camera to be ready, so only the part that ends
-	// a camera's silence can be the one that makes a frame assemblable.
-	if silent && s.readyLocked() {
+	wake, err := s.m.offer(p)
+	if wake {
 		s.cond.Broadcast()
 	}
-	return nil
-}
-
-// admitLocked decides, on frame indices alone, whether a part of frame fi
-// joins camera queue q: it sheds what the policy drops to make room,
-// counts every shed part, and reports whether the part is admitted.
-func (s *IngestSource) admitLocked(q *partQueue, fi int) bool {
-	// A camera's admitted frames ascend strictly: a part at or below the
-	// last one admitted — a duplicate, a reordered straggler, a re-send of
-	// a frame already emitted — is shed rather than corrupting assembly
-	// order.
-	if q.admitted && fi <= q.last {
-		s.shed++
-		return false
-	}
-	if s.policy == ShedStale {
-		cut := fi - 2*s.queueCap
-		for q.n > 0 && q.at(0).frame < cut {
-			q.drop()
-			s.shed++
-		}
-	}
-	if q.n >= s.queueCap {
-		drop := 1
-		if s.policy == ShedFreshest {
-			drop = q.n
-		}
-		for ; drop > 0; drop-- {
-			q.drop()
-			s.shed++
-		}
-	}
-	q.last, q.admitted = fi, true
-	return true
+	return err
 }
 
 // Next assembles and returns the next frame: once every camera is ready
@@ -477,97 +244,30 @@ func (s *IngestSource) admitLocked(q *partQueue, fi int) bool {
 // contribute their observations, cameras already past it contribute
 // none (they shed it, an outage-shaped gap). Next blocks while any
 // camera is silent, returns io.EOF once every stream ended and the
-// queues drained, and returns a *StallError when the watchdog deadline
-// passes with no assembly progress. The frame is lent: it and its lists
-// are valid until the next Next.
+// queues drained, and returns a *StallError when it has waited until
+// Stall after the last assembly (or construction). The frame is lent:
+// it and its lists are valid until the next Next.
 func (s *IngestSource) Next() (*scene.FrameTruth, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if s.stallErr != nil {
-			return nil, s.stallErr
+		f, wakeAt, err := s.m.next(time.Now())
+		if f != nil || err != nil {
+			return f, err
 		}
-		if s.readyLocked() {
-			if !s.anyQueuedLocked() {
-				return nil, io.EOF
-			}
-			return s.assembleLocked(), nil
+		if !wakeAt.IsZero() {
+			s.timer.Reset(time.Until(wakeAt))
 		}
-		s.waiting++
 		s.cond.Wait()
-		s.waiting--
+		s.timer.Stop()
 	}
 }
 
-// readyLocked reports whether every camera can contribute a decision:
-// a queued part, its EOS, or a closed source.
-func (s *IngestSource) readyLocked() bool {
-	for i := range s.queues {
-		if s.queues[i].n == 0 && !s.eos[i] && !s.closed {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *IngestSource) anyQueuedLocked() bool {
-	for i := range s.queues {
-		if s.queues[i].n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// assembleLocked pops the lowest queued frame index into the lent frame.
-// The previous frame's lists go back into the popped slots: the engine
-// asked for this frame, so it reads that one no more.
-func (s *IngestSource) assembleLocked() *scene.FrameTruth {
-	next, found := 0, false
-	for i := range s.queues {
-		if q := &s.queues[i]; q.n > 0 && (!found || q.at(0).frame < next) {
-			next, found = q.at(0).frame, true
-		}
-	}
-	f := &s.frame
-	f.Index = next
-	for i := range s.queues {
-		f.PerCamera[i] = nil
-		if q := &s.queues[i]; q.n > 0 && q.at(0).frame == next {
-			f.PerCamera[i] = q.lend(&s.lent[i])
-		}
-	}
-	f.Objects = s.objects.take(next)
-	s.last = s.clk.Now()
-	return f
-}
-
-// watchdog turns a producer that went quiet into a typed error: it
-// wakes periodically on the injected clock and, when a Next call has
-// been waiting past the stall deadline with no assembly progress and
-// the stream has not legitimately ended, fails the source.
-func (s *IngestSource) watchdog() {
-	interval := s.stall / 4
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	for {
-		s.clk.Sleep(interval)
-		s.mu.Lock()
-		if s.closed || s.stallErr != nil {
-			s.mu.Unlock()
-			return
-		}
-		if s.waiting > 0 {
-			if idle := s.clk.Now().Sub(s.last); idle >= s.stall {
-				s.stallErr = &StallError{Idle: idle}
-				s.cond.Broadcast()
-				s.mu.Unlock()
-				return
-			}
-		}
-		s.mu.Unlock()
-	}
+// wake lets a waiting Next look at the clock again.
+func (s *IngestSource) wake() {
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // Serve starts accepting TCP producers on ln (pass it through
@@ -586,7 +286,7 @@ func (s *IngestSource) Serve(ln net.Listener) {
 				return
 			}
 			s.mu.Lock()
-			if s.closed {
+			if s.m.closed {
 				s.mu.Unlock()
 				conn.Close()
 				return
@@ -624,11 +324,12 @@ func (s *IngestSource) serveConn(conn net.Conn) {
 // io.EOF. Idempotent.
 func (s *IngestSource) Close() error {
 	s.mu.Lock()
-	if s.closed {
+	if s.m.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	s.m.close()
+	s.timer.Stop()
 	ln, conns := s.ln, s.conns
 	s.conns = map[net.Conn]struct{}{}
 	s.cond.Broadcast()

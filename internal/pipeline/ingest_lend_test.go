@@ -96,7 +96,7 @@ func scribble[T any](s []T) {
 func readyToAssemble(s *IngestSource) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.readyLocked()
+	return s.m.ready()
 }
 
 // TestIngestLentFrameMatchesFreshParts drives one source with reused

@@ -6,11 +6,11 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"mvs/internal/clock"
 	"mvs/internal/faults"
 	"mvs/internal/scene"
 )
@@ -273,7 +273,7 @@ func TestIngestSpareObjectListsBounded(t *testing.T) {
 	for fi := 0; fi < lag; fi++ { // camera 1 is silent
 		offer(FramePart{Cam: 0, Frame: fi, Objects: objs(fi)})
 	}
-	if n := len(src.objects.pending); n != lag {
+	if n := len(src.m.objects.pending); n != lag {
 		t.Fatalf("%d frames' objects pending while camera 1 lags, want %d", n, lag)
 	}
 	offer(FramePart{Cam: 1, Frame: lag - 1}) // the catch-up
@@ -293,7 +293,7 @@ func TestIngestSpareObjectListsBounded(t *testing.T) {
 		if f.Index != want || !reflect.DeepEqual(f.Objects, objs(want)) {
 			t.Fatalf("frame %d with objects %v, want frame %d with %v", f.Index, f.Objects, want, objs(want))
 		}
-		if n := len(src.objects.spare); n > queue+1 {
+		if n := len(src.m.objects.spare); n > queue+1 {
 			t.Fatalf("after frame %d the source keeps %d spare object lists, want at most %d", f.Index, n, queue+1)
 		}
 	}
@@ -352,39 +352,80 @@ func TestIngestOfferNeverBlocks(t *testing.T) {
 	}
 }
 
-// TestIngestWatchdogStall drives the watchdog on a fake clock: a Next
-// call with no producer progress past the deadline returns a typed
-// *StallError — directly, and wrapped through the engine so errors.As
-// sees it via Engine.Run.
+// TestIngestWatchdogStall holds the stall deadline to virtual time on
+// the machine: while a camera is silent, next waits until exactly Stall
+// after the start, then fails with a *StallError that it keeps
+// returning; an assembly moves the deadline, and a frame that is ready
+// is handed over however late it is asked for.
 func TestIngestWatchdogStall(t *testing.T) {
+	const stall = time.Minute
+	start := time.Unix(1_700_000_000, 0)
+	offer := func(m *ingestMachine, p FramePart) {
+		t.Helper()
+		if _, err := m.offer(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waits := func(m *ingestMachine, now, deadline time.Time) {
+		t.Helper()
+		if f, wakeAt, err := m.next(now); f != nil || err != nil || !wakeAt.Equal(deadline) {
+			t.Fatalf("next at %v: %v, wake at %v, %v; want a wait until %v", now.Sub(start), f, wakeAt.Sub(start), err, deadline.Sub(start))
+		}
+	}
+
+	// One camera offers; the other stays silent.
+	m := newIngestMachine(2, IngestConfig{Stall: stall}, start)
+	offer(&m, FramePart{Cam: 0, Frame: 0})
+	waits(&m, start, start.Add(stall))
+	waits(&m, start.Add(stall-time.Nanosecond), start.Add(stall))
+	_, _, err := m.next(start.Add(stall))
+	var stalled *StallError
+	if !errors.As(err, &stalled) || stalled.Idle != stall {
+		t.Fatalf("next at the deadline returned %v, want *StallError{Idle: %v}", err, stall)
+	}
+	// The degraded state is sticky, even once a frame is assemblable.
+	offer(&m, FramePart{Cam: 1, Frame: 0})
+	if _, _, again := m.next(start.Add(2 * stall)); again != err {
+		t.Fatalf("next after the stall returned %v, want the sticky %v", again, err)
+	}
+
+	m = newIngestMachine(2, IngestConfig{Stall: stall}, start)
+	offer(&m, FramePart{Cam: 0, Frame: 0})
+	offer(&m, FramePart{Cam: 1, Frame: 0})
+	at := start.Add(5 * stall)
+	if f, _, err := m.next(at); err != nil || f == nil || f.Index != 0 {
+		t.Fatalf("a ready frame asked for past the deadline: %v, %v", f, err)
+	}
+	offer(&m, FramePart{Cam: 0, Frame: 1})
+	waits(&m, at.Add(stall-time.Nanosecond), at.Add(stall))
+
+	// Without a Stall, a silent camera makes next wait with no deadline.
+	m = newIngestMachine(2, IngestConfig{}, start)
+	offer(&m, FramePart{Cam: 0, Frame: 0})
+	waits(&m, start.Add(1000*stall), time.Time{})
+}
+
+// TestIngestStallTimer checks the shell's wiring of the deadline: a Next
+// with a silent camera is woken by the timer and fails typed, and
+// through the engine errors.As still finds the *StallError.
+func TestIngestStallTimer(t *testing.T) {
+	const stall = 20 * time.Millisecond
 	e := getEnv(t)
-	fake := clock.NewFake(time.Unix(0, 0))
-	src, err := NewIngestSource(e.test.Cameras, IngestConfig{Stall: time.Minute, Clock: fake})
+	src, err := NewIngestSource(e.test.Cameras, IngestConfig{Stall: stall})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	// One camera offers; the others stay silent, so Next must wait — and
-	// then fail typed instead of hanging forever.
 	if err := src.Offer(FramePart{Cam: 0, Frame: 0}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = src.Next()
 	var stalled *StallError
-	if !errors.As(err, &stalled) {
-		t.Fatalf("Next returned %v, want *StallError", err)
-	}
-	if stalled.Idle < time.Minute {
-		t.Fatalf("stall fired after %v, before the %v deadline", stalled.Idle, time.Minute)
-	}
-	// The degraded state is sticky.
-	if _, err := src.Next(); !errors.As(err, &stalled) {
-		t.Fatalf("second Next returned %v, want the sticky *StallError", err)
+	if !errors.As(err, &stalled) || stalled.Idle < stall {
+		t.Fatalf("Next returned %v, want a *StallError after at least %v", err, stall)
 	}
 
-	// Through the engine: Run wraps the source error, errors.As still
-	// finds the typed state.
-	src2, err := NewIngestSource(e.test.Cameras, IngestConfig{Stall: time.Minute, Clock: clock.NewFake(time.Unix(0, 0))})
+	src2, err := NewIngestSource(e.test.Cameras, IngestConfig{Stall: stall})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,6 +437,26 @@ func TestIngestWatchdogStall(t *testing.T) {
 	if err := eng.Run(); !errors.As(err, &stalled) {
 		t.Fatalf("Engine.Run returned %v, want a wrapped *StallError", err)
 	}
+}
+
+// TestIngestCloseLeavesNoGoroutine: a source with a stall deadline starts
+// no goroutine of its own, so closing it leaves none behind. (A goroutine
+// of an earlier test ending between the two readings is retried.)
+func TestIngestCloseLeavesNoGoroutine(t *testing.T) {
+	cams := getEnv(t).test.Cameras
+	var before, after int
+	for range 3 {
+		before = runtime.NumGoroutine()
+		src, err := NewIngestSource(cams, IngestConfig{Stall: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Close()
+		if after = runtime.NumGoroutine(); after == before {
+			return
+		}
+	}
+	t.Fatalf("%d goroutines after a source was built and closed, %d before", after, before)
 }
 
 // TestIngestTCPRoundTrip pushes frame parts through the real wire

@@ -299,7 +299,7 @@ func emitFrameSnapshot(sink metrics.Sink, label string, frame int,
 	recall *metrics.RecallAccumulator, frameMax time.Duration,
 	cams []*camera.Kernel, results []camera.Frame,
 	outageFrames, orphaned, reassigned int,
-	adaptLevel, adaptTransitions, sloViolations int, ingest IngestMeter,
+	adaptLevel, adaptTransitions, sloViolations int, ingest *IngestCounters,
 	tenant string, exec ExecStats) {
 	tp, fn := recall.Counts()
 	snap := metrics.Snapshot{
@@ -325,10 +325,9 @@ func emitFrameSnapshot(sink metrics.Sink, label string, frame int,
 		Cameras:           make([]metrics.CameraSnapshot, len(cams)),
 	}
 	if ingest != nil {
-		c := ingest.Counters()
-		snap.IngestedFrames = c.Ingested
-		snap.ShedFrames = c.Shed
-		snap.QueueDepth = c.QueueDepth
+		snap.IngestedFrames = ingest.Ingested
+		snap.ShedFrames = ingest.Shed
+		snap.QueueDepth = ingest.QueueDepth
 	}
 	for i, k := range cams {
 		snap.Cameras[i] = metrics.CameraSnapshot{

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
+	"mvs/internal/adapt"
 	"mvs/internal/metrics"
 )
 
@@ -131,5 +133,47 @@ func TestSinkLabelOverride(t *testing.T) {
 	}
 	if snap.Label != "modes/BALB" {
 		t.Fatalf("label = %q", snap.Label)
+	}
+}
+
+// countingMeter is an IngestMeter whose every reading differs: the n-th
+// call reports n parts ingested and queued.
+type countingMeter struct{ calls int }
+
+func (m *countingMeter) Counters() IngestCounters {
+	m.calls++
+	return IngestCounters{Ingested: m.calls, QueueDepth: m.calls}
+}
+
+// TestIngestCountersReadOncePerFrame: with a controller and a sink both
+// attached, the engine reads the live counters once a frame, and the
+// snapshot carries the reading the controller was given. Producers keep
+// offering between two reads, so a second one could report another
+// depth than the one the controller acted on.
+func TestIngestCountersReadOncePerFrame(t *testing.T) {
+	e := getEnv(t)
+	frames := len(e.test.Frames)
+	sink := metrics.NewChannelSink(1, frames+1)
+	meter := &countingMeter{}
+	cfg := NewConfig(BALB, 5)
+	cfg.Adapt.Policy = adapt.Policy{SLO: time.Hour}
+	cfg.Obs.Sink, cfg.Obs.Ingest = sink, meter
+	if _, err := Run(e.test, e.profiles, e.model, cfg); err != nil {
+		t.Fatal(err)
+	}
+	sink.Close()
+	if meter.calls != frames {
+		t.Fatalf("%d counter reads over %d frames, want one a frame", meter.calls, frames)
+	}
+	i := 0
+	for snap := range sink.Snapshots() {
+		i++
+		if snap.QueueDepth != i || snap.IngestedFrames != i {
+			t.Fatalf("snapshot %d carries queue depth %d, ingested %d; want the frame's reading %d",
+				i-1, snap.QueueDepth, snap.IngestedFrames, i)
+		}
+	}
+	if i != frames {
+		t.Fatalf("%d snapshots, want %d", i, frames)
 	}
 }

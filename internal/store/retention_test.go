@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"mvs/internal/clock"
 )
 
 // segFiles lists the surviving segment files of a run directory.
@@ -71,16 +69,16 @@ func TestKeepSegmentsPrunesOldest(t *testing.T) {
 	}
 }
 
-// TestKeepDurationPrunesByAge drives the age-based retention bound with
-// a fake clock: segments older than KeepDuration are deleted at the
+// TestKeepDurationPrunesByAge drives the age-based retention bound on
+// time moved by hand: segments older than KeepDuration are deleted at the
 // next roll, newer ones survive, and the manifest records the bound so
 // mvsim -replay -verify can refuse the windowed run.
 func TestKeepDurationPrunesByAge(t *testing.T) {
 	dir := t.TempDir()
 	_, roster := testRoster(t, 2)
-	fake := clock.NewFake(time.Unix(1_700_000_000, 0))
-	w, err := CreateWith(dir, Manifest{Mode: "balb", SegmentSize: 2, Cameras: roster},
-		Options{KeepDuration: 10 * time.Minute, Clock: fake})
+	fake := &manualTime{time.Unix(1_700_000_000, 0)}
+	w, err := createAt(dir, Manifest{Mode: "balb", SegmentSize: 2, Cameras: roster},
+		Options{KeepDuration: 10 * time.Minute}, fake)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +151,9 @@ func TestKeepDurationPrunesByAge(t *testing.T) {
 func TestKeepBoundsShareOnePath(t *testing.T) {
 	dir := t.TempDir()
 	_, roster := testRoster(t, 1)
-	fake := clock.NewFake(time.Unix(1_700_000_000, 0))
-	w, err := CreateWith(dir, Manifest{Mode: "balb", SegmentSize: 1, Cameras: roster},
-		Options{KeepSegments: 3, KeepDuration: time.Hour, Clock: fake})
+	fake := &manualTime{time.Unix(1_700_000_000, 0)}
+	w, err := createAt(dir, Manifest{Mode: "balb", SegmentSize: 1, Cameras: roster},
+		Options{KeepSegments: 3, KeepDuration: time.Hour}, fake)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,6 @@ import (
 	"sync"
 	"time"
 
-	"mvs/internal/clock"
 	"mvs/internal/metrics"
 	"mvs/internal/scene"
 )
@@ -123,15 +122,11 @@ type Options struct {
 	KeepSegments int
 	// KeepDuration, when > 0, bounds the frame log by age: each roll
 	// deletes closed segments whose first frame arrived more than
-	// KeepDuration ago (by Clock). Shares the pruning path with
-	// KeepSegments — both bounds apply when both are set — and carries
-	// the same -verify refusal. Segment birth times live only in writer
-	// memory; the on-disk format stays free of wall-clock values.
+	// KeepDuration ago. Shares the pruning path with KeepSegments — both
+	// bounds apply when both are set — and carries the same -verify
+	// refusal. Segment birth times live only in writer memory; the
+	// on-disk format stays free of wall-clock values.
 	KeepDuration time.Duration
-	// Clock supplies segment birth times for KeepDuration (nil =
-	// clock.System). Inject a clock.Fake to test retention without
-	// real waiting.
-	Clock clock.Clock
 }
 
 // The version-2 wire form of one JSONL record is an 8-hex-digit CRC32
@@ -311,6 +306,7 @@ type Writer struct {
 	opts    Options
 	numCams int
 	segSize int
+	now     func() time.Time // the source of segment birth times
 
 	mu       sync.Mutex
 	err      error
@@ -370,9 +366,6 @@ func CreateWith(dir string, man Manifest, opts Options) (*Writer, error) {
 	if opts.KeepDuration > 0 {
 		man.KeepDuration = opts.KeepDuration.String()
 	}
-	if opts.Clock == nil {
-		opts.Clock = clock.System{}
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -387,7 +380,7 @@ func CreateWith(dir string, man Manifest, opts Options) (*Writer, error) {
 	if err := os.WriteFile(mpath, append(data, '\n'), 0o644); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	w := &Writer{dir: dir, man: man, opts: opts, numCams: len(cams), segSize: man.SegmentSize}
+	w := &Writer{dir: dir, man: man, opts: opts, numCams: len(cams), segSize: man.SegmentSize, now: time.Now}
 	w.enc = json.NewEncoder(&w.buf)
 	return w, nil
 }
@@ -563,7 +556,7 @@ func (w *Writer) rollSegment() error {
 	w.seg = seg
 	var now time.Time
 	if w.opts.KeepDuration > 0 {
-		now = w.opts.Clock.Now()
+		now = w.now()
 	}
 	w.segments = append(w.segments, Segment{File: name, First: w.frames})
 	w.births = append(w.births, now)
