@@ -78,7 +78,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		names = append(names, st.Name)
 	}
 	exp := fs.String("exp", "all", "study: all, "+strings.Join(names, ", "))
-	scenario := fs.String("scenario", "all", "scenario: S1, S2, S3, S4, C<n>, or all (each study's defaults)")
+	scenario := fs.String("scenario", "all", "scenario: "+workload.ScenarioNames+"; or all (each study's defaults)")
 	frames := fs.Int("frames", 1200, "trace length in frames (10 FPS)")
 	seed := fs.Int64("seed", 42, "simulation seed")
 	csvDir := fs.String("csv", "", "also write machine-readable CSVs into this directory")

@@ -35,12 +35,13 @@ import (
 	"mvs/internal/experiments"
 	"mvs/internal/faults"
 	"mvs/internal/pipeline"
+	"mvs/internal/workload"
 )
 
 func main() {
 	var (
 		addr       = flag.String("addr", "localhost:7100", "ingest listener address (mvsim/mvnode -ingest-addr)")
-		scenario   = flag.String("scenario", "S1", "scenario: S1, S2, or S3")
+		scenario   = flag.String("scenario", "S1", "scenario: "+workload.ScenarioNames)
 		seed       = flag.Int64("seed", 42, "shared simulation seed")
 		frames     = flag.Int("frames", 1200, "trace length (first half is the model's training split; the second half is pushed)")
 		camera     = flag.Int("camera", -1, "push only this camera's parts (-1 = all cameras)")

@@ -40,13 +40,14 @@ import (
 	"mvs/internal/pipeline"
 	"mvs/internal/scene"
 	"mvs/internal/store"
+	"mvs/internal/workload"
 )
 
 func main() {
 	var cfg runConfig
 	flag.StringVar(&cfg.addr, "addr", "localhost:7001", "scheduler address")
 	flag.IntVar(&cfg.camera, "camera", 0, "this node's camera index")
-	flag.StringVar(&cfg.scenario, "scenario", "S2", "scenario: S1, S2, or S3")
+	flag.StringVar(&cfg.scenario, "scenario", "S2", "scenario: "+workload.ScenarioNames)
 	flag.Int64Var(&cfg.seed, "seed", 42, "shared simulation seed")
 	flag.IntVar(&cfg.frames, "frames", 1200, "trace length (first half is the model's training split)")
 	flag.IntVar(&cfg.horizon, "horizon", 10, "frames per scheduling horizon (T)")

@@ -67,7 +67,7 @@ import (
 func main() {
 	var (
 		listen       = flag.String("listen", ":7001", "listen address")
-		scenario     = flag.String("scenario", "S2", "scenario: S1, S2, or S3")
+		scenario     = flag.String("scenario", "S2", "scenario: "+workload.ScenarioNames)
 		seed         = flag.Int64("seed", 42, "shared simulation seed")
 		frames       = flag.Int("frames", 1200, "trace length used for model training")
 		roundTimeout = flag.Duration("round-timeout", 30*time.Second, "schedule an incomplete round after this long (0 = wait forever)")

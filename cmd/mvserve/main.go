@@ -43,7 +43,7 @@ func main() {
 	var (
 		tenants     = flag.Int("tenants", 4, "number of tenant engines sharing the pool")
 		executors   = flag.Int("executors", 4, "modeled GPU executors in the shared pool")
-		scenario    = flag.String("scenario", "S1", "scenario every tenant replays: S1, S2, S3, S4")
+		scenario    = flag.String("scenario", "S1", "scenario every tenant replays: "+workload.ScenarioNames)
 		frames      = flag.Int("frames", 240, "trace length in frames (10 FPS)")
 		seed        = flag.Int64("seed", 42, "simulation seed (tenant i detects with seed+31*i)")
 		slo         = flag.Duration("slo", 150*time.Millisecond, "per-tenant frame latency SLO")

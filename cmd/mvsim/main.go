@@ -60,6 +60,7 @@ import (
 	"mvs/internal/pipeline"
 	"mvs/internal/scene"
 	"mvs/internal/store"
+	"mvs/internal/workload"
 )
 
 func main() {
@@ -88,7 +89,7 @@ var replayFlags = map[string]bool{
 // it in-process; diagnostics go to fs.Output(), the summary to stdout.
 func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var o options
-	fs.StringVar(&o.scenario, "scenario", "S1", "scenario: S1, S2, S3, or S4")
+	fs.StringVar(&o.scenario, "scenario", "S1", "scenario: "+workload.ScenarioNames)
 	fs.StringVar(&o.mode, "mode", "balb", "scheduler: full, ind, cen, balb, sp (with -replay: override the recorded one)")
 	fs.IntVar(&o.frames, "frames", 1200, "trace length in frames (10 FPS)")
 	fs.IntVar(&o.horizon, "horizon", 10, "frames per scheduling horizon (T)")

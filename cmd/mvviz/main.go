@@ -19,12 +19,12 @@ import (
 
 	"mvs/internal/cliconf"
 	"mvs/internal/experiments"
-	"mvs/internal/viz"
+	"mvs/internal/workload"
 )
 
 func main() {
 	var (
-		scenario = flag.String("scenario", "S1", "scenario: S1, S2, or S3")
+		scenario = flag.String("scenario", "S1", "scenario: "+workload.ScenarioNames)
 		frames   = flag.Int("frames", 1200, "trace length in frames")
 		seed     = flag.Int64("seed", 42, "simulation seed")
 		outDir   = flag.String("out", ".", "output directory for SVG files")
@@ -47,7 +47,7 @@ func run(scenario string, frames int, seed int64, outDir string, latency bool) e
 
 	// 1. Deployment map.
 	if err := writeSVG(filepath.Join(outDir, scenario+"_map.svg"), func(f *os.File) error {
-		return viz.WorldMap(f, setup.Scenario.World)
+		return worldMap(f, setup.Scenario.World)
 	}); err != nil {
 		return err
 	}
@@ -55,7 +55,7 @@ func run(scenario string, frames int, seed int64, outDir string, latency bool) e
 	// 2. Workload chart.
 	fig2 := experiments.Fig2(setup)
 	if err := writeSVG(filepath.Join(outDir, scenario+"_workload.svg"), func(f *os.File) error {
-		return viz.WorkloadChart(f, fig2.CameraNames, fig2.Counts, fig2.SampleEverySec)
+		return workloadChart(f, fig2.CameraNames, fig2.Counts, fig2.SampleEverySec)
 	}); err != nil {
 		return err
 	}
@@ -74,7 +74,7 @@ func run(scenario string, frames int, seed int64, outDir string, latency bool) e
 			lats = append(lats, r.MeanSlowest)
 		}
 		if err := writeSVG(filepath.Join(outDir, scenario+"_latency.svg"), func(f *os.File) error {
-			return viz.LatencyBars(f, labels, lats)
+			return latencyBars(f, labels, lats)
 		}); err != nil {
 			return err
 		}

@@ -1,10 +1,6 @@
 package ml
 
-import (
-	"fmt"
-
-	"mvs/internal/mat"
-)
+import "fmt"
 
 // HomographyRegressor maps bounding boxes between cameras through a
 // single planar homography fitted on box corner correspondences. It is
@@ -17,7 +13,7 @@ import (
 // Features must be 4-vectors [MinX, MinY, MaxX, MaxY]; both corners of
 // each training box contribute a point correspondence.
 type HomographyRegressor struct {
-	h      mat.Homography
+	h      homography
 	fitted bool
 }
 
@@ -39,7 +35,7 @@ func (h *HomographyRegressor) Fit(x [][]float64, y [][]float64) error {
 		src = append(src, [2]float64{x[i][0], x[i][1]}, [2]float64{x[i][2], x[i][3]})
 		dst = append(dst, [2]float64{y[i][0], y[i][1]}, [2]float64{y[i][2], y[i][3]})
 	}
-	hom, err := mat.EstimateHomography(src, dst)
+	hom, err := estimateHomography(src, dst)
 	if err != nil {
 		return fmt.Errorf("homography regressor: %w", err)
 	}
@@ -57,8 +53,8 @@ func (h *HomographyRegressor) Predict(dst, x []float64) ([]float64, error) {
 	if len(x) != 4 {
 		return dst, fmt.Errorf("homography regressor: feature dim %d, want 4", len(x))
 	}
-	x1, y1 := h.h.Apply(x[0], x[1])
-	x2, y2 := h.h.Apply(x[2], x[3])
+	x1, y1 := h.h.apply(x[0], x[1])
+	x2, y2 := h.h.apply(x[2], x[3])
 	if x1 > x2 {
 		x1, x2 = x2, x1
 	}

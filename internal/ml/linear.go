@@ -3,8 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-
-	"mvs/internal/mat"
 )
 
 // featureScaler standardizes features to zero mean and unit variance,
@@ -214,12 +212,11 @@ func (l *LinearRegressor) Fit(x [][]float64, y [][]float64) error {
 	if err != nil {
 		return fmt.Errorf("linear regressor: %w", err)
 	}
-	design := mat.NewDense(len(x), dim+1)
+	cols := dim + 1
+	design := make([]float64, len(x)*cols)
 	for i, row := range x {
-		for j, v := range row {
-			design.Set(i, j, v)
-		}
-		design.Set(i, dim, 1)
+		copy(design[i*cols:], row)
+		design[i*cols+dim] = 1
 	}
 	coef := make([][]float64, out)
 	rhs := make([]float64, len(x))
@@ -227,7 +224,7 @@ func (l *LinearRegressor) Fit(x [][]float64, y [][]float64) error {
 		for i := range y {
 			rhs[i] = y[i][k]
 		}
-		c, err := mat.LeastSquares(design, rhs, linearRidge)
+		c, err := leastSquares(design, cols, rhs, linearRidge)
 		if err != nil {
 			return fmt.Errorf("linear regressor output %d: %w", k, err)
 		}

@@ -313,6 +313,10 @@ func Islands(k, per int, seed int64) (*Scenario, error) {
 	}, nil
 }
 
+// ScenarioNames lists the names ByName accepts, for its error and for
+// every binary's -scenario help.
+const ScenarioNames = "S1, S2, S3, S4, or C<n>"
+
 // ByName returns the named scenario (case-sensitive): S1, S2, S3, the
 // extension scale scenario S4, or "C<n>" for an n-camera Corridor
 // (e.g. C64).
@@ -332,5 +336,5 @@ func ByName(name string, seed int64) (*Scenario, error) {
 			return Corridor(n, seed)
 		}
 	}
-	return nil, fmt.Errorf("workload: unknown scenario %q (want S1, S2, S3, S4, or C<n>)", name)
+	return nil, fmt.Errorf("workload: unknown scenario %q (want %s)", name, ScenarioNames)
 }
