@@ -16,7 +16,7 @@ func hermeticEnv() []string {
 // under bench/run.sh's environment. It is a module of its own (mvs/bench,
 // bench/README.md), so go build, vet and test at the root never compile
 // it, while it imports a dozen internal/ packages: this is where tier 1
-// notices that a change to pipeline.DecodeFramePart, scene.MarshalFrame,
+// notices that a change to pipeline.DecodeFramePart, scene.MarshalCameras,
 // store.Open or any other symbol it uses broke the benchmark, before the
 // acceptance driver's first run does.
 func TestBenchModuleBuilds(t *testing.T) {

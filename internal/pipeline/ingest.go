@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -298,7 +297,9 @@ func (s *IngestSource) Serve(ln net.Listener) {
 	}()
 }
 
-func (s *IngestSource) serveConn(conn net.Conn) {
+// serveConn feeds one connection's parts to Offer until its stream ends
+// or fails, closes it, and returns the error that ended it.
+func (s *IngestSource) serveConn(conn net.Conn) error {
 	defer func() {
 		conn.Close()
 		s.mu.Lock()
@@ -310,11 +311,11 @@ func (s *IngestSource) serveConn(conn net.Conn) {
 	d := partDecoder{r: bufio.NewReaderSize(conn, connReadBuffer)}
 	for {
 		p, err := d.next()
-		if err != nil {
-			return
+		if err == nil {
+			err = s.Offer(p)
 		}
-		if err := s.Offer(p); err != nil {
-			return
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -345,18 +346,10 @@ func (s *IngestSource) Close() error {
 
 // The wire protocol: each message is a 4-byte big-endian length followed
 // by that many bytes of JSON — one FramePart, observation and object
-// lists in the scene wire schema (exact float64 round-trip). wirePart is
-// the definition of the message; EncodeFramePart writes exactly what
-// encoding/json would make of it, and a message in exactly those bytes
-// is scanned by hand, any other spelling decoded through wirePart
-// (docs/STREAMING.md §6).
-type wirePart struct {
-	Cam     int             `json:"cam"`
-	Frame   int             `json:"frame"`
-	Obs     json.RawMessage `json:"obs,omitempty"`
-	Objects json.RawMessage `json:"objects,omitempty"`
-	EOS     bool            `json:"eos,omitempty"`
-}
+// lists in the scene wire schema (exact float64 round-trip). The message
+// is what EncodeFramePart writes; a body in any other spelling is an
+// error naming the byte offset where the scan stopped (docs/STREAMING.md
+// §6).
 
 const (
 	// maxWirePart bounds a single message so a corrupt length prefix
@@ -414,7 +407,8 @@ func EncodeFramePart(w io.Writer, p FramePart) error {
 }
 
 // DecodeFramePart reads one length-prefixed FramePart message into a
-// part the caller owns, its lists allocated at their exact size.
+// part the caller owns, its lists allocated at their exact size. A body
+// not spelled as EncodeFramePart spells it is an error.
 func DecodeFramePart(r io.Reader) (FramePart, error) {
 	d := partDecoder{r: r}
 	return d.next()
@@ -429,11 +423,12 @@ type partDecoder struct {
 	body []byte
 	obs  []scene.Observation // storage of the last part's Obs, kept while a part has none
 	objs []scene.ObjectState // and of its Objects
+	stop int                 // where the last scan stopped in its body
 }
 
 // next reads the next message. The part is lent: its lists are valid
-// until the next call, and a warm decoder allocates nothing for a
-// canonical part no larger than the largest it has read.
+// until the next call, and a warm decoder allocates nothing for a part
+// no larger than the largest it has read.
 func (d *partDecoder) next() (FramePart, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		return FramePart{}, err
@@ -459,75 +454,52 @@ func (d *partDecoder) next() (FramePart, error) {
 			return FramePart{}, err
 		}
 	}
-	p, err := d.parse(d.body)
+	p, ok := d.scan(d.body)
 	if cap(d.body) > bodyStep {
 		// Neither the buffer nor the lists of a message that large are
 		// kept for the rest of the stream.
 		d.body, d.obs, d.objs = nil, nil, nil
 	}
-	return p, err
-}
-
-// parse decodes one message body, retaining none of its bytes: a
-// canonical body's lists land on the decoder's storage, any other body's
-// are allocated.
-func (d *partDecoder) parse(body []byte) (FramePart, error) {
-	if p, ok := d.scan(body); ok {
-		if len(p.Obs) > 0 {
-			d.obs = p.Obs
-		}
-		if len(p.Objects) > 0 {
-			d.objs = p.Objects
-		}
-		return p, nil
-	}
-	var wp wirePart
-	if err := json.Unmarshal(body, &wp); err != nil {
-		return FramePart{}, fmt.Errorf("pipeline: decode frame part: %w", err)
-	}
-	p := FramePart{Cam: wp.Cam, Frame: wp.Frame, EOS: wp.EOS}
-	var err error
-	if wp.Obs != nil {
-		if p.Obs, err = scene.UnmarshalObservations(wp.Obs); err != nil {
-			return FramePart{}, err
-		}
-	}
-	if wp.Objects != nil {
-		if p.Objects, err = scene.UnmarshalObjects(wp.Objects); err != nil {
-			return FramePart{}, err
-		}
+	if !ok {
+		return FramePart{}, fmt.Errorf("pipeline: decode frame part: not a canonical part at byte %d", d.stop)
 	}
 	return p, nil
 }
 
-// scan reads a body spelled exactly as EncodeFramePart spells it, its
-// lists into the decoder's storage; ok is false for every other body,
-// valid JSON or not.
-func (d *partDecoder) scan(b []byte) (p FramePart, ok bool) {
-	if b, ok = cut(b, `{"cam":`); !ok {
-		return p, false
+// scan reads a body spelled exactly as EncodeFramePart spells it,
+// retaining none of its bytes, its lists on the decoder's storage, which
+// keeps them for the next body; ok is false for every other body, valid
+// JSON or not. Either way d.stop is where the scan stopped.
+func (d *partDecoder) scan(body []byte) (p FramePart, ok bool) {
+	b, ok := cut(body, `{"cam":`)
+	if ok {
+		p.Cam, b, ok = scene.ScanInt(b)
 	}
-	if p.Cam, b, ok = scene.ScanInt(b); !ok {
-		return p, false
+	if ok {
+		b, ok = cut(b, `,"frame":`)
 	}
-	if b, ok = cut(b, `,"frame":`); !ok {
-		return p, false
+	if ok {
+		p.Frame, b, ok = scene.ScanInt(b)
 	}
-	if p.Frame, b, ok = scene.ScanInt(b); !ok {
-		return p, false
+	if rest, found := cut(b, `,"obs":`); ok && found {
+		p.Obs, b, ok = scene.ScanObservations(d.obs, rest)
 	}
-	if rest, found := cut(b, `,"obs":`); found {
-		if p.Obs, b, ok = scene.ScanObservations(d.obs, rest); !ok {
-			return p, false
-		}
+	if rest, found := cut(b, `,"objects":`); ok && found {
+		p.Objects, b, ok = scene.ScanObjects(d.objs, rest)
 	}
-	if rest, found := cut(b, `,"objects":`); found {
-		if p.Objects, b, ok = scene.ScanObjects(d.objs, rest); !ok {
-			return p, false
-		}
+	if ok {
+		b, p.EOS = cut(b, `,"eos":true`)
+		b, ok = cut(b, "}")
+		ok = ok && len(b) == 0
 	}
-	b, p.EOS = cut(b, `,"eos":true`)
-	return p, string(b) == "}"
+	d.stop = len(body) - len(b)
+	if len(p.Obs) > 0 {
+		d.obs = p.Obs
+	}
+	if len(p.Objects) > 0 {
+		d.objs = p.Objects
+	}
+	return p, ok
 }
 
 // cut drops lit from the front of b, if b starts with it.

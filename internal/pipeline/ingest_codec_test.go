@@ -9,7 +9,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,6 +24,14 @@ import (
 // verbatim but for the names and for decoding the two lists here, through
 // encoding/json alone, instead of through package scene: what
 // FuzzDecodeFramePart and TestEncodeFramePartBytes hold the new codec to.
+
+type wirePart struct {
+	Cam     int             `json:"cam"`
+	Frame   int             `json:"frame"`
+	Obs     json.RawMessage `json:"obs,omitempty"`
+	Objects json.RawMessage `json:"objects,omitempty"`
+	EOS     bool            `json:"eos,omitempty"`
+}
 
 type oracleObs struct {
 	ID  int        `json:"id"`
@@ -152,6 +162,9 @@ func genPart(rng *rand.Rand) FramePart {
 	return p
 }
 
+// atByte is how a decode error names the offset where the scan stopped.
+var atByte = regexp.MustCompile(` at byte ([0-9]+)$`)
+
 // samePart holds a decoded part to the one it must equal: the same
 // value, nil against empty included, and the same wire bytes, which also
 // tell the sign of a zero apart.
@@ -174,8 +187,8 @@ func samePart(t *testing.T, msg int, got, want FramePart) {
 
 // checkReusedDecoder reads stream through d, which may have read other
 // streams before, and holds each message to what DecodeFramePart reads
-// from the same bytes: the same part or an error from both, and the
-// same bytes left.
+// from the same bytes: the same part or the same error, and the same
+// bytes left.
 func checkReusedDecoder(t *testing.T, d *partDecoder, stream []byte) {
 	t.Helper()
 	rd, fresh := bytes.NewReader(stream), bytes.NewReader(stream)
@@ -183,7 +196,7 @@ func checkReusedDecoder(t *testing.T, d *partDecoder, stream []byte) {
 	for msg := 0; ; msg++ {
 		got, err := d.next()
 		want, wantErr := DecodeFramePart(fresh)
-		if (err != nil) != (wantErr != nil) {
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("message %d: reused decoder error %v, DecodeFramePart's %v", msg, err, wantErr)
 		}
 		if err != nil {
@@ -196,19 +209,56 @@ func checkReusedDecoder(t *testing.T, d *partDecoder, stream []byte) {
 	}
 }
 
+// nonCanonicalParts are message bodies that the encoding/json oracle
+// decodes but EncodeFramePart never writes, each with the offset where
+// the decoder's scan stops and rejects it.
+var nonCanonicalParts = []struct {
+	name, body string
+	at         int
+}{
+	{"null obs", `{"cam":0,"frame":1,"obs":null}`, len(`{"cam":0,"frame":1,"obs":`)},
+	{"false eos", `{"cam":0,"frame":1,"eos":false}`, len(`{"cam":0,"frame":1`)},
+	{"whitespace", ` { "cam" : 0, "frame" : 1, "obs" : [ ` + partObs + ` ] } `, 0},
+	{"reordered", `{"frame":1,"cam":1,"obs":[` + partObs + `]}`, 0},
+	{"upper-case keys", `{"CAM":1,"Frame":2,"OBS":[` + partObs + `]}`, 0},
+	{"repeated key", `{"cam":0,"cam":1,"frame":1,"obs":[]}`, len(`{"cam":0`)},
+	{"extra key", `{"cam":0,"frame":1,"obs":[` + partObs + `],"extra":[{"a":{}}]}`, len(`{"cam":0,"frame":1,"obs":[` + partObs + `]`)},
+	{"short box", `{"cam":0,"frame":1,"obs":[{"id":1,"box":[1,2,3]}]}`, len(`{"cam":0,"frame":1,"obs":[`)},
+}
+
+// partObs is one observation in its wire form.
+const partObs = `{"id":1,"box":[1,2.5,3e-7,4]}`
+
+// TestNonCanonicalPartRejected: each of nonCanonicalParts is a message
+// the oracle reads, and the decoder rejects it with an error naming the
+// offset where its scan stopped.
+func TestNonCanonicalPartRejected(t *testing.T) {
+	for _, c := range nonCanonicalParts {
+		if _, err := oracleDecodeFramePart(bytes.NewReader(framed(c.body))); err != nil {
+			t.Fatalf("%s: the oracle rejects %s: %v", c.name, c.body, err)
+		}
+		_, err := DecodeFramePart(bytes.NewReader(framed(c.body)))
+		if want := fmt.Sprintf(" at byte %d", c.at); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("%s: DecodeFramePart(%s): %v, want an error ending %q", c.name, c.body, err, want)
+		}
+	}
+}
+
 // FuzzDecodeFramePart feeds arbitrary bytes to the one untrusted surface
 // that had no fuzz target (ROADMAP 7(d)): a stream of length-prefixed
 // frame parts, read the way a connection reads it — one decoder, buffers
-// reused from message to message. It must never panic or hang; every
-// message it accepts must be the message the encoding/json-only decoder
-// accepts, value for value and byte position for byte position; where it
-// fails the old decoder fails too; and offering what it accepted to a
-// source must not panic either, whatever the camera index. And a decoder
-// whose storage a generated part has grown then reads the fuzz bytes and
-// the generated part again, each message equal to the part
-// DecodeFramePart reads from the same bytes.
+// reused from message to message. It must never panic or hang. It is
+// sound: every message it accepts, the encoding/json-only decoder
+// accepts, value for value and byte position for byte position. It is
+// complete: a message the old decoder accepts and it rejects is not what
+// EncodeFramePart writes for the old decoder's part, and the error names
+// an offset inside the body. Offering what it accepted to a source must
+// not panic either, whatever the camera index. And a decoder whose
+// storage a generated part has grown then reads the fuzz bytes and the
+// generated part again, each message equal to the part DecodeFramePart
+// reads from the same bytes, or failing as it does.
 func FuzzDecodeFramePart(f *testing.F) {
-	const obs = `{"id":1,"box":[1,2.5,3e-7,4]}`
+	const obs = partObs
 	const obj = `{"id":1,"x":1,"y":2,"heading":3,"speed":4,"w":5,"l":6,"h":7}`
 	var valid bytes.Buffer
 	for _, p := range []FramePart{
@@ -240,14 +290,9 @@ func FuzzDecodeFramePart(f *testing.F) {
 	add(framed(`{"cam":0,"frame":1,"obs":[],"objects":[]}`))
 	add(framed(`{"cam":0,"frame":1,"objects":[` + obj + `],"eos":true}`))
 	add(framed(`{"cam":0,"frame":1}`))
-	add(framed(`{"cam":0,"frame":1,"obs":null}`))
-	add(framed(`{"cam":0,"frame":1,"eos":false}`))
-	add(framed(` { "cam" : 0, "frame" : 1, "obs" : [ ` + obs + ` ] } `)) // not canonical, valid
-	add(framed(`{"frame":1,"cam":1,"obs":[` + obs + `]}`))               // reordered
-	add(framed(`{"CAM":1,"Frame":2,"OBS":[` + obs + `]}`))               // upper-case keys
-	add(framed(`{"cam":0,"cam":1,"frame":1,"obs":[]}`))                  // repeated key
-	add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `],"extra":[{"a":{}}]}`))
-	add(framed(`{"cam":0,"frame":1,"obs":[{"id":1,"box":[1,2,3]}]}`))
+	for _, c := range nonCanonicalParts {
+		add(framed(c.body))
+	}
 	add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `]}xyz`)) // canonical prefix, garbage tail
 	add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `]}}`))
 	add(framed(`{"cam":0,"frame":1,"obs":[` + obs + `]`))
@@ -285,14 +330,29 @@ func FuzzDecodeFramePart(f *testing.F) {
 					return
 				}
 			}
+			start := len(stream) - oracle.Len()
 			got, err := d.next()
 			want, wantErr := oracleDecodeFramePart(oracle)
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("message %d: error %v, encoding/json decoder's %v", msg, err, wantErr)
+			if err == nil && wantErr != nil {
+				t.Fatalf("message %d: accepted %+v, encoding/json decoder's error %v", msg, got, wantErr)
 			}
 			if err != nil {
 				if len(stream) > 0 && rd.Len() == len(stream) {
 					t.Fatalf("message %d: failed with %v without reading", msg, err)
+				}
+				if wantErr == nil {
+					message := stream[start : len(stream)-oracle.Len()]
+					var enc bytes.Buffer
+					if EncodeFramePart(&enc, want) == nil && bytes.Equal(enc.Bytes(), message) {
+						t.Fatalf("message %d: rejected %q, EncodeFramePart's own bytes for %+v: %v", msg, message, want, err)
+					}
+					at := -1
+					if m := atByte.FindStringSubmatch(err.Error()); m != nil {
+						at, _ = strconv.Atoi(m[1])
+					}
+					if at < 0 || at > len(message)-4 {
+						t.Fatalf("message %d: error %q names no offset inside the %d-byte body", msg, err, len(message)-4)
+					}
 				}
 				return
 			}

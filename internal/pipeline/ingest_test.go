@@ -3,10 +3,12 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -509,6 +511,83 @@ func TestIngestTCPRoundTrip(t *testing.T) {
 	}
 	if _, err := src.Next(); err != io.EOF {
 		t.Fatalf("after EOS: %v, want io.EOF", err)
+	}
+}
+
+// TestIngestBadPartClosesOneConnection: one connection carries a part
+// that is valid JSON but not canonical. That connection alone closes, on
+// an error naming the offset where the decoder stopped; each camera's
+// own connection stays open and delivers the rest of its stream, and
+// every frame assembles through EOS.
+func TestIngestBadPartClosesOneConnection(t *testing.T) {
+	e := getEnv(t)
+	const n = 8
+	src, err := NewIngestSource(e.test.Cameras, IngestConfig{Queue: n + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Serve(ln)
+	conns := make([]net.Conn, len(e.test.Cameras))
+	for cam := range conns {
+		if conns[cam], err = net.Dial("tcp", ln.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[cam].Close()
+	}
+	send := func(from, to int, eos bool) {
+		t.Helper()
+		for fi := from; fi < to; fi++ {
+			for _, p := range AppendFrameParts(nil, fi, &e.test.Frames[fi]) {
+				if err := EncodeFramePart(conns[p.Cam], p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if eos {
+			for _, p := range AppendEOSParts(nil, len(conns)) {
+				if err := EncodeFramePart(conns[p.Cam], p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	send(0, n/2, false)
+
+	server, client := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- src.serveConn(server) }()
+	bad := `{"cam":0,"frame":0,"obs":[], "eos":true}`
+	if _, err := client.Write(framed(bad)); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(" at byte %d", strings.Index(bad, ", ")) // where `,"eos":true` or `}` was due
+	if err := <-done; err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("the bad part ended its connection with %v, want an error ending %q", err, want)
+	}
+	if _, err := client.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on the bad part's connection: %v, want io.EOF", err)
+	}
+
+	send(n/2, n, true)
+	for fi := 0; fi < n; fi++ {
+		got, err := src.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", fi, err)
+		}
+		if want := &e.test.Frames[fi]; got.Index != fi || !reflect.DeepEqual(got.PerCamera, want.PerCamera) || !reflect.DeepEqual(got.Objects, want.Objects) {
+			t.Fatalf("frame %d assembled as %+v, want %+v", fi, got, want)
+		}
+	}
+	if _, err := src.Next(); err != io.EOF {
+		t.Fatalf("after EOS: %v, want io.EOF", err)
+	}
+	if c := src.Counters(); c.Ingested != n*len(conns) || c.Shed != 0 {
+		t.Fatalf("counters %+v, want %d parts ingested and none shed", c, n*len(conns))
 	}
 }
 

@@ -3,19 +3,19 @@ package scene
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strconv"
 )
 
-// This file is the hand-written codec of the frame wire schema
+// This file is the one codec of the frame wire schema
 // (docs/STREAMING.md §3): the observation list, the object list and the
-// frame around them. encoding/json on the wire structs of serialize.go
-// stays the definition of the format; the encoders here emit exactly its
-// bytes, and the scanner accepts exactly those bytes — the canonical
-// shape — and reports anything else (whitespace, reordered, unknown or
-// repeated keys, escapes, an empty list where null is written) as not
-// canonical, so the caller decodes it with encoding/json instead. Which
-// path runs is decided by the input alone.
+// frame around them. The encoders write the canonical shape — the bytes
+// json.Marshal makes of the wire structs the tests keep as the oracle —
+// and the scanner accepts those bytes and no other spelling: whitespace,
+// reordered, unknown or repeated keys, escapes or an empty list where
+// null is written are errors naming the byte offset where the scan
+// stopped.
 
 var errNonFinite = errors.New("unsupported value: NaN or Inf")
 
@@ -108,7 +108,7 @@ func (e *enc) done(dst []byte) ([]byte, error) {
 }
 
 // AppendObservations appends the wire JSON of one camera's observation
-// list to dst, the form UnmarshalObservations parses. An empty list is
+// list to dst, the form ScanObservations reads. An empty list is
 // []. A NaN or infinite coordinate is an error and leaves dst as it was.
 func AppendObservations(dst []byte, obs []Observation) ([]byte, error) {
 	e := enc{b: dst}
@@ -152,10 +152,15 @@ func AppendFrame(dst []byte, f *FrameTruth) ([]byte, error) {
 
 // dec scans canonical wire JSON from b[i:]. Every method reports whether
 // the canonical shape continued; after the first false the scan is over
-// and i means nothing.
+// and i is where it stopped.
 type dec struct {
 	b []byte
 	i int
+}
+
+// frameError is the error of a frame scan that stopped at i.
+func (d *dec) frameError(numCameras int) error {
+	return fmt.Errorf("scene: decode frame: not a canonical frame of %d cameras at byte %d", numCameras, d.i)
 }
 
 func (d *dec) lit(s string) bool {
@@ -188,8 +193,7 @@ func (d *dec) integer() bool {
 }
 
 // int scans a JSON integer into v. A fraction or exponent is left
-// unread, so the literal expected next fails and encoding/json gets to
-// reject the number the way it always has.
+// unread, so the literal expected next fails there.
 func (d *dec) int(v *int) bool {
 	start := d.i
 	if !d.integer() {
@@ -435,50 +439,43 @@ type FrameDecoder struct {
 }
 
 // Decode parses a frame as UnmarshalFrame does and returns a value equal
-// to UnmarshalFrame's, nil and empty lists included. The frame is lent:
-// it and its lists are valid until the next Decode. A frame that is not
-// in the canonical shape goes through encoding/json into a fresh frame.
+// to UnmarshalFrame's, nil and empty lists included, or UnmarshalFrame's
+// error. The frame is lent: it and its lists are valid until the next
+// Decode.
 func (fd *FrameDecoder) Decode(data []byte, numCameras int) (*FrameTruth, error) {
 	if n := numCameras - len(fd.obs); n > 0 {
 		fd.obs = append(fd.obs, make([][]Observation, n)...)
 	}
 	d := dec{b: data}
-	if d.frame(&fd.frame, fd, numCameras) {
-		return &fd.frame, nil
+	if !d.frame(&fd.frame, fd, numCameras) {
+		return nil, d.frameError(numCameras)
 	}
-	return unmarshalFrameJSON(data, numCameras)
+	return &fd.frame, nil
 }
 
 // ScanObservations reads a canonical observation list from the front of
 // data into dst's storage, growing it when the list is longer, and
 // returns it with the bytes that follow: with a nil dst the list is
 // allocated at its exact size. ok is false when data does not start with
-// one: the caller then decodes the whole message with encoding/json. It
-// is the scanner UnmarshalObservations uses, exported for a message that
-// embeds the list (pipeline's frame part).
+// one, and rest then starts where the scan stopped. It is exported for a
+// message that embeds the list (pipeline's frame part).
 func ScanObservations(dst []Observation, data []byte) (obs []Observation, rest []byte, ok bool) {
 	d := dec{b: data}
-	if obs, ok = d.observations(dst); !ok {
-		return nil, data, false
-	}
-	return obs, data[d.i:], true
+	obs, ok = d.observations(dst)
+	return obs, data[d.i:], ok
 }
 
 // ScanObjects is ScanObservations for an object list.
 func ScanObjects(dst []ObjectState, data []byte) (objs []ObjectState, rest []byte, ok bool) {
 	d := dec{b: data}
-	if objs, ok = d.objects(dst); !ok {
-		return nil, data, false
-	}
-	return objs, data[d.i:], true
+	objs, ok = d.objects(dst)
+	return objs, data[d.i:], ok
 }
 
 // ScanInt is ScanObservations for an integer field of the message around
 // a list.
 func ScanInt(data []byte) (v int, rest []byte, ok bool) {
 	d := dec{b: data}
-	if !d.int(&v) {
-		return 0, data, false
-	}
-	return v, data[d.i:], true
+	ok = d.int(&v)
+	return v, data[d.i:], ok
 }

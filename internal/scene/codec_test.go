@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -136,53 +138,77 @@ func sameValue(got, want any, encode func(any) []byte) bool {
 	return reflect.DeepEqual(got, want) && bytes.Equal(encode(got), encode(want))
 }
 
-// checkDecode is half (b): the three decoders against the ones they
-// replaced, on any bytes — the same value, or an error from both.
-func checkDecode(t *testing.T, data []byte, numCams int) {
+// atByte is how a decode error names the offset where the scan stopped.
+var atByte = regexp.MustCompile(` at byte ([0-9]+)$`)
+
+// holdToOracle is one direction pair of half (b), for one decoder on
+// data: got is what it decoded from data's first n bytes when ok.
+// Soundness: what the decoder accepts, the encoding/json oracle accepts
+// too, with the same value and the same bytes consumed. Completeness:
+// when the oracle accepts data and the decoder does not take all of it,
+// data is not what encode writes for the oracle's value.
+func holdToOracle[T any](t *testing.T, what string, data []byte, got T, n int, ok bool,
+	oracle func([]byte) (T, error), encode func(T) ([]byte, error)) {
 	t.Helper()
-	frame, err := UnmarshalFrame(data, numCams)
-	wantFrame, wantErr := oracleUnmarshalFrame(data, numCams)
-	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("UnmarshalFrame(%q, %d): error %v, oracle error %v", data, numCams, err, wantErr)
+	if ok {
+		want, err := oracle(data[:n])
+		if err != nil {
+			t.Fatalf("%s(%q) took %d bytes the oracle rejects: %v", what, data, n, err)
+		}
+		if !sameValue(got, want, func(v any) []byte {
+			b, _ := encode(v.(T))
+			return b
+		}) {
+			t.Fatalf("%s(%q):\ngot  %+v\nwant %+v", what, data, got, want)
+		}
+		if n == len(data) {
+			return
+		}
 	}
-	if err == nil && !sameValue(frame, wantFrame, func(v any) []byte {
-		b, _ := oracleMarshalFrame(v.(*FrameTruth))
-		return b
-	}) {
-		t.Fatalf("UnmarshalFrame(%q, %d):\ngot  %+v\nwant %+v", data, numCams, frame, wantFrame)
+	want, err := oracle(data)
+	if err != nil {
+		return
 	}
-	obs, err := UnmarshalObservations(data)
-	wantObs, wantErr := oracleUnmarshalObservations(data)
-	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("UnmarshalObservations(%q): error %v, oracle error %v", data, err, wantErr)
-	}
-	if err == nil && !sameValue(obs, wantObs, func(v any) []byte {
-		b, _ := oracleMarshalObservations(v.([]Observation))
-		return b
-	}) {
-		t.Fatalf("UnmarshalObservations(%q):\ngot  %#v\nwant %#v", data, obs, wantObs)
-	}
-	objs, err := UnmarshalObjects(data)
-	wantObjs, wantErr := oracleUnmarshalObjects(data)
-	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("UnmarshalObjects(%q): error %v, oracle error %v", data, err, wantErr)
-	}
-	if err == nil && !sameValue(objs, wantObjs, func(v any) []byte {
-		b, _ := oracleMarshalObjects(v.([]ObjectState))
-		return b
-	}) {
-		t.Fatalf("UnmarshalObjects(%q):\ngot  %#v\nwant %#v", data, objs, wantObjs)
+	if enc, err := encode(want); err == nil && bytes.Equal(enc, data) {
+		t.Fatalf("%s rejects %q, the encoder's own bytes for %+v", what, data, want)
 	}
 }
 
+// checkDecode is half (b): UnmarshalFrame and the two list scanners
+// against the encoding/json decoders they replaced, on any bytes; and a
+// frame error names an offset inside data.
+func checkDecode(t *testing.T, data []byte, numCams int) {
+	t.Helper()
+	frame, err := UnmarshalFrame(data, numCams)
+	if err != nil {
+		at := -1
+		if m := atByte.FindStringSubmatch(err.Error()); m != nil {
+			at, _ = strconv.Atoi(m[1])
+		}
+		if at < 0 || at > len(data) {
+			t.Fatalf("UnmarshalFrame(%q, %d): error %q names no offset inside the %d bytes", data, numCams, err, len(data))
+		}
+	}
+	holdToOracle(t, "UnmarshalFrame", data, frame, len(data), err == nil,
+		func(b []byte) (*FrameTruth, error) { return oracleUnmarshalFrame(b, numCams) },
+		func(f *FrameTruth) ([]byte, error) { return AppendFrame(nil, f) })
+	obs, rest, ok := ScanObservations(nil, data)
+	holdToOracle(t, "ScanObservations", data, obs, len(data)-len(rest), ok,
+		func(b []byte) ([]Observation, error) { return oracleUnmarshalObservations(b) },
+		func(obs []Observation) ([]byte, error) { return AppendObservations(nil, obs) })
+	objs, rest, ok := ScanObjects(nil, data)
+	holdToOracle(t, "ScanObjects", data, objs, len(data)-len(rest), ok,
+		func(b []byte) ([]ObjectState, error) { return oracleUnmarshalObjects(b) },
+		func(objs []ObjectState) ([]byte, error) { return AppendObjects(nil, objs) })
+}
+
 // checkDecoder holds a FrameDecoder, which may have decoded other frames
-// before, to UnmarshalFrame on data: the same value, or an error from
-// both.
+// before, to UnmarshalFrame on data: the same value, or the same error.
 func checkDecoder(t *testing.T, fd *FrameDecoder, data []byte, numCams int) {
 	t.Helper()
 	got, err := fd.Decode(data, numCams)
 	want, wantErr := UnmarshalFrame(data, numCams)
-	if (err != nil) != (wantErr != nil) {
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("FrameDecoder.Decode(%q, %d): error %v, UnmarshalFrame error %v", data, numCams, err, wantErr)
 	}
 	if err == nil && !sameValue(got, want, func(v any) []byte {
@@ -196,7 +222,8 @@ func checkDecoder(t *testing.T, fd *FrameDecoder, data []byte, numCams int) {
 // codecSeeds are the decoder's hand-picked inputs: every number spelling
 // strconv takes and JSON does not, in a box and in an id; keys repeated,
 // upper-cased, reordered and unknown; [] against null in each position;
-// whitespace, escapes and trailing bytes.
+// whitespace, escapes and trailing bytes. The valid JSON among them that
+// the encoders would not write is rejected (TestNonCanonicalRejected).
 func codecSeeds() []string {
 	var seeds []string
 	numbers := []string{"01", "1.", "+1", ".5", "0x1p-2", "1_0", "Inf", "-Inf", "NaN", "1.0", "1e2", "1E+2",
@@ -239,13 +266,14 @@ func codecSeeds() []string {
 	return seeds
 }
 
-// FuzzFrameCodec is the codec's oracle (ISSUE 17): (a) on frames
-// generated from seed, Append* is json.Marshal of the wire structs byte
-// for byte, NaN and Inf failing on both sides; (b) on arbitrary bytes,
-// and on what (a) just encoded, Unmarshal* returns what the
-// encoding/json-only decoders return, or both fail; (c) one FrameDecoder
-// decoding the generated frame, the arbitrary bytes and the generated
-// frame again returns what UnmarshalFrame returns each time.
+// FuzzFrameCodec is the codec's oracle: (a) on frames generated from
+// seed, Append* is json.Marshal of the wire structs byte for byte, NaN
+// and Inf failing on both sides; (b) on arbitrary bytes, and on what (a)
+// just encoded, UnmarshalFrame, ScanObservations and ScanObjects are
+// sound and complete against the encoding/json-only decoders
+// (holdToOracle); (c) one FrameDecoder decoding the generated frame, the
+// arbitrary bytes and the generated frame again returns what
+// UnmarshalFrame returns each time, error included.
 func FuzzFrameCodec(f *testing.F) {
 	for i, s := range codecSeeds() {
 		f.Add([]byte(s), int64(i), uint8(2))
@@ -277,6 +305,51 @@ func FuzzFrameCodec(f *testing.F) {
 			checkDecoder(t, &fd, data, cams)
 		}
 	})
+}
+
+// TestNonCanonicalRejected pins the format's edge: each input is valid
+// JSON that encoding/json decodes into a frame or list, but not what the
+// encoders write, so the decoders reject it — a frame with an error
+// naming the offset where the scan stopped, a list by not taking the
+// whole input.
+func TestNonCanonicalRejected(t *testing.T) {
+	const obs = `{"id":1,"box":[1,2,3,4]}`
+	const canon = `{"index":3,"per_camera":[null,[` + obs + `]]}`
+	if _, err := UnmarshalFrame([]byte(canon), 2); err != nil {
+		t.Fatalf("canonical frame: %v", err)
+	}
+	for _, c := range []struct {
+		name, data string
+		at         int
+	}{
+		{"whitespace", `{"index": 3,"per_camera":[null,[` + obs + `]]}`, len(`{"index":`)},
+		{"trailing newline", canon + "\n", len(canon)},
+		{"reordered", `{"per_camera":[null,[` + obs + `]],"index":3}`, 0},
+		{"repeated", `{"index":3,"index":3,"per_camera":[null,[` + obs + `]]}`, len(`{"index":3`)},
+		{"upper-case", `{"INDEX":3,"per_camera":[null,[` + obs + `]]}`, 0},
+		{"extra key", `{"index":3,"extra":1,"per_camera":[null,[` + obs + `]]}`, len(`{"index":3`)},
+		{"escaped key", `{"ind\u0065x":3,"per_camera":[null,[` + obs + `]]}`, 0},
+		{"[] for a camera", `{"index":3,"per_camera":[[],[` + obs + `]]}`, len(`{"index":3,"per_camera":[[]`)},
+		{"[] for objects", `{"index":3,"objects":[],"per_camera":[null,[` + obs + `]]}`, len(`{"index":3,"objects":[]`)},
+		{"null objects", `{"index":3,"objects":null,"per_camera":[null,[` + obs + `]]}`, len(`{"index":3,"objects":`)},
+		{"reordered box key", `{"index":3,"per_camera":[null,[{"box":[1,2,3,4],"id":1}]]}`, len(`{"index":3,"per_camera":[null,[`)},
+	} {
+		if _, err := oracleUnmarshalFrame([]byte(c.data), 2); err != nil {
+			t.Fatalf("%s: the oracle rejects %s: %v", c.name, c.data, err)
+		}
+		_, err := UnmarshalFrame([]byte(c.data), 2)
+		if want := fmt.Sprintf(" at byte %d", c.at); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("%s: UnmarshalFrame(%s): %v, want an error ending %q", c.name, c.data, err, want)
+		}
+	}
+	for _, list := range []string{` [` + obs + `]`, `[ ` + obs + `]`, `[{"box":[1,2,3,4],"id":1}]`, `[{"id":1,"ID":2,"box":[1,2,3,4]}]`, `null`} {
+		if _, err := oracleUnmarshalObservations([]byte(list)); err != nil {
+			t.Fatalf("the oracle rejects %s: %v", list, err)
+		}
+		if _, rest, ok := ScanObservations(nil, []byte(list)); ok && len(rest) == 0 {
+			t.Errorf("ScanObservations took all of %s", list)
+		}
+	}
 }
 
 // TestFrameCodecGenerated runs the oracle over many generated frames, so

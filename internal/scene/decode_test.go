@@ -38,9 +38,9 @@ func sizedFrame(rng *rand.Rand, index, objs int, perCam []int) *FrameTruth {
 // ones; objects present, then absent, then back; each camera switching
 // between null and a list, its list shrinking and growing past the
 // largest before; a non-canonical line in the middle (whitespace, and []
-// where the encoder writes null) that encoding/json decodes; and
-// generated frames after it. The second result marks the non-canonical
-// lines.
+// where the encoder writes null), valid JSON that the decoder rejects;
+// and generated frames after it. The second result marks the
+// non-canonical lines.
 func decoderSequence(t *testing.T, rng *rand.Rand) ([][]byte, []bool) {
 	t.Helper()
 	shapes := []struct {
@@ -95,10 +95,9 @@ func decoderSequence(t *testing.T, rng *rand.Rand) ([][]byte, []bool) {
 // TestFrameDecoderMatchesUnmarshalFrame feeds one decoder a sequence that
 // grows, shrinks and empties every list, and holds each frame it lends to
 // UnmarshalFrame's under reflect.DeepEqual, nil against empty included —
-// checked before the next Decode, as the lend allows. It also checks
-// that canonical lines are decoded into the decoder's own frame and the
-// non-canonical one into a fresh frame, so the differential covers both
-// paths.
+// checked before the next Decode, as the lend allows. Canonical lines
+// decode into the decoder's own frame; the non-canonical one fails with
+// UnmarshalFrame's error, at its first byte, and the next line decodes.
 func TestFrameDecoderMatchesUnmarshalFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	lines, odd := decoderSequence(t, rng)
@@ -106,18 +105,21 @@ func TestFrameDecoderMatchesUnmarshalFrame(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for i, line := range lines {
 			got, err := fd.Decode(line, 4)
-			if err != nil {
-				t.Fatalf("pass %d line %d: %v", pass, i, err)
+			want, wantErr := UnmarshalFrame(line, 4)
+			if odd[i] {
+				if err == nil || fmt.Sprint(err) != fmt.Sprint(wantErr) || !strings.HasSuffix(err.Error(), " at byte 0") {
+					t.Fatalf("pass %d line %d: non-canonical line: error %v, UnmarshalFrame's %v", pass, i, err, wantErr)
+				}
+				continue
 			}
-			want, err := UnmarshalFrame(line, 4)
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || wantErr != nil {
+				t.Fatalf("pass %d line %d: %v, UnmarshalFrame's %v", pass, i, err, wantErr)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("pass %d line %d (%.80s):\ndecoder   %+v\nunmarshal %+v", pass, i, line, got, want)
 			}
-			if (got == &fd.frame) == odd[i] {
-				t.Fatalf("pass %d line %d: decoded into the decoder's frame %v, non-canonical %v", pass, i, got == &fd.frame, odd[i])
+			if got != &fd.frame {
+				t.Fatalf("pass %d line %d: not decoded into the decoder's frame", pass, i)
 			}
 		}
 	}
@@ -129,7 +131,7 @@ func TestFrameDecoderMatchesUnmarshalFrame(t *testing.T) {
 	}{{lines[0], 3}, {lines[0], 5}, {lines[0][:len(lines[0])/2], 4}, {[]byte("not json"), 4}, {lines[0], -1}} {
 		_, err := fd.Decode(bad.line, bad.cams)
 		_, wantErr := UnmarshalFrame(bad.line, bad.cams)
-		if (err == nil) != (wantErr == nil) {
+		if err == nil || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("Decode(%.40q, %d): error %v, UnmarshalFrame's %v", bad.line, bad.cams, err, wantErr)
 		}
 	}

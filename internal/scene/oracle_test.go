@@ -12,6 +12,28 @@ import (
 // wire structs. It is what FuzzFrameCodec and the trace tests hold the
 // hand-written codec to, byte for byte and value for value.
 
+type frameJSON struct {
+	Index     int          `json:"index"`
+	Objects   []objectJSON `json:"objects,omitempty"`
+	PerCamera [][]obsJSON  `json:"per_camera"`
+}
+
+type objectJSON struct {
+	ID      int     `json:"id"`
+	X       float64 `json:"x"`
+	Y       float64 `json:"y"`
+	Heading float64 `json:"heading"`
+	Speed   float64 `json:"speed"`
+	W       float64 `json:"w"`
+	L       float64 `json:"l"`
+	H       float64 `json:"h"`
+}
+
+type obsJSON struct {
+	ID  int        `json:"id"`
+	Box [4]float64 `json:"box"`
+}
+
 func oracleToFrameJSON(f *FrameTruth) frameJSON {
 	jf := frameJSON{Index: f.Index, PerCamera: make([][]obsJSON, len(f.PerCamera))}
 	for _, o := range f.Objects {
@@ -44,7 +66,31 @@ func oracleUnmarshalFrame(data []byte, numCameras int) (*FrameTruth, error) {
 	if err := json.Unmarshal(data, &jf); err != nil {
 		return nil, fmt.Errorf("scene: decode frame: %w", err)
 	}
-	return fromFrameJSON(jf, numCameras)
+	return oracleFromFrameJSON(jf, numCameras)
+}
+
+func oracleFromFrameJSON(jf frameJSON, numCameras int) (*FrameTruth, error) {
+	if len(jf.PerCamera) != numCameras {
+		return nil, fmt.Errorf("scene: frame %d has %d camera lists, want %d",
+			jf.Index, len(jf.PerCamera), numCameras)
+	}
+	f := &FrameTruth{Index: jf.Index, PerCamera: make([][]Observation, numCameras)}
+	for _, o := range jf.Objects {
+		f.Objects = append(f.Objects, ObjectState{
+			ID: o.ID, Pos: geom.Point{X: o.X, Y: o.Y},
+			Heading: o.Heading, Speed: o.Speed,
+			Dims: Dims{W: o.W, L: o.L, H: o.H},
+		})
+	}
+	for ci, obs := range jf.PerCamera {
+		for _, o := range obs {
+			f.PerCamera[ci] = append(f.PerCamera[ci], Observation{
+				ObjectID: o.ID,
+				Box:      geom.Rect{MinX: o.Box[0], MinY: o.Box[1], MaxX: o.Box[2], MaxY: o.Box[3]},
+			})
+		}
+	}
+	return f, nil
 }
 
 func oracleMarshalObservations(obs []Observation) (json.RawMessage, error) {

@@ -7,9 +7,9 @@ import (
 	"mvs/internal/geom"
 )
 
-// The wire representation of a camera roster and of a frame, decoupled
-// from the runtime structs so the run store's on-disk format stays stable
-// if internals evolve.
+// The wire representation of a camera roster, decoupled from the
+// runtime struct so the run store's manifest stays stable if internals
+// evolve. A frame's wire form is codec.go's.
 
 type cameraJSON struct {
 	Name         string  `json:"name"`
@@ -23,28 +23,6 @@ type cameraJSON struct {
 	ImageH       float64 `json:"image_h"`
 	MaxRange     float64 `json:"max_range,omitempty"`
 	MinPixelArea float64 `json:"min_pixel_area,omitempty"`
-}
-
-type frameJSON struct {
-	Index     int          `json:"index"`
-	Objects   []objectJSON `json:"objects,omitempty"`
-	PerCamera [][]obsJSON  `json:"per_camera"`
-}
-
-type objectJSON struct {
-	ID      int     `json:"id"`
-	X       float64 `json:"x"`
-	Y       float64 `json:"y"`
-	Heading float64 `json:"heading"`
-	Speed   float64 `json:"speed"`
-	W       float64 `json:"w"`
-	L       float64 `json:"l"`
-	H       float64 `json:"h"`
-}
-
-type obsJSON struct {
-	ID  int        `json:"id"`
-	Box [4]float64 `json:"box"`
 }
 
 func toCameraJSON(c *Camera) cameraJSON {
@@ -67,30 +45,6 @@ func fromCameraJSON(c cameraJSON) (*Camera, error) {
 		return nil, err
 	}
 	return cam, nil
-}
-
-func fromFrameJSON(jf frameJSON, numCameras int) (*FrameTruth, error) {
-	if len(jf.PerCamera) != numCameras {
-		return nil, fmt.Errorf("scene: frame %d has %d camera lists, want %d",
-			jf.Index, len(jf.PerCamera), numCameras)
-	}
-	f := &FrameTruth{Index: jf.Index, PerCamera: make([][]Observation, numCameras)}
-	for _, o := range jf.Objects {
-		f.Objects = append(f.Objects, ObjectState{
-			ID: o.ID, Pos: geom.Point{X: o.X, Y: o.Y},
-			Heading: o.Heading, Speed: o.Speed,
-			Dims: Dims{W: o.W, L: o.L, H: o.H},
-		})
-	}
-	for ci, obs := range jf.PerCamera {
-		for _, o := range obs {
-			f.PerCamera[ci] = append(f.PerCamera[ci], Observation{
-				ObjectID: o.ID,
-				Box:      geom.Rect{MinX: o.Box[0], MinY: o.Box[1], MaxX: o.Box[2], MaxY: o.Box[3]},
-			})
-		}
-	}
-	return f, nil
 }
 
 // MarshalCameras returns the wire JSON for a camera roster, so other
@@ -137,69 +91,16 @@ func MarshalFrame(f *FrameTruth) ([]byte, error) {
 }
 
 // UnmarshalFrame parses a frame written by MarshalFrame, checking it
-// carries exactly numCameras observation lists. MarshalFrame's own bytes
-// are scanned (codec.go); any other JSON spelling of the schema goes
-// through encoding/json. It is the allocating form of FrameDecoder: the
-// frame, its camera table and each non-empty list are the caller's, each
-// allocated once at its exact size.
+// carries exactly numCameras observation lists. Only MarshalFrame's own
+// bytes are a frame (codec.go): anything else is an error naming the
+// byte offset where the scan stopped. It is the allocating form of
+// FrameDecoder: the frame, its camera table and each non-empty list are
+// the caller's, each allocated once at its exact size.
 func UnmarshalFrame(data []byte, numCameras int) (*FrameTruth, error) {
 	f := new(FrameTruth)
 	d := dec{b: data}
-	if d.frame(f, nil, numCameras) {
-		return f, nil
+	if !d.frame(f, nil, numCameras) {
+		return nil, d.frameError(numCameras)
 	}
-	return unmarshalFrameJSON(data, numCameras)
-}
-
-// unmarshalFrameJSON decodes a frame with encoding/json, the path for
-// anything the scanner reports as not canonical.
-func unmarshalFrameJSON(data []byte, numCameras int) (*FrameTruth, error) {
-	var jf frameJSON
-	if err := json.Unmarshal(data, &jf); err != nil {
-		return nil, fmt.Errorf("scene: decode frame: %w", err)
-	}
-	return fromFrameJSON(jf, numCameras)
-}
-
-// UnmarshalObservations parses the wire JSON of one camera's
-// observation list (AppendObservations) — the per-camera element of
-// MarshalFrame's schema — so a live ingest protocol can ship a frame
-// camera by camera without coupling to runtime structs.
-func UnmarshalObservations(data json.RawMessage) ([]Observation, error) {
-	if obs, rest, ok := ScanObservations(nil, data); ok && len(rest) == 0 {
-		return obs, nil
-	}
-	var in []obsJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("scene: decode observations: %w", err)
-	}
-	obs := make([]Observation, 0, len(in))
-	for _, o := range in {
-		obs = append(obs, Observation{
-			ObjectID: o.ID,
-			Box:      geom.Rect{MinX: o.Box[0], MinY: o.Box[1], MaxX: o.Box[2], MaxY: o.Box[3]},
-		})
-	}
-	return obs, nil
-}
-
-// UnmarshalObjects parses the wire JSON of a ground-truth object list
-// (AppendObjects) — the objects element of MarshalFrame's schema.
-func UnmarshalObjects(data json.RawMessage) ([]ObjectState, error) {
-	if objs, rest, ok := ScanObjects(nil, data); ok && len(rest) == 0 {
-		return objs, nil
-	}
-	var in []objectJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("scene: decode objects: %w", err)
-	}
-	objs := make([]ObjectState, 0, len(in))
-	for _, o := range in {
-		objs = append(objs, ObjectState{
-			ID: o.ID, Pos: geom.Point{X: o.X, Y: o.Y},
-			Heading: o.Heading, Speed: o.Speed,
-			Dims: Dims{W: o.W, L: o.L, H: o.H},
-		})
-	}
-	return objs, nil
+	return f, nil
 }

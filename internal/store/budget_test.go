@@ -383,4 +383,5 @@ func TestRecoverDecodesWithoutGarbage(t *testing.T) {
 	if n >= frames/2 {
 		t.Fatalf("Recover made %d allocations over %d frames; decoding a frame must not allocate", n, frames)
 	}
+	checkRecovered(t, dir, rec)
 }

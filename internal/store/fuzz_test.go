@@ -14,7 +14,8 @@ import (
 // run-directory contents: whatever bytes land in the frame segment, the
 // snapshot log, and the frame index, Open / SnapshotsRaw / Snapshots /
 // Rounds / Source+drain / Recover must return data or errors — never
-// panic, never loop forever. This is the disk-side twin of the ingest
+// panic, never loop forever — and a run Recover accepts must replay the
+// frames it reports. This is the disk-side twin of the ingest
 // wire fuzzing: a run store surviving a crash is only trustworthy if a
 // half-written or bit-rotted file cannot take the reader down.
 func FuzzStoreReader(f *testing.F) {
@@ -97,9 +98,11 @@ func FuzzStoreReader(f *testing.F) {
 			}
 		}
 		drain()
-		if _, err := Recover(dir); err != nil {
+		rec, err := Recover(dir)
+		if err != nil {
 			return // unrecoverable inputs are fine, panics are not
 		}
-		drain() // a recovered run must still be readable
+		checkRecovered(t, dir, rec) // a recovered run replays what Recover reported
+		drain()
 	})
 }

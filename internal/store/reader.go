@@ -25,23 +25,9 @@ type Run struct {
 // present). It does not load snapshots, rounds, or frames — those
 // stream on demand.
 func Open(dir string) (*Run, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	man, cams, err := readManifest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var man Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("store: decode manifest: %w", err)
-	}
-	if man.Version < legacyVersion || man.Version > Version {
-		return nil, fmt.Errorf("store: unsupported format version %d (want %d..%d)", man.Version, legacyVersion, Version)
-	}
-	cams, err := scene.UnmarshalCameras(man.Cameras)
-	if err != nil {
-		return nil, fmt.Errorf("store: manifest cameras: %w", err)
-	}
-	if len(cams) == 0 {
-		return nil, fmt.Errorf("store: manifest has no cameras")
+		return nil, err
 	}
 	r := &Run{dir: dir, man: man, cams: cams}
 	idxData, err := os.ReadFile(filepath.Join(dir, framesDir, indexFile))
@@ -89,12 +75,9 @@ func (r *Run) NumFrames() int {
 // file was read into. Missing file means the run recorded no snapshots
 // (nil, no error).
 func (r *Run) SnapshotsRaw() ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(r.dir, snapshotsFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	data, err := r.readLog(snapshotsFile)
+	if data == nil {
+		return nil, err
 	}
 	// Each line is written back no later than where it was read from, so
 	// out never overtakes the line decodeLines is on; only a version-1
@@ -111,46 +94,43 @@ func (r *Run) SnapshotsRaw() ([]byte, error) {
 
 // Snapshots decodes the recorded per-frame snapshot log.
 func (r *Run) Snapshots() ([]metrics.Snapshot, error) {
-	data, err := os.ReadFile(filepath.Join(r.dir, snapshotsFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var out []metrics.Snapshot
-	if err := decodeLines(data, r.man.Version, func(line []byte) error {
-		var s metrics.Snapshot
-		if err := json.Unmarshal(line, &s); err != nil {
-			return err
-		}
-		out = append(out, s)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("store: decode snapshots: %w", err)
-	}
-	return out, nil
+	return decodeLog[metrics.Snapshot](r, snapshotsFile, "snapshots")
 }
 
 // Rounds decodes the recorded scheduling-round log.
 func (r *Run) Rounds() ([]metrics.Round, error) {
-	data, err := os.ReadFile(filepath.Join(r.dir, roundsFile))
+	return decodeLog[metrics.Round](r, roundsFile, "rounds")
+}
+
+// readLog reads one of the run's logs whole; a missing file is a log
+// the run never wrote (nil, no error).
+func (r *Run) readLog(file string) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(r.dir, file))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var out []metrics.Round
+	return data, nil
+}
+
+// decodeLog decodes every record of one of the run's logs into a T.
+func decodeLog[T any](r *Run, file, what string) ([]T, error) {
+	data, err := r.readLog(file)
+	if data == nil {
+		return nil, err
+	}
+	var out []T
 	if err := decodeLines(data, r.man.Version, func(line []byte) error {
-		var rd metrics.Round
-		if err := json.Unmarshal(line, &rd); err != nil {
+		var v T
+		if err := json.Unmarshal(line, &v); err != nil {
 			return err
 		}
-		out = append(out, rd)
+		out = append(out, v)
 		return nil
 	}); err != nil {
-		return nil, fmt.Errorf("store: decode rounds: %w", err)
+		return nil, fmt.Errorf("store: decode %s: %w", what, err)
 	}
 	return out, nil
 }

@@ -31,26 +31,17 @@ type Recovery struct {
 // version-1 lines are validated as JSON only), physically truncates each
 // log's torn tail to the last valid record, aligns the frame index to
 // the longest prefix covered by both the frame log and the snapshot
-// log, writes frames/index.json (which a killed writer never got to),
-// and rewrites the manifest with Recovered set. After Recover, Open
-// sees a sealed run and mvsim -replay -verify passes on the recovered
-// prefix. Recover is idempotent: on a healthy sealed run it validates
-// and rewrites the index without dropping anything.
+// log, writes frames/index.json (which a killed writer never got to;
+// when no frame survives it removes the index instead), and rewrites the
+// manifest with Recovered set. A manifest Open refuses is refused before
+// any file is touched. After Recover, Open sees a sealed run whose
+// replay yields Recovery.Frames frames, and mvsim -replay -verify passes
+// on the recovered prefix. Recover is idempotent: on a healthy sealed
+// run it validates and rewrites the index without dropping anything.
 func Recover(dir string) (*Recovery, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	man, cams, err := readManifest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var man Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("store: decode manifest: %w", err)
-	}
-	if man.Version < legacyVersion || man.Version > Version {
-		return nil, fmt.Errorf("store: unsupported format version %d (want %d..%d)", man.Version, legacyVersion, Version)
-	}
-	cams, err := scene.UnmarshalCameras(man.Cameras)
-	if err != nil {
-		return nil, fmt.Errorf("store: manifest cameras: %w", err)
+		return nil, err
 	}
 	segSize := man.SegmentSize
 	if segSize <= 0 {
@@ -101,25 +92,12 @@ func Recover(dir string) (*Recovery, error) {
 	rec.Frames = frames
 	rec.Snapshots = snaps
 
-	if len(segs) > 0 {
-		total := segs[len(segs)-1].First + segs[len(segs)-1].Count
-		idx := frameIndex{Frames: total, Segments: segs}
-		data, err := json.MarshalIndent(idx, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("store: encode frame index: %w", err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, framesDir, indexFile), append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+	if err := writeIndex(dir, segs); err != nil {
+		return nil, err
 	}
-
 	man.Recovered = true
-	data, err = json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("store: encode manifest: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestFile), append(data, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	if err := writeJSON(filepath.Join(dir, manifestFile), man); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }
@@ -157,14 +135,14 @@ func recoverSegments(dir string, version, numCams, segSize int, rec *Recovery) (
 		if prevOrd >= 0 && sf.ord != prevOrd+1 {
 			break // ordinal gap: the chain ends at the last contiguous segment
 		}
-		valid, clean, err := truncateFile(filepath.Join(fdir, sf.name), func(line []byte) bool {
+		valid, clean, err := truncateFileN(filepath.Join(fdir, sf.name), func(line []byte) bool {
 			body, err := parseLine(line, version)
 			if err != nil {
 				return false
 			}
 			_, err = fd.Decode(body, numCams)
 			return err == nil
-		}, rec)
+		}, -1, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -211,11 +189,6 @@ func truncateLog(path string, version, maxLines int, rec *Recovery) (int, error)
 		return json.Valid(body)
 	}, maxLines, rec)
 	return valid, err
-}
-
-// truncateFile is truncateFileN without a line bound.
-func truncateFile(path string, ok func([]byte) bool, rec *Recovery) (int, bool, error) {
-	return truncateFileN(path, ok, -1, rec)
 }
 
 // truncateFileN scans path line by line, counts the prefix of lines

@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"io"
+	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -150,6 +154,7 @@ func TestRecoverTornTail(t *testing.T) {
 	if rec.Frames > 54 {
 		t.Fatalf("recovered %d frames from a 54-snapshot log", rec.Frames)
 	}
+	checkRecovered(t, dir, rec)
 
 	run, err := Open(dir)
 	if err != nil {
@@ -196,6 +201,7 @@ func TestRecoverChecksumCorruption(t *testing.T) {
 	if rec.Frames != 21 {
 		t.Fatalf("recovered %d frames, want 21 (16 + 5 before the corrupt record)", rec.Frames)
 	}
+	checkRecovered(t, dir, rec)
 	run, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -232,24 +238,7 @@ func TestRecoverDroppedFrames(t *testing.T) {
 	if rec.DroppedFrames != 20 {
 		t.Fatalf("dropped %d frames, want 20 (60 recorded - 40 snapshotted)", rec.DroppedFrames)
 	}
-	run, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := run.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		if _, err := src.Next(); err != nil {
-			break
-		}
-		n++
-	}
-	if n != 40 {
-		t.Fatalf("recovered replay yields %d frames, want 40", n)
-	}
+	checkRecovered(t, dir, rec)
 }
 
 // TestRecoverIdempotent: recovering a healthy sealed run (and
@@ -267,6 +256,7 @@ func TestRecoverIdempotent(t *testing.T) {
 	if first.Frames != 60 || first.Snapshots != 60 {
 		t.Fatalf("sealed run recovery: %+v, want 60/60", first)
 	}
+	checkRecovered(t, dir, first)
 	second, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -274,6 +264,7 @@ func TestRecoverIdempotent(t *testing.T) {
 	if *second != *first {
 		t.Fatalf("second recovery diverged: %+v vs %+v", second, first)
 	}
+	checkRecovered(t, dir, second)
 	run, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -285,6 +276,137 @@ func TestRecoverIdempotent(t *testing.T) {
 	if !bytes.Equal(got, snaps) {
 		t.Fatal("idempotent recovery changed the snapshot log")
 	}
+}
+
+// checkRecovered is the invariant every recovery keeps: Open sees the
+// frame count Recover reported, and the replay yields exactly that many
+// frames; a recovery that kept none leaves no frame log to replay.
+func checkRecovered(t *testing.T, dir string, rec *Recovery) {
+	t.Helper()
+	run, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open after Recover: %v", err)
+	}
+	if n := run.NumFrames(); n != rec.Frames {
+		t.Fatalf("Open sees %d frames, Recover reported %d", n, rec.Frames)
+	}
+	if rec.Frames == 0 {
+		if run.HasFrames() {
+			t.Fatal("a recovery that kept no frame left a frame index")
+		}
+		return
+	}
+	src, err := run.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	n := 0
+	for ; ; n++ {
+		_, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("replay after Recover, frame %d: %v", n, err)
+		}
+	}
+	if n != rec.Frames {
+		t.Fatalf("replay after Recover yields %d frames, Recover reported %d", n, rec.Frames)
+	}
+}
+
+// recordFiveFrames records a sealed run of five frames and their
+// snapshots on two cameras.
+func recordFiveFrames(t *testing.T) string {
+	t.Helper()
+	_, roster := testRoster(t, 2)
+	dir := filepath.Join(t.TempDir(), "run")
+	w, err := Create(dir, Manifest{Mode: "BALB", Cameras: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := randomFrames(rand.New(rand.NewSource(5)), 2, 5)
+	for fi := range frames {
+		if err := w.AppendFrame(&frames[fi]); err != nil {
+			t.Fatal(err)
+		}
+		w.RecordFrame(metrics.Snapshot{Seq: fi})
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// dirFiles maps every file under dir to its bytes.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestRecoverRefusesEmptyRoster: a manifest whose roster is [] is one
+// Open refuses, so Recover refuses it too, before it touches any file:
+// with no camera every frame record fails to decode, and a Recover that
+// went on would truncate every frame segment to nothing.
+func TestRecoverRefusesEmptyRoster(t *testing.T) {
+	dir := recordFiveFrames(t)
+	run, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := run.Manifest()
+	man.Cameras = []byte("[]")
+	if err := writeJSON(filepath.Join(dir, manifestFile), man); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "no cameras") {
+		t.Fatalf("Open of an empty roster: %v", err)
+	}
+	if rec, err := Recover(dir); err == nil || !strings.Contains(err.Error(), "no cameras") {
+		t.Fatalf("Recover of an empty roster: %+v, %v", rec, err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused Recover changed the run's files:\nbefore %q\nafter  %q", before, after)
+	}
+}
+
+// TestRecoverRemovesStaleIndex: when no frame record survives — here the
+// first record's checksum is wrong — Recover reports no frames, and no
+// index from before it may promise the frames it cut.
+func TestRecoverRemovesStaleIndex(t *testing.T) {
+	dir := recordFiveFrames(t)
+	segPath := filepath.Join(dir, framesDir, segmentName(0))
+	seg := mustRead(t, segPath)
+	if seg[0] == '0' {
+		seg[0] = '1'
+	} else {
+		seg[0] = '0'
+	}
+	if err := os.WriteFile(segPath, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Frames != 0 || rec.Snapshots != 5 {
+		t.Fatalf("recovery of a log whose first record is corrupt: %+v, want 0 frames and 5 snapshots", rec)
+	}
+	checkRecovered(t, dir, rec)
 }
 
 func mustRead(t *testing.T, path string) []byte {

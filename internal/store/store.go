@@ -341,12 +341,9 @@ func Create(dir string, man Manifest) (*Writer, error) {
 // zero and its Fsync/KeepSegments fields are stamped from opts; Cameras
 // must parse as a valid roster.
 func CreateWith(dir string, man Manifest, opts Options) (*Writer, error) {
-	cams, err := scene.UnmarshalCameras(man.Cameras)
+	cams, err := man.roster()
 	if err != nil {
-		return nil, fmt.Errorf("store: manifest cameras: %w", err)
-	}
-	if len(cams) == 0 {
-		return nil, fmt.Errorf("store: manifest has no cameras")
+		return nil, err
 	}
 	if man.Version == 0 {
 		man.Version = Version
@@ -369,16 +366,11 @@ func CreateWith(dir string, man Manifest, opts Options) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	mpath := filepath.Join(dir, manifestFile)
-	if _, err := os.Stat(mpath); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, manifestFile)); err == nil {
 		return nil, fmt.Errorf("store: %s already holds a run (refusing to overwrite)", dir)
 	}
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("store: encode manifest: %w", err)
-	}
-	if err := os.WriteFile(mpath, append(data, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	if err := writeJSON(filepath.Join(dir, manifestFile), man); err != nil {
+		return nil, err
 	}
 	w := &Writer{dir: dir, man: man, opts: opts, numCams: len(cams), segSize: man.SegmentSize, now: time.Now}
 	w.enc = json.NewEncoder(&w.buf)
@@ -388,6 +380,66 @@ func CreateWith(dir string, man Manifest, opts Options) (*Writer, error) {
 // Manifest returns the manifest the run was created with (defaults
 // filled in).
 func (w *Writer) Manifest() Manifest { return w.man }
+
+// roster decodes and checks the manifest's camera roster: valid cameras,
+// at least one.
+func (m *Manifest) roster() ([]*scene.Camera, error) {
+	cams, err := scene.UnmarshalCameras(m.Cameras)
+	if err != nil {
+		return nil, fmt.Errorf("store: manifest cameras: %w", err)
+	}
+	if len(cams) == 0 {
+		return nil, fmt.Errorf("store: manifest has no cameras")
+	}
+	return cams, nil
+}
+
+// readManifest reads and checks dir's manifest — a format version this
+// package reads and a roster CreateWith would accept — for Open and
+// Recover alike, so neither acts on a run the other refuses.
+func readManifest(dir string) (Manifest, []*scene.Camera, error) {
+	var man Manifest
+	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil {
+		return man, nil, fmt.Errorf("store: %w", err)
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		return man, nil, fmt.Errorf("store: decode manifest: %w", err)
+	}
+	if man.Version < legacyVersion || man.Version > Version {
+		return man, nil, fmt.Errorf("store: unsupported format version %d (want %d..%d)", man.Version, legacyVersion, Version)
+	}
+	cams, err := man.roster()
+	return man, cams, err
+}
+
+// writeJSON writes v, indented, as the file at path: the manifest
+// (CreateWith, Recover) and the frame index (writeIndex).
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(data, '\n'), 0o644)
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
+// writeIndex writes frames/index.json for the frame log segs, whose last
+// segment ends the stream. With no segment it removes the index instead,
+// so no index outlives the log it described.
+func writeIndex(dir string, segs []Segment) error {
+	path := filepath.Join(dir, framesDir, indexFile)
+	if len(segs) == 0 {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: %w", err)
+		}
+		return nil
+	}
+	last := segs[len(segs)-1]
+	return writeJSON(path, frameIndex{Frames: last.First + last.Count, Segments: segs})
+}
 
 // jsonlWriter is a lazily-opened buffered JSONL file writing
 // checksummed records under the writer's fsync policy.
@@ -435,7 +487,12 @@ func (j *jsonlWriter) sync() error {
 	return j.f.Sync()
 }
 
+// close flushes the log, syncs it unless the policy is FsyncNever, and
+// closes its file. A nil log, one never opened, closes as a no-op.
 func (j *jsonlWriter) close() error {
+	if j == nil {
+		return nil
+	}
 	err := j.bw.Flush()
 	if err == nil && j.fsync != FsyncNever {
 		err = j.f.Sync()
@@ -537,10 +594,10 @@ func (w *Writer) AppendFrame(f *scene.FrameTruth) error {
 // and applies the retention bounds — count (KeepSegments) and age
 // (KeepDuration) share this one pruning path. Caller holds w.mu.
 func (w *Writer) rollSegment() error {
-	if w.seg != nil {
-		if err := w.closeSegment(); err != nil {
-			return err
-		}
+	err := w.seg.close()
+	w.seg = nil
+	if err != nil {
+		return err
 	}
 	if w.segSeq == 0 {
 		if err := os.MkdirAll(filepath.Join(w.dir, framesDir), 0o755); err != nil {
@@ -577,13 +634,6 @@ func (w *Writer) rollSegment() error {
 	return nil
 }
 
-// closeSegment flushes and closes the open segment. Caller holds w.mu.
-func (w *Writer) closeSegment() error {
-	err := w.seg.close()
-	w.seg = nil
-	return err
-}
-
 // Flush persists buffered snapshots, rounds, and frame lines, and
 // reports the sticky error, if any (metrics.Sink).
 func (w *Writer) Flush() error {
@@ -616,25 +666,11 @@ func (w *Writer) Close() error {
 			w.err = err
 		}
 	}
-	if w.snaps != nil {
-		firstErr(w.snaps.close())
-		w.snaps = nil
-	}
-	if w.rounds != nil {
-		firstErr(w.rounds.close())
-		w.rounds = nil
-	}
-	if w.seg != nil {
-		firstErr(w.closeSegment())
-	}
-	if len(w.segments) > 0 {
-		idx := frameIndex{Frames: w.frames, Segments: w.segments}
-		data, err := json.MarshalIndent(idx, "", "  ")
-		if err == nil {
-			err = os.WriteFile(filepath.Join(w.dir, framesDir, indexFile), append(data, '\n'), 0o644)
-		}
-		firstErr(err)
-	}
+	firstErr(w.snaps.close())
+	firstErr(w.rounds.close())
+	firstErr(w.seg.close())
+	w.snaps, w.rounds, w.seg = nil, nil, nil
+	firstErr(writeIndex(w.dir, w.segments))
 	return w.err
 }
 
