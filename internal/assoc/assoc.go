@@ -105,10 +105,20 @@ func BuildPairSamples(trace *scene.Trace, srcCam, dstCam int) ([]Sample, error) 
 	if srcCam < 0 || dstCam < 0 || srcCam >= len(trace.Cameras) || dstCam >= len(trace.Cameras) {
 		return nil, fmt.Errorf("assoc: camera pair (%d,%d) out of range [0,%d)", srcCam, dstCam, len(trace.Cameras))
 	}
-	var out []Sample
+	// One sample per source observation: size the output once, and reuse
+	// one map of the frame's destination boxes.
+	n := 0
+	for fi := range trace.Frames {
+		n += len(trace.Frames[fi].PerCamera[srcCam])
+	}
+	out := make([]Sample, 0, n)
+	dstByID := make(map[int]geom.Rect)
 	for fi := range trace.Frames {
 		f := &trace.Frames[fi]
-		dstByID := make(map[int]geom.Rect, len(f.PerCamera[dstCam]))
+		if len(f.PerCamera[srcCam]) == 0 {
+			continue
+		}
+		clear(dstByID)
 		for _, o := range f.PerCamera[dstCam] {
 			dstByID[o.ObjectID] = o.Box
 		}

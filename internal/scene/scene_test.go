@@ -3,6 +3,7 @@ package scene
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mvs/internal/geom"
@@ -37,19 +38,51 @@ func TestCameraValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cases := []func(*Camera){
-		func(c *Camera) { c.Height = 0 },
-		func(c *Camera) { c.Pitch = 0 },
-		func(c *Camera) { c.Pitch = math.Pi },
-		func(c *Camera) { c.Focal = 0 },
-		func(c *Camera) { c.ImageW = 0 },
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		mutate func(*Camera)
+		want   string // a fragment of the error
+	}{
+		{func(c *Camera) { c.Height = 0 }, "height 0 must be positive"},
+		{func(c *Camera) { c.Pitch = 0 }, "pitch 0 must be in"},
+		{func(c *Camera) { c.Pitch = math.Pi }, "must be in (0, pi/2)"},
+		{func(c *Camera) { c.Focal = 0 }, "focal 0 must be positive"},
+		{func(c *Camera) { c.ImageW = 0 }, "image 0x704 must be positive"},
+		// Non-finite fields compare false with every bound, so each needs
+		// its own check; before it, each of these cameras passed and then
+		// saw nothing.
+		{func(c *Camera) { c.Pitch = nan }, "pitch NaN must be finite"},
+		{func(c *Camera) { c.Height = nan }, "height NaN must be finite"},
+		{func(c *Camera) { c.ImageW = nan }, "image width NaN must be finite"},
+		{func(c *Camera) { c.ImageH = inf }, "image height +Inf must be finite"},
+		{func(c *Camera) { c.Yaw = nan }, "yaw NaN must be finite"},
+		{func(c *Camera) { c.Focal = inf }, "focal +Inf must be finite"},
+		{func(c *Camera) { c.Pos.X = -inf }, "position x -Inf must be finite"},
+		{func(c *Camera) { c.Pos.Y = nan }, "position y NaN must be finite"},
+		{func(c *Camera) { c.MaxRange = inf }, "max range +Inf must be finite"},
+		{func(c *Camera) { c.MinPixelArea = nan }, "min pixel area NaN must be finite"},
+		// A negative range read as "unlimited", a negative area as the
+		// default: both were accepted silently.
+		{func(c *Camera) { c.MaxRange = -1 }, "max range -1 must not be negative"},
+		{func(c *Camera) { c.MinPixelArea = -64 }, "min pixel area -64 must not be negative"},
 	}
-	for i, mutate := range cases {
+	for i, tc := range cases {
 		c := testCamera()
-		mutate(c)
-		if err := c.Validate(); err == nil {
+		tc.mutate(c)
+		err := c.Validate()
+		if err == nil {
 			t.Errorf("case %d: invalid camera accepted", i)
+			continue
 		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: error %q does not say %q", i, err, tc.want)
+		}
+	}
+	// The zero values keep their meanings: no range limit, default area.
+	c := testCamera()
+	c.MaxRange, c.MinPixelArea = 0, 0
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -57,7 +90,7 @@ func TestProjectPointBasics(t *testing.T) {
 	c := testCamera()
 	// A point straight ahead on the ground projects to the vertical
 	// centreline, below the horizon.
-	px, ok := c.ProjectPoint(geom.Point{X: 20, Y: 0}, 0)
+	px, ok := c.pose().projectPoint(geom.Point{X: 20, Y: 0}, 0)
 	if !ok {
 		t.Fatal("point ahead not visible")
 	}
@@ -69,18 +102,18 @@ func TestProjectPointBasics(t *testing.T) {
 		t.Fatalf("ground point above horizon (%v): %v", horizonY, px)
 	}
 	// A point behind the camera does not project.
-	if _, ok := c.ProjectPoint(geom.Point{X: -20, Y: 0}, 0); ok {
+	if _, ok := c.pose().projectPoint(geom.Point{X: -20, Y: 0}, 0); ok {
 		t.Fatal("point behind camera projected")
 	}
 	// Nearer points project lower in the image.
-	near, _ := c.ProjectPoint(geom.Point{X: 10, Y: 0}, 0)
-	far, _ := c.ProjectPoint(geom.Point{X: 60, Y: 0}, 0)
+	near, _ := c.pose().projectPoint(geom.Point{X: 10, Y: 0}, 0)
+	far, _ := c.pose().projectPoint(geom.Point{X: 60, Y: 0}, 0)
 	if near.Y <= far.Y {
 		t.Fatalf("near %v not below far %v", near.Y, far.Y)
 	}
 	// A point to the left (positive Y with yaw 0) projects left of centre.
-	left, _ := c.ProjectPoint(geom.Point{X: 20, Y: 5}, 0)
-	right, _ := c.ProjectPoint(geom.Point{X: 20, Y: -5}, 0)
+	left, _ := c.pose().projectPoint(geom.Point{X: 20, Y: 5}, 0)
+	right, _ := c.pose().projectPoint(geom.Point{X: 20, Y: -5}, 0)
 	if left.X == right.X {
 		t.Fatal("lateral offset not visible in projection")
 	}
@@ -124,7 +157,7 @@ func TestProjectBoxInvisibleCases(t *testing.T) {
 func TestGroundFromPixelRoundTrip(t *testing.T) {
 	c := testCamera()
 	for _, p := range []geom.Point{{X: 15, Y: 0}, {X: 40, Y: 8}, {X: 70, Y: -12}, {X: 10, Y: 3}} {
-		px, ok := c.ProjectPoint(p, 0)
+		px, ok := c.pose().projectPoint(p, 0)
 		if !ok {
 			t.Fatalf("point %v not visible", p)
 		}
@@ -155,7 +188,7 @@ func TestGroundFromPixelYawInvariance(t *testing.T) {
 	// Rotating the camera must rotate the unprojected point accordingly.
 	c := testCamera()
 	c.Yaw = math.Pi / 2 // looking along +Y
-	px, ok := c.ProjectPoint(geom.Point{X: 0, Y: 30}, 0)
+	px, ok := c.pose().projectPoint(geom.Point{X: 0, Y: 30}, 0)
 	if !ok {
 		t.Fatal("point along view dir not visible")
 	}

@@ -321,6 +321,10 @@ func (w *World) Run(numFrames int) (*Trace, error) {
 		projs []proj
 		seen  []Observation
 	)
+	poses := make([]pose, len(w.Cameras))
+	for ci, cam := range w.Cameras {
+		poses[ci] = cam.pose()
+	}
 	// lastSpawnDist tracks per-route the most recent spawn's current
 	// distance, to enforce headway.
 	for frame := 0; frame < numFrames; frame++ {
@@ -394,10 +398,10 @@ func (w *World) Run(numFrames int) (*Trace, error) {
 
 		// Project per camera, applying occlusion if modelled.
 		ft.PerCamera = make([][]Observation, len(w.Cameras))
-		for ci, cam := range w.Cameras {
+		for ci, cam := range poses {
 			projs, seen = projs[:0], seen[:0]
 			for _, s := range ft.Objects {
-				if box, ok := cam.ProjectBox(s); ok {
+				if box, ok := cam.projectBox(s); ok {
 					projs = append(projs, proj{
 						obs:  Observation{ObjectID: s.ID, Box: box},
 						dist: s.Pos.Dist(cam.Pos),
