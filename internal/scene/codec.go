@@ -2,9 +2,11 @@ package scene
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -171,36 +173,161 @@ func (d *dec) lit(s string) bool {
 	return true
 }
 
-func (d *dec) digits() bool {
-	start := d.i
-	for d.i < len(d.b) && '0' <= d.b[d.i] && d.b[d.i] <= '9' {
-		d.i++
-	}
-	return d.i > start
-}
-
-// integer scans the integer part of a JSON number: an optional minus,
-// then 0 or a digit string that does not start with 0.
-func (d *dec) integer() bool {
-	if d.i < len(d.b) && d.b[d.i] == '-' {
+// int scans a JSON integer, an optional minus and then 0 or a digit
+// string that does not start with 0, into v, folding the digits as it
+// goes. A value outside int's range fails with the scan past its
+// digits. A fraction or exponent is left unread, so the literal
+// expected next fails there.
+func (d *dec) int(v *int) bool {
+	neg := d.i < len(d.b) && d.b[d.i] == '-'
+	if neg {
 		d.i++
 	}
 	if d.i < len(d.b) && d.b[d.i] == '0' {
 		d.i++
+		*v = 0
 		return true
 	}
-	return d.digits()
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	start := d.i
+	var n uint64
+	over := false
+	for ; d.i < len(d.b); d.i++ {
+		c := uint64(d.b[d.i] - '0')
+		if c > 9 {
+			break
+		}
+		if n > (limit-c)/10 {
+			over = true
+		}
+		n = n*10 + c
+	}
+	if neg {
+		n = -n
+	}
+	*v = int(n)
+	return d.i > start && !over
 }
 
-// int scans a JSON integer into v. A fraction or exponent is left
-// unread, so the literal expected next fails there.
-func (d *dec) int(v *int) bool {
+// eightDigits reports whether the eight bytes of x, read little-endian,
+// are all ASCII digits: each byte's high nibble is 3, and adding 6 keeps
+// it 3 (fast_float's is_made_of_eight_digits_fast).
+func eightDigits(x uint64) bool {
+	const hi = 0xF0F0F0F0F0F0F0F0
+	return x&hi|((x+0x0606060606060606)&hi)>>4 == 0x3333333333333333
+}
+
+// eightDigitsValue is the number the eight ASCII digits of x spell, the
+// first digit in the low byte: adjacent digits pair up into every other
+// byte, then two multiplies weigh the four pairs and sum them into the
+// high word (fast_float's parse_eight_digits_unrolled).
+func eightDigitsValue(x uint64) uint64 {
+	const pairs = 0x000000FF000000FF
+	x -= 0x3030303030303030
+	x = x*10 + x>>8
+	return ((x&pairs)*(100+1000000<<32) + (x>>16&pairs)*(1+10000<<32)) >> 32
+}
+
+// mantissa scans a digit string and folds it into m, counting in nd the
+// significant digits, those from the first non-zero one on, and returns
+// both. Leading zeros are skipped, then digits fold eight at a time
+// while eight follow and one at a time after that. m is exact while nd
+// is at most 19; past that it wraps and must not be used.
+func (d *dec) mantissa(m uint64, nd int) (uint64, int, bool) {
+	b, i := d.b, d.i
+	if nd == 0 {
+		for i < len(b) && b[i] == '0' {
+			i++
+		}
+	}
+	for i+8 <= len(b) {
+		x := binary.LittleEndian.Uint64(b[i:])
+		if !eightDigits(x) {
+			break
+		}
+		m = m*100_000_000 + eightDigitsValue(x)
+		nd += 8
+		i += 8
+	}
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		m = m*10 + uint64(c)
+		nd++
+	}
+	ok := i > d.i
+	d.i = i
+	return m, nd, ok
+}
+
+// float scans a number of the strict JSON grammar into v in one pass,
+// building the mantissa as it checks the grammar; strconv.ParseFloat
+// would also take "+1", ".5", "1.", "0x1p-2", "1_0" and "Inf". The value
+// is ParseFloat's, as encoding/json's is, so the float64 round trip is
+// exact. A number of at most 19 significant digits is its folded
+// mantissa times 10^e, e its exponent less its fraction digits, and
+// exact finishes it when e is in [-22, 0], the range every canonical
+// fixed-point number falls in. Only what exact declines, a number of
+// more digits and one of another e are handed to ParseFloat.
+func (d *dec) float(v *float64) bool {
 	start := d.i
-	if !d.integer() {
+	neg := d.i < len(d.b) && d.b[d.i] == '-'
+	if neg {
+		d.i++
+	}
+	var mant uint64
+	var nd, exp10 int
+	var ok bool
+	if d.i < len(d.b) && d.b[d.i] == '0' {
+		d.i++
+	} else if mant, nd, ok = d.mantissa(0, 0); !ok {
 		return false
 	}
-	n, err := strconv.Atoi(string(d.b[start:d.i]))
-	*v = n
+	if d.i < len(d.b) && d.b[d.i] == '.' {
+		d.i++
+		at := d.i
+		if mant, nd, ok = d.mantissa(mant, nd); !ok {
+			return false
+		}
+		exp10 = at - d.i
+	}
+	if d.i < len(d.b) && (d.b[d.i] == 'e' || d.b[d.i] == 'E') {
+		d.i++
+		eneg := d.i < len(d.b) && d.b[d.i] == '-'
+		if eneg || d.i < len(d.b) && d.b[d.i] == '+' {
+			d.i++
+		}
+		at := d.i
+		e := 0
+		for ; d.i < len(d.b) && '0' <= d.b[d.i] && d.b[d.i] <= '9'; d.i++ {
+			if e < 1e6 {
+				e = e*10 + int(d.b[d.i]-'0')
+			}
+		}
+		if d.i == at {
+			return false
+		}
+		if e >= 1e6 { // e stopped growing: let ±e alone leave the table
+			exp10 = 0
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
+	}
+	if nd <= 19 {
+		if f, done := exact(mant, exp10, neg); done {
+			*v = f
+			return true
+		}
+	}
+	f, err := strconv.ParseFloat(string(d.b[start:d.i]), 64)
+	*v = f
 	return err == nil
 }
 
@@ -210,75 +337,109 @@ var float64pow10 = [...]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// mantissa scans a digit string like digits and folds it into *m,
-// counting in *nd the significant digits, those from the first non-zero
-// one on. *m is exact while *nd is at most 19; past that it wraps and
-// must not be used.
-func (d *dec) mantissa(m *uint64, nd *int) bool {
-	start := d.i
-	for ; d.i < len(d.b); d.i++ {
-		c := d.b[d.i] - '0'
-		if c > 9 {
-			break
-		}
-		if *nd > 0 || c != 0 {
-			*nd++
-		}
-		*m = *m*10 + uint64(c)
-	}
-	return d.i > start
+// pow10Min is the exponent of pow10Table's first row; its last is 10^0.
+const pow10Min = -22
+
+// pow10Table holds, for each e in [pow10Min, 0], the 128-bit mantissa of
+// 10^e rounded down, normalised so bit 127 is set, as {low, high} words:
+// the rows of strconv's detailedPowersOfTen that exact needs.
+var pow10Table = [...][2]uint64{
+	{0x5324C68B12DD6338, 0xF1C90080BAF72CB1}, // 1e-22
+	{0xD3F6FC16EBCA5E03, 0x971DA05074DA7BEE}, // 1e-21
+	{0x88F4BB1CA6BCF584, 0xBCE5086492111AEA}, // 1e-20
+	{0x2B31E9E3D06C32E5, 0xEC1E4A7DB69561A5}, // 1e-19
+	{0x3AFF322E62439FCF, 0x9392EE8E921D5D07}, // 1e-18
+	{0x09BEFEB9FAD487C2, 0xB877AA3236A4B449}, // 1e-17
+	{0x4C2EBE687989A9B3, 0xE69594BEC44DE15B}, // 1e-16
+	{0x0F9D37014BF60A10, 0x901D7CF73AB0ACD9}, // 1e-15
+	{0x538484C19EF38C94, 0xB424DC35095CD80F}, // 1e-14
+	{0x2865A5F206B06FB9, 0xE12E13424BB40E13}, // 1e-13
+	{0xF93F87B7442E45D3, 0x8CBCCC096F5088CB}, // 1e-12
+	{0xF78F69A51539D748, 0xAFEBFF0BCB24AAFE}, // 1e-11
+	{0xB573440E5A884D1B, 0xDBE6FECEBDEDD5BE}, // 1e-10
+	{0x31680A88F8953030, 0x89705F4136B4A597}, // 1e-9
+	{0xFDC20D2B36BA7C3D, 0xABCC77118461CEFC}, // 1e-8
+	{0x3D32907604691B4C, 0xD6BF94D5E57A42BC}, // 1e-7
+	{0xA63F9A49C2C1B10F, 0x8637BD05AF6C69B5}, // 1e-6
+	{0x0FCF80DC33721D53, 0xA7C5AC471B478423}, // 1e-5
+	{0xD3C36113404EA4A8, 0xD1B71758E219652B}, // 1e-4
+	{0x645A1CAC083126E9, 0x83126E978D4FDF3B}, // 1e-3
+	{0x3D70A3D70A3D70A3, 0xA3D70A3D70A3D70A}, // 1e-2
+	{0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC}, // 1e-1
+	{0x0000000000000000, 0x8000000000000000}, // 1e0
 }
 
-// float scans a number of the strict JSON grammar into v in one pass,
-// building the mantissa as it checks the grammar; strconv.ParseFloat
-// would also take "+1", ".5", "1.", "0x1p-2", "1_0" and "Inf". The value
-// is ParseFloat's, as encoding/json's is, so the float64 round trip is
-// exact. A number of at most 19 significant digits whose mantissa is
-// below 2^53, with at most 22 fraction digits and no exponent, is the
-// quotient of two exactly represented float64s, and one correctly
-// rounded division gives the correctly rounded value (Clinger's fast
-// path, strconv's atof64exact). Every other number is handed to
-// ParseFloat.
-func (d *dec) float(v *float64) bool {
-	start := d.i
-	neg := d.i < len(d.b) && d.b[d.i] == '-'
-	if neg {
-		d.i++
+// exact returns the float64 nearest man·10^exp10, ties to even, or false
+// when it cannot tell it cheaply. A mantissa below 2^53 over a power of
+// ten below 10^23 is the quotient of two exactly represented float64s,
+// and one correctly rounded division gives the value (Clinger's fast
+// path, strconv's atof64exact). Any other mantissa goes through the
+// Eisel–Lemire step (Lemire, "Number Parsing at a Gigabyte per Second",
+// 2021), as strconv's eiselLemire64 runs it: the 64-bit mantissa times
+// 10^exp10's truncated 128-bit mantissa, widened to the low word when
+// the high word's low bits cannot rule out a carry, declining when the
+// product sits on a halfway point between two float64s or leaves the
+// normal range. The section comments are strconv's, which name the
+// sections of https://nigeltao.github.io/blog/2020/eisel-lemire.html.
+func exact(man uint64, exp10 int, neg bool) (float64, bool) {
+	if exp10 < pow10Min || exp10 > 0 {
+		return 0, false
 	}
-	var mant uint64
-	nd, frac := 0, 0
-	if d.i < len(d.b) && d.b[d.i] == '0' {
-		d.i++
-	} else if !d.mantissa(&mant, &nd) {
-		return false
-	}
-	if d.i < len(d.b) && d.b[d.i] == '.' {
-		d.i++
-		at := d.i
-		if !d.mantissa(&mant, &nd) {
-			return false
-		}
-		frac = d.i - at
-	}
-	if d.i < len(d.b) && (d.b[d.i] == 'e' || d.b[d.i] == 'E') {
-		d.i++
-		if d.i < len(d.b) && (d.b[d.i] == '+' || d.b[d.i] == '-') {
-			d.i++
-		}
-		if !d.digits() {
-			return false
-		}
-	} else if nd <= 19 && mant < 1<<53 && frac < len(float64pow10) {
-		f := float64(mant) / float64pow10[frac]
+	if man < 1<<53 {
+		f := float64(man) / float64pow10[-exp10]
 		if neg {
 			f = -f
 		}
-		*v = f
-		return true
+		return f, true
 	}
-	f, err := strconv.ParseFloat(string(d.b[start:d.i]), 64)
-	*v = f
-	return err == nil
+	// Normalization.
+	clz := bits.LeadingZeros64(man)
+	man <<= uint(clz)
+	const float64ExponentBias = 1023
+	retExp2 := uint64(217706*exp10>>16+64+float64ExponentBias) - uint64(clz)
+
+	// Multiplication.
+	pow := &pow10Table[exp10-pow10Min]
+	xHi, xLo := bits.Mul64(man, pow[1])
+
+	// Wider Approximation.
+	if xHi&0x1FF == 0x1FF && xLo+man < man {
+		yHi, yLo := bits.Mul64(man, pow[0])
+		mergedHi, mergedLo := xHi, xLo+yHi
+		if mergedLo < xLo {
+			mergedHi++
+		}
+		if mergedHi&0x1FF == 0x1FF && mergedLo+1 == 0 && yLo+man < man {
+			return 0, false
+		}
+		xHi, xLo = mergedHi, mergedLo
+	}
+
+	// Shifting to 54 Bits.
+	msb := xHi >> 63
+	retMantissa := xHi >> (msb + 9)
+	retExp2 -= 1 ^ msb
+
+	// Half-way Ambiguity.
+	if xLo == 0 && xHi&0x1FF == 0 && retMantissa&3 == 1 {
+		return 0, false
+	}
+
+	// From 54 to 53 Bits.
+	retMantissa += retMantissa & 1
+	retMantissa >>= 1
+	if retMantissa>>53 > 0 {
+		retMantissa >>= 1
+		retExp2++
+	}
+	if retExp2-1 >= 0x7FF-1 { // subnormal, or Inf/NaN
+		return 0, false
+	}
+	retBits := retExp2<<52 | retMantissa&(1<<52-1)
+	if neg {
+		retBits |= 1 << 63
+	}
+	return math.Float64frombits(retBits), true
 }
 
 // The shortest canonical list elements: no list of n elements is

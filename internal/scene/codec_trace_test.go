@@ -59,3 +59,34 @@ func TestFrameCodecOnTraces(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFrameDecoderS4 decodes the frames of a 1000-frame S4 run with
+// one warm FrameDecoder, the way store.Replay does, and reports the time
+// per frame. S4's positions and boxes are mostly 15 to 17-digit
+// mantissas, the replay workload's share of the float scan.
+func BenchmarkFrameDecoderS4(b *testing.B) {
+	s := workload.S4(1)
+	trace, err := s.World.Run(1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lines := make([][]byte, len(trace.Frames))
+	size := 0
+	for fi := range trace.Frames {
+		if lines[fi], err = scene.AppendFrame(nil, &trace.Frames[fi]); err != nil {
+			b.Fatal(err)
+		}
+		size += len(lines[fi])
+	}
+	var fd scene.FrameDecoder
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, line := range lines {
+			if _, err := fd.Decode(line, len(trace.Cameras)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines))/1e3, "us/frame")
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"regexp"
@@ -168,6 +169,36 @@ func TestFrameDecoderAllocatesNothingWhenWarm(t *testing.T) {
 	}
 }
 
+// TestPow10Table holds every row of the exact step's power table to the
+// truncated 128-bit mantissa of 10^e computed with math/big, normalised
+// as strconv's table is: 10^e ≈ m·2^(k-127) with 2^127 <= m < 2^128 and
+// k = floor(e·log2 10), the exponent exact derives as 217706·e>>16.
+func TestPow10Table(t *testing.T) {
+	if got, want := len(pow10Table), 1-pow10Min; got != want {
+		t.Fatalf("%d rows, want %d, 10^%d to 10^0", got, want, pow10Min)
+	}
+	one := big.NewInt(1)
+	lo, hi := new(big.Int).Lsh(one, 127), new(big.Int).Lsh(one, 128)
+	for e := pow10Min; e <= 0; e++ {
+		k := 217706 * e >> 16
+		if f := math.Floor(float64(e) * math.Log2(10)); float64(k) != f {
+			t.Fatalf("217706·%d>>16 = %d, floor(%d·log2 10) = %v", e, k, e, f)
+		}
+		// m = floor(10^e·2^(127-k)) = floor(2^(127-k) / 10^-e)
+		m := new(big.Int).Lsh(one, uint(127-k))
+		m.Quo(m, new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(-e)), nil))
+		if m.Cmp(lo) < 0 || m.Cmp(hi) >= 0 {
+			t.Fatalf("10^%d: the mantissa %#x is not normalised to 128 bits", e, m)
+		}
+		row := pow10Table[e-pow10Min]
+		got := new(big.Int).Lsh(new(big.Int).SetUint64(row[1]), 64)
+		got.Or(got, new(big.Int).SetUint64(row[0]))
+		if got.Cmp(m) != 0 {
+			t.Errorf("10^%d: row %#x, want %#x", e, got, m)
+		}
+	}
+}
+
 // jsonNumber is the number grammar of RFC 8259.
 var jsonNumber = regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
 
@@ -292,6 +323,98 @@ func TestScanFloatMatchesParseFloat(t *testing.T) {
 			t.Fatal(msg)
 		}
 	}
+	for i := 0; i < n/4; i++ {
+		buf = edgeNumber(rng, buf[:0], i)
+		if msg := scanFloatMismatch(buf, true); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+	// The exponent stops growing at seven digits: with a million
+	// fraction digits against it, the sum must not land in the table.
+	far := "0." + strings.Repeat("0", 1_000_004) + "1"
+	for _, s := range []string{far + "e10000000", far + "e1000005", far + "e-10000000"} {
+		if msg := scanFloatMismatch([]byte(s), true); msg != "" {
+			t.Fatal(msg[:100])
+		}
+	}
+}
+
+// edgeNumber appends the i-th draw of the float scan's edges to buf:
+// mantissas of 16 to 20 significant digits around 2^53, 10^19 and 2^64,
+// and random ones of that length; the shortest decimal spelling of the
+// point halfway between two adjacent float64s, which the exact step must
+// leave to ParseFloat; fractions behind leading zeros; negative zeros;
+// and exponent forms that land on either side of the table's ends. Each
+// is signed at random, and its point is put anywhere in the digits or
+// behind leading zeros.
+func edgeNumber(rng *rand.Rand, buf []byte, i int) []byte {
+	if rng.Intn(2) == 0 {
+		buf = append(buf, '-')
+	}
+	random := func(k int) string {
+		b := []byte{byte('1' + rng.Intn(9))}
+		for ; k > 1; k-- {
+			b = append(b, byte('0'+rng.Intn(10)))
+		}
+		return string(b)
+	}
+	var mant string // significant digits, the first non-zero
+	switch i % 6 {
+	case 0: // around the bounds, with trailing zeros to 20 digits
+		base := []*big.Int{
+			new(big.Int).Lsh(big.NewInt(1), 53),
+			new(big.Int).Exp(big.NewInt(10), big.NewInt(19), nil),
+			new(big.Int).Lsh(big.NewInt(1), 64),
+		}[rng.Intn(3)]
+		mant = new(big.Int).Add(base, big.NewInt(rng.Int63n(2001)-1000)).String()
+		if k := 20 - len(mant); k > 0 {
+			mant += strings.Repeat("0", rng.Intn(k+1))
+		}
+	case 1:
+		mant = random([]int{16, 17, 18, 19, 20}[rng.Intn(5)])
+	case 2: // halfway between f and the next float64 up, f >= 2^50: at
+		// most three binary fraction digits, so the 'f' text is exact
+		f := math.Ldexp(1+rng.Float64(), 50+rng.Intn(14))
+		h := new(big.Float).SetPrec(256).SetFloat64(f)
+		h.Add(h, new(big.Float).SetFloat64((math.Nextafter(f, math.Inf(1))-f)/2))
+		s := strings.TrimRight(h.Text('f', 3), "0")
+		s = strings.TrimSuffix(s, ".")
+		if rng.Intn(2) == 0 {
+			s += "." + strings.Repeat("0", 1+rng.Intn(3))
+		}
+		return append(buf, s...)
+	case 3: // behind leading zeros
+		buf = append(buf, "0."...)
+		buf = append(buf, strings.Repeat("0", rng.Intn(9))...)
+		return append(buf, random(1+rng.Intn(20))...)
+	case 4: // spelled with their own sign
+		return append(buf[:0], []string{"-0", "-0.0", "-0.000000", "-0e5", "-0.0e-3", "-0E+0", "-0." + strings.Repeat("0", 24)}[rng.Intn(7)]...)
+	default: // an exponent that puts the value's last digit near 10^-22 or 10^0
+		mant = random(1 + rng.Intn(20))
+		buf = append(buf, mant[0])
+		if len(mant) > 1 {
+			buf = append(buf, '.')
+			buf = append(buf, mant[1:]...)
+		}
+		buf = append(buf, 'e')
+		last := []int{-23, -22, -21, -1, 0, 1}[rng.Intn(6)]
+		return strconv.AppendInt(buf, int64(last+len(mant)-1), 10)
+	}
+	switch point := rng.Intn(len(mant) + 2); {
+	case point == 0: // behind up to eight leading zeros
+		buf = append(buf, "0."...)
+		buf = append(buf, strings.Repeat("0", rng.Intn(9))...)
+		buf = append(buf, mant...)
+	case point > len(mant):
+		buf = append(buf, mant...)
+	default:
+		buf = append(buf, mant[:point]...)
+		if point < len(mant) {
+			buf = append(buf, '.')
+			buf = append(buf, mant[point:]...)
+		}
+	}
+	return buf
 }
 
 // FuzzScanFloat holds the float scan to the JSON number grammar and to
@@ -305,6 +428,18 @@ func FuzzScanFloat(f *testing.F) {
 		"1.7976931348623157e308", "1e400", "0.0000000000000000000001", "1234567890123456789012.5",
 		"01", "1.", ".5", "+1", "-", "1e", "0x1p-2", "1_0", "Inf", "NaN", "",
 		strings.Repeat("9", 25), "0." + strings.Repeat("0", 30) + "1",
+		// 16 to 20 significant digits around 2^53, 10^19 and 2^64
+		"9007199254740991", "9007199254740992", "900719925474099.3", "90071992547409.9300",
+		"1234567890123456.7", "12345678901234567.89", "1234567890123456789", "0.1234567890123456789",
+		"9999999999999999999", "10000000000000000000", "10000000000000000001", "999999999999999999.9",
+		"18446744073709551615", "18446744073709551616", "1844674407370955161.5",
+		// halfway between adjacent float64s: ParseFloat rounds to even
+		"9007199254740993", "9007199254740995", "9007199254740993.000", "4503599627370496.5",
+		"4503599627370497.5", "2251799813685248.25", "1125899906842624.125", "9223372036854776832",
+		// fractions behind leading zeros, and the table's ends
+		"0.0000012345678901234567", "0.000001234", "0.00000000000000000000012345678901234567",
+		"1e-22", "1e-23", "9e-22", "123456789012345678e-22", "12345678901234567890e-21", "1.5e-7",
+		"-0", "-0.0", "-0e5", "-0.000e-3",
 	} {
 		f.Add(s)
 	}
@@ -313,4 +448,60 @@ func FuzzScanFloat(f *testing.F) {
 			t.Fatal(msg)
 		}
 	})
+}
+
+// TestIntegerFieldsPinned pins what an integer field reads, through
+// ScanInt and through a frame's index and id fields: the value of each
+// accepted integer, and for each rejected one the offset where the scan
+// stopped. The edges are int's range, a leading zero (read as 0, the
+// next byte left for the literal after it) and a lone minus.
+func TestIntegerFieldsPinned(t *testing.T) {
+	if math.MaxInt != math.MaxInt64 {
+		t.Skip("the cases are 64-bit int's edges")
+	}
+	for _, c := range []struct {
+		in   string
+		v    int
+		ok   bool
+		stop int // bytes of in consumed
+	}{
+		{"0", 0, true, 1},
+		{"-0", 0, true, 2},
+		{"7", 7, true, 1},
+		{"-42", -42, true, 3},
+		{"9223372036854775807", math.MaxInt64, true, 19},
+		{"-9223372036854775808", math.MinInt64, true, 20},
+		{"9223372036854775808", 0, false, 19},
+		{"-9223372036854775809", 0, false, 20},
+		{"18446744073709551616", 0, false, 20},
+		{"99999999999999999999999", 0, false, 23},
+		{"01", 0, true, 1},
+		{"-", 0, false, 1},
+		{"-a", 0, false, 1},
+	} {
+		v, rest, ok := ScanInt([]byte(c.in))
+		if ok != c.ok || ok && v != c.v || len(c.in)-len(rest) != c.stop {
+			t.Errorf("ScanInt(%q) = %d, rest %q, %v; want %d, stop at %d, %v", c.in, v, rest, ok, c.v, c.stop, c.ok)
+		}
+		for _, field := range []struct {
+			pre, post string
+			get       func(*FrameTruth) int
+		}{
+			{`{"index":`, `,"per_camera":[null]}`, func(f *FrameTruth) int { return f.Index }},
+			{`{"index":0,"per_camera":[[{"id":`, `,"box":[0,0,0,0]}]]}`, func(f *FrameTruth) int { return f.PerCamera[0][0].ObjectID }},
+			{`{"index":0,"objects":[{"id":`, `,"x":0,"y":0,"heading":0,"speed":0,"w":0,"l":0,"h":0}],"per_camera":[null]}`, func(f *FrameTruth) int { return f.Objects[0].ID }},
+		} {
+			data := field.pre + c.in + field.post
+			f, err := UnmarshalFrame([]byte(data), 1)
+			if c.ok && c.stop == len(c.in) {
+				if err != nil || field.get(f) != c.v {
+					t.Errorf("UnmarshalFrame(%s): %v, want the field %d", data, err, c.v)
+				}
+				continue
+			}
+			if want := fmt.Sprintf(" at byte %d", len(field.pre)+c.stop); err == nil || !strings.HasSuffix(err.Error(), want) {
+				t.Errorf("UnmarshalFrame(%s): %v, want an error ending %q", data, err, want)
+			}
+		}
+	}
 }
