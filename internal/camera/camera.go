@@ -230,11 +230,12 @@ func (k *Kernel) RegularFrame(obs []scene.Observation, policy *core.DistributedP
 		tasks = append(tasks, gpu.Task{ObjectID: t.ID, Size: t.QuantSize})
 		explained = append(explained, t.Predicted())
 	}
-	out.Sample.Observe(metrics.Tracking, time.Since(trackStart))
+	// One clock read ends the tracking stage and starts the distributed one.
+	sliced := time.Now()
+	out.Sample.Observe(metrics.Tracking, sliced.Sub(trackStart))
 
 	// --- Distributed stage part 1: new-region proposals. ---
 	if k.own != OwnNone {
-		distStart := time.Now()
 		moving := k.moving[:0]
 		for _, o := range obs {
 			moving = append(moving, o.Box)
@@ -258,7 +259,7 @@ func (k *Kernel) RegularFrame(obs []scene.Observation, policy *core.DistributedP
 			regions = append(regions, q)
 			tasks = append(tasks, gpu.Task{ObjectID: -1, Size: size})
 		}
-		out.Sample.Observe(metrics.Distributed, time.Since(distStart))
+		out.Sample.Observe(metrics.Distributed, time.Since(sliced))
 	}
 	k.regions, k.explained, k.tasks = regions, explained, tasks
 	out.Tasks = tasks
@@ -277,10 +278,10 @@ func (k *Kernel) RegularFrame(obs []scene.Observation, policy *core.DistributedP
 	if err != nil {
 		return fmt.Errorf("camera %d: tracking: %w", k.index, err)
 	}
-	out.Sample.Observe(metrics.Tracking, time.Since(trackStart))
+	updated := time.Now()
+	out.Sample.Observe(metrics.Tracking, updated.Sub(trackStart))
 
 	// --- Distributed stage part 2: ownership decisions. ---
-	distStart := time.Now()
 	for _, id := range created {
 		if t := k.tracker.Get(id); t != nil && !k.keepsNew(t.Box.Center(), policy) {
 			k.tracker.Remove(id)
@@ -289,7 +290,7 @@ func (k *Kernel) RegularFrame(obs []scene.Observation, policy *core.DistributedP
 	if k.own == OwnMasks {
 		k.takeover(policy, out)
 	}
-	out.Sample.Observe(metrics.Distributed, time.Since(distStart))
+	out.Sample.Observe(metrics.Distributed, time.Since(updated))
 	return nil
 }
 

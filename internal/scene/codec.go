@@ -34,17 +34,18 @@ func (e *enc) int(v int) { e.b = strconv.AppendInt(e.b, int64(v), 10) }
 // float appends f under encoding/json's rule: shortest round-trip
 // digits, 'f' format unless the exponent is below -6 or at least 21,
 // then 'e' with a one-digit negative exponent written as e-9, not e-09.
+// The 'f' form is appendFixed's (ftoa.go), the 'e' form strconv's.
 func (e *enc) float(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		e.bad = true
 		return
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if abs := math.Abs(f); abs == 0 || 1e-6 <= abs && abs < 1e21 {
+		e.b = appendFixed(e.b, f)
+		return
 	}
-	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
-	if n := len(e.b); format == 'e' && n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+	e.b = strconv.AppendFloat(e.b, f, 'e', -1, 64)
+	if n := len(e.b); n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
 		e.b[n-2] = e.b[n-1]
 		e.b = e.b[:n-1]
 	}
@@ -450,15 +451,15 @@ const (
 	minObjectJSON      = len(`{"id":0,"x":0,"y":0,"heading":0,"speed":0,"w":0,"l":0,"h":0}`)
 )
 
-// listLen sizes the non-empty list whose elements start at b[i]: a
+// listLen sizes the non-empty list whose elements start at b[start]: a
 // canonical element holds no nested object and no list of objects, so
 // the list runs to the first "}]" and has one element per '{' before it.
-func (d *dec) listLen(minElem int) (int, bool) {
-	end := bytes.Index(d.b[d.i:], []byte("}]"))
+func (d *dec) listLen(start, minElem int) (int, bool) {
+	end := bytes.Index(d.b[start:], []byte("}]"))
 	if end < 0 {
 		return 0, false
 	}
-	body := d.b[d.i : d.i+end+1]
+	body := d.b[start : start+end+1]
 	n := bytes.Count(body, []byte("{"))
 	return n, n > 0 && n <= len(body)/minElem
 }
@@ -475,8 +476,60 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n, max(n, 2*cap(s)))
 }
 
-// observations scans an observation list into dst's storage, growing it
-// when the list is longer. [] yields an empty, non-nil list.
+// extend returns out one element longer for the next element of the
+// list whose elements start at b[start]. Only when out is full is the
+// list sized, by listLen, and moved to a new array of that many elements
+// or twice out's capacity, whichever is more, so a list allocates as
+// often as sizing it first would: once when its storage is too short, at
+// its exact size from nil, and never beyond what its bytes can hold.
+func extend[T any](d *dec, out []T, start, minElem int) ([]T, bool) {
+	if len(out) == cap(out) {
+		n, ok := d.listLen(start, minElem)
+		if !ok {
+			return out, false
+		}
+		out = append(make([]T, 0, max(n, 2*cap(out))), out...)
+	}
+	return out[:len(out)+1], true
+}
+
+// listFailed ends a failed scan of the list whose elements start at
+// b[start]: where listLen rejects the list, the scan stops at its first
+// element, as one that sized the list first would, else where it
+// stopped.
+func (d *dec) listFailed(start, minElem int) bool {
+	if _, ok := d.listLen(start, minElem); !ok {
+		d.i = start
+	}
+	return false
+}
+
+// observation scans one element of an observation list into o.
+func (d *dec) observation(o *Observation) bool {
+	return d.lit(`{"id":`) && d.int(&o.ObjectID) &&
+		d.lit(`,"box":[`) && d.float(&o.Box.MinX) &&
+		d.lit(",") && d.float(&o.Box.MinY) &&
+		d.lit(",") && d.float(&o.Box.MaxX) &&
+		d.lit(",") && d.float(&o.Box.MaxY) &&
+		d.lit("]}")
+}
+
+// object scans one element of an object list into o.
+func (d *dec) object(o *ObjectState) bool {
+	return d.lit(`{"id":`) && d.int(&o.ID) &&
+		d.lit(`,"x":`) && d.float(&o.Pos.X) &&
+		d.lit(`,"y":`) && d.float(&o.Pos.Y) &&
+		d.lit(`,"heading":`) && d.float(&o.Heading) &&
+		d.lit(`,"speed":`) && d.float(&o.Speed) &&
+		d.lit(`,"w":`) && d.float(&o.Dims.W) &&
+		d.lit(`,"l":`) && d.float(&o.Dims.L) &&
+		d.lit(`,"h":`) && d.float(&o.Dims.H) &&
+		d.lit("}")
+}
+
+// observations scans an observation list into dst's storage, one
+// element at a time, growing it when the list is longer. [] yields an
+// empty, non-nil list.
 func (d *dec) observations(dst []Observation) ([]Observation, bool) {
 	if d.lit("[]") {
 		return []Observation{}, true
@@ -484,24 +537,19 @@ func (d *dec) observations(dst []Observation) ([]Observation, bool) {
 	if !d.lit("[") {
 		return nil, false
 	}
-	n, ok := d.listLen(minObservationJSON)
-	if !ok {
-		return nil, false
-	}
-	out := grow(dst, n)
-	for k := range out {
-		o := &out[k]
-		if k > 0 && !d.lit(",") ||
-			!d.lit(`{"id":`) || !d.int(&o.ObjectID) ||
-			!d.lit(`,"box":[`) || !d.float(&o.Box.MinX) ||
-			!d.lit(",") || !d.float(&o.Box.MinY) ||
-			!d.lit(",") || !d.float(&o.Box.MaxX) ||
-			!d.lit(",") || !d.float(&o.Box.MaxY) ||
-			!d.lit("]}") {
-			return nil, false
+	start, out, ok := d.i, dst[:0], false
+	for {
+		if out, ok = extend(d, out, start, minObservationJSON); !ok || !d.observation(&out[len(out)-1]) {
+			break
+		}
+		if d.lit("]") {
+			return out, true
+		}
+		if !d.lit(",") {
+			break
 		}
 	}
-	return out, d.lit("]")
+	return nil, d.listFailed(start, minObservationJSON)
 }
 
 // objects scans an object list under observations' rules.
@@ -512,27 +560,19 @@ func (d *dec) objects(dst []ObjectState) ([]ObjectState, bool) {
 	if !d.lit("[") {
 		return nil, false
 	}
-	n, ok := d.listLen(minObjectJSON)
-	if !ok {
-		return nil, false
-	}
-	out := grow(dst, n)
-	for k := range out {
-		o := &out[k]
-		if k > 0 && !d.lit(",") ||
-			!d.lit(`{"id":`) || !d.int(&o.ID) ||
-			!d.lit(`,"x":`) || !d.float(&o.Pos.X) ||
-			!d.lit(`,"y":`) || !d.float(&o.Pos.Y) ||
-			!d.lit(`,"heading":`) || !d.float(&o.Heading) ||
-			!d.lit(`,"speed":`) || !d.float(&o.Speed) ||
-			!d.lit(`,"w":`) || !d.float(&o.Dims.W) ||
-			!d.lit(`,"l":`) || !d.float(&o.Dims.L) ||
-			!d.lit(`,"h":`) || !d.float(&o.Dims.H) ||
-			!d.lit("}") {
-			return nil, false
+	start, out, ok := d.i, dst[:0], false
+	for {
+		if out, ok = extend(d, out, start, minObjectJSON); !ok || !d.object(&out[len(out)-1]) {
+			break
+		}
+		if d.lit("]") {
+			return out, true
+		}
+		if !d.lit(",") {
+			break
 		}
 	}
-	return out, d.lit("]")
+	return nil, d.listFailed(start, minObjectJSON)
 }
 
 // frame scans a whole canonical frame of numCameras observation lists

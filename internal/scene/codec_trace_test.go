@@ -2,6 +2,7 @@ package scene_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -89,4 +90,83 @@ func BenchmarkFrameDecoderS4(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines))/1e3, "us/frame")
+}
+
+// TestAppendFloatOnGeneratedFrames holds the frame encoder's float to
+// strconv's bytes on every value of 600 generated frames each of the
+// benchmark's corridor and the paper's four scenarios: each object's
+// seven fields and each box's four coordinates.
+func TestAppendFloatOnGeneratedFrames(t *testing.T) {
+	values := 0
+	var got, want []byte
+	for _, name := range []string{"C16", "S1", "S2", "S3", "S4"} {
+		s, err := workload.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := s.World.Run(600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(fi int, f float64) {
+			t.Helper()
+			got = scene.EncodeFloat(got[:0], f)
+			want = scene.StrconvFloat(want[:0], f)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s frame %d: %v (%#x) written %q, strconv %q", name, fi, f, math.Float64bits(f), got, want)
+			}
+			values++
+		}
+		for fi := range trace.Frames {
+			fr := &trace.Frames[fi]
+			for _, o := range fr.Objects {
+				for _, f := range []float64{o.Pos.X, o.Pos.Y, o.Heading, o.Speed, o.Dims.W, o.Dims.L, o.Dims.H} {
+					check(fi, f)
+				}
+			}
+			for _, obs := range fr.PerCamera {
+				for _, o := range obs {
+					for _, f := range []float64{o.Box.MinX, o.Box.MinY, o.Box.MaxX, o.Box.MaxY} {
+						check(fi, f)
+					}
+				}
+			}
+		}
+	}
+	if values < 500_000 {
+		t.Fatalf("only %d values in 3000 frames", values)
+	}
+}
+
+// BenchmarkAppendFrameC16 encodes the frames of a 1000-frame Corridor(16)
+// run into one reused buffer, the way store.Writer.AppendFrame does, and
+// reports the time per frame. A C16 frame carries some 870 floats, most
+// of them printing 17 or 18 characters.
+func BenchmarkAppendFrameC16(b *testing.B) {
+	s, err := workload.Corridor(16, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	trace, err := s.World.Run(1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf []byte
+	size := 0
+	for fi := range trace.Frames {
+		if buf, err = scene.AppendFrame(buf[:0], &trace.Frames[fi]); err != nil {
+			b.Fatal(err)
+		}
+		size += len(buf)
+	}
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for fi := range trace.Frames {
+			if buf, err = scene.AppendFrame(buf[:0], &trace.Frames[fi]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace.Frames))/1e3, "us/frame")
 }

@@ -169,6 +169,36 @@ func TestFrameDecoderAllocatesNothingWhenWarm(t *testing.T) {
 	}
 }
 
+// TestFrameDecoderGrowsGeometrically feeds a fresh FrameDecoder frames
+// whose object list and observation list grow by one element a frame,
+// to 256: each list moves to new storage only when it outgrows the old,
+// at twice the old capacity, so the whole sequence allocates a
+// logarithmic number of times, not once a frame.
+func TestFrameDecoderGrowsGeometrically(t *testing.T) {
+	const n = 256
+	rng := rand.New(rand.NewSource(43))
+	lines := make([][]byte, n)
+	for i := range lines {
+		var err error
+		if lines[i], err = AppendFrame(nil, sizedFrame(rng, i, i+1, []int{i + 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		var fd FrameDecoder
+		for _, line := range lines {
+			if _, err := fd.Decode(line, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// two lists, each reallocated at sizes 1, 2, 4, ..., 256, and the
+	// decoder's camera tables
+	if allocs > 2*10+4 {
+		t.Fatalf("%v allocations to decode lists growing from 1 to %d, want logarithmically many", allocs, n)
+	}
+}
+
 // TestPow10Table holds every row of the exact step's power table to the
 // truncated 128-bit mantissa of 10^e computed with math/big, normalised
 // as strconv's table is: 10^e ≈ m·2^(k-127) with 2^127 <= m < 2^128 and

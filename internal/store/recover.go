@@ -92,11 +92,11 @@ func Recover(dir string) (*Recovery, error) {
 	rec.Frames = frames
 	rec.Snapshots = snaps
 
-	if err := writeIndex(dir, segs); err != nil {
+	if err := writeIndex(dir, segs, man.syncs()); err != nil {
 		return nil, err
 	}
 	man.Recovered = true
-	if err := writeJSON(filepath.Join(dir, manifestFile), man); err != nil {
+	if err := writeJSON(filepath.Join(dir, manifestFile), man, man.syncs()); err != nil {
 		return nil, err
 	}
 	return rec, nil

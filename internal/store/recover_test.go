@@ -320,9 +320,15 @@ func checkRecovered(t *testing.T, dir string, rec *Recovery) {
 // snapshots on two cameras.
 func recordFiveFrames(t *testing.T) string {
 	t.Helper()
+	return recordFiveFramesWith(t, Options{})
+}
+
+// recordFiveFramesWith is recordFiveFrames under opts.
+func recordFiveFramesWith(t *testing.T, opts Options) string {
+	t.Helper()
 	_, roster := testRoster(t, 2)
 	dir := filepath.Join(t.TempDir(), "run")
-	w, err := Create(dir, Manifest{Mode: "BALB", Cameras: roster})
+	w, err := CreateWith(dir, Manifest{Mode: "BALB", Cameras: roster}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +375,7 @@ func TestRecoverRefusesEmptyRoster(t *testing.T) {
 	}
 	man := run.Manifest()
 	man.Cameras = []byte("[]")
-	if err := writeJSON(filepath.Join(dir, manifestFile), man); err != nil {
+	if err := writeJSON(filepath.Join(dir, manifestFile), man, false); err != nil {
 		t.Fatal(err)
 	}
 	before := dirFiles(t, dir)
@@ -407,6 +413,91 @@ func TestRecoverRemovesStaleIndex(t *testing.T) {
 		t.Fatalf("recovery of a log whose first record is corrupt: %+v, want 0 frames and 5 snapshots", rec)
 	}
 	checkRecovered(t, dir, rec)
+}
+
+// TestRecoverFailedWriteLeavesFiles: the manifest and the frame index
+// are replaced through a temporary file. When that file cannot be
+// written — a directory holds its path — Recover fails, and the manifest
+// and the index keep their bytes; with the path free it recovers.
+func TestRecoverFailedWriteLeavesFiles(t *testing.T) {
+	for _, name := range []string{manifestFile, filepath.Join(framesDir, indexFile)} {
+		t.Run(name, func(t *testing.T) {
+			dir := recordFiveFrames(t)
+			manifest := mustRead(t, filepath.Join(dir, manifestFile))
+			index := mustRead(t, filepath.Join(dir, framesDir, indexFile))
+			tmp := filepath.Join(dir, name+".tmp")
+			if err := os.Mkdir(tmp, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if rec, err := Recover(dir); err == nil {
+				t.Fatalf("Recover with %s.tmp a directory: %+v, want an error", name, rec)
+			}
+			if got := mustRead(t, filepath.Join(dir, manifestFile)); !bytes.Equal(got, manifest) {
+				t.Fatalf("the failed Recover changed the manifest:\n%s\nwas\n%s", got, manifest)
+			}
+			if got := mustRead(t, filepath.Join(dir, framesDir, indexFile)); !bytes.Equal(got, index) {
+				t.Fatalf("the failed Recover changed the frame index:\n%s\nwas\n%s", got, index)
+			}
+			if err := os.Remove(tmp); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRecovered(t, dir, rec)
+		})
+	}
+}
+
+// TestStaleTempFilesIgnored: a crash inside a replacement leaves a
+// manifest.json.tmp or frames/index.json.tmp behind, here garbage. Open
+// reads the run as if it were not there, and Recover, which syncs its
+// writes under the run's every-record policy, leaves none behind: on a
+// sealed run, and on one whose only frame record is cut, so that the
+// index is removed rather than replaced.
+func TestStaleTempFilesIgnored(t *testing.T) {
+	for _, cut := range []bool{false, true} {
+		dir := recordFiveFramesWith(t, Options{Fsync: FsyncEveryRecord})
+		if cut {
+			segPath := filepath.Join(dir, framesDir, segmentName(0))
+			seg := mustRead(t, segPath)
+			seg[0] ^= 1
+			if err := os.WriteFile(segPath, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tmps := []string{filepath.Join(dir, manifestFile+".tmp"), filepath.Join(dir, framesDir, indexFile+".tmp")}
+		for _, p := range tmps {
+			if err := os.WriteFile(p, []byte("{garbage"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open beside stale temporary files: %v", err)
+		}
+		if run.NumFrames() != 5 || run.Manifest().Fsync != FsyncEveryRecord.String() {
+			t.Fatalf("Open beside stale temporary files: %d frames, fsync %q", run.NumFrames(), run.Manifest().Fsync)
+		}
+		rec, err := Recover(dir)
+		if err != nil {
+			t.Fatalf("Recover beside stale temporary files: %v", err)
+		}
+		want := 5
+		if cut {
+			want = 0
+		}
+		if rec.Frames != want {
+			t.Fatalf("cut %v: Recover kept %d frames, want %d", cut, rec.Frames, want)
+		}
+		checkRecovered(t, dir, rec)
+		for _, p := range tmps {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Fatalf("cut %v: %s outlived Recover (%v)", cut, p, err)
+			}
+		}
+	}
 }
 
 func mustRead(t *testing.T, path string) []byte {

@@ -369,7 +369,7 @@ func CreateWith(dir string, man Manifest, opts Options) (*Writer, error) {
 	if _, err := os.Stat(filepath.Join(dir, manifestFile)); err == nil {
 		return nil, fmt.Errorf("store: %s already holds a run (refusing to overwrite)", dir)
 	}
-	if err := writeJSON(filepath.Join(dir, manifestFile), man); err != nil {
+	if err := writeJSON(filepath.Join(dir, manifestFile), man, man.syncs()); err != nil {
 		return nil, err
 	}
 	w := &Writer{dir: dir, man: man, opts: opts, numCams: len(cams), segSize: man.SegmentSize, now: time.Now}
@@ -413,12 +413,17 @@ func readManifest(dir string) (Manifest, []*scene.Camera, error) {
 	return man, cams, err
 }
 
-// writeJSON writes v, indented, as the file at path: the manifest
-// (CreateWith, Recover) and the frame index (writeIndex).
-func writeJSON(path string, v any) error {
+// syncs reports whether the run's recorded fsync policy forces its
+// writes to stable storage.
+func (m *Manifest) syncs() bool { return m.Fsync != "" && m.Fsync != FsyncNever.String() }
+
+// writeJSON writes v, indented, as the file at path, the manifest
+// (CreateWith, Recover) or the frame index (writeIndex), through
+// writeAtomic.
+func writeJSON(path string, v any, sync bool) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err == nil {
-		err = os.WriteFile(path, append(data, '\n'), 0o644)
+		err = writeAtomic(path, append(data, '\n'), sync)
 	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -426,19 +431,67 @@ func writeJSON(path string, v any) error {
 	return nil
 }
 
+// writeAtomic replaces the file at path with data: it writes path.tmp,
+// truncating whatever a crash left there, and renames it over path, so
+// that a crash leaves the old file or the new one whole, never a torn
+// one. With sync the temporary file reaches stable storage before the
+// rename and the directory entry after it. A failed write leaves path
+// as it was and removes the temporary file it made.
+func writeAtomic(path string, data []byte, sync bool) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if sync {
+		return syncDir(filepath.Dir(path))
+	}
+	return nil
+}
+
+// syncDir forces dir's entries to stable storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // writeIndex writes frames/index.json for the frame log segs, whose last
 // segment ends the stream. With no segment it removes the index instead,
-// so no index outlives the log it described.
-func writeIndex(dir string, segs []Segment) error {
+// and a temporary one a crash left, so no index outlives the log it
+// described.
+func writeIndex(dir string, segs []Segment, sync bool) error {
 	path := filepath.Join(dir, framesDir, indexFile)
 	if len(segs) == 0 {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: %w", err)
+		for _, p := range []string{path, path + ".tmp"} {
+			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("store: %w", err)
+			}
 		}
 		return nil
 	}
 	last := segs[len(segs)-1]
-	return writeJSON(path, frameIndex{Frames: last.First + last.Count, Segments: segs})
+	return writeJSON(path, frameIndex{Frames: last.First + last.Count, Segments: segs}, sync)
 }
 
 // jsonlWriter is a lazily-opened buffered JSONL file writing
@@ -670,7 +723,7 @@ func (w *Writer) Close() error {
 	firstErr(w.rounds.close())
 	firstErr(w.seg.close())
 	w.snaps, w.rounds, w.seg = nil, nil, nil
-	firstErr(writeIndex(w.dir, w.segments))
+	firstErr(writeIndex(w.dir, w.segments, w.man.syncs()))
 	return w.err
 }
 
