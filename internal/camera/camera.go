@@ -122,13 +122,9 @@ type Frame struct {
 	// that the next frame call overwrites.
 	Full  bool
 	Tasks []gpu.Task
-	// Latency is the modelled inspection latency; Batches, Images and
-	// Occupancy describe the partial-inspection batches launched (zero
-	// for a full-frame inspection).
-	Latency   time.Duration
-	Batches   int
-	Images    int
-	Occupancy float64
+	// Cost is the frame's priced inspection (gpu.Executor.Price): its
+	// batch fields stay zero for a full-frame inspection.
+	gpu.Cost
 }
 
 // Reset clears the record for the next frame, keeping the TruthIDs
@@ -295,26 +291,37 @@ func (k *Kernel) RegularFrame(obs []scene.Observation, policy *core.DistributedP
 }
 
 // Price runs the frame's inspection work on the camera's own GPU model
-// and fills the record's cost fields. Modelled latency is observational
-// — detection and tracking consume region geometry, never the executor's
+// and fills the record's cost. Modelled latency is observational —
+// detection and tracking consume region geometry, never the executor's
 // result — so a host may equally price the same record elsewhere
-// (pipeline.TenantExecutor).
+// (pipeline.TenantExecutor). A partial inspection's batch formation is
+// timed as the frame's Batching overhead.
 func (k *Kernel) Price(out *Frame) error {
-	if out.Full {
-		out.Latency = k.exec.RunFullFrame()
-		return nil
-	}
 	start := time.Now()
-	res, err := k.exec.RunFrame(out.Tasks)
+	cost, err := k.exec.Price(out.Full, out.Tasks)
 	if err != nil {
 		return fmt.Errorf("camera %d: inspection: %w", k.index, err)
 	}
-	out.Latency = res.Latency
-	out.Batches = len(res.Batches)
-	out.Images = res.Images
-	out.Occupancy = gpu.BatchOccupancy(res.Batches, k.exec.Profile())
-	out.Sample.Observe(metrics.Batching, time.Since(start))
+	out.Cost = cost
+	if !out.Full {
+		out.Sample.Observe(metrics.Batching, time.Since(start))
+	}
 	return nil
+}
+
+// Snapshot is the camera's row of a frame's metrics snapshot: the
+// record's priced cost and the kernel's track and shadow counts after
+// the frame.
+func (k *Kernel) Snapshot(f *Frame) metrics.CameraSnapshot {
+	return metrics.CameraSnapshot{
+		Camera:         k.index,
+		Latency:        f.Latency,
+		Batches:        f.Batches,
+		Images:         f.Images,
+		BatchOccupancy: f.Occupancy,
+		Tracks:         k.Len(),
+		Shadows:        k.Shadows(),
+	}
 }
 
 // Demote turns a track into a shadow of the camera now responsible for

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"mvs/internal/adapt"
-	"mvs/internal/camfault"
 	"mvs/internal/experiments"
 	"mvs/internal/metrics"
 	"mvs/internal/pipeline"
@@ -60,7 +59,7 @@ var binaries = map[string]struct {
 type Shared struct {
 	Workers                   int    // 0 = GOMAXPROCS, 1 = sequential; results identical at every value
 	MetricsAddr, MetricsJSONL string // docs/OBSERVABILITY.md
-	CamFaults                 string // camfault.ParseSpec syntax, docs/FAULTS.md §6
+	CamFaults                 string // pipeline.ParseFaultSpec syntax, docs/FAULTS.md §6
 	HealthK                   int
 	Adapt                     string // adapt.ParseSpec syntax, docs/FAULTS.md §10
 	Record                    string // run-store directory, docs/STREAMING.md
@@ -157,15 +156,8 @@ func (s *Shared) Sink(export *metrics.Export, rec *store.Writer) metrics.Sink {
 // FaultModel materialises the -cam-faults spec for a roster of numCams
 // cameras over numFrames frames. It returns (nil, nil) when the flag is
 // unset.
-func (s *Shared) FaultModel(numCams, numFrames int) (*camfault.Model, error) {
-	if s.CamFaults == "" {
-		return nil, nil
-	}
-	cfg, err := camfault.ParseSpec(s.CamFaults)
-	if err != nil {
-		return nil, err
-	}
-	return camfault.Generate(cfg, numCams, numFrames)
+func (s *Shared) FaultModel(numCams, numFrames int) (*pipeline.FaultSchedule, error) {
+	return pipeline.ParseFaults(s.CamFaults, numCams, numFrames)
 }
 
 // StoreOptions materialises the -store-fsync / -store-keep-segments /
@@ -250,7 +242,7 @@ func Build(man store.Manifest, workers int) (*experiments.Setup, pipeline.Config
 	if cfg.Adapt.Policy, err = adapt.ParseSpec(man.Adapt); err != nil {
 		return nil, cfg, fmt.Errorf("adapt spec: %w", err)
 	}
-	faults, err := camfault.ParseSpec(man.CamFaults)
+	faults, err := pipeline.ParseFaultSpec(man.CamFaults)
 	if err != nil {
 		return nil, cfg, fmt.Errorf("fault spec: %w", err)
 	}
@@ -260,11 +252,11 @@ func Build(man store.Manifest, workers int) (*experiments.Setup, pipeline.Config
 	}
 	if man.CamFaults != "" {
 		// The schedule spans the whole evaluation half, of which a crashed
-		// recording replays a prefix: camfault.Generate draws each camera's
-		// frames in order, so the prefix of the schedule is the schedule of
-		// the prefix.
+		// recording replays a prefix: pipeline.GenerateFaults draws each
+		// camera's frames in order, so the prefix of the schedule is the
+		// schedule of the prefix.
 		cfg.Fault.HealthK = man.HealthK
-		cfg.Fault.CamFaults, err = camfault.Generate(faults, len(setup.Test.Cameras), len(setup.Test.Frames))
+		cfg.Fault.CamFaults, err = pipeline.GenerateFaults(faults, len(setup.Test.Cameras), len(setup.Test.Frames))
 		if err != nil {
 			return nil, cfg, err
 		}

@@ -29,7 +29,6 @@ import (
 	"fmt"
 
 	"mvs/internal/assoc"
-	"mvs/internal/camfault"
 	"mvs/internal/metrics"
 	"mvs/internal/ml"
 	"mvs/internal/pipeline"
@@ -122,7 +121,8 @@ type Options struct {
 	// decisions (pipeline.Config.Obs.Rounds) — the stream mvexp -record
 	// persists. Like Sink, its lifecycle belongs to the caller.
 	Rounds metrics.RoundSink
-	// CamFaults, when non-empty, is a camfault spec (docs/FAULTS.md)
+	// CamFaults, when non-empty, is a camera-fault spec
+	// (pipeline.ParseFaultSpec, docs/FAULTS.md)
 	// applied to every RunModes run: all modes share the identical
 	// outage schedule, so Figs. 12/13 and Table II compare the
 	// algorithms under the same incident. HealthK arms failover for
@@ -195,15 +195,9 @@ func (p *plan) modes() ([]*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	var faults *camfault.Model
-	if p.Opts.CamFaults != "" {
-		fcfg, err := camfault.ParseSpec(p.Opts.CamFaults)
-		if err != nil {
-			return nil, err
-		}
-		if faults, err = camfault.Generate(fcfg, len(s.Test.Cameras), len(s.Test.Frames)); err != nil {
-			return nil, err
-		}
+	faults, err := pipeline.ParseFaults(p.Opts.CamFaults, len(s.Test.Cameras), len(s.Test.Frames))
+	if err != nil {
+		return nil, err
 	}
 	var outs []*outcome
 	for _, mode := range Modes() {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mvs/internal/adapt"
-	"mvs/internal/camfault"
 	"mvs/internal/core"
 	"mvs/internal/geom"
 	"mvs/internal/metrics"
@@ -303,7 +302,7 @@ func chaos(p *plan) error {
 		return err
 	}
 	for i, rate := range chaosRates {
-		faults, err := camfault.Generate(camfault.Config{
+		faults, err := pipeline.GenerateFaults(pipeline.FaultSpec{
 			Seed: s.Seed + int64(i)*7919, Rate: rate, MeanOutage: 20, BootDelay: 2,
 		}, len(s.Test.Cameras), len(s.Test.Frames))
 		if err != nil {

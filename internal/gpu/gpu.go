@@ -96,12 +96,12 @@ func (b *batcher) form(tasks []Task, prof *profile.Profile) ([]Batch, error) {
 	return b.batches, nil
 }
 
-// BatchOccupancy returns the mean fill fraction of formed batches: each
+// batchOccupancy returns the mean fill fraction of formed batches: each
 // batch contributes len(tasks)/limit(size), averaged over batches. 1.0
 // means every launch ran at the device's batch limit; 0 means no batches
 // ran. This is the live "batch occupancy" figure the observability layer
 // exports per camera.
-func BatchOccupancy(batches []Batch, prof *profile.Profile) float64 {
+func batchOccupancy(batches []Batch, prof *profile.Profile) float64 {
 	if len(batches) == 0 {
 		return 0
 	}
@@ -140,7 +140,7 @@ type Executor struct {
 
 // Stats accumulates executor counters across frames.
 type Stats struct {
-	// Frames is the number of RunFrame calls.
+	// Frames is the number of frames run, partial and full.
 	Frames int
 	// Batches is the total batches launched.
 	Batches int
@@ -163,9 +163,6 @@ func NewExecutor(prof *profile.Profile) (*Executor, error) {
 	return &Executor{prof: prof}, nil
 }
 
-// Profile returns the executor's device profile.
-func (e *Executor) Profile() *profile.Profile { return e.prof }
-
 // RunFrame batches and "executes" the given partial-region tasks,
 // returning the formed batches and their true latency. The batches are
 // formed in the executor's own buffers (see FrameResult.Batches); tasks
@@ -187,9 +184,42 @@ func (e *Executor) RunFrame(tasks []Task) (FrameResult, error) {
 	return res, nil
 }
 
-// RunFullFrame "executes" a full-frame inspection and returns its
+// Cost is what one camera-frame's inspection costs: the modelled
+// latency (Definition 1: the sum of the frame's batch latencies) and,
+// for partial-region tasks, the batches launched, the regions inspected
+// and the batches' mean fill fraction. A full-frame inspection sets
+// Latency only.
+type Cost struct {
+	Latency   time.Duration
+	Batches   int
+	Images    int
+	Occupancy float64
+}
+
+// Price runs one camera-frame on the executor — a full-frame inspection
+// when full, else tasks batched as RunFrame batches them — and returns
+// its cost. It is the one pricing of a camera-frame: the camera kernel,
+// the single-tenant serve passthrough and the engine's test executors
+// all go through it.
+func (e *Executor) Price(full bool, tasks []Task) (Cost, error) {
+	if full {
+		return Cost{Latency: e.runFullFrame()}, nil
+	}
+	res, err := e.RunFrame(tasks)
+	if err != nil {
+		return Cost{}, err
+	}
+	return Cost{
+		Latency:   res.Latency,
+		Batches:   len(res.Batches),
+		Images:    res.Images,
+		Occupancy: batchOccupancy(res.Batches, e.prof),
+	}, nil
+}
+
+// runFullFrame "executes" a full-frame inspection and returns its
 // latency.
-func (e *Executor) RunFullFrame() time.Duration {
+func (e *Executor) runFullFrame() time.Duration {
 	lat := profile.TrueFullFrameLatency(e.prof.Class)
 	e.stats.Frames++
 	e.stats.FullFrames++

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -131,12 +132,85 @@ func TestExecutorFullFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := ex.RunFullFrame()
+	lat := ex.runFullFrame()
 	if lat != profile.TrueFullFrameLatency(profile.JetsonNano) {
 		t.Fatalf("lat = %v", lat)
 	}
 	if ex.Stats().FullFrames != 1 {
 		t.Fatalf("stats = %+v", ex.Stats())
+	}
+}
+
+// TestExecutorPrice holds the one pricing of a camera-frame to its
+// parts: a full frame costs a latency only; partial tasks cost what
+// RunFrame reports on a fresh executor, plus the batches' mean fill; an
+// unprofiled size is an error.
+func TestExecutorPrice(t *testing.T) {
+	prof := xavier()
+	lim64, err := prof.BatchLimitFor(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim128, err := prof.BatchLimitFor(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many := make([]int, lim64+1)
+	for i := range many {
+		many[i] = 64
+	}
+	for _, tc := range []struct {
+		name     string
+		full     bool
+		tasks    []Task
+		wantFill float64
+		wantErr  bool
+	}{
+		{name: "full frame", full: true, tasks: makeTasks(64, 128)},
+		{name: "no tasks", tasks: nil},
+		{name: "two sizes", tasks: makeTasks(64, 64, 128),
+			wantFill: (2/float64(lim64) + 1/float64(lim128)) / 2},
+		{name: "over the limit", tasks: makeTasks(many...),
+			wantFill: (1 + 1/float64(lim64)) / 2},
+		{name: "unprofiled size", tasks: makeTasks(64, 100), wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ex, err := NewExecutor(prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ex.Price(tc.full, tc.tasks)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("priced %+v", got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want Cost
+			if tc.full {
+				want.Latency = profile.TrueFullFrameLatency(prof.Class)
+			} else {
+				ref, err := NewExecutor(prof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := ref.RunFrame(tc.tasks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = Cost{Latency: res.Latency, Batches: len(res.Batches), Images: res.Images}
+			}
+			if math.Abs(got.Occupancy-tc.wantFill) > 1e-12 {
+				t.Fatalf("occupancy %v, want %v", got.Occupancy, tc.wantFill)
+			}
+			got.Occupancy = 0
+			if got != want {
+				t.Fatalf("cost %+v, want %+v", got, want)
+			}
+		})
 	}
 }
 

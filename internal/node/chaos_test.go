@@ -197,7 +197,8 @@ func TestChaosDeadOwnerFailover(t *testing.T) {
 
 // TestChaosDeadSetIgnoredWhenAlive pins that an assignment without a
 // Dead list clears any previous dead marks (a recovered camera regains
-// ownership) and that out-of-range entries are ignored.
+// ownership) and that out-of-range entries mark nothing: the assignment
+// naming them is refused whole.
 func TestChaosDeadSetIgnoredWhenAlive(t *testing.T) {
 	cfg := baseConfig(0)
 	cfg.Coverage = make([][]int, 16*9)
@@ -216,13 +217,17 @@ func TestChaosDeadSetIgnoredWhenAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Out-of-range dead entries must not panic or mark anything.
-	err = rt.applyAssignment(&cluster.Assignment{
+	a := &cluster.Assignment{
 		Frame:    0,
 		Shadows:  []cluster.ShadowOrder{{TrackID: reports[0].TrackID, AssignedCamera: 1}},
 		Priority: []int{1, 0},
 		Dead:     []int{-3, 99},
-	})
-	if err != nil {
+	}
+	if err := rt.applyAssignment(a); err == nil {
+		t.Fatal("assignment with out-of-range dead entries accepted")
+	}
+	a.Dead = nil
+	if err := rt.applyAssignment(a); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.regularFrame(obs); err != nil {

@@ -15,7 +15,6 @@ package node
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"mvs/internal/adapt"
@@ -31,11 +30,13 @@ import (
 
 // Runtime is one camera node's state.
 type Runtime struct {
-	camera int
-	kernel *camera.Kernel
-	policy *core.DistributedPolicy
-	sink   metrics.Sink
-	label  string
+	// numCams is the fleet size: every camera index an assignment names
+	// is checked against it.
+	numCams int
+	kernel  *camera.Kernel
+	policy  *core.DistributedPolicy
+	sink    metrics.Sink
+	label   string
 	// out is the kernel's frame record, reused every frame.
 	out camera.Frame
 
@@ -131,7 +132,7 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 	return &Runtime{
-		camera:   cfg.Camera,
+		numCams:  cfg.NumCameras,
 		kernel:   kernel,
 		policy:   policy,
 		sink:     cfg.Sink,
@@ -205,15 +206,7 @@ func (r *Runtime) finishFrame() error {
 		AdaptLevel:       r.adaptLevel,
 		AdaptTransitions: r.adaptTransitions,
 		FrameLatency:     r.out.Latency,
-		Cameras: []metrics.CameraSnapshot{{
-			Camera:         r.camera,
-			Latency:        r.out.Latency,
-			Batches:        r.out.Batches,
-			Images:         r.out.Images,
-			BatchOccupancy: r.out.Occupancy,
-			Tracks:         r.kernel.Len(),
-			Shadows:        r.kernel.Shadows(),
-		}},
+		Cameras:          []metrics.CameraSnapshot{r.kernel.Snapshot(&r.out)},
 	})
 	return nil
 }
@@ -251,6 +244,15 @@ func (r *Runtime) applyAssignment(a *cluster.Assignment) error {
 	if a == nil {
 		return fmt.Errorf("node: nil assignment")
 	}
+	// The assignment came off the wire: an index outside the fleet is
+	// refused before it sizes the policy or the dead mask.
+	for _, cams := range [][]int{a.Priority, a.Roster, a.Dead} {
+		for _, c := range cams {
+			if c < 0 || c >= r.numCams {
+				return fmt.Errorf("node: assignment names camera %d, fleet has %d", c, r.numCams)
+			}
+		}
+	}
 	// A shard-scoped assignment (Roster present) carries a priority
 	// over the shard's global camera indices rather than a 0..M-1
 	// permutation; the scoped policy skips foreign-shard cameras in
@@ -270,14 +272,12 @@ func (r *Runtime) applyAssignment(a *cluster.Assignment) error {
 		// The scheduler's liveness leases feed the distributed stage:
 		// every node installs the identical dead set, so failover
 		// ownership decisions stay communication-free. The mask spans the
-		// largest camera index on the wire: a scoped assignment's priority
-		// holds sparse global indices, and the dead set may name
-		// foreign-shard cameras (which the scoped policy ignores).
-		mask := make([]bool, max(slices.Max(a.Priority), slices.Max(a.Dead))+1)
+		// fleet: a scoped assignment's priority holds sparse global
+		// indices, and the dead set may name foreign-shard cameras (which
+		// the scoped policy ignores).
+		mask := make([]bool, r.numCams)
 		for _, c := range a.Dead {
-			if c >= 0 {
-				mask[c] = true
-			}
+			mask[c] = true
 		}
 		policy.SetDead(mask)
 	}

@@ -175,6 +175,32 @@ func TestApplyAssignmentErrors(t *testing.T) {
 	}
 }
 
+// TestApplyAssignmentRejectsForeignCameras feeds a 2-camera node
+// assignments naming a camera outside the fleet — camera 2, one past
+// it, in each list an assignment carries, and camera -1 — and each is
+// refused before anything is built: the policy in force stays.
+func TestApplyAssignmentRejectsForeignCameras(t *testing.T) {
+	rt, err := New(baseConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := rt.policy
+	for name, a := range map[string]*cluster.Assignment{
+		"dead":            {Priority: []int{0, 1}, Dead: []int{2}},
+		"negative dead":   {Priority: []int{0, 1}, Dead: []int{-1}},
+		"scoped priority": {Priority: []int{2}, Roster: []int{0}},
+		"roster":          {Priority: []int{0}, Roster: []int{0, 2}},
+		"priority":        {Priority: []int{0, 1, 2}},
+	} {
+		if err := rt.applyAssignment(a); err == nil {
+			t.Errorf("%s: assignment %+v accepted on a 2-camera node", name, a)
+		}
+		if rt.policy != policy {
+			t.Fatalf("%s: a refused assignment replaced the policy", name)
+		}
+	}
+}
+
 // TestDistributedMatchesSchedulerEndToEnd drives two node runtimes
 // against a real scheduler over loopback TCP for several horizons and
 // checks the joint outcome: consistent priorities, no double tracking of

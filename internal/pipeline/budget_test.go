@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mvs/internal/assoc"
-	"mvs/internal/camfault"
 	"mvs/internal/gpu"
 	"mvs/internal/metrics"
 	"mvs/internal/profile"
@@ -59,7 +58,7 @@ func TestStepAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults, err := camfault.Generate(camfault.Config{Seed: 7, Rate: 0.2}, len(test.Cameras), len(test.Frames))
+	faults, err := GenerateFaults(FaultSpec{Seed: 7, Rate: 0.2}, len(test.Cameras), len(test.Frames))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,17 +141,11 @@ func (p *pricingExecutor) SubmitFrame(frame int, reqs []ExecRequest) ([]ExecResu
 	p.out = slices.Grow(p.out[:0], len(reqs))[:len(reqs)]
 	clear(p.out)
 	for i, r := range reqs {
-		ex := p.execs[r.Cam]
-		if r.Full {
-			p.out[i].Latency = ex.RunFullFrame()
-			continue
-		}
-		res, err := ex.RunFrame(r.Tasks)
+		cost, err := p.execs[r.Cam].Price(r.Full, r.Tasks)
 		if err != nil {
 			return nil, ExecStats{}, err
 		}
-		p.out[i] = ExecResult{Latency: res.Latency, Batches: len(res.Batches), Images: res.Images,
-			Occupancy: gpu.BatchOccupancy(res.Batches, ex.Profile())}
+		p.out[i].Cost = cost
 	}
 	return p.out, ExecStats{}, nil
 }
@@ -176,16 +169,11 @@ func (k *keepingExecutor) SubmitFrame(frame int, reqs []ExecRequest) ([]ExecResu
 	out := make([]ExecResult, len(reqs))
 	for i, r := range reqs {
 		tasks[i] = append([]gpu.Task(nil), r.Tasks...)
-		if r.Full {
-			out[i].Latency = k.execs[r.Cam].RunFullFrame()
-			continue
-		}
-		res, err := k.execs[r.Cam].RunFrame(r.Tasks)
+		cost, err := k.execs[r.Cam].Price(r.Full, r.Tasks)
 		if err != nil {
 			return nil, ExecStats{}, err
 		}
-		out[i] = ExecResult{Latency: res.Latency, Batches: len(res.Batches), Images: res.Images,
-			Occupancy: gpu.BatchOccupancy(res.Batches, k.execs[r.Cam].Profile())}
+		out[i].Cost = cost
 	}
 	k.copies = append(k.copies, tasks)
 	return out, ExecStats{}, nil

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"mvs/internal/camfault"
 	"mvs/internal/metrics"
 )
 
@@ -15,14 +14,14 @@ import (
 // trace; cached because the environment is too.
 var (
 	chaosOnce  sync.Once
-	chaosFault *camfault.Model
+	chaosFault *FaultSchedule
 )
 
-func chaosEnv(t *testing.T) (*testEnv, *camfault.Model) {
+func chaosEnv(t *testing.T) (*testEnv, *FaultSchedule) {
 	t.Helper()
 	e := getEnv(t)
 	chaosOnce.Do(func() {
-		m, err := camfault.Generate(camfault.Config{
+		m, err := GenerateFaults(FaultSpec{
 			Seed: 23, Rate: 0.10, MeanOutage: 20, BootDelay: 2,
 		}, len(e.test.Cameras), len(e.test.Frames))
 		if err != nil {
@@ -77,7 +76,7 @@ func TestChaosFailoverBeatsNoFailover(t *testing.T) {
 // on the JSONL wire.
 func TestChaosFaultFreeBitIdentical(t *testing.T) {
 	e := getEnv(t)
-	clear, err := camfault.Generate(camfault.Config{Seed: 1},
+	clear, err := GenerateFaults(FaultSpec{Seed: 1},
 		len(e.test.Cameras), len(e.test.Frames))
 	if err != nil {
 		t.Fatal(err)
@@ -163,14 +162,14 @@ func TestChaosSnapshotCounters(t *testing.T) {
 // TestChaosModelValidation covers the dimension checks.
 func TestChaosModelValidation(t *testing.T) {
 	e := getEnv(t)
-	short, err := camfault.Generate(camfault.Config{Seed: 1}, len(e.test.Cameras), 2)
+	short, err := GenerateFaults(FaultSpec{Seed: 1}, len(e.test.Cameras), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Run(e.test, e.profiles, e.model, Config{Sched: Sched{Mode: BALB}, Sim: Sim{Seed: 5}, Fault: Fault{CamFaults: short}}); err == nil {
 		t.Fatal("accepted a fault schedule shorter than the trace")
 	}
-	wrongCams, err := camfault.Generate(camfault.Config{Seed: 1}, 1, len(e.test.Frames))
+	wrongCams, err := GenerateFaults(FaultSpec{Seed: 1}, 1, len(e.test.Frames))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"mvs/internal/adapt"
-	"mvs/internal/camfault"
 	"mvs/internal/metrics"
 	"mvs/internal/shard"
 	"mvs/internal/vision"
@@ -99,7 +98,7 @@ type Fault struct {
 	// model must cover every roster camera and the full stream length.
 	// nil runs fault-free — bit-identical to a build without this
 	// feature (docs/FAULTS.md, "Data-plane failure model").
-	CamFaults *camfault.Model
+	CamFaults *FaultSchedule
 	// HealthK is the health-tracker silence threshold: a camera silent
 	// for K consecutive frames is marked dead, the central stage
 	// reschedules over the healthy subset, and the distributed stage's

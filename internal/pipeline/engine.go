@@ -10,7 +10,6 @@ import (
 	"mvs/internal/adapt"
 	"mvs/internal/assoc"
 	"mvs/internal/camera"
-	"mvs/internal/camfault"
 	"mvs/internal/central"
 	"mvs/internal/core"
 	"mvs/internal/gpu"
@@ -66,7 +65,7 @@ type Engine struct {
 	// policy is the horizon's ownership policy, rebuilt in place by every
 	// central-stage round.
 	policy   *core.DistributedPolicy
-	health   *camfault.Tracker
+	health   *healthTracker
 	deadMask []bool
 
 	recall       metrics.RecallAccumulator
@@ -229,7 +228,7 @@ func NewEngine(src Source, profiles []*profile.Profile, model *assoc.Model, cfg 
 	// feed the mask into the ownership policy so the distributed stage
 	// fails over and the central stage reschedules over the survivors.
 	if cfg.Fault.CamFaults != nil && cfg.Fault.HealthK > 0 && e.policy != nil {
-		e.health = camfault.NewTracker(len(cams), cfg.Fault.HealthK)
+		e.health = newHealthTracker(len(cams), cfg.Fault.HealthK)
 	}
 	if cfg.Adapt.Policy.Enabled() {
 		e.ctrl = adapt.NewController(cfg.Adapt.Policy)
@@ -328,9 +327,9 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	}
 	if e.health != nil {
 		for i := range cams {
-			e.health.Observe(i, down == nil || !down[i])
+			e.health.observe(i, down == nil || !down[i])
 		}
-		e.deadMask, _ = e.health.DeadMask(e.deadMask)
+		e.deadMask = e.health.deadMask(e.deadMask)
 		e.policy.SetDead(e.deadMask) // all-false mask clears
 	}
 	stretch := 1
@@ -443,15 +442,7 @@ func (e *Engine) process(frame *scene.FrameTruth) error {
 	// for the frames so far, so attaching one cannot perturb the
 	// determinism contract.
 	if e.cfg.Obs.Sink != nil {
-		var level, transitions, violations int
-		if e.ctrl != nil {
-			level = e.ctrl.Level()
-			transitions = e.ctrl.Transitions()
-			violations = e.ctrl.SLOViolations()
-		}
-		emitFrameSnapshot(e.cfg.Obs.Sink, e.label, fi, &e.recall, frameMax, cams, results,
-			e.outageFrames, e.orphaned, e.reassigned, level, transitions, violations,
-			ingest, e.cfg.Serve.Tenant, e.lastExec)
+		e.emitFrameSnapshot(frameMax, ingest)
 	}
 	e.fi++
 	return nil
@@ -502,11 +493,7 @@ func (e *Engine) resolveServe(results []camera.Frame, down []bool) error {
 			len(res), len(reqs))
 	}
 	for k := range reqs {
-		out := &results[reqs[k].Cam]
-		out.Latency = res[k].Latency
-		out.Batches = res[k].Batches
-		out.Images = res[k].Images
-		out.Occupancy = res[k].Occupancy
+		results[reqs[k].Cam].Cost = res[k].Cost
 	}
 	e.lastExec = stats
 	return nil
@@ -541,17 +528,22 @@ func (e *Engine) flushHorizon() {
 	if e.horizonLen == 0 {
 		return
 	}
-	var slowest time.Duration
-	for i := range e.horizonCam {
-		mean := e.horizonCam[i] / time.Duration(e.horizonLen)
-		if mean > slowest {
-			slowest = mean
-		}
-		e.horizonCam[i] = 0
-	}
-	e.slowestSum += slowest
+	e.slowestSum += e.horizonSlowest()
 	e.horizons++
+	clear(e.horizonCam)
 	e.horizonLen = 0
+}
+
+// horizonSlowest is the pending horizon's Fig. 13 term: the largest
+// per-camera mean latency over its frames. It reads engine state only,
+// so Report folds a partial horizon with it too. The horizon must hold
+// at least one frame.
+func (e *Engine) horizonSlowest() time.Duration {
+	var slowest time.Duration
+	for _, sum := range e.horizonCam {
+		slowest = max(slowest, sum/time.Duration(e.horizonLen))
+	}
+	return slowest
 }
 
 // Report summarizes the frames processed so far. It may be called
@@ -582,14 +574,7 @@ func (e *Engine) Report() (*Report, error) {
 	// Fold the pending partial horizon without mutating engine state.
 	slowestSum, horizons := e.slowestSum, e.horizons
 	if e.horizonLen > 0 {
-		var slowest time.Duration
-		for i := range e.horizonCam {
-			mean := e.horizonCam[i] / time.Duration(e.horizonLen)
-			if mean > slowest {
-				slowest = mean
-			}
-		}
-		slowestSum += slowest
+		slowestSum += e.horizonSlowest()
 		horizons++
 	}
 	if horizons > 0 {

@@ -448,8 +448,8 @@ func (d *partDecoder) next() (FramePart, error) {
 		m, err := io.ReadFull(d.r, d.body[have:])
 		d.body = d.body[:have+m]
 		if err != nil {
-			if err == io.EOF && len(d.body) > 0 {
-				err = io.ErrUnexpectedEOF // the message ended mid-body, not between messages
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more, as in cluster.ReadMessage
 			}
 			return FramePart{}, err
 		}

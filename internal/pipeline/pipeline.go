@@ -290,57 +290,47 @@ func mergeCamFrames(results []camera.Frame, detected map[int]bool,
 	}
 }
 
-// emitFrameSnapshot assembles and records one frame's observability
-// snapshot: cumulative recall, this frame's modelled system latency, and
-// the per-camera latency/batch figures, in ascending camera order. Every
-// field is modelled (deterministic); the snapshot is built from the same
-// merged frame records the report accumulators consume.
-func emitFrameSnapshot(sink metrics.Sink, label string, frame int,
-	recall *metrics.RecallAccumulator, frameMax time.Duration,
-	cams []*camera.Kernel, results []camera.Frame,
-	outageFrames, orphaned, reassigned int,
-	adaptLevel, adaptTransitions, sloViolations int, ingest *IngestCounters,
-	tenant string, exec ExecStats) {
-	tp, fn := recall.Counts()
+// emitFrameSnapshot assembles and records the current frame's
+// observability snapshot: cumulative recall, the frame's modelled system
+// latency, and one camera row per kernel (camera.Kernel.Snapshot), in
+// ascending camera order. Every field is modelled (deterministic); the
+// snapshot is built from the same merged frame records the report
+// accumulators consume.
+func (e *Engine) emitFrameSnapshot(frameMax time.Duration, ingest *IngestCounters) {
+	tp, fn := e.recall.Counts()
 	snap := metrics.Snapshot{
 		Source:            metrics.SourcePipeline,
-		Label:             label,
-		Seq:               frame,
-		Frame:             frame,
+		Label:             e.label,
+		Seq:               e.fi,
+		Frame:             e.fi,
 		TP:                tp,
 		FN:                fn,
-		Recall:            recall.Recall(),
-		OutageFrames:      outageFrames,
-		OrphanedObjects:   orphaned,
-		Reassignments:     reassigned,
-		AdaptLevel:        adaptLevel,
-		AdaptTransitions:  adaptTransitions,
-		SLOViolations:     sloViolations,
-		Tenant:            tenant,
-		ExecQueueDepth:    exec.QueueDepth,
-		ExecSharedBatches: exec.SharedBatches,
-		ExecShedTasks:     exec.ShedTasks,
-		ExecSLOViolations: exec.SLOViolations,
+		Recall:            e.recall.Recall(),
+		OutageFrames:      e.outageFrames,
+		OrphanedObjects:   e.orphaned,
+		Reassignments:     e.reassigned,
+		Tenant:            e.cfg.Serve.Tenant,
+		ExecQueueDepth:    e.lastExec.QueueDepth,
+		ExecSharedBatches: e.lastExec.SharedBatches,
+		ExecShedTasks:     e.lastExec.ShedTasks,
+		ExecSLOViolations: e.lastExec.SLOViolations,
 		FrameLatency:      frameMax,
-		Cameras:           make([]metrics.CameraSnapshot, len(cams)),
+		Cameras:           make([]metrics.CameraSnapshot, len(e.cams)),
+	}
+	if e.ctrl != nil {
+		snap.AdaptLevel = e.ctrl.Level()
+		snap.AdaptTransitions = e.ctrl.Transitions()
+		snap.SLOViolations = e.ctrl.SLOViolations()
 	}
 	if ingest != nil {
 		snap.IngestedFrames = ingest.Ingested
 		snap.ShedFrames = ingest.Shed
 		snap.QueueDepth = ingest.QueueDepth
 	}
-	for i, k := range cams {
-		snap.Cameras[i] = metrics.CameraSnapshot{
-			Camera:         i,
-			Latency:        results[i].Latency,
-			Batches:        results[i].Batches,
-			Images:         results[i].Images,
-			BatchOccupancy: results[i].Occupancy,
-			Tracks:         k.Len(),
-			Shadows:        k.Shadows(),
-		}
+	for i, k := range e.cams {
+		snap.Cameras[i] = k.Snapshot(&e.results[i])
 	}
-	sink.RecordFrame(snap)
+	e.cfg.Obs.Sink.RecordFrame(snap)
 }
 
 // runCameras steps every live camera through one frame, in camera order:

@@ -1,10 +1,6 @@
 package pipeline
 
-import (
-	"time"
-
-	"mvs/internal/gpu"
-)
+import "mvs/internal/gpu"
 
 // TenantExecutor is the engine's seam to a shared GPU serving layer
 // (internal/serve): when Config.Serve.Executor is set, the engine stops
@@ -52,15 +48,11 @@ type ExecRequest struct {
 // is set, matching the engine's local path (batch counters describe
 // partial-inspection batches only).
 type ExecResult struct {
-	// Latency is the camera's modelled inspection latency for the frame,
-	// including any executor queueing delay.
-	Latency time.Duration
-	// Batches and Images count the batches the camera's tasks landed in
-	// and the tasks actually inspected (after any admission shedding).
-	Batches int
-	Images  int
-	// Occupancy is the mean fill fraction of those batches.
-	Occupancy float64
+	// Cost is the camera's priced frame: Latency includes any executor
+	// queueing delay, and Batches and Images count the batches the
+	// camera's tasks landed in and the tasks actually inspected (after
+	// any admission shedding).
+	gpu.Cost
 	// Shed counts this camera's tasks dropped by admission control.
 	Shed int
 }

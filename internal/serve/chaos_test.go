@@ -5,14 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"mvs/internal/camfault"
 	"mvs/internal/pipeline"
 	"mvs/internal/profile"
 	"mvs/internal/workload"
 )
 
 // TestChaosTenantOutage runs three tenants against one consolidated
-// pool with the middle tenant's cameras under a seeded camfault outage
+// pool with the middle tenant's cameras under a seeded camera-fault outage
 // schedule (plus health-tracked failover), under `go test -race` in CI:
 // the faulty tenant's dead cameras must never wedge the epoch barrier
 // or leak work into its neighbours, and the whole multi-tenant run must
@@ -23,11 +22,11 @@ func TestChaosTenantOutage(t *testing.T) {
 	specs := func() []TenantSpec {
 		t.Helper()
 		out := tenantSpecs(t, 3, 2)
-		faults, err := camfault.Generate(camfault.Config{
+		faults, err := pipeline.GenerateFaults(pipeline.FaultSpec{
 			Seed: 17, Rate: 0.15, MeanOutage: 12, BootDelay: 2,
 		}, len(trace.Cameras), len(trace.Frames))
 		if err != nil {
-			t.Fatalf("camfault: %v", err)
+			t.Fatalf("cam faults: %v", err)
 		}
 		out[1].Config.Fault = pipeline.Fault{CamFaults: faults, HealthK: 3}
 		return out

@@ -50,21 +50,11 @@ func (l *Local) SubmitFrame(frame int, reqs []pipeline.ExecRequest) ([]pipeline.
 		if r.Cam < 0 || r.Cam >= len(l.execs) {
 			return nil, pipeline.ExecStats{}, fmt.Errorf("serve: request for camera %d, have %d", r.Cam, len(l.execs))
 		}
-		ex := l.execs[r.Cam]
-		if r.Full {
-			out[i].Latency = ex.RunFullFrame()
-			continue
-		}
-		res, err := ex.RunFrame(r.Tasks)
+		cost, err := l.execs[r.Cam].Price(r.Full, r.Tasks)
 		if err != nil {
 			return nil, pipeline.ExecStats{}, fmt.Errorf("serve: camera %d: %w", r.Cam, err)
 		}
-		out[i] = pipeline.ExecResult{
-			Latency:   res.Latency,
-			Batches:   len(res.Batches),
-			Images:    res.Images,
-			Occupancy: gpu.BatchOccupancy(res.Batches, ex.Profile()),
-		}
+		out[i].Cost = cost
 	}
 	return out, pipeline.ExecStats{}, nil
 }

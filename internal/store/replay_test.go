@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mvs/internal/assoc"
-	"mvs/internal/camfault"
 	"mvs/internal/metrics"
 	"mvs/internal/pipeline"
 	"mvs/internal/scene"
@@ -40,11 +39,11 @@ func TestReplayByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfg, err := camfault.ParseSpec(faultSpec)
+	fcfg, err := pipeline.ParseFaultSpec(faultSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults, err := camfault.Generate(fcfg, len(test.Cameras), len(test.Frames))
+	faults, err := pipeline.GenerateFaults(fcfg, len(test.Cameras), len(test.Frames))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,10 +189,10 @@ type Manifest struct {
 	Mode string `json:"mode"`
 	// Horizon is the scheduling horizon T.
 	Horizon int `json:"horizon,omitempty"`
-	// CamFaults is the -cam-faults spec string (camfault.ParseSpec
-	// syntax) the run injected; empty means fault-free. The spec — not
-	// the expanded schedule — is stored because camfault.Generate is
-	// deterministic in it.
+	// CamFaults is the -cam-faults spec string
+	// (pipeline.ParseFaultSpec syntax) the run injected; empty means
+	// fault-free. The spec — not the expanded schedule — is stored
+	// because pipeline.GenerateFaults is deterministic in it.
 	CamFaults string `json:"cam_faults,omitempty"`
 	// HealthK is the health-tracker silence threshold the run used.
 	HealthK int `json:"health_k,omitempty"`
