@@ -1,17 +1,24 @@
 // Package assoc implements the paper's cross-camera object association
-// module. For every ordered camera pair it trains two lightweight
-// location-based models on a labelled half of the trace:
+// module. For every ordered camera pair it trains one lightweight
+// location-based KNN model on a labelled half of the trace, a single
+// index over the pair's samples (ml.KNNMap) that answers both of the
+// paper's questions about a bounding box seen on the source camera:
 //
-//  1. a classifier deciding whether a bounding box seen on the source
-//     camera is visible on the destination camera at all, and
-//  2. a regressor predicting where on the destination camera it appears.
+//  1. is it visible on the destination camera at all (the classifier's
+//     vote over its K nearest samples), and
+//  2. where on the destination camera does it appear (the regressor's
+//     inverse-distance mean over the K nearest visible samples).
+//
+// One search answers the vote, and usually the regression too; a vote
+// that is certainly negative stops as soon as it is certain.
 //
 // At key frames, each detection is mapped to every other camera and
 // matched against that camera's detections by IoU through the Hungarian
 // algorithm; matches are merged with a union-find into global object
-// identities. The module is model-agnostic (the paper's Figs. 10 and 11
-// swap in SVM/logistic/tree classifiers and homography/linear/RANSAC
-// regressors), with KNN as the deployed default.
+// identities. The paper's Figs. 10 and 11 compare KNN with
+// SVM/logistic/tree classifiers and homography/linear/RANSAC regressors
+// (package experiments fits those ml models on BuildPairSamples); KNN is
+// the deployed model.
 //
 // # Execution model and determinism
 //
@@ -41,13 +48,11 @@
 //
 // A Model is immutable after Train returns: MapBox, Associate,
 // AssociateWorkers, NominalBox, CellCoverage, and CellCoverageWorkers
-// only read the trained pair models (a KNN index is query-only), so
+// only read the trained pair indexes (an ml.KNNMap is query-only), so
 // any number of goroutines may call them concurrently on one shared
 // Model — including concurrent AssociateWorkers calls that each fan out
 // internally. Train itself must not race with readers of the Model it
-// is building; the model factories it is given are called concurrently
-// from worker goroutines and must return a fresh, unshared model per
-// call.
+// is building.
 //
 // The scratch of association — feature vectors, match lists, a
 // Hungarian solver and prediction buffer per fan-out worker, the
@@ -139,8 +144,10 @@ func BuildPairSamples(trace *scene.Trace, srcCam, dstCam int) ([]Sample, error) 
 func ClassificationData(samples []Sample) (x [][]float64, y []bool) {
 	x = make([][]float64, len(samples))
 	y = make([]bool, len(samples))
+	flat := make([]float64, 4*len(samples)) // one array for every row
 	for i, s := range samples {
-		x[i] = s.SrcBox.Vec4()
+		x[i] = flat[4*i : 4*i+4 : 4*i+4]
+		x[i][0], x[i][1], x[i][2], x[i][3] = s.SrcBox.MinX, s.SrcBox.MinY, s.SrcBox.MaxX, s.SrcBox.MaxY
 		y[i] = s.Visible
 	}
 	return x, y
@@ -159,74 +166,70 @@ func RegressionData(samples []Sample) (x [][]float64, y [][]float64) {
 	return x, y
 }
 
-// PairModel is the trained classifier+regressor for one ordered camera
-// pair.
+// PairModel is the trained model of one ordered camera pair: one KNN
+// index over all of the pair's samples that answers both the classifier
+// (visible on the destination camera?) and the regressor (where?)
+// (ml.KNNMap).
 type PairModel struct {
-	clf    ml.Classifier
-	reg    ml.Regressor
-	hasReg bool
+	knn *ml.KNNMap
+	// covisible reports that some training sample is visible on both
+	// cameras: a pair without one can only answer "not visible".
+	covisible bool
 	// meanSrc is the mean training source-box size, used to synthesize
 	// nominal boxes for cell-coverage queries.
 	meanSrcW, meanSrcH float64
 }
 
-// TrainPair fits a pair model from samples using the supplied model
-// factories.
-func TrainPair(samples []Sample, newClf func() ml.Classifier, newReg func() ml.Regressor) (*PairModel, error) {
+// TrainPair fits a pair model from samples, with K = 5.
+func TrainPair(samples []Sample) (*PairModel, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("assoc: no samples for pair")
 	}
-	pm := &PairModel{clf: newClf()}
-	x, y := ClassificationData(samples)
-	if err := pm.clf.Fit(x, y); err != nil {
-		return nil, fmt.Errorf("assoc: training classifier: %w", err)
-	}
+	x, visible := ClassificationData(samples)
+	var targets [][]float64
+	pm := &PairModel{}
 	var wSum, hSum float64
 	for _, s := range samples {
+		if s.Visible {
+			targets = append(targets, s.DstBox.Vec4())
+		}
 		wSum += s.SrcBox.W()
 		hSum += s.SrcBox.H()
 	}
+	pm.covisible = len(targets) > 0
 	pm.meanSrcW = wSum / float64(len(samples))
 	pm.meanSrcH = hSum / float64(len(samples))
-
-	rx, ry := RegressionData(samples)
-	if len(rx) == 0 {
-		return pm, nil // classifier-only pair (disjoint views)
+	var err error
+	if pm.knn, err = ml.NewKNNMap(x, visible, targets, 5); err != nil {
+		return nil, fmt.Errorf("assoc: training pair index: %w", err)
 	}
-	pm.reg = newReg()
-	if err := pm.reg.Fit(rx, ry); err != nil {
-		return nil, fmt.Errorf("assoc: training regressor: %w", err)
-	}
-	pm.hasReg = true
 	return pm, nil
 }
 
 // Map predicts whether a source box is visible on the destination camera
-// and, if so, where. A pair with no regressor — no co-visible training
-// sample — can only answer "not visible", whatever its classifier says,
-// so it answers without a query.
+// and, if so, where. A pair with no co-visible training sample can only
+// answer "not visible", whatever its vote says, so it answers without a
+// query.
 func (pm *PairModel) Map(box geom.Rect) (geom.Rect, bool, error) {
-	if !pm.hasReg {
+	if !pm.covisible {
 		return geom.Rect{}, false, nil
 	}
 	var pred []float64
 	return pm.mapVec(box.Vec4(), &pred)
 }
 
-// mapVec is Map for a pair that has a regressor, on the box's feature
-// vector (geom.Rect.Vec4), which the models do not retain. The
-// regressor predicts into *pred, which keeps the grown buffer.
+// mapVec is Map for a co-visible pair, on the box's feature vector
+// (geom.Rect.Vec4), which the index does not retain. The box is
+// predicted into *pred, which keeps the grown buffer.
 func (pm *PairModel) mapVec(vec []float64, pred *[]float64) (geom.Rect, bool, error) {
-	visible, err := pm.clf.Predict(vec)
+	var visible bool
+	var err error
+	*pred, visible, err = pm.knn.Map((*pred)[:0], vec)
 	if err != nil {
-		return geom.Rect{}, false, fmt.Errorf("assoc: classify: %w", err)
+		return geom.Rect{}, false, fmt.Errorf("assoc: map: %w", err)
 	}
 	if !visible {
 		return geom.Rect{}, false, nil
-	}
-	*pred, err = pm.reg.Predict((*pred)[:0], vec)
-	if err != nil {
-		return geom.Rect{}, false, fmt.Errorf("assoc: regress: %w", err)
 	}
 	return geom.RectFromVec4(*pred), true, nil
 }
@@ -237,10 +240,14 @@ func (pm *PairModel) mapVec(vec []float64, pred *[]float64) (geom.Rect, bool, er
 type Model struct {
 	numCams int
 	pairs   map[[2]int]*PairModel
-	// matchable lists the unordered pairs (i < j) whose (i, j) model has a
-	// regressor, ascending i then j: the only pairs association can match,
+	// matchable lists the unordered pairs (i < j) whose (i, j) model is
+	// co-visible, ascending i then j: the only pairs association can match,
 	// in its merge order.
 	matchable []matchPair
+	// observe, when set, is called with the boxes of every association
+	// before they are mapped; the tests set it to record the queries a
+	// whole engine run makes.
+	observe func(boxes [][]geom.Rect)
 }
 
 // matchPair is one entry of Model.matchable.
@@ -254,7 +261,7 @@ func newModel(numCams int, pairs map[[2]int]*PairModel) *Model {
 	m := &Model{numCams: numCams, pairs: pairs}
 	for i := 0; i < numCams; i++ {
 		for j := i + 1; j < numCams; j++ {
-			if pm := pairs[[2]int{i, j}]; pm != nil && pm.hasReg {
+			if pm := pairs[[2]int{i, j}]; pm != nil && pm.covisible {
 				m.matchable = append(m.matchable, matchPair{i, j, pm})
 			}
 		}
@@ -262,33 +269,13 @@ func newModel(numCams int, pairs map[[2]int]*PairModel) *Model {
 	return m
 }
 
-// Factories bundles the model constructors used for training, so
-// experiments can swap baselines in, and bounds Train's per-pair
-// fan-out.
+// Factories configures training: it bounds Train's per-pair fan-out.
 type Factories struct {
-	// NewClassifier returns a fresh untrained classifier (default KNN).
-	// It is called once per directed camera pair, possibly from several
-	// goroutines at once, so it must return a new, unshared model each
-	// call.
-	NewClassifier func() ml.Classifier
-	// NewRegressor returns a fresh untrained regressor (default KNN).
-	// The same concurrent-call contract as NewClassifier applies.
-	NewRegressor func() ml.Regressor
 	// Workers bounds the goroutines training camera pairs: 1 forces the
 	// sequential reference path, <= 0 (the default) selects GOMAXPROCS,
 	// and any value is capped at the pair count. The trained Model is
 	// bit-identical for every value.
 	Workers int
-}
-
-func (f Factories) withDefaults() Factories {
-	if f.NewClassifier == nil {
-		f.NewClassifier = func() ml.Classifier { return &ml.KNNClassifier{K: 5} }
-	}
-	if f.NewRegressor == nil {
-		f.NewRegressor = func() ml.Regressor { return &ml.KNNRegressor{K: 5} }
-	}
-	return f
 }
 
 // directedPairs enumerates the (src, dst) camera pairs with src != dst,
@@ -315,14 +302,18 @@ func directedPairs(numCams int) [][2]int {
 // sequentially afterwards, so the result is bit-identical at every
 // worker count.
 func Train(trace *scene.Trace, f Factories) (*Model, error) {
+	return train(trace, f.Workers, TrainPair)
+}
+
+// train is Train with each pair fitted by fit.
+func train(trace *scene.Trace, workers int, fit func([]Sample) (*PairModel, error)) (*Model, error) {
 	if len(trace.Cameras) < 2 {
 		return nil, fmt.Errorf("assoc: need >= 2 cameras, got %d", len(trace.Cameras))
 	}
-	f = f.withDefaults()
 	numCams := len(trace.Cameras)
 	pairs := directedPairs(numCams)
 	slots := make([]*PairModel, len(pairs))
-	err := pool.Do(f.Workers, len(pairs), func(k int) error {
+	err := pool.Do(workers, len(pairs), func(k int) error {
 		src, dst := pairs[k][0], pairs[k][1]
 		samples, err := BuildPairSamples(trace, src, dst)
 		if err != nil {
@@ -331,7 +322,7 @@ func Train(trace *scene.Trace, f Factories) (*Model, error) {
 		if len(samples) == 0 {
 			return nil // untrained pair: Map answers "not visible"
 		}
-		pm, err := TrainPair(samples, f.NewClassifier, f.NewRegressor)
+		pm, err := fit(samples)
 		if err != nil {
 			return fmt.Errorf("assoc: pair (%d,%d): %w", src, dst, err)
 		}
@@ -459,8 +450,8 @@ func (p pairWork) Item(worker, k int) error { return p.w.match(worker, k) }
 // sequentially in ascending (i, then j) pair order, so the returned
 // groups, their order, and their member order are bit-identical at every
 // worker count, and whether the Workspace is fresh or reused. A pair
-// with an empty side, with no trained regressor (it can only answer "not
-// visible"), or whose boxes are all predicted invisible on the other
+// with an empty side, with no co-visible training sample (it can only
+// answer "not visible"), or whose boxes are all predicted invisible on the other
 // camera, contributes no matches and never invokes the Hungarian solver,
 // exactly as in the sequential path.
 func (w *Workspace) Associate(m *Model, boxes [][]geom.Rect, minIoU float64, workers int) ([]Group, error) {
@@ -469,6 +460,9 @@ func (w *Workspace) Associate(m *Model, boxes [][]geom.Rect, minIoU float64, wor
 	}
 	if minIoU <= 0 {
 		minIoU = MinIoU
+	}
+	if m.observe != nil {
+		m.observe(boxes)
 	}
 	w.boxes, w.minIoU = boxes, minIoU
 
@@ -703,17 +697,28 @@ func (m *Model) CellCoverage(src int, grid geom.Grid) ([][]int, error) {
 // CellCoverageWorkers is CellCoverage with the per-cell queries spread
 // over up to workers goroutines (<= 0 selects GOMAXPROCS, 1 runs
 // inline). Each cell's coverage set is written to its own slot, so the
-// result is bit-identical at every worker count.
+// result is bit-identical at every worker count. A query asks its pair
+// for the vote alone (MapBox's visibility, without the regression) and
+// allocates nothing.
 func (m *Model) CellCoverageWorkers(src int, grid geom.Grid, workers int) ([][]int, error) {
+	// The co-visible pairs from src, by destination; the others answer
+	// "not visible".
+	from := make([]*PairModel, m.numCams)
+	for dst := range from {
+		if pm := m.pairs[[2]int{src, dst}]; dst != src && pm != nil && pm.covisible {
+			from[dst] = pm
+		}
+	}
 	out := make([][]int, grid.NumCells())
 	err := pool.Do(workers, grid.NumCells(), func(c int) error {
 		box := m.NominalBox(src, grid.CellCenter(c))
+		vec := [4]float64{box.MinX, box.MinY, box.MaxX, box.MaxY}
 		cover := []int{src}
-		for dst := 0; dst < m.numCams; dst++ {
-			if dst == src {
+		for dst, pm := range from {
+			if pm == nil {
 				continue
 			}
-			_, visible, err := m.MapBox(src, dst, box)
+			visible, err := pm.knn.Visible(vec[:])
 			if err != nil {
 				return fmt.Errorf("assoc: coverage cell %d: %w", c, err)
 			}

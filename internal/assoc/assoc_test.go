@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mvs/internal/geom"
-	"mvs/internal/ml"
 	"mvs/internal/scene"
 )
 
@@ -180,21 +179,19 @@ func TestTrainNeedsTwoCameras(t *testing.T) {
 }
 
 func TestTrainPairNoSamples(t *testing.T) {
-	if _, err := TrainPair(nil, func() ml.Classifier { return &ml.KNNClassifier{} }, func() ml.Regressor { return &ml.KNNRegressor{} }); err == nil {
+	if _, err := TrainPair(nil); err == nil {
 		t.Fatal("empty samples accepted")
 	}
 }
 
 func TestTrainPairClassifierOnly(t *testing.T) {
-	// All negative samples: pair trains a classifier but no regressor and
-	// always answers "not visible".
+	// All negative samples: the pair trains an index with no co-visible
+	// sample and always answers "not visible".
 	samples := make([]Sample, 20)
 	for i := range samples {
 		samples[i] = Sample{SrcBox: geom.Rect{MinX: float64(i), MinY: 0, MaxX: float64(i) + 10, MaxY: 10}}
 	}
-	pm, err := TrainPair(samples,
-		func() ml.Classifier { return &ml.KNNClassifier{K: 3} },
-		func() ml.Regressor { return &ml.KNNRegressor{} })
+	pm, err := TrainPair(samples)
 	if err != nil {
 		t.Fatal(err)
 	}

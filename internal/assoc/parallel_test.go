@@ -2,13 +2,14 @@ package assoc
 
 import (
 	"errors"
+	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"mvs/internal/geom"
-	"mvs/internal/ml"
 	"mvs/internal/scene"
 )
 
@@ -107,16 +108,13 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 // the lowest-numbered pair.
 func TestTrainErrorDeterministicAcrossWorkers(t *testing.T) {
 	trace := getCorridorTrace(t)
-	train, _ := trace.SplitTrain()
-	f := Factories{
-		NewClassifier: func() ml.Classifier { return failingClassifier{} },
-	}
+	tr, _ := trace.SplitTrain()
+	failing := func([]Sample) (*PairModel, error) { return nil, errors.New("broken") }
 	var want string
 	for _, workers := range []int{1, 2, 8} {
-		f.Workers = workers
-		_, err := Train(train, f)
+		_, err := train(tr, workers, failing)
 		if err == nil {
-			t.Fatalf("workers=%d: failing classifier accepted", workers)
+			t.Fatalf("workers=%d: failing pair fit accepted", workers)
 		}
 		if want == "" {
 			want = err.Error()
@@ -128,12 +126,6 @@ func TestTrainErrorDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-type failingClassifier struct{}
-
-func (failingClassifier) Fit([][]float64, []bool) error   { return errors.New("broken") }
-func (failingClassifier) Predict([]float64) (bool, error) { return false, errors.New("broken") }
-func (failingClassifier) Name() string                    { return "failing" }
 
 // TestAssociateDeterministicAcrossWorkers asserts the tentpole contract
 // for matching: groups, group order, and member order are bit-identical
@@ -232,6 +224,99 @@ func TestAssociateConcurrentCallers(t *testing.T) {
 	}
 }
 
+// TestSharedModelConcurrentAssociateAndCoverage drives association and
+// cell coverage at once against one shared Model — the engine's key
+// frames and a new engine's mask precomputation share a trained model —
+// each call fanned out internally. Under -race this proves neither query
+// writes the model or its indexes; every result must equal its
+// sequential baseline.
+func TestSharedModelConcurrentAssociateAndCoverage(t *testing.T) {
+	trace := getCorridorTrace(t)
+	train, test := trace.SplitTrain()
+	m, err := Train(train, Factories{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := geom.NewGrid(trace.Cameras[0].Frame(), GridCols, GridRows)
+	frames := []int{0, len(test.Frames) / 3, len(test.Frames) / 2}
+	wantGroups := make([][]Group, len(frames))
+	for k, fi := range frames {
+		if wantGroups[k], err = m.Associate(frameBoxes(test, fi), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantCover := make([][][]int, m.numCams)
+	for src := range wantCover {
+		if wantCover[src], err = m.CellCoverage(src, grid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const callers = 4
+	errs := make(chan error, 2*callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			k := i % len(frames)
+			groups, err := m.AssociateWorkers(frameBoxes(test, frames[k]), 0, 2)
+			if err == nil && !reflect.DeepEqual(groups, wantGroups[k]) {
+				err = fmt.Errorf("caller %d: groups of frame %d diverged from sequential", i, frames[k])
+			}
+			errs <- err
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			src := i % m.numCams
+			cover, err := m.CellCoverageWorkers(src, grid, 2)
+			if err == nil && !reflect.DeepEqual(cover, wantCover[src]) {
+				err = fmt.Errorf("caller %d: coverage of camera %d diverged from sequential", i, src)
+			}
+			errs <- err
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCellCoverageQueriesAllocateNothing pins the coverage sweep's
+// allocations at width 1 to its outputs: the per-destination pair list,
+// the result, the fan-out closure, and each cell's coverage list with its
+// growth by append (capacity 1, 2, 4, ...). A query that allocated would
+// add one per co-visible pair and cell.
+func TestCellCoverageQueriesAllocateNothing(t *testing.T) {
+	trace := getCorridorTrace(t)
+	train, _ := trace.SplitTrain()
+	m, err := Train(train, Factories{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src := 0; src < m.numCams; src++ {
+		grid := geom.NewGrid(trace.Cameras[src].Frame(), GridCols, GridRows)
+		cover, err := m.CellCoverageWorkers(src, grid, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 3
+		for _, set := range cover {
+			want += 1 + bits.Len(uint(len(set)-1))
+		}
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := m.CellCoverageWorkers(src, grid, 1); err != nil {
+				panic(err)
+			}
+		})
+		if got > float64(want) {
+			t.Errorf("camera %d: %v allocations a sweep, want at most %d", src, got, want)
+		}
+	}
+}
+
 // TestCellCoverageDeterministicAcrossWorkers asserts the per-cell
 // fan-out matches the sequential coverage sets exactly.
 func TestCellCoverageDeterministicAcrossWorkers(t *testing.T) {
@@ -257,13 +342,25 @@ func TestCellCoverageDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// neverVisible answers "not visible" for every box, making every pair
-// an all-zero profit matrix.
-type neverVisible struct{}
-
-func (neverVisible) Fit([][]float64, []bool) error   { return nil }
-func (neverVisible) Predict([]float64) (bool, error) { return false, nil }
-func (neverVisible) Name() string                    { return "never" }
+// rejectsNear is a co-visible pair whose only visible sample lies far
+// from every box TestAssociateAllInvisiblePair asks about, so each of
+// those boxes is voted "not visible".
+func rejectsNear(t *testing.T) *PairModel {
+	t.Helper()
+	samples := []Sample{{
+		SrcBox:  geom.Rect{MinX: 900, MinY: 900, MaxX: 950, MaxY: 950},
+		Visible: true,
+		DstBox:  geom.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10},
+	}}
+	for i := 0; i < 20; i++ {
+		samples = append(samples, Sample{SrcBox: geom.Rect{MinX: float64(i), MaxX: float64(i) + 10, MaxY: 10}})
+	}
+	pm, err := TrainPair(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pm
+}
 
 // TestAssociateAllInvisiblePair is the regression test for the
 // anyVisible short-circuit: a pair whose boxes are all predicted
@@ -271,12 +368,16 @@ func (neverVisible) Name() string                    { return "never" }
 // the Hungarian solver on an all-zero profit matrix — and empty camera
 // lists must behave the same, sequentially and fanned out.
 func TestAssociateAllInvisiblePair(t *testing.T) {
-	m := &Model{numCams: 3, pairs: map[[2]int]*PairModel{
-		{0, 1}: {clf: neverVisible{}},
-		{1, 0}: {clf: neverVisible{}},
-		{0, 2}: {clf: neverVisible{}},
+	pm := rejectsNear(t)
+	m := newModel(3, map[[2]int]*PairModel{
+		{0, 1}: pm,
+		{1, 0}: pm,
+		{0, 2}: pm,
 		// (1,2)/(2,*) untrained: MapBox answers "not visible" directly.
-	}}
+	})
+	if len(m.matchable) != 2 {
+		t.Fatalf("%d matchable pairs, want (0,1) and (0,2)", len(m.matchable))
+	}
 	cases := []struct {
 		name  string
 		boxes [][]geom.Rect

@@ -295,9 +295,12 @@ func (k *Kernel) RegularFrame(obs []scene.Observation, policy *core.DistributedP
 // detection and tracking consume region geometry, never the executor's
 // result — so a host may equally price the same record elsewhere
 // (pipeline.TenantExecutor). A partial inspection's batch formation is
-// timed as the frame's Batching overhead.
+// timed as the frame's Batching overhead; a full frame reads no clock.
 func (k *Kernel) Price(out *Frame) error {
-	start := time.Now()
+	var start time.Time
+	if !out.Full {
+		start = time.Now()
+	}
 	cost, err := k.exec.Price(out.Full, out.Tasks)
 	if err != nil {
 		return fmt.Errorf("camera %d: inspection: %w", k.index, err)

@@ -5,11 +5,11 @@ package ml
 
 // Neighbors returns the index's neighbour list for x, as training-set
 // row numbers.
-func (k *KNNClassifier) Neighbors(x []float64) []int { return nearestIdx(k.tree, x, k.kEff()) }
+func (k *KNNClassifier) Neighbors(x []float64) []int { return nearestIdx(k.m.tree, x, k.m.k) }
 
 // Neighbors returns the index's neighbour list for x, as training-set
 // row numbers.
-func (k *KNNRegressor) Neighbors(x []float64) []int { return nearestIdx(k.tree, x, k.kEff()) }
+func (k *KNNRegressor) Neighbors(x []float64) []int { return nearestIdx(k.m.tree, x, k.m.k) }
 
 // ReferenceNearest is the brute-force oracle.
 var ReferenceNearest = referenceNearest

@@ -119,7 +119,7 @@ func TestKDMedianSelectMatchesSort(t *testing.T) {
 				if q%2 == 1 {
 					query[rng.Intn(4)] += 16 * float64(rng.Intn(3)-1) // a grid step off
 				}
-				checkNearest(t, pts, c.tree, query, k)
+				checkNearest(t, pts, c.m.tree, query, k)
 				vote, err := c.Predict(query)
 				if err != nil {
 					t.Fatal(err)

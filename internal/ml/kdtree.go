@@ -2,6 +2,7 @@ package ml
 
 import (
 	"cmp"
+	"math"
 	"slices"
 )
 
@@ -20,6 +21,17 @@ import (
 // the pointer-per-node tree this layout replaced at the deployed size of
 // ~281 points (1130 -> 698 ns), ~0.63x at 64 and ~0.49x at 1024. From 64
 // to 1024 points (16x) a query's cost roughly doubles.
+//
+// A vote query (KNNMap, which the classifier is) also takes the lower
+// bound its early rejection needs. The benchmark's labels are random, so
+// the visible points' box spans every query, the bound is 0 and each
+// search runs to the end: there a query reads 533, 885 and 1070 ns at
+// 64, 281 and 1024 points against 430, 888 and 1125 ns for the
+// classifier before the joint index (medians of five alternating runs,
+// which spread by about 10 %, on a 2-core Xeon host). On the deployed
+// pairs most votes are rejections that stop early: the benchmark's query
+// drill on the corridor (ml.knn_predict_ns) reads 372-412 ns against
+// 862-867 (two traced runs a side).
 type kdTree struct {
 	dim    int
 	coords []float64 // slot s is coords[s*dim : (s+1)*dim]
@@ -199,43 +211,88 @@ func (b *kBest) offer(c neighbor) {
 	b.buf[i] = c
 }
 
-// nearest selects the k indexed points nearest to x (all points when
-// k >= their count) into a kBest over store, in increasing (dist, index)
-// order — the brute-force scan's list, tie-breaks included.
-func (t *kdTree) nearest(x []float64, k int, store *[stackK]neighbor) []neighbor {
-	best := newKBest(k, len(t.ids), store)
-	t.search(0, x, &best)
-	return best.buf
+// kdSearch is one query of a kdTree: the k best candidates for q among
+// the indexed points, or, with only, among those rank marks positive
+// (rank >= 0; rank is by point index). A search given a quorum also
+// stops as soon as a negative vote is certain: once quorum of the
+// candidates in best are negative and lie strictly closer than bound, a
+// lower bound on every positive point's distance.
+type kdSearch struct {
+	t    *kdTree
+	q    []float64
+	best kBest
+
+	rank   []int32
+	only   bool
+	bound  float64
+	quorum int // 0: search to the end
 }
 
-// search offers best the points under node n that can still be among
-// the k nearest to q; called on the root it leaves best.buf holding them
-// in increasing (dist, index) order — identical to the linear scan.
-func (t *kdTree) search(n int32, q []float64, best *kBest) {
+// search offers s.best the points under node n that can still be among
+// the k nearest to s.q; called on the root it leaves best.buf holding
+// them in increasing (dist, index) order — identical to the linear scan
+// — unless it returns true: the quorum was met and the search stopped.
+func (s *kdSearch) search(n int32) bool {
+	t, q, best := s.t, s.q, &s.best
 	node := &t.nodes[n]
 	if node.axis < 0 {
-		for s := node.a; s < node.b; s++ {
-			c := neighbor{dist: dist2(t.coords[int(s)*t.dim:][:t.dim], q), index: t.ids[s]}
-			// Most leaf points lose to the current k-th best: reject them
-			// here rather than in offer.
-			if best.full() && !best.worst().worseThan(c) {
+		// Most leaf points lose to the current k-th best: those strictly
+		// farther are rejected on their distance alone, the rest by
+		// offer's (dist, index) order.
+		worst := math.Inf(1)
+		if best.full() {
+			worst = best.worst().dist
+		}
+		for i := int(node.a); i < int(node.b); i++ {
+			if s.only && s.rank[t.ids[i]] < 0 {
 				continue
 			}
-			best.offer(c)
+			d := dist2(t.coords[i*t.dim:][:t.dim], q)
+			if d > worst {
+				continue
+			}
+			best.offer(neighbor{dist: d, index: t.ids[i]})
+			if best.full() {
+				worst = best.worst().dist
+			}
 		}
-		return
+		return s.quorum > 0 && s.rejected()
 	}
 	diff := q[node.axis] - node.split
 	near, far := node.a, node.b
 	if diff > 0 {
-		near, far = node.b, node.a
+		near, far = far, near
 	}
-	t.search(near, q, best)
+	if s.search(near) {
+		return true
+	}
 	// Visit the far side only if the splitting plane could still hold a
 	// better candidate. With equal distances breaking ties by index, a
 	// plane at exactly the current worst distance can still hide a
-	// lower-index point, so use <= rather than <.
+	// lower-index point, so use <= rather than <. Pruning by the best so
+	// far holds for any subset of the points, so it holds under only.
 	if !best.full() || diff*diff <= best.worst().dist {
-		t.search(far, q, best)
+		return s.search(far)
 	}
+	return false
+}
+
+// rejected reports whether quorum negatives in best lie strictly closer
+// than bound. Every positive point lies at bound or farther, so each of
+// those negatives outranks every positive one: whatever the rest of the
+// search finds, at most k-quorum positives can join them in the final
+// list.
+func (s *kdSearch) rejected() bool {
+	neg := 0
+	for _, c := range s.best.buf { // ascending dist
+		if !(c.dist < s.bound) {
+			return false
+		}
+		if s.rank[c.index] < 0 {
+			if neg++; neg == s.quorum {
+				return true
+			}
+		}
+	}
+	return false
 }

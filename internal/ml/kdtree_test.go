@@ -72,12 +72,15 @@ func referenceRegress(points, targets [][]float64, x []float64, k int) []float64
 	return pred
 }
 
-// nearestIdx runs the production index and returns the neighbor indices.
+// nearestIdx searches the production index for the k points nearest to
+// x (all points when k >= their count) and returns their indices in
+// increasing (dist, index) order.
 func nearestIdx(tree *kdTree, x []float64, k int) []int {
 	var store [stackK]neighbor
-	near := tree.nearest(x, k, &store)
-	idx := make([]int, len(near))
-	for i, n := range near {
+	s := kdSearch{t: tree, q: x, best: newKBest(k, len(tree.ids), &store)}
+	s.search(0)
+	idx := make([]int, len(s.best.buf))
+	for i, n := range s.best.buf {
 		idx[i] = n.index
 	}
 	return idx
@@ -295,7 +298,7 @@ func TestKNNPredictAllocatesNothing(t *testing.T) {
 		if err := c.Fit(x, y); err != nil {
 			t.Fatal(err)
 		}
-		if leaf := len(c.tree.nodes) == 1; leaf != (n <= kdBucket) {
+		if leaf := len(c.m.tree.nodes) == 1; leaf != (n <= kdBucket) {
 			t.Fatalf("n=%d: single leaf = %v", n, leaf)
 		}
 		q := []float64{100, 100}
@@ -365,6 +368,127 @@ func FuzzKNN(f *testing.F) {
 		for j := range want {
 			if math.Float64bits(pred[j]) != math.Float64bits(want[j]) {
 				t.Fatalf("k=%d n=%d: regressor %v, reference %v", k, len(x), pred, want)
+			}
+		}
+	})
+}
+
+// TestKNNMapRejectsEarly checks that the early rejection fires: with
+// the visible samples in one corner and a query among invisible ones far
+// from it, the vote search stops before its list is complete; with the
+// query inside the visible samples' box it runs to the end. Either way
+// the answer is the brute-force vote.
+func TestKNNMapRejectsEarly(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pts := boxPoints(rng, 281)
+	visible := make([]bool, len(pts))
+	for i, p := range pts {
+		visible[i] = p[0] < 200 // the left edge of the image
+	}
+	var targets [][]float64
+	for i, p := range pts {
+		if visible[i] {
+			targets = append(targets, []float64{p[0], p[1]})
+		}
+	}
+	m, err := NewKNNMap(pts, visible, targets, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var store [stackK]neighbor
+	for _, tc := range []struct {
+		q       []float64
+		stopped bool
+	}{
+		{[]float64{1000, 400, 1080, 460}, true},
+		{[]float64{40, 300, 120, 360}, false},
+	} {
+		near, _, vote := m.vote(tc.q, &store)
+		if stopped := near == nil; stopped != tc.stopped {
+			t.Errorf("q=%v: stopped early = %v, want %v", tc.q, stopped, tc.stopped)
+		}
+		if want := referenceVote(pts, visible, tc.q, 5); vote != want {
+			t.Errorf("q=%v: vote %v, reference %v", tc.q, vote, want)
+		}
+	}
+}
+
+// FuzzKNNMap decodes bytes into up to 200 4-D samples on a coarse grid,
+// each with a visible label and a target, one query and a k in 1–8, and
+// holds the joint index to the split models it replaces — a classifier
+// over all samples and a regressor over the visible ones — and to the
+// brute-force reference: the vote, and when visible the mapped vector
+// bit for bit.
+func FuzzKNNMap(f *testing.F) {
+	f.Add([]byte{4, 1, 2, 3, 4, 1, 2, 3, 4, 5, 5, 5, 5, 0x81, 2, 3, 5})
+	f.Add(append([]byte{2, 9, 9, 9, 9}, make([]byte, 4*40)...))
+	seed := rand.New(rand.NewSource(46))
+	for _, n := range []int{3, kdBucket, kdBucket + 1, 2*kdBucket + 1, 200} {
+		b := make([]byte, 5+4*n)
+		seed.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 9 {
+			return
+		}
+		k := 1 + int(data[0]%8)
+		coord := func(b byte) float64 { return float64(int(b%32)-16) / 4 }
+		q := []float64{coord(data[1]), coord(data[2]), coord(data[3]), coord(data[4])}
+		var x, rx, ry [][]float64
+		var visible []bool
+		for rest := data[5:]; len(rest) >= 4 && len(x) < 200; rest = rest[4:] {
+			p := []float64{coord(rest[0]), coord(rest[1]), coord(rest[2]), coord(rest[3])}
+			v := rest[0]&0x80 != 0 || rest[1]&0x80 != 0 // about three in four visible
+			x, visible = append(x, p), append(visible, v)
+			if v {
+				rx, ry = append(rx, p), append(ry, []float64{p[0] + p[2], float64(rest[2]), float64(len(x))})
+			}
+		}
+		if len(x) == 0 {
+			return
+		}
+		m, err := NewKNNMap(x, visible, ry, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &KNNClassifier{K: k}
+		if err := c.Fit(x, visible); err != nil {
+			t.Fatal(err)
+		}
+		wantVote, err := c.Predict(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref := referenceVote(x, visible, q, k); wantVote != ref {
+			t.Fatalf("k=%d n=%d: classifier %v, reference %v", k, len(x), wantVote, ref)
+		}
+		vote, err := m.Visible(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, mapped, err := m.Map(nil, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vote != wantVote || mapped != wantVote || mapped && len(rx) == 0 {
+			t.Fatalf("k=%d n=%d: vote %v, map %v; classifier %v", k, len(x), vote, mapped, wantVote)
+		}
+		if !mapped {
+			return
+		}
+		r := &KNNRegressor{K: k}
+		if err := r.Fit(rx, ry); err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.Predict(nil, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := referenceRegress(rx, ry, q, k)
+		for j := range want {
+			if math.Float64bits(pred[j]) != math.Float64bits(want[j]) || math.Float64bits(want[j]) != math.Float64bits(ref[j]) {
+				t.Fatalf("k=%d n=%d: joint %v, regressor %v, reference %v", k, len(x), pred, want, ref)
 			}
 		}
 	})
