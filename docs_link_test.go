@@ -108,3 +108,55 @@ func slugify(heading string) string {
 	}
 	return b.String()
 }
+
+// TestDocsNameExistingBenchmarks holds every Benchmark identifier that
+// README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md and the non-test Go
+// files under internal/ and cmd/ name to a func of that name in some
+// _test.go file of the tree, so a deleted or renamed benchmark cannot
+// stay cited as a timing's producer. CHANGES.md and ROADMAP.md record
+// history and name benchmarks that are gone; bench/ is the benchmark
+// module, with its own drills.
+func TestDocsNameExistingBenchmarks(t *testing.T) {
+	defRE := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+	refRE := regexp.MustCompile(`\bBenchmark[A-Z0-9]\w*`)
+	defined := map[string]bool{}
+	var sources []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case strings.HasSuffix(path, "_test.go"):
+			raw, err := os.ReadFile(path)
+			for _, m := range defRE.FindAllStringSubmatch(string(raw), -1) {
+				defined[m[1]] = true
+			}
+			return err
+		case strings.HasSuffix(path, ".go"):
+			if top, _, _ := strings.Cut(filepath.ToSlash(path), "/"); top == "internal" || top == "cmd" {
+				sources = append(sources, path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, _ := filepath.Glob(filepath.Join("docs", "*.md")) // the pattern is well formed
+	sources = append(append(sources, docs...), "README.md", "DESIGN.md", "EXPERIMENTS.md")
+	if len(defined) == 0 || len(sources) < 50 {
+		t.Fatalf("found %d benchmarks and %d files to check — walk broken?", len(defined), len(sources))
+	}
+	for _, file := range sources {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range refRE.FindAllString(string(raw), -1) {
+			if !defined[name] {
+				t.Errorf("%s names %s, which no _test.go file defines", file, name)
+			}
+		}
+	}
+}

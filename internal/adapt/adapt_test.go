@@ -325,21 +325,3 @@ func TestKeyFrameGrid(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkAdaptController(b *testing.B) {
-	pol := testPolicy()
-	pol.Window = 40
-	c := NewController(pol)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Observe(Sample{
-			Latency:    time.Duration(i%200) * time.Millisecond,
-			QueueDepth: i % 128,
-			Drift:      i % 3,
-		})
-		if i%10 == 0 {
-			c.Tick()
-		}
-	}
-}

@@ -11,6 +11,7 @@ import (
 	"mvs/internal/central"
 	"mvs/internal/core"
 	"mvs/internal/geom"
+	"mvs/internal/gpu"
 	"mvs/internal/metrics"
 	"mvs/internal/profile"
 )
@@ -374,8 +375,8 @@ func (m *machine) local(global int) int {
 // in-process engine runs too) over the round's reports and turns its
 // per-track decisions into one Assignment per roster camera. It also
 // assembles the round's snapshot (sans Seq and RoundLatency): the
-// scheduled per-camera latencies, the batch occupancy each camera's
-// assignment implies, and assignment counts.
+// scheduled per-camera latencies, the batches each camera's assignment
+// launches, and assignment counts.
 func (m *machine) schedule(r *round) ([]*Assignment, metrics.Snapshot, []int, error) {
 	solved, views := &m.work.round, &m.work.round.Views
 	total := 0
@@ -400,7 +401,10 @@ func (m *machine) schedule(r *round) ([]*Assignment, metrics.Snapshot, []int, er
 		return nil, metrics.Snapshot{}, nil, err
 	}
 	sol := solved.Solution
-	snap := m.roundSnapshot(r.frame, &solved.Objects, sol, &m.work)
+	snap, err := m.roundSnapshot(r.frame, &solved.Objects, sol, &m.work)
+	if err != nil {
+		return nil, metrics.Snapshot{}, nil, err
+	}
 	// A round missing at least one roster camera's view (timeout, lease
 	// expiry, disconnect, or a camera that never joined) is partial.
 	snap.Partial = r.n < len(m.cams)
@@ -445,18 +449,17 @@ func (m *machine) schedule(r *round) ([]*Assignment, metrics.Snapshot, []int, er
 // the snapshot's per-camera tables, reused every round.
 type roundWork struct {
 	round central.Round
-	// counts[cam*k+s] is the number of objects assigned to cam at its
-	// profile's size Sizes[s], where k is the roster's most sizes.
-	counts   []int
-	assigned []int
+	// tasks[cam] is the inspections the round assigns to cam, and
+	// execs[cam] the executor that prices them for the snapshot.
+	tasks [][]gpu.Task
+	execs []*gpu.Executor
 }
 
 // roundSnapshot derives the observability record of a scheduled round:
 // per camera, the solution's scheduled latency, the number of objects
-// assigned, and the batch occupancy its assignment implies (images over
-// the capacity of the batches BALB's packing launches, per Definition 1
-// greedy same-size packing).
-func (m *machine) roundSnapshot(frame int, in *core.Instance, sol *core.Solution, work *roundWork) metrics.Snapshot {
+// assigned, and the batches, images and batch occupancy of its assigned
+// inspections, priced by gpu.Executor.Price as a camera prices a frame.
+func (m *machine) roundSnapshot(frame int, in *core.Instance, sol *core.Solution, work *roundWork) (metrics.Snapshot, error) {
 	snap := metrics.Snapshot{
 		Source:       metrics.SourceScheduler,
 		Frame:        frame,
@@ -470,38 +473,33 @@ func (m *machine) roundSnapshot(frame int, in *core.Instance, sol *core.Solution
 		// globalized so fleet-wide dashboards line up.
 		snap.Label = m.shard.label
 	}
-	// The solver validated every assigned size against the camera's
-	// profile, so each lands in a size class.
-	k := 0
-	for _, c := range m.cams {
-		k = max(k, len(c.Profile.Sizes))
+	if len(work.execs) != len(m.cams) {
+		work.execs = make([]*gpu.Executor, len(m.cams))
+		for i, c := range m.cams {
+			ex, err := gpu.NewExecutor(c.Profile)
+			if err != nil {
+				return metrics.Snapshot{}, fmt.Errorf("cluster: camera %d: %w", m.glob(i), err)
+			}
+			work.execs[i] = ex
+		}
+		work.tasks = make([][]gpu.Task, len(m.cams))
 	}
-	work.counts = append(work.counts[:0], make([]int, len(m.cams)*k)...)
-	work.assigned = append(work.assigned[:0], make([]int, len(m.cams))...)
-	counts, assigned := work.counts, work.assigned
+	for i := range work.tasks {
+		work.tasks[i] = work.tasks[i][:0]
+	}
 	for j, cam := range sol.Assign {
 		size := in.Sizes(j)[slices.Index(in.Cameras(j), int32(cam))]
-		counts[cam*k+slices.Index(m.cams[cam].Profile.Sizes, int(size))]++
-		assigned[cam]++
+		work.tasks[cam] = append(work.tasks[cam], gpu.Task{ObjectID: j, Size: int(size)})
 	}
-	for i, c := range m.cams {
-		cs := metrics.CameraSnapshot{Camera: m.glob(i), Assignments: assigned[i], Latency: sol.Latencies[i]}
-		capacity := 0
-		for sc, size := range c.Profile.Sizes {
-			n := counts[i*k+sc]
-			if n == 0 {
-				continue
-			}
-			limit := c.Profile.BatchLimit[size]
-			b := (n + limit - 1) / limit
-			cs.Batches += b
-			capacity += b * limit
-			cs.Images += n
+	for i, tasks := range work.tasks {
+		cost, err := work.execs[i].Price(false, tasks)
+		if err != nil {
+			return metrics.Snapshot{}, fmt.Errorf("cluster: camera %d: %w", m.glob(i), err)
 		}
-		if capacity > 0 {
-			cs.BatchOccupancy = float64(cs.Images) / float64(capacity)
+		snap.Cameras[i] = metrics.CameraSnapshot{
+			Camera: m.glob(i), Assignments: len(tasks), Latency: sol.Latencies[i],
+			Batches: cost.Batches, Images: cost.Images, BatchOccupancy: cost.Occupancy,
 		}
-		snap.Cameras[i] = cs
 	}
-	return snap
+	return snap, nil
 }

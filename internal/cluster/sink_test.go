@@ -3,58 +3,97 @@ package cluster
 import (
 	"bytes"
 	"log"
+	"math"
+	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"mvs/internal/core"
+	"mvs/internal/gpu"
 	"mvs/internal/metrics"
 	"mvs/internal/profile"
 )
 
-// TestRoundSnapshotCountsBatches pins the batch accounting of a round
-// snapshot against hand-computed greedy same-size packing: per camera,
-// ceil(n/B) batches per size, the images, and their occupancy.
-func TestRoundSnapshotCountsBatches(t *testing.T) {
-	xavier := profile.Derived(profile.JetsonXavier)
-	m := &machine{cams: []core.CameraSpec{{Index: 0, Profile: xavier}, {Index: 1, Profile: xavier}}}
-	var objects []core.ObjectSpec
-	add := func(n, size int, cover ...int) {
-		for i := 0; i < n; i++ {
-			sz := map[int]int{}
-			for _, c := range cover {
-				sz[c] = size
-			}
-			objects = append(objects, core.ObjectSpec{ID: len(objects) + 1, Coverage: cover, Size: sz})
+// TestRoundSnapshotPricesLikeExecutor is the law of a round snapshot's
+// batch accounting: each camera's Batches, Images and BatchOccupancy are
+// gpu.Executor.Price of the inspections assigned to it, bit for bit.
+// Round 0 is built by hand: camera 0 mixes batch limits (17 size-64 and
+// 2 size-512 tasks on a Xavier: a fill of 0.6875, not the 0.559 of
+// images over capacity). The rest are seeded over mixed devices. A
+// second snapshot on the same workspace equals the first.
+func TestRoundSnapshotPricesLikeExecutor(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	classes := []profile.DeviceClass{profile.JetsonXavier, profile.JetsonTX2, profile.JetsonNano}
+	var solver core.Solver
+	for r := 0; r < 50; r++ {
+		m := &machine{cams: make([]core.CameraSpec, 2+r%5)}
+		for i := range m.cams {
+			m.cams[i] = core.CameraSpec{Index: i, Profile: profile.Derived(classes[r*i%3])}
 		}
-	}
-	add(17, 64, 0)
-	add(2, 512, 0)
-	add(1, 128, 1)
-	add(1, 256, 1, 0) // camera 1's size class, whichever camera is listed first
-	var w core.Solver
-	in := core.NewInstance(objects)
-	sol, err := w.Central(m.cams, in, core.CentralOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol.Assign[len(objects)-1] = 1 // pin the shared object on camera 1
-	snap := m.roundSnapshot(7, in, sol, new(roundWork))
-	lim := xavier.BatchLimit
-	want := []metrics.CameraSnapshot{
-		{Camera: 0, Batches: 2 + 1, Images: 19, Assignments: 19,
-			BatchOccupancy: 19 / float64(2*lim[64]+1*lim[512])},
-		{Camera: 1, Batches: 2, Images: 2, Assignments: 2,
-			BatchOccupancy: 2 / float64(lim[128]+lim[256])},
-	}
-	if snap.Frame != 7 || snap.Objects != len(objects) || len(snap.Cameras) != 2 {
-		t.Fatalf("snapshot %+v", snap)
-	}
-	for i, w := range want {
-		w.Latency = sol.Latencies[i]
-		if snap.Cameras[i] != w {
-			t.Errorf("camera %d: %+v, want %+v", i, snap.Cameras[i], w)
+		var objects []core.ObjectSpec
+		add := func(n, size int, cover ...int) {
+			for ; n > 0; n-- {
+				sz := map[int]int{}
+				for _, c := range cover {
+					sz[c] = size
+				}
+				objects = append(objects, core.ObjectSpec{ID: len(objects) + 1, Coverage: cover, Size: sz})
+			}
+		}
+		if r == 0 {
+			add(17, 64, 0)
+			add(2, 512, 0)
+			add(1, 128, 1)
+			add(1, 256, 1, 0)
+		}
+		for n := rng.Intn(120); r > 0 && n > 0; n-- {
+			add(1, 64<<rng.Intn(4), rng.Perm(len(m.cams))[:1+rng.Intn(len(m.cams))]...)
+		}
+		in := core.NewInstance(objects)
+		sol, err := solver.Central(m.cams, in, core.CentralOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == 0 {
+			sol.Assign[len(objects)-1] = 1 // the shared object on camera 1
+		}
+		var work roundWork
+		snap, err := m.roundSnapshot(7, in, sol, &work)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := m.roundSnapshot(7, in, sol, &work); err != nil || !reflect.DeepEqual(again, snap) {
+			t.Fatalf("round %d: reused workspace gives %+v (%v), first %+v", r, again, err, snap)
+		}
+		if snap.Frame != 7 || snap.Objects != len(objects) || len(snap.Cameras) != len(m.cams) {
+			t.Fatalf("round %d: snapshot %+v", r, snap)
+		}
+		for ci, c := range m.cams {
+			var tasks []gpu.Task
+			for j, o := range objects {
+				if sol.Assign[j] == ci {
+					tasks = append(tasks, gpu.Task{ObjectID: o.ID, Size: o.Size[ci]})
+				}
+			}
+			ex, err := gpu.NewExecutor(c.Profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost, err := ex.Price(false, tasks)
+			want := metrics.CameraSnapshot{
+				Camera: ci, Latency: sol.Latencies[ci], Assignments: len(tasks),
+				Batches: cost.Batches, Images: cost.Images, BatchOccupancy: cost.Occupancy,
+			}
+			got := snap.Cameras[ci]
+			if err != nil || got != want || math.Float64bits(got.BatchOccupancy) != math.Float64bits(want.BatchOccupancy) {
+				t.Fatalf("round %d camera %d: %+v, want %+v (%v)", r, ci, got, want, err)
+			}
+		}
+		if got := snap.Cameras[0]; r == 0 && (got.Batches != 3 || got.Images != 19 || got.BatchOccupancy != 0.6875) {
+			t.Fatalf("mixed-limit camera: %+v, want 3 batches, 19 images, occupancy 0.6875", got)
 		}
 	}
 }

@@ -632,29 +632,3 @@ func TestStaticPartitionIgnoresLoad(t *testing.T) {
 		t.Fatalf("BALB %v worse than SP %v", balb.System(), sp.System())
 	}
 }
-
-func BenchmarkCentral100Objects5Cams(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	classes := []profile.DeviceClass{profile.JetsonNano, profile.JetsonTX2, profile.JetsonXavier}
-	cs := make([]CameraSpec, 5)
-	for i := range cs {
-		cs[i] = CameraSpec{Index: i, Profile: profile.Derived(classes[i%3])}
-	}
-	sizes := []int{64, 128, 256, 512}
-	objects := make([]ObjectSpec, 100)
-	for i := range objects {
-		k := 1 + rng.Intn(5)
-		perm := rng.Perm(5)[:k]
-		sz := make(map[int]int, k)
-		for _, c := range perm {
-			sz[c] = sizes[rng.Intn(4)]
-		}
-		objects[i] = ObjectSpec{ID: i + 1, Coverage: perm, Size: sz}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Central(cs, objects, CentralOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

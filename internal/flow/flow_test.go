@@ -548,26 +548,6 @@ func TestUpdateSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-func BenchmarkTrackerUpdate20Tracks(b *testing.B) {
-	tr, err := NewTracker(frame, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dets := make([]vision.Detection, 20)
-	for i := range dets {
-		dets[i] = det(i+1, float64(50+i*60), 100, 50, 40)
-	}
-	if _, err := tr.Update(dets); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Update(dets); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkNewRegions(b *testing.B) {
 	var moving, predicted []geom.Rect
 	for i := 0; i < 30; i++ {

@@ -256,22 +256,6 @@ func TestBatchingBeatsSerialEndToEnd(t *testing.T) {
 	}
 }
 
-func BenchmarkFormBatches(b *testing.B) {
-	prof := xavier()
-	rng := rand.New(rand.NewSource(1))
-	std := []int{64, 128, 256, 512}
-	tasks := make([]Task, 50)
-	for i := range tasks {
-		tasks[i] = Task{ObjectID: i, Size: std[rng.Intn(4)]}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FormBatches(tasks, prof); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestRunFrameReusesItsBuffers is the budget (at most one allocation a
 // frame; none once the buffers have grown), checks that reuse does not
 // change what a frame reports, and pins what stays independent: the

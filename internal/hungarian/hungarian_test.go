@@ -262,24 +262,6 @@ func TestMaximizeProfitEmpty(t *testing.T) {
 	}
 }
 
-func BenchmarkSolve20x20(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 20
-	cost := make([][]float64, n)
-	for i := range cost {
-		cost[i] = make([]float64, n)
-		for j := range cost[i] {
-			cost[i][j] = rng.Float64() * 100
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Solve(cost); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- The oracle: the previous solver, verbatim. ---
 
 // referenceSolve is the solver this package shipped before the reusable

@@ -16,22 +16,17 @@ import (
 // dim-strided slice in tree order with each slot's original index
 // beside it, the nodes live in one slice linked by int32 indices, and a
 // leaf is a bucket of up to kdBucket consecutive slots scanned linearly.
-// Measured with BenchmarkKNNPredictBoxes (4-D box vectors, k = 5, a
-// 2-core Xeon host), a classifier query takes ~0.62x the time of
-// the pointer-per-node tree this layout replaced at the deployed size of
-// ~281 points (1130 -> 698 ns), ~0.63x at 64 and ~0.49x at 1024. From 64
-// to 1024 points (16x) a query's cost roughly doubles.
 //
 // A vote query (KNNMap, which the classifier is) also takes the lower
-// bound its early rejection needs. The benchmark's labels are random, so
-// the visible points' box spans every query, the bound is 0 and each
-// search runs to the end: there a query reads 533, 885 and 1070 ns at
-// 64, 281 and 1024 points against 430, 888 and 1125 ns for the
-// classifier before the joint index (medians of five alternating runs,
-// which spread by about 10 %, on a 2-core Xeon host). On the deployed
-// pairs most votes are rejections that stop early: the benchmark's query
-// drill on the corridor (ml.knn_predict_ns) reads 372-412 ns against
-// 862-867 (two traced runs a side).
+// bound its early rejection needs: the squared distance from the query
+// to the box around the visible samples. The rejection fires only when
+// the query lies outside that box — inside it the bound is 0 and the
+// search runs to its end — and then once K/2+1 invisible neighbours lie
+// strictly closer than the bound. On the deployed pairs most votes are
+// such rejections. The timing of record is the benchmark's query drill
+// on a C16 camera pair, ml.knn_predict_ns (bench/README.md): 372-412 ns
+// a query, against 862-867 ns before the early stop (two traced runs a
+// side, 2-core Xeon host).
 type kdTree struct {
 	dim    int
 	coords []float64 // slot s is coords[s*dim : (s+1)*dim]

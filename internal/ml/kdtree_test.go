@@ -493,28 +493,3 @@ func FuzzKNNMap(f *testing.F) {
 		}
 	})
 }
-
-// scanNearest is the linear scan through the bounded selector — the path
-// a training set smaller than a bucket takes, timed on its own.
-func scanNearest(points [][]float64, x []float64, k int, store *[stackK]neighbor) []neighbor {
-	best := newKBest(k, len(points), store)
-	for i, p := range points {
-		best.offer(neighbor{dist: dist2(p, x), index: i})
-	}
-	return best.buf
-}
-
-// BenchmarkKNNPredictBrute times the linear scan for comparison with
-// ml_test.go's BenchmarkKNNPredict (the index on the same 2000-point
-// set).
-func BenchmarkKNNPredictBrute(b *testing.B) {
-	x, _ := linearlySeparable(2000, 21)
-	q := []float64{100, 100}
-	var store [stackK]neighbor
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = scanNearest(x, q, 5, &store)
-	}
-}
-
-var benchSink []neighbor

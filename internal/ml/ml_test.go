@@ -2,7 +2,6 @@ package ml
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -468,48 +467,6 @@ func TestScalerConstantFeature(t *testing.T) {
 	}
 	if math.IsNaN(out[1]) || math.IsInf(out[1], 0) {
 		t.Fatalf("scaled = %v", out)
-	}
-}
-
-func BenchmarkKNNPredict(b *testing.B) {
-	x, y := linearlySeparable(2000, 21)
-	c := &KNNClassifier{K: 5}
-	if err := c.Fit(x, y); err != nil {
-		b.Fatal(err)
-	}
-	q := []float64{100, 100}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Predict(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKNNPredictBoxes times a classifier query on the deployed
-// shape: 4-D box vectors (a trained camera pair holds ~281), k = 5,
-// queries cycling through 256 boxes from the same distribution.
-func BenchmarkKNNPredictBoxes(b *testing.B) {
-	for _, n := range []int{64, 281, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(int64(n)))
-			x := boxPoints(rng, n)
-			y := make([]bool, n)
-			for i := range y {
-				y[i] = rng.Intn(2) == 0
-			}
-			c := &KNNClassifier{K: 5}
-			if err := c.Fit(x, y); err != nil {
-				b.Fatal(err)
-			}
-			qs := boxPoints(rng, 256)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Predict(qs[i%len(qs)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -245,12 +245,18 @@ func (r *Runtime) applyAssignment(a *cluster.Assignment) error {
 		return fmt.Errorf("node: nil assignment")
 	}
 	// The assignment came off the wire: an index outside the fleet is
-	// refused before it sizes the policy or the dead mask.
+	// refused before it sizes the policy or the dead mask, or names a
+	// shadow's owner.
 	for _, cams := range [][]int{a.Priority, a.Roster, a.Dead} {
 		for _, c := range cams {
 			if c < 0 || c >= r.numCams {
 				return fmt.Errorf("node: assignment names camera %d, fleet has %d", c, r.numCams)
 			}
+		}
+	}
+	for _, sh := range a.Shadows {
+		if c := sh.AssignedCamera; c < 0 || c >= r.numCams {
+			return fmt.Errorf("node: assignment shadows track %d to camera %d, fleet has %d", sh.TrackID, c, r.numCams)
 		}
 	}
 	// A shard-scoped assignment (Roster present) carries a priority

@@ -177,8 +177,9 @@ func TestApplyAssignmentErrors(t *testing.T) {
 
 // TestApplyAssignmentRejectsForeignCameras feeds a 2-camera node
 // assignments naming a camera outside the fleet — camera 2, one past
-// it, in each list an assignment carries, and camera -1 — and each is
-// refused before anything is built: the policy in force stays.
+// it, in each list an assignment carries and as a shadow's owner, and
+// camera -1 — and each is refused before anything is built: the policy
+// and the adapt level in force stay.
 func TestApplyAssignmentRejectsForeignCameras(t *testing.T) {
 	rt, err := New(baseConfig(0))
 	if err != nil {
@@ -191,12 +192,16 @@ func TestApplyAssignmentRejectsForeignCameras(t *testing.T) {
 		"scoped priority": {Priority: []int{2}, Roster: []int{0}},
 		"roster":          {Priority: []int{0}, Roster: []int{0, 2}},
 		"priority":        {Priority: []int{0, 1, 2}},
+		"shadow owner": {Priority: []int{0, 1}, AdaptLevel: 1,
+			Shadows: []cluster.ShadowOrder{{TrackID: 1, AssignedCamera: 2}}},
+		"negative shadow owner": {Priority: []int{0, 1}, AdaptLevel: 1,
+			Shadows: []cluster.ShadowOrder{{TrackID: 1, AssignedCamera: 0}, {TrackID: 2, AssignedCamera: -1}}},
 	} {
 		if err := rt.applyAssignment(a); err == nil {
 			t.Errorf("%s: assignment %+v accepted on a 2-camera node", name, a)
 		}
-		if rt.policy != policy {
-			t.Fatalf("%s: a refused assignment replaced the policy", name)
+		if rt.policy != policy || rt.adaptLevel != 0 {
+			t.Fatalf("%s: a refused assignment replaced the policy or the adapt level", name)
 		}
 	}
 }

@@ -61,37 +61,6 @@ func TestFrameCodecOnTraces(t *testing.T) {
 	}
 }
 
-// BenchmarkFrameDecoderS4 decodes the frames of a 1000-frame S4 run with
-// one warm FrameDecoder, the way store.Replay does, and reports the time
-// per frame. S4's positions and boxes are mostly 15 to 17-digit
-// mantissas, the replay workload's share of the float scan.
-func BenchmarkFrameDecoderS4(b *testing.B) {
-	s := workload.S4(1)
-	trace, err := s.World.Run(1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lines := make([][]byte, len(trace.Frames))
-	size := 0
-	for fi := range trace.Frames {
-		if lines[fi], err = scene.AppendFrame(nil, &trace.Frames[fi]); err != nil {
-			b.Fatal(err)
-		}
-		size += len(lines[fi])
-	}
-	var fd scene.FrameDecoder
-	b.SetBytes(int64(size))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, line := range lines {
-			if _, err := fd.Decode(line, len(trace.Cameras)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines))/1e3, "us/frame")
-}
-
 // TestAppendFloatOnGeneratedFrames holds the frame encoder's float to
 // strconv's bytes on every value of 600 generated frames each of the
 // benchmark's corridor and the paper's four scenarios: each object's
@@ -136,37 +105,4 @@ func TestAppendFloatOnGeneratedFrames(t *testing.T) {
 	if values < 500_000 {
 		t.Fatalf("only %d values in 3000 frames", values)
 	}
-}
-
-// BenchmarkAppendFrameC16 encodes the frames of a 1000-frame Corridor(16)
-// run into one reused buffer, the way store.Writer.AppendFrame does, and
-// reports the time per frame. A C16 frame carries some 870 floats, most
-// of them printing 17 or 18 characters.
-func BenchmarkAppendFrameC16(b *testing.B) {
-	s, err := workload.Corridor(16, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace, err := s.World.Run(1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf []byte
-	size := 0
-	for fi := range trace.Frames {
-		if buf, err = scene.AppendFrame(buf[:0], &trace.Frames[fi]); err != nil {
-			b.Fatal(err)
-		}
-		size += len(buf)
-	}
-	b.SetBytes(int64(size))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for fi := range trace.Frames {
-			if buf, err = scene.AppendFrame(buf[:0], &trace.Frames[fi]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace.Frames))/1e3, "us/frame")
 }

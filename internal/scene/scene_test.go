@@ -623,11 +623,3 @@ func BenchmarkProjectBox(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkWorldRun100Frames(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := testWorld(int64(i)).Run(100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
