@@ -67,7 +67,7 @@ type Camera struct {
 // NaN height, pitch, yaw or image size (or an infinite focal length)
 // would otherwise pass and leave a camera that silently sees nothing.
 // MaxRange and MinPixelArea may be zero (no range limit, the default
-// area) but not negative, which projectBox would read as zero.
+// area) but not negative, which project would read as zero.
 func (c *Camera) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -114,8 +114,12 @@ const nearPlane = 0.5
 
 // pose is a camera with the cosines and sines of its fixed yaw and pitch
 // taken once. Every projection goes through one: World.Run builds one per
-// camera before its frame loop, so a box costs only its arithmetic, and
-// the exported methods build one per call.
+// camera before its frame loop, and the exported methods build one per
+// call. A box is projected from its shape (shape.of), which World.Run
+// takes once per object and frame for all the cameras in reach, so a
+// (camera, object) pair costs the range test and, in range, the centre
+// and the four corners' bottom and top, each corner's ground offsets
+// taken once for both.
 type pose struct {
 	*Camera
 	cosT, sinT float64 // yaw
@@ -132,22 +136,41 @@ func (c *Camera) pose() pose {
 	}
 }
 
-// camCoords converts a world point at height z to (right, down, forward)
-// camera coordinates.
-func (p pose) camCoords(pt geom.Point, z float64) (x, y, zc float64) {
+// ground returns a ground point's forward and lateral offsets from the
+// camera: the half of its camera coordinates that does not depend on the
+// height, which a box corner takes once for its bottom and its top.
+//
+// An architecture that fuses multiply-adds (arm64) fuses one product of
+// each sum here and in lift, and which one would follow the compiler's
+// inlining. An explicit conversion rounds the other, so the same product
+// fuses wherever these lines are inlined. On amd64, which never fuses,
+// the conversions change nothing.
+func (p pose) ground(pt geom.Point) (forward, lateral float64) {
 	d := pt.Sub(p.Pos)
-	forward := d.X*p.cosT + d.Y*p.sinT
-	lateral := -d.X*p.sinT + d.Y*p.cosT
+	forward = d.X*p.cosT + float64(d.Y*p.sinT)
+	lateral = float64(-d.X*p.sinT) + d.Y*p.cosT
+	return forward, lateral
+}
+
+// lift returns the (right, down, forward) camera coordinates of the point
+// at height z above ground offsets.
+func (p pose) lift(forward, lateral, z float64) (x, y, zc float64) {
 	x = lateral
-	y = (p.Height-z)*p.cosP - forward*p.sinP
-	zc = forward*p.cosP + (p.Height-z)*p.sinP
+	y = float64((p.Height-z)*p.cosP) - forward*p.sinP
+	zc = forward*p.cosP + float64((p.Height-z)*p.sinP)
 	return x, y, zc
 }
 
 // projectPoint projects a world point at height z to pixel coordinates.
 // The boolean is false when the point is behind the near plane.
 func (p pose) projectPoint(pt geom.Point, z float64) (geom.Point, bool) {
-	x, y, zc := p.camCoords(pt, z)
+	forward, lateral := p.ground(pt)
+	return p.pixel(p.lift(forward, lateral, z))
+}
+
+// pixel maps camera coordinates to pixel coordinates, false behind the
+// near plane.
+func (p pose) pixel(x, y, zc float64) (geom.Point, bool) {
 	if zc < nearPlane {
 		return geom.Point{}, false
 	}
@@ -162,40 +185,74 @@ func (p pose) projectPoint(pt geom.Point, z float64) (geom.Point, bool) {
 // visibility: every corner in front of the camera, the ground centre
 // within range, and enough projected area inside the frame.
 func (c *Camera) ProjectBox(s ObjectState) (geom.Rect, bool) {
-	return c.pose().projectBox(s)
+	var sh shape
+	sh.of(s)
+	box, _, ok := c.pose().project(&sh)
+	return box, ok
 }
 
-func (p pose) projectBox(s ObjectState) (geom.Rect, bool) {
+// shape is the part of an object's box that no camera changes: its
+// ground centre, its height and its four ground corners.
+type shape struct {
+	pos     geom.Point
+	h       float64
+	corners [4]geom.Point
+}
+
+// of sets sh to the shape of s.
+func (sh *shape) of(s ObjectState) {
+	cosH, sinH := math.Cos(s.Heading), math.Sin(s.Heading)
+	fwd := geom.Point{X: cosH, Y: sinH}
+	side := geom.Point{X: -sinH, Y: cosH}
+	sh.pos, sh.h = s.Pos, s.Dims.H
+	i := 0
+	for _, df := range [2]float64{-s.Dims.L / 2, s.Dims.L / 2} {
+		for _, ds := range [2]float64{-s.Dims.W / 2, s.Dims.W / 2} {
+			sh.corners[i] = s.Pos.Add(fwd.Scale(df)).Add(side.Scale(ds))
+			i++
+		}
+	}
+}
+
+// project is ProjectBox of a shape. For a camera with a MaxRange, dist is
+// the object's ground distance from it, Pos.Dist of the two, as the
+// range test took it; without one it is 0.
+func (p pose) project(sh *shape) (box geom.Rect, dist float64, ok bool) {
 	if r := p.MaxRange; r > 0 {
 		// Most objects are far out of range: cull on either leg before
 		// taking the hypotenuse. This is exact, because Hypot returns
 		// max·sqrt(1+(min/max)²), never less than the longer leg.
-		dx, dy := s.Pos.X-p.Pos.X, s.Pos.Y-p.Pos.Y
-		if math.Abs(dx) > r || math.Abs(dy) > r || math.Hypot(dx, dy) > r {
-			return geom.Rect{}, false
+		dx, dy := sh.pos.X-p.Pos.X, sh.pos.Y-p.Pos.Y
+		if math.Abs(dx) > r || math.Abs(dy) > r {
+			return geom.Rect{}, 0, false
+		}
+		if dist = math.Hypot(dx, dy); dist > r {
+			return geom.Rect{}, 0, false
 		}
 	}
-	cosH, sinH := math.Cos(s.Heading), math.Sin(s.Heading)
-	fwd := geom.Point{X: cosH, Y: sinH}
-	side := geom.Point{X: -sinH, Y: cosH}
-
-	box := geom.Rect{
+	// Require the object centre to be within the frame: objects sliced in
+	// half at the border are not reliably trackable. Every test is pure,
+	// so their order cannot change the result, and this one, a single
+	// point, goes before the box's eight.
+	centre, ok := p.projectPoint(sh.pos, sh.h/2)
+	if !ok || !p.Frame().Contains(centre) {
+		return geom.Rect{}, 0, false
+	}
+	box = geom.Rect{
 		MinX: math.Inf(1), MinY: math.Inf(1),
 		MaxX: math.Inf(-1), MaxY: math.Inf(-1),
 	}
-	for _, df := range []float64{-s.Dims.L / 2, s.Dims.L / 2} {
-		for _, ds := range []float64{-s.Dims.W / 2, s.Dims.W / 2} {
-			corner := s.Pos.Add(fwd.Scale(df)).Add(side.Scale(ds))
-			for _, z := range []float64{0, s.Dims.H} {
-				px, ok := p.projectPoint(corner, z)
-				if !ok {
-					return geom.Rect{}, false
-				}
-				box.MinX = min(box.MinX, px.X)
-				box.MinY = min(box.MinY, px.Y)
-				box.MaxX = max(box.MaxX, px.X)
-				box.MaxY = max(box.MaxY, px.Y)
+	for _, corner := range sh.corners {
+		forward, lateral := p.ground(corner)
+		for _, z := range [2]float64{0, sh.h} {
+			px, ok := p.pixel(p.lift(forward, lateral, z))
+			if !ok {
+				return geom.Rect{}, 0, false
 			}
+			box.MinX = min(box.MinX, px.X)
+			box.MinY = min(box.MinY, px.Y)
+			box.MaxX = max(box.MaxX, px.X)
+			box.MaxY = max(box.MaxY, px.Y)
 		}
 	}
 	clipped := box.Clamp(p.Frame())
@@ -204,15 +261,9 @@ func (p pose) projectBox(s ObjectState) (geom.Rect, bool) {
 		minArea = 64 // ~8x8 px, below typical detector resolution
 	}
 	if clipped.Area() < minArea {
-		return geom.Rect{}, false
+		return geom.Rect{}, 0, false
 	}
-	// Require the object centre to be within the frame: objects sliced in
-	// half at the border are not reliably trackable.
-	centre, ok := p.projectPoint(s.Pos, s.Dims.H/2)
-	if !ok || !p.Frame().Contains(centre) {
-		return geom.Rect{}, false
-	}
-	return clipped, true
+	return clipped, dist, true
 }
 
 // GroundFromPixel inverts the projection for ground-plane points: it

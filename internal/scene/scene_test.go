@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"mvs/internal/geom"
 )
@@ -437,6 +438,69 @@ func TestWorldValidate(t *testing.T) {
 	w.Routes[0].Speed = 0
 	if _, err := w.Run(10); err == nil {
 		t.Fatal("zero speed accepted")
+	}
+}
+
+// TestWorldValidateNonFinite covers the world's float fields that a NaN
+// would slip past: a NaN frame rate passed Validate and then hung Run in
+// samplePoisson, whose loop a NaN mean never ends. Each case must fail
+// Validate with the field's name, and Run must return that error.
+func TestWorldValidateNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		mutate func(*World)
+		want   string // a fragment of the error
+	}{
+		{func(w *World) { w.FPS = nan }, "fps NaN must be positive and finite"},
+		{func(w *World) { w.FPS = inf }, "fps +Inf must be positive and finite"},
+		{func(w *World) { w.FPS = -inf }, "fps -Inf must be positive and finite"},
+		{func(w *World) { w.Routes[0].Speed = nan }, "route 0 speed NaN must be finite"},
+		{func(w *World) { w.Routes[0].Speed = inf }, "route 0 speed +Inf must be finite"},
+		{func(w *World) { w.Routes[0].SpeedJitter = nan }, "route 0 speed jitter NaN must be finite"},
+		{func(w *World) { w.Routes[0].SpeedJitter = -inf }, "route 0 speed jitter -Inf must be finite"},
+		{func(w *World) { w.Routes[0].HeadwayMin = nan }, "route 0 min headway NaN must be finite"},
+		{func(w *World) { w.Routes[0].HeadwayMin = inf }, "route 0 min headway +Inf must be finite"},
+		{func(w *World) { w.OcclusionFrac = nan }, "occlusion fraction NaN must be in [0, 1]"},
+		{func(w *World) { w.OcclusionFrac = -0.1 }, "occlusion fraction -0.1 must be in [0, 1]"},
+		{func(w *World) { w.OcclusionFrac = 1.5 }, "occlusion fraction 1.5 must be in [0, 1]"},
+	}
+	for i, tc := range cases {
+		w := testWorld(1)
+		tc.mutate(w)
+		err := w.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: Validate error %v, want one saying %q", i, err, tc.want)
+			continue
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := w.Run(5)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("case %d: Run accepted the world", i)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("case %d: Run(5) still running after 10 s", i)
+		}
+	}
+	// The bounds of the occlusion fraction are valid.
+	for _, frac := range []float64{0, 1} {
+		w := testWorld(1)
+		w.OcclusionFrac = frac
+		if err := w.Validate(); err != nil {
+			t.Errorf("occlusion fraction %v refused: %v", frac, err)
+		}
+	}
+	// A NaN mean draws no arrivals instead of looping.
+	rng := rand.New(rand.NewSource(1))
+	if n := (Poisson{RatePerSec: nan}).Arrivals(0, 10, rng); n != 0 {
+		t.Errorf("NaN rate drew %d arrivals, want 0", n)
+	}
+	if n := samplePoisson(nan, rng); n != 0 {
+		t.Errorf("samplePoisson(NaN) = %d, want 0", n)
 	}
 }
 

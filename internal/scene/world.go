@@ -132,7 +132,8 @@ func (b Burst) Arrivals(frame int, _ float64, _ *rand.Rand) int {
 }
 
 func samplePoisson(mean float64, rng *rand.Rand) int {
-	if mean <= 0 {
+	// A NaN mean would never end the loop below (p <= NaN is false).
+	if !(mean > 0) {
 		return 0
 	}
 	// Knuth's algorithm; mean is << 1 per frame in all our workloads.
@@ -214,12 +215,26 @@ func (w *World) Validate() error {
 	if len(w.Cameras) == 0 {
 		return fmt.Errorf("scene: world has no cameras")
 	}
-	if w.FPS <= 0 {
-		return fmt.Errorf("scene: fps %v must be positive", w.FPS)
+	// A NaN compares false with everything, so each bound below is
+	// written to fail on one: a NaN frame rate would otherwise pass and
+	// hang Run in its arrival sampling.
+	if !finite(w.FPS) || w.FPS <= 0 {
+		return fmt.Errorf("scene: fps %v must be positive and finite", w.FPS)
+	}
+	if !(w.OcclusionFrac >= 0 && w.OcclusionFrac <= 1) {
+		return fmt.Errorf("scene: occlusion fraction %v must be in [0, 1]", w.OcclusionFrac)
 	}
 	for i, r := range w.Routes {
 		if r.Path == nil {
 			return fmt.Errorf("scene: route %d has nil path", i)
+		}
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{{"speed", r.Speed}, {"speed jitter", r.SpeedJitter}, {"min headway", r.HeadwayMin}} {
+			if !finite(f.v) {
+				return fmt.Errorf("scene: route %d %s %v must be finite", i, f.name, f.v)
+			}
 		}
 		if r.Speed <= 0 {
 			return fmt.Errorf("scene: route %d speed %v must be positive", i, r.Speed)
@@ -312,21 +327,23 @@ func (w *World) Run(numFrames int) (*Trace, error) {
 	// The frame's lists are gathered in buffers reused across frames and
 	// stored as exact-size copies: a trace is kept whole for the length of
 	// a run, so append's spare capacity (a quarter of it) would be too.
+	// All of a frame's camera lists are cut from one such copy.
 	type proj struct {
 		obs  Observation
 		dist float64
 	}
 	var (
 		objs  []ObjectState
-		projs []proj
+		projs = make([][]proj, len(w.Cameras))
 		seen  []Observation
+		ends  = make([]int, len(w.Cameras))
+		sh    shape
 	)
 	poses := make([]pose, len(w.Cameras))
 	for ci, cam := range w.Cameras {
 		poses[ci] = cam.pose()
 	}
-	// lastSpawnDist tracks per-route the most recent spawn's current
-	// distance, to enforce headway.
+	grid := newCamGrid(w.Cameras)
 	for frame := 0; frame < numFrames; frame++ {
 		// Spawns.
 		for ri := range w.Routes {
@@ -396,26 +413,43 @@ func (w *World) Run(numFrames int) (*Trace, error) {
 		live = survivors
 		ft.Objects = exactCopy(objs)
 
-		// Project per camera, applying occlusion if modelled.
-		ft.PerCamera = make([][]Observation, len(w.Cameras))
-		for ci, cam := range poses {
-			projs, seen = projs[:0], seen[:0]
-			for _, s := range ft.Objects {
-				if box, ok := cam.projectBox(s); ok {
-					projs = append(projs, proj{
-						obs:  Observation{ObjectID: s.ID, Box: box},
-						dist: s.Pos.Dist(cam.Pos),
-					})
-				}
+		// Project each object for the cameras in reach, then apply
+		// occlusion per camera if modelled. Objects are the outer loop,
+		// so each camera's list keeps their order.
+		for ci := range projs {
+			projs[ci] = projs[ci][:0]
+		}
+		for _, s := range ft.Objects {
+			cams := grid.near(s.Pos)
+			if len(cams) == 0 {
+				continue
 			}
+			sh.of(s)
+			for _, ci := range cams {
+				cam := poses[ci]
+				box, dist, ok := cam.project(&sh)
+				if !ok {
+					continue
+				}
+				if w.OcclusionFrac > 0 && cam.MaxRange == 0 {
+					dist = s.Pos.Dist(cam.Pos)
+				}
+				projs[ci] = append(projs[ci], proj{
+					obs:  Observation{ObjectID: s.ID, Box: box},
+					dist: dist,
+				})
+			}
+		}
+		seen = seen[:0]
+		for ci, ps := range projs {
 			if w.OcclusionFrac > 0 {
 				// Nearer objects can hide farther ones: an object is
 				// dropped when a strictly closer box covers enough of it.
-				for i := 0; i < len(projs); i++ {
-					a := &projs[i]
+				for i := 0; i < len(ps); i++ {
+					a := &ps[i]
 					hidden := false
-					for j := range projs {
-						b := &projs[j]
+					for j := range ps {
+						b := &ps[j]
 						if i == j || b.dist >= a.dist {
 							continue
 						}
@@ -433,11 +467,20 @@ func (w *World) Run(numFrames int) (*Trace, error) {
 					}
 				}
 			} else {
-				for _, p := range projs {
+				for _, p := range ps {
 					seen = append(seen, p.obs)
 				}
 			}
-			ft.PerCamera[ci] = exactCopy(seen)
+			ends[ci] = len(seen)
+		}
+		all := exactCopy(seen)
+		ft.PerCamera = make([][]Observation, len(w.Cameras))
+		start := 0
+		for ci, end := range ends {
+			if end > start {
+				ft.PerCamera[ci] = all[start:end:end]
+			}
+			start = end
 		}
 		trace.Frames = append(trace.Frames, ft)
 	}
@@ -452,6 +495,103 @@ func exactCopy[T any](s []T) []T {
 	}
 	return append(make([]T, 0, len(s)), s...)
 }
+
+// camGrid is a static index of the cameras that may see a ground
+// position: square cells, each listing in ascending order every camera
+// whose range square meets it. A camera with no range limit, or whose
+// square is not finite, is in every cell, and a position off the grid or
+// not finite gets every camera. A list thus holds every camera whose
+// range test can pass at a position, so World.Run projects an object for
+// its cell's cameras alone and gets the boxes it would get for all.
+type camGrid struct {
+	x0, y0, size float64
+	cols, rows   int
+	cells        [][]int // row-major; nil when there is no grid
+	all          []int
+}
+
+// gridCellsPerCamera bounds the grid at this many cells a camera: cells
+// double in size until it holds, so cameras far apart cost no more than
+// cameras side by side.
+const gridCellsPerCamera = 16
+
+// newCamGrid builds the grid of cams. The cell size is the largest range,
+// so a range square meets at most three cells a side.
+func newCamGrid(cams []*Camera) *camGrid {
+	g := &camGrid{all: make([]int, len(cams))}
+	squares := make([]geom.Rect, len(cams))
+	boxed := make([]bool, len(cams))
+	bounds := geom.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
+	size := 0.0
+	for ci, c := range cams {
+		g.all[ci] = ci
+		r := c.MaxRange
+		if !(r > 0) {
+			continue
+		}
+		// project keeps an object whose legs, each rounded once, are at
+		// most r, so its exact offset is at most r(1+2^-52) a side. The
+		// pad covers that and the rounding of the square's edges. Its
+		// conversion keeps the edges' sums from fusing with it.
+		pad := float64((math.Abs(c.Pos.X) + math.Abs(c.Pos.Y) + r) * 0x1p-50)
+		sq := geom.Rect{
+			MinX: c.Pos.X - r - pad, MinY: c.Pos.Y - r - pad,
+			MaxX: c.Pos.X + r + pad, MaxY: c.Pos.Y + r + pad,
+		}
+		if !finite(sq.MinX) || !finite(sq.MinY) || !finite(sq.MaxX) || !finite(sq.MaxY) {
+			continue
+		}
+		squares[ci], boxed[ci] = sq, true
+		bounds = geom.Rect{
+			MinX: min(bounds.MinX, sq.MinX), MinY: min(bounds.MinY, sq.MinY),
+			MaxX: max(bounds.MaxX, sq.MaxX), MaxY: max(bounds.MaxY, sq.MaxY),
+		}
+		size = max(size, r)
+	}
+	width, height := bounds.MaxX-bounds.MinX, bounds.MaxY-bounds.MinY
+	if size == 0 || !finite(width) || !finite(height) {
+		return g
+	}
+	for (math.Floor(width/size)+1)*(math.Floor(height/size)+1) > float64(gridCellsPerCamera*len(cams)) {
+		size *= 2
+	}
+	g.x0, g.y0, g.size = bounds.MinX, bounds.MinY, size
+	g.cols, g.rows = int(width/size)+1, int(height/size)+1
+	g.cells = make([][]int, g.cols*g.rows)
+	for ci := range cams {
+		if !boxed[ci] {
+			for k := range g.cells {
+				g.cells[k] = append(g.cells[k], ci)
+			}
+			continue
+		}
+		// An edge's cell is its offset over the size, rounded down: every
+		// step is monotone, so a position inside the square falls in a
+		// cell between its corners' cells.
+		i0, j0 := int((squares[ci].MinX-g.x0)/size), int((squares[ci].MinY-g.y0)/size)
+		i1, j1 := int((squares[ci].MaxX-g.x0)/size), int((squares[ci].MaxY-g.y0)/size)
+		for j := j0; j <= j1; j++ {
+			for i := i0; i <= i1; i++ {
+				g.cells[j*g.cols+i] = append(g.cells[j*g.cols+i], ci)
+			}
+		}
+	}
+	return g
+}
+
+// near returns the cameras listed for pos.
+func (g *camGrid) near(pos geom.Point) []int {
+	if g.cells == nil {
+		return g.all
+	}
+	fx, fy := (pos.X-g.x0)/g.size, (pos.Y-g.y0)/g.size
+	if !(fx >= 0 && fx < float64(g.cols) && fy >= 0 && fy < float64(g.rows)) {
+		return g.all
+	}
+	return g.cells[int(fy)*g.cols+int(fx)]
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // distAt returns the vehicle's arc-length position at the given frame.
 func (v *vehicle) distAt(frame int, fps float64) float64 {
