@@ -10,7 +10,10 @@
 //     inverse-distance mean over the K nearest visible samples).
 //
 // One search answers the vote, and usually the regression too; a vote
-// that is certainly negative stops as soon as it is certain.
+// that is certainly negative stops as soon as it is certain. A pair none
+// of whose training samples is visible on both cameras can only answer
+// "not visible" and holds no index: on the corridor fleets that is most
+// pairs, whose cameras never overlap.
 //
 // At key frames, each detection is mapped to every other camera and
 // matched against that camera's detections by IoU through the Hungarian
@@ -171,21 +174,22 @@ func RegressionData(samples []Sample) (x [][]float64, y [][]float64) {
 // (visible on the destination camera?) and the regressor (where?)
 // (ml.KNNMap).
 type PairModel struct {
+	// knn is nil for a pair with no co-visible training sample: it can
+	// only answer "not visible", so it holds no index.
 	knn *ml.KNNMap
-	// covisible reports that some training sample is visible on both
-	// cameras: a pair without one can only answer "not visible".
-	covisible bool
 	// meanSrc is the mean training source-box size, used to synthesize
 	// nominal boxes for cell-coverage queries.
 	meanSrcW, meanSrcH float64
 }
 
-// TrainPair fits a pair model from samples, with K = 5.
+// TrainPair fits a pair model from samples, with K = 5. A pair none of
+// whose samples is visible on the destination camera can only answer
+// "not visible", so it indexes nothing; it keeps the mean box size
+// NominalBox reads.
 func TrainPair(samples []Sample) (*PairModel, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("assoc: no samples for pair")
 	}
-	x, visible := ClassificationData(samples)
 	var targets [][]float64
 	pm := &PairModel{}
 	var wSum, hSum float64
@@ -196,9 +200,12 @@ func TrainPair(samples []Sample) (*PairModel, error) {
 		wSum += s.SrcBox.W()
 		hSum += s.SrcBox.H()
 	}
-	pm.covisible = len(targets) > 0
 	pm.meanSrcW = wSum / float64(len(samples))
 	pm.meanSrcH = hSum / float64(len(samples))
+	if len(targets) == 0 {
+		return pm, nil
+	}
+	x, visible := ClassificationData(samples)
 	var err error
 	if pm.knn, err = ml.NewKNNMap(x, visible, targets, 5); err != nil {
 		return nil, fmt.Errorf("assoc: training pair index: %w", err)
@@ -208,10 +215,10 @@ func TrainPair(samples []Sample) (*PairModel, error) {
 
 // Map predicts whether a source box is visible on the destination camera
 // and, if so, where. A pair with no co-visible training sample can only
-// answer "not visible", whatever its vote says, so it answers without a
-// query.
+// answer "not visible", whatever its vote would say, so it answers
+// without a query.
 func (pm *PairModel) Map(box geom.Rect) (geom.Rect, bool, error) {
-	if !pm.covisible {
+	if pm.knn == nil {
 		return geom.Rect{}, false, nil
 	}
 	var pred []float64
@@ -261,7 +268,7 @@ func newModel(numCams int, pairs map[[2]int]*PairModel) *Model {
 	m := &Model{numCams: numCams, pairs: pairs}
 	for i := 0; i < numCams; i++ {
 		for j := i + 1; j < numCams; j++ {
-			if pm := pairs[[2]int{i, j}]; pm != nil && pm.covisible {
+			if pm := pairs[[2]int{i, j}]; pm != nil && pm.knn != nil {
 				m.matchable = append(m.matchable, matchPair{i, j, pm})
 			}
 		}
@@ -705,7 +712,7 @@ func (m *Model) CellCoverageWorkers(src int, grid geom.Grid, workers int) ([][]i
 	// "not visible".
 	from := make([]*PairModel, m.numCams)
 	for dst := range from {
-		if pm := m.pairs[[2]int{src, dst}]; dst != src && pm != nil && pm.covisible {
+		if pm := m.pairs[[2]int{src, dst}]; dst != src && pm != nil && pm.knn != nil {
 			from[dst] = pm
 		}
 	}

@@ -218,12 +218,15 @@ func TestNewKNNMapRejectsBadSets(t *testing.T) {
 }
 
 // TestAssociateMatchesBruteForceKNN trains the C16 and S4 models the way
-// the benchmark does (150 and 200 training frames), runs 300 frames of
+// the benchmark does (150 and 200 training frames), runs 450 frames of
 // BALB on each, and holds every query the run's key frames make — each
 // box of camera i of every pair (i < j) association maps — to the brute
 // force on the pair's samples: the joint index's vote and mapped box bit
-// for bit, and MapBox's answer. The cell-coverage votes the engine is
-// built on are held to it too.
+// for bit, and MapBox's answer. A trained pair without an index must
+// have no co-visible sample, and MapBox must answer "not visible" there,
+// as the brute force does; only indexed queries count towards the
+// fixture's floor of 1000. The cell-coverage votes the engine is built on
+// are held to the brute force too.
 func TestAssociateMatchesBruteForceKNN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains two fleets and runs them")
@@ -237,7 +240,7 @@ func TestAssociateMatchesBruteForceKNN(t *testing.T) {
 		train int
 	}{{c16, 150}, {workload.S4(1), 200}} {
 		t.Run(tc.scn.Name, func(t *testing.T) {
-			const frames = 300
+			const frames = 450
 			trace, err := tc.scn.World.Run(tc.train + frames)
 			if err != nil {
 				t.Fatal(err)
@@ -268,11 +271,7 @@ func TestAssociateMatchesBruteForceKNN(t *testing.T) {
 
 			n := len(trace.Cameras)
 			brute := make(map[[2]int]*bruteKNN)
-			pairOf := func(src, dst int) (*ml.KNNMap, *bruteKNN) {
-				idx := model.PairIndex(src, dst)
-				if idx == nil {
-					return nil, nil
-				}
+			bruteOf := func(src, dst int) *bruteKNN {
 				if brute[[2]int{src, dst}] == nil {
 					samples, err := assoc.BuildPairSamples(train, src, dst)
 					if err != nil {
@@ -280,28 +279,35 @@ func TestAssociateMatchesBruteForceKNN(t *testing.T) {
 					}
 					brute[[2]int{src, dst}] = newBrute(samples, 5)
 				}
-				return idx, brute[[2]int{src, dst}]
+				return brute[[2]int{src, dst}]
 			}
-			queries, mapped := 0, 0
+			queries, mapped, unindexed := 0, 0, 0
 			for _, boxes := range keyFrames {
 				for i := 0; i < n; i++ {
 					for j := i + 1; j < n; j++ {
 						if len(boxes[i]) == 0 || len(boxes[j]) == 0 {
 							continue
 						}
-						idx, b := pairOf(i, j)
-						if idx == nil {
-							continue
-						}
+						idx, b := model.PairIndex(i, j), bruteOf(i, j)
 						covisible := slices.Contains(b.visible, true)
+						if idx == nil && covisible {
+							t.Fatalf("pair (%d,%d) has co-visible samples and no index", i, j)
+						}
 						for _, box := range boxes[i] {
-							visible := checkIndex(t, idx, b, box.Vec4())
 							got, gotVisible, err := model.MapBox(i, j, box)
 							if err != nil {
 								t.Fatal(err)
 							}
+							if idx == nil {
+								if gotVisible {
+									t.Fatalf("key frame pair (%d,%d) without an index maps box %v to %v", i, j, box, got)
+								}
+								unindexed++
+								continue
+							}
+							visible := checkIndex(t, idx, b, box.Vec4())
 							want, wantVisible := b.mapVec(box.Vec4())
-							if wantVisible = wantVisible && covisible; gotVisible != wantVisible || (wantVisible && got != geom.RectFromVec4(want)) {
+							if gotVisible != wantVisible || (wantVisible && got != geom.RectFromVec4(want)) {
 								t.Fatalf("key frame pair (%d,%d) box %v: MapBox %v %v, brute force %v %v", i, j, box, got, gotVisible, want, wantVisible)
 							}
 							queries++
@@ -312,8 +318,8 @@ func TestAssociateMatchesBruteForceKNN(t *testing.T) {
 					}
 				}
 			}
-			if len(keyFrames) < frames/20 || queries < 1000 || mapped == 0 || mapped == queries {
-				t.Fatalf("%d key frames, %d queries, %d mapped: fixture degenerate", len(keyFrames), queries, mapped)
+			if len(keyFrames) < frames/20 || queries < 1000 || mapped == 0 || mapped == queries || unindexed == 0 {
+				t.Fatalf("%d key frames, %d indexed queries, %d mapped, %d unindexed: fixture degenerate", len(keyFrames), queries, mapped, unindexed)
 			}
 
 			votes := 0
@@ -327,8 +333,8 @@ func TestAssociateMatchesBruteForceKNN(t *testing.T) {
 					vec := model.NominalBox(src, grid.CellCenter(c)).Vec4()
 					want := []int{src}
 					for dst := 0; dst < n; dst++ {
-						if idx, b := pairOf(src, dst); dst != src && idx != nil && slices.Contains(b.visible, true) {
-							if b.vote(vec) {
+						if dst != src && model.PairIndex(src, dst) != nil {
+							if bruteOf(src, dst).vote(vec) {
 								want = append(want, dst)
 							}
 							votes++
@@ -339,7 +345,7 @@ func TestAssociateMatchesBruteForceKNN(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%d key frames: %d queries (%d mapped), %d coverage votes checked", len(keyFrames), queries, mapped, votes)
+			t.Logf("%d key frames: %d indexed queries (%d mapped), %d unindexed, %d coverage votes checked", len(keyFrames), queries, mapped, unindexed, votes)
 		})
 	}
 }

@@ -149,7 +149,8 @@ func TestMapEqualsClassifyThenDiscard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pm.covisible {
+		covisible := pm.knn != nil
+		if covisible {
 			full++
 		} else {
 			skipped++
@@ -162,7 +163,7 @@ func TestMapEqualsClassifyThenDiscard(t *testing.T) {
 			}
 			if gotBox != wantBox || gotVis != wantVis {
 				t.Fatalf("pair %v (co-visible %v) box %v: Map = %v %v, classify-then-discard = %v %v",
-					key, pm.covisible, s.SrcBox, gotBox, gotVis, wantBox, wantVis)
+					key, covisible, s.SrcBox, gotBox, gotVis, wantBox, wantVis)
 			}
 			mb, mv, err := m.MapBox(key[0], key[1], s.SrcBox)
 			if err != nil || mb != wantBox || mv != wantVis {

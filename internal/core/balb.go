@@ -44,7 +44,7 @@ func (w *Solver) Central(cams []CameraSpec, in *Instance, opts CentralOptions) (
 	// target size (line 2); final tie-break on ID keeps runs
 	// deterministic.
 	for _, key := range w.sortObjects(in, true, true) {
-		j := int(key.idx)
+		j := int(uint32(key))
 		lo, hi := in.off[j], in.off[j+1]
 
 		// C'_j: cameras in the coverage set with an incomplete batch of

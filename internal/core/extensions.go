@@ -49,7 +49,7 @@ func (w *Solver) CentralRedundant(cams []CameraSpec, in *Instance, redundancy in
 	// Objects with the fewest existing trackers and largest coverage
 	// benefit most; iterate in ID order for determinism.
 	for _, key := range w.sortObjects(in, false, false) {
-		j := int(key.idx)
+		j := int(uint32(key))
 		assigned := sol.Assign[j]
 		for added := 0; added < redundancy-1; added++ {
 			bestCam, bestSlot := -1, 0

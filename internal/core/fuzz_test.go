@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"mvs/internal/profile"
@@ -207,6 +208,87 @@ func FuzzSolveInstance(f *testing.F) {
 			}
 			if err != nil && !errors.Is(err, ErrInvalidInstance) {
 				t.Fatalf("rejection %v does not wrap ErrInvalidInstance", err)
+			}
+		}
+	})
+}
+
+// FuzzCentralOrder holds the packed processing order to the comparator
+// it replaces: for instances whose IDs ascend, descend, repeat or are
+// negative, and whose coverage sizes and largest sizes sit at and beside
+// the 16 bits the key packs them in (0, 0xFFFF, 0x10000), sortObjects
+// must list the objects exactly as slices.SortFunc with byFlexibility
+// does, with and without the coverage and size keys.
+func FuzzCentralOrder(f *testing.F) {
+	// Per object: a coverage byte, a size byte and an ID byte (see below).
+	f.Add(uint8(0), []byte{1, 2, 0, 1, 3, 1, 2, 2, 2})              // IDs ascend
+	f.Add(uint8(1), []byte{1, 2, 0, 1, 3, 1, 2, 2, 2})              // IDs descend
+	f.Add(uint8(2), []byte{1, 2, 5, 1, 2, 5, 1, 2, 5, 2, 1, 6})     // IDs repeat
+	f.Add(uint8(3), []byte{1, 2, 0x81, 1, 2, 0xF0, 1, 2, 7})        // negative IDs
+	f.Add(uint8(0), []byte{253, 253, 0, 254, 254, 1, 1, 255, 2})    // 0xFFFF and 0x10000
+	f.Add(uint8(0), []byte{0, 0, 0, 0, 252, 1, 3, 254, 2, 3, 0, 3}) // sizes 0 and below
+	f.Add(uint8(0), []byte{1, 252, 0, 1, 253, 1})                   // size -1 would pack as 0xFFFF does
+	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
+		// edge maps the top byte values to the bits' edges.
+		edge := func(b byte) int {
+			switch b {
+			case 252:
+				return -1
+			case 253:
+				return 0xFFFF
+			case 254:
+				return 0x10000
+			case 255:
+				return 0
+			}
+			return int(b)
+		}
+		var in Instance
+		wide := 0 // objects with a coverage set past 64 cameras
+		for o := 0; len(data) >= 3 && o < 200; o, data = o+1, data[3:] {
+			var id int
+			switch mode % 4 {
+			case 0: // ascending, with equal runs
+				if o > 0 {
+					id = in.ID(o-1) + int(data[2]%3)
+				}
+			case 1: // descending
+				id = 1000 - o
+			case 2: // from a few values
+				id = int(data[2] % 4)
+			default: // any, negatives included
+				id = int(int8(data[2]))
+			}
+			in.Add(id)
+			cover := max(1, edge(data[0]))
+			if cover > 64 {
+				if wide++; wide > 2 {
+					cover = 64
+				}
+			}
+			for c := 0; c < cover; c++ {
+				size := 1
+				if c == cover/2 {
+					size = edge(data[1]) // the largest, or one below 1
+				}
+				in.Cover(c, size)
+			}
+		}
+		var w Solver
+		for _, keys := range [][2]bool{{true, true}, {false, false}, {true, false}, {false, true}} {
+			want := make([]objKey, in.Len())
+			for j := range want {
+				want[j] = objKeyOf(&in, j, keys[0], keys[1])
+			}
+			slices.SortFunc(want, byFlexibility)
+			got := w.sortObjects(&in, keys[0], keys[1])
+			if len(got) != len(want) {
+				t.Fatalf("keys %v: %d objects, want %d", keys, len(got), len(want))
+			}
+			for i := range want {
+				if int(uint32(got[i])) != int(want[i].idx) {
+					t.Fatalf("keys %v: position %d holds object %d, byFlexibility puts %d there", keys, i, uint32(got[i]), want[i].idx)
+				}
 			}
 		}
 	})

@@ -249,8 +249,8 @@ type Solver struct {
 	batch []int
 	// class[e] is the size class of instance entry e on its camera.
 	class []int32
-	order []objKey
-	extra []int // backing array of sol.extra
+	order []uint64 // sortObjects' keys
+	extra []int    // backing array of sol.extra
 	sol   Solution
 }
 
@@ -349,21 +349,43 @@ func byFlexibility(a, b objKey) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
-// sortObjects returns the instance's objects in byFlexibility order,
-// with the coverage and size keys left out unless asked for.
-func (w *Solver) sortObjects(in *Instance, byCoverage, bySize bool) []objKey {
-	w.order = slices.Grow(w.order[:0], in.Len())
-	for j, id := range in.ids {
-		k := objKey{id: id, idx: int32(j)}
-		if byCoverage {
-			k.cover = int32(len(in.Cameras(j)))
-		}
-		if bySize {
-			k.size = slices.Max(in.Sizes(j))
-		}
-		w.order = append(w.order, k)
+// objKeyOf returns object j's objKey, with the coverage and size keys
+// left out unless asked for.
+func objKeyOf(in *Instance, j int, byCoverage, bySize bool) objKey {
+	k := objKey{id: in.ids[j], idx: int32(j)}
+	if byCoverage {
+		k.cover = in.off[j+1] - in.off[j]
 	}
-	slices.SortFunc(w.order, byFlexibility)
+	if bySize {
+		k.size = slices.Max(in.Sizes(j))
+	}
+	return k
+}
+
+// sortObjects returns the instance's objects in byFlexibility order, as
+// keys whose low 32 bits are the object's position. Where no ID is
+// smaller than the one before it (central.build numbers objects in
+// order) and the coverage size and the largest size fit 16 bits, the key
+// packs the whole order — coverage size, 0xFFFF minus the size, position
+// — and sorts as an integer; otherwise the positions are sorted by
+// byFlexibility.
+func (w *Solver) sortObjects(in *Instance, byCoverage, bySize bool) []uint64 {
+	w.order = slices.Grow(w.order[:0], in.Len())
+	packed := true
+	for j := range in.ids {
+		k := objKeyOf(in, j, byCoverage, bySize)
+		if k.cover > 0xFFFF || k.size < 0 || k.size > 0xFFFF || j > 0 && k.id < in.ids[j-1] {
+			packed = false
+		}
+		w.order = append(w.order, uint64(k.cover)<<48|uint64(0xFFFF-k.size)<<32|uint64(uint32(j)))
+	}
+	if packed {
+		slices.Sort(w.order)
+		return w.order
+	}
+	slices.SortFunc(w.order, func(a, b uint64) int {
+		return byFlexibility(objKeyOf(in, int(uint32(a)), byCoverage, bySize), objKeyOf(in, int(uint32(b)), byCoverage, bySize))
+	})
 	return w.order
 }
 

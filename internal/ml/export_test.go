@@ -13,3 +13,10 @@ func (k *KNNRegressor) Neighbors(x []float64) []int { return nearestIdx(k.m.tree
 
 // ReferenceNearest is the brute-force oracle.
 var ReferenceNearest = referenceNearest
+
+// SearchLeaves returns the leaves the index scans to answer x: Map's
+// searches with regress, Visible's without.
+func (m *KNNMap) SearchLeaves(x []float64, regress bool) int {
+	_, _, leaves := m.query(nil, x, regress)
+	return leaves
+}

@@ -9,42 +9,6 @@ import (
 	"testing"
 )
 
-// sortedKDTree builds the index the way it was built before median
-// selection, kept as the oracle: a full sort by (coordinate, index) at
-// every level.
-func sortedKDTree(points [][]float64) *kdTree {
-	t := &kdTree{dim: len(points[0]), ids: make([]int, len(points))}
-	for i := range t.ids {
-		t.ids[i] = i
-	}
-	var build func(ids []int, lo, depth int) int32
-	build = func(ids []int, lo, depth int) int32 {
-		n := int32(len(t.nodes))
-		if len(ids) <= kdBucket {
-			t.nodes = append(t.nodes, kdNode{axis: -1, a: int32(lo), b: int32(lo + len(ids))})
-			return n
-		}
-		axis := depth % t.dim
-		slices.SortFunc(ids, func(a, b int) int {
-			if c := cmp.Compare(points[a][axis], points[b][axis]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
-		mid := len(ids) / 2
-		t.nodes = append(t.nodes, kdNode{split: points[ids[mid]][axis], axis: int32(axis)})
-		left := build(ids[:mid], lo, depth+1)
-		right := build(ids[mid:], lo+mid, depth+1)
-		t.nodes[n].a, t.nodes[n].b = left, right
-		return n
-	}
-	build(t.ids, 0, 0)
-	for _, id := range t.ids {
-		t.coords = append(t.coords, points[id]...)
-	}
-	return t
-}
-
 type namedSet struct {
 	name string
 	pts  [][]float64
@@ -77,13 +41,15 @@ func tieHeavySets(rng *rand.Rand) []namedSet {
 	return sets
 }
 
-// TestKDMedianSelectMatchesSort holds the selecting build to the sorting
-// one on tie-heavy sets, where selection and sorting are most likely to
-// part: the same nodes, slot order and coordinates, so every query visits
-// the same points in the same order; two builds of one set agree, so the
-// select is deterministic; and the classifier and regressor answer as the
+// TestKDTreeBuildSpec holds the build to its specification on
+// tie-heavy sets, where a selection or a tie-break that is slightly off
+// shows first, and on box sets with no ties at all (checkKDSpec): every
+// inner node splits its points at the median in (coordinate, index)
+// order on its widest axis, every leaf is sorted in its parent's order,
+// every node box is exactly its points' bounds, and two builds of one
+// set are identical. The classifier and regressor answer as the
 // brute-force oracle does.
-func TestKDMedianSelectMatchesSort(t *testing.T) {
+func TestKDTreeBuildSpec(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	sets := tieHeavySets(rng)
 	for _, n := range []int{281, 1000} { // and box sets with no ties at all
@@ -91,12 +57,14 @@ func TestKDMedianSelectMatchesSort(t *testing.T) {
 	}
 	for _, set := range sets {
 		name, pts := set.name, set.pts
-		got, want := newKDTree(pts), sortedKDTree(pts)
-		if !slices.Equal(got.nodes, want.nodes) || !slices.Equal(got.ids, want.ids) || !slices.Equal(got.coords, want.coords) {
-			t.Fatalf("%s: the index differs from the sorted build", name)
+		got := newKDTree(pts)
+		if err := checkKDSpec(pts, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if again := newKDTree(pts); !slices.Equal(again.ids, got.ids) {
-			t.Fatalf("%s: two builds order the slots differently", name)
+		again := newKDTree(pts)
+		if !slices.Equal(again.nodes, got.nodes) || !slices.Equal(again.ids, got.ids) ||
+			!slices.Equal(again.coords, got.coords) || !slices.Equal(again.box, got.box) {
+			t.Fatalf("%s: two builds differ", name)
 		}
 
 		labels := make([]bool, len(pts))
@@ -137,6 +105,105 @@ func TestKDMedianSelectMatchesSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkKDSpec checks tree, built over pts, against the build's
+// specification: the slots hold a permutation of pts; node n's box is
+// exactly the bounds of the points under it; an inner node splits on the
+// axis of its box's widest side, the lowest on a tie, and its left child
+// holds the half (rounded down) of its points that come first in
+// (coordinate, index) order on that axis, with split the coordinate of
+// the first point of the right child in that order; a leaf below the
+// root lists its points in its parent's (coordinate, index) order.
+func checkKDSpec(pts [][]float64, tree *kdTree) error {
+	dim := tree.dim
+	if len(tree.ids) != len(pts) || len(tree.coords) != len(pts)*dim || len(tree.box) != 2*dim*len(tree.nodes) {
+		return fmt.Errorf("%d ids, %d coords, %d box values for %d points and %d nodes",
+			len(tree.ids), len(tree.coords), len(tree.box), len(pts), len(tree.nodes))
+	}
+	seen := make([]bool, len(pts))
+	for s, id := range tree.ids {
+		if seen[id] {
+			return fmt.Errorf("point %d in two slots", id)
+		}
+		seen[id] = true
+		if !slices.Equal(tree.coords[s*dim:][:dim], pts[id]) {
+			return fmt.Errorf("slot %d holds %v, point %d is %v", s, tree.coords[s*dim:][:dim], id, pts[id])
+		}
+	}
+	// before reports whether slot a comes before slot b in (coordinate,
+	// index) order on axis.
+	before := func(a, b, axis int) bool {
+		if ca, cb := tree.coords[a*dim+axis], tree.coords[b*dim+axis]; ca != cb {
+			return ca < cb
+		}
+		return tree.ids[a] < tree.ids[b]
+	}
+	// walk checks node n below a parent splitting on parentAxis and
+	// returns the slots it owns.
+	var walk func(n int32, parentAxis int) (lo, hi int, err error)
+	walk = func(n int32, parentAxis int) (lo, hi int, err error) {
+		node := tree.nodes[n]
+		if node.axis < 0 {
+			lo, hi = int(node.a), int(node.b)
+			if lo >= hi {
+				return 0, 0, fmt.Errorf("leaf %d owns slots [%d, %d)", n, lo, hi)
+			}
+			for s := lo + 1; parentAxis >= 0 && s < hi; s++ {
+				if !before(s-1, s, parentAxis) {
+					return 0, 0, fmt.Errorf("leaf %d: slots %d and %d out of axis %d order", n, s-1, s, parentAxis)
+				}
+			}
+		} else {
+			axis := int(node.axis)
+			llo, lhi, err := walk(node.a, axis)
+			if err != nil {
+				return 0, 0, err
+			}
+			rlo, rhi, err := walk(node.b, axis)
+			if err != nil {
+				return 0, 0, err
+			}
+			if lhi != rlo || lhi-llo != (rhi-llo)/2 {
+				return 0, 0, fmt.Errorf("node %d: children own [%d, %d) and [%d, %d), not the two halves", n, llo, lhi, rlo, rhi)
+			}
+			lo, hi = llo, rhi
+			median := rlo
+			for s := rlo + 1; s < rhi; s++ {
+				if before(s, median, axis) {
+					median = s
+				}
+			}
+			if node.split != tree.coords[median*dim+axis] {
+				return 0, 0, fmt.Errorf("node %d: split %v, median coordinate %v", n, node.split, tree.coords[median*dim+axis])
+			}
+			for s := llo; s < lhi; s++ {
+				if !before(s, median, axis) {
+					return 0, 0, fmt.Errorf("node %d: slot %d left of the median slot %d on axis %d", n, s, median, axis)
+				}
+			}
+		}
+		bmin, bmax := tree.box[2*int(n)*dim:][:dim], tree.box[(2*int(n)+1)*dim:][:dim]
+		for j := 0; j < dim; j++ {
+			want := []float64{math.Inf(1), math.Inf(-1)}
+			for s := lo; s < hi; s++ {
+				want[0], want[1] = min(want[0], tree.coords[s*dim+j]), max(want[1], tree.coords[s*dim+j])
+			}
+			if bmin[j] != want[0] || bmax[j] != want[1] {
+				return 0, 0, fmt.Errorf("node %d axis %d: box [%v, %v], points span [%v, %v]", n, j, bmin[j], bmax[j], want[0], want[1])
+			}
+			if node.axis >= 0 && (bmax[j]-bmin[j] > bmax[node.axis]-bmin[node.axis] ||
+				j < int(node.axis) && bmax[j]-bmin[j] == bmax[node.axis]-bmin[node.axis]) {
+				return 0, 0, fmt.Errorf("node %d splits on axis %d, axis %d is at least as wide", n, node.axis, j)
+			}
+		}
+		return lo, hi, nil
+	}
+	lo, hi, err := walk(0, -1)
+	if err == nil && (lo != 0 || hi != len(pts)) {
+		err = fmt.Errorf("the root owns [%d, %d) of %d slots", lo, hi, len(pts))
+	}
+	return err
 }
 
 // TestSelectNth checks the selection against a sort at every position,

@@ -17,6 +17,17 @@ import (
 // beside it, the nodes live in one slice linked by int32 indices, and a
 // leaf is a bucket of up to kdBucket consecutive slots scanned linearly.
 //
+// Each node keeps the bounding box of its points, and each inner node
+// splits them at the median on the axis of their widest spread. A search
+// descends the query's side of each split first and then visits the far
+// side only if that side's box lies no farther than the current K-th
+// best: strictly farther cannot win, and at exactly that distance a
+// point can still win on index. The box's distance is dist2 itself on
+// the query clamped to the box (boxDist2), so no point's dist2 is
+// smaller, fused or not. On the deployed pair models a query scans 4.7
+// (C16) and 5.8 (S4) leaves, against 17.4 and 24.0 with cycling axes and
+// split planes alone (TestKNNSearchLeavesOnDeployedShape).
+//
 // A vote query (KNNMap, which the classifier is) also takes the lower
 // bound its early rejection needs: the squared distance from the query
 // to the box around the visible samples. The rejection fires only when
@@ -26,12 +37,19 @@ import (
 // such rejections. The timing of record is the benchmark's query drill
 // on a C16 camera pair, ml.knn_predict_ns (bench/README.md): 372-412 ns
 // a query, against 862-867 ns before the early stop (two traced runs a
-// side, 2-core Xeon host).
+// side, 2-core Xeon host). With node boxes and the widest axis it reads
+// 273-274 ns against 300-412 ns before (two alternating traced runs a
+// side, same host; the 300 ns run is the one at a like host speed), and
+// the key frame's drills read assoc.associate_us 43-45 against 48-61 us
+// and core.central_us 11.8-12.1 against 17.7-20.8 us.
 type kdTree struct {
 	dim    int
 	coords []float64 // slot s is coords[s*dim : (s+1)*dim]
 	ids    []int     // slot s holds original point ids[s]
 	nodes  []kdNode  // nodes[0] is the root
+	// box holds each node's bounding box: node n's points lie in
+	// [box[2n*dim:][:dim], box[(2n+1)*dim:][:dim]] axis by axis.
+	box []float64
 }
 
 // kdNode is an inner node (axis >= 0) or a leaf (axis < 0). An inner
@@ -56,7 +74,7 @@ func newKDTree(points [][]float64) *kdTree {
 	for i := range t.ids {
 		t.ids[i] = i
 	}
-	t.build(points, t.ids, 0, 0)
+	t.build(points, t.ids, 0, -1)
 	t.coords = make([]float64, 0, len(points)*t.dim)
 	for _, id := range t.ids {
 		t.coords = append(t.coords, points[id]...)
@@ -65,33 +83,76 @@ func newKDTree(points [][]float64) *kdTree {
 }
 
 // build appends the subtree over ids (slots lo..lo+len(ids)), reordering
-// ids in place into tree order, and returns its node index.
-func (t *kdTree) build(points [][]float64, ids []int, lo, depth int) int32 {
+// ids in place into tree order, and returns its node index; parentAxis
+// is the split axis of the node above it, -1 at the root.
+func (t *kdTree) build(points [][]float64, ids []int, lo, parentAxis int) int32 {
 	n := int32(len(t.nodes))
+	// The node's bounding box, whose widest side is also its split axis.
+	at := len(t.box)
+	t.box = append(t.box, points[ids[0]]...)
+	t.box = append(t.box, points[ids[0]]...)
+	bmin, bmax := t.box[at:][:t.dim], t.box[at+t.dim:][:t.dim]
+	for _, id := range ids[1:] {
+		for j, v := range points[id] {
+			bmin[j] = min(bmin[j], v)
+			bmax[j] = max(bmax[j], v)
+		}
+	}
 	if len(ids) <= kdBucket {
-		if depth > 0 {
+		if parentAxis >= 0 {
 			// A leaf is scanned in its parent's split order. Answers do
 			// not depend on the order, but it sets how many candidates
 			// enter the k-best list: on the deployed models, queries
 			// measured 4-9 % slower in the order selection leaves.
-			slices.SortFunc(ids, byCoord(points, (depth-1)%t.dim))
+			slices.SortFunc(ids, byCoord(points, parentAxis))
 		}
 		t.nodes = append(t.nodes, kdNode{axis: -1, a: int32(lo), b: int32(lo + len(ids))})
 		return n
 	}
-	axis := depth % t.dim
+	// Split on the axis of widest spread, the lowest on a tie: box
+	// coordinates are strongly correlated, so cycling through the axes
+	// would cut along a narrow side as often as along a wide one.
+	axis := 0
+	for j := 1; j < t.dim; j++ {
+		if bmax[j]-bmin[j] > bmax[axis]-bmin[axis] {
+			axis = j
+		}
+	}
 	// Median split in (coordinate, index) order. Selecting the median
 	// rather than sorting gives each side the same set and the same split
-	// value as a sort would, at O(n) a level instead of O(n log n); with
-	// each leaf sorted, the index equals the one a full sort at every
-	// level would build.
+	// value as a sort would, at O(n) a level instead of O(n log n).
 	mid := len(ids) / 2
 	selectNth(ids, mid, byCoord(points, axis))
 	t.nodes = append(t.nodes, kdNode{split: points[ids[mid]][axis], axis: int32(axis)})
-	left := t.build(points, ids[:mid], lo, depth+1)
-	right := t.build(points, ids[mid:], lo+mid, depth+1)
+	left := t.build(points, ids[:mid], lo, axis)
+	right := t.build(points, ids[mid:], lo+mid, axis)
 	t.nodes[n].a, t.nodes[n].b = left, right
 	return n
+}
+
+// boxDist returns the squared distance from x to node n's box (boxDist2).
+func (t *kdTree) boxDist(n int32, x []float64) float64 {
+	at := 2 * int(n) * t.dim
+	return boxDist2(x, t.box[at:][:t.dim], t.box[at+t.dim:][:t.dim])
+}
+
+// boundDim is the most axes boxDist2 sums; the association models use 4.
+const boundDim = 8
+
+// boxDist2 returns a lower bound on dist2(p, x) for every point p in the
+// box [lo, hi]: dist2 itself on the point of the box nearest to x, over
+// the first boundDim axes at most. On each axis p lies at least as far
+// from x as that point does, rounding is monotone (fused or not, as long
+// as both sums are dist2's), and the terms past boundDim that dist2(p, x)
+// adds are not negative, so no point's dist2 is smaller. A NaN anywhere
+// gives NaN, which bounds nothing: every comparison with it is false.
+func boxDist2(x, lo, hi []float64) float64 {
+	var c [boundDim]float64
+	n := min(len(x), boundDim)
+	for j := range n {
+		c[j] = min(max(x[j], lo[j]), hi[j])
+	}
+	return dist2(c[:n], x[:n])
 }
 
 // byCoord orders point ids by their coordinate on axis, then by id: the
@@ -221,6 +282,8 @@ type kdSearch struct {
 	only   bool
 	bound  float64
 	quorum int // 0: search to the end
+
+	leaves int // leaves scanned, the search's work
 }
 
 // search offers s.best the points under node n that can still be among
@@ -231,6 +294,7 @@ func (s *kdSearch) search(n int32) bool {
 	t, q, best := s.t, s.q, &s.best
 	node := &t.nodes[n]
 	if node.axis < 0 {
+		s.leaves++
 		// Most leaf points lose to the current k-th best: those strictly
 		// farther are rejected on their distance alone, the rest by
 		// offer's (dist, index) order.
@@ -258,15 +322,20 @@ func (s *kdSearch) search(n int32) bool {
 	if diff > 0 {
 		near, far = far, near
 	}
+	// The near side, the query's side of the split, is always searched:
+	// testing its box cost more time than the leaves it saved.
 	if s.search(near) {
 		return true
 	}
-	// Visit the far side only if the splitting plane could still hold a
-	// better candidate. With equal distances breaking ties by index, a
-	// plane at exactly the current worst distance can still hide a
-	// lower-index point, so use <= rather than <. Pruning by the best so
-	// far holds for any subset of the points, so it holds under only.
-	if !best.full() || diff*diff <= best.worst().dist {
+	// Visit the far side unless its box lies strictly farther than the
+	// current worst: with equal distances breaking ties by index, a point
+	// at exactly the worst distance can still displace a higher-index
+	// one. The box's distance is at least the plane's, diff*diff (its
+	// term on this axis is, and dist2 adds terms that are not negative),
+	// so the plane settles most far sides first for the price of one
+	// product. Pruning by the best so far holds for any subset of the
+	// points, so it holds under only.
+	if !best.full() || diff*diff <= best.worst().dist && !(t.boxDist(far, q) > best.worst().dist) {
 		return s.search(far)
 	}
 	return false

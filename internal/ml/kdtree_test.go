@@ -403,9 +403,13 @@ func TestKNNMapRejectsEarly(t *testing.T) {
 		{[]float64{1000, 400, 1080, 460}, true},
 		{[]float64{40, 300, 120, 360}, false},
 	} {
-		near, _, vote := m.vote(tc.q, &store)
-		if stopped := near == nil; stopped != tc.stopped {
+		s := kdSearch{t: m.tree, q: tc.q, best: newKBest(m.k, len(m.rank), &store)}
+		if stopped := m.vote(&s); stopped != tc.stopped {
 			t.Errorf("q=%v: stopped early = %v, want %v", tc.q, stopped, tc.stopped)
+		}
+		vote, err := m.Visible(tc.q)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if want := referenceVote(pts, visible, tc.q, 5); vote != want {
 			t.Errorf("q=%v: vote %v, reference %v", tc.q, vote, want)

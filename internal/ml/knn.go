@@ -103,8 +103,7 @@ func (m *KNNMap) Visible(x []float64) (bool, error) {
 	if err := m.check(x); err != nil {
 		return false, err
 	}
-	var store [stackK]neighbor
-	_, _, visible := m.vote(x, &store)
+	_, visible, _ := m.query(nil, x, false)
 	return visible, nil
 }
 
@@ -116,17 +115,8 @@ func (m *KNNMap) Map(dst, x []float64) ([]float64, bool, error) {
 	if err := m.check(x); err != nil {
 		return dst, false, err
 	}
-	var store [stackK]neighbor
-	near, pos, visible := m.vote(x, &store)
-	if !visible {
-		return dst, false, nil
-	}
-	if pos < len(near) {
-		s := kdSearch{t: m.tree, q: x, best: newKBest(m.k, m.npos, &store), rank: m.rank, only: true}
-		s.search(0)
-		near = s.best.buf
-	}
-	return m.weigh(dst, near), true, nil
+	dst, visible, _ := m.query(dst, x, true)
+	return dst, visible, nil
 }
 
 func (m *KNNMap) check(x []float64) error {
@@ -136,52 +126,56 @@ func (m *KNNMap) check(x []float64) error {
 	return nil
 }
 
-// vote searches the K nearest samples to x and counts the visible ones.
-// A search stopped early (the vote is certainly negative) returns no
-// list.
-func (m *KNNMap) vote(x []float64, store *[stackK]neighbor) (near []neighbor, pos int, visible bool) {
-	s := kdSearch{t: m.tree, q: x, best: newKBest(m.k, len(m.rank), store)}
-	// Only a sample strictly closer than the bound can outrank every
-	// visible one, so a query inside the visible samples' box (bound 0)
-	// searches to the end.
-	if m.npos < len(m.rank) {
-		if bound := m.lowerBound(x); bound > 0 {
-			s.rank, s.bound, s.quorum = m.rank, bound, s.best.k/2+1
-		}
+// query searches the K nearest samples to x for the vote and, with
+// regress and a visible vote, appends the predicted target to dst; it
+// also returns the leaves its searches scanned.
+func (m *KNNMap) query(dst, x []float64, regress bool) (_ []float64, visible bool, leaves int) {
+	var store [stackK]neighbor
+	s := kdSearch{t: m.tree, q: x, best: newKBest(m.k, len(m.rank), &store)}
+	if m.vote(&s) {
+		return dst, false, s.leaves
 	}
-	if s.search(0) {
-		return nil, 0, false
-	}
-	for _, c := range s.best.buf {
+	near, pos := s.best.buf, 0
+	for _, c := range near {
 		if m.rank[c.index] >= 0 {
 			pos++
 		}
 	}
-	return s.best.buf, pos, pos*2 >= len(s.best.buf)
+	if visible = pos*2 >= len(near); !visible || !regress {
+		return dst, visible, s.leaves
+	}
+	leaves = s.leaves
+	if pos < len(near) {
+		r := kdSearch{t: m.tree, q: x, best: newKBest(m.k, m.npos, &store), rank: m.rank, only: true}
+		r.search(0)
+		near, leaves = r.best.buf, leaves+r.leaves
+	}
+	return m.weigh(dst, near), true, leaves
 }
 
-// boundDim is the most feature dimensions lowerBound handles; the
-// association models use 4.
-const boundDim = 8
+// vote runs s, a search of all samples for the K nearest to s.q, as the
+// vote; stopped reports that it stopped early, the vote certainly
+// negative, with an incomplete list.
+func (m *KNNMap) vote(s *kdSearch) (stopped bool) {
+	// Only a sample strictly closer than the bound can outrank every
+	// visible one, so a query inside the visible samples' box (bound 0)
+	// searches to the end.
+	if m.npos < len(m.rank) {
+		if bound := m.lowerBound(s.q); bound > 0 {
+			s.rank, s.bound, s.quorum = m.rank, bound, s.best.k/2+1
+		}
+	}
+	return s.search(0)
+}
 
 // lowerBound returns the squared distance from x to the box around the
-// visible samples, summed by dist2 itself on the point of the box
-// nearest to x. On each axis a visible sample lies at least as far from
-// x as that point, and rounding is monotone, so no visible sample's
-// dist2 is smaller. With no visible sample it is +Inf; past boundDim
-// dimensions it is 0, which turns early rejection off.
+// visible samples (boxDist2): no visible sample's dist2 is smaller. With
+// no visible sample it is +Inf.
 func (m *KNNMap) lowerBound(x []float64) float64 {
 	if m.npos == 0 {
 		return math.Inf(1)
 	}
-	var c [boundDim]float64
-	if len(x) > len(c) {
-		return 0
-	}
-	for j := range x {
-		c[j] = min(max(x[j], m.lo[j]), m.hi[j])
-	}
-	return dist2(c[:len(x)], x)
+	return boxDist2(x, m.lo, m.hi)
 }
 
 // weigh appends the inverse-distance-weighted mean of near's targets to

@@ -441,6 +441,54 @@ func TestWorldValidate(t *testing.T) {
 	}
 }
 
+// TestWorldValidateTrafficLight covers the traffic light's fields: with
+// a period of 0 or NaN, Arrivals' phase was NaN and the light green on
+// every frame, and such a world passed Validate. Each case must fail
+// Validate naming the route and the field, and Run must return that
+// error; a light of any finite green phase and a positive period passes.
+func TestWorldValidateTrafficLight(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	light := TrafficLight{RatePerSec: 5, PeriodSec: 60, GreenStartSec: 10, GreenDurSec: 20}
+	cases := []struct {
+		mutate func(*TrafficLight)
+		want   string // a fragment of the error
+	}{
+		{func(l *TrafficLight) { l.PeriodSec = 0 }, "route 1 traffic light period 0 must be positive and finite"},
+		{func(l *TrafficLight) { l.PeriodSec = -60 }, "route 1 traffic light period -60 must be positive and finite"},
+		{func(l *TrafficLight) { l.PeriodSec = nan }, "route 1 traffic light period NaN must be positive and finite"},
+		{func(l *TrafficLight) { l.PeriodSec = inf }, "route 1 traffic light period +Inf must be positive and finite"},
+		{func(l *TrafficLight) { l.RatePerSec = nan }, "route 1 traffic light rate NaN must be finite"},
+		{func(l *TrafficLight) { l.RatePerSec = inf }, "route 1 traffic light rate +Inf must be finite"},
+		{func(l *TrafficLight) { l.GreenStartSec = nan }, "route 1 traffic light green start NaN must be finite"},
+		{func(l *TrafficLight) { l.GreenStartSec = -inf }, "route 1 traffic light green start -Inf must be finite"},
+		{func(l *TrafficLight) { l.GreenDurSec = nan }, "route 1 traffic light green duration NaN must be finite"},
+		{func(l *TrafficLight) { l.GreenDurSec = inf }, "route 1 traffic light green duration +Inf must be finite"},
+	}
+	world := func(l ArrivalProcess) *World {
+		w := testWorld(1)
+		w.Routes = append(w.Routes, w.Routes[0])
+		w.Routes[1].Arrivals = l
+		return w
+	}
+	for i, tc := range cases {
+		l := light
+		tc.mutate(&l)
+		for _, w := range []*World{world(l), world(&l)} {
+			if err := w.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("case %d: Validate error %v, want one saying %q", i, err, tc.want)
+			}
+			if _, err := w.Run(5); err == nil {
+				t.Errorf("case %d: Run accepted the world", i)
+			}
+		}
+	}
+	for _, l := range []TrafficLight{light, {PeriodSec: 1e-3, GreenStartSec: -5, GreenDurSec: 0}} {
+		if err := world(l).Validate(); err != nil {
+			t.Errorf("%+v refused: %v", l, err)
+		}
+	}
+}
+
 // TestWorldValidateNonFinite covers the world's float fields that a NaN
 // would slip past: a NaN frame rate passed Validate and then hung Run in
 // samplePoisson, whose loop a NaN mean never ends. Each case must fail

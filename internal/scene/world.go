@@ -113,6 +113,23 @@ func (t TrafficLight) Arrivals(frame int, fps float64, rng *rand.Rand) int {
 	return samplePoisson(t.RatePerSec/fps, rng)
 }
 
+// validate refuses a light that could not gate: a period that is not
+// positive and finite makes Arrivals' phase NaN, green on every frame.
+func (t TrafficLight) validate() error {
+	if !finite(t.PeriodSec) || t.PeriodSec <= 0 {
+		return fmt.Errorf("traffic light period %v must be positive and finite", t.PeriodSec)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"rate", t.RatePerSec}, {"green start", t.GreenStartSec}, {"green duration", t.GreenDurSec}} {
+		if !finite(f.v) {
+			return fmt.Errorf("traffic light %s %v must be finite", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Burst spawns a fixed number of objects at one specific frame — useful
 // for tests and for stressing the distributed stage with synchronized
 // arrivals.
@@ -241,6 +258,11 @@ func (w *World) Validate() error {
 		}
 		if r.Arrivals == nil {
 			return fmt.Errorf("scene: route %d has nil arrival process", i)
+		}
+		if a, ok := r.Arrivals.(interface{ validate() error }); ok {
+			if err := a.validate(); err != nil {
+				return fmt.Errorf("scene: route %d %w", i, err)
+			}
 		}
 	}
 	for _, c := range w.Cameras {
