@@ -15,11 +15,12 @@
 //	mvingest -addr localhost:7100 -scenario S2 -seed 42 [-camera N]
 //	         [-rate 100ms] [-burst 1] [-faults seed=7,drop=0.05]
 //
-// Ground-truth object states ride on camera 0's part of each frame
-// (the listener needs them once per frame for recall scoring); with
-// -camera N only that camera's parts are pushed, and the truth rides
-// along when N is camera 0 or the push targets a single-camera
-// listener (mvnode). After the last frame mvingest sends one EOS part
+// Ground-truth object states ride on camera 0's part of each frame:
+// the listener puts them on the assembled frame, from where they reach
+// a recording (-record); recall is scored from each camera's
+// observations, not from them. With -camera N only that camera's parts
+// are pushed, and the truth rides along when N is camera 0 or the push
+// targets a single-camera listener (mvnode). After the last frame mvingest sends one EOS part
 // per camera, which lets the listener finish with a clean end-of-stream
 // instead of a watchdog stall.
 package main

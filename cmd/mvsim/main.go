@@ -213,9 +213,12 @@ func simulate(o options, shared *cliconf.Shared, export *metrics.Export, stdout,
 			return fmt.Errorf("manifest roster has %d cameras but %s/%d regenerates %d — run and scenario disagree",
 				len(recorded.Cameras()), man.Scenario, man.Seed, len(cams))
 		}
-		if src, err = recorded.Source(); err != nil {
+		replay, err := recorded.Source()
+		if err != nil {
 			return err
 		}
+		defer replay.Close() // stops its decode-ahead if the run ends early
+		src = replay
 	}
 	ingest, err := shared.OpenIngest(cams, o.stall)
 	if err != nil {

@@ -302,7 +302,7 @@ func (tr *Tracker) applyMatch(t *Track, d vision.Detection) {
 func (tr *Tracker) Spawn(d vision.Detection) int {
 	id := tr.nextID
 	tr.nextID++
-	_, size := geom.QuantizeRect(d.Box, tr.frame, tr.cfg.Sizes)
+	size := geom.QuantizeSize(d.Box.LongSide(), tr.cfg.Sizes)
 	var t *Track
 	if n := len(tr.free); n > 0 {
 		t = tr.free[n-1]
@@ -326,8 +326,7 @@ func (tr *Tracker) Spawn(d vision.Detection) int {
 // a scheduling horizon".
 func (tr *Tracker) RefreshSizes() {
 	for _, t := range tr.tracks {
-		_, size := geom.QuantizeRect(t.Box, tr.frame, tr.cfg.Sizes)
-		t.QuantSize = size
+		t.QuantSize = geom.QuantizeSize(t.Box.LongSide(), tr.cfg.Sizes)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 )
 
@@ -17,10 +18,15 @@ type LatestSink struct {
 	ok     bool
 }
 
-// RecordFrame replaces the retained snapshot.
+// RecordFrame replaces the retained snapshot, copying its camera rows
+// into the sink's own storage.
 func (s *LatestSink) RecordFrame(snap Snapshot) {
 	s.mu.Lock()
+	rows := s.latest.Cameras
 	s.latest = snap
+	if snap.Cameras != nil {
+		s.latest.Cameras = append(rows[:0], snap.Cameras...)
+	}
 	s.ok = true
 	s.mu.Unlock()
 }
@@ -28,11 +34,14 @@ func (s *LatestSink) RecordFrame(snap Snapshot) {
 // Flush reports no error; the latest snapshot needs no persistence.
 func (s *LatestSink) Flush() error { return nil }
 
-// Latest returns the retained snapshot and whether one has arrived yet.
+// Latest returns a copy of the retained snapshot, camera rows included,
+// and whether one has arrived yet.
 func (s *LatestSink) Latest() (Snapshot, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.latest, s.ok
+	snap := s.latest
+	snap.Cameras = slices.Clone(snap.Cameras)
+	return snap, s.ok
 }
 
 // ServeHTTP writes the latest snapshot as a JSON document, or 404 until

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -223,14 +224,15 @@ func NewChannelSink(every, buffer int) *ChannelSink {
 	return &ChannelSink{every: every, ch: make(chan Snapshot, buffer)}
 }
 
-// RecordFrame forwards snap if it falls on the sink's period and the
-// buffer has room; otherwise it is dropped (and counted, for periods
-// that matched).
+// RecordFrame forwards snap, its camera rows copied, if it falls on the
+// sink's period and the buffer has room; otherwise it is dropped (and
+// counted, for periods that matched).
 func (s *ChannelSink) RecordFrame(snap Snapshot) {
 	n := s.seen.Add(1)
 	if (n-1)%int64(s.every) != 0 {
 		return
 	}
+	snap.Cameras = slices.Clone(snap.Cameras)
 	select {
 	case s.ch <- snap:
 	default:

@@ -512,3 +512,43 @@ func TestNopSink(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSinksCopyCameraRows holds ChannelSink and LatestSink to the Sink
+// contract: neither keeps the caller's camera rows past RecordFrame, so
+// an emitter that overwrites them afterwards does not change what the
+// sink reports, and a caller of Latest that writes to its copy does not
+// change the retained snapshot.
+func TestSinksCopyCameraRows(t *testing.T) {
+	want := testSnapshot(1)
+	overwrite := func(snap Snapshot) {
+		for i := range snap.Cameras {
+			snap.Cameras[i] = CameraSnapshot{Camera: 99, Latency: time.Hour}
+		}
+	}
+
+	ch := NewChannelSink(1, 1)
+	snap := testSnapshot(1)
+	ch.RecordFrame(snap)
+	overwrite(snap)
+	ch.Close()
+	if got := <-ch.Snapshots(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ChannelSink forwarded rows the emitter overwrote:\ngot  %+v\nwant %+v", got, want)
+	}
+
+	latest := &LatestSink{}
+	for seq := range 2 { // the second call reuses the sink's row storage
+		snap = testSnapshot(1)
+		snap.Seq = seq
+		latest.RecordFrame(snap)
+		overwrite(snap)
+	}
+	got, ok := latest.Latest()
+	want.Seq = 1
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("LatestSink kept rows the emitter overwrote:\ngot  %+v\nwant %+v", got, want)
+	}
+	overwrite(got)
+	if again, _ := latest.Latest(); !reflect.DeepEqual(again, want) {
+		t.Fatalf("writing Latest's result changed the retained snapshot:\ngot  %+v\nwant %+v", again, want)
+	}
+}

@@ -80,9 +80,11 @@ func ParseShedPolicy(s string) (ShedPolicy, error) {
 // a live producer pushes. Frame indices must be strictly ascending per
 // camera (a part at or below the camera's last admitted frame — a
 // duplicate, a reordered straggler, a re-send — is shed). Objects optionally
-// carries the frame's ground-truth object list for recall scoring; the
-// first part to deliver it for a frame wins, so producers send it on one
-// camera only. EOS marks the end of this camera's stream: once every
+// carries the frame's ground-truth object list, which reaches only the
+// assembled frame and from there a recording (recall is scored from each
+// camera's observations, FrameTruth.AddVisibleObjectIDs); the first part
+// to deliver it for a frame wins, so producers send it on one camera
+// only. EOS marks the end of this camera's stream: once every
 // camera has sent EOS and the queues drain, Next reports io.EOF.
 type FramePart struct {
 	Cam     int

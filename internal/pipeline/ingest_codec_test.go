@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"regexp"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -608,6 +610,84 @@ func TestIngestSteadyStateAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(200, step); n != 0 {
 		t.Fatalf("%v allocations per offered and assembled frame, want 0", n)
 	}
+}
+
+// TestIngestBacklogAllocatesOnce: frames that queue cost allocations
+// once, not per frame. From lockstep, a seeded backlog of depth D — the
+// open loop falling behind by D frames — allocates what the first use of
+// ring slots and object lists up to that depth takes: per camera, the
+// ring's doublings to the power of two R at or above D and a list for
+// each slot, and one object list per queued frame with the table's own
+// doublings. A camera's ring turns by D a backlog, so a second backlog
+// to the same depth may still put a list in each of the R-D slots the
+// first left unused; once each slot has held one, a backlog to that
+// depth allocates nothing.
+func TestIngestBacklogAllocatesOnce(t *testing.T) {
+	e := getEnv(t)
+	rng := rand.New(rand.NewSource(50))
+	cams := len(e.test.Cameras)
+	src, err := NewIngestSource(e.test.Cameras, IngestConfig{Queue: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	// Every backlogged frame carries the same lists, so which slot takes
+	// which frame does not decide whether its storage is large enough.
+	f := &e.test.Frames[rng.Intn(len(e.test.Frames))]
+	depth := 8 + rng.Intn(57)
+	fi := 0
+	backlog := func(n int) {
+		for range n {
+			for cam, obs := range f.PerCamera {
+				p := FramePart{Cam: cam, Frame: fi, Obs: obs}
+				if cam == 0 {
+					p.Objects = f.Objects
+				}
+				if err := src.Offer(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fi++
+		}
+		for range n {
+			if _, err := src.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for range 4 { // lockstep: a backlog of one
+		backlog(1)
+	}
+	// At one P, with the collector stopped, no background goroutine of
+	// the runtime allocates while a backlog is counted.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		backlog(depth)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	doublings := bits.Len(uint(depth - 1)) // to the power of two that holds depth
+	slots := 1 << doublings
+	first := mallocs()
+	if bound := uint64(cams*(depth+doublings) + depth + doublings); first > bound {
+		t.Fatalf("a first backlog of %d frames on %d cameras made %d allocations, more than the %d its first use of slots and lists takes",
+			depth, cams, first, bound)
+	}
+	second := mallocs()
+	if bound := uint64(cams * (slots - depth)); second > bound {
+		t.Fatalf("a second backlog of %d frames made %d allocations, more than the first use of the %d slots a ring of %d has left",
+			depth, second, slots-depth, slots)
+	}
+	for round := 3; round <= 5; round++ {
+		if n := mallocs(); n != 0 {
+			t.Fatalf("backlog %d of %d frames made %d allocations, want 0", round, depth, n)
+		}
+	}
+	t.Logf("backlogs of %d frames on %d cameras: %d allocations the first time, %d the second, then none", depth, cams, first, second)
 }
 
 // TestPartDecoderAllocatesNothingWhenWarm reads a stream of parts — every

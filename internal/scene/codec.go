@@ -159,6 +159,9 @@ func AppendFrame(dst []byte, f *FrameTruth) ([]byte, error) {
 type dec struct {
 	b []byte
 	i int
+	// kept marks a scan into a FrameDecoder's storage, which the decoder
+	// keeps for its next frame (room).
+	kept bool
 }
 
 // frameError is the error of a frame scan that stopped at i.
@@ -478,19 +481,31 @@ func grow[T any](s []T, n int) []T {
 
 // extend returns out one element longer for the next element of the
 // list whose elements start at b[start]. Only when out is full is the
-// list sized, by listLen, and moved to a new array of that many elements
-// or twice out's capacity, whichever is more, so a list allocates as
-// often as sizing it first would: once when its storage is too short, at
-// its exact size from nil, and never beyond what its bytes can hold.
+// list sized, by listLen, and moved to a new array of room's size, so a
+// list allocates as often as sizing it first would: once when its
+// storage is too short, at its exact size from nil outside a decoder,
+// and never beyond what its bytes can hold.
 func extend[T any](d *dec, out []T, start, minElem int) ([]T, bool) {
 	if len(out) == cap(out) {
 		n, ok := d.listLen(start, minElem)
 		if !ok {
 			return out, false
 		}
-		out = append(make([]T, 0, max(n, 2*cap(out))), out...)
+		out = append(make([]T, 0, d.room(n, cap(out))), out...)
 	}
 	return out[:len(out)+1], true
+}
+
+// room is the capacity storage of capacity c moves to when it must hold
+// n > c elements: the more of n and 2c, so storage that keeps growing
+// moves a logarithmic number of times. Storage a decoder keeps gets
+// twice the more of n and c: room for the frames of a stream, which vary
+// around the one that grew it.
+func (d *dec) room(n, c int) int {
+	if d.kept {
+		return 2 * max(n, c)
+	}
+	return max(n, 2*c)
 }
 
 // listFailed ends a failed scan of the list whose elements start at
@@ -602,6 +617,10 @@ func (d *dec) frame(f *FrameTruth, fd *FrameDecoder, numCameras int) bool {
 	if !d.lit(`,"per_camera":[`) {
 		return false
 	}
+	var arena []Observation // the free tail of fd's arena
+	if fd != nil {
+		arena = d.arena(fd)
+	}
 	f.PerCamera = grow(f.PerCamera, numCameras)
 	for ci := range f.PerCamera {
 		f.PerCamera[ci] = nil
@@ -611,32 +630,44 @@ func (d *dec) frame(f *FrameTruth, fd *FrameDecoder, numCameras int) bool {
 		if d.lit("null") {
 			continue
 		}
-		var dst []Observation
-		if fd != nil {
-			dst = fd.obs[ci]
-		}
-		obs, ok := d.observations(dst)
+		obs, ok := d.observations(arena)
 		if !ok || len(obs) == 0 {
 			return false
 		}
-		f.PerCamera[ci] = obs
-		if fd != nil {
-			fd.obs[ci] = obs
+		if len(obs) <= len(arena) {
+			// Cut from the arena: capped, so the list cannot reach the
+			// next camera's.
+			obs, arena = obs[:len(obs):len(obs)], arena[len(obs):]
 		}
+		f.PerCamera[ci] = obs
 	}
 	return d.lit("]}") && d.i == len(d.b)
 }
 
+// arena returns fd's observation arena at full length, grown to hold the
+// observations of the camera table that starts at b[i]: one per '{' a
+// canonical table can hold. Only a table that outgrows the arena
+// allocates, room's size.
+func (d *dec) arena(fd *FrameDecoder) []Observation {
+	rest := d.b[d.i:]
+	if n := min(bytes.Count(rest, []byte("{")), len(rest)/minObservationJSON); n > cap(fd.obs) {
+		fd.obs = make([]Observation, d.room(n, cap(fd.obs)))
+	}
+	return fd.obs[:cap(fd.obs)]
+}
+
 // FrameDecoder decodes frames the way UnmarshalFrame does, into storage
-// it keeps: the frame, its camera table, its object list and each
-// camera's observation list are reused from one Decode to the next and
-// grow geometrically, so a warm decoder allocates nothing for a frame no
-// larger than the largest it has decoded. The zero value is ready to
-// use. Not safe for concurrent use.
+// it keeps: the frame, its camera table, its object list and one arena
+// every camera's observation list is cut from are reused from one Decode
+// to the next and grow to twice what a frame needs (room), so a warm
+// decoder allocates nothing for a frame no larger than the largest it
+// has decoded, and warming it takes a few allocations whatever the
+// number of cameras. The zero value is ready to use. Not safe for
+// concurrent use.
 type FrameDecoder struct {
 	frame FrameTruth
-	objs  []ObjectState   // storage of frame.Objects, kept while a frame has none
-	obs   [][]Observation // per camera: storage of frame.PerCamera[ci], kept while it is null
+	objs  []ObjectState // storage of frame.Objects, kept while a frame has none
+	obs   []Observation // the arena frame.PerCamera's lists are cut from, in camera order
 }
 
 // Decode parses a frame as UnmarshalFrame does and returns a value equal
@@ -644,10 +675,7 @@ type FrameDecoder struct {
 // error. The frame is lent: it and its lists are valid until the next
 // Decode.
 func (fd *FrameDecoder) Decode(data []byte, numCameras int) (*FrameTruth, error) {
-	if n := numCameras - len(fd.obs); n > 0 {
-		fd.obs = append(fd.obs, make([][]Observation, n)...)
-	}
-	d := dec{b: data}
+	d := dec{b: data, kept: true}
 	if !d.frame(&fd.frame, fd, numCameras) {
 		return nil, d.frameError(numCameras)
 	}

@@ -192,10 +192,50 @@ func TestFrameDecoderGrowsGeometrically(t *testing.T) {
 			}
 		}
 	})
-	// two lists, each reallocated at sizes 1, 2, 4, ..., 256, and the
-	// decoder's camera tables
+	// two lists (the objects and the observation arena), each
+	// reallocated at sizes 1, 2, 4, ..., 256, and the camera table
 	if allocs > 2*10+4 {
 		t.Fatalf("%v allocations to decode lists growing from 1 to %d, want logarithmically many", allocs, n)
+	}
+}
+
+// TestFrameDecoderOneArena: a fresh decoder warms on a 16-camera frame
+// in three allocations — the camera table, the object list and the one
+// arena every camera's observations are cut from — and each list is
+// capped at its length, so appending to one cannot overwrite the next
+// camera's.
+func TestFrameDecoderOneArena(t *testing.T) {
+	const cams = 16
+	per := make([]int, cams)
+	for ci := range per {
+		per[ci] = 3 + ci%4
+	}
+	line, err := AppendFrame(nil, sizedFrame(rand.New(rand.NewSource(5)), 0, 10, per))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := UnmarshalFrame(line, cams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *FrameTruth
+	fresh := make([]FrameDecoder, 2) // AllocsPerRun's warm-up call, and the measured one
+	if n := testing.AllocsPerRun(1, func() {
+		fd := &fresh[0]
+		fresh = fresh[1:]
+		if got, err = fd.Decode(line, cams); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 3 {
+		t.Fatalf("a fresh decoder made %v allocations for a %d-camera frame, want 3", n, cams)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	for ci, obs := range got.PerCamera {
+		if cap(obs) != len(obs) {
+			t.Fatalf("camera %d: list of %d has capacity %d", ci, len(obs), cap(obs))
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"mvs/internal/assoc"
@@ -162,15 +163,28 @@ func TestLiveRecordAllocationBudget(t *testing.T) {
 }
 
 // TestReplayAllocationBudget bounds Replay.Next: warm, a frame allocates
-// nothing — the read buffer, the line and the decoded frame are reused —
-// and crossing into the next segment costs what opening its file costs
-// and no new read buffer.
+// nothing — the read buffer and the ring's decoders are reused — and
+// crossing into the next segment costs what opening its file costs and
+// no new read buffer. The producer decodes up to replaySlots frames
+// ahead of Next, so it opens a segment while Next is still that many
+// frames short of it.
+//
+// What the runtime allocates for itself is kept out of the count. The
+// test runs at one P, as AllocsPerRun measures: a P that GOMAXPROCS
+// takes away drops the runtime's cache of parked-goroutine records with
+// it, and the next park on a P with an empty cache allocates one. And
+// the collector is stopped before the warm-up: the work it leaves for
+// background goroutines after a cycle allocates, and it runs whenever
+// the two sides of the replay park.
 func TestReplayAllocationBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const frames, segmentSize = 200, 50
 	b := newBudgetFleet(t, frames)
 	dir, w := b.create(t, segmentSize)
 	// The log holds the frames twice: reading the first copy grows the
 	// replay's storage to the largest of them, the second is measured.
+	// The copy is a whole number of rings long, so each slot decodes the
+	// same frames in both.
 	for range 2 {
 		for fi := range b.test.Frames {
 			if err := w.AppendFrame(&b.test.Frames[fi]); err != nil {
@@ -181,6 +195,8 @@ func TestReplayAllocationBudget(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -207,19 +223,24 @@ func TestReplayAllocationBudget(t *testing.T) {
 		f.Close()
 	})
 
-	// The rest of that segment: nothing at all.
+	// The rest of that segment, up to where the producer may open the
+	// next: nothing at all.
+	if frames%replaySlots != 0 {
+		t.Fatalf("%d frames are not a whole number of %d-slot rings", frames, replaySlots)
+	}
+	quiet := segmentSize - replaySlots
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for range segmentSize - 1 {
+	for range quiet {
 		next()
 	}
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("%d allocations over %d warm frames of one segment, want 0", n, segmentSize-1)
+		t.Fatalf("%d allocations over %d warm frames of one segment, want 0", n, quiet)
 	}
 	// Across the remaining segment boundaries: the opens, and no more.
-	left := frames - segmentSize
-	opened := left / segmentSize
+	left := frames - 1 - quiet
+	opened := (frames - segmentSize) / segmentSize
 	runtime.ReadMemStats(&before)
 	if n := testing.AllocsPerRun(left-1, next); n != 0 {
 		t.Fatalf("warm Replay.Next across %d segment boundaries: %v allocations a frame, want 0", opened, n)

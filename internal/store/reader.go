@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"mvs/internal/metrics"
 	"mvs/internal/scene"
@@ -180,13 +182,32 @@ func (r *Run) Source() (*Replay, error) {
 // 16-camera fleet per read call.
 const replayReadBuffer = 32 << 10
 
+// A replay decodes ahead into a ring of replaySlots frames, and Next
+// hands the slots it is done with back to the producer replayBatch at a
+// time, so a producer that is ahead wakes once a batch rather than once
+// a frame. replaySlots must be at least replayBatch: Next then holds
+// fewer slots than the ring has whenever it waits for one.
+const (
+	replaySlots = 8
+	replayBatch = 4
+)
+
+// errReplayClosed is what Next returns after Close.
+var errReplayClosed = errors.New("store: replay closed")
+
 // Replay streams a recorded frame log segment by segment. It satisfies
 // pipeline.Source: Next returns frames in recorded order and io.EOF
 // after the last, and the frame count is checked against the index so a
-// truncated segment fails loudly instead of ending a replay early. A
-// warm Replay allocates nothing per frame: the read buffer, the line and
-// the decoded frame are reused, so its working set is the largest frame
-// it has read.
+// truncated segment fails loudly instead of ending a replay early.
+//
+// The first Next starts one producer goroutine, which reads, checks and
+// decodes the frames after the one Next lent while the caller works on
+// it, into a ring of replaySlots decoders; io.EOF, the first error or
+// Close ends it, and Close waits for it. A failure reaches Next at the
+// frame it belongs to and stays: every later Next returns it again. A
+// warm Replay allocates nothing per frame: the read buffer and each
+// slot's decoder are reused, so its working set is the read buffer and
+// replaySlots times the largest frame it has read.
 type Replay struct {
 	dir  string
 	cams []*scene.Camera
@@ -194,13 +215,33 @@ type Replay struct {
 	segs []Segment
 	want int
 
+	// The producer's: the frame log's reader, and each slot from the time
+	// Next hands it back until the producer passes it on through ready.
 	si   int // next segment to open
 	f    *os.File
-	br   *bufio.Reader      // made for the first segment, Reset onto each next one
-	line []byte             // the record being read, reused from frame to frame
-	dec  scene.FrameDecoder // the frame Next lends
-	left int                // frames remaining in the open segment
+	br   *bufio.Reader // made for the first segment, Reset onto each next one
+	line []byte        // a record longer than br's buffer, gathered
+	left int           // frames remaining in the open segment
 	read int
+	ring [replaySlots]replaySlot
+
+	ready chan struct{} // one a slot filled, in ring order
+	free  chan struct{} // one a replayBatch slots handed back; closed by Close
+	prod  sync.WaitGroup
+
+	// Next's and Close's.
+	next   int   // the slot the next Next takes
+	held   int   // slots done with and not yet handed back
+	err    error // the failure (io.EOF included) every Next now returns
+	closed bool
+}
+
+// replaySlot is one frame of the ring: the producer decodes into dec and
+// leaves the frame, or the failure in its place, for Next.
+type replaySlot struct {
+	dec   scene.FrameDecoder
+	frame *scene.FrameTruth
+	err   error
 }
 
 // Cameras returns the recorded roster.
@@ -211,6 +252,55 @@ func (r *Replay) Cameras() []*scene.Camera { return r.cams }
 // (the pipeline.Source contract), and a caller that keeps a frame longer
 // copies it.
 func (r *Replay) Next() (*scene.FrameTruth, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.ready == nil {
+		r.ready = make(chan struct{}, replaySlots)
+		r.free = make(chan struct{}, replaySlots/replayBatch)
+		r.prod.Add(1)
+		go r.produce()
+	} else if r.held++; r.held == replayBatch {
+		// The frame lent last is done with, and with it a batch.
+		r.free <- struct{}{}
+		r.held = 0
+	}
+	<-r.ready
+	s := &r.ring[r.next]
+	r.next = (r.next + 1) % replaySlots
+	if s.err != nil {
+		r.err = s.err
+		return nil, r.err
+	}
+	return s.frame, nil
+}
+
+// produce fills the ring in order, a slot at a time while it holds
+// slots, until a failure — io.EOF included — which it leaves in the
+// slot of the frame it belongs to, or until Close.
+func (r *Replay) produce() {
+	defer r.prod.Done()
+	owned := replaySlots
+	for i := 0; ; i = (i + 1) % replaySlots {
+		if owned == 0 {
+			if _, ok := <-r.free; !ok {
+				return
+			}
+			owned = replayBatch
+		}
+		owned--
+		s := &r.ring[i]
+		s.frame, s.err = r.decode(&s.dec)
+		r.ready <- struct{}{}
+		if s.err != nil {
+			return
+		}
+	}
+}
+
+// decode reads, checks and decodes the next recorded frame into dec, or
+// returns io.EOF after the last.
+func (r *Replay) decode(dec *scene.FrameDecoder) (*scene.FrameTruth, error) {
 	for r.left == 0 {
 		if r.f != nil {
 			if err := r.f.Close(); err != nil {
@@ -240,19 +330,18 @@ func (r *Replay) Next() (*scene.FrameTruth, error) {
 		}
 		r.f, r.left = f, seg.Count
 	}
-	var err error
-	r.line, err = readLine(r.br, r.line)
-	if err == io.EOF && len(r.line) > 0 {
+	line, err := r.readLine()
+	if err == io.EOF && len(line) > 0 {
 		err = nil // final line without trailing newline
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: segment truncated at frame %d: %w", r.read, err)
 	}
-	body, err := parseLine(r.line, r.ver)
+	body, err := parseLine(line, r.ver)
 	if err != nil {
 		return nil, fmt.Errorf("store: frame %d: %w", r.read, err)
 	}
-	frame, err := r.dec.Decode(body, len(r.cams))
+	frame, err := dec.Decode(body, len(r.cams))
 	if err != nil {
 		return nil, err
 	}
@@ -261,23 +350,39 @@ func (r *Replay) Next() (*scene.FrameTruth, error) {
 	return frame, nil
 }
 
-// readLine reads one line, newline included, into buf's storage.
-// ReadSlice lends the reader's own buffer and hands over a line longer
-// than it in pieces, so the line is gathered in the caller's.
-func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
-	buf = buf[:0]
-	for {
-		piece, err := br.ReadSlice('\n')
-		buf = append(buf, piece...)
-		if err != bufio.ErrBufferFull {
-			return buf, err
-		}
+// readLine reads one line, newline included. It is lent until the next
+// read: the reader's own buffer, or, for a line longer than that, r.line,
+// where ReadSlice's pieces are gathered.
+func (r *Replay) readLine() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
 	}
+	r.line = append(r.line[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.br.ReadSlice('\n')
+		r.line = append(r.line, line...)
+	}
+	return r.line, err
 }
 
-// Close releases the open segment file, if any. Draining the replay to
-// io.EOF closes it implicitly; Close is for abandoning a replay early.
+// Close stops the producer, waits for it to return and releases the open
+// segment file, if any; Next then returns the failure it reached, or an
+// error if there was none. Draining the replay to io.EOF closes the file
+// implicitly; Close is for abandoning a replay early, and it is safe to
+// call after either.
 func (r *Replay) Close() error {
+	if r.closed {
+		return nil
+	}
+	r.closed = true
+	if r.free != nil {
+		close(r.free)
+		r.prod.Wait()
+	}
+	if r.err == nil {
+		r.err = errReplayClosed
+	}
 	if r.f == nil {
 		return nil
 	}

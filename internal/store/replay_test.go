@@ -2,10 +2,16 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"mvs/internal/assoc"
 	"mvs/internal/metrics"
@@ -175,5 +181,154 @@ func TestReplayByteIdentical(t *testing.T) {
 	// A drained replay is exhausted.
 	if _, err := src2.Next(); err != io.EOF {
 		t.Fatalf("drained replay returned %v, want io.EOF", err)
+	}
+}
+
+// recordRandomRun records numFrames random frames of numCams cameras in
+// segments of segSize frames and returns the run's directory and frames.
+func recordRandomRun(t *testing.T, seed int64, numCams, numFrames, segSize int) (string, []scene.FrameTruth) {
+	t.Helper()
+	_, roster := testRoster(t, numCams)
+	frames := randomFrames(rand.New(rand.NewSource(seed)), numCams, numFrames)
+	dir := filepath.Join(t.TempDir(), "run")
+	w, err := Create(dir, Manifest{Mode: "BALB", SegmentSize: segSize, Cameras: roster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi := range frames {
+		if err := w.AppendFrame(&frames[fi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, frames
+}
+
+// openReplay opens the run in dir as a replay.
+func openReplay(t *testing.T, dir string) *Replay {
+	t.Helper()
+	run, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := run.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// waitProducerGone fails the test unless src's producer goroutine has
+// returned, or returns within a second.
+func waitProducerGone(t *testing.T, src *Replay, after string) {
+	t.Helper()
+	frame := fmt.Appendf(nil, "(*Replay).produce(%p", src)
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Second); ; {
+		if !bytes.Contains(buf[:runtime.Stack(buf, true)], frame) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the replay's producer is still running a second after %s", after)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReplayFailsAtItsFrame damages frame k of a recording — a wrong
+// checksum, or a segment cut off before it — for k before, inside and
+// past the first ring of decoded-ahead frames: the replay returns frames
+// 0..k-1 intact, fails at the call for frame k whatever the producer has
+// read ahead, and returns that failure to every later call.
+func TestReplayFailsAtItsFrame(t *testing.T) {
+	const numFrames, segSize = 30, 7
+	for _, k := range []int{0, 1, replayBatch, replaySlots - 1, replaySlots, replaySlots + replayBatch + 1, numFrames - 1} {
+		for _, damage := range []string{"checksum", "truncation"} {
+			dir, frames := recordRandomRun(t, int64(k), 3, numFrames, segSize)
+			seg := filepath.Join(dir, framesDir, segmentName(k/segSize))
+			lines := bytes.SplitAfter(mustRead(t, seg), []byte("\n"))
+			line := k % segSize
+			switch damage {
+			case "checksum":
+				lines[line][0] ^= 1 // the CRC's first digit: another digit, or no hex digit at all
+			case "truncation":
+				lines = lines[:line]
+			}
+			if err := os.WriteFile(seg, bytes.Join(lines, nil), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			src := openReplay(t, dir)
+			for fi := 0; fi < k; fi++ {
+				got, err := src.Next()
+				if err != nil {
+					t.Fatalf("%s at frame %d: frame %d failed: %v", damage, k, fi, err)
+				}
+				if !reflect.DeepEqual(got, &frames[fi]) {
+					t.Fatalf("%s at frame %d: frame %d diverged", damage, k, fi)
+				}
+			}
+			_, err := src.Next()
+			if err == nil || err == io.EOF || !strings.Contains(err.Error(), fmt.Sprintf("frame %d", k)) {
+				t.Fatalf("%s at frame %d: the call for it returned %v, want an error naming the frame", damage, k, err)
+			}
+			for range 3 {
+				if _, again := src.Next(); again != err {
+					t.Fatalf("%s at frame %d: a later call returned %v, want the sticky %v", damage, k, again, err)
+				}
+			}
+			waitProducerGone(t, src, "an error")
+			if cerr := src.Close(); cerr != nil {
+				t.Fatalf("%s at frame %d: Close after the error: %v", damage, k, cerr)
+			}
+		}
+	}
+}
+
+// TestReplayProducerEnds: the producer goroutine the first Next starts
+// does not outlive a Close mid-stream, a drain to io.EOF or an error,
+// and a Close before any Next starts none. After Close, Next fails (or
+// keeps returning the io.EOF or error it had reached) instead of
+// restarting the producer, and a second Close is a no-op.
+func TestReplayProducerEnds(t *testing.T) {
+	const numFrames, segSize = 3*replaySlots + 1, 5
+	dir, frames := recordRandomRun(t, 11, 2, numFrames, segSize)
+	for _, taken := range []int{0, 1, replayBatch, replaySlots, replaySlots + 1, numFrames} {
+		src := openReplay(t, dir)
+		for fi := 0; fi < taken; fi++ {
+			if got, err := src.Next(); err != nil || !reflect.DeepEqual(got, &frames[fi]) {
+				t.Fatalf("frame %d of %d taken: %v", fi, taken, err)
+			}
+		}
+		if err := src.Close(); err != nil {
+			t.Fatalf("Close after %d frames: %v", taken, err)
+		}
+		waitProducerGone(t, src, fmt.Sprintf("Close after %d frames", taken))
+		if f, err := src.Next(); f != nil || err == nil || err == io.EOF {
+			t.Fatalf("Next after Close after %d frames: %v, %v, want an error", taken, f, err)
+		}
+		if err := src.Close(); err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+	}
+
+	src := openReplay(t, dir)
+	for range frames {
+		if _, err := src.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		if _, err := src.Next(); err != io.EOF {
+			t.Fatalf("after the last frame: %v, want io.EOF", err)
+		}
+	}
+	waitProducerGone(t, src, "io.EOF")
+	if err := src.Close(); err != nil {
+		t.Fatalf("Close after io.EOF: %v", err)
+	}
+	if _, err := src.Next(); err != io.EOF {
+		t.Fatalf("Next after io.EOF and Close: %v, want io.EOF", err)
 	}
 }
