@@ -3,13 +3,17 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,10 +41,42 @@ func mustContain(t *testing.T, out string, err error, want ...string) {
 	}
 }
 
-// TestEveryStudy runs each registered study on S1 and checks what it
-// prints and the CSV it writes: the header is its column list and the
-// row count its shape on S1 (the shard sweep keeps its own C64 fleet, the
-// ablations their synthetic instances).
+// studyRun is one study's in-process run at TestEveryStudy's sizes: what
+// it printed and the CSV it wrote.
+type studyRun struct {
+	out, csvName string
+	err          error
+	csv          []byte
+}
+
+var studyRuns map[string]studyRun
+
+// everyStudy runs each registered study once on S1 (200 frames, one
+// worker) and keeps the results for TestEveryStudy and TestStudyDigests.
+func everyStudy(t *testing.T) map[string]studyRun {
+	t.Helper()
+	if studyRuns != nil {
+		return studyRuns
+	}
+	runs := map[string]studyRun{}
+	for _, st := range experiments.Studies() {
+		dir := t.TempDir()
+		var r studyRun
+		r.out, r.err = mvexp("-exp", st.Name, "-scenario", "S1", "-frames", "200", "-workers", "1", "-csv", dir)
+		r.csvName = st.Name + "_" + st.ScenariosFor("S1")[0] + ".csv"
+		if r.err == nil {
+			r.csv, r.err = os.ReadFile(filepath.Join(dir, r.csvName))
+		}
+		runs[st.Name] = r
+	}
+	studyRuns = runs
+	return runs
+}
+
+// TestEveryStudy checks what each registered study prints on S1 and the
+// CSV it writes: the header is its column list and the row count its
+// shape on S1 (the shard sweep keeps its own C64 fleet, the ablations
+// their synthetic instances).
 func TestEveryStudy(t *testing.T) {
 	wantRows := map[string]int{
 		"table1": 5, "fig2": 5, "fig10": 4, "fig11": 4, "fig12": 5, "fig13": 5, "table2": 1, "fig14": 6,
@@ -51,17 +87,12 @@ func TestEveryStudy(t *testing.T) {
 	if len(studies) != len(wantRows) {
 		t.Fatalf("%d studies registered, the test knows %d", len(studies), len(wantRows))
 	}
+	runs := everyStudy(t)
 	for _, st := range studies {
 		t.Run(st.Name, func(t *testing.T) {
-			dir := t.TempDir()
-			out, err := mvexp("-exp", st.Name, "-scenario", "S1", "-frames", "200", "-workers", "1", "-csv", dir)
-			mustContain(t, out, err, st.Title, "expected shape: "+st.Expect)
-			name := st.Name + "_" + st.ScenariosFor("S1")[0] + ".csv"
-			data, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			records, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+			r := runs[st.Name]
+			mustContain(t, r.out, r.err, st.Title, "expected shape: "+st.Expect)
+			records, err := csv.NewReader(bytes.NewReader(r.csv)).ReadAll()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,13 +101,102 @@ func TestEveryStudy(t *testing.T) {
 				header = append(header, c.Name)
 			}
 			if !reflect.DeepEqual(records[0], header) {
-				t.Fatalf("%s header %v, want %v", name, records[0], header)
+				t.Fatalf("%s header %v, want %v", r.csvName, records[0], header)
 			}
 			if got := len(records) - 1; got != wantRows[st.Name] {
-				t.Fatalf("%s has %d rows, want %d:\n%s", name, got, wantRows[st.Name], data)
+				t.Fatalf("%s has %d rows, want %d:\n%s", r.csvName, got, wantRows[st.Name], r.csv)
 			}
 		})
 	}
+}
+
+// wallClock lists the columns each study measures on the wall clock;
+// TestStudyDigests drops them before hashing. Table II is not listed: all
+// its columns but the scenario are wall-clock timings (central_us,
+// tracking_us, distributed_us, batching_us, total_us), so it has no
+// digest at all.
+var wallClock = map[string][]string{
+	"shard": {"central_us_per_frame"},
+}
+
+// TestStudyDigests pins every study's CSV across commits: the SHA-256 of
+// the bytes TestEveryStudy's runs write, less the wall-clock columns
+// (all but Table II, which is wall clock throughout). A
+// refactor must not move one of them; a change that means to move
+// numbers lists each old → new digest in CHANGES.md. The values are
+// amd64's (docs/ARCHITECTURE.md §4).
+func TestStudyDigests(t *testing.T) {
+	want := map[string]string{
+		"ablation":  "93600219773e57435ac0c149131cb4972e9e9c3cf40370367f9cb3d6ab6f83a6",
+		"adapt":     "c8bb801e1176dec1c72af59618d704199c0e13e74b3efcd0a2fb5d2d0607600b",
+		"chaos":     "144ca6752cf9008ea50ed24e036924c912058f464ab263b6667579e4b5fc7304",
+		"fig10":     "14eadc1f71fb181c94557e5a1afd8db2921ef0e087d928a2a3964e0ff227fd52",
+		"fig11":     "c8afcbb49a9780ee0429aa8e8af06e85d95d8983e2ce2aec97726ab16c6ca277",
+		"fig12":     "9a06b2fca0e140c2c910a5e7236947d14572f49bd2497864482ac80759e2af0a",
+		"fig13":     "b74d824e6102bbd770229c801a254197084c5c57d46534e2c4b2c25eb3c3fe4f",
+		"fig14":     "60214a4ffdd2d2ce0bfde68ddebcd85d1ccb4662efe701eb199e815f891c27fa",
+		"fig2":      "1689793392c9bcd06ccd0d8a707ad29c255481163f21eefa8ca4eb4d3d0f3d3c",
+		"occlusion": "e572ecfcae00350d59db100ba27d2bb3661f6ea4400e99bbd4cfdd2a4bc2931e",
+		"shard":     "e2527777813a282f74be8c889e6fdb3af9362df568c11649adcf82256cc2871c",
+		"shed":      "d3f72ade77488b29006c9a8a691531e5307576dc25384ef319619b4442eb4efc",
+		"sweep":     "bd4f63de7fc5d05bda0c5d42c597ce3f4cc4a896d9b3d2c2f2930122c14c4107",
+		"table1":    "8792dad80f06948bb5122ce9f7186a8dce23b0562b78cbbfe2e427e92d110e07",
+		"tenants":   "ffee090cf88fc55b5594cde3d3f1e2a07418c03413333588dbfd11ce94d501d5",
+	}
+	runs := everyStudy(t)
+	if len(runs) != len(want)+1 {
+		t.Fatalf("%d studies registered, the test pins %d and table2", len(runs), len(want))
+	}
+	for name, r := range runs {
+		if r.err != nil {
+			t.Fatalf("%s: %v", name, r.err)
+		}
+		if name == "table2" {
+			continue
+		}
+		data, err := dropColumns(r.csv, wallClock[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s: %s digest %s, want %s", name, r.csvName, got, want[name])
+		}
+	}
+}
+
+// dropColumns returns data without the named columns, re-encoded; with
+// none to drop it returns data as it is.
+func dropColumns(data []byte, drop []string) ([]byte, error) {
+	if len(drop) == 0 {
+		return data, nil
+	}
+	records, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	var keep []int
+	for i, name := range records[0] {
+		if !slices.Contains(drop, name) {
+			keep = append(keep, i)
+		}
+	}
+	if len(keep)+len(drop) != len(records[0]) {
+		return nil, fmt.Errorf("header %v lacks one of the wall-clock columns %v", records[0], drop)
+	}
+	var buf bytes.Buffer
+	w := csv.NewWriter(&buf)
+	for _, rec := range records {
+		row := make([]string, len(keep))
+		for j, i := range keep {
+			row[j] = rec[i]
+		}
+		if err := w.Write(row); err != nil {
+			return nil, err
+		}
+	}
+	w.Flush()
+	return buf.Bytes(), w.Error()
 }
 
 // TestAnyScenario: every per-scenario study takes any workload.ByName

@@ -424,3 +424,31 @@ func TestAssociateAllInvisiblePair(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupMembersDoNotShareCapacity guards the one-array layout of the
+// result: the caller owns the groups, so growing one Members list must
+// not write into the next group's.
+func TestGroupMembersDoNotShareCapacity(t *testing.T) {
+	trace := getCorridorTrace(t)
+	train, test := trace.SplitTrain()
+	m, err := Train(train, Factories{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi := range test.Frames {
+		groups, err := m.Associate(frameBoxes(test, fi), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(groups) < 2 {
+			continue
+		}
+		next := groups[1].Members[0]
+		groups[0].Members = append(groups[0].Members, Ref{Cam: -1, Index: -1})
+		if groups[1].Members[0] != next {
+			t.Fatalf("append to group 0 overwrote group 1: %v", groups[1].Members[0])
+		}
+		return
+	}
+	t.Fatal("no frame with two groups")
+}

@@ -547,20 +547,3 @@ func TestUpdateSteadyStateAllocatesNothing(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkNewRegions(b *testing.B) {
-	var moving, predicted []geom.Rect
-	for i := 0; i < 30; i++ {
-		moving = append(moving, geom.Rect{
-			MinX: float64(i * 40), MinY: 100, MaxX: float64(i*40 + 35), MaxY: 140,
-		})
-		if i%2 == 0 {
-			predicted = append(predicted, moving[i])
-		}
-	}
-	var dst []geom.Rect
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = NewRegions(dst[:0], moving, predicted, 0)
-	}
-}

@@ -20,8 +20,8 @@
 // components together are an optimal assignment of the whole; a component
 // of one row and one column is assigned without the solver. One solve of
 // the whole matrix could differ only by breaking an exact tie between
-// optima differently, and the tests hold the assignment to that dense
-// solve's on random, generated and traced matrices. A tracker's matrices
+// optima differently; the tests certify each answer optimal in that dense
+// form from the solver's own row and column potentials. A tracker's matrices
 // are sparse — most components are one track and one detection — so the
 // work falls from O(n·(n+m)²) for n tracks and m detections to one scan
 // of the matrix plus a solve per contested component.

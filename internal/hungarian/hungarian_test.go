@@ -262,211 +262,154 @@ func TestMaximizeProfitEmpty(t *testing.T) {
 	}
 }
 
-// --- The oracle: the previous solver, verbatim. ---
+// --- The optimality certificate. ---
 
-// referenceSolve is the solver this package shipped before the reusable
-// workspace and the rectangular solve, kept verbatim as the oracle: the
-// square-padded, allocate-per-row form.
-func referenceSolve(cost [][]float64) ([]int, float64, error) {
-	nRows := len(cost)
-	if nRows == 0 {
-		return nil, 0, fmt.Errorf("hungarian: empty cost matrix")
-	}
-	nCols := len(cost[0])
-	if nCols == 0 {
-		return nil, 0, fmt.Errorf("hungarian: zero-width cost matrix")
-	}
-	for i, row := range cost {
-		if len(row) != nCols {
-			return nil, 0, fmt.Errorf("hungarian: ragged row %d: %d vs %d", i, len(row), nCols)
-		}
-	}
-	n := nRows
-	if nCols > n {
-		n = nCols
-	}
-
-	// Scale Forbidden down to a large-but-safe sentinel so potentials
-	// can't overflow; remember real forbidden pairs to validate at the
-	// end.
-	big := referenceForbiddenCeiling(cost, n)
-	// Square padded matrix, 1-indexed for the classical potential-based
-	// implementation.
-	a := make([][]float64, n+1)
-	for i := range a {
-		a[i] = make([]float64, n+1)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			switch {
-			case i >= nRows || j >= nCols:
-				a[i+1][j+1] = 0 // dummy row/col
-			case cost[i][j] == Forbidden:
-				a[i+1][j+1] = big
-			default:
-				a[i+1][j+1] = cost[i][j]
-			}
-		}
-	}
-
-	// Potentials-based Hungarian algorithm (Jonker-style shortest
-	// augmenting paths). u/v are row/col potentials; p[j] is the row
-	// matched to column j.
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	p := make([]int, n+1)
-	way := make([]int, n+1)
-	for i := 1; i <= n; i++ {
-		p[0] = i
-		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
-		for j := range minv {
-			minv[j] = math.Inf(1)
-		}
-		for {
-			used[j0] = true
-			i0 := p[j0]
-			delta := math.Inf(1)
-			j1 := 0
-			for j := 1; j <= n; j++ {
-				if used[j] {
-					continue
-				}
-				cur := a[i0][j] - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
-				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
-				}
-			}
-			for j := 0; j <= n; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
-			}
-			j0 = j1
-			if p[j0] == 0 {
-				break
-			}
-		}
-		for j0 != 0 {
-			j1 := way[j0]
-			p[j0] = p[j1]
-			j0 = j1
-		}
-	}
-
-	assign := make([]int, nRows)
-	for i := range assign {
-		assign[i] = -1
-	}
-	var total float64
-	for j := 1; j <= n; j++ {
-		i := p[j] - 1
-		if i < 0 || i >= nRows {
-			continue // dummy row
-		}
-		if j-1 >= nCols {
-			continue // dummy column: row stays unmatched
-		}
-		if cost[i][j-1] == Forbidden {
-			// The only complete matchings route through a forbidden pair.
-			// When the matrix is square this means infeasible; when
-			// rectangular, treat the row as unmatched.
-			if nRows == nCols {
-				return nil, 0, fmt.Errorf("hungarian: no feasible assignment")
-			}
-			continue
-		}
-		assign[i] = j - 1
-		total += cost[i][j-1]
-	}
-	// Square infeasibility check (rectangular matrices legitimately leave
-	// rows unmatched through dummy columns).
-	if nRows == nCols {
-		for i, j := range assign {
-			if j == -1 {
-				return nil, 0, fmt.Errorf("hungarian: row %d has no feasible column", i)
-			}
-		}
-	}
-	return assign, total, nil
-}
-
-// referenceForbiddenCeiling is the old forbiddenCeiling, over the
-// unpadded row slices.
-func referenceForbiddenCeiling(cost [][]float64, n int) float64 {
+// certify checks, after s solved the nRows x m min-cost problem want
+// (rows <= m, Forbidden marking forbidden pairs), that the row and column
+// potentials the solver leaves in s.u and s.v prove the assignment in
+// s.p optimal, and returns that assignment as row -> column of want.
+//
+// The solver's matrix is want, with Forbidden replaced by a sentinel
+// larger than any feasible assignment costs. The potentials are a
+// feasible dual: every reduced cost a_ij - u_i - v_j is >= 0, and no
+// column potential is above 0. Complementary slackness holds: the
+// reduced cost is 0 on every matched pair and v_j is 0 on every free
+// column. Then sum(u) + sum(v), a lower bound on the cost of every
+// assignment of all rows, is the cost of this one, so it is optimal.
+// Equalities hold to a rounding tolerance.
+func certify(t testing.TB, s *Solver, want [][]float64) []int {
+	t.Helper()
+	nRows, m := len(want), len(want[0])
 	var maxAbs float64 = 1
-	for _, row := range cost {
+	for _, row := range want {
 		for _, c := range row {
-			if c == Forbidden {
-				continue
-			}
-			if v := math.Abs(c); v > maxAbs {
-				maxAbs = v
+			if c != Forbidden {
+				maxAbs = max(maxAbs, math.Abs(c))
 			}
 		}
 	}
-	return maxAbs * float64(n+1) * 16
+	tol := func(x ...float64) float64 {
+		sum := 1.0
+		for _, v := range x {
+			sum += math.Abs(v)
+		}
+		return 1e-9 * sum
+	}
+	a, u, v, p := s.a[:nRows*m], s.u, s.v, s.p
+	col := make([]int, nRows)
+	for i := range col {
+		col[i] = -1
+	}
+	for j := 1; j <= m; j++ {
+		switch i := p[j] - 1; {
+		case i < 0:
+			if v[j] != 0 {
+				t.Fatalf("free column %d has potential %v", j-1, v[j])
+			}
+		case col[i] >= 0:
+			t.Fatalf("row %d matched to columns %d and %d", i, col[i], j-1)
+		default:
+			col[i] = j - 1
+		}
+		if v[j] > tol(v[j]) {
+			t.Fatalf("column %d has positive potential %v", j-1, v[j])
+		}
+	}
+	for i := range nRows {
+		if col[i] < 0 {
+			t.Fatalf("row %d unmatched in %v", i, want)
+		}
+		for j, w := range want[i] {
+			c := a[i*m+j]
+			switch {
+			case w == Forbidden && c < 16*float64(m+1)*maxAbs:
+				t.Fatalf("forbidden pair (%d,%d) priced %v, below the sentinel bound", i, j, c)
+			case w != Forbidden && c != w:
+				t.Fatalf("pair (%d,%d) priced %v, want %v", i, j, c, w)
+			}
+			red := c - u[i+1] - v[j+1]
+			if red < -tol(c, u[i+1], v[j+1]) {
+				t.Fatalf("pair (%d,%d): reduced cost %v < 0 (cost %v, u %v, v %v)", i, j, red, c, u[i+1], v[j+1])
+			}
+			if j == col[i] && math.Abs(red) > tol(c, u[i+1], v[j+1]) {
+				t.Fatalf("matched pair (%d,%d): reduced cost %v, want 0", i, j, red)
+			}
+		}
+	}
+	return col
 }
 
-// referenceMaximizeProfit is the old MaximizeProfit, verbatim: a fresh
-// T x (D+T) cost matrix handed to referenceSolve.
-func referenceMaximizeProfit(profit [][]float64, minProfit float64) ([]int, float64, error) {
-	if len(profit) == 0 {
-		return nil, 0, fmt.Errorf("hungarian: empty profit matrix")
-	}
-	var maxP float64
+// denseProfit is MaximizeProfit's problem as one min-cost matrix (package
+// doc): a matched pair costs maxP - p, a pair with p <= minProfit is
+// Forbidden, and each row has a "stay unmatched" column of its own at
+// maxP + 1. Its cost for an assignment is what the certificate bounds.
+func denseProfit(profit [][]float64, minProfit float64) (cost [][]float64, maxP float64) {
 	for _, row := range profit {
 		for _, p := range row {
-			if p > maxP {
-				maxP = p
-			}
+			maxP = max(maxP, p)
 		}
 	}
-	// Augment with one "stay unmatched" dummy column per row, priced just
-	// above the worst feasible match so real pairings are always
-	// preferred. This lets any subset of rows opt out, which is exactly
-	// the semantics of thresholded IoU matching.
-	nRows := len(profit)
 	nCols := len(profit[0])
-	cost := make([][]float64, nRows)
+	cost = make([][]float64, len(profit))
 	for i, row := range profit {
-		if len(row) != nCols {
-			return nil, 0, fmt.Errorf("hungarian: ragged profit row %d", i)
-		}
-		cost[i] = make([]float64, nCols+nRows)
-		for j, p := range row {
-			if p <= minProfit {
+		cost[i] = make([]float64, nCols+len(profit))
+		for j := range cost[i] {
+			switch {
+			case j >= nCols:
+				cost[i][j] = maxP + 1
+			case row[j] <= minProfit:
 				cost[i][j] = Forbidden
-			} else {
-				cost[i][j] = maxP - p
+			default:
+				cost[i][j] = maxP - row[j]
 			}
 		}
-		for k := 0; k < nRows; k++ {
-			cost[i][nCols+k] = maxP + 1
-		}
 	}
-	assign, _, err := referenceSolve(cost)
-	if err != nil {
-		return nil, 0, err
+	return cost, maxP
+}
+
+// checkMaximizeProfit holds one MaximizeProfit answer to its
+// specification: a matching over the pairs above minProfit, its total the
+// row-order sum of their profits, and optimal — its cost in the dense
+// form equals the certified optimum of a dense Solve.
+func checkMaximizeProfit(t testing.TB, profit [][]float64, minProfit float64, got []int, total float64) {
+	t.Helper()
+	if len(got) != len(profit) {
+		t.Fatalf("%d rows, assignment of %d", len(profit), len(got))
 	}
-	var total float64
-	for i, j := range assign {
-		if j < 0 || j >= nCols || profit[i][j] <= minProfit {
-			assign[i] = -1
+	taken := make([]bool, len(profit[0]))
+	var sum float64
+	for i, j := range got {
+		if j < 0 {
 			continue
 		}
-		total += profit[i][j]
+		if j >= len(taken) || taken[j] || profit[i][j] <= minProfit {
+			t.Fatalf("row %d -> column %d is not a matching edge: profit %v min %v assign %v", i, j, profit, minProfit, got)
+		}
+		taken[j] = true
+		sum += profit[i][j]
 	}
-	return assign, total, nil
+	if math.Float64bits(sum) != math.Float64bits(total) {
+		t.Fatalf("total %v, matched profits sum to %v", total, sum)
+	}
+	cost, maxP := denseProfit(profit, minProfit)
+	var d Solver
+	if _, _, err := d.Solve(cost); err != nil {
+		t.Fatalf("dense solve: %v", err)
+	}
+	opt := certify(t, &d, cost)
+	var gotCost, optCost float64
+	for i, j := range got {
+		if j < 0 {
+			gotCost += maxP + 1
+		} else {
+			gotCost += cost[i][j]
+		}
+		optCost += cost[i][opt[i]]
+	}
+	if math.Abs(gotCost-optCost) > 1e-9*(1+math.Abs(optCost)) {
+		t.Fatalf("profit %v min %v: assignment %v costs %v in the dense form, the certified optimum %v",
+			profit, minProfit, got, gotCost, optCost)
+	}
 }
 
 // randomProfit fills a rows x cols IoU-like matrix: a share `density` of
@@ -491,12 +434,11 @@ func randomProfit(rng *rand.Rand, rows, cols int, density float64, quantize bool
 	return profit
 }
 
-// TestSolverMatchesReference is the tie-break oracle: on every shape
-// 1..24 x 1..24, sparse and dense, continuous and tie-rich, at both
-// thresholds the system uses (0.1 association, 0.25 tracking), one reused
-// Solver must return exactly the assignment vector of the old
-// square-padded solver — not merely one of equal profit.
-func TestSolverMatchesReference(t *testing.T) {
+// TestMaximizeProfitIsCertified holds one reused Solver to the
+// specification on every shape 1..24 x 1..24, sparse and dense,
+// continuous and tie-rich, at both thresholds the system uses (0.1
+// association, 0.25 tracking).
+func TestMaximizeProfitIsCertified(t *testing.T) {
 	rng := rand.New(rand.NewSource(20240914))
 	var s Solver
 	cases := 0
@@ -507,15 +449,11 @@ func TestSolverMatchesReference(t *testing.T) {
 					for _, minProfit := range []float64{0.1, 0.25} {
 						for rep := 0; rep < 2; rep++ {
 							profit := randomProfit(rng, rows, cols, density, quantize)
-							want, wantTotal, wantErr := referenceMaximizeProfit(profit, minProfit)
-							got, gotTotal, gotErr := s.MaximizeProfit(profit, minProfit)
-							if (wantErr == nil) != (gotErr == nil) {
-								t.Fatalf("%dx%d: error %v, reference %v", rows, cols, gotErr, wantErr)
+							got, total, err := s.MaximizeProfit(profit, minProfit)
+							if err != nil {
+								t.Fatalf("%dx%d: %v", rows, cols, err)
 							}
-							if !slices.Equal(got, want) || gotTotal != wantTotal {
-								t.Fatalf("%dx%d density %v quantize %v min %v:\nprofit %v\n got %v (%v)\nwant %v (%v)",
-									rows, cols, density, quantize, minProfit, profit, got, gotTotal, want, wantTotal)
-							}
+							checkMaximizeProfit(t, profit, minProfit, got, total)
 							cases++
 						}
 					}
@@ -528,17 +466,21 @@ func TestSolverMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSolveMatchesReference does the same for the min-cost form, which
-// bench and the square / tall callers use: wide, square and tall
-// matrices, with Forbidden entries sprinkled in.
-func TestSolveMatchesReference(t *testing.T) {
+// TestSolveIsCertified does the same for the min-cost form, which bench
+// and the square and tall callers use: wide, square and tall matrices,
+// with Forbidden entries sprinkled in. Where the certified optimum needs
+// a forbidden pair, a square matrix is an error and a tall one leaves
+// that row unmatched.
+func TestSolveIsCertified(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s Solver
 	for trial := 0; trial < 4000; trial++ {
 		rows, cols := 1+rng.Intn(12), 1+rng.Intn(12)
 		cost := make([][]float64, rows)
+		padded := make([][]float64, rows)
 		for i := range cost {
 			cost[i] = make([]float64, cols)
+			padded[i] = make([]float64, max(rows, cols))
 			for j := range cost[i] {
 				switch {
 				case rng.Intn(8) == 0:
@@ -548,18 +490,63 @@ func TestSolveMatchesReference(t *testing.T) {
 				default:
 					cost[i][j] = rng.Float64() * 100
 				}
+				padded[i][j] = cost[i][j]
 			}
 		}
-		want, wantTotal, wantErr := referenceSolve(cost)
-		got, gotTotal, gotErr := s.Solve(cost)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: error %v, reference %v, cost %v", trial, gotErr, wantErr, cost)
+		got, total, err := s.Solve(cost)
+		if err != nil && rows != cols {
+			t.Fatalf("trial %d: %v on %v", trial, err, cost)
 		}
-		if wantErr != nil {
+		opt := certify(t, &s, padded)
+		var want float64
+		infeasible := false
+		for i, j := range opt {
+			switch {
+			case j >= cols:
+				opt[i] = -1
+			case cost[i][j] == Forbidden:
+				opt[i], infeasible = -1, true
+			default:
+				want += cost[i][j]
+			}
+		}
+		if rows == cols && infeasible != (err != nil) {
+			t.Fatalf("trial %d: error %v, but the optimum uses a forbidden pair: %v", trial, err, infeasible)
+		}
+		if err != nil {
 			continue
 		}
-		if !slices.Equal(got, want) || gotTotal != wantTotal {
-			t.Fatalf("trial %d: cost %v\n got %v (%v)\nwant %v (%v)", trial, cost, got, gotTotal, want, wantTotal)
+		if !slices.Equal(got, opt) || math.Abs(total-want) > 1e-9*(1+want) {
+			t.Fatalf("trial %d: cost %v\n got %v (%v)\ncertified %v (%v)", trial, cost, got, total, opt, want)
+		}
+	}
+}
+
+// TestTiesTakeTheLowestColumn: among columns of equal reduced cost the
+// augmenting search takes the lowest index, so a matrix of equal costs
+// is solved by the identity, in both forms.
+func TestTiesTakeTheLowestColumn(t *testing.T) {
+	var s Solver
+	for _, n := range []int{2, 3, 5} {
+		equal := s.Matrix(n, n+1)
+		for i := range equal {
+			for j := range equal[i] {
+				equal[i][j] = 0.5
+			}
+		}
+		for name, solve := range map[string]func() ([]int, float64, error){
+			"Solve":          func() ([]int, float64, error) { return s.Solve(equal) },
+			"MaximizeProfit": func() ([]int, float64, error) { return s.MaximizeProfit(equal, 0.1) },
+		} {
+			got, _, err := solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, j := range got {
+				if j != i {
+					t.Fatalf("%s on %d x %d equal costs: %v, want the identity", name, n, n+1, got)
+				}
+			}
 		}
 	}
 }
@@ -664,27 +651,23 @@ func piecewiseProfit(rng *rand.Rand, minProfit float64, quantize bool) [][]float
 	return out
 }
 
-// TestSolverMatchesReferenceOnComponents holds the per-component solve to
-// the dense oracle on the shapes it decomposes: interleaved blocks,
-// chains, isolated rows and columns, at-threshold rows and a dense block,
-// continuous and tie-rich, at both thresholds the system uses. The
-// assignment vector, not merely its profit, must be the reference's.
-func TestSolverMatchesReferenceOnComponents(t *testing.T) {
+// TestMaximizeProfitIsCertifiedOnComponents holds the per-component
+// solve to the specification on the shapes it decomposes: interleaved
+// blocks, chains, isolated rows and columns, at-threshold rows and a
+// dense block, continuous and tie-rich, at both thresholds the system
+// uses.
+func TestMaximizeProfitIsCertifiedOnComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	var s Solver
 	for trial := 0; trial < 3000; trial++ {
 		for _, quantize := range []bool{false, true} {
 			for _, minProfit := range []float64{0.1, 0.25} {
 				profit := piecewiseProfit(rng, minProfit, quantize)
-				want, wantTotal, wantErr := referenceMaximizeProfit(profit, minProfit)
-				got, gotTotal, gotErr := s.MaximizeProfit(profit, minProfit)
-				if wantErr != nil || gotErr != nil {
-					t.Fatalf("trial %d: errors %v / %v", trial, gotErr, wantErr)
+				got, total, err := s.MaximizeProfit(profit, minProfit)
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
 				}
-				if !slices.Equal(got, want) || gotTotal != wantTotal {
-					t.Fatalf("trial %d quantize %v min %v:\nprofit %v\n got %v (%v)\nwant %v (%v)",
-						trial, quantize, minProfit, profit, got, gotTotal, want, wantTotal)
-				}
+				checkMaximizeProfit(t, profit, minProfit, got, total)
 			}
 		}
 	}
@@ -705,10 +688,11 @@ func fuzzProfit(b byte) float64 {
 }
 
 // FuzzMaximizeProfit decodes bytes into a matrix of up to 8 x 8 profits
-// and a threshold. On finite input the assignment and its total must be
-// bit-equal to the dense reference's. With NaN or an infinity anywhere it
-// must not panic, and whatever it returns must be a matching over the
-// same edge predicate: no column twice, no pair with profit <= minProfit.
+// and a threshold. On finite input the answer must meet the
+// specification (checkMaximizeProfit), its optimality certified. With
+// NaN or an infinity anywhere it must not panic, and whatever it returns
+// must be a matching over the same edge predicate: no column twice, no
+// pair with profit <= minProfit.
 func FuzzMaximizeProfit(f *testing.F) {
 	f.Add([]byte{2, 2, 14, 20, 16, 19, 8})                           // 2x2, tie-free
 	f.Add([]byte{3, 3, 10, 12, 12, 0, 12, 12, 12, 0, 12, 12})        // ties
@@ -717,6 +701,7 @@ func FuzzMaximizeProfit(f *testing.F) {
 	f.Add([]byte{3, 2, 255, 16, 16, 16, 16, 16, 16})                 // -Inf threshold
 	f.Add([]byte{2, 2, 8, 240, 252, 246, 250})                       // large values
 	f.Add([]byte{1, 0, 8})                                           // zero columns
+	f.Add([]byte{0, 1, 0, 7})                                        // one pair, p < 0 above min
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -738,13 +723,10 @@ func FuzzMaximizeProfit(f *testing.F) {
 		var s Solver
 		got, gotTotal, err := s.MaximizeProfit(profit, minProfit)
 		if finite {
-			want, wantTotal, wantErr := referenceMaximizeProfit(profit, minProfit)
-			if err != nil || wantErr != nil {
-				t.Fatalf("errors %v / %v on %v (min %v)", err, wantErr, profit, minProfit)
+			if err != nil {
+				t.Fatalf("%v on %v (min %v)", err, profit, minProfit)
 			}
-			if !slices.Equal(got, want) || math.Float64bits(gotTotal) != math.Float64bits(wantTotal) {
-				t.Fatalf("profit %v min %v\n got %v (%v)\nwant %v (%v)", profit, minProfit, got, gotTotal, want, wantTotal)
-			}
+			checkMaximizeProfit(t, profit, minProfit, got, gotTotal)
 		}
 		if err != nil {
 			return // non-finite input may find no finite augmenting path

@@ -469,14 +469,3 @@ func TestScalerConstantFeature(t *testing.T) {
 		t.Fatalf("scaled = %v", out)
 	}
 }
-
-func BenchmarkLogisticFit(b *testing.B) {
-	x, y := linearlySeparable(500, 22)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := &LogisticClassifier{}
-		if err := c.Fit(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -207,7 +207,7 @@ func GenerateFaults(cfg FaultSpec, numCams, numFrames int) (*FaultSchedule, erro
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(cam)*1_000_003))
 		for f := 0; f < numFrames; {
 			if hazard > 0 && rng.Float64() < hazard {
-				length := sampleOutage(rng, mean) + boot
+				length := sampleOutage(rng, mean, numFrames-f) + boot
 				for j := 0; j < length && f+j < numFrames; j++ {
 					row[f+j] = true
 				}
@@ -236,14 +236,18 @@ func GenerateFaults(cfg FaultSpec, numCams, numFrames int) (*FaultSchedule, erro
 
 // sampleOutage draws a geometric outage length with the given mean
 // (>= 1 frame), capped at 100x the mean so a pathological draw cannot
-// dominate a schedule.
-func sampleOutage(rng *rand.Rand, mean int) int {
+// dominate a schedule, and at left, the frames the stream has left. A
+// longer outage is clipped to the stream anyway and each camera draws
+// from its own generator, so the second cap changes no schedule; it
+// keeps a huge mean from costing draws the stream never uses.
+func sampleOutage(rng *rand.Rand, mean, left int) int {
 	if mean <= 1 {
 		return 1
 	}
 	p := 1.0 / float64(mean)
+	limit := min(100*mean, left)
 	length := 1
-	for length < 100*mean && rng.Float64() > p {
+	for length < limit && rng.Float64() > p {
 		length++
 	}
 	return length

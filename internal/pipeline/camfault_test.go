@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -124,6 +126,29 @@ func TestGenerateRateTargets(t *testing.T) {
 	}
 	if z.DownFrames() != 0 {
 		t.Fatalf("zero config lost %d frames", z.DownFrames())
+	}
+}
+
+// TestGenerateHugeMeanIsQuick: the outage draw stops at the end of the
+// stream, so a spec with an absurd mean (from a flag or a replayed
+// manifest) costs the frames it covers, not 100x its mean in draws.
+// Each camera that fails is down from its first outage to the end.
+func TestGenerateHugeMeanIsQuick(t *testing.T) {
+	start := time.Now()
+	m, err := ParseFaults("seed=1,rate=0.999999,mean=1000000000", 16, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 200*time.Millisecond {
+		t.Errorf("schedule took %v", took)
+	}
+	if m.DownFrames() == 0 {
+		t.Fatal("no camera failed")
+	}
+	for cam := 0; cam < 16; cam++ {
+		if first := slices.Index(m.down[cam], true); first >= 0 && slices.Contains(m.down[cam][first:], false) {
+			t.Errorf("camera %d: first outage at frame %d, but not down from there to the end", cam, first)
+		}
 	}
 }
 

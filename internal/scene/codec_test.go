@@ -15,14 +15,9 @@ import (
 	"mvs/internal/geom"
 )
 
-// Exported for codec_trace_test.go, which has to live in package
-// scene_test to import the workload package.
-var (
-	OracleMarshalFrame        = oracleMarshalFrame
-	OracleUnmarshalFrame      = oracleUnmarshalFrame
-	OracleMarshalObservations = oracleMarshalObservations
-	OracleMarshalObjects      = oracleMarshalObjects
-)
+// CheckEncode is exported for codec_trace_test.go, which has to live in
+// package scene_test to import the workload package.
+var CheckEncode = checkEncode
 
 // codecFloats are the values where encoding/json's float rule changes
 // its mind: the 'e' cut-offs on both sides, the e-09 clean-up, signed
@@ -95,40 +90,119 @@ func genFrame(rng *rand.Rand, numCams int, nonFinite bool) *FrameTruth {
 	return f
 }
 
-// sameBytes holds one Append* result to its oracle: equal bytes when the
-// oracle encodes, an error and an untouched dst when it does not.
-func sameBytes(t *testing.T, what string, got []byte, gotErr error, want []byte, wantErr error) {
-	t.Helper()
-	const prefix = "dst:"
-	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("%s: codec error %v, encoding/json error %v", what, gotErr, wantErr)
+// wireBytes is json.Marshal of the wire value T that data decodes to:
+// the bytes an encoder must have written, when data is its output.
+func wireBytes[T any](data []byte) ([]byte, error) {
+	var v T
+	if err := json.Unmarshal(data, &v); err != nil {
+		return nil, err
 	}
-	if gotErr != nil {
-		if string(got) != prefix {
-			t.Fatalf("%s: failed append left dst as %q", what, got)
-		}
-		return
-	}
-	if !bytes.HasPrefix(got, []byte(prefix)) || !bytes.Equal(got[len(prefix):], want) {
-		t.Fatalf("%s:\ncodec         %s\nencoding/json %s", what, got, want)
-	}
+	return json.Marshal(v)
 }
 
-// checkEncode is half (a) of the oracle: the three encoders against
-// json.Marshal of the wire structs, on one frame.
+func allFinite(xs ...float64) bool {
+	for _, x := range xs {
+		if !finite(x) {
+			return false
+		}
+	}
+	return true
+}
+
+func finiteObjects(objs []ObjectState) bool {
+	for _, o := range objs {
+		if !allFinite(o.Pos.X, o.Pos.Y, o.Heading, o.Speed, o.Dims.W, o.Dims.L, o.Dims.H) {
+			return false
+		}
+	}
+	return true
+}
+
+func finiteObservations(obs []Observation) bool {
+	for _, o := range obs {
+		if !allFinite(o.Box.MinX, o.Box.MinY, o.Box.MaxX, o.Box.MaxY) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkEncode is half (a): the three encoders on one frame, against
+// encoding/json of the wire structs. A value with a NaN or an infinity
+// is an error that leaves dst as it was. Any other value is written as
+// json.Marshal writes the wire value it decodes to (so the output is its
+// own re-encoding), in the canonical shape the scanners take whole, and
+// it decodes back to the value encoded, both by the encoding/json
+// decoders and by UnmarshalFrame and the Scan functions — in a frame, an
+// empty list reads back absent.
 func checkEncode(t *testing.T, f *FrameTruth) {
 	t.Helper()
-	dst := func() []byte { return []byte("dst:") }
-	got, err := AppendFrame(dst(), f)
-	want, wantErr := oracleMarshalFrame(f)
-	sameBytes(t, "frame", got, err, want, wantErr)
-	got, err = AppendObjects(dst(), f.Objects)
-	want, wantErr = oracleMarshalObjects(f.Objects)
-	sameBytes(t, "objects", got, err, want, wantErr)
+	const prefix = "dst:"
+	check := func(what string, ok bool, got []byte, err error, wire func([]byte) ([]byte, error)) []byte {
+		t.Helper()
+		if (err == nil) != ok {
+			t.Fatalf("%s: encode error %v, finite %v", what, err, ok)
+		}
+		if string(got[:len(prefix)]) != prefix || err != nil && len(got) != len(prefix) {
+			t.Fatalf("%s: dst became %q", what, got)
+		}
+		got = got[len(prefix):]
+		if err != nil {
+			return nil
+		}
+		if want, err := wire(got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s:\ncodec         %s\nencoding/json %s (%v)", what, got, want, err)
+		}
+		return got
+	}
+	sameBack := func(what string, got, want any, err error) {
+		t.Helper()
+		if err != nil || !sameValue(got, want, func(v any) []byte { return fmt.Appendf(nil, "%#v", v) }) {
+			t.Fatalf("%s decodes to %+v (%v), want %+v", what, got, err, want)
+		}
+	}
+
+	ok := finiteObjects(f.Objects)
 	for _, obs := range f.PerCamera {
-		got, err = AppendObservations(dst(), obs)
-		want, wantErr = oracleMarshalObservations(obs)
-		sameBytes(t, "observations", got, err, want, wantErr)
+		ok = ok && finiteObservations(obs)
+	}
+	got, err := AppendFrame([]byte(prefix), f)
+	if enc := check("frame", ok, got, err, wireBytes[frameJSON]); enc != nil {
+		want := &FrameTruth{Index: f.Index, PerCamera: make([][]Observation, len(f.PerCamera))}
+		if len(f.Objects) > 0 {
+			want.Objects = f.Objects
+		}
+		for ci, obs := range f.PerCamera {
+			if len(obs) > 0 {
+				want.PerCamera[ci] = obs
+			}
+		}
+		back, err := oracleUnmarshalFrame(enc, len(f.PerCamera))
+		sameBack("frame", back, want, err)
+		got, err := UnmarshalFrame(enc, len(f.PerCamera))
+		sameBack("UnmarshalFrame", got, want, err)
+	}
+	got, err = AppendObjects([]byte(prefix), f.Objects)
+	if enc := check("objects", finiteObjects(f.Objects), got, err, wireBytes[[]objectJSON]); enc != nil {
+		back, err := oracleUnmarshalObjects(enc)
+		sameBack("objects", back, append([]ObjectState{}, f.Objects...), err)
+		if got, rest, ok := ScanObjects(nil, enc); !ok || len(rest) > 0 {
+			t.Fatalf("objects %s are not canonical", enc)
+		} else {
+			sameBack("ScanObjects", got, back, nil)
+		}
+	}
+	for _, obs := range f.PerCamera {
+		got, err = AppendObservations([]byte(prefix), obs)
+		if enc := check("observations", finiteObservations(obs), got, err, wireBytes[[]obsJSON]); enc != nil {
+			back, err := oracleUnmarshalObservations(enc)
+			sameBack("observations", back, append([]Observation{}, obs...), err)
+			if got, rest, ok := ScanObservations(nil, enc); !ok || len(rest) > 0 {
+				t.Fatalf("observations %s are not canonical", enc)
+			} else {
+				sameBack("ScanObservations", got, back, nil)
+			}
+		}
 	}
 }
 
@@ -212,7 +286,7 @@ func checkDecoder(t *testing.T, fd *FrameDecoder, data []byte, numCams int) {
 		t.Fatalf("FrameDecoder.Decode(%q, %d): error %v, UnmarshalFrame error %v", data, numCams, err, wantErr)
 	}
 	if err == nil && !sameValue(got, want, func(v any) []byte {
-		b, _ := oracleMarshalFrame(v.(*FrameTruth))
+		b, _ := AppendFrame(nil, v.(*FrameTruth))
 		return b
 	}) {
 		t.Fatalf("FrameDecoder.Decode(%q, %d):\ngot  %+v\nwant %+v", data, numCams, got, want)
@@ -267,8 +341,8 @@ func codecSeeds() []string {
 }
 
 // FuzzFrameCodec is the codec's oracle: (a) on frames generated from
-// seed, Append* is json.Marshal of the wire structs byte for byte, NaN
-// and Inf failing on both sides; (b) on arbitrary bytes, and on what (a)
+// seed, Append* writes encoding/json's bytes for what it encodes, NaN
+// and Inf failing (checkEncode); (b) on arbitrary bytes, and on what (a)
 // just encoded, UnmarshalFrame, ScanObservations and ScanObjects are
 // sound and complete against the encoding/json-only decoders
 // (holdToOracle); (c) one FrameDecoder decoding the generated frame, the
@@ -368,11 +442,9 @@ func TestFrameCodecGenerated(t *testing.T) {
 		for _, x := range []float64{v, -v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1))} {
 			obs := []Observation{{ObjectID: 1}}
 			obs[0].Box.MinX, obs[0].Box.MaxY = x, x
-			got, err := AppendObservations([]byte("dst:"), obs)
-			want, wantErr := oracleMarshalObservations(obs)
-			sameBytes(t, fmt.Sprint(x), got, err, want, wantErr)
-			if err == nil {
-				checkDecode(t, want, 1)
+			checkEncode(t, &FrameTruth{PerCamera: [][]Observation{obs}})
+			if enc, err := AppendObservations(nil, obs); err == nil {
+				checkDecode(t, enc, 1)
 			}
 		}
 	}
@@ -380,7 +452,8 @@ func TestFrameCodecGenerated(t *testing.T) {
 
 // TestSaveMatchesEncoder holds what a run store saves of a trace — the
 // roster through MarshalCameras and each frame through MarshalFrame — to
-// json.Marshal of the wire structs, on a real trace and on the nil-slice
+// json.Marshal of the wire structs (for a frame, those it decodes to;
+// checkEncode holds the value), on a real trace and on the nil-slice
 // corners, and checks a NaN box is refused rather than written.
 func TestSaveMatchesEncoder(t *testing.T) {
 	trace, err := testWorld(4).Run(40)
@@ -410,7 +483,7 @@ func TestSaveMatchesEncoder(t *testing.T) {
 		}
 		for fi := range tr.Frames {
 			got, err := MarshalFrame(&tr.Frames[fi])
-			want, wantErr := oracleMarshalFrame(&tr.Frames[fi])
+			want, wantErr := wireBytes[frameJSON](got)
 			if err != nil || wantErr != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%s frame %d: MarshalFrame wrote %.300s (%v), json.Marshal wrote %.300s (%v)", name, fi, got, err, want, wantErr)
 			}

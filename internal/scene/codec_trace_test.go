@@ -3,7 +3,6 @@ package scene_test
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"testing"
 
 	"mvs/internal/scene"
@@ -12,9 +11,9 @@ import (
 
 // TestFrameCodecOnTraces is half (a) of scene.FuzzFrameCodec on the
 // frames the benchmark's workloads are made of: over every frame of a
-// 300-frame Corridor(16) and S4 run, the three encoders are json.Marshal
-// of the wire structs byte for byte, and the frame decodes to what the
-// encoding/json-only decoder returns.
+// 300-frame Corridor(16) and S4 run, the three encoders write
+// encoding/json's bytes for what they encode, and UnmarshalFrame and the
+// encoding/json decoder both decode the frame back to the value encoded.
 func TestFrameCodecOnTraces(t *testing.T) {
 	corridor, err := workload.Corridor(16, 1)
 	if err != nil {
@@ -25,31 +24,11 @@ func TestFrameCodecOnTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf []byte
 		lists := 0
-		same := func(fi int, what string, got []byte, err error, want []byte, wantErr error) {
-			t.Helper()
-			if err != nil || wantErr != nil || !bytes.Equal(got, want) {
-				t.Fatalf("%s frame %d %s: codec %q (%v), encoding/json %q (%v)", s.Name, fi, what, got, err, want, wantErr)
-			}
-		}
 		for fi := range trace.Frames {
 			f := &trace.Frames[fi]
-			buf, err = scene.AppendFrame(buf[:0], f)
-			want, wantErr := scene.OracleMarshalFrame(f)
-			same(fi, "frame", buf, err, want, wantErr)
-			got, err := scene.UnmarshalFrame(want, len(trace.Cameras))
-			back, wantErr := scene.OracleUnmarshalFrame(want, len(trace.Cameras))
-			if err != nil || wantErr != nil || !reflect.DeepEqual(got, back) {
-				t.Fatalf("%s frame %d decodes to %+v (%v), encoding/json to %+v (%v)", s.Name, fi, got, err, back, wantErr)
-			}
-			buf, err = scene.AppendObjects(buf[:0], f.Objects)
-			want, wantErr = scene.OracleMarshalObjects(f.Objects)
-			same(fi, "objects", buf, err, want, wantErr)
+			scene.CheckEncode(t, f)
 			for _, obs := range f.PerCamera {
-				buf, err = scene.AppendObservations(buf[:0], obs)
-				want, wantErr = scene.OracleMarshalObservations(obs)
-				same(fi, "observations", buf, err, want, wantErr)
 				if len(obs) > 0 {
 					lists++
 				}

@@ -724,14 +724,3 @@ func TestOcclusionNeverHidesNearest(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkProjectBox(b *testing.B) {
-	c := testCamera()
-	s := carAt(30, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.ProjectBox(s); !ok {
-			b.Fatal("not visible")
-		}
-	}
-}

@@ -278,10 +278,10 @@ func (b bothRounds) RecordRound(r metrics.Round) {
 
 // TestRecordedBytesUnchanged records a run through the writer — frames,
 // snapshots and rounds interleaved through its one line buffer, segments
-// rolling — and rebuilds every log the way the writer built them before:
-// json.Marshal (scene.MarshalFrame for a frame, whose bytes the scene
-// package holds to encoding/json's) and checksumLine per record. The
-// files must be identical byte for byte.
+// rolling — and reads every log back a line at a time: each line is one
+// record whose checksum holds, and its body is json.Marshal's
+// (scene.MarshalFrame for a frame, whose bytes the scene package holds
+// to encoding/json's) of the record it stands for, in order.
 func TestRecordedBytesUnchanged(t *testing.T) {
 	const frames, segmentSize = 150, 32
 	b := newBudgetFleet(t, frames)
@@ -312,7 +312,7 @@ func TestRecordedBytesUnchanged(t *testing.T) {
 		if want[file] == nil {
 			want[file] = &bytes.Buffer{}
 		}
-		want[file].Write(checksumLine(body))
+		want[file].Write(append(body, '\n'))
 	}
 	for i := range kept.snaps {
 		body, err := json.Marshal(kept.snaps[i])
@@ -334,8 +334,15 @@ func TestRecordedBytesUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, buf.Bytes()) {
-			t.Fatalf("%s differs from the json.Marshal + checksumLine file (%d bytes against %d)", file, len(got), buf.Len())
+		var bodies bytes.Buffer
+		if err := decodeLines(got, Version, func(body []byte) error {
+			bodies.Write(append(body, '\n'))
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if lines := bytes.Count(got, []byte("\n")); !bytes.Equal(bodies.Bytes(), buf.Bytes()) || lines != bytes.Count(buf.Bytes(), []byte("\n")) {
+			t.Fatalf("%s: %d lines whose bodies differ from json.Marshal's of the records (%d bytes against %d)", file, lines, bodies.Len(), buf.Len())
 		}
 	}
 }

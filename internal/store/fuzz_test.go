@@ -35,7 +35,7 @@ func FuzzStoreReader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	validSeg := checksumLine(frameLine)
+	validSeg := sealed(frameLine)
 	validIdx, err := json.Marshal(frameIndex{
 		Frames:   1,
 		Segments: []Segment{{File: "seg-000000.jsonl", First: 0, Count: 1}},
