@@ -47,6 +47,7 @@ type studyRun struct {
 	out, csvName string
 	err          error
 	csv          []byte
+	jsonl        []byte // the -metrics-jsonl stream, tenants only
 }
 
 var studyRuns map[string]studyRun
@@ -62,10 +63,18 @@ func everyStudy(t *testing.T) map[string]studyRun {
 	for _, st := range experiments.Studies() {
 		dir := t.TempDir()
 		var r studyRun
-		r.out, r.err = mvexp("-exp", st.Name, "-scenario", "S1", "-frames", "200", "-workers", "1", "-csv", dir)
+		args := []string{"-exp", st.Name, "-scenario", "S1", "-frames", "200", "-workers", "1", "-csv", dir}
+		jsonl := filepath.Join(dir, "run.jsonl")
+		if st.Name == "tenants" {
+			args = append(args, "-metrics-jsonl", jsonl)
+		}
+		r.out, r.err = mvexp(args...)
 		r.csvName = st.Name + "_" + st.ScenariosFor("S1")[0] + ".csv"
 		if r.err == nil {
 			r.csv, r.err = os.ReadFile(filepath.Join(dir, r.csvName))
+		}
+		if r.err == nil && st.Name == "tenants" {
+			r.jsonl, r.err = os.ReadFile(jsonl)
 		}
 		runs[st.Name] = r
 	}
@@ -121,7 +130,8 @@ var wallClock = map[string][]string{
 
 // TestStudyDigests pins every study's CSV across commits: the SHA-256 of
 // the bytes TestEveryStudy's runs write, less the wall-clock columns
-// (all but Table II, which is wall clock throughout). A
+// (all but Table II, which is wall clock throughout). It pins the
+// tenants study's snapshot stream too, label by label (labelDigest). A
 // refactor must not move one of them; a change that means to move
 // numbers lists each old → new digest in CHANGES.md. The values are
 // amd64's (docs/ARCHITECTURE.md §4).
@@ -163,6 +173,31 @@ func TestStudyDigests(t *testing.T) {
 			t.Errorf("%s: %s digest %s, want %s", name, r.csvName, got, want[name])
 		}
 	}
+	const tenantsStream = "ec03fc7af8cbf1c1215b57e3513735f5a0fe5f23d519c7acdf0cc643f82a1910"
+	if got, err := labelDigest(runs["tenants"].jsonl); err != nil || got != tenantsStream {
+		t.Errorf("tenants: -metrics-jsonl digest %s (%v), want %s", got, err, tenantsStream)
+	}
+}
+
+// labelDigest is the SHA-256 of a snapshot stream regrouped by label:
+// each label's lines in stream order, the labels in ascending order. The
+// serve pool interleaves its tenants' snapshots as they are priced, so
+// the raw bytes vary run to run while each label's own stream does not.
+func labelDigest(jsonl []byte) (string, error) {
+	var lines [][2][]byte // label, line
+	for _, line := range bytes.SplitAfter(jsonl, []byte("\n"))[:bytes.Count(jsonl, []byte("\n"))] {
+		var snap struct{ Label string }
+		if err := json.Unmarshal(line, &snap); err != nil {
+			return "", err
+		}
+		lines = append(lines, [2][]byte{[]byte(snap.Label), line})
+	}
+	slices.SortStableFunc(lines, func(a, b [2][]byte) int { return bytes.Compare(a[0], b[0]) })
+	h := sha256.New()
+	for _, l := range lines {
+		h.Write(l[1])
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // dropColumns returns data without the named columns, re-encoded; with

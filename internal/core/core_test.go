@@ -28,6 +28,32 @@ func obj(id, size int, coverage ...int) ObjectSpec {
 	return ObjectSpec{ID: id, Coverage: coverage, Size: sizes}
 }
 
+// derivedCams draws m cameras of the three derived device classes.
+func derivedCams(rng *rand.Rand, m int) []CameraSpec {
+	classes := []profile.DeviceClass{profile.JetsonNano, profile.JetsonTX2, profile.JetsonXavier}
+	cs := make([]CameraSpec, m)
+	for i := range cs {
+		cs[i] = CameraSpec{Index: i, Profile: profile.Derived(classes[rng.Intn(3)])}
+	}
+	return cs
+}
+
+// coveredObjects draws n objects, each seen by 1..m distinct cameras in
+// random order at one of the four sizes per camera.
+func coveredObjects(rng *rand.Rand, m, n int) []ObjectSpec {
+	objects := make([]ObjectSpec, n)
+	for i := range objects {
+		k := 1 + rng.Intn(m)
+		perm := rng.Perm(m)[:k]
+		sz := make(map[int]int, k)
+		for _, c := range perm {
+			sz[c] = []int{64, 128, 256, 512}[rng.Intn(4)]
+		}
+		objects[i] = ObjectSpec{ID: i + 1, Coverage: perm, Size: sz}
+	}
+	return objects
+}
+
 // validate applies the per-object rules to one object on a roster of
 // numCams cameras.
 func validate(o ObjectSpec, numCams int) error {
@@ -274,24 +300,8 @@ func TestCentralFeasibilityProperty(t *testing.T) {
 	// latencies consistent with cameraLatencies.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		classes := []profile.DeviceClass{profile.JetsonNano, profile.JetsonTX2, profile.JetsonXavier}
-		m := 2 + rng.Intn(4)
-		cs := make([]CameraSpec, m)
-		for i := range cs {
-			cs[i] = CameraSpec{Index: i, Profile: profile.Derived(classes[rng.Intn(3)])}
-		}
-		n := rng.Intn(25)
-		sizes := []int{64, 128, 256, 512}
-		objects := make([]ObjectSpec, n)
-		for i := range objects {
-			k := 1 + rng.Intn(m)
-			perm := rng.Perm(m)[:k]
-			sz := make(map[int]int, k)
-			for _, c := range perm {
-				sz[c] = sizes[rng.Intn(4)]
-			}
-			objects[i] = ObjectSpec{ID: i + 1, Coverage: perm, Size: sz}
-		}
+		cs := derivedCams(rng, 2+rng.Intn(4))
+		objects := coveredObjects(rng, len(cs), rng.Intn(25))
 		sol, err := Central(cs, objects, CentralOptions{})
 		if err != nil {
 			return false
@@ -325,26 +335,10 @@ func TestCentralNearOptimalOnSmallInstances(t *testing.T) {
 	// latency must stay within 1.6x of optimal (it is a heuristic, but a
 	// good one; the paper's evaluation relies on it being near-balanced).
 	rng := rand.New(rand.NewSource(99))
-	sizes := []int{64, 128, 256, 512}
 	worst := 1.0
 	for trial := 0; trial < 40; trial++ {
-		m := 2 + rng.Intn(2)
-		classes := []profile.DeviceClass{profile.JetsonNano, profile.JetsonTX2, profile.JetsonXavier}
-		cs := make([]CameraSpec, m)
-		for i := range cs {
-			cs[i] = CameraSpec{Index: i, Profile: profile.Derived(classes[rng.Intn(3)])}
-		}
-		n := 1 + rng.Intn(7)
-		objects := make([]ObjectSpec, n)
-		for i := range objects {
-			k := 1 + rng.Intn(m)
-			perm := rng.Perm(m)[:k]
-			sz := make(map[int]int, k)
-			for _, c := range perm {
-				sz[c] = sizes[rng.Intn(4)]
-			}
-			objects[i] = ObjectSpec{ID: i + 1, Coverage: perm, Size: sz}
-		}
+		cs := derivedCams(rng, 2+rng.Intn(2))
+		objects := coveredObjects(rng, len(cs), 1+rng.Intn(7))
 		opt, err := BruteForce(cs, NewInstance(objects), 0)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,5 @@
 package core
 
-// The reference solver and the comparison, for the external test package,
-// which can import the packages that build the system's real rounds.
-var (
-	OracleSolve  = oracleSolve
-	SameSolution = sameSolution
-)
+// The specification's scheduling, for the external test package, which
+// can import the packages that run the system's real rounds.
+var SpecSolve = specSolve

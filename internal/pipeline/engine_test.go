@@ -65,59 +65,6 @@ func TestEngineKeepsNoFramePastNext(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesRun is the API-redesign acceptance test: draining an
-// Engine over a TraceSource produces a Report bit-identical (modeled
-// projection) to the batch Run wrapper, and a push-driven ChannelSource
-// fed from another goroutine matches too — streaming is a packaging
-// change, not an algorithm change.
-func TestEngineMatchesRun(t *testing.T) {
-	e := getEnv(t)
-	for _, mode := range []Mode{Full, Independent, CentralOnly, BALB, StaticPartition} {
-		batch, err := Run(e.test, e.profiles, e.model, NewConfig(mode, 5))
-		if err != nil {
-			t.Fatalf("%v batch: %v", mode, err)
-		}
-
-		eng, err := NewEngine(NewTraceSource(e.test), e.profiles, e.model, NewConfig(mode, 5))
-		if err != nil {
-			t.Fatalf("%v engine: %v", mode, err)
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatalf("%v engine run: %v", mode, err)
-		}
-		streamed, err := eng.Report()
-		if err != nil {
-			t.Fatalf("%v engine report: %v", mode, err)
-		}
-		if !reflect.DeepEqual(batch.Modeled(), streamed.Modeled()) {
-			t.Fatalf("%v: streamed report diverged from batch:\nbatch:  %+v\nstream: %+v",
-				mode, batch.Modeled(), streamed.Modeled())
-		}
-
-		src := NewChannelSource(e.test.Cameras, 4)
-		go func() {
-			for i := range e.test.Frames {
-				src.Push(&e.test.Frames[i])
-			}
-			src.Close()
-		}()
-		eng2, err := NewEngine(src, e.profiles, e.model, NewConfig(mode, 5))
-		if err != nil {
-			t.Fatalf("%v channel engine: %v", mode, err)
-		}
-		if err := eng2.Run(); err != nil {
-			t.Fatalf("%v channel run: %v", mode, err)
-		}
-		pushed, err := eng2.Report()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batch.Modeled(), pushed.Modeled()) {
-			t.Fatalf("%v: channel-sourced report diverged from batch", mode)
-		}
-	}
-}
-
 // TestEngineMidStreamReport checks Report is callable mid-stream
 // without perturbing the run: stepping k frames reports exactly what a
 // batch run over the k-frame prefix reports, and the stream then
@@ -260,66 +207,5 @@ func TestEngineSourceValidation(t *testing.T) {
 
 	if _, err := NewEngine(NewChannelSource(nil, 1), nil, nil, NewConfig(Full, 0)); err == nil {
 		t.Fatal("source with no cameras must be rejected")
-	}
-}
-
-// roundRecorder captures emitted rounds.
-type roundRecorder struct{ rounds []metrics.Round }
-
-func (r *roundRecorder) RecordRound(round metrics.Round) { r.rounds = append(r.rounds, round) }
-
-// TestEngineEmitsRounds checks the engine's round stream: one Round per
-// key frame in model-driven modes, gap-free Seq, fleet-wide Assigned,
-// and a priority permutation of the fleet.
-func TestEngineEmitsRounds(t *testing.T) {
-	e := getEnv(t)
-	rec := &roundRecorder{}
-	cfg := NewConfig(BALB, 5)
-	cfg.Obs.Rounds = rec
-
-	rep, err := Run(e.test, e.profiles, e.model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRounds := (len(e.test.Frames) + rep.Horizon - 1) / rep.Horizon
-	if len(rec.rounds) != wantRounds {
-		t.Fatalf("got %d rounds for %d frames at horizon %d, want %d",
-			len(rec.rounds), len(e.test.Frames), rep.Horizon, wantRounds)
-	}
-	numCams := len(e.test.Cameras)
-	for i, r := range rec.rounds {
-		if r.Seq != i {
-			t.Fatalf("round %d has seq %d", i, r.Seq)
-		}
-		if r.Frame != i*rep.Horizon {
-			t.Fatalf("round %d anchored at frame %d, want %d", i, r.Frame, i*rep.Horizon)
-		}
-		if r.Source != metrics.SourcePipeline || r.Label != "BALB" {
-			t.Fatalf("round %d mislabelled: %+v", i, r)
-		}
-		if len(r.Assigned) != numCams {
-			t.Fatalf("round %d Assigned has %d entries, want %d", i, len(r.Assigned), numCams)
-		}
-		if len(r.Priority) != numCams {
-			t.Fatalf("round %d Priority has %d entries, want %d", i, len(r.Priority), numCams)
-		}
-		seen := make(map[int]bool)
-		for _, c := range r.Priority {
-			if c < 0 || c >= numCams || seen[c] {
-				t.Fatalf("round %d priority %v is not a fleet permutation", i, r.Priority)
-			}
-			seen[c] = true
-		}
-	}
-
-	// Full mode runs no central stage: no rounds.
-	rec2 := &roundRecorder{}
-	cfg2 := NewConfig(Full, 5)
-	cfg2.Obs.Rounds = rec2
-	if _, err := Run(e.test, e.profiles, nil, cfg2); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec2.rounds) != 0 {
-		t.Fatalf("Full mode emitted %d rounds, want 0", len(rec2.rounds))
 	}
 }

@@ -150,17 +150,7 @@ func (nopArrivals) Arrivals(int, float64, *rand.Rand) int { return 0 }
 func TestRedundancyImprovesOcclusionRecall(t *testing.T) {
 	s := workload.S2(31)
 	s.World.OcclusionFrac = 0.55
-	trace, err := s.World.Run(700)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test := trace.SplitTrain()
-	e := getEnv(t)
-	_ = e
-	model, err := trainAssoc(t, train)
-	if err != nil {
-		t.Fatal(err)
-	}
+	test, model, _ := buildScenarioEnv(t, s, 700)
 	single, err := Run(test, s.Profiles(), model, NewConfig(BALB, 9))
 	if err != nil {
 		t.Fatal(err)

@@ -29,15 +29,7 @@ func getEnv(t *testing.T) *testEnv {
 	t.Helper()
 	envOnce.Do(func() {
 		s := workload.S2(11)
-		trace, err := s.World.Run(800)
-		if err != nil {
-			t.Fatal(err)
-		}
-		train, test := trace.SplitTrain()
-		model, err := assoc.Train(train, assoc.Factories{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		test, model, _ := buildScenarioEnv(t, s, 800)
 		env = testEnv{scenario: s, test: test, model: model, profiles: s.Profiles()}
 	})
 	if env.test == nil {
@@ -226,41 +218,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestDeterministicRuns(t *testing.T) {
-	a := runMode(t, BALB)
-	e := getEnv(t)
-	b, err := Run(e.test, e.profiles, e.model, NewConfig(BALB, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Recall != b.Recall || a.MeanSlowest != b.MeanSlowest || a.TP != b.TP {
-		t.Fatalf("non-deterministic: %v/%v vs %v/%v", a.Recall, a.MeanSlowest, b.Recall, b.MeanSlowest)
-	}
-}
-
-func TestReportMetadata(t *testing.T) {
-	rep := runMode(t, CentralOnly)
-	if rep.Mode != CentralOnly {
-		t.Fatalf("mode = %v", rep.Mode)
-	}
-	e := getEnv(t)
-	if rep.Frames != len(e.test.Frames) {
-		t.Fatalf("frames = %d", rep.Frames)
-	}
-	if rep.Horizon != 10 {
-		t.Fatalf("horizon = %d", rep.Horizon)
-	}
-	if rep.TP+rep.FN == 0 {
-		t.Fatal("no recall counts")
-	}
-}
-
-// trainAssoc is a helper for tests that need a model on a custom trace.
-func trainAssoc(t *testing.T, train *scene.Trace) (*assoc.Model, error) {
-	t.Helper()
-	return assoc.Train(train, assoc.Factories{})
-}
-
 func TestTailLatencyReported(t *testing.T) {
 	rep := runMode(t, BALB)
 	if rep.MaxSlowest <= 0 || rep.P95Slowest <= 0 {
@@ -273,5 +230,30 @@ func TestTailLatencyReported(t *testing.T) {
 	// slowest camera's full-frame time.
 	if rep.MaxSlowest < profile.TrueFullFrameLatency(profile.JetsonNano) {
 		t.Fatalf("max %v below a key frame's cost", rep.MaxSlowest)
+	}
+}
+
+func TestModeledProjection(t *testing.T) {
+	rep := runMode(t, BALB)
+	m := rep.Modeled()
+	if m.CentralPerFrame != 0 || m.TrackingPerFrame != 0 ||
+		m.DistributedPerFrame != 0 || m.BatchingPerFrame != 0 {
+		t.Fatalf("measured fields survived the projection: %+v", m)
+	}
+	if m.Recall != rep.Recall || m.TP != rep.TP || m.FN != rep.FN ||
+		m.MeanSlowest != rep.MeanSlowest || m.P95Slowest != rep.P95Slowest ||
+		m.MaxSlowest != rep.MaxSlowest {
+		t.Fatalf("modelled fields altered: %+v vs %+v", m, rep)
+	}
+	if len(m.PerCameraMean) != len(rep.PerCameraMean) {
+		t.Fatal("per-camera means dropped")
+	}
+	// The projection must be a copy: mutating it cannot touch the
+	// original report.
+	if len(m.PerCameraMean) > 0 {
+		m.PerCameraMean[0]++
+		if m.PerCameraMean[0] == rep.PerCameraMean[0] {
+			t.Fatal("PerCameraMean aliases the original report")
+		}
 	}
 }

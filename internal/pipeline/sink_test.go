@@ -50,70 +50,6 @@ func TestSinkDeterministic(t *testing.T) {
 	}
 }
 
-// TestSinkSnapshotStream checks the shape of the pipeline's snapshot
-// stream: one snapshot per frame, gap-free ascending Seq, cameras in
-// fixed index order, and cumulative counters that agree with the final
-// report.
-func TestSinkSnapshotStream(t *testing.T) {
-	e := getEnv(t)
-	frames := len(e.test.Frames)
-	sink := metrics.NewChannelSink(1, frames+1)
-	rep, err := Run(e.test, e.profiles, e.model, Config{Sched: Sched{Mode: BALB}, Sim: Sim{Seed: 5}, Obs: Obs{Sink: sink}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.Close()
-	if sink.Dropped() != 0 {
-		t.Fatalf("dropped %d snapshots with a full-size buffer", sink.Dropped())
-	}
-
-	var snaps []metrics.Snapshot
-	for snap := range sink.Snapshots() {
-		snaps = append(snaps, snap)
-	}
-	if len(snaps) != frames {
-		t.Fatalf("snapshots = %d, want one per frame (%d)", len(snaps), frames)
-	}
-	var maxLatency int64
-	for i, snap := range snaps {
-		if snap.Seq != i || snap.Frame != i {
-			t.Fatalf("snapshot %d: seq=%d frame=%d", i, snap.Seq, snap.Frame)
-		}
-		if snap.Source != metrics.SourcePipeline {
-			t.Fatalf("snapshot %d: source = %q", i, snap.Source)
-		}
-		if snap.Label != "BALB" {
-			t.Fatalf("snapshot %d: label = %q, want mode name default", i, snap.Label)
-		}
-		if len(snap.Cameras) != len(e.profiles) {
-			t.Fatalf("snapshot %d: %d cameras, want %d", i, len(snap.Cameras), len(e.profiles))
-		}
-		for ci, cs := range snap.Cameras {
-			if cs.Camera != ci {
-				t.Fatalf("snapshot %d: cameras out of order: %d at index %d", i, cs.Camera, ci)
-			}
-			if cs.Latency > snap.FrameLatency {
-				t.Fatalf("snapshot %d: camera %d latency %v exceeds frame latency %v",
-					i, ci, cs.Latency, snap.FrameLatency)
-			}
-		}
-		if int64(snap.FrameLatency) > maxLatency {
-			maxLatency = int64(snap.FrameLatency)
-		}
-	}
-	last := snaps[len(snaps)-1]
-	if last.TP != rep.TP || last.FN != rep.FN {
-		t.Fatalf("final snapshot counters tp=%d fn=%d, report tp=%d fn=%d",
-			last.TP, last.FN, rep.TP, rep.FN)
-	}
-	if last.Recall != rep.Recall {
-		t.Fatalf("final snapshot recall %v != report recall %v", last.Recall, rep.Recall)
-	}
-	if maxLatency != int64(rep.MaxSlowest) {
-		t.Fatalf("max snapshot latency %d != report MaxSlowest %d", maxLatency, int64(rep.MaxSlowest))
-	}
-}
-
 // TestSinkLabelOverride checks Obs.Label replaces the mode-name
 // default (the experiments layer relies on this to tag fan-out runs).
 func TestSinkLabelOverride(t *testing.T) {

@@ -80,15 +80,24 @@ type specLaunch struct {
 // full-frame requests a launch of their own, its admitted tasks appended
 // in request and task order to one queue per size — per tenant and size
 // without consolidation — and each queue cut into batches at the size's
-// limit. It returns the launches, the tasks shed per (tenant, request),
-// and the first task of a size the profile does not know, as the error
-// prefix the pool must report.
+// limit, the remainders launched in ascending size after each tenant
+// (without consolidation) or after all of them. It returns the launches
+// in that order, the tasks shed per (tenant, request), and the first
+// task of a size the profile does not know, as the error prefix the pool
+// must report.
 func directCut(cfg Config, order []*Tenant, frames map[*Tenant][]pipeline.ExecRequest) (launches []specLaunch, shed map[member]int, errPrefix string) {
 	prof := cfg.Profile
 	shed = map[member]int{}
 	type key struct{ tenant, size int }
 	queues := map[key][]member{}
-	var keys []key
+	flush := func(tenant int) {
+		for _, size := range prof.Sizes {
+			if n := len(queues[key{tenant, size}]); n > 0 {
+				launches = append(launches, specLaunch{profile.TrueBatchLatency(prof.Class, size, n), prof.BatchLimit[size], queues[key{tenant, size}]})
+				queues[key{tenant, size}] = nil
+			}
+		}
+	}
 	for _, t := range order {
 		for ri, req := range frames[t] {
 			m := member{t, ri}
@@ -112,23 +121,18 @@ func directCut(cfg Config, order []*Tenant, frames map[*Tenant][]pipeline.ExecRe
 				if !cfg.Consolidate {
 					k.tenant = t.index
 				}
-				if _, ok := queues[k]; !ok {
-					keys = append(keys, k)
-				}
 				queues[k] = append(queues[k], m)
 				if len(queues[k]) == limit {
 					launches = append(launches, specLaunch{profile.TrueBatchLatency(prof.Class, task.Size, limit), limit, queues[k]})
-					queues[k] = []member{}
+					queues[k] = nil
 				}
 			}
 		}
-	}
-	for _, k := range keys {
-		if n := len(queues[k]); n > 0 {
-			limit, _ := prof.BatchLimitFor(k.size)
-			launches = append(launches, specLaunch{profile.TrueBatchLatency(prof.Class, k.size, n), limit, queues[k]})
+		if !cfg.Consolidate {
+			flush(t.index)
 		}
 	}
+	flush(-1)
 	return launches, shed, errPrefix
 }
 
@@ -146,6 +150,9 @@ func directCut(cfg Config, order []*Tenant, frames map[*Tenant][]pipeline.ExecRe
 //   - conservation: every task is priced once or shed, per-tenant sums
 //     equal batch sums, and the busy time placed on the executors is the
 //     busy time priced;
+//   - placement: each launch, in directCut's order, starts on the
+//     executor free earliest (ties to the lowest index), no earlier than
+//     the epoch, and runs back to back with its work there;
 //   - latency: a priced request completes after its longest launch and no
 //     later than the last executor this epoch, and the epoch's slowest
 //     request is that executor; SLO violations and queue depth follow.
@@ -398,6 +405,14 @@ func runAgainstSpec(t testing.TB, rng *rand.Rand, unprofiled bool, cov *priceCov
 		}
 		if placed != want.BusyTime {
 			fail("executors took %v of work, the epoch priced %v", placed, want.BusyTime)
+		}
+		avail := slices.Clone(availBefore)
+		for _, l := range launches {
+			e := slices.Index(avail, slices.Min(avail)) // the first free earliest
+			avail[e] = max(avail[e], epochStart) + l.dur
+		}
+		if !slices.Equal(pool.avail, avail) {
+			fail("executors free at %v, earliest-available placement frees them at %v", pool.avail, avail)
 		}
 		backlog := last > cfg.Period
 
