@@ -7,7 +7,6 @@ import (
 	"math"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -186,120 +185,6 @@ func TestNewSchedulerValidation(t *testing.T) {
 	}
 	if _, err := NewScheduler(model, []*profile.Profile{nil, nil}, 0); err == nil {
 		t.Fatal("nil profile accepted")
-	}
-}
-
-func TestSchedulingRoundOverTCP(t *testing.T) {
-	_, addr := startScheduler(t)
-
-	c0, err := Dial(addr, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	c1, err := Dial(addr, 1, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-
-	// Two cameras report boxes; tracks 11 (cam0) and 21 (cam1) are at
-	// locations the association model should merge or at least schedule.
-	rep0 := []TrackReport{
-		{TrackID: 11, Box: [4]float64{600, 300, 700, 380}, Size: 128},
-		{TrackID: 12, Box: [4]float64{100, 500, 160, 560}, Size: 64},
-	}
-	rep1 := []TrackReport{
-		{TrackID: 21, Box: [4]float64{580, 310, 690, 390}, Size: 128},
-	}
-
-	var wg sync.WaitGroup
-	var a0, a1 *Assignment
-	var e0, e1 error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		a0, e0 = c0.KeyFrame(0, rep0, 5*time.Second)
-	}()
-	go func() {
-		defer wg.Done()
-		a1, e1 = c1.KeyFrame(0, rep1, 5*time.Second)
-	}()
-	wg.Wait()
-	if e0 != nil || e1 != nil {
-		t.Fatalf("errors: %v / %v", e0, e1)
-	}
-
-	// Both replies carry the same priority permutation.
-	if len(a0.Priority) != 2 || len(a1.Priority) != 2 {
-		t.Fatalf("priorities = %v / %v", a0.Priority, a1.Priority)
-	}
-	for i := range a0.Priority {
-		if a0.Priority[i] != a1.Priority[i] {
-			t.Fatalf("inconsistent priorities: %v vs %v", a0.Priority, a1.Priority)
-		}
-	}
-	// Every reported track is either kept or shadowed on its own camera.
-	accounted := func(a *Assignment, id int) bool {
-		for _, k := range a.Keep {
-			if k == id {
-				return true
-			}
-		}
-		for _, sh := range a.Shadows {
-			if sh.TrackID == id {
-				return true
-			}
-		}
-		return false
-	}
-	for _, tr := range rep0 {
-		if !accounted(a0, tr.TrackID) {
-			t.Fatalf("cam0 track %d unaccounted: %+v", tr.TrackID, a0)
-		}
-	}
-	for _, tr := range rep1 {
-		if !accounted(a1, tr.TrackID) {
-			t.Fatalf("cam1 track %d unaccounted: %+v", tr.TrackID, a1)
-		}
-	}
-	// A shadow's assigned camera must be the other one.
-	for _, sh := range a0.Shadows {
-		if sh.AssignedCamera != 1 {
-			t.Fatalf("cam0 shadow assigned to %d", sh.AssignedCamera)
-		}
-	}
-}
-
-func TestMultipleRounds(t *testing.T) {
-	_, addr := startScheduler(t)
-	c0, err := Dial(addr, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	c1, err := Dial(addr, 1, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-
-	for frame := 0; frame < 30; frame += 10 {
-		var wg sync.WaitGroup
-		var err0, err1 error
-		wg.Add(2)
-		go func(f int) {
-			defer wg.Done()
-			_, err0 = c0.KeyFrame(f, []TrackReport{{TrackID: f + 1, Box: [4]float64{100, 100, 150, 150}, Size: 64}}, 5*time.Second)
-		}(frame)
-		go func(f int) {
-			defer wg.Done()
-			_, err1 = c1.KeyFrame(f, nil, 5*time.Second)
-		}(frame)
-		wg.Wait()
-		if err0 != nil || err1 != nil {
-			t.Fatalf("frame %d: %v / %v", frame, err0, err1)
-		}
 	}
 }
 
@@ -513,86 +398,5 @@ func TestBandwidthCounters(t *testing.T) {
 	}
 	if c0.BytesSent() <= before {
 		t.Fatal("key-frame upload not counted")
-	}
-}
-
-// pendingReports returns how many reports the scheduler holds for a frame
-// whose round has not been scheduled yet.
-func pendingReports(s *Scheduler, frame int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range s.machines[0].rounds {
-		if r.frame == frame {
-			return r.n
-		}
-	}
-	return 0
-}
-
-// TestLateRegistrationJoinsFirstRound forces the race the barrier used to
-// lose: camera 1 dials only after camera 0's frame-0 report is in. The
-// barrier is the configured roster, so round 0 waits for the camera that
-// has not registered yet and schedules both together; camera 0 is never
-// scheduled alone and camera 1's report never opens a round of its own.
-// Once the round is done, a second report for it is refused as stale at
-// once instead of waiting for peers that have moved on.
-func TestLateRegistrationJoinsFirstRound(t *testing.T) {
-	rounds := &roundLog{}
-	s, addr := startScheduler(t, WithRounds(rounds))
-
-	c0, err := Dial(addr, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	type reply struct {
-		a   *Assignment
-		err error
-	}
-	first := make(chan reply, 1)
-	go func() {
-		a, err := c0.KeyFrame(0, []TrackReport{{TrackID: 1, Box: [4]float64{600, 300, 700, 380}, Size: 128}}, 10*time.Second)
-		first <- reply{a, err}
-	}()
-	// Hold camera 1 back until the scheduler has camera 0's report.
-	for pendingReports(s, 0) == 0 {
-		select {
-		case r := <-first:
-			t.Fatalf("camera 0 was answered (%+v, %v) before camera 1 registered: the barrier is the connections, not the roster", r.a, r.err)
-		case <-time.After(time.Millisecond):
-		}
-	}
-
-	c1, err := Dial(addr, 1, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	a1, err := c1.KeyFrame(0, []TrackReport{{TrackID: 2, Box: [4]float64{580, 310, 690, 390}, Size: 128}}, 10*time.Second)
-	if err != nil {
-		t.Fatalf("late camera: %v", err)
-	}
-	r0 := <-first
-	if r0.err != nil {
-		t.Fatalf("early camera: %v", r0.err)
-	}
-	if len(r0.a.Priority) != 2 || len(a1.Priority) != 2 {
-		t.Fatalf("priorities = %v / %v, want both cameras in each", r0.a.Priority, a1.Priority)
-	}
-	got := rounds.snapshot()
-	if len(got) != 1 || got[0].Frame != 0 || got[0].Partial {
-		t.Fatalf("rounds = %+v, want one full round for frame 0", got)
-	}
-
-	start := time.Now()
-	_, err = c1.KeyFrame(0, nil, 10*time.Second)
-	if err == nil || !strings.Contains(err.Error(), staleRound) {
-		t.Fatalf("second report for a scheduled round: err = %v, want %q", err, staleRound)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("stale report answered after %v, want at once", waited)
-	}
-	if n := pendingReports(s, 0); n != 0 {
-		t.Fatalf("stale report opened a round with %d reports", n)
 	}
 }

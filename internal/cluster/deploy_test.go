@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"mvs/internal/adapt"
@@ -19,19 +22,21 @@ import (
 	"mvs/internal/shard"
 )
 
-// This file is the deployment on virtual time: N node.Runtimes, each
-// under its node machine, against one scheduler's round machines,
-// connected by an in-process transport that delivers every message,
-// dial and hang-up as an event on one virtual clock. Its faults are the
-// faults.Config vocabulary — delay and jitter per message (FIFO per
-// connection and direction), a write dropped (DropRate, or every
-// WriteCut-th write of a connection) or a read reset (ResetRate) killing
-// the connection, and partitions in which every read, write and dial
-// fails — drawn from one seeded PRNG, so a run replays exactly. The
-// transport plays both shells: cmd/mvnode's frame loop and
-// ReconnectClient's I/O on the node side, the Scheduler's connection
-// handling on the other. It checks the deployment's laws as it goes;
-// deployment_laws_test.go runs it.
+// This file is the deployment over two transports. deploy runs it on
+// virtual time: N node.Runtimes, each under its node machine, against
+// one scheduler's round machines, connected by an in-process transport
+// that delivers every message, dial and hang-up as an event on one
+// virtual clock. Its faults are the faults.Config vocabulary — delay
+// and jitter per message (FIFO per connection and direction), a write
+// dropped (DropRate, or every WriteCut-th write of a connection) or a
+// read reset (ResetRate) killing the connection, and partitions in
+// which every read, write and dial fails — drawn from one seeded PRNG,
+// so a run replays exactly. The transport plays both shells:
+// cmd/mvnode's frame loop and ReconnectClient's I/O on the node side,
+// the Scheduler's connection handling on the other. It checks the
+// deployment's laws as it goes. loopback runs a zero-fault plan over
+// real sockets, through the shells themselves. deployment_laws_test.go
+// runs both.
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
@@ -157,6 +162,9 @@ type deployment struct {
 	firstReport map[int]time.Time
 	lastDone    int
 	answered    map[[2]int]bool
+	// reported[cam, frame] is the last report the scheduler took from
+	// camera cam for the round at frame.
+	reported map[[2]int][]cluster.TrackReport
 	// err is the first law broken.
 	err error
 }
@@ -187,7 +195,7 @@ func (q *events) Pop() any {
 	return e
 }
 
-// frameLog keeps a node's snapshots.
+// frameLog keeps the snapshots of a node, or of the scheduler.
 type frameLog struct{ snaps []metrics.Snapshot }
 
 func (l *frameLog) RecordFrame(s metrics.Snapshot) { l.snaps = append(l.snaps, s) }
@@ -208,20 +216,13 @@ func deploy(w *world, p plan) (*run, error) {
 		conns:  map[int]*conn{},
 		joined: make([]bool, n), lastSeen: make([]time.Time, n),
 		reporters: map[int]map[int]bool{}, firstReport: map[int]time.Time{},
-		lastDone: -1, answered: map[[2]int]bool{},
+		lastDone: -1, answered: map[[2]int]bool{}, reported: map[[2]int][]cluster.TrackReport{},
 		now: epoch,
 	}
 	for cam := range d.lastSeen {
 		d.lastSeen[cam] = epoch
 	}
-	opts := append([]cluster.Option{cluster.WithWorkers(1), cluster.WithRounds(d)}, p.opts...)
-	var s *cluster.Scheduler
-	var err error
-	if w.smap != nil {
-		s, err = cluster.NewShardedScheduler(w.model, w.profiles, 0, w.smap, opts...)
-	} else {
-		s, err = cluster.NewScheduler(w.model, w.profiles, 0, opts...)
-	}
+	s, err := newScheduler(w, append([]cluster.Option{cluster.WithRounds(d)}, p.opts...))
 	if err != nil {
 		return nil, err
 	}
@@ -259,6 +260,16 @@ func deploy(w *world, p plan) (*run, error) {
 		return nil, fmt.Errorf("%d rounds still pending after every camera left", k)
 	}
 	return out, nil
+}
+
+// newScheduler builds the world's scheduler, sharded when it has a shard
+// map, on one worker.
+func newScheduler(w *world, opts []cluster.Option) (*cluster.Scheduler, error) {
+	opts = append([]cluster.Option{cluster.WithWorkers(1)}, opts...)
+	if w.smap != nil {
+		return cluster.NewShardedScheduler(w.model, w.profiles, 0, w.smap, opts...)
+	}
+	return cluster.NewScheduler(w.model, w.profiles, 0, opts...)
 }
 
 // check holds a finished node to its counters: every frame stepped or
@@ -430,12 +441,15 @@ func (d *deployment) write(nd *simNode, env *cluster.Envelope) bool {
 func (d *deployment) receive(c *conn, env *cluster.Envelope) {
 	if d.sched.Conn(c.cam) == c.id {
 		d.lastSeen[c.cam] = d.now
-		if det := env.Detections; det != nil && det.Frame > d.lastDone {
-			if d.reporters[det.Frame] == nil {
-				d.reporters[det.Frame] = map[int]bool{}
-				d.firstReport[det.Frame] = d.now
+		if det := env.Detections; det != nil {
+			d.reported[[2]int{c.cam, det.Frame}] = det.Tracks
+			if det.Frame > d.lastDone {
+				if d.reporters[det.Frame] == nil {
+					d.reporters[det.Frame] = map[int]bool{}
+					d.firstReport[det.Frame] = d.now
+				}
+				d.reporters[det.Frame][c.cam] = true
 			}
-			d.reporters[det.Frame][c.cam] = true
 		}
 	}
 	reply, msgs := d.sched.Receive(c.cam, c.id, env, d.now)
@@ -472,7 +486,8 @@ func (d *deployment) rearm() {
 }
 
 // route sends the scheduler's messages, holding every assignment to the
-// one-answer law.
+// one-answer law and to the accounting of the report it answers (none,
+// when the round was scheduled without the camera's view).
 func (d *deployment) route(msgs []cluster.Message) {
 	for _, msg := range msgs {
 		if a := msg.Env.Assignment; a != nil {
@@ -481,6 +496,9 @@ func (d *deployment) route(msgs []cluster.Message) {
 				d.fail("camera %d answered twice for round %d", msg.Camera, a.Frame)
 			}
 			d.answered[k] = true
+			if err := accounts(msg.Camera, len(d.nodes), d.reported[k], a); err != nil {
+				d.fail("%v", err)
+			}
 		}
 		d.toNode(d.conns[msg.Conn], msg.Env)
 	}
@@ -553,17 +571,26 @@ func (d *deployment) outcome(nd *simNode, a cluster.NodeActions) {
 // the registration's masks, or maskless when the scheduler was
 // unreachable, as mvnode does.
 func (d *deployment) start(nd *simNode, registered bool) error {
-	sc := d.w.trace.Cameras[nd.cam]
-	cfg := node.Config{
-		Camera: nd.cam, Frame: sc.Frame(), Profile: d.w.profiles[nd.cam],
-		NumCameras: len(d.nodes), Seed: d.p.seed, Sink: nd.sink, Horizon: d.p.horizon,
-	}
+	var ack *cluster.HelloAck
 	if registered {
-		cfg.GridCols, cfg.GridRows, cfg.Coverage = nd.ack.GridCols, nd.ack.GridRows, nd.ack.Coverage
+		ack = nd.ack
 	}
 	var err error
-	nd.rt, err = node.New(cfg)
+	nd.rt, err = node.New(nodeConfig(d.w, d.p, nd.cam, nd.sink, ack))
 	return err
+}
+
+// nodeConfig is camera cam's runtime configuration, with the masks of
+// its registration reply (nil: maskless).
+func nodeConfig(w *world, p plan, cam int, sink metrics.Sink, ack *cluster.HelloAck) node.Config {
+	cfg := node.Config{
+		Camera: cam, Frame: w.trace.Cameras[cam].Frame(), Profile: w.profiles[cam],
+		NumCameras: len(w.trace.Cameras), Seed: p.seed, Sink: sink, Horizon: p.horizon,
+	}
+	if ack != nil {
+		cfg.GridCols, cfg.GridRows, cfg.Coverage = ack.GridCols, ack.GridRows, ack.Coverage
+	}
+	return cfg
 }
 
 // frame is mvnode's frame loop body: the next frame, lost to an outage
@@ -664,4 +691,204 @@ func composeRounds(rounds []metrics.Round, numCams int) []roundDecision {
 		}
 	}
 	return out
+}
+
+// accounts holds camera cam's assignment to the report it answers: every
+// reported track is kept or shadowed exactly once, nothing else is
+// listed, and every shadow names another camera of the n-camera fleet.
+func accounts(cam, n int, reports []cluster.TrackReport, a *cluster.Assignment) error {
+	open := make(map[int]bool, len(reports))
+	for _, tr := range reports {
+		open[tr.TrackID] = true
+	}
+	listed := slices.Clone(a.Keep)
+	for _, sh := range a.Shadows {
+		if c := sh.AssignedCamera; c == cam || c < 0 || c >= n {
+			return fmt.Errorf("camera %d round %d: track %d shadowed to camera %d", cam, a.Frame, sh.TrackID, c)
+		}
+		listed = append(listed, sh.TrackID)
+	}
+	for _, id := range listed {
+		if !open[id] {
+			return fmt.Errorf("camera %d round %d: track %d listed but not reported, or listed twice", cam, a.Frame, id)
+		}
+		delete(open, id)
+	}
+	if len(open) > 0 {
+		return fmt.Errorf("camera %d round %d: %d reported tracks neither kept nor shadowed", cam, a.Frame, len(open))
+	}
+	return nil
+}
+
+// loopback runs a zero-fault plan over real sockets: the world's
+// scheduler served on 127.0.0.1, and per camera a node.Runtime stepped by
+// Step behind a ReconnectClient, as cmd/mvnode runs it. Every camera
+// dials at once (the plan's stagger is not played) and must be answered
+// at every key frame. It returns what deploy returns, once every
+// assignment has passed accounts and every round the shell law.
+func loopback(w *world, p plan) (*run, error) {
+	if p.deadline <= 0 {
+		p.deadline = 20 * time.Second
+	}
+	n := len(w.trace.Cameras)
+	rounds, snaps := &roundSink{}, &frameLog{}
+	s, err := newScheduler(w, append([]cluster.Option{cluster.WithRounds(rounds), cluster.WithSink(snaps)}, p.opts...))
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+
+	r := &run{
+		frames: make([][]metrics.Snapshot, n), stats: make([]node.Stats, n),
+		detected: make([]map[int]bool, n), keyFrames: make([][]int, n),
+	}
+	sent := make([][]*cluster.Assignment, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for cam := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[cam] = loopbackNode(w, p, cam, ln.Addr().String(), r, &sent[cam])
+		}()
+	}
+	wg.Wait()
+	s.Close()
+	if err := errors.Join(append(errs, <-served)...); err != nil {
+		return nil, err
+	}
+	r.rounds = rounds.rounds
+	return r, shellLaw(w, r, snaps.snaps, sent)
+}
+
+// loopbackNode is cmd/mvnode's loop for camera cam over the trace: it
+// registers, builds its runtime from the registration's masks, steps
+// every frame and exchanges every key frame's reports for the round's
+// assignment, which must account for them. It leaves its snapshots,
+// counters, detections and key frames in r, and its assignments in sent.
+func loopbackNode(w *world, p plan, cam int, addr string, r *run, sent *[]*cluster.Assignment) error {
+	sc := w.trace.Cameras[cam]
+	client := cluster.NewReconnectClient(cluster.ReconnectConfig{
+		Addr: addr, Camera: cam, FrameW: sc.ImageW, FrameH: sc.ImageH,
+		Backoff: cluster.Backoff{Seed: p.seed + int64(cam)},
+	})
+	defer client.Close()
+	if err := client.Connect(); err != nil {
+		return err
+	}
+	sink := &frameLog{}
+	rt, err := node.New(nodeConfig(w, p, cam, sink, client.Ack()))
+	if err != nil {
+		return err
+	}
+	for fi := range w.trace.Frames {
+		reports, settle, err := rt.Step(fi, w.trace.Frames[fi].PerCamera[cam], client.Reconnects())
+		if err != nil {
+			return err
+		}
+		if settle == nil {
+			continue
+		}
+		a, err := client.KeyFrame(fi, reports, p.deadline)
+		if err != nil {
+			return fmt.Errorf("camera %d key frame %d: %w", cam, fi, err)
+		}
+		if err := accounts(cam, len(w.trace.Cameras), reports, a); err != nil {
+			return err
+		}
+		r.keyFrames[cam] = append(r.keyFrames[cam], fi)
+		*sent = append(*sent, a)
+		if err := settle(a); err != nil {
+			return err
+		}
+	}
+	r.frames[cam], r.stats[cam], r.detected[cam] = sink.snaps, rt.Stats(), rt.DetectedIDs()
+	return nil
+}
+
+// shellLaw holds a loopback run to what the Scheduler shell promises of
+// every round, per label (one per shard; "" unsharded): its round
+// records and snapshots are the scheduler's, numbered 0, 1, 2, … and
+// stamped with the label's key frames and a measured latency; a
+// snapshot's rows are the label's roster in camera order, and its
+// assignments, like the record's, sum to its objects; the record's
+// priority orders exactly the roster, and is what every roster camera
+// was sent with the roster's scope.
+func shellLaw(w *world, r *run, snaps []metrics.Snapshot, sent [][]*cluster.Assignment) error {
+	rosters := map[string][]int{}
+	if w.smap == nil {
+		rosters[""] = make([]int, len(w.trace.Cameras))
+		for cam := range rosters[""] {
+			rosters[""][cam] = cam
+		}
+	} else {
+		for sid, roster := range w.smap.Shards {
+			rosters[fmt.Sprintf("shard%d", sid)] = roster
+		}
+	}
+	if len(snaps) != len(r.rounds) {
+		return fmt.Errorf("%d snapshots for %d round records", len(snaps), len(r.rounds))
+	}
+	done := map[string]int{}
+	for i, rd := range r.rounds {
+		snap, roster := snaps[i], rosters[rd.Label]
+		if roster == nil || snap.Label != rd.Label {
+			return fmt.Errorf("round record %d labelled %q, its snapshot %q", i, rd.Label, snap.Label)
+		}
+		k := done[rd.Label]
+		done[rd.Label]++
+		var rows []int
+		objects := 0
+		for _, cs := range snap.Cameras {
+			rows = append(rows, cs.Camera)
+			objects += cs.Assignments
+		}
+		assigned := 0
+		for _, c := range rd.Assigned {
+			assigned += c
+		}
+		var scope []int
+		if w.smap != nil {
+			scope = roster
+		}
+		order := slices.Clone(rd.Priority)
+		slices.Sort(order)
+		keys := r.keyFrames[roster[0]]
+		switch {
+		case rd.Source != metrics.SourceScheduler || snap.Source != metrics.SourceScheduler:
+			return fmt.Errorf("%q round %d: sources %q and %q", rd.Label, k, rd.Source, snap.Source)
+		case rd.Seq != k || snap.Seq != k:
+			return fmt.Errorf("%q round %d numbered %d, its snapshot %d", rd.Label, k, rd.Seq, snap.Seq)
+		case k >= len(keys) || rd.Frame != keys[k] || snap.Frame != keys[k]:
+			return fmt.Errorf("%q round %d at frame %d, its snapshot at %d; key frames %v", rd.Label, k, rd.Frame, snap.Frame, keys)
+		case rd.RoundLatency <= 0 || snap.RoundLatency <= 0:
+			return fmt.Errorf("%q round %d: round latency %v, snapshot's %v", rd.Label, k, rd.RoundLatency, snap.RoundLatency)
+		case !slices.Equal(rows, roster):
+			return fmt.Errorf("%q round %d: snapshot rows for cameras %v, roster %v", rd.Label, k, rows, roster)
+		case objects != snap.Objects || assigned != rd.Objects || rd.Objects != snap.Objects:
+			return fmt.Errorf("%q round %d: %d and %d assigned for %d and %d objects", rd.Label, k, objects, assigned, snap.Objects, rd.Objects)
+		case !slices.Equal(order, roster):
+			return fmt.Errorf("%q round %d: priority %v does not order roster %v", rd.Label, k, rd.Priority, roster)
+		}
+		for _, cam := range roster {
+			if k >= len(sent[cam]) {
+				return fmt.Errorf("%q round %d: camera %d was sent %d assignments", rd.Label, k, cam, len(sent[cam]))
+			}
+			if a := sent[cam][k]; a.Frame != rd.Frame || !slices.Equal(a.Priority, rd.Priority) || !slices.Equal(a.Roster, scope) {
+				return fmt.Errorf("%q round %d sent camera %d frame %d, priority %v, roster %v; recorded frame %d, priority %v",
+					rd.Label, k, cam, a.Frame, a.Priority, a.Roster, rd.Frame, rd.Priority)
+			}
+		}
+	}
+	for label, roster := range rosters {
+		if done[label] != len(r.keyFrames[roster[0]]) {
+			return fmt.Errorf("%q completed %d rounds over %d key frames", label, done[label], len(r.keyFrames[roster[0]]))
+		}
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -170,11 +171,11 @@ var (
 	})
 )
 
-// lawCases are the zero-fault law's worlds: the loopback differential's
-// four (TestInProcessMatchesLoopbackCluster in internal/node), then
+// lawCases are the zero-fault law's worlds: two cameras facing down one
+// road, S4, S4 with staggered registration and two sharded islands, then
 // twenty seeded fleets — unsharded corridors of two to eight cameras
 // over varied horizons, registration staggers and trace lengths, and
-// sharded island layouts.
+// sharded island layouts. Each world is built once per test binary.
 func lawCases() []lawCase {
 	cases := []lawCase{
 		{"two-camera", twoCamera, plan{seed: 4, horizon: 10}},
@@ -199,37 +200,36 @@ func lawCases() []lawCase {
 		if i%5 == 4 {
 			k, per := 2+rng.Intn(2), 2+rng.Intn(2)
 			name = fmt.Sprintf("islands%dx%d-%dframes-T%d-stagger%v", k, per, frames, p.horizon, p.stagger)
-			build = func(t testing.TB) *world {
+			build = cached(name, func(t testing.TB) *world {
 				is, err := workload.Islands(k, per, int64(i))
 				if err != nil {
 					t.Fatal(err)
 				}
 				return buildWorld(t, is.World, is.Profiles(), frames, true)
-			}
+			})
 		} else {
 			n := 2 + rng.Intn(7)
 			name = fmt.Sprintf("corridor%d-%dframes-T%d-stagger%v", n, frames, p.horizon, p.stagger)
-			build = func(t testing.TB) *world {
+			build = cached(name, func(t testing.TB) *world {
 				c, err := workload.Corridor(n, int64(i))
 				if err != nil {
 					t.Fatal(err)
 				}
 				return buildWorld(t, c.World, c.Profiles(), frames, false)
-			}
+			})
 		}
 		cases = append(cases, lawCase{name, build, p})
 	}
 	return cases
 }
 
-// TestVirtualDeploymentMatchesEngine holds the deployment on virtual
-// time to the zero-fault law on every lawCase.
-func TestVirtualDeploymentMatchesEngine(t *testing.T) {
-	t.Parallel()
-	for _, tc := range lawCases() {
+// holdToLaw runs each case through transport and holds the run to the
+// zero-fault law.
+func holdToLaw(t *testing.T, cases []lawCase, transport func(*world, plan) (*run, error)) {
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := tc.w(t)
-			r, err := deploy(w, tc.p)
+			r, err := transport(w, tc.p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,6 +242,48 @@ func TestVirtualDeploymentMatchesEngine(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestVirtualDeploymentMatchesEngine holds the deployment on virtual
+// time to the zero-fault law on every lawCase.
+func TestVirtualDeploymentMatchesEngine(t *testing.T) {
+	t.Parallel()
+	holdToLaw(t, lawCases(), deploy)
+}
+
+// loopbackCases are the lawCases named, in order.
+func loopbackCases(t *testing.T, names ...string) []lawCase {
+	all := lawCases()
+	var out []lawCase
+	for _, name := range names {
+		i := slices.IndexFunc(all, func(tc lawCase) bool { return tc.name == name })
+		if i < 0 {
+			t.Fatalf("no law case %q", name)
+		}
+		out = append(out, all[i])
+	}
+	return out
+}
+
+// TestLoopbackDeploymentMatchesEngine holds the deployment over real
+// sockets — Scheduler.Serve on loopback TCP, each node behind the
+// ReconnectClient mvnode ships — to the zero-fault law and the shell's
+// round and reply rules (loopback) on two cameras, S4 and a seeded
+// corridor. Staggered registration is the virtual transport's: it plays
+// staggers up to 2 s without sleeping through them.
+func TestLoopbackDeploymentMatchesEngine(t *testing.T) {
+	t.Parallel()
+	holdToLaw(t, loopbackCases(t, "two-camera", "S4", "corridor7-240frames-T5-stagger0s"), loopback)
+}
+
+// TestShardedLoopbackDeploymentMatchesEngine is the loopback law on the
+// two sharded islands: one shell over a round machine per shard, each
+// shard's records and snapshots labelled and numbered on their own, its
+// rows and priorities in global camera indices, and every reply scoped
+// to the shard's roster.
+func TestShardedLoopbackDeploymentMatchesEngine(t *testing.T) {
+	t.Parallel()
+	holdToLaw(t, loopbackCases(t, "islands-sharded"), loopback)
 }
 
 // TestAdaptLockstepOnVirtualTime runs the deployment under a

@@ -199,11 +199,10 @@ func TestNeverRegisteredCameraIsReleasedLikeASilentOne(t *testing.T) {
 	})
 }
 
-// TestMachineDeadCameraBroadcast is TestChaosDeadCameraBroadcast's round
-// decisions and fault counters with explicit timestamps: a camera that
-// reported in round 0 goes silent, and round 10 completes without it,
-// declares it dead in every reply, and charges its orphaned assignments
-// to the reassignment counter.
+// TestMachineDeadCameraBroadcast is the lease-fed dead list with
+// explicit timestamps: a camera that reported in round 0 goes silent,
+// and round 10 completes without it, declares it dead in every reply,
+// and charges its orphaned assignments to the reassignment counter.
 func TestMachineDeadCameraBroadcast(t *testing.T) {
 	const lease = 100 * time.Millisecond
 	m := twoCameraMachine(t, WithLease(lease))

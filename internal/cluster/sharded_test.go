@@ -8,7 +8,6 @@ import (
 
 	"mvs/internal/assoc"
 	"mvs/internal/geom"
-	"mvs/internal/metrics"
 	"mvs/internal/profile"
 	"mvs/internal/scene"
 	"mvs/internal/shard"
@@ -267,71 +266,6 @@ func TestShardedRoundIndependence(t *testing.T) {
 		for _, c := range a.Priority {
 			if !inRoster(c) {
 				t.Fatalf("camera %d priority %v leaves the shard roster %v", cam, a.Priority, shard0)
-			}
-		}
-	}
-}
-
-// TestShardedSnapshotLabels checks the shared sink demultiplexes shard
-// rounds by label and reports global camera indices.
-func TestShardedSnapshotLabels(t *testing.T) {
-	e := buildShardedEnv(t, 4, 23, 2)
-	sink := metrics.NewChannelSink(1, 16)
-	_, addr := startSharded(t, e, WithSink(sink))
-
-	clients := make(map[int]*Client)
-	all := make([]int, e.m.NumCameras())
-	for cam := range all {
-		all[cam] = cam
-		c, err := Dial(addr, cam, 0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		clients[cam] = c
-	}
-	reports := map[int][]TrackReport{}
-	for cam := range clients {
-		reports[cam] = reportFor(e, 50, cam)
-	}
-	keyFrameAll(t, clients, all, 0, reports)
-
-	labels := map[string][]int{}
-	for i := 0; i < e.m.NumShards(); i++ {
-		select {
-		case snap := <-sink.Snapshots():
-			if snap.Source != metrics.SourceScheduler {
-				t.Fatalf("source = %q", snap.Source)
-			}
-			var cams []int
-			for _, cs := range snap.Cameras {
-				cams = append(cams, cs.Camera)
-			}
-			labels[snap.Label] = cams
-		case <-time.After(5 * time.Second):
-			t.Fatal("missing shard snapshot")
-		}
-	}
-	if len(labels) != e.m.NumShards() {
-		t.Fatalf("labels %v, want one per shard", labels)
-	}
-	for sid, roster := range e.m.Shards {
-		label := ""
-		for l := range labels {
-			if l == "shard"+string(rune('0'+sid)) {
-				label = l
-			}
-		}
-		if label == "" {
-			t.Fatalf("no snapshot labeled shard%d in %v", sid, labels)
-		}
-		cams := labels[label]
-		if len(cams) != len(roster) {
-			t.Fatalf("shard %d snapshot cameras %v, roster %v", sid, cams, roster)
-		}
-		for i, c := range cams {
-			if c != roster[i] {
-				t.Fatalf("shard %d snapshot cameras %v not globalized (roster %v)", sid, cams, roster)
 			}
 		}
 	}

@@ -116,7 +116,7 @@ func TestSchedulerOptions(t *testing.T) {
 	}
 
 	// nil options keep the safe defaults rather than installing nils.
-	s2, err := NewScheduler(model, profiles, 0, WithLogger(nil), WithSink(nil))
+	s2, err := NewScheduler(model, profiles, 0, WithLogger(nil), WithSink(nil), WithRounds(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +125,9 @@ func TestSchedulerOptions(t *testing.T) {
 	}
 	if _, ok := s2.sink.(metrics.NopSink); !ok {
 		t.Fatalf("WithSink(nil) sink = %T, want NopSink", s2.sink)
+	}
+	if s2.roundSink != nil {
+		t.Fatal("WithRounds(nil) installed a round sink")
 	}
 }
 
@@ -145,190 +148,6 @@ func startSchedulerWithSink(t *testing.T, sink metrics.Sink) (*Scheduler, string
 	go func() { serveErr <- s.Serve(ln) }()
 	t.Cleanup(s.Close)
 	return s, ln.Addr().String(), serveErr
-}
-
-func TestSchedulerRoundSnapshots(t *testing.T) {
-	sink := metrics.NewChannelSink(1, 16)
-	_, addr, _ := startSchedulerWithSink(t, sink)
-
-	c0, err := Dial(addr, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	c1, err := Dial(addr, 1, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-
-	for round := 0; round < 2; round++ {
-		frame := round * 10
-		var wg sync.WaitGroup
-		var e0, e1 error
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			_, e0 = c0.KeyFrame(frame, []TrackReport{
-				{TrackID: frame + 1, Box: [4]float64{600, 300, 700, 380}, Size: 128},
-			}, 5*time.Second)
-		}()
-		go func() {
-			defer wg.Done()
-			_, e1 = c1.KeyFrame(frame, nil, 5*time.Second)
-		}()
-		wg.Wait()
-		if e0 != nil || e1 != nil {
-			t.Fatalf("round %d: %v / %v", round, e0, e1)
-		}
-	}
-
-	for round := 0; round < 2; round++ {
-		var snap metrics.Snapshot
-		select {
-		case snap = <-sink.Snapshots():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("no snapshot for round %d", round)
-		}
-		if snap.Source != metrics.SourceScheduler {
-			t.Fatalf("source = %q", snap.Source)
-		}
-		if snap.Seq != round || snap.Frame != round*10 {
-			t.Fatalf("round %d: seq=%d frame=%d", round, snap.Seq, snap.Frame)
-		}
-		if snap.RoundLatency <= 0 {
-			t.Fatalf("round %d: RoundLatency = %v", round, snap.RoundLatency)
-		}
-		if len(snap.Cameras) != 2 {
-			t.Fatalf("round %d: %d cameras", round, len(snap.Cameras))
-		}
-		if snap.Objects < 1 {
-			t.Fatalf("round %d: objects = %d", round, snap.Objects)
-		}
-		assigned := 0
-		for ci, cs := range snap.Cameras {
-			if cs.Camera != ci {
-				t.Fatalf("round %d: cameras out of order: %v", round, snap.Cameras)
-			}
-			assigned += cs.Assignments
-			if cs.Assignments > 0 && cs.Batches < 1 {
-				t.Fatalf("round %d: camera %d has %d assignments but no batches",
-					round, ci, cs.Assignments)
-			}
-			if cs.BatchOccupancy < 0 || cs.BatchOccupancy > 1 {
-				t.Fatalf("round %d: occupancy = %v", round, cs.BatchOccupancy)
-			}
-		}
-		if assigned != snap.Objects {
-			t.Fatalf("round %d: %d assignments for %d objects", round, assigned, snap.Objects)
-		}
-	}
-}
-
-// roundLog is a concurrency-safe metrics.RoundSink.
-type roundLog struct {
-	mu     sync.Mutex
-	rounds []metrics.Round
-}
-
-func (l *roundLog) RecordRound(r metrics.Round) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.rounds = append(l.rounds, r)
-}
-
-func (l *roundLog) snapshot() []metrics.Round {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]metrics.Round(nil), l.rounds...)
-}
-
-// TestSchedulerRoundDecisions drives two scheduling rounds and checks
-// the WithRounds decision stream: gap-free Seq, the round's priority
-// order as a fleet permutation, and assignment counts consistent with
-// the object count.
-func TestSchedulerRoundDecisions(t *testing.T) {
-	model, profiles := testModel(t)
-	rec := &roundLog{}
-	s, err := NewScheduler(model, profiles, 0, WithRounds(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2, err := NewScheduler(model, profiles, 0, WithRounds(nil)); err != nil || s2.roundSink != nil {
-		t.Fatalf("WithRounds(nil) must keep the disabled default (err=%v)", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = s.Serve(ln) }()
-	t.Cleanup(s.Close)
-	addr := ln.Addr().String()
-
-	c0, err := Dial(addr, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	c1, err := Dial(addr, 1, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-
-	for round := 0; round < 2; round++ {
-		frame := round * 10
-		var wg sync.WaitGroup
-		var e0, e1 error
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			_, e0 = c0.KeyFrame(frame, []TrackReport{
-				{TrackID: frame + 1, Box: [4]float64{600, 300, 700, 380}, Size: 128},
-			}, 5*time.Second)
-		}()
-		go func() {
-			defer wg.Done()
-			_, e1 = c1.KeyFrame(frame, nil, 5*time.Second)
-		}()
-		wg.Wait()
-		if e0 != nil || e1 != nil {
-			t.Fatalf("round %d: %v / %v", round, e0, e1)
-		}
-	}
-
-	rounds := rec.snapshot()
-	if len(rounds) != 2 {
-		t.Fatalf("recorded %d rounds, want 2", len(rounds))
-	}
-	for i, rd := range rounds {
-		if rd.Source != metrics.SourceScheduler {
-			t.Fatalf("round %d source = %q", i, rd.Source)
-		}
-		if rd.Seq != i || rd.Frame != i*10 {
-			t.Fatalf("round %d: seq=%d frame=%d", i, rd.Seq, rd.Frame)
-		}
-		if rd.RoundLatency <= 0 {
-			t.Fatalf("round %d: RoundLatency = %v", i, rd.RoundLatency)
-		}
-		if len(rd.Priority) != 2 {
-			t.Fatalf("round %d priority %v, want a 2-camera order", i, rd.Priority)
-		}
-		seen := map[int]bool{}
-		for _, c := range rd.Priority {
-			if c < 0 || c > 1 || seen[c] {
-				t.Fatalf("round %d priority %v is not a fleet permutation", i, rd.Priority)
-			}
-			seen[c] = true
-		}
-		total := 0
-		for _, n := range rd.Assigned {
-			total += n
-		}
-		if total != rd.Objects || rd.Objects < 1 {
-			t.Fatalf("round %d: %d assigned for %d objects", i, total, rd.Objects)
-		}
-	}
 }
 
 func TestCloseUnblocksServe(t *testing.T) {

@@ -60,8 +60,8 @@ func (w *Solver) Central(cams []CameraSpec, in *Instance, opts CentralOptions) (
 				}
 				// Relative capacity of the incomplete batch (Definition
 				// 4, normalized by the limit so heterogeneous batch
-				// limits compare fairly). Ties break toward the less
-				// loaded camera, then the lower index.
+				// limits compare fairly). Ties go to the less loaded
+				// camera, then the one listed earlier in the object's C_j.
 				rel := float64(limit-n) / float64(limit)
 				if rel > bestRel || (rel == bestRel && bestCam >= 0 && lat[c] < lat[bestCam]) {
 					bestRel = rel

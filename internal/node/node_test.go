@@ -206,50 +206,6 @@ func TestApplyAssignmentRejectsForeignCameras(t *testing.T) {
 	}
 }
 
-// TestDistributedMatchesSchedulerEndToEnd drives two node runtimes
-// against a real scheduler over loopback TCP for several horizons and
-// checks the joint outcome: consistent priorities, no double tracking of
-// shadowed objects, and overall detection coverage.
-func TestDistributedMatchesSchedulerEndToEnd(t *testing.T) {
-	world := twoCamWorld(5)
-	trace, err := world.Run(600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test := trace.SplitTrain()
-	model, err := assoc.Train(train, assoc.Factories{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles := []*profile.Profile{
-		profile.Derived(profile.JetsonXavier),
-		profile.Derived(profile.JetsonNano),
-	}
-	clu := runLoopbackCluster(t, test, model, profiles, nil, 4, 10, 0)
-	det0, det1 := clu.detected[0], clu.detected[1]
-
-	// Joint recall over the test half must stay high: every ground-truth
-	// object visible somewhere should be detected by some node.
-	truth := make(map[int]bool)
-	for fi := range test.Frames {
-		for id := range test.Frames[fi].VisibleObjectIDs() {
-			truth[id] = true
-		}
-	}
-	missed := 0
-	for id := range truth {
-		if !det0[id] && !det1[id] {
-			missed++
-		}
-	}
-	if len(truth) == 0 {
-		t.Skip("no objects in test half")
-	}
-	if frac := float64(missed) / float64(len(truth)); frac > 0.1 {
-		t.Fatalf("missed %d/%d distinct objects", missed, len(truth))
-	}
-}
-
 // TestNewRegionsFollowTheSizeCap pins that a degraded node prices what it
 // newly sees at the capped size too: at ladder level 2 (cap 128) one
 // unexplained 300-px box costs one 128-px inspection, not a 512-px one.
