@@ -242,6 +242,9 @@ func simulate(o options, shared *cliconf.Shared, export *metrics.Export, stdout,
 		return err
 	}
 	if rec != nil {
+		// Idempotent, so it seals whatever ends the run early and joins
+		// the tee's writer goroutine; the success path closes explicitly.
+		defer rec.Close()
 		src = rec.Tee(src)
 		cfg.Obs.Rounds = rec
 	}
@@ -256,10 +259,6 @@ func simulate(o options, shared *cliconf.Shared, export *metrics.Export, stdout,
 		return err
 	}
 	if err := eng.Run(); err != nil {
-		var stalled *pipeline.StallError
-		if errors.As(err, &stalled) && rec != nil {
-			rec.Close() // seal what was captured before the stall
-		}
 		return err
 	}
 	rep, err := eng.Report()

@@ -154,13 +154,14 @@ type deployment struct {
 	faults   int
 	// The scheduler side as the barrier law sees it: which cameras ever
 	// registered, when each was last heard from, which cameras reported
-	// to each pending round and when its first report came, and the
-	// highest round scheduled.
+	// to each pending round of each shard ({shard, frame}; shard 0 when
+	// unsharded) and when its first report came, and each shard's highest
+	// round scheduled.
 	joined      []bool
 	lastSeen    []time.Time
-	reporters   map[int]map[int]bool
-	firstReport map[int]time.Time
-	lastDone    int
+	reporters   map[[2]int]map[int]bool
+	firstReport map[[2]int]time.Time
+	lastDone    []int
 	answered    map[[2]int]bool
 	// reported[cam, frame] is the last report the scheduler took from
 	// camera cam for the round at frame.
@@ -215,12 +216,15 @@ func deploy(w *world, p plan) (*run, error) {
 		w: w, p: p, rng: rand.New(rand.NewSource(p.faults.Seed)),
 		conns:  map[int]*conn{},
 		joined: make([]bool, n), lastSeen: make([]time.Time, n),
-		reporters: map[int]map[int]bool{}, firstReport: map[int]time.Time{},
-		lastDone: -1, answered: map[[2]int]bool{}, reported: map[[2]int][]cluster.TrackReport{},
+		reporters: map[[2]int]map[int]bool{}, firstReport: map[[2]int]time.Time{},
+		lastDone: make([]int, len(w.shards())), answered: map[[2]int]bool{}, reported: map[[2]int][]cluster.TrackReport{},
 		now: epoch,
 	}
 	for cam := range d.lastSeen {
 		d.lastSeen[cam] = epoch
+	}
+	for sid := range d.lastDone {
+		d.lastDone[sid] = -1
 	}
 	s, err := newScheduler(w, append([]cluster.Option{cluster.WithRounds(d)}, p.opts...))
 	if err != nil {
@@ -443,12 +447,16 @@ func (d *deployment) receive(c *conn, env *cluster.Envelope) {
 		d.lastSeen[c.cam] = d.now
 		if det := env.Detections; det != nil {
 			d.reported[[2]int{c.cam, det.Frame}] = det.Tracks
-			if det.Frame > d.lastDone {
-				if d.reporters[det.Frame] == nil {
-					d.reporters[det.Frame] = map[int]bool{}
-					d.firstReport[det.Frame] = d.now
+			sid := 0
+			if d.w.smap != nil {
+				sid = d.w.smap.ShardOf[c.cam]
+			}
+			if round := [2]int{sid, det.Frame}; det.Frame > d.lastDone[sid] {
+				if d.reporters[round] == nil {
+					d.reporters[round] = map[int]bool{}
+					d.firstReport[round] = d.now
 				}
-				d.reporters[det.Frame][c.cam] = true
+				d.reporters[round][c.cam] = true
 			}
 		}
 	}
@@ -637,27 +645,47 @@ func (d *deployment) frame(nd *simNode) {
 	}
 }
 
-// RecordRound is the scheduler's round sink: it holds every unsharded
-// partial round to its barrier — each camera it lacks had left, or run
-// out of lease, or the round had timed out.
+// RecordRound is the scheduler's round sink: it holds every partial
+// round to its barrier, each shard's round to its own cameras — each
+// camera it lacks had left, or run out of lease, or the round had timed
+// out.
 func (d *deployment) RecordRound(r metrics.Round) {
 	d.rounds = append(d.rounds, r)
+	sid := 0
 	if d.w.smap != nil {
-		return
+		if _, err := fmt.Sscanf(r.Label, "shard%d", &sid); err != nil || sid < 0 || sid >= len(d.lastDone) {
+			d.fail("round %d labelled %q, which names no shard", r.Frame, r.Label)
+			return
+		}
 	}
-	reps := d.reporters[r.Frame]
-	if r.Partial != (len(reps) < len(d.nodes)) {
-		d.fail("round %d partial=%v with %d/%d reports", r.Frame, r.Partial, len(reps), len(d.nodes))
+	cams := d.w.shards()[sid]
+	round := [2]int{sid, r.Frame}
+	reps := d.reporters[round]
+	if r.Partial != (len(reps) < len(cams)) {
+		d.fail("%q round %d partial=%v with %d/%d reports", r.Label, r.Frame, r.Partial, len(reps), len(cams))
 	}
-	timedOut := d.p.timeout > 0 && !d.now.Before(d.firstReport[r.Frame].Add(d.p.timeout))
-	for cam := range d.nodes {
+	timedOut := d.p.timeout > 0 && !d.now.Before(d.firstReport[round].Add(d.p.timeout))
+	for _, cam := range cams {
 		left := d.joined[cam] && d.sched.Conn(cam) == 0
 		expired := d.p.lease > 0 && d.now.Sub(d.lastSeen[cam]) >= d.p.lease
 		if !reps[cam] && !left && !expired && !timedOut {
-			d.fail("round %d scheduled before its barrier: camera %d is live and has not reported", r.Frame, cam)
+			d.fail("%q round %d scheduled before its barrier: camera %d is live and has not reported", r.Label, r.Frame, cam)
 		}
 	}
-	d.lastDone = max(d.lastDone, r.Frame)
+	d.lastDone[sid] = max(d.lastDone[sid], r.Frame)
+}
+
+// shards lists each shard's cameras; an unsharded world is one shard of
+// the whole fleet.
+func (w *world) shards() [][]int {
+	if w.smap != nil {
+		return w.smap.Shards
+	}
+	all := make([]int, len(w.trace.Cameras))
+	for cam := range all {
+		all[cam] = cam
+	}
+	return [][]int{all}
 }
 
 // roundDecision is the part of a metrics.Round the engine and the
@@ -821,15 +849,12 @@ func loopbackNode(w *world, p plan, cam int, addr string, r *run, sent *[]*clust
 // was sent with the roster's scope.
 func shellLaw(w *world, r *run, snaps []metrics.Snapshot, sent [][]*cluster.Assignment) error {
 	rosters := map[string][]int{}
-	if w.smap == nil {
-		rosters[""] = make([]int, len(w.trace.Cameras))
-		for cam := range rosters[""] {
-			rosters[""][cam] = cam
+	for sid, roster := range w.shards() {
+		label := ""
+		if w.smap != nil {
+			label = fmt.Sprintf("shard%d", sid)
 		}
-	} else {
-		for sid, roster := range w.smap.Shards {
-			rosters[fmt.Sprintf("shard%d", sid)] = roster
-		}
+		rosters[label] = roster
 	}
 	if len(snaps) != len(r.rounds) {
 		return fmt.Errorf("%d snapshots for %d round records", len(snaps), len(r.rounds))

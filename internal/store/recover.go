@@ -38,7 +38,10 @@ type Recovery struct {
 // replay yields Recovery.Frames frames, and mvsim -replay -verify passes
 // on the recovered prefix. Recover is idempotent: on a healthy sealed
 // run it validates and rewrites the index without dropping anything.
-func Recover(dir string) (*Recovery, error) {
+func Recover(dir string) (*Recovery, error) { return recoverIn(osFiles{}, dir) }
+
+// recoverIn is Recover on the file system fsys.
+func recoverIn(fsys fileSystem, dir string) (*Recovery, error) {
 	man, cams, err := readManifest(dir)
 	if err != nil {
 		return nil, err
@@ -53,50 +56,50 @@ func Recover(dir string) (*Recovery, error) {
 	// Frame segments: walk in ordinal order, keep the longest valid
 	// chain of records, truncate the first torn tail, ignore anything
 	// after it.
-	segs, err := recoverSegments(dir, man.Version, len(cams), segSize, rec)
+	segs, err := recoverSegments(fsys, dir, man.Version, len(cams), segSize, rec)
 	if err != nil {
 		return nil, err
-	}
-	frames := 0
-	for _, s := range segs {
-		frames += s.Count
 	}
 
 	// Snapshots and rounds: truncate each to its valid prefix.
 	snapPath := filepath.Join(dir, snapshotsFile)
-	snaps, err := truncateLog(snapPath, man.Version, -1, rec)
+	snaps, err := truncateLog(fsys, snapPath, man.Version, -1, rec)
 	if err != nil {
 		return nil, err
 	}
-	rounds, err := truncateLog(filepath.Join(dir, roundsFile), man.Version, -1, rec)
+	rounds, err := truncateLog(fsys, filepath.Join(dir, roundsFile), man.Version, -1, rec)
 	if err != nil {
 		return nil, err
 	}
 	rec.Rounds = rounds
 
-	// Align frame index and snapshot log on their common prefix: a
-	// frame without its snapshot (or vice versa) cannot be part of a
-	// byte-verifiable replay.
+	// Align frame index and snapshot log on their common prefix of the
+	// stream: a frame without its snapshot (or vice versa) cannot be part
+	// of a byte-verifiable replay. Snapshot i is stream frame i's; the
+	// frame log ends at its last segment's end, and under retention it
+	// starts later than frame 0.
 	if len(segs) > 0 && snaps > 0 {
-		if snaps > frames {
-			if _, err := truncateLog(snapPath, man.Version, frames, rec); err != nil {
+		last := segs[len(segs)-1]
+		if end := last.First + last.Count; snaps > end {
+			if _, err := truncateLog(fsys, snapPath, man.Version, end, rec); err != nil {
 				return nil, err
 			}
-			snaps = frames
-		} else if frames > snaps {
-			rec.DroppedFrames = frames - snaps
+			snaps = end
+		} else if end > snaps {
+			rec.DroppedFrames = end - max(snaps, segs[0].First)
 			segs = capSegments(segs, snaps)
-			frames = snaps
 		}
 	}
-	rec.Frames = frames
+	for _, s := range segs {
+		rec.Frames += s.Count
+	}
 	rec.Snapshots = snaps
 
-	if err := writeIndex(dir, segs, man.syncs()); err != nil {
+	if err := writeIndex(fsys, dir, segs, man.syncs()); err != nil {
 		return nil, err
 	}
 	man.Recovered = true
-	if err := writeJSON(filepath.Join(dir, manifestFile), man, man.syncs()); err != nil {
+	if err := writeJSON(fsys, filepath.Join(dir, manifestFile), man, man.syncs()); err != nil {
 		return nil, err
 	}
 	return rec, nil
@@ -107,7 +110,7 @@ func Recover(dir string) (*Recovery, error) {
 // segSize frames with monotonic ordinals, so segment k starts at stream
 // frame k*segSize even when retention deleted earlier files; a torn or
 // short segment ends the chain (later segments cannot follow a gap).
-func recoverSegments(dir string, version, numCams, segSize int, rec *Recovery) ([]Segment, error) {
+func recoverSegments(fsys fileSystem, dir string, version, numCams, segSize int, rec *Recovery) ([]Segment, error) {
 	fdir := filepath.Join(dir, framesDir)
 	entries, err := os.ReadDir(fdir)
 	if os.IsNotExist(err) {
@@ -135,7 +138,7 @@ func recoverSegments(dir string, version, numCams, segSize int, rec *Recovery) (
 		if prevOrd >= 0 && sf.ord != prevOrd+1 {
 			break // ordinal gap: the chain ends at the last contiguous segment
 		}
-		valid, clean, err := truncateFileN(filepath.Join(fdir, sf.name), func(line []byte) bool {
+		valid, clean, err := truncateFileN(fsys, filepath.Join(fdir, sf.name), func(line []byte) bool {
 			body, err := parseLine(line, version)
 			if err != nil {
 				return false
@@ -159,19 +162,16 @@ func recoverSegments(dir string, version, numCams, segSize int, rec *Recovery) (
 	return segs, nil
 }
 
-// capSegments trims the segment directory so the total count is at most
-// keep frames, dropping later segments entirely (Replay honors Count,
-// so surplus valid lines need no physical removal).
-func capSegments(segs []Segment, keep int) []Segment {
+// capSegments trims the segment directory so that it ends before stream
+// frame end, dropping later segments entirely (Replay honors Count, so
+// surplus valid lines need no physical removal).
+func capSegments(segs []Segment, end int) []Segment {
 	out := segs[:0]
 	for _, s := range segs {
-		if keep <= 0 {
+		if s.First >= end {
 			break
 		}
-		if s.Count > keep {
-			s.Count = keep
-		}
-		keep -= s.Count
+		s.Count = min(s.Count, end-s.First)
 		out = append(out, s)
 	}
 	return out
@@ -180,8 +180,8 @@ func capSegments(segs []Segment, keep int) []Segment {
 // truncateLog truncates a JSONL log to its valid prefix — and, when
 // maxLines >= 0, to at most that many lines — returning the surviving
 // line count. A missing file is zero lines, no error.
-func truncateLog(path string, version, maxLines int, rec *Recovery) (int, error) {
-	valid, _, err := truncateFileN(path, func(line []byte) bool {
+func truncateLog(fsys fileSystem, path string, version, maxLines int, rec *Recovery) (int, error) {
+	valid, _, err := truncateFileN(fsys, path, func(line []byte) bool {
 		body, err := parseLine(line, version)
 		if err != nil {
 			return false
@@ -195,7 +195,7 @@ func truncateLog(path string, version, maxLines int, rec *Recovery) (int, error)
 // accepted by ok (at most maxLines when >= 0), and physically truncates
 // the file right after that prefix. It returns the surviving line count
 // and whether the whole file survived.
-func truncateFileN(path string, ok func([]byte) bool, maxLines int, rec *Recovery) (int, bool, error) {
+func truncateFileN(fsys fileSystem, path string, ok func([]byte) bool, maxLines int, rec *Recovery) (int, bool, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return 0, true, nil
@@ -226,7 +226,7 @@ func truncateFileN(path string, ok func([]byte) bool, maxLines int, rec *Recover
 		return valid, true, nil
 	}
 	rec.TruncatedBytes += int64(len(data) - off)
-	if err := os.Truncate(path, int64(off)); err != nil {
+	if err := fsys.truncate(path, int64(off)); err != nil {
 		return 0, false, fmt.Errorf("store: %w", err)
 	}
 	return valid, false, nil

@@ -279,22 +279,28 @@ func TestRecoverIdempotent(t *testing.T) {
 }
 
 // checkRecovered is the invariant every recovery keeps: Open sees the
-// frame count Recover reported, and the replay yields exactly that many
-// frames; a recovery that kept none leaves no frame log to replay.
+// frame count Recover reported, past the frames retention removed before
+// the crash (none in a run without retention), and the replay yields
+// exactly that many frames; a recovery that kept none leaves no frame log
+// to replay.
 func checkRecovered(t *testing.T, dir string, rec *Recovery) {
 	t.Helper()
 	run, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open after Recover: %v", err)
 	}
-	if n := run.NumFrames(); n != rec.Frames {
-		t.Fatalf("Open sees %d frames, Recover reported %d", n, rec.Frames)
-	}
 	if rec.Frames == 0 {
 		if run.HasFrames() {
 			t.Fatal("a recovery that kept no frame left a frame index")
 		}
 		return
+	}
+	first := run.index.Segments[0].First
+	if man := run.Manifest(); first != 0 && man.KeepSegments == 0 && man.KeepDuration == "" {
+		t.Fatalf("Open sees a frame log from frame %d in a run without retention", first)
+	}
+	if n := run.NumFrames(); n != first+rec.Frames {
+		t.Fatalf("Open sees %d frames from frame %d, Recover reported %d", n, first, rec.Frames)
 	}
 	src, err := run.Source()
 	if err != nil {
@@ -375,7 +381,7 @@ func TestRecoverRefusesEmptyRoster(t *testing.T) {
 	}
 	man := run.Manifest()
 	man.Cameras = []byte("[]")
-	if err := writeJSON(filepath.Join(dir, manifestFile), man, false); err != nil {
+	if err := writeJSON(osFiles{}, filepath.Join(dir, manifestFile), man, false); err != nil {
 		t.Fatal(err)
 	}
 	before := dirFiles(t, dir)

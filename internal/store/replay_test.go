@@ -224,14 +224,20 @@ func openReplay(t *testing.T, dir string) *Replay {
 // returned, or returns within a second.
 func waitProducerGone(t *testing.T, src *Replay, after string) {
 	t.Helper()
-	frame := fmt.Appendf(nil, "(*Replay).produce(%p", src)
+	waitGone(t, fmt.Sprintf("(*Replay).produce(%p", src), after)
+}
+
+// waitGone fails the test unless no goroutine's stack holds frame, or
+// none does within a second.
+func waitGone(t *testing.T, frame, after string) {
+	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(time.Second); ; {
-		if !bytes.Contains(buf[:runtime.Stack(buf, true)], frame) {
+		if !bytes.Contains(buf[:runtime.Stack(buf, true)], []byte(frame)) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("the replay's producer is still running a second after %s", after)
+			t.Fatalf("%s is still running a second after %s", frame, after)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -301,6 +301,7 @@ func segmentOrdinal(name string) (int, bool) {
 // write errors are sticky, later records are discarded, and the first
 // error is reported by Flush/Close.
 type Writer struct {
+	fs      fileSystem
 	dir     string
 	man     Manifest
 	opts    Options
@@ -308,17 +309,11 @@ type Writer struct {
 	segSize int
 	now     func() time.Time // the source of segment birth times
 
-	mu       sync.Mutex
-	err      error
-	closed   bool
-	snaps    *jsonlWriter
-	rounds   *jsonlWriter
-	seg      *jsonlWriter
-	segments []Segment
-	births   []time.Time // per-segment birth times (memory only; never on disk)
-	segSeq   int         // next segment file ordinal (monotonic under retention)
-	frames   int
-	line     []byte // the frame record being built, reused under mu
+	mu     sync.Mutex
+	err    error
+	closed bool
+	snaps  *jsonlWriter
+	rounds *jsonlWriter
 
 	// The snapshot or round record being encoded, under mu: enc writes
 	// into buf, and the value is copied into snap or round for the call
@@ -327,7 +322,28 @@ type Writer struct {
 	enc   *json.Encoder
 	snap  metrics.Snapshot
 	round metrics.Round
+
+	// The frame log, under fmu, which an append holds through its encode
+	// and write; it takes mu only to read or set the sticky error, so a
+	// snapshot or round record never waits on a frame.
+	fmu      sync.Mutex
+	seg      *jsonlWriter
+	segments []Segment
+	births   []time.Time // per-segment birth times (memory only; never on disk)
+	segSeq   int         // next segment file ordinal (monotonic under retention)
+	frames   int
+	line     []byte // the frame record being built
+
+	// The tee's hand-off to the writer goroutine (writeBehind), made with
+	// it when the tee lends its first frame: lent carries the frame, and
+	// appended says its append is done. Close closes lent and waits.
+	lent     chan *scene.FrameTruth
+	appended chan struct{}
+	writer   sync.WaitGroup
 }
+
+// errClosed is what a frame offered after Close gets.
+var errClosed = errors.New("store: frame appended after Close")
 
 // Create starts a new run in dir with default Options (no fsync,
 // unlimited retention). See CreateWith.
@@ -341,6 +357,11 @@ func Create(dir string, man Manifest) (*Writer, error) {
 // zero and its Fsync/KeepSegments fields are stamped from opts; Cameras
 // must parse as a valid roster.
 func CreateWith(dir string, man Manifest, opts Options) (*Writer, error) {
+	return createIn(osFiles{}, dir, man, opts)
+}
+
+// createIn is CreateWith on the file system fsys.
+func createIn(fsys fileSystem, dir string, man Manifest, opts Options) (*Writer, error) {
 	cams, err := man.roster()
 	if err != nil {
 		return nil, err
@@ -363,16 +384,16 @@ func CreateWith(dir string, man Manifest, opts Options) (*Writer, error) {
 	if opts.KeepDuration > 0 {
 		man.KeepDuration = opts.KeepDuration.String()
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.mkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, manifestFile)); err == nil {
 		return nil, fmt.Errorf("store: %s already holds a run (refusing to overwrite)", dir)
 	}
-	if err := writeJSON(filepath.Join(dir, manifestFile), man, man.syncs()); err != nil {
+	if err := writeJSON(fsys, filepath.Join(dir, manifestFile), man, man.syncs()); err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, man: man, opts: opts, numCams: len(cams), segSize: man.SegmentSize, now: time.Now}
+	w := &Writer{fs: fsys, dir: dir, man: man, opts: opts, numCams: len(cams), segSize: man.SegmentSize, now: time.Now}
 	w.enc = json.NewEncoder(&w.buf)
 	return w, nil
 }
@@ -420,10 +441,10 @@ func (m *Manifest) syncs() bool { return m.Fsync != "" && m.Fsync != FsyncNever.
 // writeJSON writes v, indented, as the file at path, the manifest
 // (CreateWith, Recover) or the frame index (writeIndex), through
 // writeAtomic.
-func writeJSON(path string, v any, sync bool) error {
+func writeJSON(fsys fileSystem, path string, v any, sync bool) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err == nil {
-		err = writeAtomic(path, append(data, '\n'), sync)
+		err = writeAtomic(fsys, path, append(data, '\n'), sync)
 	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -437,67 +458,43 @@ func writeJSON(path string, v any, sync bool) error {
 // one. With sync the temporary file reaches stable storage before the
 // rename and the directory entry after it. A failed write leaves path
 // as it was and removes the temporary file it made.
-func writeAtomic(path string, data []byte, sync bool) error {
+func writeAtomic(fsys fileSystem, path string, data []byte, sync bool) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := fsys.writeFile(tmp, data, sync); err != nil {
 		return err
 	}
-	_, err = f.Write(data)
-	if err == nil && sync {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := fsys.rename(tmp, path); err != nil {
+		fsys.remove(tmp)
 		return err
 	}
 	if sync {
-		return syncDir(filepath.Dir(path))
+		return fsys.syncDir(filepath.Dir(path))
 	}
 	return nil
-}
-
-// syncDir forces dir's entries to stable storage.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // writeIndex writes frames/index.json for the frame log segs, whose last
 // segment ends the stream. With no segment it removes the index instead,
 // and a temporary one a crash left, so no index outlives the log it
 // described.
-func writeIndex(dir string, segs []Segment, sync bool) error {
+func writeIndex(fsys fileSystem, dir string, segs []Segment, sync bool) error {
 	path := filepath.Join(dir, framesDir, indexFile)
 	if len(segs) == 0 {
 		for _, p := range []string{path, path + ".tmp"} {
-			if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			if err := fsys.remove(p); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("store: %w", err)
 			}
 		}
 		return nil
 	}
 	last := segs[len(segs)-1]
-	return writeJSON(path, frameIndex{Frames: last.First + last.Count, Segments: segs}, sync)
+	return writeJSON(fsys, path, frameIndex{Frames: last.First + last.Count, Segments: segs}, sync)
 }
 
 // jsonlWriter is a lazily-opened buffered JSONL file writing
 // checksummed records under the writer's fsync policy.
 type jsonlWriter struct {
-	f     *os.File
+	f     appendFile
 	bw    *bufio.Writer
 	fsync FsyncPolicy
 	n     int // records since the last sync
@@ -506,8 +503,8 @@ type jsonlWriter struct {
 // fsyncEvery is the records-per-sync interval of FsyncInterval.
 const fsyncEvery = 64
 
-func openJSONL(path string, opts Options) (*jsonlWriter, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+func openJSONL(fsys fileSystem, path string, opts Options) (*jsonlWriter, error) {
+	f, err := fsys.appendTo(path)
 	if err != nil {
 		return nil, err
 	}
@@ -564,7 +561,7 @@ func (w *Writer) RecordFrame(snap metrics.Snapshot) {
 		return
 	}
 	if w.snaps == nil {
-		w.snaps, w.err = openJSONL(filepath.Join(w.dir, snapshotsFile), w.opts)
+		w.snaps, w.err = openJSONL(w.fs, filepath.Join(w.dir, snapshotsFile), w.opts)
 		if w.err != nil {
 			return
 		}
@@ -594,7 +591,7 @@ func (w *Writer) RecordRound(round metrics.Round) {
 		return
 	}
 	if w.rounds == nil {
-		w.rounds, w.err = openJSONL(filepath.Join(w.dir, roundsFile), w.opts)
+		w.rounds, w.err = openJSONL(w.fs, filepath.Join(w.dir, roundsFile), w.opts)
 		if w.err != nil {
 			return
 		}
@@ -607,45 +604,70 @@ func (w *Writer) RecordRound(round metrics.Round) {
 // AppendFrame appends one frame to the run's frame log, rolling to a
 // new segment every SegmentSize frames. Unlike the record methods it
 // returns its error eagerly — a frame the store cannot persist breaks
-// the replay contract, so the caller (Writer.Tee) must stop the stream.
+// the replay contract, so the caller must stop the stream.
 func (w *Writer) AppendFrame(f *scene.FrameTruth) error {
+	w.fmu.Lock()
+	defer w.fmu.Unlock()
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("store: AppendFrame after Close")
+	closed := w.closed
+	w.mu.Unlock()
+	if closed {
+		return errClosed
 	}
-	if w.err != nil {
-		return w.err
-	}
-	if len(f.PerCamera) != w.numCams {
-		w.err = fmt.Errorf("store: frame %d has %d camera lists, roster has %d",
-			f.Index, len(f.PerCamera), w.numCams)
-		return w.err
+	return w.appendFrame(f)
+}
+
+// appendFrame is AppendFrame past its Close check; the writer goroutine
+// runs it for the frames lent to it before Close. Caller holds w.fmu.
+func (w *Writer) appendFrame(f *scene.FrameTruth) error {
+	w.mu.Lock()
+	err := w.rosterErr(f)
+	w.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	if w.frames%w.segSize == 0 {
 		if err := w.rollSegment(); err != nil {
-			w.err = err
-			return err
+			return w.fail(err)
 		}
 	}
 	line, err := scene.AppendFrame(append(w.line[:0], linePad...), f)
 	if err != nil {
-		w.err = fmt.Errorf("store: encode frame %d: %w", f.Index, err)
-		return w.err
+		return w.fail(fmt.Errorf("store: encode frame %d: %w", f.Index, err))
 	}
 	w.line = sealLine(line)
 	if err := w.seg.record(w.line); err != nil {
-		w.err = err
-		return err
+		return w.fail(err)
 	}
 	w.frames++
 	w.segments[len(w.segments)-1].Count++
 	return nil
 }
 
+// rosterErr returns the sticky error, making it one when there is none
+// and f's camera lists do not match the roster. Caller holds w.mu.
+func (w *Writer) rosterErr(f *scene.FrameTruth) error {
+	if w.err == nil && len(f.PerCamera) != w.numCams {
+		w.err = fmt.Errorf("store: frame %d has %d camera lists, roster has %d",
+			f.Index, len(f.PerCamera), w.numCams)
+	}
+	return w.err
+}
+
+// fail makes err the sticky error unless there is one, and returns the
+// sticky error.
+func (w *Writer) fail(err error) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil {
+		w.err = err
+	}
+	return w.err
+}
+
 // rollSegment flushes the open segment (if any), opens the next one,
 // and applies the retention bounds — count (KeepSegments) and age
-// (KeepDuration) share this one pruning path. Caller holds w.mu.
+// (KeepDuration) share this one pruning path. Caller holds w.fmu.
 func (w *Writer) rollSegment() error {
 	err := w.seg.close()
 	w.seg = nil
@@ -653,13 +675,13 @@ func (w *Writer) rollSegment() error {
 		return err
 	}
 	if w.segSeq == 0 {
-		if err := os.MkdirAll(filepath.Join(w.dir, framesDir), 0o755); err != nil {
+		if err := w.fs.mkdirAll(filepath.Join(w.dir, framesDir)); err != nil {
 			return err
 		}
 	}
 	name := segmentName(w.segSeq)
 	w.segSeq++
-	seg, err := openJSONL(filepath.Join(w.dir, framesDir, name), w.opts)
+	seg, err := openJSONL(w.fs, filepath.Join(w.dir, framesDir, name), w.opts)
 	if err != nil {
 		return err
 	}
@@ -678,7 +700,7 @@ func (w *Writer) rollSegment() error {
 		if !tooMany && !tooOld {
 			break
 		}
-		if err := os.Remove(filepath.Join(w.dir, framesDir, w.segments[0].File)); err != nil {
+		if err := w.fs.remove(filepath.Join(w.dir, framesDir, w.segments[0].File)); err != nil {
 			return err
 		}
 		w.segments = append(w.segments[:0], w.segments[1:]...)
@@ -688,32 +710,54 @@ func (w *Writer) rollSegment() error {
 }
 
 // Flush persists buffered snapshots, rounds, and frame lines, and
-// reports the sticky error, if any (metrics.Sink).
+// reports the sticky error, if any (metrics.Sink). A frame the tee lent
+// last may still be on its way to the frame log.
 func (w *Writer) Flush() error {
+	w.fmu.Lock()
+	var segErr error
+	if w.seg != nil {
+		segErr = w.seg.bw.Flush()
+	}
+	w.fmu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	flush := func(j *jsonlWriter) {
+	for _, j := range []*jsonlWriter{w.snaps, w.rounds} {
 		if j != nil {
 			if err := j.bw.Flush(); err != nil && w.err == nil {
 				w.err = err
 			}
 		}
 	}
-	flush(w.snaps)
-	flush(w.rounds)
-	flush(w.seg)
+	if segErr != nil && w.err == nil {
+		w.err = segErr
+	}
 	return w.err
 }
 
-// Close flushes everything, writes the frame index, and seals the run.
-// Idempotent; later record calls are discarded.
+// Close appends the frame the tee lent last, if its append is still
+// under way, and ends the writer goroutine; then it flushes everything,
+// writes the frame index, and seals the run. Idempotent; later record
+// calls are discarded, and later frames fail.
 func (w *Writer) Close() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
+		defer w.mu.Unlock()
 		return w.err
 	}
 	w.closed = true
+	lent := w.lent
+	w.mu.Unlock()
+	if lent != nil {
+		close(lent)
+		w.writer.Wait()
+	}
+	w.fmu.Lock()
+	segErr := w.seg.close()
+	w.seg = nil
+	w.fmu.Unlock()
+
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	firstErr := func(err error) {
 		if err != nil && w.err == nil {
 			w.err = err
@@ -721,9 +765,9 @@ func (w *Writer) Close() error {
 	}
 	firstErr(w.snaps.close())
 	firstErr(w.rounds.close())
-	firstErr(w.seg.close())
-	w.snaps, w.rounds, w.seg = nil, nil, nil
-	firstErr(writeIndex(w.dir, w.segments, w.man.syncs()))
+	firstErr(segErr)
+	w.snaps, w.rounds = nil, nil
+	firstErr(writeIndex(w.fs, w.dir, w.segments, w.man.syncs()))
 	return w.err
 }
 
@@ -731,22 +775,88 @@ func (w *Writer) Close() error {
 // appended to this run's frame log — how a live run records itself. A
 // frame the store cannot persist fails the stream (the source returns
 // the store error), keeping "recorded" and "processed" in lockstep.
+//
+// The frame is appended one behind: Next lends it to the writer
+// goroutine, which the first Next starts and Close ends, and returns it
+// at once; the next Next waits for that append before it pulls another
+// frame from src. So the writer reads the frame in place while the
+// engine works on it, within the Source contract, which lends a frame
+// until the next Next. A failed append is returned by the Next after it
+// and by every later one, and no frame is pulled after it; a frame whose
+// camera lists do not match the roster fails at its own Next. A Writer's
+// frames go through one Tee at a time.
 func (w *Writer) Tee(src Source) Source { return &tee{src: src, w: w} }
 
 type tee struct {
-	src Source
-	w   *Writer
+	src     Source
+	w       *Writer
+	lending bool // a frame is lent to the writer goroutine
 }
 
 func (t *tee) Cameras() []*scene.Camera { return t.src.Cameras() }
 
 func (t *tee) Next() (*scene.FrameTruth, error) {
+	w := t.w
+	if t.lending {
+		<-w.appended
+		t.lending = false
+	}
+	if err := w.teeErr(); err != nil {
+		return nil, err
+	}
 	f, err := t.src.Next()
 	if err != nil {
 		return nil, err
 	}
-	if err := t.w.AppendFrame(f); err != nil {
+	if err := w.lend(f); err != nil {
 		return nil, err
 	}
+	t.lending = true
 	return f, nil
+}
+
+// teeErr returns the sticky error, or errClosed after Close.
+func (w *Writer) teeErr() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil && w.closed {
+		return errClosed
+	}
+	return w.err
+}
+
+// lend checks f's camera lists against the roster and hands f to the
+// writer goroutine, starting it with the first frame. The hand-off never
+// blocks: lent holds one frame, and the tee lends the next only after
+// the writer took the last one and appended it.
+func (w *Writer) lend(f *scene.FrameTruth) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.rosterErr(f); err != nil {
+		return err
+	}
+	if w.closed {
+		return errClosed
+	}
+	if w.lent == nil {
+		w.lent = make(chan *scene.FrameTruth, 1)
+		w.appended = make(chan struct{}, 1)
+		w.writer.Add(1)
+		go w.writeBehind(w.lent)
+	}
+	w.lent <- f
+	return nil
+}
+
+// writeBehind is the writer goroutine: it appends each frame lent to it,
+// in order, and says so on appended, until Close closes lent. A failed
+// append is the sticky error, which the tee returns.
+func (w *Writer) writeBehind(lent <-chan *scene.FrameTruth) {
+	defer w.writer.Done()
+	for f := range lent {
+		w.fmu.Lock()
+		w.appendFrame(f)
+		w.fmu.Unlock()
+		w.appended <- struct{}{}
+	}
 }
